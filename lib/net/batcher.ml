@@ -1,3 +1,5 @@
+let default_batch_bytes = 4096
+
 type t = {
   max_bytes : int;
   bufs : (int * int, bytes list ref * int ref) Hashtbl.t;

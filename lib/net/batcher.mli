@@ -8,6 +8,10 @@
 
 type t
 
+val default_batch_bytes : int
+(** The byte threshold a link auto-flushes at when a backend's
+    [enable_batching] is given no [max_bytes]. *)
+
 val create : max_bytes:int -> t
 (** @raise Invalid_argument when [max_bytes < 1]. *)
 

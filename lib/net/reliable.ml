@@ -1,34 +1,29 @@
-(* The Reliable envelope layer as a transport adapter: the ARQ that
-   [Cluster] runs {e inside} the simulated interconnect, lifted into a
-   stackable layer over any {!Transport.t} — in practice the [Sock]
-   backend, whose TCP only guarantees delivery while a connection
-   lives.  Frames the kernel dropped with a severed connection, frames
-   a chaos injector swallowed, and whole machine kill/restarts are
-   recovered here exactly as the Sim backend recovers them: per-link
-   sequence numbers and checksums in an {!Envelope}, acks for every
-   data frame, duplicate suppression (at-most-once up), capped
-   exponential retransmission on the {!idle} tick, heartbeat-driven
+(* The Reliable envelope layer: the one ARQ stack, stacked over any
+   {!Transport.t} — the raw simulated interconnect ([Cluster]) for the
+   Sim backend, and [Sock], whose TCP only guarantees delivery while a
+   connection lives.  Frames a fault schedule or chaos injector
+   swallowed, frames the kernel dropped with a severed connection, and
+   whole machine kill/restarts are recovered here: per-link sequence
+   numbers and checksums in an {!Envelope}, acks for every data frame,
+   duplicate suppression (at-most-once up), capped exponential
+   retransmission on the {!idle} tick, heartbeat-driven
    Alive/Suspect/Down, and epoch fencing of dead incarnations.
 
-   All control traffic (envelopes carrying retransmits, acks,
-   heartbeats) leaves through the lower transport's [send_raw], so the
-   logical counters ([msgs_sent]/[bytes_sent]) are charged once, here,
-   with the payload — byte-identical accounting to [Cluster]'s
-   [Reliable] mode. *)
+   All envelope traffic (data, retransmits, acks, heartbeats) leaves
+   through the lower transport's [send_raw], so the logical counters
+   ([msgs_sent]/[bytes_sent]) are charged once, here, with the
+   payload — the same accounting as the raw transport. *)
 
 module Msgbuf = Rmi_wire.Msgbuf
 module Protocol = Rmi_wire.Protocol
 module Metrics = Rmi_stats.Metrics
 
-type params = Cluster.params = {
-  rto : int;
-  backoff_cap : int;
-  max_attempts : int;
-}
+type params = { rto : int; backoff_cap : int; max_attempts : int }
 
-let default_params = Cluster.default_params
+let default_params = { rto = 2; backoff_cap = 32; max_attempts = 12 }
 
-(* what [self] believes about [peer] (same cell as Cluster's) *)
+(* what [self] believes about [peer], and the highest incarnation seen
+   (the fence) *)
 type det_cell = {
   mutable last_heard : int;
   mutable last_ping : int;
@@ -36,11 +31,13 @@ type det_cell = {
   mutable known_epoch : int;
 }
 
+(* a sent-but-unacknowledged data frame, waiting on its retransmit
+   timer *)
 type pending = {
   frame : bytes;
   mutable attempts : int;
   mutable rto_now : int;
-  mutable due : int;
+  mutable due : int;  (* tick at which the timer expires *)
 }
 
 type link_tx = {
@@ -92,13 +89,20 @@ module M = struct
   (* send path: envelope, register for retransmission, ship raw        *)
   (* ---------------------------------------------------------------- *)
 
+  (* control frames (acks, heartbeats): empty payload, so no payload
+     copies either way — but the zero-copy mode builds them in a pooled
+     writer instead of allocating a throwaway one per frame *)
   let control_frame t ~kind ~src ~lseq =
-    Msgbuf.Pool.with_writer (pool t) (fun w ->
-        let start =
-          Envelope.encode_into w ~kind ~src ~epoch:(self_epoch t src) ~lseq
-            ~payload:Bytes.empty ()
-        in
-        Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start))
+    if zero_copy t then
+      Msgbuf.Pool.with_writer (pool t) (fun w ->
+          let start =
+            Envelope.encode_into w ~kind ~src ~epoch:(self_epoch t src) ~lseq
+              ~payload:Bytes.empty ()
+          in
+          Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start))
+    else
+      Envelope.encode ~kind ~src ~epoch:(self_epoch t src) ~lseq
+        ~payload:Bytes.empty ()
 
   let register_unacked t ~lseq ~ltx envelope =
     Hashtbl.replace ltx.unacked lseq
@@ -108,6 +112,24 @@ module M = struct
         rto_now = t.params.rto;
         due = t.tick + t.params.rto;
       }
+
+  (* the legacy copy-based framing: the payload is snapshotted three
+     times on its way into an envelope ([Bytes.to_string], the
+     length-prefixed blit, and the final [contents]), each charged to
+     [bytes_copied] *)
+  let send_frame_legacy t ~src ~dest frame =
+    Mutex.lock t.lock;
+    let ltx = t.tx.(src).(dest) in
+    let lseq = ltx.next_lseq in
+    ltx.next_lseq <- lseq + 1;
+    let envelope =
+      Envelope.encode ~kind:Data ~src ~epoch:(self_epoch t src) ~lseq
+        ~payload:frame ()
+    in
+    charge t (3 * Bytes.length frame);
+    register_unacked t ~lseq ~ltx envelope;
+    Mutex.unlock t.lock;
+    Transport.send_raw t.lower ~src ~dest envelope
 
   (* envelope a payload already materialized as bytes: one blit into a
      pooled writer plus the single frame snapshot shared by the lower
@@ -132,6 +154,10 @@ module M = struct
           envelope)
     in
     Transport.send_raw t.lower ~src ~dest envelope
+
+  let send_frame t ~src ~dest frame =
+    if zero_copy t then send_frame_zc t ~src ~dest frame
+    else send_frame_legacy t ~src ~dest frame
 
   (* the zero-copy fast path: the payload sits in [w] after a reserved
      {!Envelope.gap}; the envelope header is back-filled in place and
@@ -162,14 +188,14 @@ module M = struct
     check t src;
     check t dest;
     account_send t (Bytes.length msg);
-    send_frame_zc t ~src ~dest msg
+    send_frame t ~src ~dest msg
 
   (* control traffic of a layer stacked above this one (none exists
      today); ships enveloped all the same so reliability is preserved *)
   let send_raw t ~src ~dest frame =
     check t src;
     check t dest;
-    send_frame_zc t ~src ~dest frame
+    send_frame t ~src ~dest frame
 
   let send_writer t ~src ~dest w ~payload_off =
     check t src;
@@ -181,25 +207,33 @@ module M = struct
   (* batching: one flushed group = one envelope = one seq/ack unit     *)
   (* ---------------------------------------------------------------- *)
 
-  let enable_batching ?(max_bytes = Cluster.default_batch_bytes) t =
+  let enable_batching ?(max_bytes = Batcher.default_batch_bytes) t =
     if max_bytes < 1 then invalid_arg "Reliable.enable_batching: max_bytes < 1";
     t.batcher <- Some (Batcher.create ~max_bytes)
 
   let batching_enabled t = t.batcher <> None
 
+  (* the zero-copy mode assembles the batch directly in a gap-reserved
+     pooled writer (one blit per member) and envelopes it in place; the
+     legacy mode batches with [encode_batch] (three copies of the group)
+     and envelopes with [send_frame_legacy] (three more) *)
   let flush_group t ~src ~dest msgs bytes =
     let k = List.length msgs in
     Metrics.incr_msgs_sent (metrics t);
     Metrics.add_bytes_sent (metrics t) bytes;
     Metrics.record_batch (metrics t) ~msgs:k;
     (match msgs with
-    | [ m ] -> send_frame_zc t ~src ~dest m
-    | _ ->
+    | [ m ] -> send_frame t ~src ~dest m
+    | _ when zero_copy t ->
         Msgbuf.Pool.with_writer (pool t) (fun w ->
             ignore (Msgbuf.reserve w Envelope.gap : int);
             Protocol.encode_batch_into w msgs;
             charge t bytes;
-            send_frame_writer t ~src ~dest w ~payload_off:Envelope.gap));
+            send_frame_writer t ~src ~dest w ~payload_off:Envelope.gap)
+    | _ ->
+        let f = Protocol.encode_batch msgs in
+        charge t (3 * bytes);
+        send_frame_legacy t ~src ~dest f);
     (dest, k, bytes)
 
   let flush t ~src =
@@ -245,122 +279,146 @@ module M = struct
     Mutex.unlock t.imutex.(self);
     m
 
-  (* a decoded payload slice: either a single message, handed straight
-     up, or a batch whose first message returns and whose rest queue
-     ahead of the lower transport — slices sharing the frame bytes *)
-  let unpack t ~self ((buf, off, len) as slice) =
-    if not (Protocol.is_batch_at buf ~off ~len) then Some slice
-    else
+  (* the legacy framing works on whole frames; the raw interconnect
+     hands those up unsliced *)
+  let materialize buf off len =
+    if off = 0 && len = Bytes.length buf then buf else Bytes.sub buf off len
+
+  let queue_rest t ~self rest =
+    if rest <> [] then begin
+      Mutex.lock t.imutex.(self);
+      List.iter (fun m -> Queue.push m t.inbox.(self)) rest;
+      Mutex.unlock t.imutex.(self)
+    end
+
+  (* a delivered payload: either a single message, handed straight up,
+     or a batch whose first message returns and whose rest queue ahead
+     of the lower transport.  The zero-copy mode splits the batch into
+     slices sharing the frame bytes; the legacy mode copies each member
+     out (charged). *)
+  let unpack t ~self buf off len =
+    if not (Protocol.is_batch_at buf ~off ~len) then Some (buf, off, len)
+    else if zero_copy t then
       match Protocol.decode_batch_slice buf ~off ~len with
       | None | Some [] -> None  (* garbled batch: drop whole *)
       | Some ((o, l) :: rest) ->
-          if rest <> [] then begin
-            Mutex.lock t.imutex.(self);
-            List.iter (fun (o, l) -> Queue.push (buf, o, l) t.inbox.(self)) rest;
-            Mutex.unlock t.imutex.(self)
-          end;
+          queue_rest t ~self (List.map (fun (o, l) -> (buf, o, l)) rest);
           Some (buf, o, l)
+    else
+      match Protocol.decode_batch (materialize buf off len) with
+      | None | Some [] -> None
+      | Some (first :: rest) ->
+          charge t
+            (List.fold_left
+               (fun acc m -> acc + Bytes.length m)
+               (Bytes.length first) rest);
+          queue_rest t ~self (List.map (fun m -> (m, 0, Bytes.length m)) rest);
+          Some (first, 0, Bytes.length first)
 
-  (* [Some payload_slice] to hand up, [None] when the frame was
-     consumed here (ack, heartbeat, duplicate, stale epoch, or
-     checksum failure — the sender's timer recovers the latter) *)
-  let filter_frame t ~self (buf, off, len) =
-    match Envelope.decode_slice buf ~off ~len with
-    | None -> None
-    | Some ({ Envelope.kind; src; epoch; lseq }, (poff, plen)) ->
-        Mutex.lock t.lock;
-        let d = t.det.(self).(src) in
-        (* fence: a frame from an incarnation older than the best one
-           we have seen is a ghost of a dead process *)
-        let stale = epoch < d.known_epoch in
-        let recovered = ref false in
-        if not stale then begin
-          if epoch > d.known_epoch then begin
-            d.known_epoch <- epoch;
-            (* the new incarnation restarts its lseq space at 0, so the
-               old dedup memory would wrongly swallow its fresh frames *)
-            Hashtbl.reset t.rx.(self).(src).seen
+  (* the envelope [env] around payload [buf.(off..off+len)] arrived for
+     [self]: [Some message] to hand up, [None] when the frame was
+     consumed here (ack, heartbeat, duplicate or stale epoch) *)
+  let filter t ~self { Envelope.kind; src; epoch; lseq } buf off len =
+    Mutex.lock t.lock;
+    let d = t.det.(self).(src) in
+    (* fence: a frame from an incarnation older than the best one
+       we have seen is a ghost of a dead process *)
+    let stale = epoch < d.known_epoch in
+    let recovered = ref false in
+    if not stale then begin
+      if epoch > d.known_epoch then begin
+        d.known_epoch <- epoch;
+        (* the new incarnation restarts its lseq space at 0, so the
+           old dedup memory would wrongly swallow its fresh frames *)
+        Hashtbl.reset t.rx.(self).(src).seen
+      end;
+      d.last_heard <- t.tick;
+      if d.health <> Transport.Alive then begin
+        d.health <- Transport.Alive;
+        recovered := true
+      end
+    end;
+    Mutex.unlock t.lock;
+    if !recovered then fire_peer t ~self ~peer:src Transport.Peer_recovered;
+    if stale then begin
+      Metrics.incr_stale_drops (metrics t);
+      None
+    end
+    else
+      match kind with
+      | Envelope.Hb ->
+          if lseq = Envelope.hb_ping then begin
+            Metrics.incr_heartbeats_sent (metrics t);
+            Transport.send_raw t.lower ~src:self ~dest:src
+              (control_frame t ~kind:Envelope.Hb ~src:self
+                 ~lseq:Envelope.hb_pong)
           end;
-          d.last_heard <- t.tick;
-          if d.health <> Transport.Alive then begin
-            d.health <- Transport.Alive;
-            recovered := true
-          end
-        end;
-        Mutex.unlock t.lock;
-        if !recovered then fire_peer t ~self ~peer:src Transport.Peer_recovered;
-        if stale then begin
-          Metrics.incr_stale_drops (metrics t);
           None
-        end
-        else
-          match kind with
-          | Envelope.Hb ->
-              if lseq = Envelope.hb_ping then begin
-                Metrics.incr_heartbeats_sent (metrics t);
-                Transport.send_raw t.lower ~src:self ~dest:src
-                  (control_frame t ~kind:Envelope.Hb ~src:self
-                     ~lseq:Envelope.hb_pong)
-              end;
-              None
-          | Envelope.Ack ->
-              Mutex.lock t.lock;
-              Hashtbl.remove t.tx.(self).(src).unacked lseq;
-              Mutex.unlock t.lock;
-              None
-          | Envelope.Data ->
-              (* always ack, even duplicates: the earlier ack may have
-                 been lost *)
-              Metrics.incr_acks_sent (metrics t);
-              Transport.send_raw t.lower ~src:self ~dest:src
-                (control_frame t ~kind:Envelope.Ack ~src:self ~lseq);
-              Mutex.lock t.lock;
-              let seen = t.rx.(self).(src).seen in
-              let dup = Hashtbl.mem seen lseq in
-              if not dup then Hashtbl.add seen lseq ();
-              Mutex.unlock t.lock;
-              if dup then begin
-                Metrics.incr_dup_drops (metrics t);
-                None
-              end
-              else Some (buf, poff, plen)
+      | Envelope.Ack ->
+          Mutex.lock t.lock;
+          Hashtbl.remove t.tx.(self).(src).unacked lseq;
+          Mutex.unlock t.lock;
+          None
+      | Envelope.Data ->
+          (* always ack, even duplicates: the earlier ack may have
+             been lost *)
+          Metrics.incr_acks_sent (metrics t);
+          Transport.send_raw t.lower ~src:self ~dest:src
+            (control_frame t ~kind:Envelope.Ack ~src:self ~lseq);
+          Mutex.lock t.lock;
+          let seen = t.rx.(self).(src).seen in
+          let dup = Hashtbl.mem seen lseq in
+          if not dup then Hashtbl.add seen lseq ();
+          Mutex.unlock t.lock;
+          if dup then begin
+            Metrics.incr_dup_drops (metrics t);
+            None
+          end
+          else unpack t ~self buf off len
 
-  let admit t ~self slice =
-    match filter_frame t ~self slice with
-    | Some payload_slice -> unpack t ~self payload_slice
+  (* a frame from the lower transport; one failing its checksum is
+     dropped here (the sender's timer recovers it) *)
+  let admit t ~self (buf, off, len) =
+    if zero_copy t then
+      match Envelope.decode_slice buf ~off ~len with
+      | None -> None
+      | Some (env, (poff, plen)) -> filter t ~self env buf poff plen
+    else
+      (* the legacy framing copies the payload out (charged) *)
+      match Envelope.decode (materialize buf off len) with
+      | None -> None
+      | Some (env, payload) ->
+          charge t (Bytes.length payload);
+          filter t ~self env payload 0 (Bytes.length payload)
+
+  (* the receive loops are top-level functions, not local closures, so
+     an empty poll allocates nothing *)
+  let rec drain t ~self =
+    match Transport.try_recv_slice t.lower ~self with
     | None -> None
+    | Some slice -> (
+        match admit t ~self slice with None -> drain t ~self | m -> m)
 
   let try_recv_slice t ~self =
     check t self;
-    match pop_inbox t ~self with
-    | Some m -> Some m
-    | None ->
-        let rec go () =
-          match Transport.try_recv_slice t.lower ~self with
-          | None -> None
-          | Some slice -> (
-              match admit t ~self slice with Some m -> Some m | None -> go ())
-        in
-        go ()
+    match pop_inbox t ~self with Some _ as m -> m | None -> drain t ~self
+
+  let rec wait t ~self deadline =
+    let remain = deadline -. Unix.gettimeofday () in
+    if remain <= 0.0 then None
+    else
+      match Transport.recv_deadline_slice t.lower ~self ~seconds:remain with
+      | None -> None
+      | Some slice -> (
+          match admit t ~self slice with None -> wait t ~self deadline | m -> m)
 
   let recv_deadline_slice t ~self ~seconds =
     check t self;
     (* one non-blocking pass first, so a zero or negative deadline
        still drains anything already deliverable *)
     match try_recv_slice t ~self with
-    | Some m -> Some m
-    | None ->
-        let deadline = Unix.gettimeofday () +. seconds in
-        let rec go () =
-          let remain = deadline -. Unix.gettimeofday () in
-          if remain <= 0.0 then None
-          else
-            match Transport.recv_deadline_slice t.lower ~self ~seconds:remain with
-            | None -> None
-            | Some slice -> (
-                match admit t ~self slice with Some m -> Some m | None -> go ())
-        in
-        go ()
+    | Some _ as m -> m
+    | None -> wait t ~self (Unix.gettimeofday () +. seconds)
 
   let buffered_anywhere t =
     match t.batcher with None -> false | Some b -> Batcher.any b
@@ -375,8 +433,8 @@ module M = struct
   (* ---------------------------------------------------------------- *)
 
   (* sweep the detector on the shared tick (covers every observer, like
-     Cluster's: in Sync mode one machine drives everyone's timers);
-     with [t.lock] held *)
+     the retransmit clock: in Sync mode one machine drives everyone's
+     timers); with [t.lock] held *)
   let detector_sweep t =
     let pings = ref [] in
     let events = ref [] in
@@ -480,25 +538,24 @@ module M = struct
       events;
     if !gave_up <> [] then Transport.Gave_up (List.sort_uniq compare !gave_up)
     else if !resend <> [] then Transport.Retransmitted (List.length !resend)
-    else if !unacked = 0 && not (pending_anywhere t) then Transport.Dead
+    else if
+      !unacked = 0
+      && (match Transport.faults t.lower with
+         | None -> true
+         | Some sim -> Fault_sim.held_frames sim = 0)
+      && not (pending_anywhere t)
+    then Transport.Dead
     else Transport.Waiting
 
-  let recv_blocking_slice t ~self =
-    check t self;
-    match pop_inbox t ~self with
-    | Some m -> m
+  (* chop the wait into slices so a blocked machine keeps driving its
+     own retransmit timers (a server whose reply was dropped must resend
+     it even though it is only receiving) *)
+  let rec recv_blocking_slice t ~self =
+    match recv_deadline_slice t ~self ~seconds:0.002 with
+    | Some payload -> payload
     | None ->
-        (* chop the wait into slices so a blocked machine keeps driving
-           its own retransmit timers (a server whose reply was dropped
-           must resend it even though it is only receiving) *)
-        let rec go () =
-          match recv_deadline_slice t ~self ~seconds:0.002 with
-          | Some payload -> payload
-          | None ->
-              ignore (idle t ~self : Transport.idle_outcome);
-              go ()
-        in
-        go ()
+        ignore (idle t ~self : Transport.idle_outcome);
+        recv_blocking_slice t ~self
 
   (* ---------------------------------------------------------------- *)
   (* everything else: the adapter's own state or pure delegation       *)
@@ -535,7 +592,8 @@ include M
 (* a machine just crashed: everything it held in flight dies with it —
    unpacked-batch inbox, unflushed batch buffers, link send state and
    dedup memory.  Peers' state about it survives (their retransmit
-   timers are the recovery path).  Mirrors Cluster.wipe_machine. *)
+   timers are the recovery path).  Runs from the lower transport's
+   process hook, after the lower layer dropped its own mailboxes. *)
 let wipe_machine (t : M.t) m =
   Mutex.lock t.M.imutex.(m);
   Queue.clear t.M.inbox.(m);

@@ -1,25 +1,32 @@
-(** The Reliable envelope layer as a stackable transport adapter.
+(** The Reliable envelope layer: the one ARQ stack, as a stackable
+    transport adapter.
 
     [wrap lower] returns a transport that speaks {!Envelope} frames
     over [lower]'s raw wire ({!Transport.S.send_raw}): per-link
     sequence numbers, acks, duplicate suppression, capped-exponential
     retransmission on the {!Transport.S.idle} tick, heartbeat-driven
-    Alive/Suspect/Down and epoch fencing — the exact ARQ the [Cluster]
-    backend runs in [Reliable] mode, lifted out so the [Sock] backend
-    gets the same exactly-once guarantees over real TCP.
+    Alive/Suspect/Down and epoch fencing.  [Rmi_runtime.Fabric] stacks
+    it on the raw simulated interconnect ({!Sim}) and on [Sock] alike
+    whenever the config asks for [Reliable].
 
     The adapter keeps its own link state, batcher and failure
     detector; it delegates the physical layer (fault schedules, chaos
     injection, epochs, process events, shutdown) to [lower].  On a
     [Proc_crashed] event from [lower], the crashed machine's in-flight
-    ARQ state is wiped before runtime-level hooks run, mirroring
-    [Cluster.wipe_machine].
+    ARQ state is wiped before runtime-level hooks run.  {!Transport.S.idle}
+    answers [Dead] only when nothing is in flight anywhere: no unacked
+    frame, no frame held by [lower]'s fault schedule, nothing queued.
 
-    Accounting matches [Cluster]'s [Reliable] mode: logical counters
-    charge the payload once at the adapter; envelope and control
+    Framing follows [lower]'s {!Transport.S.zero_copy} mode: zero-copy
+    envelopes are built in pooled writers and payloads handed up as
+    slices; the legacy mode (Sim only) makes and charges the
+    copy-based framing's copies.
+
+    Accounting: logical counters charge the payload once at the
+    adapter, exactly as the raw transport does; envelope and control
     frames ride [lower]'s [send_raw], which charges nothing. *)
 
-type params = Cluster.params = {
+type params = {
   rto : int;  (** ticks before first retransmission *)
   backoff_cap : int;  (** rto doubles per attempt up to this *)
   max_attempts : int;  (** then the frame is abandoned ([timeouts]) *)

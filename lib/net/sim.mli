@@ -1,5 +1,7 @@
-(** The [Sim] backend: the in-process simulated interconnect
-    ({!Cluster}) packaged as a first-class {!Transport.t}. *)
+(** The [Sim] backend: the in-process raw simulated interconnect
+    ({!Cluster}) packaged as a first-class {!Transport.t}.  Reliable
+    delivery is not a mode of this backend: stack {!Reliable.wrap} on
+    it, as {!Rmi_runtime.Fabric} does for [Config.Reliable]. *)
 
 (** Witness that {!Cluster} satisfies the transport signature. *)
 module Backend : Transport.S with type t = Cluster.t
@@ -7,11 +9,6 @@ module Backend : Transport.S with type t = Cluster.t
 (** Erase an existing cluster into a transport. *)
 val pack : Cluster.t -> Transport.t
 
-(** [create ?transport ?zero_copy ~n metrics] is {!Cluster.create}
-    followed by {!pack}. *)
-val create :
-  ?transport:Cluster.transport ->
-  ?zero_copy:bool ->
-  n:int ->
-  Rmi_stats.Metrics.t ->
-  Transport.t
+(** [create ?zero_copy ~n metrics] is {!Cluster.create} followed by
+    {!pack}. *)
+val create : ?zero_copy:bool -> n:int -> Rmi_stats.Metrics.t -> Transport.t

@@ -505,7 +505,7 @@ module M = struct
   (* batching (same bookkeeping and accounting as the sim backend)     *)
   (* ---------------------------------------------------------------- *)
 
-  let enable_batching ?(max_bytes = 4096) t =
+  let enable_batching ?(max_bytes = Batcher.default_batch_bytes) t =
     t.batcher <- Some (Batcher.create ~max_bytes)
 
   let batching_enabled t = t.batcher <> None

@@ -3,7 +3,7 @@
     fabric and a real socket fabric are interchangeable backends.
 
     A backend implements {!S} — creation is backend-specific (the
-    simulated {!Cluster} takes a link discipline and a machine count, a
+    simulated {!Cluster} takes a framing mode and a machine count, a
     {!Sock} fabric takes addresses), so [S] covers an already-created
     instance: the send family, the slice-receive family, batching, the
     idle/retransmit clock, fault hooks and peer health.  {!pack} erases

@@ -15,7 +15,7 @@ type transport =
   | Reliable
       (** link-level ack/retransmit with at-most-once delivery; the
           runtime survives drops, duplication, reordering and
-          corruption (see {!Rmi_net.Cluster} and DESIGN.md's
+          corruption (see {!Rmi_net.Reliable} and DESIGN.md's
           "Reliability substitution") *)
 
 (** How a node obtains the specialized serialization plans (PR 4). *)
@@ -64,7 +64,7 @@ type t = {
   transport : transport;
   batching : bool;
       (** coalesce small same-destination requests/replies into one
-          envelope (see {!Rmi_net.Cluster} batching); off for every
+          envelope (see {!Rmi_net.Reliable} batching); off for every
           paper-table preset so the sequential accounting is
           untouched *)
   failover : failover;

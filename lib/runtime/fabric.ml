@@ -15,9 +15,9 @@ type t = {
 let make_nodes ?plan_store net ~n ~meta ~config ~plans =
   Array.init n (fun id -> Node.create ?plan_store net ~id ~meta ~config ~plans)
 
-(* stack the Reliable ARQ adapter over a socket transport when the
-   config asks for it; raw TCP stays bare *)
-let layer_sock config lower =
+(* stack the Reliable ARQ adapter over the raw transport when the
+   config asks for it; a raw config leaves it bare *)
+let layer config lower =
   match config.Config.transport with
   | Config.Raw -> lower
   | Config.Reliable -> Rmi_net.Reliable.wrap lower
@@ -31,18 +31,11 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store ~n ~meta
           invalid_arg
             "Fabric.create: the chaos injector drives a socket transport; \
              use ?faults with the Sim backend";
-        let transport =
-          match config.Config.transport with
-          | Config.Raw -> Rmi_net.Cluster.Raw
-          | Config.Reliable ->
-              Rmi_net.Cluster.Reliable Rmi_net.Cluster.default_params
-        in
         let cluster =
-          Rmi_net.Cluster.create ~transport ~zero_copy:config.Config.zero_copy
-            ~n metrics
+          Rmi_net.Cluster.create ~zero_copy:config.Config.zero_copy ~n metrics
         in
         Option.iter (Rmi_net.Cluster.set_faults cluster) faults;
-        (Rmi_net.Sim.pack cluster, Some cluster)
+        (layer config (Rmi_net.Sim.pack cluster), Some cluster)
     | Sock ->
         if faults <> None && chaos <> None then
           invalid_arg
@@ -51,7 +44,7 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store ~n ~meta
         let lower = Rmi_net.Sock.create_loopback ?chaos ~n metrics in
         (* a bare schedule wraps into a connection-plan-free injector *)
         Option.iter (Rmi_net.Transport.set_faults lower) faults;
-        (layer_sock config lower, None)
+        (layer config lower, None)
   in
   if config.Config.batching then Rmi_net.Transport.enable_batching net;
   let nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
@@ -77,7 +70,7 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store ~n ~meta
 let create_process ?listen ?chaos ?epoch ?plan_store ~self ~addrs ~meta
     ~config ~plans ~metrics () =
   let net =
-    layer_sock config
+    layer config
       (Rmi_net.Sock.create_process ?chaos ?epoch ?listen ~self ~addrs metrics)
   in
   if config.Config.batching then Rmi_net.Transport.enable_batching net;

@@ -15,7 +15,7 @@
     substitution):
 
     - [Sim]: the in-process simulated interconnect ({!Rmi_net.Cluster})
-      with its modeled cost accounting, ARQ layer and fault injection.
+      with its modeled cost accounting and fault injection.
     - [Sock]: real Unix/TCP sockets ({!Rmi_net.Sock}).  Within one
       process this is loopback mode (all [n] endpoints on 127.0.0.1);
       {!create_process} spreads the machines over OS processes. *)
@@ -28,7 +28,9 @@ type backend = Sim | Sock
 type t
 
 (** The cluster transport follows [config.transport]: [Raw] for the
-    paper's lossless path, [Reliable] for the ack/retransmit layer.
+    paper's lossless path, [Reliable] for the ack/retransmit layer —
+    the {!Rmi_net.Reliable} adapter stacked over the backend's raw
+    transport, the same stack on [Sim] and [Sock].
     [?faults] installs a seeded fault schedule on the physical links
     (meaningful with the reliable transport; the raw path does not
     recover from loss).  [?plan_store] hands every node the compiler's
@@ -37,9 +39,9 @@ type t
 
     [?backend] (default [Sim]) selects the interconnect.  [Sock] builds
     a loopback TCP mesh: real syscalls, one address space.  With
-    [Config.Reliable] the {!Rmi_net.Reliable} ARQ adapter is stacked
-    over the sockets (exactly-once across injected loss, severed links
-    and process crashes); [Config.Raw] is the bare TCP path.  [?faults]
+    [Config.Reliable] the adapter runs over the sockets (exactly-once
+    across injected loss, severed links and process crashes);
+    [Config.Raw] is the bare TCP path.  [?faults]
     over [Sock] wraps the schedule in a {!Rmi_net.Chaos} injector
     (drops/dups/holds/corruption/crashes replayed over real frames);
     [?chaos] installs a full injector with a connection plan (severs,
@@ -101,8 +103,10 @@ val metrics : t -> Rmi_stats.Metrics.t
     shutdown). *)
 val net : t -> Rmi_net.Transport.t
 
-(** The simulated interconnect of a [Sim]-backed fabric (for fault
-    installation and transport inspection in tests and tools).
+(** The raw simulated interconnect of a [Sim]-backed fabric (for fault
+    installation and transport inspection in tests and tools).  Under
+    [Config.Reliable] it sits {e below} the ARQ adapter: reads through
+    it bypass acks, dedup and the epoch fence — use {!net}.
     @raise Invalid_argument on a [Sock]-backed fabric — use {!net}. *)
 val cluster : t -> Rmi_net.Cluster.t
 

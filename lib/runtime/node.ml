@@ -731,7 +731,7 @@ let send_msg t ~dest payload =
    retry copy of a request, a reply-cache entry) so paths that need
    bytes anyway never copy twice.  In zero-copy mode without batching,
    the reliable transport frames the writer's payload in place
-   ([Cluster.send_writer]); under the raw transport the one snapshot
+   ([Reliable]'s [send_writer]); under the raw transport the one snapshot
    doubles as the wire frame. *)
 let send_from_writer t ~dest ?snapshot w =
   if (not (zc t)) || Rmi_net.Transport.batching_enabled t.net then

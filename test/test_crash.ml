@@ -11,6 +11,7 @@ module Value = Rmi_serial.Value
 module Metrics = Rmi_stats.Metrics
 module Fault_sim = Rmi_net.Fault_sim
 module Cluster = Rmi_net.Cluster
+module Transport = Rmi_net.Transport
 
 let meta = Rmi_serial.Class_meta.make [ ("Box", [ ("v", Jir.Types.Tint) ]) ]
 
@@ -307,7 +308,7 @@ let stale_epoch_frames_are_fenced () =
       | _ -> failwith "bad arg");
   let caller = Fabric.node fabric 0 in
   let dest = Remote_ref.make ~machine:1 ~obj:0 in
-  let cluster = Fabric.cluster fabric in
+  let net = Fabric.net fabric in
   Fabric.run fabric (fun _ ->
       let sum = ref 0 in
       for i = 1 to calls do
@@ -320,16 +321,18 @@ let stale_epoch_frames_are_fenced () =
       done;
       Alcotest.(check int) "workload checksum" (expected_sum calls) !sum;
       Alcotest.(check int) "machine 1 restarted into epoch 1" 1
-        (Cluster.self_epoch cluster 1);
+        (Transport.self_epoch net 1);
       (* forge a data frame from machine 1's dead incarnation (epoch 0)
-         and deliver it straight into machine 0's mailbox *)
-      Cluster.inject_frame cluster ~dest:0
+         and deliver it straight into machine 0's mailbox, below the
+         reliable layer *)
+      Cluster.inject_frame (Fabric.cluster fabric) ~dest:0
         (Rmi_net.Envelope.encode ~kind:Rmi_net.Envelope.Data ~src:1 ~epoch:0
            ~lseq:0
            ~payload:(Bytes.of_string "ghost of incarnation 0")
            ());
       let before = (Metrics.snapshot metrics).Metrics.stale_drops in
-      (match Cluster.try_recv cluster ~self:0 with
+      (* read through the reliable layer, where the fence lives *)
+      (match Transport.try_recv net ~self:0 with
       | None -> ()
       | Some b ->
           Alcotest.failf "stale frame leaked through the fence: %S"
@@ -348,26 +351,23 @@ let stale_epoch_frames_are_fenced () =
 
 let detector_convicts_silent_peer_then_recovers () =
   let metrics = Metrics.create () in
-  let cluster =
-    Cluster.create ~transport:(Cluster.Reliable Cluster.default_params) ~n:2
-      metrics
-  in
-  Cluster.set_detector cluster
-    { Cluster.ping_every = 2; suspect_after = 3; down_after = 6 };
+  let net = Rmi_net.Reliable.wrap (Rmi_net.Sim.create ~n:2 metrics) in
+  Transport.set_detector net
+    { Transport.ping_every = 2; suspect_after = 3; down_after = 6 };
   let events = ref [] in
-  Cluster.on_peer_event cluster (fun ~self ~peer e ->
+  Transport.on_peer_event net (fun ~self ~peer e ->
       events := (self, peer, e) :: !events);
   (* machine 1 exists but never drains its mailbox: from machine 0's
      side it is silent and must be demoted Suspect then Down *)
   for _ = 1 to 16 do
-    ignore (Cluster.idle cluster ~self:0)
+    ignore (Transport.idle net ~self:0)
   done;
   Alcotest.(check bool) "suspected" true
-    (List.mem (0, 1, Cluster.Peer_suspected) !events);
+    (List.mem (0, 1, Transport.Peer_suspected) !events);
   Alcotest.(check bool) "confirmed down" true
-    (List.mem (0, 1, Cluster.Peer_confirmed_down) !events);
-  (match Cluster.peer_health cluster ~self:0 ~peer:1 with
-  | Cluster.Down -> ()
+    (List.mem (0, 1, Transport.Peer_confirmed_down) !events);
+  (match Transport.peer_health net ~self:0 ~peer:1 with
+  | Transport.Down -> ()
   | _ -> Alcotest.fail "peer 1 should be Down");
   let s = Metrics.snapshot metrics in
   Alcotest.(check bool) "pings were sent" true (s.Metrics.heartbeats_sent >= 1);
@@ -375,16 +375,16 @@ let detector_convicts_silent_peer_then_recovers () =
   Alcotest.(check bool) "conviction counted" true (s.Metrics.peer_downs >= 1);
   (* machine 1 wakes up: draining its mailbox answers the pings with
      pongs; receiving a pong rehabilitates the peer *)
-  while Cluster.try_recv cluster ~self:1 <> None do
+  while Transport.try_recv net ~self:1 <> None do
     ()
   done;
   for _ = 1 to 4 do
-    ignore (Cluster.try_recv cluster ~self:0)
+    ignore (Transport.try_recv net ~self:0)
   done;
   Alcotest.(check bool) "recovered event" true
-    (List.mem (0, 1, Cluster.Peer_recovered) !events);
-  match Cluster.peer_health cluster ~self:0 ~peer:1 with
-  | Cluster.Alive -> ()
+    (List.mem (0, 1, Transport.Peer_recovered) !events);
+  match Transport.peer_health net ~self:0 ~peer:1 with
+  | Transport.Alive -> ()
   | _ -> Alcotest.fail "peer 1 should be Alive again"
 
 (* --- property: durable crash/restart schedules preserve fault-free

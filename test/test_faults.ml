@@ -107,14 +107,10 @@ let dropped_message_detected_as_deadlock () =
    cases below *)
 let reliable_pair () =
   let metrics = Metrics.create () in
-  let cluster =
-    Rmi_net.Cluster.create
-      ~transport:(Rmi_net.Cluster.Reliable Rmi_net.Cluster.default_params)
-      ~n:2 metrics
-  in
+  let net = Rmi_net.Reliable.wrap (Rmi_net.Sim.create ~n:2 metrics) in
   let plans = Hashtbl.create 4 in
-  let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
-  let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
+  let n0 = Node.create net ~id:0 ~meta ~config:Config.class_ ~plans in
+  let n1 = Node.create net ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);
   Node.set_pump n1 (fun () -> Node.serve_pending n0);
   Node.export n1 ~obj:0 ~meth:m_incr ~has_ret:true (fun args ->
@@ -127,13 +123,13 @@ let reliable_pair () =
               Some (Value.Obj b)
           | _ -> failwith "bad box")
       | _ -> failwith "bad arg");
-  (metrics, cluster, n0)
+  (metrics, net, n0)
 
 let transient_drops_recovered_and_counted () =
-  let metrics, cluster, n0 = reliable_pair () in
+  let metrics, net, n0 = reliable_pair () in
   (* drop the first three frames toward machine 1, then heal the link *)
   let dropped = ref 0 in
-  Rmi_net.Cluster.set_fault_hook cluster (fun ~src:_ ~dest msg ->
+  Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->
       if dest = 1 && !dropped < 3 then begin
         incr dropped;
         []
@@ -153,11 +149,11 @@ let transient_drops_recovered_and_counted () =
   Alcotest.(check int) "no timeouts on a healed link" 0 s.Metrics.timeouts
 
 let permanent_partition_times_out_cleanly () =
-  let metrics, cluster, n0 = reliable_pair () in
+  let metrics, net, n0 = reliable_pair () in
   (* machine 1 is unreachable forever; recv_blocking must not hang —
      after the RPC-level retries are spent the call has to surface a
      clean Peer_down *)
-  Rmi_net.Cluster.set_fault_hook cluster (fun ~src:_ ~dest msg ->
+  Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->
       if dest = 1 then [] else [ msg ]);
   Alcotest.(check bool) "clean peer-down" true
     (try
@@ -169,7 +165,7 @@ let permanent_partition_times_out_cleanly () =
      with Node.Peer_down msg -> String.length msg > 0);
   let s = Metrics.snapshot metrics in
   Alcotest.(check bool) "retransmit budget spent" true
-    (s.Metrics.retries >= Rmi_net.Cluster.default_params.Rmi_net.Cluster.max_attempts - 1);
+    (s.Metrics.retries >= Rmi_net.Reliable.default_params.Rmi_net.Reliable.max_attempts - 1);
   Alcotest.(check bool) "abandoned frame counted" true (s.Metrics.timeouts >= 1);
   (* the repeated transport failures opened machine 1's circuit
      breaker: a call issued inside the cooldown fast-fails without
@@ -185,7 +181,7 @@ let permanent_partition_times_out_cleanly () =
     ((Metrics.snapshot metrics).Metrics.breaker_fastfails >= 1);
   (* the partition heals and the cooldown passes: the half-open probe
      goes through and the same pair keeps working *)
-  Rmi_net.Cluster.clear_fault_hook cluster;
+  Rmi_net.Transport.clear_fault_hook net;
   Unix.sleepf 0.3;
   match
     Node.call n0

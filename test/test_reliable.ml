@@ -8,7 +8,6 @@
 open Rmi_runtime
 module Value = Rmi_serial.Value
 module Metrics = Rmi_stats.Metrics
-module Cluster = Rmi_net.Cluster
 module Fault_sim = Rmi_net.Fault_sim
 
 let meta = Rmi_serial.Class_meta.make [ ("Box", [ ("v", Jir.Types.Tint) ]) ]
@@ -26,15 +25,20 @@ let unbox = function
       | _ -> Alcotest.fail "bad box field")
   | _ -> Alcotest.fail "no boxed reply"
 
+(* the two Sim stacks: the raw interconnect, and the Reliable adapter
+   over it *)
+let raw metrics = Rmi_net.Sim.create ~n:2 metrics
+let reliable metrics = Rmi_net.Reliable.wrap (raw metrics)
+
 (* a synchronous 2-machine pair; machine 1 exports "double the box and
    add one" and logs how many times each logical call id executed *)
 let run_batch ~transport ?sim ids =
   let metrics = Metrics.create () in
-  let cluster = Cluster.create ~transport ~n:2 metrics in
-  Option.iter (Cluster.set_faults cluster) sim;
+  let net = transport metrics in
+  Option.iter (Rmi_net.Transport.set_faults net) sim;
   let plans = Hashtbl.create 4 in
-  let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
-  let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
+  let n0 = Node.create net ~id:0 ~meta ~config:Config.class_ ~plans in
+  let n1 = Node.create net ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);
   Node.set_pump n1 (fun () -> Node.serve_pending n0);
   let execs : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -61,7 +65,6 @@ let run_batch ~transport ?sim ids =
 
 let ids = List.init 8 (fun i -> i + 1)
 let expected = List.map (fun v -> (2 * v) + 1) ids
-let reliable = Cluster.Reliable Cluster.default_params
 
 let check_seed seed =
   let sim = Fault_sim.create ~seed ~n:2 Fault_sim.default_lossy in
@@ -110,7 +113,7 @@ let replay_is_deterministic () =
    raw transport exactly; the reliability machinery may only show up in
    its own counters *)
 let lossless_reliable_matches_raw () =
-  let raw_results, _, raw = run_batch ~transport:Cluster.Raw ids in
+  let raw_results, _, raw = run_batch ~transport:raw ids in
   let rel_results, _, rel = run_batch ~transport:reliable ids in
   Alcotest.(check (list int)) "same results" raw_results rel_results;
   Alcotest.(check int) "same messages" raw.Metrics.msgs_sent rel.Metrics.msgs_sent;
@@ -176,6 +179,132 @@ let parallel_mode_over_reliable () =
                 ~meth:m_double ~callsite:1 ~has_ret:true [| box v |]))
       done)
 
+(* --- pinned Sim + Reliable frame streams ---
+
+   The wirecost gate compares two framing modes within one build, so a
+   change that moves both the same way passes it.  These runs pin the
+   absolute stream instead: every physical frame leaving the transmit
+   path is folded into a digest exactly as the wirecost gate folds it,
+   and the recovery counters are pinned beside it. *)
+
+let cell_meta =
+  Rmi_serial.Class_meta.make
+    [ ("Cell", [ ("v", Jir.Types.Tint); ("next", Jir.Types.Tobject 0) ]) ]
+
+let chain n =
+  let rec go acc k =
+    if k = 0 then acc
+    else begin
+      let c = Value.new_obj ~cls:0 ~nfields:2 in
+      c.Value.fields.(0) <- Value.Int k;
+      c.Value.fields.(1) <- acc;
+      go (Value.Obj c) (k - 1)
+    end
+  in
+  go Value.Null n
+
+let rec chain_sum = function
+  | Value.Obj o ->
+      (match o.Value.fields.(0) with Value.Int v -> v | _ -> 0)
+      + chain_sum o.Value.fields.(1)
+  | _ -> 0
+
+(* [calls] windowed RMIs 0 -> 1 over a Sim fabric with the reliable
+   config and [sim] installed; returns the frame digest (hex), the sum
+   of the integer replies and the metrics snapshot *)
+let frame_stream ~config ~meta ~sim ~arg ~handler ~calls ~window =
+  let metrics = Metrics.create () in
+  let fabric =
+    Fabric.create ~mode:Fabric.Sync ~faults:sim ~n:2 ~meta ~config
+      ~plans:(Hashtbl.create 4) ~metrics ()
+  in
+  let digest = ref "" in
+  Rmi_net.Transport.set_fault_hook (Fabric.net fabric)
+    (fun ~src:_ ~dest:_ frame ->
+      digest := Digest.string (!digest ^ Digest.bytes frame);
+      [ frame ]);
+  Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_double ~has_ret:true
+    handler;
+  let caller = Fabric.node fabric 0 in
+  let dest = Remote_ref.make ~machine:1 ~obj:0 in
+  let sum = ref 0 in
+  Fabric.run fabric (fun _ ->
+      let i = ref 1 in
+      while !i <= calls do
+        let k = min window (calls - !i + 1) in
+        let futures =
+          List.init k (fun j ->
+              Node.call_async caller ~dest ~meth:m_double ~callsite:1
+                ~has_ret:true [| arg (!i + j) |])
+        in
+        List.iter
+          (fun f ->
+            match Node.Future.await f with
+            | Some (Value.Int v) -> sum := !sum + v
+            | _ -> Alcotest.fail "call failed")
+          futures;
+        i := !i + k
+      done);
+  (Digest.to_hex !digest, !sum, Metrics.snapshot metrics)
+
+let check_stream name ~digest ~sum ~retries ~dup_drops ~acks
+    (d, s, (snap : Metrics.snapshot)) =
+  Alcotest.(check string) (name ^ " frame digest") digest d;
+  Alcotest.(check int) (name ^ " reply sum") sum s;
+  Alcotest.(check int) (name ^ " retries") retries snap.Metrics.retries;
+  Alcotest.(check int) (name ^ " dup_drops") dup_drops snap.Metrics.dup_drops;
+  Alcotest.(check int) (name ^ " acks") acks snap.Metrics.acks_sent
+
+let pinned_lossy_chain_stream () =
+  check_stream "chain100 lossy seed 42"
+    ~digest:"550ef48f579fa0e735ba083c0018fe89" ~sum:121200 ~retries:11
+    ~dup_drops:5 ~acks:53
+    (frame_stream ~config:(Config.with_reliable Config.class_) ~meta:cell_meta
+       ~sim:(Fault_sim.create ~seed:42 ~n:2 Fault_sim.default_lossy)
+       ~arg:(fun _ -> chain 100)
+       ~handler:(fun args -> Some (Value.Int (chain_sum args.(0))))
+       ~calls:24 ~window:8)
+
+let pinned_durable_crash_stream () =
+  let sim = Fault_sim.create ~seed:42 ~n:2 Fault_sim.lossless in
+  Fault_sim.set_crash_plan sim
+    (Fault_sim.seeded_crash_plan ~seed:42 ~n:2 ~crashes:1
+       ~durability:Fault_sim.Durable ());
+  check_stream "durable crash seed 42"
+    ~digest:"b771f7f872f3063710aa825102253fcf" ~sum:6560 ~retries:26
+    ~dup_drops:0 ~acks:160
+    (frame_stream
+       ~config:
+         (Config.with_failover
+            { Config.default_failover with Config.max_call_retries = 4 }
+            (Config.with_reliable Config.class_))
+       ~meta ~sim ~arg:box
+       ~handler:(fun args ->
+         match args.(0) with
+         | Value.Obj { Value.fields = [| Value.Int v |]; _ } ->
+             Some (Value.Int ((2 * v) + 1))
+         | _ -> failwith "bad arg")
+       ~calls:80 ~window:8)
+
+(* a frame the fault simulator still holds for reordering is in
+   flight: the adapter must answer [Waiting], not [Dead] — a [Dead]
+   makes Node resend every outstanding call for nothing *)
+let held_frame_is_not_dead () =
+  let lower = Rmi_net.Sim.create ~n:2 (Metrics.create ()) in
+  let net = Rmi_net.Reliable.wrap lower in
+  let sim =
+    Fault_sim.create ~seed:1 ~n:2
+      { Fault_sim.lossless with Fault_sim.reorder = 1.0; max_delay = 4 }
+  in
+  Rmi_net.Transport.set_faults net sim;
+  Rmi_net.Transport.send_raw lower ~src:0 ~dest:1 (Bytes.of_string "held");
+  Alcotest.(check bool) "frame held by the simulator" true
+    (Fault_sim.held_frames sim > 0);
+  match Rmi_net.Transport.idle net ~self:0 with
+  | Rmi_net.Transport.Waiting -> ()
+  | Rmi_net.Transport.Dead -> Alcotest.fail "Dead while a frame is held"
+  | _ -> Alcotest.fail "expected Waiting"
+
 let suite =
   [
     ( "reliable",
@@ -191,5 +320,11 @@ let suite =
           faulty_run_counts_recovery_work;
         Alcotest.test_case "parallel mode (domains) over reliable" `Quick
           parallel_mode_over_reliable;
+        Alcotest.test_case "pinned frame stream: chain100 under loss" `Quick
+          pinned_lossy_chain_stream;
+        Alcotest.test_case "pinned frame stream: durable crash" `Quick
+          pinned_durable_crash_stream;
+        Alcotest.test_case "held frame keeps idle Waiting, not Dead" `Quick
+          held_frame_is_not_dead;
       ] );
   ]

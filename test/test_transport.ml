@@ -27,9 +27,14 @@ module Sock_backend : BACKEND = struct
   let make ~n metrics = Sock.create_loopback ~n metrics
 end
 
-(* the Reliable ARQ adapter stacked over the TCP mesh must satisfy the
-   same contract — enveloping, acks and dedup must be invisible to the
-   runtime layer, including the accounting *)
+(* the Reliable ARQ adapter stacked over either backend must satisfy
+   the same contract — enveloping, acks and dedup must be invisible to
+   the runtime layer, including the accounting *)
+module Reliable_sim_backend : BACKEND = struct
+  let label = "reliable/sim"
+  let make ~n metrics = Reliable.wrap (Sim.create ~n metrics)
+end
+
 module Reliable_sock_backend : BACKEND = struct
   let label = "reliable/sock"
   let make ~n metrics = Reliable.wrap (Sock.create_loopback ~n metrics)
@@ -183,6 +188,7 @@ end
 
 module Sim_conformance = Conformance (Sim_backend)
 module Sock_conformance = Conformance (Sock_backend)
+module Reliable_sim_conformance = Conformance (Reliable_sim_backend)
 module Reliable_sock_conformance = Conformance (Reliable_sock_backend)
 
 (* ------------------------------------------------------------------ *)
@@ -225,6 +231,6 @@ let suite =
   [
     ( "transport conformance",
       Sim_conformance.suite @ Sock_conformance.suite
-      @ Reliable_sock_conformance.suite
+      @ Reliable_sim_conformance.suite @ Reliable_sock_conformance.suite
       @ [ QCheck_alcotest.to_alcotest stream_equality ] );
   ]
