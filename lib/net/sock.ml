@@ -7,6 +7,12 @@ let max_frame = 64 * 1024 * 1024
 let mesh_timeout = 30.0
 let connect_retry_every = 0.05
 
+(* mesh-formation polling: capped exponential from 50 us, so a loopback
+   mesh that forms in a few hundred microseconds is seen at once, while
+   peer processes still booting are polled at most every 20 ms *)
+let mesh_poll_first = 50e-6
+let mesh_poll_cap = 0.02
+
 (* reconnection backoff: capped exponential, scaled by a deterministic
    per-(link, attempt) jitter so concurrent reconnectors desynchronize
    without consuming randomness *)
@@ -973,7 +979,7 @@ let mesh_complete t hosted_ids =
 
 let await_mesh t hosted_ids =
   let deadline = Unix.gettimeofday () +. mesh_timeout in
-  let rec go () =
+  let rec go delay =
     Mutex.lock t.M.clock;
     let ok = mesh_complete t hosted_ids in
     Mutex.unlock t.M.clock;
@@ -983,11 +989,11 @@ let await_mesh t hosted_ids =
       failwith "Sock: mesh formation timed out (are all peers running?)"
     end
     else begin
-      Unix.sleepf 0.02;
-      go ()
+      Unix.sleepf delay;
+      go (Float.min mesh_poll_cap (2.0 *. delay))
     end
   in
-  go ()
+  go mesh_poll_first
 
 (* the poll(2) event loop is bounded only by the process RLIMIT_NOFILE
    budget.  A loopback mesh holds the wake pipe (2), n listeners,
