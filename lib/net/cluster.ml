@@ -296,7 +296,7 @@ let try_recv_slice t ~self =
   match pop_inbox t ~self with Some _ as m -> m | None -> drain t ~self
 
 let rec wait t ~self deadline =
-  let remain = deadline -. Unix.gettimeofday () in
+  let remain = Clock.remaining deadline in
   if remain <= 0.0 then None
   else
     match Mailbox.recv_deadline t.boxes.(self) ~seconds:remain with
@@ -311,7 +311,7 @@ let recv_deadline_slice t ~self ~seconds =
      messages sitting in the mailbox *)
   match try_recv_slice t ~self with
   | Some _ as m -> m
-  | None -> wait t ~self (Unix.gettimeofday () +. seconds)
+  | None -> wait t ~self (Clock.deadline_after seconds)
 
 let rec recv_blocking_slice t ~self =
   check t self;

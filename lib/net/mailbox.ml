@@ -27,12 +27,12 @@ let recv_deadline t ~seconds =
   (* OCaml's Condition has no timed wait; poll with short sleeps.  Only
      the reliable transport's retransmit driver uses this, with
      millisecond deadlines. *)
-  let deadline = Unix.gettimeofday () +. seconds in
+  let deadline = Clock.deadline_after seconds in
   let rec wait () =
     match try_recv t with
     | Some msg -> Some msg
     | None ->
-        if Unix.gettimeofday () >= deadline then None
+        if Clock.now_us () >= deadline then None
         else begin
           Thread.yield ();
           Unix.sleepf 5e-5;

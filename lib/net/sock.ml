@@ -251,11 +251,11 @@ module M = struct
   (* capped exponential backoff until the link re-forms, the transport
      closes, or the mesh timeout passes *)
   let reconnect_loop t ~owner ~peer =
-    let deadline = Unix.gettimeofday () +. mesh_timeout in
+    let deadline = Clock.deadline_after mesh_timeout in
     let rec go attempt =
       if
         (not (Atomic.get t.stop))
-        && Unix.gettimeofday () <= deadline
+        && Clock.now_us () <= deadline
         && not (link_alive t ~owner ~peer)
       then begin
         let delay =
@@ -604,12 +604,12 @@ module M = struct
     match pop ep with
     | Some m -> Some m
     | None ->
-        let deadline = Unix.gettimeofday () +. seconds in
+        let deadline = Clock.deadline_after seconds in
         let rec go () =
           match pop ep with
           | Some m -> Some m
           | None ->
-              if Unix.gettimeofday () >= deadline then None
+              if Clock.now_us () >= deadline then None
               else begin
                 Thread.yield ();
                 (* bind every pop exactly once: a message dequeued here
@@ -957,11 +957,11 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
    while the peer process boots, and announce ourselves with the
    4-byte hello *)
 let connect_to t ~owner ~peer host port =
-  let deadline = Unix.gettimeofday () +. mesh_timeout in
+  let deadline = Clock.deadline_after mesh_timeout in
   let rec attempt () =
     match M.dial ~owner host port with
     | Some fd -> fd
-    | None when Unix.gettimeofday () < deadline ->
+    | None when Clock.now_us () < deadline ->
         Unix.sleepf connect_retry_every;
         attempt ()
     | None -> failwith (Printf.sprintf "Sock: cannot reach %s:%d" host port)
@@ -978,13 +978,13 @@ let mesh_complete t hosted_ids =
     hosted_ids
 
 let await_mesh t hosted_ids =
-  let deadline = Unix.gettimeofday () +. mesh_timeout in
+  let deadline = Clock.deadline_after mesh_timeout in
   let rec go delay =
     Mutex.lock t.M.clock;
     let ok = mesh_complete t hosted_ids in
     Mutex.unlock t.M.clock;
     if ok then ()
-    else if Unix.gettimeofday () >= deadline then begin
+    else if Clock.now_us () >= deadline then begin
       M.shutdown t;
       failwith "Sock: mesh formation timed out (are all peers running?)"
     end

@@ -32,12 +32,17 @@ type idle_outcome =
 (** What a machine believes about a peer. *)
 type peer_health = Alive | Suspect | Down
 
+(** Failure-detector thresholds, in the units of the reliable
+    adapter's clock: [idle] calls, or microseconds for an adapter
+    given [~now] (see [Reliable.wrap]). *)
 type hb_params = {
-  ping_every : int;     (** ticks between pings to a quiet peer *)
-  suspect_after : int;  (** quiet ticks before Alive -> Suspect *)
-  down_after : int;     (** quiet ticks before Suspect -> Down *)
+  ping_every : int;     (** clock units between pings to a quiet peer *)
+  suspect_after : int;  (** quiet time before Alive -> Suspect *)
+  down_after : int;     (** quiet time before Suspect -> Down *)
 }
 
+(** The [idle]-count thresholds: ping after 8, suspect after 16, down
+    after 48. *)
 val default_hb : hb_params
 
 type peer_event = Peer_suspected | Peer_confirmed_down | Peer_recovered
@@ -151,7 +156,9 @@ module type S = sig
   val recv_blocking : t -> self:int -> bytes
   val recv_deadline : t -> self:int -> seconds:float -> bytes option
 
-  (** Advance the retransmit/failure-detector clock by one tick. *)
+  (** Fire the retransmit timers and failure-detector checks that are
+      due, advancing an idle-count clock by one tick (a clock read from
+      the monotonic clock just gets a new reading). *)
   val idle : t -> self:int -> idle_outcome
 
   (** Any message pending anywhere this backend can see?  (deadlock
