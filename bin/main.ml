@@ -12,6 +12,22 @@ module Cli = Rmi.Cli
 let scale_arg = Cli.scale_arg
 let mode_arg = Cli.mode_arg
 
+(* print a gate, write it as JSON to [json] when given, and exit 1
+   naming every failed check *)
+let run_gate ?json name gate =
+  print_endline (Rmi.Gate.render gate);
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_text file (fun oc ->
+          output_string oc (Rmi.Gate.to_json gate));
+      Printf.printf "wrote %s\n" file)
+    json;
+  match Rmi.Gate.failed gate with
+  | [] -> ()
+  | names ->
+      Printf.eprintf "%s: failed checks: %s\n" name (String.concat ", " names);
+      exit 1
+
 let print_timing_and_shape t =
   print_endline (E.render_timing t);
   print_endline "shape vs paper:";
@@ -66,29 +82,7 @@ let all_cmd =
 
 let pipeline_cmd =
   let run scale mode window faults =
-    let reports = E.pipeline_compare ~scale ~mode ~window ?faults () in
-    List.iter
-      (fun report ->
-        print_endline (E.render_pipeline report);
-        print_newline ())
-      reports;
-    (* under --faults the checksums must still agree across variants *)
-    let mismatched =
-      List.exists
-        (fun (r : E.pipeline_report) ->
-          match r.E.p_rows with
-          | [] -> false
-          | first :: rest ->
-              List.exists
-                (fun (row : E.pipeline_row) ->
-                  not (Float.equal row.E.checksum first.E.checksum))
-                rest)
-        reports
-    in
-    if mismatched then begin
-      prerr_endline "pipeline: checksum mismatch between variants";
-      exit 1
-    end
+    run_gate "pipeline" (E.pipeline_compare ~scale ~mode ~window ?faults ())
   in
   Cmd.v
     (Cmd.info "pipeline"
@@ -103,19 +97,7 @@ let pipeline_cmd =
 
 let crash_cmd =
   let run seed crashes calls window =
-    let r = E.crash_compare ~seed ~crashes ~calls ~window () in
-    print_endline (E.render_crash r);
-    let durable_ok =
-      List.exists
-        (fun (row : E.crash_row) ->
-          String.equal row.E.c_variant "durable crash" && row.E.c_ok)
-        r.E.c_rows
-    in
-    if not (durable_ok && r.E.c_replay_equal) then begin
-      prerr_endline
-        "crash: durable run diverged from fault-free baseline or replay";
-      exit 1
-    end
+    run_gate "crash" (E.crash_compare ~seed ~crashes ~calls ~window ())
   in
   Cmd.v
     (Cmd.info "crash"
@@ -139,14 +121,7 @@ let tiers_cmd =
           ~doc:"How many swap RMIs each tier variant issues.")
   in
   let run calls window hot_threshold =
-    let r = E.tiers_compare ~calls ~window ~hot_threshold () in
-    print_endline (E.render_tiers r);
-    if not (r.E.t_equal && r.E.t_converged) then begin
-      prerr_endline
-        "tiers: adaptive run diverged from the generic/aot baselines or \
-         never reached the specialized plan";
-      exit 1
-    end
+    run_gate "tiers" (E.tiers_compare ~calls ~window ~hot_threshold ())
   in
   Cmd.v
     (Cmd.info "tiers"
@@ -178,14 +153,7 @@ let wirecost_cmd =
              variant; both framings replay it deterministically.")
   in
   let run calls window seed =
-    let r = E.wirecost_compare ~calls ~window ~seed () in
-    print_endline (E.render_wirecost r);
-    if not (r.E.u_frames_ok && r.E.u_results_ok && r.E.u_gate_ok) then begin
-      prerr_endline
-        "wirecost: zero-copy framing drifted from the legacy frames, \
-         results diverged, or the copy reduction missed the 50% gate";
-      exit 1
-    end
+    run_gate "wirecost" (E.wirecost_compare ~calls ~window ~seed ())
   in
   Cmd.v
     (Cmd.info "wirecost"
@@ -218,34 +186,8 @@ let alloc_cmd =
             "Seed for the lossy fault schedule of the reliable+faults \
              variant; both allocator modes replay it deterministically.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (BENCH_alloc.json).")
-  in
   let run calls window seed json =
-    let r = E.alloc_compare ~calls ~window ~seed () in
-    print_endline (E.render_alloc r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.alloc_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if
-      not
-        (r.E.al_frames_ok && r.E.al_results_ok && r.E.al_gate_ok
-       && r.E.al_arena_ok)
-    then begin
-      prerr_endline
-        "alloc: arena decoding drifted from the GC-heap frames or results, \
-         the gated row missed the 50% minor-words cut, or the arena failed \
-         to engage on a no-reuse row";
-      exit 1
-    end
+    run_gate ?json "alloc" (E.alloc_compare ~calls ~window ~seed ())
   in
   Cmd.v
     (Cmd.info "alloc"
@@ -261,7 +203,7 @@ let alloc_cmd =
           arena fails to engage where the escape analysis licenses it.  \
           The CI alloc-gate job runs this.")
     Term.(
-      const run $ alloc_calls_arg $ Cli.window_arg $ alloc_seed_arg $ json_arg)
+      const run $ alloc_calls_arg $ Cli.window_arg $ alloc_seed_arg $ Cli.json_arg)
 
 let load_cmd =
   let load_calls_arg =
@@ -315,33 +257,11 @@ let load_cmd =
             "Maximum p999 latency ratio, hi-domain over 1-domain, \
              enforced when the host has the cores.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (BENCH_load.json).")
-  in
   let run calls window servers domains queue_depth spin seed speedup_floor
       tail_tol json =
-    let r =
-      E.load_compare ~calls ~window ~servers ~domains ~queue_depth ~spin ~seed
-        ~speedup_floor ~tail_tol ()
-    in
-    print_endline (E.render_load r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.load_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if not r.E.l_gate_ok then begin
-      prerr_endline
-        "load: reply digests diverged across domain counts, or the \
-         multi-domain run missed the throughput/tail gate";
-      exit 1
-    end
+    run_gate ?json "load"
+      (E.load_compare ~calls ~window ~servers ~domains ~queue_depth ~spin ~seed
+         ~speedup_floor ~tail_tol ())
   in
   Cmd.v
     (Cmd.info "load"
@@ -360,7 +280,7 @@ let load_cmd =
     Term.(
       const run $ load_calls_arg $ load_window_arg $ Cli.servers_arg
       $ Cli.domains_arg $ Cli.queue_depth_arg $ spin_arg $ load_seed_arg
-      $ speedup_floor_arg $ tail_tol_arg $ json_arg)
+      $ speedup_floor_arg $ tail_tol_arg $ Cli.json_arg)
 
 let transport_cmd =
   let t_calls_arg =
@@ -384,31 +304,8 @@ let transport_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Workload seed (both backends replay the same calls).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the report as JSON to $(docv) \
-             (BENCH_transport.json).")
-  in
   let run calls window seed json =
-    let r = E.transport_compare ~calls ~window ~seed () in
-    print_endline (E.render_transport r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.transport_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if not (r.E.x_digest_ok && r.E.x_model_ok) then begin
-      prerr_endline
-        "transport: reply digests diverged between the simulated and \
-         socket backends, or the wire counters / modeled seconds drifted";
-      exit 1
-    end
+    run_gate ?json "transport" (E.transport_compare ~calls ~window ~seed ())
   in
   Cmd.v
     (Cmd.info "transport"
@@ -420,7 +317,7 @@ let transport_cmd =
           Exits nonzero unless the digests are byte-identical and the \
           modeled cost survives the transport substitution — the CI \
           socket-smoke job gates on this.")
-    Term.(const run $ t_calls_arg $ t_window_arg $ t_seed_arg $ json_arg)
+    Term.(const run $ t_calls_arg $ t_window_arg $ t_seed_arg $ Cli.json_arg)
 
 let chaos_cmd =
   let sweep_arg =
@@ -432,31 +329,8 @@ let chaos_cmd =
             "How many seeds the durable exactly-once sweep covers (each is \
              one full chaos run over a fresh loopback mesh).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the gate verdicts and the durable run's reply \
-             digest as JSON to $(docv) (the CI socket-chaos artifact).")
-  in
   let run seed calls window sweep json =
-    let r = E.chaos_compare ~seed ~calls ~window ~sweep () in
-    print_endline (E.render_chaos r);
-    (match json with
-    | None -> ()
-    | Some file ->
-        let oc = open_out file in
-        output_string oc (E.chaos_json r);
-        close_out oc;
-        Printf.printf "wrote %s\n" file);
-    if not (E.chaos_ok r) then begin
-      prerr_endline
-        "chaos: exactly-once broke over the socket transport, or the \
-         seeded schedule failed to replay identically";
-      exit 1
-    end
+    run_gate ?json "chaos" (E.chaos_compare ~seed ~calls ~window ~sweep ())
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -472,7 +346,7 @@ let chaos_cmd =
           upholds exactly-once — the CI socket-chaos job gates on this.")
     Term.(
       const run $ Cli.seed_arg $ Cli.calls_arg $ Cli.window_arg $ sweep_arg
-      $ json_arg)
+      $ Cli.json_arg)
 
 let proc_cmd =
   let p_calls_arg =
@@ -516,11 +390,8 @@ let proc_cmd =
       exit 1
     end;
     let addrs = Array.of_list peers in
-    match
-      E.transport_proc ~calls ~window ~reliable ~epoch ?listen ~self ~addrs ()
-    with
-    | None -> ()
-    | Some runs -> print_endline (E.render_proc runs)
+    Option.iter (run_gate "proc")
+      (E.transport_proc ~calls ~window ~reliable ~epoch ?listen ~self ~addrs ())
   in
   Cmd.v
     (Cmd.info "proc"

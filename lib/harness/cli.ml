@@ -188,6 +188,15 @@ let servers_arg =
     & info [ "servers" ] ~docv:"N"
         ~doc:"Server machines the load client round-robins across.")
 
+let json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:
+          "Also write the gate report (fields, checks and rows) as JSON to \
+           $(docv); the checked-in BENCH_*.json files are these reports.")
+
 let seed_arg =
   Arg.(
     value

@@ -81,6 +81,9 @@ val queue_depth_arg : int Term.t
     across, default 8. *)
 val servers_arg : int Term.t
 
+(** [--json FILE]: also write the gate report as JSON ({!Gate.to_json}). *)
+val json_arg : string option Term.t
+
 (** [--seed N]: crash-schedule seed, default 42. *)
 val seed_arg : int Term.t
 

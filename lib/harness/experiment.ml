@@ -6,6 +6,7 @@ module Metrics = Rmi_stats.Metrics
 module Costmodel = Rmi_net.Costmodel
 module Fault_sim = Rmi_net.Fault_sim
 module Chaos = Rmi_net.Chaos
+module Clock = Rmi_net.Clock
 module Value = Rmi_serial.Value
 module Plan = Rmi_core.Plan
 
@@ -176,27 +177,26 @@ let table7 ?(scale = Small) ?(mode = Fabric.Sync) ?backend () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* pipelining / batching comparison                                    *)
+(* shared workload plumbing                                            *)
 (* ------------------------------------------------------------------ *)
 
-type pipeline_row = {
-  variant : string;
-  p_stats : Metrics.snapshot;
-  p_modeled : float;
-  p_wall : float;
-  checksum : float;
-}
+(* seconds since [t0], a {!Clock.now_us} reading *)
+let elapsed_s t0 = float_of_int (Clock.now_us () - t0) *. 1e-6
 
-type pipeline_report = { p_title : string; p_rows : pipeline_row list }
+(* issue [calls] RMIs in bursts of [window]: [issue i] starts call [i]
+   (0-based), [settle i future] consumes each one in issue order *)
+let drive ~calls ~window issue settle =
+  let i = ref 0 in
+  while !i < calls do
+    let k = min window (calls - !i) in
+    let futures = List.init k (fun j -> issue (!i + j)) in
+    List.iteri (fun j f -> settle (!i + j) f) futures;
+    i := !i + k
+  done
 
-let pipeline_row variant (wall, stats, checksum) =
-  {
-    variant;
-    p_stats = stats;
-    p_modeled = Costmodel.modeled_seconds model stats;
-    p_wall = wall;
-    checksum;
-  }
+(* ------------------------------------------------------------------ *)
+(* pipelining / batching comparison                                    *)
+(* ------------------------------------------------------------------ *)
 
 (* the same N-RMI workload three ways: synchronous, pipelined futures,
    pipelined futures over coalescing envelopes.  The checksum column
@@ -214,129 +214,94 @@ let pipeline_compare ?(scale = Small) ?(mode = Fabric.Sync) ?(window = 16)
     | None -> Config.site_reuse_cycle
     | Some _ -> Config.with_reliable Config.site_reuse_cycle
   in
-  let batched = Config.with_batching config in
   let sim () =
-    match faults with
-    | None -> None
-    | Some (seed, profile) -> Some (Fault_sim.create ~seed ~n:2 profile)
+    Option.map (fun (seed, profile) -> Fault_sim.create ~seed ~n:2 profile) faults
   in
-  let fault_suffix =
-    match faults with
-    | None -> ""
-    | Some (seed, _) -> Printf.sprintf ", faults seed=%d" seed
-  in
-  let array_report =
-    let params =
-      match scale with
-      | Small -> { Rmi_apps.Array_bench.n = 16; repetitions = 200 }
-      | Paper -> { Rmi_apps.Array_bench.n = 16; repetitions = 2000 }
-    in
-    let of_result (r : Rmi_apps.Array_bench.result) =
-      (r.wall_seconds, r.stats, r.sum_received)
-    in
-    {
-      p_title =
-        Printf.sprintf
-          "2D array transmission, %dx%d, %d repetitions, window %d%s"
-          params.n params.n params.repetitions window fault_suffix;
-      p_rows =
-        [
-          pipeline_row "sequential"
-            (of_result
-               (Rmi_apps.Array_bench.run ?faults:(sim ()) ~config ~mode params));
-          pipeline_row "pipelined"
-            (of_result
-               (Rmi_apps.Array_bench.run_pipelined ~window ?faults:(sim ())
-                  ~config ~mode params));
-          pipeline_row "pipelined + batch"
-            (of_result
-               (Rmi_apps.Array_bench.run_pipelined ~window ?faults:(sim ())
-                  ~config:batched ~mode params));
-        ];
-    }
-  in
-  let list_report =
-    let params =
-      match scale with
-      | Small -> { Rmi_apps.Linked_list.elements = 100; repetitions = 200 }
-      | Paper -> { Rmi_apps.Linked_list.elements = 100; repetitions = 2000 }
-    in
-    let of_result (r : Rmi_apps.Linked_list.result) =
-      (r.wall_seconds, r.stats, float_of_int r.cells_received)
-    in
-    {
-      p_title =
-        Printf.sprintf "LinkedList, %d elements, %d repetitions, window %d%s"
-          params.elements params.repetitions window fault_suffix;
-      p_rows =
-        [
-          pipeline_row "sequential"
-            (of_result
-               (Rmi_apps.Linked_list.run ?faults:(sim ()) ~config ~mode params));
-          pipeline_row "pipelined"
-            (of_result
-               (Rmi_apps.Linked_list.run_pipelined ~window ?faults:(sim ())
-                  ~config ~mode params));
-          pipeline_row "pipelined + batch"
-            (of_result
-               (Rmi_apps.Linked_list.run_pipelined ~window ?faults:(sim ())
-                  ~config:batched ~mode params));
-        ];
-    }
-  in
-  [ array_report; list_report ]
-
-let render_pipeline (r : pipeline_report) =
-  let headers =
+  let repetitions = match scale with Small -> 200 | Paper -> 2000 in
+  let array_params = { Rmi_apps.Array_bench.n = 16; repetitions } in
+  let list_params = { Rmi_apps.Linked_list.elements = 100; repetitions } in
+  let workloads =
     [
-      "variant"; "msgs"; "batches"; "max inflight"; "bytes"; "model s";
-      "wall s"; "checksum";
+      ( "array16x16",
+        fun ~pipelined config ->
+          let r =
+            if pipelined then
+              Rmi_apps.Array_bench.run_pipelined ~window ?faults:(sim ())
+                ~config ~mode array_params
+            else
+              Rmi_apps.Array_bench.run ?faults:(sim ()) ~config ~mode array_params
+          in
+          (r.wall_seconds, r.stats, r.sum_received) );
+      ( "list100",
+        fun ~pipelined config ->
+          let r =
+            if pipelined then
+              Rmi_apps.Linked_list.run_pipelined ~window ?faults:(sim ())
+                ~config ~mode list_params
+            else
+              Rmi_apps.Linked_list.run ?faults:(sim ()) ~config ~mode list_params
+          in
+          (r.wall_seconds, r.stats, float_of_int r.cells_received) );
     ]
   in
-  let base =
-    match r.p_rows with row :: _ -> Some row.checksum | [] -> None
+  let variants =
+    [
+      ("sequential", false, config);
+      ("pipelined", true, config);
+      ("pipelined + batch", true, Config.with_batching config);
+    ]
   in
-  let rows =
-    List.map
-      (fun row ->
-        let ok =
-          match base with
-          | Some c -> if Float.equal c row.checksum then "" else "  MISMATCH"
-          | None -> ""
-        in
-        [
-          row.variant;
-          string_of_int row.p_stats.Metrics.msgs_sent;
-          string_of_int row.p_stats.Metrics.batches_sent;
-          string_of_int row.p_stats.Metrics.outstanding_hwm;
-          string_of_int row.p_stats.Metrics.bytes_sent;
-          Printf.sprintf "%.4f" row.p_modeled;
-          Printf.sprintf "%.4f" row.p_wall;
-          Printf.sprintf "%.0f%s" row.checksum ok;
-        ])
-      r.p_rows
+  let runs =
+    List.concat_map
+      (fun (w, run) ->
+        List.map
+          (fun (v, pipelined, config) -> (w, v, run ~pipelined config))
+          variants)
+      workloads
   in
-  r.p_title ^ "\n" ^ Rmi_stats.Ascii_table.render ~headers rows
+  let first_sum w =
+    match List.find (fun (w', _, _) -> w' = w) runs with _, _, (_, _, c) -> c
+  in
+  Gate.{
+    title =
+      Printf.sprintf
+        "pipeline: 2D array %dx%d and LinkedList of %d, %d repetitions, \
+         window %d%s"
+        array_params.n array_params.n list_params.elements repetitions window
+        (match faults with
+        | None -> ""
+        | Some (seed, _) -> Printf.sprintf ", faults seed=%d" seed);
+    fields =
+      [
+        check "checksums_equal"
+          (List.for_all (fun (w, _, (_, _, c)) -> Float.equal c (first_sum w)) runs);
+      ];
+    table =
+      {
+        columns =
+          [
+            "workload"; "variant"; "msgs"; "batches"; "max_inflight"; "bytes";
+            "retries"; "dup_drops"; "modeled_s"; "wall_s"; "checksum";
+          ];
+        rows =
+          List.map
+            (fun (w, v, (wall, (s : Metrics.snapshot), c)) ->
+              Gate.
+                [
+                  Str w; Str v; Int s.msgs_sent; Int s.batches_sent;
+                  Int s.outstanding_hwm; Int s.bytes_sent; Int s.retries;
+                  Int s.dup_drops; Float (4, Costmodel.modeled_seconds model s);
+                  Float (4, wall); Float (0, c);
+                ])
+            runs;
+      };
+    extra = [];
+    notes = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* crash / restart / failover comparison                               *)
 (* ------------------------------------------------------------------ *)
-
-type crash_row = {
-  c_variant : string;
-  c_stats : Metrics.snapshot;
-  c_checksum : int;
-  c_executions : int;
-  c_failed : int;
-  c_ok : bool;
-}
-
-type crash_report = {
-  c_title : string;
-  c_rows : crash_row list;
-  c_digest : string;
-  c_replay_equal : bool;
-}
 
 let crash_meta =
   lazy (Rmi_serial.Class_meta.make [ ("Box", [ ("v", Jir.Types.Tint) ]) ])
@@ -388,37 +353,42 @@ let run_crash_variant ?sim ?chaos ?(backend = Fabric.Sim)
   let dest = Remote_ref.make ~machine:1 ~obj:0 in
   let sum = ref 0 and failed = ref 0 in
   Fabric.run fabric (fun _ ->
-      let i = ref 1 in
-      while !i <= calls do
-        let k = min window (calls - !i + 1) in
-        let futures =
-          List.init k (fun j ->
-              Node.call_async caller ~dest ~meth:m_echo ~callsite:1
-                ~has_ret:true [| crash_box (!i + j) |])
-        in
-        List.iteri
-          (fun j f ->
-            let note s =
-              Option.iter
-                (fun b ->
-                  Buffer.add_string b (Printf.sprintf "%d:%s;" (!i + j) s))
-                replies
-            in
-            match Node.Future.await f with
-            | Some (Value.Int v) ->
-                sum := !sum + v;
-                note (string_of_int v)
-            | Some _ | None ->
-                incr failed;
-                note "fail"
-            | exception (Node.Rpc_timeout _ | Node.Peer_down _) ->
-                incr failed;
-                note "fail")
-          futures;
-        i := !i + k
-      done);
+      drive ~calls ~window
+        (fun i ->
+          Node.call_async caller ~dest ~meth:m_echo ~callsite:1 ~has_ret:true
+            [| crash_box (i + 1) |])
+        (fun i f ->
+          let note s =
+            Option.iter
+              (fun b -> Buffer.add_string b (Printf.sprintf "%d:%s;" (i + 1) s))
+              replies
+          in
+          match Node.Future.await f with
+          | Some (Value.Int v) ->
+              sum := !sum + v;
+              note (string_of_int v)
+          | Some _ | None ->
+              incr failed;
+              note "fail"
+          | exception (Node.Rpc_timeout _ | Node.Peer_down _) ->
+              incr failed;
+              note "fail"));
   Fabric.shutdown_net fabric;
   (Metrics.snapshot metrics, !sum, !execs, !failed)
+
+(* one row per crash variant: its checksum must match the fault-free
+   baseline's and no call may have failed ([ok]); [counters] picks the
+   per-gate recovery columns *)
+let crash_rows ~counters runs =
+  let base_sum = match runs with (_, (_, sum, _, _)) :: _ -> sum | [] -> 0 in
+  List.map
+    (fun (variant, ((s : Metrics.snapshot), sum, execs, fails)) ->
+      let row_ok = sum = base_sum && fails = 0 in
+      Gate.(
+        [ Str variant; Int sum; Int fails; Int execs; Int s.crashes; Int s.restarts ]
+        @ List.map (fun c -> Int c) (counters s)
+        @ [ Int s.stale_drops; Bool row_ok ]))
+    runs
 
 (* the same workload three ways: fault-free, under a seeded durable
    crash/restart schedule (results and execution counts must match the
@@ -432,94 +402,52 @@ let crash_compare ?(seed = 42) ?(crashes = 1) ?(calls = 80) ?(window = 8) () =
       (Fault_sim.seeded_crash_plan ~seed ~n:2 ~crashes ~durability ());
     s
   in
-  let base_stats, base_sum, base_execs, base_failed =
-    run_crash_variant ~calls ~window ()
-  in
+  let ((_, base_sum, _, _) as base) = run_crash_variant ~calls ~window () in
   let dsim = sim Fault_sim.Durable in
-  let d_stats, d_sum, d_execs, d_failed =
+  let ((_, d_sum, _, d_failed) as durable) =
     run_crash_variant ~sim:dsim ~calls ~window ()
   in
   let dsim2 = sim Fault_sim.Durable in
   let _, d_sum2, _, _ = run_crash_variant ~sim:dsim2 ~calls ~window () in
-  let asim = sim Fault_sim.Amnesia in
-  let a_stats, a_sum, a_execs, a_failed =
-    run_crash_variant ~sim:asim ~calls ~window ()
+  let amnesia =
+    run_crash_variant ~sim:(sim Fault_sim.Amnesia) ~calls ~window ()
   in
-  let row variant (stats, sum, execs, failed) =
-    {
-      c_variant = variant;
-      c_stats = stats;
-      c_checksum = sum;
-      c_executions = execs;
-      c_failed = failed;
-      c_ok = sum = base_sum && failed = 0;
-    }
-  in
-  {
-    c_title =
+  Gate.{
+    title =
       Printf.sprintf
         "crash/restart: %d echo calls, window %d, seed %d, %d crash(es)" calls
         window seed crashes;
-    c_rows =
+    fields =
       [
-        row "fault-free" (base_stats, base_sum, base_execs, base_failed);
-        row "durable crash" (d_stats, d_sum, d_execs, d_failed);
-        row "amnesia crash" (a_stats, a_sum, a_execs, a_failed);
+        Value
+          ("digest", Str (Digest.to_hex (Digest.string (Fault_sim.digest dsim))));
+        check "durable_ok" (d_sum = base_sum && d_failed = 0);
+        check "replay_equal"
+          (String.equal (Fault_sim.digest dsim) (Fault_sim.digest dsim2)
+          && d_sum = d_sum2);
       ];
-    c_digest = Fault_sim.digest dsim;
-    c_replay_equal =
-      String.equal (Fault_sim.digest dsim) (Fault_sim.digest dsim2)
-      && d_sum = d_sum2;
+    table =
+      {
+        columns =
+          [
+            "variant"; "checksum"; "failed"; "executions"; "crashes"; "restarts";
+            "rpc_retries"; "cache_hits"; "stale_drops"; "ok";
+          ];
+        rows =
+          crash_rows
+            ~counters:(fun s -> [ s.call_retries; s.reply_cache_hits ])
+            [
+              ("fault-free", base); ("durable crash", durable);
+              ("amnesia crash", amnesia);
+            ];
+      };
+    extra = [];
+    notes = [ "digest: MD5 of the durable run's fault-decision log" ];
   }
-
-let render_crash (r : crash_report) =
-  let headers =
-    [
-      "variant"; "checksum"; "failed"; "handler execs"; "crashes"; "restarts";
-      "rpc retries"; "cache hits"; "stale drops";
-    ]
-  in
-  let base =
-    match r.c_rows with row :: _ -> Some row.c_checksum | [] -> None
-  in
-  let rows =
-    List.map
-      (fun row ->
-        let ok =
-          match base with
-          | Some c -> if c = row.c_checksum then "" else "  MISMATCH"
-          | None -> ""
-        in
-        [
-          row.c_variant;
-          Printf.sprintf "%d%s" row.c_checksum ok;
-          string_of_int row.c_failed;
-          string_of_int row.c_executions;
-          string_of_int row.c_stats.Metrics.crashes;
-          string_of_int row.c_stats.Metrics.restarts;
-          string_of_int row.c_stats.Metrics.call_retries;
-          string_of_int row.c_stats.Metrics.reply_cache_hits;
-          string_of_int row.c_stats.Metrics.stale_drops;
-        ])
-      r.c_rows
-  in
-  Printf.sprintf "%s\n%s\nseeded replay byte-identical: %s" r.c_title
-    (Rmi_stats.Ascii_table.render ~headers rows)
-    (if r.c_replay_equal then "yes" else "NO")
 
 (* ------------------------------------------------------------------ *)
 (* chaos: the crash workloads over real TCP (PR 8)                     *)
 (* ------------------------------------------------------------------ *)
-
-type chaos_report = {
-  h_title : string;
-  h_rows : crash_row list;
-  h_digest : string;
-  h_replay_equal : bool;
-  h_parity_equal : bool;
-  h_sweep_seeds : int;
-  h_sweep_failed : int list;
-}
 
 (* the full injector one seed buys: a moderately lossy link schedule, a
    seeded durable (or amnesiac) kill/restart and a seeded connection
@@ -564,175 +492,86 @@ let chaos_exactly_once ?(calls = 24) ?(window = 6) ~seed () =
    the bare [Fault_sim] schedule on a synthetic parity run, and every
    seed of [sweep] must pass {!chaos_exactly_once}. *)
 let chaos_compare ?(seed = 42) ?(calls = 80) ?(window = 8) ?(sweep = 300) () =
-  let base_stats, base_sum, base_execs, base_failed =
-    run_crash_variant ~backend:Fabric.Sock ~calls ~window ()
+  let run ?replies durability =
+    run_crash_variant ~backend:Fabric.Sock
+      ?chaos:(Option.map (chaos_injector ~seed) durability)
+      ?replies ~calls ~window ()
   in
+  let ((_, base_sum, base_execs, _) as base) = run None in
   let rep1 = Buffer.create 1024 and rep2 = Buffer.create 1024 in
-  let d_stats, d_sum, d_execs, d_failed =
-    run_crash_variant ~backend:Fabric.Sock
-      ~chaos:(chaos_injector ~seed Fault_sim.Durable)
-      ~replies:rep1 ~calls ~window ()
+  let ((_, d_sum, d_execs, _) as durable) =
+    run ~replies:rep1 (Some Fault_sim.Durable)
   in
-  let _, d_sum2, _, _ =
-    run_crash_variant ~backend:Fabric.Sock
-      ~chaos:(chaos_injector ~seed Fault_sim.Durable)
-      ~replies:rep2 ~calls ~window ()
-  in
-  let a_stats, a_sum, a_execs, a_failed =
-    run_crash_variant ~backend:Fabric.Sock
-      ~chaos:(chaos_injector ~seed Fault_sim.Amnesia)
-      ~calls ~window ()
-  in
+  let _, d_sum2, _, _ = run ~replies:rep2 (Some Fault_sim.Durable) in
+  let amnesia = run (Some Fault_sim.Amnesia) in
   let parity_equal =
-    let chaos_digest, bare_digest =
-      Chaos.sim_parity ~seed ~n:2 ~frames:400 ()
-    in
+    let chaos_digest, bare_digest = Chaos.sim_parity ~seed ~n:2 ~frames:400 () in
     String.equal chaos_digest bare_digest
   in
-  let sweep_failed = ref [] in
-  for i = 0 to sweep - 1 do
-    let s = (seed * 1000) + i in
-    if not (chaos_exactly_once ~seed:s ()) then
-      sweep_failed := s :: !sweep_failed
-  done;
-  let row variant (stats, sum, execs, failed) =
-    {
-      c_variant = variant;
-      c_stats = stats;
-      c_checksum = sum;
-      c_executions = execs;
-      c_failed = failed;
-      c_ok = sum = base_sum && failed = 0;
-    }
+  let sweep_failed =
+    List.filter
+      (fun s -> not (chaos_exactly_once ~seed:s ()))
+      (List.init sweep (fun i -> (seed * 1000) + i))
   in
-  {
-    h_title =
+  let rows =
+    crash_rows
+      ~counters:(fun s -> [ s.retries; s.dup_drops ])
+      [
+        ("fault-free", base); ("durable chaos", durable);
+        ("amnesia chaos", amnesia);
+      ]
+  in
+  (* exactly-once under the durable injector: every row ok and the
+     handler ran precisely as often as in the fault-free baseline *)
+  let exactly_once =
+    List.for_all
+      (fun (_, sum, _, fails) -> sum = base_sum && fails = 0)
+      [ base; durable; amnesia ]
+    && d_execs = base_execs
+  in
+  let replay_equal =
+    String.equal (Buffer.contents rep1) (Buffer.contents rep2) && d_sum = d_sum2
+  in
+  Gate.{
+    title =
       Printf.sprintf
         "chaos over loopback TCP: %d echo calls, window %d, seed %d, %d-seed \
          sweep"
         calls window seed sweep;
-    h_rows =
+    fields =
       [
-        row "fault-free" (base_stats, base_sum, base_execs, base_failed);
-        row "durable chaos" (d_stats, d_sum, d_execs, d_failed);
-        row "amnesia chaos" (a_stats, a_sum, a_execs, a_failed);
+        (* the artifact's [ok] is the whole verdict, which CI greps; as a
+           check it stands for exactly-once, the rest being checks of
+           their own *)
+        Check
+          ( "ok",
+            Bool (exactly_once && replay_equal && parity_equal && sweep_failed = []),
+            if exactly_once then Pass else Fail );
+        check "replay_equal" replay_equal;
+        check "parity_equal" parity_equal;
+        Value ("digest", Str (Digest.to_hex (Digest.string (Buffer.contents rep1))));
+        Value ("sweep_seeds", Int sweep);
+        Check
+          ( "sweep_failed",
+            Ints sweep_failed,
+            if sweep_failed = [] then Pass else Fail );
       ];
-    h_digest = Digest.to_hex (Digest.string (Buffer.contents rep1));
-    h_replay_equal =
-      String.equal (Buffer.contents rep1) (Buffer.contents rep2)
-      && d_sum = d_sum2;
-    h_parity_equal = parity_equal;
-    h_sweep_seeds = sweep;
-    h_sweep_failed = List.rev !sweep_failed;
+    table =
+      {
+        columns =
+          [
+            "variant"; "checksum"; "failed"; "executions"; "crashes"; "restarts";
+            "arq_retries"; "dup_drops"; "stale_drops"; "ok";
+          ];
+        rows;
+      };
+    extra = [];
+    notes = [];
   }
-
-let chaos_ok (r : chaos_report) =
-  match r.h_rows with
-  | base :: (durable :: _ as faulted) ->
-      List.for_all (fun row -> row.c_ok) (base :: faulted)
-      (* exactly-once under the durable injector: the handler ran
-         precisely as often as in the fault-free baseline *)
-      && durable.c_executions = base.c_executions
-      && r.h_replay_equal && r.h_parity_equal && r.h_sweep_failed = []
-  | _ -> false
-
-let render_chaos (r : chaos_report) =
-  let headers =
-    [
-      "variant"; "checksum"; "failed"; "handler execs"; "crashes"; "restarts";
-      "rpc retries"; "arq retries"; "dup drops"; "stale drops";
-    ]
-  in
-  let base =
-    match r.h_rows with row :: _ -> Some row.c_checksum | [] -> None
-  in
-  let rows =
-    List.map
-      (fun row ->
-        let ok =
-          match base with
-          | Some c -> if c = row.c_checksum then "" else "  MISMATCH"
-          | None -> ""
-        in
-        [
-          row.c_variant;
-          Printf.sprintf "%d%s" row.c_checksum ok;
-          string_of_int row.c_failed;
-          string_of_int row.c_executions;
-          string_of_int row.c_stats.Metrics.crashes;
-          string_of_int row.c_stats.Metrics.restarts;
-          string_of_int row.c_stats.Metrics.call_retries;
-          string_of_int row.c_stats.Metrics.retries;
-          string_of_int row.c_stats.Metrics.dup_drops;
-          string_of_int row.c_stats.Metrics.stale_drops;
-        ])
-      r.h_rows
-  in
-  Printf.sprintf
-    "%s\n%s\nsame-seed replay byte-identical: %s\nchaos/sim schedule parity: \
-     %s\nexactly-once sweep: %d/%d seeds%s"
-    r.h_title
-    (Rmi_stats.Ascii_table.render ~headers rows)
-    (if r.h_replay_equal then "yes" else "NO")
-    (if r.h_parity_equal then "identical" else "DIVERGED")
-    (r.h_sweep_seeds - List.length r.h_sweep_failed)
-    r.h_sweep_seeds
-    (match r.h_sweep_failed with
-    | [] -> ""
-    | l ->
-        "  FAILED: "
-        ^ String.concat "," (List.map string_of_int l))
-
-(* the CI socket-chaos artifact: gate verdicts plus the per-variant
-   rows and the durable run's reply digest *)
-let chaos_json (r : chaos_report) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"title\": %S,\n  \"ok\": %b,\n  \"replay_equal\": %b,\n  \
-        \"parity_equal\": %b,\n  \"digest\": %S,\n  \"sweep_seeds\": %d,\n  \
-        \"sweep_failed\": [%s],\n"
-       r.h_title (chaos_ok r) r.h_replay_equal r.h_parity_equal r.h_digest
-       r.h_sweep_seeds
-       (String.concat ", " (List.map string_of_int r.h_sweep_failed)));
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"variant\": %S, \"checksum\": %d, \"failed\": %d, \
-            \"executions\": %d, \"crashes\": %d, \"restarts\": %d, \
-            \"arq_retries\": %d, \"dup_drops\": %d, \"stale_drops\": %d, \
-            \"ok\": %b}"
-           row.c_variant row.c_checksum row.c_failed row.c_executions
-           row.c_stats.Metrics.crashes row.c_stats.Metrics.restarts
-           row.c_stats.Metrics.retries row.c_stats.Metrics.dup_drops
-           row.c_stats.Metrics.stale_drops row.c_ok))
-    r.h_rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* tier comparison: generic vs AOT vs adaptive                         *)
 (* ------------------------------------------------------------------ *)
-
-type tier_window = { w_calls : int; w_bytes : int; w_msgs : int }
-
-type tier_row = {
-  t_variant : string;
-  t_stats : Metrics.snapshot;
-  t_digest : string;
-  t_windows : tier_window list;
-}
-
-type tier_report = {
-  t_title : string;
-  t_rows : tier_row list;
-  t_equal : bool;
-  t_converged : bool;
-}
 
 let tier_meta =
   lazy
@@ -800,10 +639,12 @@ let rec tier_render buf v =
         a.Value.ra;
       Buffer.add_char buf ']'
 
+
 (* [calls] swap RMIs from machine 0 to machine 1, snapshotting the wire
-   counters every [window] calls: the per-window byte deltas are the
-   warmup curve.  Replies are folded into an order-sensitive digest so
-   the three variants can be compared byte for byte. *)
+   counters every [window] calls: the per-window [(calls, bytes)]
+   deltas are the warmup curve.  Replies are folded into an
+   order-sensitive digest so the three variants can be compared byte
+   for byte. *)
 let run_tier_variant ~config ~calls ~window =
   let metrics = Metrics.create () in
   let plans = Hashtbl.create 4 in
@@ -841,158 +682,96 @@ let run_tier_variant ~config ~calls ~window =
         if i mod window = 0 || i = calls then begin
           let s = Metrics.snapshot metrics in
           windows :=
-            {
-              w_calls = (if i mod window = 0 then window else i mod window);
-              w_bytes = s.Metrics.bytes_sent - !last_bytes;
-              w_msgs = s.Metrics.msgs_sent - !last_msgs;
-            }
+            ( (if i mod window = 0 then window else i mod window),
+              s.Metrics.bytes_sent - !last_bytes,
+              s.Metrics.msgs_sent - !last_msgs )
             :: !windows;
           last_bytes := s.Metrics.bytes_sent;
           last_msgs := s.Metrics.msgs_sent
         end
       done);
-  {
-    t_variant = config.Config.name;
-    t_stats = Metrics.snapshot metrics;
-    t_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
-    t_windows = List.rev !windows;
-  }
+  ( Metrics.snapshot metrics,
+    Digest.to_hex (Digest.string (Buffer.contents buf)),
+    List.rev !windows )
 
 let tiers_compare ?(calls = 64) ?(window = 8) ?hot_threshold () =
-  let hot =
-    match hot_threshold with
-    | Some h -> h
-    | None -> Config.default_hot_threshold
+  let hot = Option.value hot_threshold ~default:Config.default_hot_threshold in
+  let variants =
+    [
+      ("generic", Config.class_);
+      ("aot", Config.site_reuse_cycle);
+      ("adaptive", Config.with_adaptive ~hot_threshold:hot Config.site_reuse_cycle);
+    ]
   in
-  let generic = { Config.class_ with Config.name = "generic" } in
-  let aot = { Config.site_reuse_cycle with Config.name = "aot" } in
-  let adaptive =
-    {
-      (Config.with_adaptive ~hot_threshold:hot Config.site_reuse_cycle) with
-      Config.name = "adaptive";
-    }
-  in
-  let rows =
+  let runs =
     List.map
-      (fun config -> run_tier_variant ~config ~calls ~window)
-      [ generic; aot; adaptive ]
+      (fun (name, config) ->
+        (name, run_tier_variant ~config:{ config with Config.name } ~calls ~window))
+      variants
   in
-  let t_equal =
-    match rows with
-    | first :: rest ->
-        List.for_all (fun r -> String.equal r.t_digest first.t_digest) rest
-    | [] -> true
-  in
-  (* post-warmup the adaptive tier must spend exactly the AOT bytes per
-     window (same plan, same wire encoding) *)
-  let t_converged =
-    match rows with
-    | [ _; aot_row; ad_row ] -> (
-        match (List.rev aot_row.t_windows, List.rev ad_row.t_windows) with
-        | aw :: _, dw :: _ ->
-            aw.w_bytes = dw.w_bytes
-            && aw.w_msgs = dw.w_msgs
-            && ad_row.t_stats.Metrics.tier_promotions > 0
+  let digests = List.map (fun (_, (_, d, _)) -> d) runs in
+  (* post-warmup the adaptive tier must spend exactly the AOT bytes and
+     messages per window (same plan, same wire encoding) *)
+  let converged =
+    match runs with
+    | [ _; (_, (_, _, aot)); (_, ((ad_stats : Metrics.snapshot), _, adaptive)) ] -> (
+        match (List.rev aot, List.rev adaptive) with
+        | last_aot :: _, last_ad :: _ ->
+            last_aot = last_ad && ad_stats.tier_promotions > 0
         | _ -> false)
     | _ -> false
   in
-  {
-    t_title =
-      Printf.sprintf
-        "tiers: %d swap calls, warmup window %d, hot threshold %d" calls
-        window hot;
-    t_rows = rows;
-    t_equal;
-    t_converged;
+  let per_call ws i =
+    match List.nth_opt ws i with
+    | Some (n, bytes, _) when n > 0 ->
+        Gate.Float (1, float_of_int bytes /. float_of_int n)
+    | _ -> Gate.Str "-"
+  in
+  let windows = List.map (fun (_, (_, _, ws)) -> ws) runs in
+  Gate.{
+    title =
+      Printf.sprintf "tiers: %d swap calls, warmup window %d, hot threshold %d"
+        calls window hot;
+    fields =
+      [
+        check "replies_equal" (List.for_all (String.equal (List.hd digests)) digests);
+        check "converged" converged;
+      ];
+    table =
+      {
+        columns =
+          [
+            "variant"; "bytes"; "msgs"; "promoted"; "deopts"; "cache_hits";
+            "cache_misses"; "digest";
+          ];
+        rows =
+          List.map
+            (fun (name, ((s : Metrics.snapshot), digest, _)) ->
+              [
+                Str name; Int s.bytes_sent; Int s.msgs_sent; Int s.tier_promotions;
+                Int s.tier_deopts; Int s.plan_cache_hits; Int s.plan_cache_misses;
+                Str digest;
+              ])
+            runs;
+      };
+    extra =
+      [
+        ( "warmup",
+          {
+            columns =
+              "window" :: List.map (fun (name, _) -> name ^ "_bytes_per_call") runs;
+            rows =
+              List.init
+                (List.length (List.nth windows 2))
+                (fun i -> Int (i + 1) :: List.map (fun ws -> per_call ws i) windows);
+          } );
+      ];
+    notes = [];
   }
-
-let render_tiers (r : tier_report) =
-  let headers =
-    [
-      "variant"; "bytes"; "msgs"; "promoted"; "deopts"; "cache h/m";
-      "digest";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          row.t_variant;
-          string_of_int row.t_stats.Metrics.bytes_sent;
-          string_of_int row.t_stats.Metrics.msgs_sent;
-          string_of_int row.t_stats.Metrics.tier_promotions;
-          string_of_int row.t_stats.Metrics.tier_deopts;
-          Printf.sprintf "%d/%d" row.t_stats.Metrics.plan_cache_hits
-            row.t_stats.Metrics.plan_cache_misses;
-          String.sub row.t_digest 0 12;
-        ])
-      r.t_rows
-  in
-  let curve =
-    let windows_of v =
-      match List.find_opt (fun row -> String.equal row.t_variant v) r.t_rows with
-      | Some row -> row.t_windows
-      | None -> []
-    in
-    let gw = windows_of "generic"
-    and aw = windows_of "aot"
-    and dw = windows_of "adaptive" in
-    let n = List.length dw in
-    let cell ws i =
-      match List.nth_opt ws i with
-      | Some w when w.w_calls > 0 ->
-          Printf.sprintf "%.1f" (float_of_int w.w_bytes /. float_of_int w.w_calls)
-      | _ -> "-"
-    in
-    Rmi_stats.Ascii_table.render
-      ~headers:[ "window"; "generic B/call"; "aot B/call"; "adaptive B/call" ]
-      (List.init n (fun i ->
-           [ string_of_int (i + 1); cell gw i; cell aw i; cell dw i ]))
-  in
-  Printf.sprintf
-    "%s\n%s\nwarmup curve (wire bytes per call, per window):\n%s\nreplies byte-identical: %s\nadaptive converged to aot: %s"
-    r.t_title
-    (Rmi_stats.Ascii_table.render ~headers rows)
-    curve
-    (if r.t_equal then "yes" else "NO")
-    (if r.t_converged then "yes" else "NO")
 
 (* ------------------------------------------------------------------ *)
 (* wirecost: legacy copy-based framing vs the zero-copy wire path      *)
 (* ------------------------------------------------------------------ *)
-
-type wire_run = {
-  u_digest : string;
-  u_checksum : float;
-  u_copied_per_call : float;
-  u_minor_per_call : float;
-  u_pool_hits : int;
-  u_pool_misses : int;
-  u_us_per_call : float;
-}
-
-type wire_row = {
-  wr_workload : string;
-  wr_variant : string;
-  wr_legacy : wire_run;
-  wr_zc : wire_run;
-  wr_gated : bool;
-}
-
-type wire_report = {
-  u_title : string;
-  u_rows : wire_row list;
-  u_frames_ok : bool;
-  u_results_ok : bool;
-  u_gate_ok : bool;
-}
-
-let wire_reduction r =
-  if r.wr_legacy.u_copied_per_call <= 0.0 then 0.0
-  else
-    100.0
-    *. (r.wr_legacy.u_copied_per_call -. r.wr_zc.u_copied_per_call)
-    /. r.wr_legacy.u_copied_per_call
 
 (* the paper-table message shapes: Table 1's linked chain and Table 2's
    2D double matrix, sent through the generic serializer so the
@@ -1069,13 +848,26 @@ let wire_workloads =
 let m_wire = 1
 let wire_site = 1
 
-(* one framing mode of one variant: run [calls] RMIs, digest every
-   physical frame leaving the transmit path (the hook runs before the
-   fault-simulator stage, so legacy and zero-copy runs see the same
-   deterministic pre-fault frame stream) and report the per-call copy,
-   allocation and pool telemetry *)
-let run_wire_run ~config ?faults ~window ~calls (ww : wire_workload) =
+(* what one run of one (workload, variant, mode) measured *)
+type measured = {
+  digest : string;
+      (* wirecost/alloc: chained MD5 over every pre-fault frame, or "-";
+         transport: MD5 of the issue-order replies *)
+  sum : float;  (* fold of the measured replies *)
+  minor : float;  (* GC minor words per measured call *)
+  wall : float;  (* measured seconds *)
+  counters : Metrics.snapshot;  (* the whole run's *)
+}
+
+(* one framing or allocator mode of one variant: [warmup] then [calls]
+   RMIs, digesting every physical frame leaving the transmit path (the
+   hook runs before the fault-simulator stage, so both modes see the
+   same deterministic pre-fault frame stream) *)
+let run_framed ~config ?faults ?plan ~warmup ~window ~calls
+    (ww : wire_workload) =
   let metrics = Metrics.create () in
+  let plans = Hashtbl.create 4 in
+  Option.iter (Hashtbl.replace plans wire_site) plan;
   let sim =
     Option.map
       (fun (seed, profile) -> Fault_sim.create ~seed ~n:2 profile)
@@ -1083,8 +875,7 @@ let run_wire_run ~config ?faults ~window ~calls (ww : wire_workload) =
   in
   let fabric =
     Fabric.create ~mode:Fabric.Sync ?faults:sim ~n:2
-      ~meta:(Lazy.force wire_meta) ~config ~plans:(Hashtbl.create 4) ~metrics
-      ()
+      ~meta:(Lazy.force wire_meta) ~config ~plans ~metrics ()
   in
   let digest = ref "" in
   Rmi_net.Transport.set_fault_hook (Fabric.net fabric)
@@ -1096,44 +887,47 @@ let run_wire_run ~config ?faults ~window ~calls (ww : wire_workload) =
   let caller = Fabric.node fabric 0 in
   let dest = Remote_ref.make ~machine:1 ~obj:0 in
   let arg = Lazy.force ww.ww_arg in
-  let checksum = ref 0.0 in
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
+  let checksum = ref 0.0 and minor = ref 0.0 and wall = ref 0.0 in
   Fabric.run fabric (fun _ ->
-      let i = ref 0 in
-      while !i < calls do
-        let k = min window (calls - !i) in
-        let futures =
-          List.init k (fun _ ->
-              Node.call_async caller ~dest ~meth:m_wire ~callsite:wire_site
-                ~has_ret:true [| arg |])
-        in
-        List.iter
-          (fun f -> checksum := !checksum +. ww.ww_fold (Node.Future.await f))
-          futures;
-        i := !i + k
-      done);
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor = Gc.minor_words () -. minor0 in
-  let s = Metrics.snapshot metrics in
-  let per c = float_of_int c /. float_of_int calls in
+      let run calls =
+        drive ~calls ~window
+          (fun _ ->
+            Node.call_async caller ~dest ~meth:m_wire ~callsite:wire_site
+              ~has_ret:true [| arg |])
+          (fun _ f ->
+            checksum := !checksum +. ww.ww_fold (Node.Future.await f))
+      in
+      run warmup;
+      checksum := 0.0;
+      let minor0 = Gc.minor_words () and t0 = Clock.now_us () in
+      run calls;
+      minor := (Gc.minor_words () -. minor0) /. float_of_int calls;
+      wall := elapsed_s t0);
   {
-    u_digest =
-      (if String.length !digest = 0 then "-" else Digest.to_hex !digest);
-    u_checksum = !checksum;
-    u_copied_per_call = per s.Metrics.bytes_copied;
-    u_minor_per_call = minor /. float_of_int calls;
-    u_pool_hits = s.Metrics.pool_hits;
-    u_pool_misses = s.Metrics.pool_misses;
-    u_us_per_call = wall *. 1e6 /. float_of_int calls;
+    digest = (if String.length !digest = 0 then "-" else Digest.to_hex !digest);
+    sum = !checksum;
+    minor = !minor;
+    wall = !wall;
+    counters = Metrics.snapshot metrics;
   }
 
+(* both modes of every row put the same frames on the wire and
+   computed the same replies *)
+let same_digests pairs =
+  List.for_all (fun (a, b) -> String.equal a.digest b.digest) pairs
+
+let same_sums pairs = List.for_all (fun (a, b) -> Float.equal a.sum b.sum) pairs
+
+(* percent cut from [before] to [after] *)
+let cut before after =
+  if before <= 0.0 then 0.0 else 100.0 *. (before -. after) /. before
+
 (* every paper-table message shape x every transport variant, each run
-   under both framing modes.  The report's three verdicts are the
-   [wirecost] gate: byte-identical frame streams, byte-identical
-   results, and — on the enveloped variants, where the legacy path
-   snapshots the payload several times per frame — at least a 50% cut
-   in copied bytes per call *)
+   under both framing modes.  The three checks are the [wirecost]
+   gate: byte-identical frame streams, byte-identical results, and — on
+   the enveloped variants, where the legacy path snapshots the payload
+   several times per frame — at least a 50% cut in copied bytes per
+   call *)
 let wirecost_compare ?(calls = 48) ?(window = 8) ?(seed = 42) () =
   let base = Config.class_ in
   let variants =
@@ -1149,118 +943,71 @@ let wirecost_compare ?(calls = 48) ?(window = 8) ?(seed = 42) () =
         1, true );
     ]
   in
-  let rows =
+  let runs =
     List.concat_map
       (fun ww ->
         List.map
-          (fun (vname, config, faults, win, gated) ->
-            let legacy =
-              run_wire_run ~config:(Config.legacy_copy config) ?faults
-                ~window:win ~calls ww
+          (fun (vname, config, faults, window, gated) ->
+            let run config =
+              run_framed ~config ?faults ~warmup:0 ~window ~calls ww
             in
-            let zc =
-              run_wire_run ~config:(Config.with_zero_copy true config) ?faults
-                ~window:win ~calls ww
-            in
-            {
-              wr_workload = ww.ww_name;
-              wr_variant = vname;
-              wr_legacy = legacy;
-              wr_zc = zc;
-              wr_gated = gated;
-            })
+            ( ww.ww_name, vname, gated,
+              run (Config.legacy_copy config),
+              run (Config.with_zero_copy true config) ))
           variants)
       wire_workloads
   in
-  {
-    u_title =
+  let pairs = List.map (fun (_, _, _, legacy, zc) -> (legacy, zc)) runs in
+  let copied r = float_of_int r.counters.bytes_copied /. float_of_int calls in
+  let meets_gate (_, _, gated, legacy, zc) =
+    (not gated) || cut (copied legacy) (copied zc) >= 50.0
+  in
+  Gate.{
+    title =
       Printf.sprintf
         "wirecost: legacy copy framing vs zero-copy, %d calls, batch window \
          %d, fault seed %d"
         calls window seed;
-    u_rows = rows;
-    u_frames_ok =
-      List.for_all
-        (fun r -> String.equal r.wr_legacy.u_digest r.wr_zc.u_digest)
-        rows;
-    u_results_ok =
-      List.for_all
-        (fun r -> Float.equal r.wr_legacy.u_checksum r.wr_zc.u_checksum)
-        rows;
-    u_gate_ok =
-      List.for_all (fun r -> (not r.wr_gated) || wire_reduction r >= 50.0) rows;
+    fields =
+      [
+        check "frames_ok" (same_digests pairs);
+        check "results_ok" (same_sums pairs);
+        check "gate_ok" (List.for_all meets_gate runs);
+      ];
+    table =
+      {
+        columns =
+          [
+            "workload"; "variant"; "gated"; "copied_legacy"; "copied_zc";
+            "cut_pct"; "minor_legacy"; "minor_zc"; "zc_pool_hits";
+            "zc_pool_misses"; "us_legacy"; "us_zc"; "frames_equal";
+          ];
+        rows =
+          List.map
+            (fun (w, v, gated, legacy, zc) ->
+              let us r = Float (1, r.wall *. 1e6 /. float_of_int calls) in
+              [
+                Str w; Str v; Bool gated; Float (1, copied legacy);
+                Float (1, copied zc); Float (1, cut (copied legacy) (copied zc));
+                Float (0, legacy.minor); Float (0, zc.minor);
+                Int zc.counters.pool_hits; Int zc.counters.pool_misses;
+                us legacy; us zc; Bool (String.equal legacy.digest zc.digest);
+              ])
+            runs;
+      };
+    extra = [];
+    notes =
+      [
+        "copied_*: payload bytes copied per call; minor_*: GC minor words \
+         per call; us_*: wall microseconds per call";
+        "gate_ok: every gated (enveloped) variant cuts copied bytes per call \
+         by >= 50%";
+      ];
   }
-
-let render_wirecost (r : wire_report) =
-  let headers =
-    [
-      "workload"; "variant"; "copied B/call old"; "zc"; "cut";
-      "minor w/call old"; "zc"; "zc pool h/m"; "us/call old"; "zc"; "frames";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        let cut = wire_reduction row in
-        let gate_note =
-          if row.wr_gated && cut < 50.0 then "  BELOW GATE" else ""
-        in
-        [
-          row.wr_workload;
-          row.wr_variant;
-          Printf.sprintf "%.1f" row.wr_legacy.u_copied_per_call;
-          Printf.sprintf "%.1f" row.wr_zc.u_copied_per_call;
-          Printf.sprintf "%.1f%%%s" cut gate_note;
-          Printf.sprintf "%.0f" row.wr_legacy.u_minor_per_call;
-          Printf.sprintf "%.0f" row.wr_zc.u_minor_per_call;
-          Printf.sprintf "%d/%d" row.wr_zc.u_pool_hits row.wr_zc.u_pool_misses;
-          Printf.sprintf "%.1f" row.wr_legacy.u_us_per_call;
-          Printf.sprintf "%.1f" row.wr_zc.u_us_per_call;
-          (if String.equal row.wr_legacy.u_digest row.wr_zc.u_digest then
-             "identical"
-           else "MISMATCH");
-        ])
-      r.u_rows
-  in
-  Printf.sprintf
-    "%s\n%s\nframe streams byte-identical: %s\nresults identical: %s\n>=50%% \
-     fewer copied bytes per call (enveloped variants): %s"
-    r.u_title
-    (Rmi_stats.Ascii_table.render ~headers rows)
-    (if r.u_frames_ok then "yes" else "NO")
-    (if r.u_results_ok then "yes" else "NO")
-    (if r.u_gate_ok then "yes" else "NO")
 
 (* ------------------------------------------------------------------ *)
 (* alloc: GC-heap decoding vs arena decoding (PR 10)                   *)
 (* ------------------------------------------------------------------ *)
-
-type alloc_run = {
-  al_digest : string;
-  al_checksum : float;
-  al_minor_per_call : float;
-  al_arena_allocs : int;
-  al_arena_resets : int;
-  al_arena_fallbacks : int;
-}
-
-type alloc_row = {
-  al_workload : string;
-  al_variant : string;
-  al_heap : alloc_run;
-  al_arena : alloc_run;
-  al_gated : bool;
-  al_arena_active : bool;
-}
-
-type alloc_report = {
-  al_title : string;
-  al_rows : alloc_row list;
-  al_frames_ok : bool;
-  al_results_ok : bool;
-  al_gate_ok : bool;
-  al_arena_ok : bool;
-}
 
 (* The checked-in BENCH_wire.json baseline for the gated row — minor
    words per call of matrix16x16 over the reliable transport under
@@ -1307,79 +1054,18 @@ let alloc_workloads =
   | [ chain; matrix ] -> [ (chain, alloc_chain_plan); (matrix, alloc_matrix_plan) ]
   | _ -> assert false
 
-(* one allocator mode of one variant: [calls] specialized RMIs after a
-   warmup quarter, digesting every pre-fault frame; minor words are
-   measured over the post-warmup phase only, so one-time plan/context
-   setup is excluded — the same discipline as the bench harness *)
-let run_alloc_run ~config ?faults ~window ~calls (ww : wire_workload) plan =
-  let metrics = Metrics.create () in
-  let plans = Hashtbl.create 4 in
-  Hashtbl.replace plans wire_site plan;
-  let sim =
-    Option.map
-      (fun (seed, profile) -> Fault_sim.create ~seed ~n:2 profile)
-      faults
-  in
-  let fabric =
-    Fabric.create ~mode:Fabric.Sync ?faults:sim ~n:2
-      ~meta:(Lazy.force wire_meta) ~config ~plans ~metrics ()
-  in
-  let digest = ref "" in
-  Rmi_net.Transport.set_fault_hook (Fabric.net fabric)
-    (fun ~src:_ ~dest:_ frame ->
-      digest := Digest.string (!digest ^ Digest.bytes frame);
-      [ frame ]);
-  Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_wire ~has_ret:true
-    ww.ww_handler;
-  let caller = Fabric.node fabric 0 in
-  let dest = Remote_ref.make ~machine:1 ~obj:0 in
-  let arg = Lazy.force ww.ww_arg in
-  let checksum = ref 0.0 in
-  let minor = ref 0.0 in
-  let warmup = max window (calls / 4) in
-  Fabric.run fabric (fun _ ->
-      let batch k =
-        let futures =
-          List.init k (fun _ ->
-              Node.call_async caller ~dest ~meth:m_wire ~callsite:wire_site
-                ~has_ret:true [| arg |])
-        in
-        List.iter
-          (fun f -> checksum := !checksum +. ww.ww_fold (Node.Future.await f))
-          futures
-      in
-      let run n =
-        let i = ref 0 in
-        while !i < n do
-          let k = min window (n - !i) in
-          batch k;
-          i := !i + k
-        done
-      in
-      run warmup;
-      checksum := 0.0;
-      let minor0 = Gc.minor_words () in
-      run calls;
-      minor := Gc.minor_words () -. minor0);
-  let s = Metrics.snapshot metrics in
-  {
-    al_digest =
-      (if String.length !digest = 0 then "-" else Digest.to_hex !digest);
-    al_checksum = !checksum;
-    al_minor_per_call = !minor /. float_of_int calls;
-    al_arena_allocs = s.Metrics.arena_allocs;
-    al_arena_resets = s.Metrics.arena_resets;
-    al_arena_fallbacks = s.Metrics.arena_fallbacks;
-  }
 
 (* Every paper-table message shape x three transport/optimization
-   variants, each run under both allocator modes.  The verdicts are the
-   [alloc] gate: byte-identical frame streams and results between the
-   GC-heap and arena runs; at least a 50% cut in minor words per call
-   on the gated row against the checked-in pre-PR baseline; and, on the
-   no-reuse rows where the arena is licensed to engage, the arena
-   actually recycling (allocs counted, wholesale resets happening,
-   steady state off the GC heap). *)
+   variants, each run under both allocator modes after a warmup
+   quarter; minor words are measured over the post-warmup phase only,
+   so one-time plan/context setup is excluded — the same discipline as
+   the bench harness.  The checks are the [alloc] gate: byte-identical
+   frame streams and results between the GC-heap and arena runs; at
+   least a 50% cut in minor words per call on the gated row against the
+   checked-in pre-PR baseline; and, on the no-reuse rows where the
+   arena is licensed to engage, the arena actually recycling (allocs
+   counted, wholesale resets happening, steady state off the GC
+   heap). *)
 let alloc_compare ?(calls = 192) ?(window = 8) ?(seed = 42) () =
   let site = Config.site in
   let variants =
@@ -1395,139 +1081,76 @@ let alloc_compare ?(calls = 192) ?(window = 8) ?(seed = 42) () =
         None, true, false );
     ]
   in
-  let rows =
+  let runs =
     List.concat_map
       (fun (ww, plan) ->
         List.map
           (fun (vname, config, faults, gated, arena_active) ->
-            let heap =
-              run_alloc_run ~config:(Config.legacy_heap config) ?faults ~window
-                ~calls ww plan
+            let run config =
+              run_framed ~config ?faults ~plan ~warmup:(max window (calls / 4))
+                ~window ~calls ww
             in
-            let arena =
-              run_alloc_run ~config:(Config.with_arena true config) ?faults
-                ~window ~calls ww plan
-            in
-            {
-              al_workload = ww.ww_name;
-              al_variant = vname;
-              al_heap = heap;
-              al_arena = arena;
-              al_gated = gated && String.equal ww.ww_name "matrix16x16";
-              al_arena_active = arena_active;
-            })
+            ( ww.ww_name, vname,
+              gated && String.equal ww.ww_name "matrix16x16",
+              arena_active,
+              run (Config.legacy_heap config),
+              run (Config.with_arena true config) ))
           variants)
       alloc_workloads
   in
-  {
-    al_title =
+  let pairs = List.map (fun (_, _, _, _, heap, arena) -> (heap, arena)) runs in
+  let within_baseline (_, _, gated, _, _, arena) =
+    (not gated) || arena.minor <= 0.5 *. alloc_baseline_minor
+  in
+  let arena_engaged (_, _, _, active, heap, arena) =
+    let s = arena.counters in
+    (not active)
+    || s.arena_allocs > 0 && s.arena_resets > 0
+       && s.arena_fallbacks * 10 <= s.arena_allocs
+       && arena.minor < heap.minor
+  in
+  Gate.{
+    title =
       Printf.sprintf
         "alloc: GC-heap decoding vs arena decoding, %d calls per row, window \
          %d, fault seed %d (baseline %.1f minor w/call)"
         calls window seed alloc_baseline_minor;
-    al_rows = rows;
-    al_frames_ok =
-      List.for_all
-        (fun r -> String.equal r.al_heap.al_digest r.al_arena.al_digest)
-        rows;
-    al_results_ok =
-      List.for_all
-        (fun r -> Float.equal r.al_heap.al_checksum r.al_arena.al_checksum)
-        rows;
-    al_gate_ok =
-      List.for_all
-        (fun r ->
-          (not r.al_gated)
-          || r.al_arena.al_minor_per_call <= 0.5 *. alloc_baseline_minor)
-        rows;
-    al_arena_ok =
-      List.for_all
-        (fun r ->
-          (not r.al_arena_active)
-          || r.al_arena.al_arena_allocs > 0
-             && r.al_arena.al_arena_resets > 0
-             && r.al_arena.al_arena_fallbacks * 10
-                <= r.al_arena.al_arena_allocs
-             && r.al_arena.al_minor_per_call < r.al_heap.al_minor_per_call)
-        rows;
+    fields =
+      [
+        Value ("baseline_minor_words_per_call", Float (1, alloc_baseline_minor));
+        check "frames_ok" (same_digests pairs);
+        check "results_ok" (same_sums pairs);
+        check "gate_ok" (List.for_all within_baseline runs);
+        check "arena_ok" (List.for_all arena_engaged runs);
+      ];
+    table =
+      {
+        columns =
+          [
+            "workload"; "variant"; "minor_words_per_call_heap";
+            "minor_words_per_call_arena"; "arena_allocs"; "arena_resets";
+            "arena_fallbacks"; "gated"; "digest";
+          ];
+        rows =
+          List.map
+            (fun (w, v, gated, _, heap, arena) ->
+              let s = arena.counters in
+              [
+                Str w; Str v; Float (1, heap.minor); Float (1, arena.minor);
+                Int s.arena_allocs; Int s.arena_resets; Int s.arena_fallbacks;
+                Bool gated; Str arena.digest;
+              ])
+            runs;
+      };
+    extra = [];
+    notes =
+      [
+        "gate_ok: the gated row's arena run spends <= 50% of the baseline \
+         minor words per call";
+        "arena_ok: on no-reuse rows the arena allocates, resets, falls back \
+         <= 10% and beats the heap run's minor words";
+      ];
   }
-
-let render_alloc (r : alloc_report) =
-  let headers =
-    [
-      "workload"; "variant"; "minor w/call heap"; "arena"; "cut";
-      "arena allocs"; "resets"; "fallbacks"; "frames";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        let cut =
-          if row.al_heap.al_minor_per_call <= 0.0 then 0.0
-          else
-            100.0
-            *. (row.al_heap.al_minor_per_call
-               -. row.al_arena.al_minor_per_call)
-            /. row.al_heap.al_minor_per_call
-        in
-        [
-          row.al_workload;
-          row.al_variant;
-          Printf.sprintf "%.1f" row.al_heap.al_minor_per_call;
-          Printf.sprintf "%.1f" row.al_arena.al_minor_per_call;
-          Printf.sprintf "%.1f%%%s" cut
-            (if row.al_gated then "  (gate row)" else "");
-          string_of_int row.al_arena.al_arena_allocs;
-          string_of_int row.al_arena.al_arena_resets;
-          string_of_int row.al_arena.al_arena_fallbacks;
-          (if String.equal row.al_heap.al_digest row.al_arena.al_digest then
-             "identical"
-           else "MISMATCH");
-        ])
-      r.al_rows
-  in
-  Printf.sprintf
-    "%s\n%s\nframe streams byte-identical: %s\nresults identical: %s\ngate \
-     row <= 50%% of %.1f minor w/call baseline: %s\narena engaged on \
-     no-reuse rows: %s"
-    r.al_title
-    (Rmi_stats.Ascii_table.render ~headers rows)
-    (if r.al_frames_ok then "yes" else "NO")
-    (if r.al_results_ok then "yes" else "NO")
-    alloc_baseline_minor
-    (if r.al_gate_ok then "yes" else "NO")
-    (if r.al_arena_ok then "yes" else "NO")
-
-let alloc_json (r : alloc_report) =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"title\": %S,\n" r.al_title);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"baseline_minor_words_per_call\": %.1f,\n  \"frames_ok\": %b,\n  \
-        \"results_ok\": %b,\n  \"gate_ok\": %b,\n  \"arena_ok\": %b,\n"
-       alloc_baseline_minor r.al_frames_ok r.al_results_ok r.al_gate_ok
-       r.al_arena_ok);
-  Buffer.add_string b "  \"rows\": [\n";
-  let first = ref true in
-  List.iter
-    (fun row ->
-      if not !first then Buffer.add_string b ",\n";
-      first := false;
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"workload\": %S, \"variant\": %S, \
-            \"minor_words_per_call_heap\": %.1f, \
-            \"minor_words_per_call_arena\": %.1f, \"arena_allocs\": %d, \
-            \"arena_resets\": %d, \"arena_fallbacks\": %d, \"gated\": %b, \
-            \"digest\": %S}"
-           row.al_workload row.al_variant row.al_heap.al_minor_per_call
-           row.al_arena.al_minor_per_call row.al_arena.al_arena_allocs
-           row.al_arena.al_arena_resets row.al_arena.al_arena_fallbacks
-           row.al_gated row.al_arena.al_digest))
-    r.al_rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* rendering                                                           *)
@@ -1655,43 +1278,10 @@ let shape_summary t =
   | _ -> ());
   String.concat "\n" (List.rev !checks)
 
+
 (* ------------------------------------------------------------------ *)
 (* load: multi-domain dispatch throughput and tail latency (PR 6)      *)
 (* ------------------------------------------------------------------ *)
-
-type load_run = {
-  l_domains : int;
-  l_throughput : float;  (* completed calls per second *)
-  l_p50_us : float;
-  l_p99_us : float;
-  l_p999_us : float;
-  l_digest : string;  (* structural reply digest, issue order *)
-  l_dispatches : int;
-  l_steals : int;
-  l_rejects : int;
-  l_queue_hwm : int;
-}
-
-type load_row = {
-  lr_workload : string;
-  lr_variant : string;
-  lr_runs : load_run list;  (* ascending domain count *)
-}
-
-type load_report = {
-  l_title : string;
-  l_rows : load_row list;
-  l_servers : int;
-  l_calls : int;
-  l_hi_domains : int;
-  l_digest_ok : bool;
-  l_speedup : float;  (* matrix16x16/reliable: hi-domain vs 1-domain *)
-  l_speedup_floor : float;
-  l_tail_ratio : float;  (* p999 hi-domain / p999 1-domain *)
-  l_tail_tol : float;
-  l_cores_ok : bool;  (* host can actually run hi_domains + client *)
-  l_gate_ok : bool;
-}
 
 (* One cluster under load: one client (machine 0) drives [calls]
    pipelined RMIs round-robin across [servers] served machines, every
@@ -1700,7 +1290,8 @@ type load_report = {
    and comparable across domain counts.  The handler re-folds its
    argument [spin] times to give the servers a CPU-bound body: without
    it the single client domain is the bottleneck and no worker count
-   could change throughput. *)
+   could change throughput.  Returns throughput (calls/s), the issue-
+   order digest and the run's counters. *)
 let run_load_run ~config ?faults ~servers ~calls ~window ~spin
     (ww : wire_workload) =
   let metrics = Metrics.create () in
@@ -1729,55 +1320,34 @@ let run_load_run ~config ?faults ~servers ~calls ~window ~spin
   let buf = Buffer.create 4096 in
   let wall = ref 0.0 in
   Fabric.run fabric (fun _ ->
-      let t0 = Unix.gettimeofday () in
-      let i = ref 0 in
-      while !i < calls do
-        let k = min window (calls - !i) in
-        let futures =
-          List.init k (fun j ->
-              let dest =
-                Remote_ref.make ~machine:(1 + ((!i + j) mod servers)) ~obj:0
-              in
-              Node.call_async caller ~dest ~meth:m_wire ~callsite:wire_site
-                ~has_ret:true [| arg |])
-        in
-        List.iter
-          (fun f ->
-            match Node.Future.await f with
-            | Some v ->
-                tier_render buf v;
-                Buffer.add_char buf ';'
-            | None -> Buffer.add_string buf "none;")
-          futures;
-        i := !i + k
-      done;
-      wall := Unix.gettimeofday () -. t0);
-  let s = Metrics.snapshot metrics in
-  let q p = Metrics.lat_quantile s.Metrics.lat_hist p /. 1e3 in
-  {
-    l_domains = config.Config.domains;
-    l_throughput =
-      (if !wall > 0.0 then float_of_int calls /. !wall else 0.0);
-    l_p50_us = q 0.5;
-    l_p99_us = q 0.99;
-    l_p999_us = q 0.999;
-    l_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
-    l_dispatches = s.Metrics.dispatches;
-    l_steals = s.Metrics.steals;
-    l_rejects = s.Metrics.queue_rejects;
-    l_queue_hwm = s.Metrics.queue_depth_hwm;
-  }
+      let t0 = Clock.now_us () in
+      drive ~calls ~window
+        (fun i ->
+          Node.call_async caller
+            ~dest:(Remote_ref.make ~machine:(1 + (i mod servers)) ~obj:0)
+            ~meth:m_wire ~callsite:wire_site ~has_ret:true [| arg |])
+        (fun _ f ->
+          match Node.Future.await f with
+          | Some v ->
+              tier_render buf v;
+              Buffer.add_char buf ';'
+          | None -> Buffer.add_string buf "none;");
+      wall := elapsed_s t0);
+  ( (if !wall > 0.0 then float_of_int calls /. !wall else 0.0),
+    Digest.to_hex (Digest.string (Buffer.contents buf)),
+    Metrics.snapshot metrics )
 
 (* chain100/matrix16x16 x reliable/batched/faulty, each at one domain
-   and at [domains] domains.  Verdicts:
-   - digests byte-identical across domain counts on every row (always
-     enforced — this is the correctness substitution argument);
-   - on matrix16x16/reliable, hi-domain throughput >= [speedup_floor] x
-     single-domain and p999 within [tail_tol] x — enforced only when
-     the host has cores for client + [domains] workers
-     ([Domain.recommended_domain_count]); on smaller hosts the numbers
-     are reported but the perf verdict is recorded as skipped, since no
-     scheduler can extract parallel speedup from one core. *)
+   and at [domains] domains.  Checks:
+   - digest_ok: digests byte-identical across domain counts on every
+     row (always enforced — this is the correctness substitution
+     argument);
+   - perf_enforced: on matrix16x16/reliable, hi-domain throughput >=
+     [speedup_floor] x single-domain and p999 within [tail_tol] x —
+     enforced only when [domains > 1] and the host has cores for
+     client + [domains] workers ([Domain.recommended_domain_count]); on
+     smaller hosts the numbers are reported only, since no scheduler
+     can extract parallel speedup from one core. *)
 let load_compare ?(calls = 600) ?(window = 32) ?(servers = 8)
     ?(domains = 4) ?queue_depth ?(spin = 24) ?(seed = 42)
     ?(speedup_floor = 2.0) ?(tail_tol = 8.0) () =
@@ -1800,189 +1370,103 @@ let load_compare ?(calls = 600) ?(window = 32) ?(servers = 8)
     ]
   in
   let domain_counts = if domains = 1 then [ 1 ] else [ 1; domains ] in
+  (* one (workload, variant) row: its runs in ascending domain count *)
   let rows =
     List.concat_map
       (fun ww ->
         List.map
           (fun (vname, config, faults) ->
-            let runs =
+            ( ww.ww_name, vname,
               List.map
                 (fun d ->
-                  run_load_run
-                    ~config:(Config.with_domains ?queue_depth d config)
-                    ?faults ~servers ~calls ~window ~spin ww)
-                domain_counts
-            in
-            { lr_workload = ww.ww_name; lr_variant = vname; lr_runs = runs })
+                  ( d,
+                    run_load_run
+                      ~config:(Config.with_domains ?queue_depth d config)
+                      ?faults ~servers ~calls ~window ~spin ww ))
+                domain_counts ))
           variants)
       wire_workloads
   in
-  let l_digest_ok =
+  let digest_ok =
     List.for_all
-      (fun row ->
-        match row.lr_runs with
-        | first :: rest ->
-            List.for_all (fun r -> String.equal r.l_digest first.l_digest) rest
+      (fun (_, _, runs) ->
+        match List.map (fun (_, (_, digest, _)) -> digest) runs with
+        | first :: rest -> List.for_all (String.equal first) rest
         | [] -> true)
       rows
   in
-  let perf_row =
-    List.find_opt
-      (fun r ->
-        String.equal r.lr_workload "matrix16x16"
-        && String.equal r.lr_variant "reliable")
-      rows
-  in
+  let p999 (s : Metrics.snapshot) = Metrics.lat_quantile s.lat_hist 0.999 /. 1e3 in
+  let ratio hi lo = if lo > 0.0 then hi /. lo else 0.0 in
   let speedup, tail_ratio =
-    match perf_row with
-    | Some { lr_runs = base :: rest; _ } when rest <> [] ->
-        let hi = List.nth rest (List.length rest - 1) in
-        ( (if base.l_throughput > 0.0 then hi.l_throughput /. base.l_throughput
-           else 0.0),
-          if base.l_p999_us > 0.0 then hi.l_p999_us /. base.l_p999_us else 0.0
-        )
+    match
+      List.find_opt (fun (w, v, _) -> w = "matrix16x16" && v = "reliable") rows
+    with
+    | Some (_, _, [ (_, (rps1, _, s1)); (_, (rps, _, s)) ]) ->
+        (ratio rps rps1, ratio (p999 s) (p999 s1))
     | _ -> (0.0, 0.0)
   in
-  let cores_ok =
-    domains = 1 || Domain.recommended_domain_count () >= domains + 1
+  let perf_ok = speedup >= speedup_floor && tail_ratio <= tail_tol in
+  let perf =
+    if domains = 1 then Gate.Unenforced "skipped, single-domain run"
+    else if Domain.recommended_domain_count () < domains + 1 then
+      Unenforced
+        (Printf.sprintf "reported only, host recommends %d domains, run needs %d"
+           (Domain.recommended_domain_count ()) (domains + 1))
+    else if perf_ok then Pass
+    else Fail
   in
-  let perf_ok =
-    domains = 1
-    || (speedup >= speedup_floor && tail_ratio <= tail_tol)
-  in
-  {
-    l_title =
+  let enforced = match perf with Gate.Unenforced _ -> false | _ -> true in
+  Gate.{
+    title =
       Printf.sprintf
         "load: %d calls, window %d, %d servers, domains 1 vs %d, spin %d, \
          fault seed %d"
         calls window servers domains spin seed;
-    l_rows = rows;
-    l_servers = servers;
-    l_calls = calls;
-    l_hi_domains = domains;
-    l_digest_ok;
-    l_speedup = speedup;
-    l_speedup_floor = speedup_floor;
-    l_tail_ratio = tail_ratio;
-    l_tail_tol = tail_tol;
-    l_cores_ok = cores_ok;
-    l_gate_ok = l_digest_ok && ((not cores_ok) || perf_ok);
+    fields =
+      [
+        Value ("servers", Int servers);
+        Value ("calls", Int calls);
+        check "digest_ok" digest_ok;
+        Value ("speedup", Float (3, speedup));
+        Value ("speedup_floor", Float (1, speedup_floor));
+        Value ("tail_ratio", Float (3, tail_ratio));
+        Value ("tail_tol", Float (1, tail_tol));
+        Check ("perf_enforced", Bool enforced, perf);
+        Value ("gate_ok", Bool (digest_ok && ((not enforced) || perf_ok)));
+      ];
+    table =
+      {
+        columns =
+          [
+            "workload"; "variant"; "domains"; "throughput_rps"; "p50_us";
+            "p99_us"; "p999_us"; "dispatches"; "steals"; "rejects";
+            "queue_depth_hwm"; "digest";
+          ];
+        rows =
+          List.concat_map
+            (fun (w, v, runs) ->
+              List.map
+                (fun (d, (rps, digest, (s : Metrics.snapshot))) ->
+                  let q p = Float (1, Metrics.lat_quantile s.lat_hist p /. 1e3) in
+                  [
+                    Str w; Str v; Int d; Float (1, rps); q 0.5; q 0.99; q 0.999;
+                    Int s.dispatches; Int s.steals; Int s.queue_rejects;
+                    Int s.queue_depth_hwm; Str digest;
+                  ])
+                runs)
+            rows;
+      };
+    extra = [];
+    notes =
+      [
+        "perf_enforced: matrix16x16/reliable reaches speedup_floor x the \
+         1-domain throughput with p999 within tail_tol x";
+      ];
   }
-
-let render_load (r : load_report) =
-  let headers =
-    [
-      "workload"; "variant"; "domains"; "rps"; "p50 us"; "p99 us";
-      "p999 us"; "dispatched"; "stolen"; "rejected"; "q hwm"; "digest";
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun row ->
-        List.map
-          (fun run ->
-            [
-              row.lr_workload;
-              row.lr_variant;
-              string_of_int run.l_domains;
-              Printf.sprintf "%.0f" run.l_throughput;
-              Printf.sprintf "%.0f" run.l_p50_us;
-              Printf.sprintf "%.0f" run.l_p99_us;
-              Printf.sprintf "%.0f" run.l_p999_us;
-              string_of_int run.l_dispatches;
-              string_of_int run.l_steals;
-              string_of_int run.l_rejects;
-              string_of_int run.l_queue_hwm;
-              String.sub run.l_digest 0 12;
-            ])
-          row.lr_runs)
-      r.l_rows
-  in
-  let perf_note =
-    if r.l_hi_domains = 1 then "skipped (single-domain run)"
-    else if not r.l_cores_ok then
-      Printf.sprintf
-        "reported only; not enforced (host recommends %d domains, run needs \
-         %d)"
-        (Domain.recommended_domain_count ())
-        (r.l_hi_domains + 1)
-    else "enforced"
-  in
-  Printf.sprintf
-    "%s\n%s\nreply digests identical across domain counts: %s\nmatrix16x16 \
-     speedup at %d domains: %.2fx (floor %.1fx)\np999 ratio: %.2fx \
-     (tolerance %.1fx)\nperf gate: %s\ngate: %s"
-    r.l_title
-    (Rmi_stats.Ascii_table.render ~headers rows)
-    (if r.l_digest_ok then "yes" else "NO")
-    r.l_hi_domains r.l_speedup r.l_speedup_floor r.l_tail_ratio r.l_tail_tol
-    perf_note
-    (if r.l_gate_ok then "PASS" else "FAIL")
-
-(* BENCH_load.json: one object per (workload, variant, domains) run,
-   wrapped with the gate verdicts — the artifact the CI load-smoke job
-   checks in and validates *)
-let load_json (r : load_report) =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"title\": %S,\n  \"servers\": %d,\n  \"calls\": %d,\n"
-       r.l_title r.l_servers r.l_calls);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"digest_ok\": %b,\n  \"speedup\": %.3f,\n  \"speedup_floor\": \
-        %.1f,\n  \"tail_ratio\": %.3f,\n  \"tail_tol\": %.1f,\n  \
-        \"perf_enforced\": %b,\n  \"gate_ok\": %b,\n"
-       r.l_digest_ok r.l_speedup r.l_speedup_floor r.l_tail_ratio r.l_tail_tol
-       r.l_cores_ok r.l_gate_ok);
-  Buffer.add_string b "  \"rows\": [\n";
-  let first = ref true in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun run ->
-          if not !first then Buffer.add_string b ",\n";
-          first := false;
-          Buffer.add_string b
-            (Printf.sprintf
-               "    {\"workload\": %S, \"variant\": %S, \"domains\": %d, \
-                \"throughput_rps\": %.1f, \"p50_us\": %.1f, \"p99_us\": \
-                %.1f, \"p999_us\": %.1f, \"dispatches\": %d, \"steals\": %d, \
-                \"rejects\": %d, \"queue_depth_hwm\": %d, \"digest\": %S}"
-               row.lr_workload row.lr_variant run.l_domains run.l_throughput
-               run.l_p50_us run.l_p99_us run.l_p999_us run.l_dispatches
-               run.l_steals run.l_rejects run.l_queue_hwm run.l_digest))
-        row.lr_runs)
-    r.l_rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* transport_compare (PR 7): the Transport.S substitution gate          *)
 (* ------------------------------------------------------------------ *)
-
-type transport_run = {
-  x_digest : string;
-  x_checksum : float;
-  x_msgs : int;
-  x_bytes : int;
-  x_modeled : float;
-  x_wall : float;
-}
-
-type transport_row = {
-  xr_workload : string;
-  xr_variant : string;
-  xr_sim : transport_run;
-  xr_sock : transport_run;
-}
-
-type transport_report = {
-  x_title : string;
-  x_rows : transport_row list;
-  x_digest_ok : bool;
-  x_model_ok : bool;
-}
 
 (* one backend of one (workload, variant) pair: [calls] pipelined RMIs
    from machine 0 to machine 1 under the parallel fabric, replies
@@ -2004,39 +1488,36 @@ let run_transport_run ~backend ~config ~window ~calls (ww : wire_workload) =
   let arg = Lazy.force ww.ww_arg in
   let buf = Buffer.create 1024 in
   let checksum = ref 0.0 in
-  let t0 = Unix.gettimeofday () in
+  let minor0 = Gc.minor_words () and t0 = Clock.now_us () in
   Fabric.run fabric (fun _ ->
-      let i = ref 0 in
-      while !i < calls do
-        let k = min window (calls - !i) in
-        let futures =
-          List.init k (fun _ ->
-              Node.call_async caller ~dest ~meth:m_wire ~callsite:wire_site
-                ~has_ret:true [| arg |])
-        in
-        List.iter
-          (fun f ->
-            let r = Node.Future.await f in
-            (match r with
-            | Some v -> tier_render buf v
-            | None -> Buffer.add_string buf "none");
-            Buffer.add_char buf '|';
-            checksum := !checksum +. ww.ww_fold r)
-          futures;
-        i := !i + k
-      done);
-  let wall = Unix.gettimeofday () -. t0 in
+      drive ~calls ~window
+        (fun _ ->
+          Node.call_async caller ~dest ~meth:m_wire ~callsite:wire_site
+            ~has_ret:true [| arg |])
+        (fun _ f ->
+          let r = Node.Future.await f in
+          (match r with
+          | Some v -> tier_render buf v
+          | None -> Buffer.add_string buf "none");
+          Buffer.add_char buf '|';
+          checksum := !checksum +. ww.ww_fold r));
+  let wall = elapsed_s t0 in
+  let minor = (Gc.minor_words () -. minor0) /. float_of_int calls in
   Fabric.shutdown_net fabric;
-  let s = Metrics.snapshot metrics in
   {
-    x_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
-    x_checksum = !checksum;
-    x_msgs = s.Metrics.msgs_sent;
-    x_bytes = s.Metrics.bytes_sent;
-    x_modeled = Costmodel.modeled_seconds model s;
-    x_wall = wall;
+    digest = Digest.to_hex (Digest.string (Buffer.contents buf));
+    sum = !checksum;
+    minor;
+    wall;
+    counters = Metrics.snapshot metrics;
   }
 
+(* chain100/matrix16x16 x sequential/pipelined/batched over the
+   simulated interconnect and over loopback TCP.  Checks: digest_ok —
+   every row's issue-order reply digests and checksums identical
+   between Sim and Sock; model_ok — every row's msgs_sent/bytes_sent,
+   and therefore modeled seconds, identical: the cost accounting
+   survives the transport substitution. *)
 let transport_compare ?(calls = 64) ?(window = 8) ?(seed = 42) () =
   let base = Config.class_ in
   let variants =
@@ -2046,124 +1527,71 @@ let transport_compare ?(calls = 64) ?(window = 8) ?(seed = 42) () =
       ("pipelined+batch", Config.with_batching base, window);
     ]
   in
-  let rows =
+  let pairs =
     List.concat_map
       (fun ww ->
         List.map
-          (fun (vname, config, win) ->
-            let sim =
-              run_transport_run ~backend:Fabric.Sim ~config ~window:win ~calls
-                ww
+          (fun (vname, config, window) ->
+            let run backend =
+              run_transport_run ~backend ~config ~window ~calls ww
             in
-            let sock =
-              run_transport_run ~backend:Fabric.Sock ~config ~window:win
-                ~calls ww
-            in
-            { xr_workload = ww.ww_name; xr_variant = vname; xr_sim = sim;
-              xr_sock = sock })
+            (ww.ww_name, vname, run Fabric.Sim, run Fabric.Sock))
           variants)
       wire_workloads
   in
-  {
-    x_title =
+  let backends = List.map (fun (_, _, sim, sock) -> (sim, sock)) pairs in
+  let modeled r = Costmodel.modeled_seconds model r.counters in
+  let same_cost (a, b) =
+    a.counters.msgs_sent = b.counters.msgs_sent
+    && a.counters.bytes_sent = b.counters.bytes_sent
+    && Float.equal (modeled a) (modeled b)
+  in
+  Gate.{
+    title =
       Printf.sprintf
         "transport: sim vs sock loopback, %d calls, window %d, seed %d" calls
         window seed;
-    x_rows = rows;
-    x_digest_ok =
-      List.for_all
-        (fun r ->
-          String.equal r.xr_sim.x_digest r.xr_sock.x_digest
-          && Float.equal r.xr_sim.x_checksum r.xr_sock.x_checksum)
-        rows;
-    x_model_ok =
-      List.for_all
-        (fun r ->
-          r.xr_sim.x_msgs = r.xr_sock.x_msgs
-          && r.xr_sim.x_bytes = r.xr_sock.x_bytes
-          && Float.equal r.xr_sim.x_modeled r.xr_sock.x_modeled)
-        rows;
+    fields =
+      [
+        check "digest_ok" (same_digests backends && same_sums backends);
+        check "model_ok" (List.for_all same_cost backends);
+      ];
+    table =
+      {
+        columns =
+          [
+            "workload"; "variant"; "backend"; "msgs"; "bytes"; "modeled_s";
+            "wall_s"; "digest";
+          ];
+        rows =
+          List.concat_map
+            (fun (w, v, sim, sock) ->
+              List.map
+                (fun (backend, r) ->
+                  [
+                    Str w; Str v; Str backend; Int r.counters.msgs_sent;
+                    Int r.counters.bytes_sent; Float (6, modeled r);
+                    Float (6, r.wall); Str r.digest;
+                  ])
+                [ ("sim", sim); ("sock", sock) ])
+            pairs;
+      };
+    extra = [];
+    notes = [];
   }
-
-let render_transport (r : transport_report) =
-  let headers =
-    [
-      "workload"; "variant"; "msgs sim/sock"; "bytes sim/sock";
-      "modeled s sim/sock"; "wall s sim"; "sock"; "replies";
-    ]
-  in
-  let rows =
-    List.map
-      (fun row ->
-        [
-          row.xr_workload;
-          row.xr_variant;
-          Printf.sprintf "%d/%d" row.xr_sim.x_msgs row.xr_sock.x_msgs;
-          Printf.sprintf "%d/%d" row.xr_sim.x_bytes row.xr_sock.x_bytes;
-          Printf.sprintf "%.4f/%.4f" row.xr_sim.x_modeled row.xr_sock.x_modeled;
-          Printf.sprintf "%.4f" row.xr_sim.x_wall;
-          Printf.sprintf "%.4f" row.xr_sock.x_wall;
-          (if String.equal row.xr_sim.x_digest row.xr_sock.x_digest then
-             "identical"
-           else "MISMATCH");
-        ])
-      r.x_rows
-  in
-  Printf.sprintf
-    "%s\n%s\nissue-order reply digests byte-identical: %s\nwire counters and \
-     modeled seconds identical: %s"
-    r.x_title
-    (Rmi_stats.Ascii_table.render ~headers rows)
-    (if r.x_digest_ok then "yes" else "NO")
-    (if r.x_model_ok then "yes" else "NO")
-
-(* BENCH_transport.json: the modeled-vs-wall-clock report per backend,
-   wrapped with the gate verdicts — the CI socket-smoke artifact *)
-let transport_json (r : transport_report) =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"title\": %S,\n  \"digest_ok\": %b,\n  \"model_ok\": %b,\n"
-       r.x_title r.x_digest_ok r.x_model_ok);
-  Buffer.add_string b "  \"rows\": [\n";
-  let first = ref true in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (backend, run) ->
-          if not !first then Buffer.add_string b ",\n";
-          first := false;
-          Buffer.add_string b
-            (Printf.sprintf
-               "    {\"workload\": %S, \"variant\": %S, \"backend\": %S, \
-                \"msgs\": %d, \"bytes\": %d, \"modeled_s\": %.6f, \
-                \"wall_s\": %.6f, \"digest\": %S}"
-               row.xr_workload row.xr_variant backend run.x_msgs run.x_bytes
-               run.x_modeled run.x_wall run.x_digest))
-        [ ("sim", row.xr_sim); ("sock", row.xr_sock) ])
-    r.x_rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* multi-process mode: the same workloads over real OS processes        *)
 (* ------------------------------------------------------------------ *)
 
-type proc_run = {
-  pr_workload : string;
-  pr_calls : int;
-  pr_digest : string;
-  pr_checksum : float;
-  pr_wall : float;
-}
-
 (* machine [self] of a TCP cluster described by [addrs].  Servers
    (self > 0) export the wire workloads and serve until the client
    shuts them down; the client (machine 0) drives [calls] pipelined
-   RMIs per workload round-robin across the servers and returns the
-   issue-order digests.  Method/callsite ids are 1 + workload index so
-   both workloads coexist on one mesh. *)
+   RMIs per workload round-robin across the servers and reports the
+   issue-order digests with each workload's recovery counters (ARQ
+   retransmits, abandoned frames, RPC resends) and failed calls.
+   Method/callsite ids are 1 + workload index so both workloads
+   coexist on one mesh. *)
 let transport_proc ?(calls = 64) ?(window = 8) ?(reliable = false) ?epoch
     ?listen ~self ~addrs () =
   let n = Array.length addrs in
@@ -2202,60 +1630,60 @@ let transport_proc ?(calls = 64) ?(window = 8) ?(reliable = false) ?epoch
           (fun k ww ->
             let arg = Lazy.force ww.ww_arg in
             let buf = Buffer.create 1024 in
-            let checksum = ref 0.0 in
-            let t0 = Unix.gettimeofday () in
-            let i = ref 0 in
-            while !i < calls do
-              let burst = min window (calls - !i) in
-              let futures =
-                List.init burst (fun j ->
-                    let machine = 1 + ((!i + j) mod (n - 1)) in
-                    Node.call_async caller
-                      ~dest:(Remote_ref.make ~machine ~obj:0)
-                      ~meth:(m_wire + k) ~callsite:(wire_site + k)
-                      ~has_ret:true [| arg |])
-              in
-              List.iter
-                (fun f ->
-                  let r = Node.Future.await f in
-                  (match r with
-                  | Some v -> tier_render buf v
-                  | None -> Buffer.add_string buf "none");
-                  Buffer.add_char buf '|';
-                  checksum := !checksum +. ww.ww_fold r)
-                futures;
-              i := !i + burst
-            done;
-            {
-              pr_workload = ww.ww_name;
-              pr_calls = calls;
-              pr_digest = Digest.to_hex (Digest.string (Buffer.contents buf));
-              pr_checksum = !checksum;
-              pr_wall = Unix.gettimeofday () -. t0;
-            })
+            let checksum = ref 0.0 and fails = ref 0 in
+            let s0 = Metrics.snapshot metrics and t0 = Clock.now_us () in
+            drive ~calls ~window
+              (fun i ->
+                Node.call_async caller
+                  ~dest:(Remote_ref.make ~machine:(1 + (i mod (n - 1))) ~obj:0)
+                  ~meth:(m_wire + k) ~callsite:(wire_site + k) ~has_ret:true
+                  [| arg |])
+              (fun _ f ->
+                match Node.Future.await f with
+                | exception (Node.Rpc_timeout _ | Node.Peer_down _) ->
+                    incr fails;
+                    Buffer.add_string buf "fail|"
+                | r ->
+                    (match r with
+                    | Some v -> tier_render buf v
+                    | None -> Buffer.add_string buf "none");
+                    Buffer.add_char buf '|';
+                    checksum := !checksum +. ww.ww_fold r);
+            let wall = elapsed_s t0 and s = Metrics.snapshot metrics in
+            ( Gate.
+                [
+                  Str ww.ww_name; Int calls; Float (4, wall); Float (1, !checksum);
+                  Int (s.retries - s0.retries); Int (s.timeouts - s0.timeouts);
+                  Int (s.call_retries - s0.call_retries); Int !fails;
+                  Str (Digest.to_hex (Digest.string (Buffer.contents buf)));
+                ],
+              !fails ))
           wire_workloads
       in
       for dest = 1 to n - 1 do
         Node.send_shutdown caller ~dest
       done;
-      Some runs
+      let failed_calls = List.fold_left (fun acc (_, k) -> acc + k) 0 runs in
+      Some
+        Gate.{
+          title =
+            Printf.sprintf "proc: %d calls per workload, window %d, %d servers%s"
+              calls window (n - 1)
+              (if reliable then ", reliable" else "");
+          fields = [ check "no_failed_calls" (failed_calls = 0) ];
+          table =
+            {
+              columns =
+                [
+                  "workload"; "calls"; "wall_s"; "checksum"; "arq_retries";
+                  "timeouts"; "call_retries"; "failed_calls"; "digest";
+                ];
+              rows = List.map fst runs;
+            };
+          extra = [];
+          notes = [];
+        }
     end
   in
   Fabric.shutdown_net fabric;
   result
-
-let render_proc (runs : proc_run list) =
-  let headers = [ "workload"; "calls"; "wall s"; "checksum"; "digest" ] in
-  let rows =
-    List.map
-      (fun r ->
-        [
-          r.pr_workload;
-          string_of_int r.pr_calls;
-          Printf.sprintf "%.4f" r.pr_wall;
-          Printf.sprintf "%.1f" r.pr_checksum;
-          r.pr_digest;
-        ])
-      runs
-  in
-  Rmi_stats.Ascii_table.render ~headers rows

@@ -2,6 +2,7 @@
    and the microbenchmark tables end to end (small sizes). *)
 
 module E = Rmi_harness.Experiment
+module Gate = Rmi_harness.Gate
 module P = Rmi_harness.Paper_data
 module Config = Rmi_runtime.Config
 
@@ -133,56 +134,46 @@ let faults_compose_with_pipeline () =
   (* --faults alongside --pipeline: every issue discipline rides the
      same seeded lossy schedule and the checksums must agree across
      variants — the gate the CLI enforces with a nonzero exit *)
-  let reports =
+  let g =
     E.pipeline_compare ~scale:E.Small ~window:4
       ~faults:(42, Rmi_net.Fault_sim.default_lossy)
       ()
   in
-  Alcotest.(check bool) "reports produced" true (reports <> []);
-  List.iter
-    (fun r ->
-      (match r.E.p_rows with
-      | [] -> Alcotest.fail "no rows"
-      | first :: rest ->
-          List.iter
-            (fun row ->
-              Alcotest.(check (float 1e-9))
-                (Printf.sprintf "%s checksum matches under faults"
-                   row.E.variant)
-                first.E.checksum row.E.checksum)
-            rest);
-      (* the lossy schedule actually fired: the reliable layer had to
-         recover at least once somewhere *)
-      let recovered =
-        List.exists
-          (fun row ->
-            row.E.p_stats.Rmi_stats.Metrics.retries > 0
-            || row.E.p_stats.Rmi_stats.Metrics.dup_drops > 0)
-          r.E.p_rows
-      in
-      Alcotest.(check bool) "faults were injected" true recovered;
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) "title records the seed" true
-        (contains r.E.p_title "faults seed=42"))
-    reports
+  Alcotest.(check int) "two workloads x three variants" 6
+    (List.length g.Gate.table.rows);
+  Alcotest.(check bool) "checksums agree under faults" true
+    (Gate.verdict g "checksums_equal" = Gate.Pass);
+  (* the lossy schedule actually fired: the reliable layer had to
+     recover at least once in every workload *)
+  let recovered w =
+    List.exists2
+      (fun wl (retries, dups) ->
+        wl = Gate.Str w && (retries <> Gate.Int 0 || dups <> Gate.Int 0))
+      (Gate.column g "workload")
+      (List.combine (Gate.column g "retries") (Gate.column g "dup_drops"))
+  in
+  Alcotest.(check bool) "faults were injected" true
+    (recovered "array16x16" && recovered "list100");
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "title records the seed" true
+    (contains g.Gate.title "faults seed=42")
 
 let crash_compare_end_to_end () =
-  let r = E.crash_compare ~seed:42 ~calls:40 ~window:8 () in
-  Alcotest.(check int) "three variants" 3 (List.length r.E.c_rows);
-  let durable =
-    List.find (fun row -> row.E.c_variant = "durable crash") r.E.c_rows
-  in
-  Alcotest.(check bool) "durable row ok" true durable.E.c_ok;
-  Alcotest.(check bool) "seeded replay byte-identical" true r.E.c_replay_equal;
-  Alcotest.(check bool) "digest non-empty" true
-    (String.length r.E.c_digest > 0);
-  let rendered = E.render_crash r in
+  let g = E.crash_compare ~seed:42 ~calls:40 ~window:8 () in
+  Alcotest.(check int) "three variants" 3 (List.length g.Gate.table.rows);
+  Alcotest.(check bool) "durable row ok" true
+    (Gate.verdict g "durable_ok" = Gate.Pass);
+  Alcotest.(check bool) "seeded replay byte-identical" true
+    (Gate.verdict g "replay_equal" = Gate.Pass);
+  (* the durable schedule logged fault decisions *)
+  Alcotest.(check bool) "fault log non-empty" true
+    (Gate.value g "digest" <> Gate.Str (Digest.to_hex (Digest.string "")));
+  Alcotest.(check (list string)) "no failed checks" [] (Gate.failed g);
+  let rendered = Gate.render g in
   Alcotest.(check bool) "renders" true (String.length rendered > 100)
 
 let suite =

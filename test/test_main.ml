@@ -7,7 +7,7 @@ let suites =
   @ Test_faults.suite @ Test_reliable.suite @ Test_internals.suite
   @ Test_edge.suite @ Test_distributed.suite @ Test_optim.suite
   @ Test_futures.suite @ Test_crash.suite @ Test_tiers.suite
-  @ Test_load.suite @ Test_transport.suite @ Test_chaos.suite
+  @ Test_load.suite @ Test_transport.suite @ Test_chaos.suite @ Test_gate.suite
 
 (* a per-suite census up front, so a run that silently drops a suite
    (or a registration that forgets one) is visible at a glance *)

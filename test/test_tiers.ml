@@ -207,15 +207,15 @@ let aot_lying_plan_raises_cleanly () =
 (* --- equivalence and convergence --- *)
 
 let tiers_compare_converges () =
-  let r = Rmi_harness.Experiment.tiers_compare ~calls:24 ~window:6
-      ~hot_threshold:6 ()
+  let module Gate = Rmi_harness.Gate in
+  let g =
+    Rmi_harness.Experiment.tiers_compare ~calls:24 ~window:6 ~hot_threshold:6 ()
   in
-  Alcotest.(check int) "three variants" 3
-    (List.length r.Rmi_harness.Experiment.t_rows);
+  Alcotest.(check int) "three variants" 3 (List.length g.Gate.table.rows);
   Alcotest.(check bool) "replies byte-identical" true
-    r.Rmi_harness.Experiment.t_equal;
+    (Gate.verdict g "replies_equal" = Gate.Pass);
   Alcotest.(check bool) "adaptive converges to aot" true
-    r.Rmi_harness.Experiment.t_converged
+    (Gate.verdict g "converged" = Gate.Pass)
 
 (* --- crash: tiers re-warm --- *)
 
