@@ -1,0 +1,263 @@
+(* The batching layer: request coalescing stacked over any transport —
+   a raw backend ([Cluster], [Sock]) or the [Reliable] ARQ above one.
+   The only code that coalesces, encodes or splits batches; see the
+   interface for the accounting. *)
+
+module Msgbuf = Rmi_wire.Msgbuf
+module Protocol = Rmi_wire.Protocol
+module Metrics = Rmi_stats.Metrics
+
+(* a link auto-flushes once it buffers this many payload bytes *)
+let max_bytes = 4096
+
+(* one (src, dest) link's buffered group, newest member first *)
+type link = { mutable msgs : bytes list; mutable bytes : int }
+
+module M = struct
+  type t = {
+    lower : Transport.t;
+    n : int;
+    links : link array array;  (* links.(src).(dest) *)
+    lock : Mutex.t;  (* guards [links] *)
+    (* members of an already-received batch, served ahead of [lower];
+       one lock per machine, so receivers on different domains do not
+       contend *)
+    inbox : (bytes * int * int) Queue.t array;
+    imutex : Mutex.t array;
+  }
+
+  let name = "batching"
+  let size t = t.n
+  let metrics t = Transport.metrics t.lower
+  let zero_copy t = Transport.zero_copy t.lower
+  let pool t = Transport.pool t.lower
+  let is_reliable t = Transport.is_reliable t.lower
+  let is_hosted t m = Transport.is_hosted t.lower m
+  let charge t n = Metrics.add_bytes_copied (metrics t) n
+
+  let check t who =
+    if who < 0 || who >= t.n then
+      invalid_arg (Printf.sprintf "Batching: bad machine id %d" who)
+
+  (* ---------------------------------------------------------------- *)
+  (* send path                                                         *)
+  (* ---------------------------------------------------------------- *)
+
+  let send t ~src ~dest msg = Transport.send t.lower ~src ~dest msg
+  let send_raw t ~src ~dest frame = Transport.send_raw t.lower ~src ~dest frame
+
+  let send_writer t ~src ~dest w ~payload_off =
+    Transport.send_writer t.lower ~src ~dest w ~payload_off
+
+  let send_raw_writer t ~src ~dest w ~payload_off =
+    Transport.send_raw_writer t.lower ~src ~dest w ~payload_off
+
+  (* one group (oldest member first) becomes one wire frame; a lone
+     member ships as itself.  The zero-copy mode assembles the batch in
+     a gap-reserved pooled writer (one blit per member) for [lower] to
+     frame in place; the legacy mode batches with [encode_batch], three
+     copies of the group. *)
+  let ship t ~src (dest, msgs, bytes) =
+    let k = List.length msgs in
+    Metrics.incr_msgs_sent (metrics t);
+    Metrics.add_bytes_sent (metrics t) bytes;
+    Metrics.record_batch (metrics t) ~msgs:k;
+    (match msgs with
+    | [ m ] -> Transport.send_raw t.lower ~src ~dest m
+    | _ when zero_copy t ->
+        Msgbuf.Pool.with_writer (pool t) (fun w ->
+            ignore (Msgbuf.reserve w Envelope.gap : int);
+            Protocol.encode_batch_into w msgs;
+            charge t bytes;
+            Transport.send_raw_writer t.lower ~src ~dest w
+              ~payload_off:Envelope.gap)
+    | _ ->
+        let f = Protocol.encode_batch msgs in
+        charge t (3 * bytes);
+        Transport.send_raw t.lower ~src ~dest f);
+    (dest, k, bytes)
+
+  (* with [t.lock] held: empty the link, returning its group *)
+  let take t ~src ~dest =
+    let l = t.links.(src).(dest) in
+    let group = (dest, List.rev l.msgs, l.bytes) in
+    l.msgs <- [];
+    l.bytes <- 0;
+    group
+
+  let send_buffered t ~src ~dest msg =
+    check t src;
+    check t dest;
+    Mutex.lock t.lock;
+    let l = t.links.(src).(dest) in
+    l.msgs <- msg :: l.msgs;
+    l.bytes <- l.bytes + Bytes.length msg;
+    let full = if l.bytes >= max_bytes then Some (take t ~src ~dest) else None in
+    Mutex.unlock t.lock;
+    match full with None -> [] | Some group -> [ ship t ~src group ]
+
+  (* every group is taken before any ships, in ascending [dest] order:
+     a crash the shipping triggers cannot lose a group already taken *)
+  let flush t ~src =
+    check t src;
+    Mutex.lock t.lock;
+    let groups = ref [] in
+    for dest = t.n - 1 downto 0 do
+      if t.links.(src).(dest).msgs <> [] then
+        groups := take t ~src ~dest :: !groups
+    done;
+    Mutex.unlock t.lock;
+    List.map (ship t ~src) !groups
+
+  (* ---------------------------------------------------------------- *)
+  (* receive path: split batch frames                                  *)
+  (* ---------------------------------------------------------------- *)
+
+  let pop_inbox t ~self =
+    Mutex.lock t.imutex.(self);
+    let m = Queue.take_opt t.inbox.(self) in
+    Mutex.unlock t.imutex.(self);
+    m
+
+  (* the batch frame [buf.(off..off+len)] arrived for [self]: its first
+     member is returned and the rest queue in the inbox.  The zero-copy
+     mode hands members up as slices of the frame; the legacy mode
+     copies each out (charged).  A garbled batch is dropped whole,
+     like any other corrupt frame. *)
+  let split t ~self buf off len =
+    match Protocol.decode_batch_slice buf ~off ~len with
+    | None | Some [] -> None
+    | Some (first :: rest) ->
+        let member (o, l) =
+          if zero_copy t then (buf, o, l)
+          else begin
+            charge t l;
+            (Bytes.sub buf o l, 0, l)
+          end
+        in
+        let first = member first in
+        let rest = List.map member rest in
+        Mutex.lock t.imutex.(self);
+        List.iter (fun m -> Queue.push m t.inbox.(self)) rest;
+        Mutex.unlock t.imutex.(self);
+        Some first
+
+  (* the receive loops are top-level functions, not local closures, and
+     a frame that is not a batch goes up as [lower]'s own [Some], so a
+     receive allocates nothing here *)
+  let rec drain t ~self =
+    match Transport.try_recv_slice t.lower ~self with
+    | Some (buf, off, len) when Protocol.is_batch_at buf ~off ~len -> (
+        match split t ~self buf off len with None -> drain t ~self | m -> m)
+    | m -> m
+
+  let try_recv_slice t ~self =
+    check t self;
+    match pop_inbox t ~self with Some _ as m -> m | None -> drain t ~self
+
+  (* [lower] makes its own non-blocking pass first, so a zero or
+     negative deadline still drains what is deliverable *)
+  let rec wait t ~self deadline =
+    match
+      Transport.recv_deadline_slice t.lower ~self
+        ~seconds:(Clock.remaining deadline)
+    with
+    | Some (buf, off, len) when Protocol.is_batch_at buf ~off ~len -> (
+        match split t ~self buf off len with
+        | None -> wait t ~self deadline
+        | m -> m)
+    | m -> m
+
+  let recv_deadline_slice t ~self ~seconds =
+    check t self;
+    match pop_inbox t ~self with
+    | Some _ as m -> m
+    | None -> wait t ~self (Clock.deadline_after seconds)
+
+  let rec recv_blocking_slice t ~self =
+    check t self;
+    match pop_inbox t ~self with
+    | Some m -> m
+    | None -> (
+        let ((buf, off, len) as m) = Transport.recv_blocking_slice t.lower ~self in
+        if not (Protocol.is_batch_at buf ~off ~len) then m
+        else
+          match split t ~self buf off len with
+          | Some m -> m
+          | None -> recv_blocking_slice t ~self)
+
+  let buffered_anywhere t =
+    Mutex.lock t.lock;
+    let any = Array.exists (Array.exists (fun l -> l.msgs <> [])) t.links in
+    Mutex.unlock t.lock;
+    any
+
+  let holds_anything t =
+    Array.exists (fun q -> not (Queue.is_empty q)) t.inbox || buffered_anywhere t
+
+  let pending_anywhere t = Transport.pending_anywhere t.lower || holds_anything t
+
+  (* [lower] answers [Dead] when nothing is in flight below it; a member
+     still queued here or a group still buffered means waiting can
+     succeed *)
+  let idle t ~self =
+    match Transport.idle t.lower ~self with
+    | Transport.Dead when holds_anything t -> Transport.Waiting
+    | o -> o
+
+  (* a machine just crashed: its unflushed groups and the members it
+     had not received yet die with it *)
+  let wipe_machine t m =
+    Mutex.lock t.lock;
+    for dest = 0 to t.n - 1 do
+      ignore (take t ~src:m ~dest)
+    done;
+    Mutex.unlock t.lock;
+    Mutex.lock t.imutex.(m);
+    Queue.clear t.inbox.(m);
+    Mutex.unlock t.imutex.(m)
+
+  (* ---------------------------------------------------------------- *)
+  (* everything else: pure delegation                                  *)
+  (* ---------------------------------------------------------------- *)
+
+  let peer_health t ~self ~peer = Transport.peer_health t.lower ~self ~peer
+  let set_detector t hb = Transport.set_detector t.lower hb
+  let self_epoch t m = Transport.self_epoch t.lower m
+  let on_peer_event t f = Transport.on_peer_event t.lower f
+  let on_process_event t f = Transport.on_process_event t.lower f
+  let set_faults t fs = Transport.set_faults t.lower fs
+  let clear_faults t = Transport.clear_faults t.lower
+  let faults t = Transport.faults t.lower
+  let set_fault_hook t hook = Transport.set_fault_hook t.lower hook
+  let clear_fault_hook t = Transport.clear_fault_hook t.lower
+  let shutdown t = Transport.shutdown t.lower
+
+  include Transport.Recv_defaults (struct
+    type nonrec t = t
+
+    let metrics = metrics
+    let try_recv_slice = try_recv_slice
+    let recv_blocking_slice = recv_blocking_slice
+    let recv_deadline_slice = recv_deadline_slice
+  end)
+end
+
+let wrap lower =
+  let n = Transport.size lower in
+  let t =
+    {
+      M.lower;
+      n;
+      links =
+        Array.init n (fun _ -> Array.init n (fun _ -> { msgs = []; bytes = 0 }));
+      lock = Mutex.create ();
+      inbox = Array.init n (fun _ -> Queue.create ());
+      imutex = Array.init n (fun _ -> Mutex.create ());
+    }
+  in
+  (* registered after any layer below, before any runtime hook *)
+  Transport.on_process_event lower (function
+    | Transport.Proc_crashed { machine; _ } -> M.wipe_machine t machine
+    | Transport.Proc_restarted _ -> ());
+  Transport.pack (module M) t

@@ -6,6 +6,10 @@
 (** The current reading, in microseconds.  Allocates nothing. *)
 val now_us : unit -> int
 
+(** [us_of_seconds seconds] is the span in microseconds (clamped to
+    10{^12} s). *)
+val us_of_seconds : float -> int
+
 (** [deadline_after seconds] is the reading [seconds] from now
     (clamped to 10{^12} s). *)
 val deadline_after : float -> int

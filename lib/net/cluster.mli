@@ -14,9 +14,9 @@
     duplicate, reorder, corrupt and crash; reliable delivery over that
     is the {!Reliable} adapter stacked on top (acks, retransmission,
     dedup, heartbeats, epoch fencing), the same adapter the [Sock]
-    backend uses.  This module owns only the physical layer: mailboxes,
-    the fault stages, crash polling, raw batching and traffic
-    accounting.
+    backend uses.  Request batching is the {!Batching} layer, stacked
+    above either.  This module owns only the physical layer: mailboxes,
+    the fault stages, crash polling and traffic accounting.
 
     Raw, the interconnect has no failure detector: {!peer_health} is
     always [Alive] and {!idle} only applies due crash/restart
@@ -24,16 +24,16 @@
 
 type t
 
-(** [zero_copy] (default [true]) selects the wire framing mode: batch
-    frames are built {e around} payloads sitting in pooled writers
+(** [zero_copy] (default [true]) selects the wire framing mode of the
+    layers stacked above, which read it through {!zero_copy}: frames
+    are built {e around} payloads sitting in pooled writers
     ({!send_writer}) and received payloads are handed up as slices of
     the frame, so a message body is snapshotted at most once per
-    direction.  With [zero_copy:false] the pre-existing copy-based
-    framing is used.  Both modes produce byte-identical frames on the
-    wire; every physical payload copy either mode makes is charged to
-    the [bytes_copied] metric, which is how the [wirecost] experiment
-    compares them.  A layer stacked above reads the mode through
-    {!zero_copy} and frames its own envelopes the same way. *)
+    direction.  With [zero_copy:false] the layers use the copy-based
+    framing.  Both modes produce byte-identical frames on the wire;
+    every physical payload copy either mode makes is charged to the
+    [bytes_copied] metric, which is how the [wirecost] experiment
+    compares them. *)
 val create : ?zero_copy:bool -> n:int -> Rmi_stats.Metrics.t -> t
 
 val zero_copy : t -> bool
@@ -57,7 +57,7 @@ val on_peer_event :
   t -> (self:int -> peer:int -> Transport.peer_event -> unit) -> unit
 
 (** [f] runs on every simulated crash/restart, after the machine's
-    mailbox and batch buffers were wiped; hooks run in registration
+    mailbox was wiped; hooks run in registration
     order, so a layer stacked above (registered first) wipes its own
     state before runtime hooks run.  Hooks must not send messages —
     nodes use this to drop volatile caches. *)
@@ -92,38 +92,16 @@ val send_raw : t -> src:int -> dest:int -> bytes -> unit
 val send_writer :
   t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int -> unit
 
-(** {1 Request batching}
+(** {!send_writer} without the logical accounting: the snapshot is
+    charged to [bytes_copied], nothing to [msgs_sent]/[bytes_sent]. *)
+val send_raw_writer :
+  t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int -> unit
 
-    With batching enabled, {!send_buffered} coalesces messages per
-    (src, dest) link; {!flush} ships each link's buffered group as one
-    wire frame (a {!Rmi_wire.Protocol} batch frame when the group has
-    two or more messages).  {!Reliable} batches above this layer, so
-    that one flushed group is one envelope seq/ack unit.
-
-    Accounting: a flushed group counts {e one} [msgs_sent] and the sum
-    of its logical payload bytes — the cost model therefore charges one
-    per-message latency per batch.  Batch framing overhead is excluded
-    from [bytes_sent]. *)
-
-(** Start coalescing [send_buffered] messages (default threshold
-    {!Batcher.default_batch_bytes}).  A link auto-flushes as soon as it
-    buffers [max_bytes]. *)
-val enable_batching : ?max_bytes:int -> t -> unit
-
-(** Flush everything buffered, then stop coalescing. *)
-val disable_batching : t -> unit
-
-val batching_enabled : t -> bool
-
-(** [send_buffered t ~src ~dest msg] queues [msg] on the (src, dest)
-    batch buffer (or falls back to {!send} when batching is off).
-    Returns the links auto-flushed by the byte threshold as
-    [(dest, messages, bytes)] triples — usually empty. *)
+(** {!send}, at once: the raw interconnect does not coalesce (see
+    {!Batching}).  Returns [[]]. *)
 val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
 
-(** [flush t ~src] ships every non-empty batch buffer whose source is
-    [src]; returns one [(dest, messages, bytes)] triple per flushed
-    link, in ascending [dest] order. *)
+(** Nothing to ship: returns [[]]. *)
 val flush : t -> src:int -> (int * int * int) list
 
 val try_recv : t -> self:int -> bytes option
@@ -131,8 +109,8 @@ val try_recv : t -> self:int -> bytes option
 (** {1 Slice receive}
 
     The zero-copy receive API: messages come back as [(frame, off,
-    len)] slices sharing the (immutable) received frame bytes, so batch
-    sub-frames are never copied out.  The bytes-returning functions
+    len)] slices — here always a whole mailbox frame, which a layer
+    above may split without copying.  The bytes-returning functions
     ([try_recv]/[recv_blocking]/[recv_deadline]) are
     {!Transport.Recv_defaults} wrappers derived from the slice family —
     the backend implements only slices. *)
@@ -158,9 +136,7 @@ val recv_deadline : t -> self:int -> seconds:float -> bytes option
     retransmit. *)
 val idle : t -> self:int -> Transport.idle_outcome
 
-(** Any message pending anywhere — queued in a mailbox, unpacked from a
-    batch but not yet consumed, or buffered awaiting a flush?
-    (deadlock diagnostics) *)
+(** Any frame queued in a mailbox?  (deadlock diagnostics) *)
 val pending_anywhere : t -> bool
 
 (** Install a seeded fault schedule on the physical layer (applies to

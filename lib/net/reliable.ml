@@ -24,7 +24,6 @@
    payload — the same accounting as the raw transport. *)
 
 module Msgbuf = Rmi_wire.Msgbuf
-module Protocol = Rmi_wire.Protocol
 module Metrics = Rmi_stats.Metrics
 
 type params = { rto : int; backoff_cap : int; max_attempts : int }
@@ -116,11 +115,6 @@ module M = struct
     clock : (unit -> int) option;  (* [None]: the clock is [tick] *)
     mutable tick : int;  (* idle calls so far *)
     lock : Mutex.t;
-    (* messages unpacked from an already-received batch envelope,
-       served ahead of the lower transport *)
-    inbox : (bytes * int * int) Queue.t array;
-    imutex : Mutex.t array;
-    mutable batcher : Batcher.t option;
     mutable peer_hooks :
       (self:int -> peer:int -> Transport.peer_event -> unit) list;
   }
@@ -239,20 +233,14 @@ module M = struct
     Mutex.unlock t.lock;
     Transport.send_raw t.lower ~src ~dest envelope
 
-  (* logical-traffic accounting: payload bytes, counted once *)
-  let account_send t len =
-    Metrics.incr_msgs_sent (metrics t);
-    Metrics.add_bytes_sent (metrics t) len;
-    Metrics.incr_unbatched (metrics t)
-
   let send t ~src ~dest msg =
     check t src;
     check t dest;
-    account_send t (Bytes.length msg);
+    Transport.account_send (metrics t) (Bytes.length msg);
     send_frame t ~src ~dest msg
 
-  (* control traffic of a layer stacked above this one (none exists
-     today); ships enveloped all the same so reliability is preserved *)
+  (* frames a layer stacked above has already accounted for (a flushed
+     batch group); enveloped all the same so reliability is preserved *)
   let send_raw t ~src ~dest frame =
     check t src;
     check t dest;
@@ -261,120 +249,28 @@ module M = struct
   let send_writer t ~src ~dest w ~payload_off =
     check t src;
     check t dest;
-    account_send t (Msgbuf.length w - payload_off);
+    Transport.account_send (metrics t) (Msgbuf.length w - payload_off);
     send_frame_writer t ~src ~dest w ~payload_off
 
-  (* ---------------------------------------------------------------- *)
-  (* batching: one flushed group = one envelope = one seq/ack unit     *)
-  (* ---------------------------------------------------------------- *)
-
-  let enable_batching ?(max_bytes = Batcher.default_batch_bytes) t =
-    if max_bytes < 1 then invalid_arg "Reliable.enable_batching: max_bytes < 1";
-    t.batcher <- Some (Batcher.create ~max_bytes)
-
-  let batching_enabled t = t.batcher <> None
-
-  (* the zero-copy mode assembles the batch directly in a gap-reserved
-     pooled writer (one blit per member) and envelopes it in place; the
-     legacy mode batches with [encode_batch] (three copies of the group)
-     and envelopes with [send_frame_legacy] (three more) *)
-  let flush_group t ~src ~dest msgs bytes =
-    let k = List.length msgs in
-    Metrics.incr_msgs_sent (metrics t);
-    Metrics.add_bytes_sent (metrics t) bytes;
-    Metrics.record_batch (metrics t) ~msgs:k;
-    (match msgs with
-    | [ m ] -> send_frame t ~src ~dest m
-    | _ when zero_copy t ->
-        Msgbuf.Pool.with_writer (pool t) (fun w ->
-            ignore (Msgbuf.reserve w Envelope.gap : int);
-            Protocol.encode_batch_into w msgs;
-            charge t bytes;
-            send_frame_writer t ~src ~dest w ~payload_off:Envelope.gap)
-    | _ ->
-        let f = Protocol.encode_batch msgs in
-        charge t (3 * bytes);
-        send_frame_legacy t ~src ~dest f);
-    (dest, k, bytes)
-
-  let flush t ~src =
-    check t src;
-    match t.batcher with
-    | None -> []
-    | Some b ->
-        List.map
-          (fun (dest, msgs, bytes) -> flush_group t ~src ~dest msgs bytes)
-          (Batcher.take b ~src)
-
-  let disable_batching t =
-    (match t.batcher with
-    | None -> ()
-    | Some _ ->
-        for src = 0 to t.n - 1 do
-          ignore (flush t ~src)
-        done);
-    t.batcher <- None
-
-  let send_buffered t ~src ~dest msg =
+  let send_raw_writer t ~src ~dest w ~payload_off =
     check t src;
     check t dest;
-    match t.batcher with
-    | None ->
-        send t ~src ~dest msg;
-        []
-    | Some b -> (
-        match Batcher.add b ~src ~dest msg with
-        | None -> []
-        | Some (msgs, bytes) -> [ flush_group t ~src ~dest msgs bytes ])
+    send_frame_writer t ~src ~dest w ~payload_off
+
+  include Transport.Unbuffered (struct
+    type nonrec t = t
+
+    let send = send
+  end)
 
   (* ---------------------------------------------------------------- *)
-  (* receive path: unwrap, fence, ack, dedup, split batches            *)
+  (* receive path: unwrap, fence, ack, dedup                           *)
   (* ---------------------------------------------------------------- *)
-
-  let pop_inbox t ~self =
-    Mutex.lock t.imutex.(self);
-    let m =
-      if Queue.is_empty t.inbox.(self) then None
-      else Some (Queue.pop t.inbox.(self))
-    in
-    Mutex.unlock t.imutex.(self);
-    m
 
   (* the legacy framing works on whole frames; the raw interconnect
      hands those up unsliced *)
   let materialize buf off len =
     if off = 0 && len = Bytes.length buf then buf else Bytes.sub buf off len
-
-  let queue_rest t ~self rest =
-    if rest <> [] then begin
-      Mutex.lock t.imutex.(self);
-      List.iter (fun m -> Queue.push m t.inbox.(self)) rest;
-      Mutex.unlock t.imutex.(self)
-    end
-
-  (* a delivered payload: either a single message, handed straight up,
-     or a batch whose first message returns and whose rest queue ahead
-     of the lower transport.  The zero-copy mode splits the batch into
-     slices sharing the frame bytes; the legacy mode copies each member
-     out (charged). *)
-  let unpack t ~self buf off len =
-    if not (Protocol.is_batch_at buf ~off ~len) then Some (buf, off, len)
-    else if zero_copy t then
-      match Protocol.decode_batch_slice buf ~off ~len with
-      | None | Some [] -> None  (* garbled batch: drop whole *)
-      | Some ((o, l) :: rest) ->
-          queue_rest t ~self (List.map (fun (o, l) -> (buf, o, l)) rest);
-          Some (buf, o, l)
-    else
-      match Protocol.decode_batch (materialize buf off len) with
-      | None | Some [] -> None
-      | Some (first :: rest) ->
-          charge t
-            (List.fold_left
-               (fun acc m -> acc + Bytes.length m)
-               (Bytes.length first) rest);
-          queue_rest t ~self (List.map (fun m -> (m, 0, Bytes.length m)) rest);
-          Some (first, 0, Bytes.length first)
 
   (* the envelope [env] around payload [buf.(off..off+len)] arrived for
      [self]: [Some message] to hand up, [None] when the frame was
@@ -433,7 +329,7 @@ module M = struct
             Metrics.incr_dup_drops (metrics t);
             None
           end
-          else unpack t ~self buf off len
+          else Some (buf, off, len)
 
   (* a frame from the lower transport; one failing its checksum is
      dropped here (the sender's timer recovers it) *)
@@ -460,7 +356,7 @@ module M = struct
 
   let try_recv_slice t ~self =
     check t self;
-    match pop_inbox t ~self with Some _ as m -> m | None -> drain t ~self
+    drain t ~self
 
   let rec wait t ~self deadline =
     let remain = Clock.remaining deadline in
@@ -479,13 +375,7 @@ module M = struct
     | Some _ as m -> m
     | None -> wait t ~self (Clock.deadline_after seconds)
 
-  let buffered_anywhere t =
-    match t.batcher with None -> false | Some b -> Batcher.any b
-
-  let pending_anywhere t =
-    Transport.pending_anywhere t.lower
-    || Array.exists (fun q -> not (Queue.is_empty q)) t.inbox
-    || buffered_anywhere t
+  let pending_anywhere t = Transport.pending_anywhere t.lower
 
   (* ---------------------------------------------------------------- *)
   (* the retransmit + failure-detector clock                           *)
@@ -695,15 +585,11 @@ end
 include M
 
 (* a machine just crashed: everything it held in flight dies with it —
-   unpacked-batch inbox, unflushed batch buffers, link send state and
-   dedup memory.  Peers' state about it survives (their retransmit
-   timers are the recovery path).  Runs from the lower transport's
-   process hook, after the lower layer dropped its own mailboxes. *)
+   link send state and dedup memory.  Peers' state about it survives
+   (their retransmit timers are the recovery path).  Runs from the
+   lower transport's process hook, after the lower layer dropped its
+   own mailboxes. *)
 let wipe_machine (t : M.t) m =
-  Mutex.lock t.M.imutex.(m);
-  Queue.clear t.M.inbox.(m);
-  Mutex.unlock t.M.imutex.(m);
-  Option.iter (fun b -> Batcher.drop_source b ~src:m) t.M.batcher;
   Mutex.lock t.M.lock;
   let now = M.now t in
   Array.iter
@@ -753,9 +639,6 @@ let wrap ?now ?params lower =
       clock = now;
       tick = 0;
       lock = Mutex.create ();
-      inbox = Array.init n (fun _ -> Queue.create ());
-      imutex = Array.init n (fun _ -> Mutex.create ());
-      batcher = None;
       peer_hooks = [];
     }
   in

@@ -9,13 +9,15 @@
     it on the raw simulated interconnect ({!Sim}) and on [Sock] alike
     whenever the config asks for [Reliable].
 
-    The adapter keeps its own link state, batcher and failure
-    detector; it delegates the physical layer (fault schedules, chaos
-    injection, epochs, process events, shutdown) to [lower].  On a
-    [Proc_crashed] event from [lower], the crashed machine's in-flight
-    ARQ state is wiped before runtime-level hooks run.  {!Transport.S.idle}
-    answers [Dead] only when nothing is in flight anywhere: no unacked
-    frame, no frame held by [lower]'s fault schedule, nothing queued.
+    The adapter keeps its own link state and failure detector; it
+    delegates the physical layer (fault schedules, chaos injection,
+    epochs, process events, shutdown) to [lower].  It does not
+    coalesce: {!Batching.wrap} stacks above it, so one flushed group is
+    one envelope, one seq/ack unit.  On a [Proc_crashed] event from
+    [lower], the crashed machine's in-flight ARQ state is wiped before
+    runtime-level hooks run.  {!Transport.S.idle} answers [Dead] only
+    when nothing is in flight anywhere: no unacked frame, no frame held
+    by [lower]'s fault schedule, nothing queued in [lower].
 
     Framing follows [lower]'s {!Transport.S.zero_copy} mode: zero-copy
     envelopes are built in pooled writers and payloads handed up as
@@ -24,7 +26,10 @@
 
     Accounting: logical counters charge the payload once at the
     adapter, exactly as the raw transport does; envelope and control
-    frames ride [lower]'s [send_raw], which charges nothing. *)
+    frames ride [lower]'s [send_raw], which charges nothing.  The
+    adapter's own [send_raw]/[send_raw_writer] (a layer above shipping
+    a group it has already accounted for) envelope the frame like any
+    data frame and charge nothing either. *)
 
 (** Retransmit timer settings, in the units of the adapter's clock
     (see {!wrap}): [idle] calls by default, microseconds with [~now]. *)

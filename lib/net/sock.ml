@@ -1,5 +1,4 @@
 module Msgbuf = Rmi_wire.Msgbuf
-module Protocol = Rmi_wire.Protocol
 module Metrics = Rmi_stats.Metrics
 
 (* frames larger than this are a protocol error, not a workload *)
@@ -62,7 +61,6 @@ module M = struct
        destination inbox, so [pending_anywhere] never reports quiet
        while a reply sits in a kernel socket buffer *)
     inflight : int Atomic.t;
-    mutable batcher : Batcher.t option;
     mutable fault : (src:int -> dest:int -> bytes -> bytes list) option;
     (* the seeded chaos injector; every outbound frame passes through
        it, and its connection actions are applied by [chaos_drain] *)
@@ -305,20 +303,11 @@ module M = struct
   (* delivery into an endpoint inbox                                   *)
   (* ---------------------------------------------------------------- *)
 
-  (* [frame] is a fresh whole-frame bytes: queue it (split if it is a
-     batch envelope — sub-messages are slices sharing the frame) *)
+  (* [frame] is a fresh whole-frame bytes: queue it *)
   let deliver t ~dest frame =
     let ep = hosted t dest in
-    let len = Bytes.length frame in
-    let parts =
-      if Protocol.is_batch_at frame ~off:0 ~len then
-        match Protocol.decode_batch_slice frame ~off:0 ~len with
-        | None | Some [] -> []  (* garbled batch: drop whole *)
-        | Some slices -> List.map (fun (o, l) -> (frame, o, l)) slices
-      else [ (frame, 0, len) ]
-    in
     Mutex.lock ep.ilock;
-    List.iter (fun s -> Queue.push s ep.inbox) parts;
+    Queue.push (frame, 0, Bytes.length frame) ep.inbox;
     Condition.broadcast ep.icond;
     Mutex.unlock ep.ilock
 
@@ -396,10 +385,10 @@ module M = struct
           | _ -> ())
       [ (a, b); (b, a) ]
 
-  (* a chaos kill/restart of machine [m]: its queued inbox and
-     unflushed batches die with the process, and every TCP connection
-     it had is severed (reconnection re-forms them; while the machine
-     is down the injector swallows its traffic) *)
+  (* a chaos kill/restart of machine [m]: its queued inbox dies with
+     the process, and every TCP connection it had is severed
+     (reconnection re-forms them; while the machine is down the
+     injector swallows its traffic) *)
   let apply_transition t = function
     | Fault_sim.Crashed { machine; durability } ->
         Metrics.incr_crashes t.metrics;
@@ -409,7 +398,6 @@ module M = struct
             Queue.clear ep.inbox;
             Mutex.unlock ep.ilock
         | None -> ());
-        Option.iter (fun b -> Batcher.drop_source b ~src:machine) t.batcher;
         for other = 0 to t.n - 1 do
           if other <> machine then sever_pair t machine other
         done;
@@ -481,21 +469,14 @@ module M = struct
                 uncharge_inflight t charged;
                 mark_dead t c)
 
-  (* logical-traffic accounting, identical to the sim backend *)
-  let account_send t len =
-    Metrics.incr_msgs_sent t.metrics;
-    Metrics.add_bytes_sent t.metrics len;
-    Metrics.incr_unbatched t.metrics
-
   let send t ~src ~dest msg =
     check t src;
     check t dest;
-    account_send t (Bytes.length msg);
+    Transport.account_send t.metrics (Bytes.length msg);
     ship_hooked t ~src ~dest msg
 
   (* physical transmit: rides the fault hook and the chaos injector
-     like a send, but charges nothing — the Reliable layer's control
-     traffic *)
+     like a send, but charges nothing — a stacked layer's own frames *)
   let send_raw t ~src ~dest frame =
     check t src;
     check t dest;
@@ -504,63 +485,19 @@ module M = struct
   let send_writer t ~src ~dest w ~payload_off =
     check t src;
     check t dest;
-    account_send t (Msgbuf.length w - payload_off);
+    Transport.account_send t.metrics (Msgbuf.length w - payload_off);
     ship_writer t ~src ~dest w ~payload_off
 
-  (* ---------------------------------------------------------------- *)
-  (* batching (same bookkeeping and accounting as the sim backend)     *)
-  (* ---------------------------------------------------------------- *)
-
-  let enable_batching ?(max_bytes = Batcher.default_batch_bytes) t =
-    t.batcher <- Some (Batcher.create ~max_bytes)
-
-  let batching_enabled t = t.batcher <> None
-
-  let flush_group t ~src ~dest msgs bytes =
-    let k = List.length msgs in
-    Metrics.incr_msgs_sent t.metrics;
-    Metrics.add_bytes_sent t.metrics bytes;
-    Metrics.record_batch t.metrics ~msgs:k;
-    (match msgs with
-    | [ m ] -> ship_hooked t ~src ~dest m
-    | _ ->
-        Msgbuf.Pool.with_writer t.pool (fun w ->
-            ignore (Msgbuf.reserve w 4 : int);
-            Protocol.encode_batch_into w msgs;
-            (* one blit per member into the writer *)
-            charge t bytes;
-            ship_writer t ~src ~dest w ~payload_off:4));
-    (dest, k, bytes)
-
-  let flush t ~src =
-    check t src;
-    match t.batcher with
-    | None -> []
-    | Some b ->
-        List.map
-          (fun (dest, msgs, bytes) -> flush_group t ~src ~dest msgs bytes)
-          (Batcher.take b ~src)
-
-  let disable_batching t =
-    (match t.batcher with
-    | None -> ()
-    | Some _ ->
-        for src = 0 to t.n - 1 do
-          if t.eps.(src) <> None then ignore (flush t ~src)
-        done);
-    t.batcher <- None
-
-  let send_buffered t ~src ~dest msg =
+  let send_raw_writer t ~src ~dest w ~payload_off =
     check t src;
     check t dest;
-    match t.batcher with
-    | None ->
-        send t ~src ~dest msg;
-        []
-    | Some b -> (
-        match Batcher.add b ~src ~dest msg with
-        | None -> []
-        | Some (msgs, bytes) -> [ flush_group t ~src ~dest msgs bytes ])
+    ship_writer t ~src ~dest w ~payload_off
+
+  include Transport.Unbuffered (struct
+    type nonrec t = t
+
+    let send = send
+  end)
 
   (* ---------------------------------------------------------------- *)
   (* receive path                                                      *)
@@ -787,7 +724,6 @@ module M = struct
                any
            | None -> false)
          t.eps
-    || (match t.batcher with None -> false | Some b -> Batcher.any b)
   (* frames the chaos injector holds or parks are deliberately NOT
      pending: they only move when the frame clock advances, i.e. when
      the caller keeps driving [idle]/sends rather than waiting — the
@@ -935,7 +871,6 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
     metrics;
     pool = Msgbuf.Pool.create ~metrics;
     inflight = Atomic.make 0;
-    batcher = None;
     fault = None;
     chaos = None;
     base_epoch = 0;

@@ -6,9 +6,9 @@
     connector).  A background event-loop thread multiplexes every
     hosted socket with [poll] (select's FD_SETSIZE would cap the mesh;
     see {!max_loopback_machines}): it accepts peers, reassembles the
-    length-prefixed byte stream into frames, splits batch envelopes
-    into slices and queues them on the owning endpoint's inbox, where
-    the slice-receive family picks them up.
+    length-prefixed byte stream into frames and queues them whole on
+    the owning endpoint's inbox, where the slice-receive family picks
+    them up.  Batch frames are split by the {!Batching} layer above.
 
     Framing is a 4-byte big-endian length prefix per frame.  The
     zero-copy send path ships a pooled gapped writer without

@@ -50,6 +50,26 @@ module Recv_defaults (B : RECV_SLICE) = struct
     Option.map (materialize t) (B.recv_deadline_slice t ~self ~seconds)
 end
 
+(* logical-traffic accounting, identical on every transport: the
+   payload bytes, counted once *)
+let account_send metrics len =
+  Rmi_stats.Metrics.incr_msgs_sent metrics;
+  Rmi_stats.Metrics.add_bytes_sent metrics len;
+  Rmi_stats.Metrics.incr_unbatched metrics
+
+module Unbuffered (B : sig
+  type t
+
+  val send : t -> src:int -> dest:int -> bytes -> unit
+end) =
+struct
+  let send_buffered t ~src ~dest msg =
+    B.send t ~src ~dest msg;
+    []
+
+  let flush _ ~src:_ = []
+end
+
 module type S = sig
   type t
 
@@ -68,9 +88,10 @@ module type S = sig
     t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int ->
     unit
 
-  val enable_batching : ?max_bytes:int -> t -> unit
-  val disable_batching : t -> unit
-  val batching_enabled : t -> bool
+  val send_raw_writer :
+    t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int ->
+    unit
+
   val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
   val flush : t -> src:int -> (int * int * int) list
   val try_recv_slice : t -> self:int -> (bytes * int * int) option
@@ -119,21 +140,22 @@ let send_raw (Packed ((module M), h)) ~src ~dest frame =
    frames in place by back-filling headers/length prefixes before
    [payload_off], so an unreserved gap is a caller bug regardless of
    backend *)
-let send_writer (Packed ((module M), h)) ~src ~dest w ~payload_off =
+let check_gap who w ~payload_off =
   if payload_off < Envelope.gap || payload_off > Rmi_wire.Msgbuf.length w then
     invalid_arg
       (Printf.sprintf
-         "Transport.send_writer: payload_off %d violates the Envelope.gap \
-          contract (need %d <= payload_off <= %d)"
-         payload_off Envelope.gap
-         (Rmi_wire.Msgbuf.length w));
+         "Transport.%s: payload_off %d violates the Envelope.gap contract \
+          (need %d <= payload_off <= %d)"
+         who payload_off Envelope.gap
+         (Rmi_wire.Msgbuf.length w))
+
+let send_writer (Packed ((module M), h)) ~src ~dest w ~payload_off =
+  check_gap "send_writer" w ~payload_off;
   M.send_writer h ~src ~dest w ~payload_off
 
-let enable_batching ?max_bytes (Packed ((module M), h)) =
-  M.enable_batching ?max_bytes h
-
-let disable_batching (Packed ((module M), h)) = M.disable_batching h
-let batching_enabled (Packed ((module M), h)) = M.batching_enabled h
+let send_raw_writer (Packed ((module M), h)) ~src ~dest w ~payload_off =
+  check_gap "send_raw_writer" w ~payload_off;
+  M.send_raw_writer h ~src ~dest w ~payload_off
 
 let send_buffered (Packed ((module M), h)) ~src ~dest msg =
   M.send_buffered h ~src ~dest msg

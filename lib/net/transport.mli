@@ -5,10 +5,15 @@
     A backend implements {!S} — creation is backend-specific (the
     simulated {!Cluster} takes a framing mode and a machine count, a
     {!Sock} fabric takes addresses), so [S] covers an already-created
-    instance: the send family, the slice-receive family, batching, the
+    instance: the send family, the slice-receive family, the
     idle/retransmit clock, fault hooks and peer health.  {!pack} erases
     the backend into the first-class {!t} that {!Rmi_runtime.Fabric},
     [Node] and [Dispatch_pool] are written against.
+
+    Layers stack on a backend by implementing {!S} over a lower {!t}:
+    {!Reliable.wrap} adds the ARQ, {!Batching.wrap} request
+    coalescing.  A backend or layer that does not coalesce takes
+    [send_buffered]/[flush] from {!Unbuffered}.
 
     Backends implement only the {e slice} receive family
     ([try_recv_slice] / [recv_blocking_slice] / [recv_deadline_slice]);
@@ -80,6 +85,22 @@ module Recv_defaults (B : RECV_SLICE) : sig
   val recv_deadline : B.t -> self:int -> seconds:float -> bytes option
 end
 
+(** Charge one logical message of [len] payload bytes sent outside a
+    batch: [msgs_sent], [bytes_sent] and [unbatched]. *)
+val account_send : Rmi_stats.Metrics.t -> int -> unit
+
+(** [send_buffered] and [flush] for a transport that does not
+    coalesce: a buffered send goes out at once through [B.send], and a
+    flush has nothing to ship. *)
+module Unbuffered (B : sig
+  type t
+
+  val send : t -> src:int -> dest:int -> bytes -> unit
+end) : sig
+  val send_buffered : B.t -> src:int -> dest:int -> bytes -> (int * int * int) list
+  val flush : B.t -> src:int -> (int * int * int) list
+end
+
 (** The full transport signature. *)
 module type S = sig
   type t
@@ -114,10 +135,10 @@ module type S = sig
   val send : t -> src:int -> dest:int -> bytes -> unit
 
   (** Physical transmit: [frame] rides the same wire path as a [send]
-      (fault hook, fault schedule) but is never enveloped and never
-      charged to the logical counters — the escape hatch a reliability
-      layer stacked {e above} the backend uses for its own control
-      traffic (acks, retransmissions, heartbeats). *)
+      (fault hook, fault schedule) but is never charged to the logical
+      counters — how a layer stacked {e above} ships frames it has
+      already accounted for (the ARQ's acks, retransmissions and
+      heartbeats; a flushed batch group). *)
   val send_raw : t -> src:int -> dest:int -> bytes -> unit
 
   (** [send_writer t ~src ~dest w ~payload_off] ships the message
@@ -131,13 +152,19 @@ module type S = sig
     t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int ->
     unit
 
-  (** {2 Request batching} — semantics as documented in {!Cluster}:
-      one flushed group is one physical frame, one [msgs_sent], the
-      sum of its logical payload bytes. *)
+  (** {!send_writer} without the logical accounting, as {!send_raw}
+      is to {!send}; same gap contract. *)
+  val send_raw_writer :
+    t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int ->
+    unit
 
-  val enable_batching : ?max_bytes:int -> t -> unit
-  val disable_batching : t -> unit
-  val batching_enabled : t -> bool
+  (** {2 Request batching} — [send_buffered t ~src ~dest msg] queues
+      [msg] for the (src, dest) link and [flush t ~src] ships [src]'s
+      queued groups; both return the groups they shipped as
+      [(dest, messages, bytes)].  Only {!Batching.wrap} coalesces; every
+      other transport sends at once and flushes nothing
+      ({!Unbuffered}). *)
+
   val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
   val flush : t -> src:int -> (int * int * int) list
 
@@ -224,9 +251,10 @@ val send_raw : t -> src:int -> dest:int -> bytes -> unit
 val send_writer :
   t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int -> unit
 
-val enable_batching : ?max_bytes:int -> t -> unit
-val disable_batching : t -> unit
-val batching_enabled : t -> bool
+(** Forwards after the same gap assertion as {!send_writer}. *)
+val send_raw_writer :
+  t -> src:int -> dest:int -> Rmi_wire.Msgbuf.writer -> payload_off:int -> unit
+
 val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
 val flush : t -> src:int -> (int * int * int) list
 val try_recv_slice : t -> self:int -> (bytes * int * int) option

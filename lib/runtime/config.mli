@@ -64,7 +64,7 @@ type t = {
   transport : transport;
   batching : bool;
       (** coalesce small same-destination requests/replies into one
-          envelope (see {!Rmi_net.Reliable} batching); off for every
+          envelope (the {!Rmi_net.Batching} layer); off for every
           paper-table preset so the sequential accounting is
           untouched *)
   failover : failover;

@@ -16,13 +16,18 @@ let make_nodes ?plan_store net ~n ~meta ~config ~plans =
   Array.init n (fun id -> Node.create ?plan_store net ~id ~meta ~config ~plans)
 
 (* stack the Reliable ARQ adapter over the raw transport when the
-   config asks for it; a raw config leaves it bare.  [now] is the clock
-   its timers read, the idle count when absent (see
-   [Rmi_net.Reliable.wrap]) *)
+   config asks for it, then the batching layer over that when the
+   config batches; a raw unbatched config leaves it bare.  [now] is the
+   clock the ARQ's timers read, the idle count when absent (see
+   [Rmi_net.Reliable.wrap]).  Every node of a fabric shares [config],
+   so the layer is present exactly when the nodes buffer their sends. *)
 let layer ?now ?params config lower =
-  match config.Config.transport with
-  | Config.Raw -> lower
-  | Config.Reliable -> Rmi_net.Reliable.wrap ?now ?params lower
+  let net =
+    match config.Config.transport with
+    | Config.Raw -> lower
+    | Config.Reliable -> Rmi_net.Reliable.wrap ?now ?params lower
+  in
+  if config.Config.batching then Rmi_net.Batching.wrap net else net
 
 let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store
     ?arq_params ~n ~meta ~config ~plans ~metrics () =
@@ -56,7 +61,6 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store
         Option.iter (Rmi_net.Transport.set_faults lower) faults;
         (layer config lower, None)
   in
-  if config.Config.batching then Rmi_net.Transport.enable_batching net;
   let nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
   let t =
     { net; sim; nodes; fmode = mode; proc = false; domains = []; pool = None;
@@ -87,7 +91,6 @@ let create_process ?listen ?chaos ?epoch ?plan_store ~self ~addrs ~meta
     layer config
       (Rmi_net.Sock.create_process ?chaos ?epoch ?listen ~self ~addrs metrics)
   in
-  if config.Config.batching then Rmi_net.Transport.enable_batching net;
   let n = Array.length addrs in
   let nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
   { net; sim = None; nodes; fmode = Parallel; proc = true; domains = [];

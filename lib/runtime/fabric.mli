@@ -34,7 +34,8 @@ type t
     idle polls under [Sync] (a deterministic schedule) and read the
     monotonic clock ({!Rmi_net.Clock.now_us}) under [Parallel];
     [?arq_params] overrides the adapter's retransmit settings, in that
-    clock's units (see {!Rmi_net.Reliable.wrap}).
+    clock's units (see {!Rmi_net.Reliable.wrap}).  [config.batching]
+    stacks the {!Rmi_net.Batching} layer on top of that.
     [?faults] installs a seeded fault schedule on the physical links
     (meaningful with the reliable transport; the raw path does not
     recover from loss).  [?plan_store] hands every node the compiler's

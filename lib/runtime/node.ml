@@ -48,8 +48,9 @@ type compiled_plan = {
   mutable cp_arctx : (bool * Codec.rctx) option;
 }
 
-(* per-peer circuit breaker: [opened_at < 0] means closed *)
-type breaker = { mutable consecutive : int; mutable opened_at : float }
+(* per-peer circuit breaker: [opened_at] is the {!Rmi_net.Clock.now_us}
+   reading it opened at, [None] while closed *)
+type breaker = { mutable consecutive : int; mutable opened_at : int option }
 
 (* adaptive-tier state of one call site on this node: how often it was
    invoked, whether it crossed the hot threshold, and the compiled plan
@@ -101,8 +102,8 @@ and pending = {
   pc_primary : int;       (* the originally addressed machine *)
   mutable pc_cp : compiled_plan;  (* swapped when arg deopt widens the plan *)
   pc_node : t;
-  pc_started : float;
-  pc_deadline : float;
+  pc_started : int;  (* Clock.now_us readings *)
+  pc_deadline : int;
   mutable pc_request : bytes;
   (* the encoded request, kept for RPC retries *)
   mutable pc_attempts : int;
@@ -719,7 +720,7 @@ let unmarshal_ret t cp ~callsite (hdr : Protocol.header) r =
 (* ------------------------------------------------------------------ *)
 
 let send_msg t ~dest payload =
-  if Rmi_net.Transport.batching_enabled t.net then
+  if t.cfg.Config.batching then
     List.iter
       (fun (d, msgs, bytes) ->
         trace_event t (Trace.Batch_flush { machine = t.nid; dest = d; msgs; bytes }))
@@ -734,7 +735,7 @@ let send_msg t ~dest payload =
    ([Reliable]'s [send_writer]); under the raw transport the one snapshot
    doubles as the wire frame. *)
 let send_from_writer t ~dest ?snapshot w =
-  if (not (zc t)) || Rmi_net.Transport.batching_enabled t.net then
+  if (not (zc t)) || t.cfg.Config.batching then
     let msg =
       match snapshot with Some m -> m | None -> msg_of_writer t w
     in
@@ -750,7 +751,7 @@ let send_from_writer t ~dest ?snapshot w =
 (* ship whatever this machine has coalesced; a no-op when batching is
    off or the buffers are empty *)
 let flush_self t =
-  if Rmi_net.Transport.batching_enabled t.net then
+  if t.cfg.Config.batching then
     List.iter
       (fun (d, msgs, bytes) ->
         trace_event t (Trace.Batch_flush { machine = t.nid; dest = d; msgs; bytes }))
@@ -774,7 +775,7 @@ let breaker_for t dest =
   match Hashtbl.find_opt t.breakers dest with
   | Some b -> b
   | None ->
-      let b = { consecutive = 0; opened_at = -1.0 } in
+      let b = { consecutive = 0; opened_at = None } in
       Hashtbl.replace t.breakers dest b;
       b
 
@@ -784,12 +785,14 @@ let breaker_for t dest =
 let breaker_allows t ~dest ~now =
   match Hashtbl.find_opt t.breakers dest with
   | None -> true
-  | Some b ->
-      if b.opened_at < 0.0 then true
-      else if
-        now -. b.opened_at >= t.cfg.Config.failover.Config.breaker_cooldown
+  | Some { opened_at = None; _ } -> true
+  | Some ({ opened_at = Some opened; _ } as b) ->
+      if
+        now - opened
+        >= Rmi_net.Clock.us_of_seconds
+             t.cfg.Config.failover.Config.breaker_cooldown
       then begin
-        b.opened_at <- -1.0;
+        b.opened_at <- None;
         b.consecutive <- t.cfg.Config.failover.Config.breaker_threshold - 1;
         true
       end
@@ -800,9 +803,9 @@ let breaker_failure t dest =
   b.consecutive <- b.consecutive + 1;
   if
     b.consecutive >= t.cfg.Config.failover.Config.breaker_threshold
-    && b.opened_at < 0.0
+    && b.opened_at = None
   then begin
-    b.opened_at <- Unix.gettimeofday ();
+    b.opened_at <- Some (Rmi_net.Clock.now_us ());
     trace_event t (Trace.Breaker_open { machine = t.nid; peer = dest })
   end
 
@@ -811,7 +814,7 @@ let breaker_success t dest =
   | None -> ()
   | Some b ->
       b.consecutive <- 0;
-      b.opened_at <- -1.0
+      b.opened_at <- None
 
 let resolve_future t (p : pending) state =
   Hashtbl.remove t.outstanding p.pc_seq;
@@ -828,16 +831,15 @@ let resolve_future t (p : pending) state =
   match state with
   | Failed _ -> ()
   | _ ->
-      let elapsed_s = Unix.gettimeofday () -. p.pc_started in
+      let elapsed_us = Rmi_net.Clock.now_us () - p.pc_started in
       (* client-observed round trip, one histogram sample per settled
          call; both the local and any remote domain may record, hence
          the atomic buckets *)
-      Metrics.record_latency_ns (metrics t)
-        (int_of_float (elapsed_s *. 1e9));
+      Metrics.record_latency_ns (metrics t) (elapsed_us * 1000);
       trace_event t
         (Trace.Call_end
            { machine = t.nid; callsite = p.pc_callsite;
-             elapsed_us = elapsed_s *. 1e6 })
+             elapsed_us = float_of_int elapsed_us })
 
 (* a reply/ack/exn-reply landed: settle whichever future asked for it.
    Replies can arrive in any order relative to the issue order — the
@@ -857,8 +859,7 @@ let handle_reply t (hdr : Protocol.header) r =
          not consume the RPC retry budget: flow control is bounded by
          the call deadline alone. *)
       breaker_failure t p.pc_dest;
-      let now = Unix.gettimeofday () in
-      if now >= p.pc_deadline then begin
+      if Rmi_net.Clock.now_us () >= p.pc_deadline then begin
         trace_event t (Trace.Timeout { machine = t.nid; dests = [ p.pc_dest ] });
         resolve_future t p
           (Failed
@@ -1112,7 +1113,7 @@ let send_shutdown t ~dest =
    budget (or the cluster went quiescent with [q] unanswered): retry,
    fail over to a replica, or give up according to the failure policy *)
 let transport_failed t (q : pending) detail =
-  let now = Unix.gettimeofday () in
+  let now = Rmi_net.Clock.now_us () in
   breaker_failure t q.pc_dest;
   if now >= q.pc_deadline then begin
     trace_event t (Trace.Timeout { machine = t.nid; dests = [ q.pc_dest ] });
@@ -1163,7 +1164,7 @@ let transport_failed t (q : pending) detail =
 (* fail every outstanding call whose end-to-end deadline has passed,
    whatever the transport is doing *)
 let sweep_deadlines t =
-  let now = Unix.gettimeofday () in
+  let now = Rmi_net.Clock.now_us () in
   let victims =
     Hashtbl.fold
       (fun _ q acc -> if now >= q.pc_deadline then q :: acc else acc)
@@ -1311,7 +1312,7 @@ let peek_pending (p : pending) =
 
 let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
     args =
-  let started = Unix.gettimeofday () in
+  let started = Rmi_net.Clock.now_us () in
   trace_event t
     (Trace.Call_start
        { machine = t.nid; dest = dest.Remote_ref.machine; meth; callsite;
@@ -1355,7 +1356,7 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
       pc_cp = cp;
       pc_node = t;
       pc_started = started;
-      pc_deadline = started +. budget;
+      pc_deadline = started + Rmi_net.Clock.us_of_seconds budget;
       pc_request = Bytes.empty;
       pc_attempts = 1;
       pc_rejects = 0;

@@ -1,8 +1,10 @@
 (* Gate: the one report record every harness gate builds.  A golden
-   render and JSON of a hand-built gate, the check bookkeeping, and the
+   render and JSON of a hand-built gate, the check bookkeeping, the
    JSON key schema of fresh small gate runs against the checked-in
    BENCH_*.json artifacts — the CI `sed` column diffs depend on those
-   keys and their order. *)
+   keys and their order — and pins of the deterministic columns of the
+   transport and wirecost gates, which a refactor of the transport
+   layers must reproduce exactly. *)
 
 module Gate = Rmi_harness.Gate
 module E = Rmi_harness.Experiment
@@ -149,6 +151,85 @@ let load_schema () =
     ~row:(fun l -> contains l "\"domains\": 1,")
     "BENCH_load.json" (small_load ())
 
+(* [line] without its ["key": value] pair *)
+let drop_key key line =
+  let tag = "\"" ^ key ^ "\": " in
+  let nl = String.length line and nt = String.length tag in
+  let rec find i =
+    if i + nt > nl then None
+    else if String.sub line i nt = tag then Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> line
+  | Some i ->
+      let j = ref (i + nt) in
+      while !j < nl && line.[!j] <> ',' && line.[!j] <> '}' do
+        incr j
+      done;
+      (* the pair and the separator after it *)
+      let j = if !j + 1 < nl && line.[!j] = ',' then !j + 2 else !j in
+      String.sub line 0 i ^ String.sub line j (nl - j)
+
+let json_rows text =
+  List.filter
+    (fun l -> contains l "\"workload\"")
+    (String.split_on_char '\n' text)
+
+(* the full 64-call seed-42 run reproduces every row of the checked-in
+   BENCH_transport.json but the wall-clock column: message and byte
+   counts, modeled seconds and reply digests, on the raw Sim and raw
+   Sock backends alike (the only check of batched raw-Sock accounting) *)
+let transport_pin () =
+  let checked_in =
+    In_channel.with_open_text "../BENCH_transport.json" In_channel.input_all
+  in
+  let fresh = Gate.to_json (E.transport_compare ~seed:42 ()) in
+  Alcotest.(check int) "12 rows" 12 (List.length (json_rows checked_in));
+  Alcotest.(check (list string))
+    "msgs/bytes/modeled_s/digest per row"
+    (List.map (drop_key "wall_s") (json_rows checked_in))
+    (List.map (drop_key "wall_s") (json_rows fresh))
+
+let cell_str = function
+  | Gate.Str s -> s
+  | Gate.Int i -> string_of_int i
+  | Gate.Float (digits, v) -> Printf.sprintf "%.*f" digits v
+  | Gate.Bool b -> string_of_bool b
+  | Gate.Ints l -> String.concat ";" (List.map string_of_int l)
+
+(* the wirecost gate's deterministic columns at 24 calls, window 8:
+   copied bytes per call under both framings, zero-copy pool traffic
+   and frame-stream equality *)
+let wirecost_pin () =
+  let g = E.wirecost_compare ~calls:24 ~window:8 () in
+  let columns =
+    List.map (Gate.column g)
+      [
+        "workload"; "variant"; "copied_legacy"; "copied_zc"; "zc_pool_hits";
+        "zc_pool_misses"; "frames_equal";
+      ]
+  in
+  let rows =
+    List.init
+      (List.length (List.hd columns))
+      (fun i ->
+        String.concat " " (List.map (fun c -> cell_str (List.nth c i)) columns))
+  in
+  Alcotest.(check (list string))
+    "deterministic wirecost columns"
+    [
+      "chain100 raw 459.0 459.0 94 2 true";
+      "chain100 reliable 2295.0 940.7 142 2 true";
+      "chain100 reliable+batch 4145.0 1383.3 106 2 true";
+      "chain100 reliable+faults 2408.2 940.7 151 2 true";
+      "matrix16x16 raw 2112.0 2112.0 94 2 true";
+      "matrix16x16 reliable 10560.0 4246.4 142 2 true";
+      "matrix16x16 reliable+batch 19025.0 6347.6 123 3 true";
+      "matrix16x16 reliable+faults 11085.8 4246.4 151 2 true";
+    ]
+    rows
+
 let single_domain_perf_unenforced () =
   (* a 1-domain run cannot measure speedup: the JSON must say the perf
      check was not enforced, as the text does, and the gate rests on
@@ -173,5 +254,7 @@ let suite =
         Alcotest.test_case "load json schema (1 domain)" `Quick load_schema;
         Alcotest.test_case "1-domain perf not enforced" `Quick
           single_domain_perf_unenforced;
+        Alcotest.test_case "transport columns pinned" `Quick transport_pin;
+        Alcotest.test_case "wirecost columns pinned" `Quick wirecost_pin;
       ] );
   ]

@@ -3,8 +3,8 @@
    backend-erased Transport.t, so the two implementations cannot drift
    on the contract the runtime layer depends on — FIFO delivery per
    pair, self-send loopback, the send accounting, the Envelope.gap
-   reservation of send_writer, batch flush bookkeeping and the
-   deadline-receive semantics.  A QCheck property then drives both
+   reservation of send_writer, the batching layer stacked on top and
+   the deadline-receive semantics.  A QCheck property then drives both
    backends with the same random frame schedule and requires the
    per-destination receive streams to be equal. *)
 
@@ -15,16 +15,32 @@ module Msgbuf = Rmi_wire.Msgbuf
 module type BACKEND = sig
   val label : string
   val make : n:int -> Metrics.t -> Transport.t
+
+  (* [make], plus a way to put a data payload from [src] straight into
+     [dest]'s mailbox below every layer — the Sim stacks only *)
+  val injectable :
+    (n:int -> Metrics.t -> Transport.t * (src:int -> dest:int -> bytes -> unit))
+    option
 end
+
+let sim_injectable ~wrap ~frame ~n metrics =
+  let cluster = Cluster.create ~n metrics in
+  ( wrap (Sim.pack cluster),
+    fun ~src ~dest payload ->
+      Cluster.inject_frame cluster ~dest (frame ~src payload) )
 
 module Sim_backend : BACKEND = struct
   let label = "sim"
   let make ~n metrics = Sim.create ~n metrics
+
+  let injectable =
+    Some (sim_injectable ~wrap:Fun.id ~frame:(fun ~src:_ payload -> payload))
 end
 
 module Sock_backend : BACKEND = struct
   let label = "sock"
   let make ~n metrics = Sock.create_loopback ~n metrics
+  let injectable = None
 end
 
 (* the Reliable ARQ adapter stacked over either backend must satisfy
@@ -33,18 +49,34 @@ end
 module Reliable_sim_backend : BACKEND = struct
   let label = "reliable/sim"
   let make ~n metrics = Reliable.wrap (Sim.create ~n metrics)
+
+  (* the first data frame [src] ever sent, so the ARQ delivers it *)
+  let injectable =
+    Some
+      (sim_injectable ~wrap:(fun lower -> Reliable.wrap lower)
+         ~frame:(fun ~src payload ->
+           Envelope.encode ~kind:Envelope.Data ~src ~epoch:0 ~lseq:0 ~payload ()))
 end
 
 module Reliable_sock_backend : BACKEND = struct
   let label = "reliable/sock"
   let make ~n metrics = Reliable.wrap (Sock.create_loopback ~n metrics)
+  let injectable = None
 end
 
 (* drive a fresh transport, always releasing its OS resources *)
+let with_net net metrics f =
+  Fun.protect ~finally:(fun () -> Transport.shutdown net) (fun () -> f net metrics)
+
 let with_backend (module B : BACKEND) n f =
   let metrics = Metrics.create () in
-  let net = B.make ~n metrics in
-  Fun.protect ~finally:(fun () -> Transport.shutdown net) (fun () -> f net metrics)
+  with_net (B.make ~n metrics) metrics f
+
+(* what happens to the batching layer between buffering and flushing *)
+type batch_input =
+  | Flush  (** nothing: the group ships *)
+  | Garbled_batch  (** a garbled batch frame arrives first *)
+  | Sender_crash  (** the sender crashes with its group unflushed *)
 
 (* sock delivery crosses the kernel and the event-loop thread, so every
    conformance receive waits rather than polls once *)
@@ -112,29 +144,67 @@ module Conformance (B : BACKEND) = struct
       "writer payload delivered" "framed in place" (recv_str net ~self:1);
     drain_empty net ~self:1
 
-  let batching_flush_accounting () =
-    with_backend (module B) 2 @@ fun net metrics ->
-    Transport.enable_batching net;
-    Alcotest.(check bool) "batching on" true (Transport.batching_enabled net);
-    Alcotest.(check (list (triple int int int)))
-      "first buffered, no flush" []
-      (Transport.send_buffered net ~src:0 ~dest:1 (Bytes.of_string "aaaa"));
-    Alcotest.(check (list (triple int int int)))
-      "second buffered, no flush" []
-      (Transport.send_buffered net ~src:0 ~dest:1 (Bytes.of_string "bbbbbb"));
-    Alcotest.(check (list (triple int int int)))
-      "one group: dest 1, 2 msgs, 10 logical bytes"
-      [ (1, 2, 10) ]
-      (Transport.flush net ~src:0);
-    let s = Metrics.snapshot metrics in
-    Alcotest.(check int) "one physical frame" 1 s.Metrics.msgs_sent;
-    Alcotest.(check int) "sum of logical payloads" 10 s.Metrics.bytes_sent;
-    (* the receiver still sees the two logical messages, in order *)
-    Alcotest.(check string) "first logical" "aaaa" (recv_str net ~self:1);
-    Alcotest.(check string) "second logical" "bbbbbb" (recv_str net ~self:1);
-    drain_empty net ~self:1;
-    Transport.disable_batching net;
-    Alcotest.(check bool) "batching off" false (Transport.batching_enabled net)
+  (* the batching layer over this stack: one flushed group is one
+     physical frame charged with the sum of its logical payloads, and
+     the receiver sees the members in order *)
+  let batching input () =
+    let metrics = Metrics.create () in
+    let lower, inject =
+      match B.injectable with
+      | Some make -> make ~n:3 metrics
+      | None ->
+          ( B.make ~n:3 metrics,
+            fun ~src:_ ~dest:_ _ -> invalid_arg "no injection below this stack" )
+    in
+    with_net (Batching.wrap lower) metrics @@ fun net metrics ->
+    let buffer msg =
+      Alcotest.(check (list (triple int int int)))
+        "buffered, no flush" []
+        (Transport.send_buffered net ~src:0 ~dest:1 (Bytes.of_string msg))
+    in
+    buffer "aaaa";
+    buffer "bbbbbb";
+    Alcotest.(check bool)
+      "a buffered group is worth waiting for" true
+      (Transport.idle net ~self:0 <> Transport.Dead);
+    match input with
+    | Flush | Garbled_batch ->
+        (* a batch tag announcing five members, then nothing: the
+           decoder underflows and the frame is dropped whole *)
+        if input = Garbled_batch then
+          inject ~src:2 ~dest:1 (Bytes.of_string "\004\005");
+        Alcotest.(check (list (triple int int int)))
+          "one group: dest 1, 2 msgs, 10 logical bytes"
+          [ (1, 2, 10) ]
+          (Transport.flush net ~src:0);
+        let s = Metrics.snapshot metrics in
+        Alcotest.(check int) "one physical frame" 1 s.Metrics.msgs_sent;
+        Alcotest.(check int) "sum of logical payloads" 10 s.Metrics.bytes_sent;
+        Alcotest.(check string) "first logical" "aaaa" (recv_str net ~self:1);
+        Alcotest.(check string) "second logical" "bbbbbb" (recv_str net ~self:1);
+        drain_empty net ~self:1
+    | Sender_crash ->
+        (* machine 0 dies on the first physical frame: machine 2's
+           unbuffered send to 1 *)
+        let sim = Fault_sim.create ~seed:1 ~n:3 Fault_sim.lossless in
+        Fault_sim.set_crash_plan sim
+          [
+            {
+              Fault_sim.victim = 0;
+              crash_at = 1;
+              restart_after = None;
+              durability = Fault_sim.Amnesia;
+            };
+          ];
+        Transport.set_faults net sim;
+        Transport.send net ~src:2 ~dest:1 (Bytes.of_string "tick");
+        Alcotest.(check bool) "sender down" true (Fault_sim.is_down sim 0);
+        Alcotest.(check (list (triple int int int)))
+          "the group died with its sender" [] (Transport.flush net ~src:0);
+        Alcotest.(check int) "only the tick was sent" 1
+          (Metrics.snapshot metrics).Metrics.msgs_sent;
+        Alcotest.(check string) "the tick arrives" "tick" (recv_str net ~self:1);
+        drain_empty net ~self:1
 
   let deadline_recv () =
     with_backend (module B) 2 @@ fun net _ ->
@@ -175,15 +245,20 @@ module Conformance (B : BACKEND) = struct
   let suite =
     List.map
       (fun (name, f) -> Alcotest.test_case (B.label ^ ": " ^ name) `Quick f)
-      [
-        ("fifo ordering", fifo_ordering);
-        ("self-send", self_send);
-        ("send accounting", send_accounting);
-        ("send_writer gap contract", writer_gap_contract);
-        ("batching flush accounting", batching_flush_accounting);
-        ("deadline recv", deadline_recv);
-        ("deadline recv races arrival", deadline_recv_race);
-      ]
+      ([
+         ("fifo ordering", fifo_ordering);
+         ("self-send", self_send);
+         ("send accounting", send_accounting);
+         ("send_writer gap contract", writer_gap_contract);
+         ("batching flush accounting", batching Flush);
+         ("batching crash drops the sender's group", batching Sender_crash);
+       ]
+      @ (if Option.is_none B.injectable then []
+         else [ ("batching drops a garbled batch", batching Garbled_batch) ])
+      @ [
+          ("deadline recv", deadline_recv);
+          ("deadline recv races arrival", deadline_recv_race);
+        ])
 end
 
 module Sim_conformance = Conformance (Sim_backend)
