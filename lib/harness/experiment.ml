@@ -1588,8 +1588,10 @@ let transport_compare ?(calls = 64) ?(window = 8) ?(seed = 42) () =
    (self > 0) export the wire workloads and serve until the client
    shuts them down; the client (machine 0) drives [calls] pipelined
    RMIs per workload round-robin across the servers and reports the
-   issue-order digests with each workload's recovery counters (ARQ
-   retransmits, abandoned frames, RPC resends) and failed calls.
+   issue-order digests with each workload's median call latency
+   ([call_async] to the return of [await], failed calls included), its
+   recovery counters (ARQ retransmits, abandoned frames, RPC resends)
+   and failed calls.
    Method/callsite ids are 1 + workload index so both workloads
    coexist on one mesh. *)
 let transport_proc ?(calls = 64) ?(window = 8) ?(reliable = false) ?epoch
@@ -1631,28 +1633,39 @@ let transport_proc ?(calls = 64) ?(window = 8) ?(reliable = false) ?epoch
             let arg = Lazy.force ww.ww_arg in
             let buf = Buffer.create 1024 in
             let checksum = ref 0.0 and fails = ref 0 in
+            let issued = Array.make calls 0 and lat_us = Array.make calls 0 in
             let s0 = Metrics.snapshot metrics and t0 = Clock.now_us () in
             drive ~calls ~window
               (fun i ->
+                issued.(i) <- Clock.now_us ();
                 Node.call_async caller
                   ~dest:(Remote_ref.make ~machine:(1 + (i mod (n - 1))) ~obj:0)
                   ~meth:(m_wire + k) ~callsite:(wire_site + k) ~has_ret:true
                   [| arg |])
-              (fun _ f ->
-                match Node.Future.await f with
-                | exception (Node.Rpc_timeout _ | Node.Peer_down _) ->
+              (fun i f ->
+                let r =
+                  match Node.Future.await f with
+                  | r -> Some r
+                  | exception (Node.Rpc_timeout _ | Node.Peer_down _) -> None
+                in
+                lat_us.(i) <- Clock.now_us () - issued.(i);
+                match r with
+                | None ->
                     incr fails;
                     Buffer.add_string buf "fail|"
-                | r ->
+                | Some r ->
                     (match r with
                     | Some v -> tier_render buf v
                     | None -> Buffer.add_string buf "none");
                     Buffer.add_char buf '|';
                     checksum := !checksum +. ww.ww_fold r);
             let wall = elapsed_s t0 and s = Metrics.snapshot metrics in
+            Array.sort compare lat_us;
             ( Gate.
                 [
-                  Str ww.ww_name; Int calls; Float (4, wall); Float (1, !checksum);
+                  Str ww.ww_name; Int calls; Float (4, wall);
+                  Float (1, float_of_int lat_us.(calls / 2));
+                  Float (1, !checksum);
                   Int (s.retries - s0.retries); Int (s.timeouts - s0.timeouts);
                   Int (s.call_retries - s0.call_retries); Int !fails;
                   Str (Digest.to_hex (Digest.string (Buffer.contents buf)));
@@ -1675,7 +1688,8 @@ let transport_proc ?(calls = 64) ?(window = 8) ?(reliable = false) ?epoch
             {
               columns =
                 [
-                  "workload"; "calls"; "wall_s"; "checksum"; "arq_retries";
+                  "workload"; "calls"; "wall_s"; "p50_us"; "checksum";
+                  "arq_retries";
                   "timeouts"; "call_retries"; "failed_calls"; "digest";
                 ];
               rows = List.map fst runs;

@@ -213,7 +213,8 @@ val transport_compare : ?calls:int -> ?window:int -> ?seed:int -> unit -> Gate.t
     machine 0 shuts them down, returning [None]; the client ([self =
     0]) drives [calls] pipelined RMIs per workload round-robin across
     the servers and returns one row per workload: its issue-order reply
-    digest and its ARQ retransmits, abandoned frames, RPC resends and
+    digest, its median call latency ([call_async] to the return of
+    [await]) and its ARQ retransmits, abandoned frames, RPC resends and
     failed calls (check [no_failed_calls]).  Blocks until the full mesh
     is connected.
 

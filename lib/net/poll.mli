@@ -1,9 +1,11 @@
-(** poll(2) for the socket event loop: select without the FD_SETSIZE
-    ceiling. *)
+(** poll(2) for the socket receive path: select without the
+    FD_SETSIZE ceiling. *)
 
 (** Indices of the descriptors in the array that are readable, hung up
     or errored, ascending; [[]] after [timeout] seconds of nothing (or
-    on EINTR — callers loop anyway). *)
+    on EINTR — callers loop anyway).  A negative [timeout] waits
+    indefinitely.  A zero [timeout] never blocks: it keeps the OCaml
+    runtime lock and allocates nothing when no descriptor is ready. *)
 val readable : Unix.file_descr array -> timeout:float -> int list
 
 (** The soft RLIMIT_NOFILE budget for this process (clamped to

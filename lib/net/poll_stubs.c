@@ -1,5 +1,6 @@
-/* poll(2) bindings for the Sock event loop, and the monotonic clock
-   the transports' timers and deadlines read.
+/* poll(2) bindings for the Sock receive path and its connection
+   event loop, and the monotonic clock the transports' timers and
+   deadlines read.
 
    Unix.select caps the mesh at FD_SETSIZE descriptors (1024 on Linux),
    which PR 7 worked around with a hard 26-machine loopback ceiling.
@@ -18,11 +19,17 @@
 #include <caml/threads.h>
 
 /* rmi_poll_readable : Unix.file_descr array -> int -> int list
-   Waits up to [timeout_ms] for readability (or error/hangup, which a
-   reader must also see to reap the dead connection) on any of [fds];
-   returns the indices of the ready descriptors, ascending.  Interrupts
-   and transient errors return the empty list — the caller's loop just
-   comes around again. */
+   Waits up to [timeout_ms] (negative: indefinitely) for readability
+   (or error/hangup, which a reader must also see to reap the dead
+   connection) on any of [fds]; returns the indices of the ready
+   descriptors, ascending.  Interrupts and transient errors return the
+   empty list — the caller's loop just comes around again.
+
+   A zero timeout cannot block, so it keeps the runtime lock: the
+   receiver's non-blocking drain polls on every empty receive, and
+   handing the lock to another thread there would cost a wake-up per
+   call.  Nothing is allocated on the OCaml heap unless a descriptor is
+   ready. */
 CAMLprim value rmi_poll_readable(value v_fds, value v_timeout_ms)
 {
     CAMLparam2(v_fds, v_timeout_ms);
@@ -41,9 +48,13 @@ CAMLprim value rmi_poll_readable(value v_fds, value v_timeout_ms)
             pfds[i].events = POLLIN;
             pfds[i].revents = 0;
         }
-        caml_release_runtime_system();
-        ready = poll(pfds, n, timeout);
-        caml_acquire_runtime_system();
+        if (timeout == 0) {
+            ready = poll(pfds, n, 0);
+        } else {
+            caml_release_runtime_system();
+            ready = poll(pfds, n, timeout);
+            caml_acquire_runtime_system();
+        }
     }
 
     v_list = Val_emptylist;

@@ -24,6 +24,11 @@ module M = struct
     owner : int;  (* hosted endpoint this is a channel of *)
     peer : int;
     wlock : Mutex.t;  (* stream integrity: one frame at a time *)
+    (* one reader at a time: [rbuf]/[rlen] are read and parsed, and
+       [alive] is cleared and [fd] closed, only under it — so no reader
+       can read through a descriptor that was closed (and perhaps
+       reused by a fresh dial) under it *)
+    rlock : Mutex.t;
     mutable alive : bool;
     mutable rbuf : Bytes.t;  (* stream reassembly *)
     mutable rlen : int;
@@ -42,11 +47,35 @@ module M = struct
     mutable hlen : int;
   }
 
+  (* the poll set of one endpoint's live conns, snapshotted whole and
+     rebuilt only when [register_conn] or [kill_conn] changes the row *)
+  type row = {
+    version : int;  (* [ep.row_version] when snapshotted *)
+    rconns : conn array;
+    fds : Unix.file_descr array;  (* [rconns]' descriptors, same order *)
+  }
+
+  (* the wake pipe of one blocked receiver, polled next to the conns.
+     One per waiter, not one per endpoint: a waiter that drained a
+     shared pipe could leave another asleep on a stale row. *)
+  type waker = {
+    wr : Unix.file_descr;
+    ww : Unix.file_descr;
+    mutable wrow : row;  (* the row [wfds] was built from *)
+    mutable wfds : Unix.file_descr array;  (* [wr], then [wrow.fds] *)
+  }
+
   type ep = {
     lfd : Unix.file_descr;
     inbox : (bytes * int * int) Queue.t;
-    ilock : Mutex.t;
-    icond : Condition.t;
+    ilock : Mutex.t;  (* inbox, wakers, [shut] *)
+    (* receivers blocked in [poll]: a queued frame, a row change and
+       shutdown write to each one's pipe *)
+    mutable waiting : waker list;
+    mutable spare : waker list;  (* pipes of receivers that woke *)
+    mutable shut : bool;  (* no receiver blocks any more *)
+    row_version : int Atomic.t;
+    row : row Atomic.t;
   }
 
   type t = {
@@ -132,13 +161,41 @@ module M = struct
     lor (Char.code (Bytes.get b (off + 2)) lsl 8)
     lor Char.code (Bytes.get b (off + 3))
 
+  (* blocking descriptors only: the hello on a fresh dial *)
   let rec write_all fd b off len =
     if len > 0 then
       match Unix.write fd b off len with
       | k -> write_all fd b (off + k) (len - k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
 
-  let wake t = try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1) with _ -> ()
+  let wake_byte = Bytes.make 1 '!'
+  let sink = Bytes.create 64  (* drained wake bytes; never read *)
+
+  (* a full pipe is already readable, so its EAGAIN is ignored *)
+  let poke fd =
+    try ignore (Unix.single_write fd wake_byte 0 1 : int)
+    with Unix.Unix_error _ -> ()
+
+  (* the event loop's pipe: shutdown only *)
+  let wake t = poke t.wake_w
+
+  (* wake [ep]'s blocked receivers.  Called under [ep.ilock]: a waker
+     leaves [waiting] under it, so no pipe is written after its owner
+     drained it. *)
+  let signal (ep : ep) = List.iter (fun w -> poke w.ww) ep.waiting
+
+  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+  (* [owner]'s conn row changed: receivers re-snapshot their poll set,
+     and one blocked in [poll] wakes to do it *)
+  let row_changed t owner =
+    match t.eps.(owner) with
+    | None -> ()
+    | Some ep ->
+        Atomic.incr ep.row_version;
+        Mutex.lock ep.ilock;
+        signal ep;
+        Mutex.unlock ep.ilock
 
   (* ---------------------------------------------------------------- *)
   (* connection lifecycle: kill, register, reconnect                   *)
@@ -160,21 +217,29 @@ module M = struct
     in
     go ()
 
-  (* close a connection and reclaim its in-flight share.  [fire:false]
-     suppresses the health transition and the Down event — replacing a
-     duplicate connect with a fresher one is not a peer death.  Returns
-     whether the conn was alive (the caller decides about
-     reconnection). *)
-  let kill_conn ?(fire = true) t c =
+  (* close a connection and reclaim its in-flight share.  The fd is
+     closed under [c.rlock] — [locked] says the caller (a reader that
+     hit EOF or garbage) already holds it — so no receiver is reading
+     it; a receiver still polling it is woken by [row_changed] and
+     drops it from its poll set.  [fire:false] suppresses the health
+     transition and the Down event — replacing a duplicate connect with
+     a fresher one is not a peer death.  Returns whether the conn was
+     alive (the caller decides about reconnection). *)
+  let kill_conn ?(fire = true) ?(locked = false) t c =
+    if not locked then Mutex.lock c.rlock;
     let was_alive = c.alive in
     if was_alive then begin
       c.alive <- false;
-      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      close_quietly c.fd
+    end;
+    if not locked then Mutex.unlock c.rlock;
+    if was_alive then begin
       (* frames written to this link but never parsed out are gone;
          return them so quiescence fails fast instead of spinning *)
       let residue = Atomic.exchange c.cinflight 0 in
       if residue > 0 then
         ignore (Atomic.fetch_and_add t.inflight (-residue) : int);
+      row_changed t c.owner;
       if fire then begin
         t.health.(c.owner).(c.peer) <- Transport.Down;
         fire_peer t ~self:c.owner ~peer:c.peer Transport.Peer_confirmed_down
@@ -185,10 +250,11 @@ module M = struct
   (* install [c] as the live conn of its (owner, peer) link, replacing —
      and silently closing — any previous conn (a duplicate connect from
      the same peer id: the newest connection wins, matching what the
-     reconnecting initiator believes).  Bumps the link generation; a
-     fresh conn starts with an empty reassembly buffer, so a frame
-     half-written when the old conn died is discarded at the
-     length-prefix boundary by construction. *)
+     reconnecting initiator believes).  Bumps the link generation and
+     wakes the owner's receivers to poll the new fd; a fresh conn
+     starts with an empty reassembly buffer, so a frame half-written
+     when the old conn died is discarded at the length-prefix boundary
+     by construction. *)
   let register_conn t c =
     Mutex.lock t.clock;
     let prev = t.conns.(c.owner).(c.peer) in
@@ -200,15 +266,21 @@ module M = struct
     (match prev with
     | Some old when old.alive -> ignore (kill_conn ~fire:false t old : bool)
     | _ -> ());
+    row_changed t c.owner;
     if was <> Transport.Alive then
       fire_peer t ~self:c.owner ~peer:c.peer Transport.Peer_recovered
 
+  (* the fd turns non-blocking: several receivers may find it readable
+     in one poll, and the one that takes [rlock] second must get EAGAIN,
+     not sleep in [read] *)
   let new_conn ~fd ~owner ~peer =
+    Unix.set_nonblock fd;
     {
       fd;
       owner;
       peer;
       wlock = Mutex.create ();
+      rlock = Mutex.create ();
       alive = true;
       rbuf = Bytes.create 65536;
       rlen = 0;
@@ -266,9 +338,7 @@ module M = struct
           | None -> ()
           | Some (host, port) -> (
               match dial ~owner host port with
-              | Some fd ->
-                  register_conn t (new_conn ~fd ~owner ~peer);
-                  wake t
+              | Some fd -> register_conn t (new_conn ~fd ~owner ~peer)
               | None -> go (attempt + 1))
       end
     in
@@ -296,8 +366,8 @@ module M = struct
             : Thread.t)
     end
 
-  let mark_dead t c =
-    if kill_conn t c then maybe_reconnect t ~owner:c.owner ~peer:c.peer
+  let mark_dead ?locked t c =
+    if kill_conn ?locked t c then maybe_reconnect t ~owner:c.owner ~peer:c.peer
 
   (* ---------------------------------------------------------------- *)
   (* delivery into an endpoint inbox                                   *)
@@ -308,8 +378,100 @@ module M = struct
     let ep = hosted t dest in
     Mutex.lock ep.ilock;
     Queue.push (frame, 0, Bytes.length frame) ep.inbox;
-    Condition.broadcast ep.icond;
+    signal ep;
     Mutex.unlock ep.ilock
+
+  (* ---------------------------------------------------------------- *)
+  (* reading a conn: the receiver's side of the stream                 *)
+  (* ---------------------------------------------------------------- *)
+
+  let parse_frames t c =
+    let pos = ref 0 in
+    let stop = ref false in
+    while (not !stop) && c.rlen - !pos >= 4 do
+      let len = get_len c.rbuf !pos in
+      if len < 0 || len > max_frame then begin
+        (* garbled stream: there is no resynchronizing a TCP framing
+           error, kill the link *)
+        mark_dead ~locked:true t c;
+        stop := true
+      end
+      else if c.rlen - !pos - 4 < len then stop := true
+      else begin
+        let frame = Bytes.sub c.rbuf (!pos + 4) len in
+        (* the one receive-side snapshot out of the stream buffer *)
+        charge t len;
+        deliver t ~dest:c.owner frame;
+        if t.loopback && inflight_take_back c then Atomic.decr t.inflight;
+        pos := !pos + 4 + len
+      end
+    done;
+    if !pos > 0 then begin
+      Bytes.blit c.rbuf !pos c.rbuf 0 (c.rlen - !pos);
+      c.rlen <- c.rlen - !pos
+    end
+
+  (* one non-blocking read and the frames it completes; [c.rlock] held *)
+  let read_conn t c =
+    if Bytes.length c.rbuf - c.rlen < 65536 then begin
+      let grown = Bytes.create (max (2 * Bytes.length c.rbuf) (c.rlen + 65536)) in
+      Bytes.blit c.rbuf 0 grown 0 c.rlen;
+      c.rbuf <- grown
+    end;
+    match Unix.read c.fd c.rbuf c.rlen (Bytes.length c.rbuf - c.rlen) with
+    | 0 -> mark_dead ~locked:true t c
+    | k ->
+        c.rlen <- c.rlen + k;
+        parse_frames t c
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (_, _, _) -> mark_dead ~locked:true t c
+
+  (* read [c] with [c.rlock] just taken; [alive] is re-checked under
+     it, since a conn killed after the poll set was snapshotted has a
+     closed (perhaps already reused) fd *)
+  let read_locked t c =
+    match if c.alive then read_conn t c with
+    | () -> Mutex.unlock c.rlock
+    | exception e ->
+        Mutex.unlock c.rlock;
+        raise e
+
+  (* read [c] unless another receiver is already reading it: that one
+     delivers whatever is there *)
+  let read_if_free t c = if Mutex.try_lock c.rlock then read_locked t c
+
+  (* [self]'s poll set, re-snapshotted when its row version moved on.
+     The version is read before the conn table, so a change racing the
+     snapshot leaves a stale version behind and the next call rebuilds
+     again. *)
+  let current_row t (ep : ep) ~self =
+    let r = Atomic.get ep.row in
+    let version = Atomic.get ep.row_version in
+    if r.version = version then r
+    else begin
+      Mutex.lock t.clock;
+      let live =
+        Array.fold_right
+          (fun c acc ->
+            match c with Some c when c.alive -> c :: acc | _ -> acc)
+          t.conns.(self) []
+      in
+      Mutex.unlock t.clock;
+      let rconns = Array.of_list live in
+      let r = { version; rconns; fds = Array.map (fun c -> c.fd) rconns } in
+      Atomic.set ep.row r;
+      r
+    end
+
+  (* the non-blocking drain: one zero-timeout poll over [self]'s conns
+     (it neither blocks nor allocates when nothing is ready), then a
+     read of each ready conn nobody else is reading *)
+  let drain t ep ~self =
+    let r = current_row t ep ~self in
+    match Poll.readable r.fds ~timeout:0.0 with
+    | [] -> ()
+    | ready -> List.iter (fun i -> read_if_free t r.rconns.(i)) ready
 
   (* ---------------------------------------------------------------- *)
   (* send path                                                         *)
@@ -349,6 +511,32 @@ module M = struct
     | None -> ()
     | Some rc -> if inflight_take_back rc then Atomic.decr t.inflight
 
+  (* the kernel has no room toward [c.peer]: its end is not reading.
+     Read what this thread can — the receiving record when it is hosted
+     here (a synchronous fabric has no other reader) and the sender's
+     own inbound links (two ends writing at each other must not both
+     stall with full buffers) — then give the far end a moment *)
+  let make_room t c =
+    (if t.loopback then
+       match t.conns.(c.peer).(c.owner) with
+       | Some rc -> read_if_free t rc
+       | None -> ());
+    drain t (hosted t c.owner) ~self:c.owner;
+    Unix.sleepf 50e-6
+
+  (* [c.wlock] held; [c.fd] is non-blocking *)
+  let rec write_conn t c b off len =
+    if len > 0 then
+      match Unix.write c.fd b off len with
+      | k -> write_conn t c b (off + k) (len - k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_conn t c b off len
+      | exception
+          (Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) as e) ->
+          (* a conn killed while we waited has a closed fd: stop *)
+          if not c.alive then raise e;
+          make_room t c;
+          write_conn t c b off len
+
   (* one physical frame, already materialized *)
   let ship_frame t ~src ~dest frame =
     if Bytes.length frame > max_frame then
@@ -367,8 +555,8 @@ module M = struct
                 let len = Bytes.length frame in
                 let hdr = Bytes.create 4 in
                 put_len hdr 0 len;
-                write_all c.fd hdr 0 4;
-                write_all c.fd frame 0 len
+                write_conn t c hdr 0 4;
+                write_conn t c frame 0 len
               with Unix.Unix_error _ ->
                 uncharge_inflight t charged;
                 mark_dead t c)
@@ -464,7 +652,7 @@ module M = struct
           Fun.protect
             ~finally:(fun () -> Mutex.unlock c.wlock)
             (fun () ->
-              try write_all c.fd storage (payload_off - 4) (payload_len + 4)
+              try write_conn t c storage (payload_off - 4) (payload_len + 4)
               with Unix.Unix_error _ ->
                 uncharge_inflight t charged;
                 mark_dead t c)
@@ -500,112 +688,127 @@ module M = struct
   end)
 
   (* ---------------------------------------------------------------- *)
-  (* receive path                                                      *)
+  (* receive path: the receiving thread reads its own endpoint's conns *)
   (* ---------------------------------------------------------------- *)
 
-  let pop ep =
+  let pop (ep : ep) =
     Mutex.lock ep.ilock;
     let m = if Queue.is_empty ep.inbox then None else Some (Queue.pop ep.inbox) in
     Mutex.unlock ep.ilock;
     m
 
+  let shut_down () = failwith "Sock: transport shut down"
+
   let try_recv_slice t ~self =
     let ep = hosted t self in
     match pop ep with
-    | Some m -> Some m
+    | Some _ as m -> m
     | None ->
-        (* under the synchronous fabric the caller polls in a tight
-           loop; on OCaml 5 the event-loop systhread shares this domain,
-           so offer it the runtime lock or deliveries stall a tick *)
-        Thread.yield ();
+        drain t ep ~self;
         pop ep
+
+  (* [ep.ilock] held: a pipe for a receiver about to block *)
+  let enlist (ep : ep) =
+    let w =
+      match ep.spare with
+      | w :: rest ->
+          ep.spare <- rest;
+          w
+      | [] ->
+          let wr, ww = Unix.pipe ~cloexec:true () in
+          Unix.set_nonblock wr;
+          Unix.set_nonblock ww;
+          let wrow = { version = -1; rconns = [||]; fds = [||] } in
+          { wr; ww; wrow; wfds = [| wr |] }
+    in
+    ep.waiting <- w :: ep.waiting;
+    w
+
+  (* the receiver is awake: nothing writes [w] once it leaves
+     [waiting], so one drain empties it for its next use *)
+  let discharge (ep : ep) w =
+    Mutex.lock ep.ilock;
+    ep.waiting <- List.filter (fun w' -> w' != w) ep.waiting;
+    (try ignore (Unix.read w.wr sink 0 (Bytes.length sink) : int)
+     with Unix.Unix_error _ -> ());
+    if ep.shut then begin
+      close_quietly w.wr;
+      close_quietly w.ww
+    end
+    else ep.spare <- w :: ep.spare;
+    Mutex.unlock ep.ilock
+
+  (* block in one [poll] over a wake pipe and [self]'s conns until one
+     is readable or [timeout] seconds pass (negative: no limit), then
+     read the ready conns.  The inbox check and the enlisting are one
+     [ilock] section, and the row is snapshotted after it: a frame
+     queued, or a conn registered, before the section is seen by this
+     call; one after it writes the pipe. *)
+  let await_ready t (ep : ep) ~self ~timeout =
+    Mutex.lock ep.ilock;
+    let w =
+      if Queue.is_empty ep.inbox && not ep.shut then Some (enlist ep) else None
+    in
+    Mutex.unlock ep.ilock;
+    match w with
+    | None -> ()
+    | Some w ->
+        let r = current_row t ep ~self in
+        if w.wrow != r then begin
+          w.wrow <- r;
+          w.wfds <- Array.append [| w.wr |] r.fds
+        end;
+        let ready = Poll.readable w.wfds ~timeout in
+        (* leave before reading: the frames read below need no pipe
+           byte to wake this receiver *)
+        discharge ep w;
+        List.iter
+          (fun i ->
+            if i > 0 then begin
+              (* poll said readable: wait out a concurrent reader, the
+                 fd is non-blocking so the read cannot stall *)
+              let c = r.rconns.(i - 1) in
+              Mutex.lock c.rlock;
+              read_locked t c
+            end)
+          ready
 
   let recv_blocking_slice t ~self =
     let ep = hosted t self in
-    Mutex.lock ep.ilock;
-    while Queue.is_empty ep.inbox && not t.closed do
-      Condition.wait ep.icond ep.ilock
-    done;
-    if Queue.is_empty ep.inbox then begin
-      Mutex.unlock ep.ilock;
-      failwith "Sock.recv_blocking: transport shut down"
-    end
-    else begin
-      let m = Queue.pop ep.inbox in
-      Mutex.unlock ep.ilock;
-      m
-    end
+    match try_recv_slice t ~self with
+    | Some m -> m
+    | None ->
+        let rec go () =
+          if t.closed then shut_down ();
+          await_ready t ep ~self ~timeout:(-1.0);
+          match pop ep with Some m -> m | None -> go ()
+        in
+        go ()
 
   let recv_deadline_slice t ~self ~seconds =
     let ep = hosted t self in
-    match pop ep with
-    | Some m -> Some m
+    match try_recv_slice t ~self with
+    | Some _ as m -> m
     | None ->
         let deadline = Clock.deadline_after seconds in
         let rec go () =
-          match pop ep with
-          | Some m -> Some m
-          | None ->
-              if Clock.now_us () >= deadline then None
-              else begin
-                Thread.yield ();
-                (* bind every pop exactly once: a message dequeued here
-                   must be returned, never compared away *)
-                match pop ep with
-                | Some m -> Some m
-                | None ->
-                    Unix.sleepf 5e-5;
-                    go ()
-              end
+          let remain = Clock.remaining deadline in
+          if remain <= 0.0 then None
+          else if t.closed then shut_down ()
+          else begin
+            await_ready t ep ~self ~timeout:remain;
+            (* bind every pop exactly once: a message dequeued here
+               must be returned, never compared away *)
+            match pop ep with Some _ as m -> m | None -> go ()
+          end
         in
         go ()
 
   (* ---------------------------------------------------------------- *)
-  (* the event loop: accept, read hellos, reassemble frames            *)
+  (* the event loop: accept and read hellos; conns are the receivers'  *)
   (* ---------------------------------------------------------------- *)
 
   let promote t p peer = register_conn t (new_conn ~fd:p.pfd ~owner:p.powner ~peer)
-
-  let parse_frames t c =
-    let pos = ref 0 in
-    let stop = ref false in
-    while (not !stop) && c.rlen - !pos >= 4 do
-      let len = get_len c.rbuf !pos in
-      if len < 0 || len > max_frame then begin
-        (* garbled stream: there is no resynchronizing a TCP framing
-           error, kill the link *)
-        mark_dead t c;
-        stop := true
-      end
-      else if c.rlen - !pos - 4 < len then stop := true
-      else begin
-        let frame = Bytes.sub c.rbuf (!pos + 4) len in
-        (* the one receive-side snapshot out of the stream buffer *)
-        charge t len;
-        deliver t ~dest:c.owner frame;
-        if t.loopback && inflight_take_back c then Atomic.decr t.inflight;
-        pos := !pos + 4 + len
-      end
-    done;
-    if !pos > 0 then begin
-      Bytes.blit c.rbuf !pos c.rbuf 0 (c.rlen - !pos);
-      c.rlen <- c.rlen - !pos
-    end
-
-  let read_conn t c =
-    if Bytes.length c.rbuf - c.rlen < 65536 then begin
-      let grown = Bytes.create (max (2 * Bytes.length c.rbuf) (c.rlen + 65536)) in
-      Bytes.blit c.rbuf 0 grown 0 c.rlen;
-      c.rbuf <- grown
-    end;
-    match Unix.read c.fd c.rbuf c.rlen (Bytes.length c.rbuf - c.rlen) with
-    | 0 -> mark_dead t c
-    | k ->
-        c.rlen <- c.rlen + k;
-        parse_frames t c
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> mark_dead t c
 
   let read_pending t p =
     match Unix.read p.pfd p.hello p.hlen (4 - p.hlen) with
@@ -649,7 +852,6 @@ module M = struct
   type fd_kind =
     | K_wake
     | K_listener of int * Unix.file_descr
-    | K_conn of conn
     | K_pending of pending_conn
 
   (* multiplex with poll(2), not select: a select fd_set caps the whole
@@ -658,9 +860,8 @@ module M = struct
      RLIMIT_NOFILE budget (see [max_loopback_machines]) *)
   let loop_body t =
     while not (Atomic.get t.stop) do
-      (* snapshot the fd set under the lock: registrations from
-         connecting/reconnecting threads wake us via the pipe to
-         re-snapshot *)
+      (* snapshot the fd set under the lock; only this thread adds
+         pendings, and shutdown wakes it through the pipe *)
       Mutex.lock t.clock;
       let entries = ref [] in
       Array.iteri
@@ -669,11 +870,6 @@ module M = struct
           | Some e -> entries := (e.lfd, K_listener (i, e.lfd)) :: !entries
           | None -> ())
         t.eps;
-      Array.iter
-        (Array.iter (function
-          | Some c when c.alive -> entries := (c.fd, K_conn c) :: !entries
-          | _ -> ()))
-        t.conns;
       List.iter (fun p -> entries := (p.pfd, K_pending p) :: !entries)
         t.pendings;
       Mutex.unlock t.clock;
@@ -686,10 +882,6 @@ module M = struct
               let b = Bytes.create 16 in
               try ignore (Unix.read t.wake_r b 0 16) with _ -> ())
           | K_listener (owner, lfd) -> accept_on t owner lfd
-          (* [alive] re-checked at read time: a conn killed between the
-             snapshot and the poll (its fd possibly already reused by a
-             fresh dial) must not be read through the stale record *)
-          | K_conn c -> if c.alive then read_conn t c
           | K_pending p -> read_pending t p)
         (Poll.readable fds ~timeout:0.5)
     done
@@ -700,12 +892,12 @@ module M = struct
 
   let idle t ~self =
     check t self;
-    (* the caller is quiescing on us in a spin; when every link is down
-       that spin makes no blocking syscall at all, which on one domain
-       would starve the event loop and the reconnector threads of the
-       runtime lock forever — enter a real blocking section so they can
-       take it (Thread.yield is not enough: it only reschedules, and the
-       starved threads sit in timed waits, not on the run queue) *)
+    (* the caller is quiescing on us in a spin, and its receives'
+       zero-timeout polls keep the runtime lock; on one domain that
+       spin would starve the reconnector threads and the event loop's
+       accepts forever — enter a real blocking section so they can take
+       it (a yield is not enough: it only reschedules, and the starved
+       threads sit in timed waits, not on the run queue) *)
     Unix.sleepf 50e-6;
     (* TCP is the retransmit machinery; the injector's clock may still
        owe released frames or connection actions *)
@@ -763,30 +955,40 @@ module M = struct
       wake t;
       Option.iter Thread.join t.loop;
       t.loop <- None;
+      (* kill outside [t.clock]: a reader holding an [rlock] may be
+         waiting for [t.clock] to spawn a reconnector *)
       Mutex.lock t.clock;
+      let conns = Array.map Array.copy t.conns in
+      Mutex.unlock t.clock;
       Array.iter
         (Array.iter (function
-          | Some c when c.alive ->
-              c.alive <- false;
-              (try Unix.close c.fd with Unix.Unix_error _ -> ())
-          | _ -> ()))
-        t.conns;
-      List.iter
-        (fun p -> try Unix.close p.pfd with Unix.Unix_error _ -> ())
-        t.pendings;
+          | Some c -> ignore (kill_conn ~fire:false t c : bool)
+          | None -> ()))
+        conns;
+      Mutex.lock t.clock;
+      List.iter (fun p -> close_quietly p.pfd) t.pendings;
       t.pendings <- [];
+      Mutex.unlock t.clock;
       Array.iter
         (function
-          | Some ep -> (
-              (try Unix.close ep.lfd with Unix.Unix_error _ -> ());
+          | Some ep ->
+              close_quietly ep.lfd;
+              (* a receiver in [poll] wakes, sees [closed] and raises,
+                 closing its pipe on the way out *)
               Mutex.lock ep.ilock;
-              Condition.broadcast ep.icond;
-              Mutex.unlock ep.ilock)
+              ep.shut <- true;
+              signal ep;
+              List.iter
+                (fun w ->
+                  close_quietly w.wr;
+                  close_quietly w.ww)
+                ep.spare;
+              ep.spare <- [];
+              Mutex.unlock ep.ilock
           | None -> ())
         t.eps;
-      Mutex.unlock t.clock;
-      (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-      try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+      close_quietly t.wake_r;
+      close_quietly t.wake_w
     end
 
   (* bytes-returning receive wrappers: the shared Transport defaults *)
@@ -858,7 +1060,11 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
             M.lfd;
             inbox = Queue.create ();
             ilock = Mutex.create ();
-            icond = Condition.create ();
+            waiting = [];
+            spare = [];
+            shut = false;
+            row_version = Atomic.make 0;
+            row = Atomic.make { M.version = 0; rconns = [||]; fds = [||] };
           })
     hosted_ids listeners;
   let wake_r, wake_w = Unix.pipe () in
@@ -902,8 +1108,7 @@ let connect_to t ~owner ~peer host port =
     | None -> failwith (Printf.sprintf "Sock: cannot reach %s:%d" host port)
   in
   let fd = attempt () in
-  M.register_conn t (M.new_conn ~fd ~owner ~peer);
-  M.wake t
+  M.register_conn t (M.new_conn ~fd ~owner ~peer)
 
 let mesh_complete t hosted_ids =
   List.for_all
@@ -930,16 +1135,16 @@ let await_mesh t hosted_ids =
   in
   go mesh_poll_first
 
-(* the poll(2) event loop is bounded only by the process RLIMIT_NOFILE
-   budget.  A loopback mesh holds the wake pipe (2), n listeners,
-   n(n-1) conn fds (both ends of every link are hosted here) and up to
-   n(n-1)/2 pending accepts during formation; 64 descriptors of
-   headroom are left for the rest of the process, and the answer is
-   capped at 512 machines (the O(n^2) fd scan stops being a sane event
-   loop long before the budget runs out) *)
+(* poll(2) is bounded only by the process RLIMIT_NOFILE budget.  A
+   loopback mesh holds the event loop's wake pipe (2), n listeners, a
+   wake pipe per blocked receiver (2n with one per endpoint), n(n-1)
+   conn fds (both ends of every link are hosted here) and up to
+   n(n-1)/2 pending accepts during formation; 64 descriptors of headroom are left for the rest of the
+   process, and the answer is capped at 512 machines (the O(n^2) mesh
+   stops being sane long before the budget runs out) *)
 let max_loopback_machines () =
   let budget = Poll.nofile_limit () - 64 in
-  let fds n = 2 + n + (n * (n - 1)) + (n * (n - 1) / 2) in
+  let fds n = 2 + (3 * n) + (n * (n - 1)) + (n * (n - 1) / 2) in
   let rec grow n = if n < 512 && fds (n + 1) <= budget then grow (n + 1) else n in
   grow 1
 

@@ -3,12 +3,32 @@
 
     [n] machine endpoints in a full TCP mesh (one connection per
     unordered pair; the higher id initiates, a 4-byte hello names the
-    connector).  A background event-loop thread multiplexes every
-    hosted socket with [poll] (select's FD_SETSIZE would cap the mesh;
-    see {!max_loopback_machines}): it accepts peers, reassembles the
-    length-prefixed byte stream into frames and queues them whole on
-    the owning endpoint's inbox, where the slice-receive family picks
-    them up.  Batch frames are split by the {!Batching} layer above.
+    connector).
+
+    {b Receiving.}  The thread that waits for a frame reads its own
+    endpoint's sockets, the way a GM caller polls for its reply: the
+    slice-receive family pops the endpoint's inbox and, when it is
+    empty, reads the endpoint's connections itself — reassembling the
+    length-prefixed byte stream and queueing every whole frame it
+    completes.  [try_recv_slice] makes one zero-timeout [poll] over a
+    per-endpoint fd array, cached until a connection is registered or
+    killed (an empty poll neither blocks nor allocates);
+    [recv_blocking_slice] and [recv_deadline_slice] block in one
+    [poll] over the connections plus a wake pipe of the receiver's own
+    (pooled on the endpoint), which a frame queued by another thread, a
+    self-send, a new or killed connection and [shutdown] write to.  Each
+    connection has a read lock, so several threads (or domains) may
+    receive on one endpoint: every frame reaches exactly one of them,
+    in order per link.  [poll], not select, whose FD_SETSIZE would cap
+    the mesh (see {!max_loopback_machines}).  Batch frames are split by
+    the {!Batching} layer above.
+
+    A background event-loop thread only sets connections up: it
+    accepts peers and reads their hellos.  Sockets are non-blocking; a
+    send that finds the kernel buffer full reads what the sending
+    thread can (the receiving end when it is hosted here, the sender's
+    own inbound links) before it retries, so one thread can send a
+    frame larger than the buffers and then receive it.
 
     Framing is a 4-byte big-endian length prefix per frame.  The
     zero-copy send path ships a pooled gapped writer without
@@ -57,7 +77,7 @@ type t
 val pack : t -> Transport.t
 
 (** The loopback machine ceiling for this process: the largest [n]
-    whose full mesh (wake pipe, [n] listeners, [n(n-1)] conn fds,
+    whose full mesh (wake pipes, [n] listeners, [n(n-1)] conn fds,
     formation-transient pending accepts) fits the RLIMIT_NOFILE budget
     with headroom, capped at 512. *)
 val max_loopback_machines : unit -> int

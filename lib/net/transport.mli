@@ -220,9 +220,10 @@ module type S = sig
 
   val clear_fault_hook : t -> unit
 
-  (** Release OS resources (sockets, event-loop threads).  A no-op for
-      in-process backends.  Idempotent; the instance must not be used
-      afterwards. *)
+  (** Release OS resources (sockets, wake pipes, event-loop threads).  A
+      no-op for in-process backends.  Idempotent; the instance must not
+      be used afterwards — a receive blocked in it, or started after
+      it, raises [Failure] once the inbox is empty. *)
   val shutdown : t -> unit
 end
 

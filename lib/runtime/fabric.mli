@@ -126,7 +126,9 @@ val start : t -> unit
 val stop : t -> unit
 
 (** Release the transport's OS resources ({!Rmi_net.Transport.shutdown}:
-    sockets, the event-loop thread).  A no-op on [Sim].  Call after
+    sockets, wake pipes, the connection event-loop thread).  A no-op on
+    [Sim]; a receive still blocked on a [Sock] endpoint raises
+    [Failure].  Call after
     {!stop} once the fabric is done. *)
 val shutdown_net : t -> unit
 

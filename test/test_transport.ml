@@ -4,9 +4,12 @@
    on the contract the runtime layer depends on — FIFO delivery per
    pair, self-send loopback, the send accounting, the Envelope.gap
    reservation of send_writer, the batching layer stacked on top and
-   the deadline-receive semantics.  A QCheck property then drives both
-   backends with the same random frame schedule and requires the
-   per-destination receive streams to be equal. *)
+   the deadline-receive semantics.  The socket stacks add the cases of
+   a receiver that reads its own sockets: concurrent receivers, wake-ups
+   of a blocked receive, reassembly, shutdown and reconnection.  A
+   QCheck property then drives both backends with the same random
+   frame schedule and requires the per-destination receive streams to
+   be equal. *)
 
 open Rmi_net
 module Metrics = Rmi_stats.Metrics
@@ -21,6 +24,12 @@ module type BACKEND = sig
   val injectable :
     (n:int -> Metrics.t -> Transport.t * (src:int -> dest:int -> bytes -> unit))
     option
+
+  (* the socket stacks: [make] with the bare Sock handle below it, and
+     the wire frame this stack delivers as [payload] from [src] *)
+  val sock :
+    ((n:int -> Metrics.t -> Transport.t * Sock.t) * (src:int -> bytes -> bytes))
+    option
 end
 
 let sim_injectable ~wrap ~frame ~n metrics =
@@ -29,18 +38,29 @@ let sim_injectable ~wrap ~frame ~n metrics =
     fun ~src ~dest payload ->
       Cluster.inject_frame cluster ~dest (frame ~src payload) )
 
+(* the first data frame [src] ever sent, so a fresh ARQ delivers it *)
+let first_data ~src payload =
+  Envelope.encode ~kind:Envelope.Data ~src ~epoch:0 ~lseq:0 ~payload ()
+
+let sock_stack ~wrap ~n metrics =
+  let s = Sock.create_loopback_t ~n metrics in
+  (wrap (Sock.pack s), s)
+
 module Sim_backend : BACKEND = struct
   let label = "sim"
   let make ~n metrics = Sim.create ~n metrics
 
   let injectable =
     Some (sim_injectable ~wrap:Fun.id ~frame:(fun ~src:_ payload -> payload))
+
+  let sock = None
 end
 
 module Sock_backend : BACKEND = struct
   let label = "sock"
   let make ~n metrics = Sock.create_loopback ~n metrics
   let injectable = None
+  let sock = Some (sock_stack ~wrap:Fun.id, fun ~src:_ payload -> payload)
 end
 
 (* the Reliable ARQ adapter stacked over either backend must satisfy
@@ -50,18 +70,18 @@ module Reliable_sim_backend : BACKEND = struct
   let label = "reliable/sim"
   let make ~n metrics = Reliable.wrap (Sim.create ~n metrics)
 
-  (* the first data frame [src] ever sent, so the ARQ delivers it *)
   let injectable =
     Some
-      (sim_injectable ~wrap:(fun lower -> Reliable.wrap lower)
-         ~frame:(fun ~src payload ->
-           Envelope.encode ~kind:Envelope.Data ~src ~epoch:0 ~lseq:0 ~payload ()))
+      (sim_injectable ~wrap:(fun lower -> Reliable.wrap lower) ~frame:first_data)
+
+  let sock = None
 end
 
 module Reliable_sock_backend : BACKEND = struct
   let label = "reliable/sock"
   let make ~n metrics = Reliable.wrap (Sock.create_loopback ~n metrics)
   let injectable = None
+  let sock = Some (sock_stack ~wrap:(fun lower -> Reliable.wrap lower), first_data)
 end
 
 (* drive a fresh transport, always releasing its OS resources *)
@@ -78,7 +98,8 @@ type batch_input =
   | Garbled_batch  (** a garbled batch frame arrives first *)
   | Sender_crash  (** the sender crashes with its group unflushed *)
 
-(* sock delivery crosses the kernel and the event-loop thread, so every
+(* sock delivery crosses the kernel — the frame is in the receiver's
+   socket, not yet its inbox, when the send returns — so every
    conformance receive waits rather than polls once *)
 let recv_str net ~self =
   match Transport.recv_deadline net ~self ~seconds:5.0 with
@@ -242,6 +263,203 @@ module Conformance (B : BACKEND) = struct
     done;
     drain_empty net ~self:1
 
+  (* ---------------------------------------------------------------- *)
+  (* the socket stacks: the receiving thread reads its own sockets     *)
+  (* ---------------------------------------------------------------- *)
+
+  let with_sock n f =
+    match B.sock with
+    | None -> invalid_arg "not a socket stack"
+    | Some (make, wire) ->
+        let metrics = Metrics.create () in
+        let net, s = make ~n metrics in
+        with_net net metrics (fun net _ -> f net s wire)
+
+  (* [f ()] in a thread; the result, once it has one *)
+  let in_thread f =
+    let result = Atomic.make None in
+    let th =
+      Thread.create
+        (fun () ->
+          Atomic.set result
+            (Some (match f () with v -> Ok v | exception e -> Error e)))
+        ()
+    in
+    (th, result)
+
+  let await_result ?(seconds = 5.0) what result =
+    let deadline = Unix.gettimeofday () +. seconds in
+    let rec go () =
+      match Atomic.get result with
+      | Some r -> r
+      | None when Unix.gettimeofday () >= deadline ->
+          Alcotest.failf "%s: no result within %.0f s" what seconds
+      | None ->
+          Unix.sleepf 0.001;
+          go ()
+    in
+    go ()
+
+  let wait_until ?(seconds = 10.0) what pred =
+    let deadline = Unix.gettimeofday () +. seconds in
+    while (not (pred ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Alcotest.(check bool) what true (pred ())
+
+  let recv_string net ~self () =
+    Bytes.to_string (Transport.recv_blocking net ~self)
+
+  let still_blocked what result =
+    Alcotest.(check bool) (what ^ ": still blocked") true (Atomic.get result = None)
+
+  (* two threads blocked on one endpoint while two links feed it: every
+     frame reaches exactly one of them, and each sees every link's
+     frames in send order *)
+  let concurrent_receivers () =
+    with_sock 3 @@ fun net _ _ ->
+    let per_link = 150 in
+    let got = Atomic.make 0 in
+    let receiver () =
+      let rec go acc =
+        match recv_string net ~self:1 () with
+        | "stop" -> List.rev acc
+        | m ->
+            Atomic.incr got;
+            go (m :: acc)
+      in
+      go []
+    in
+    let a = in_thread receiver and b = in_thread receiver in
+    for i = 0 to per_link - 1 do
+      List.iter
+        (fun src ->
+          Transport.send net ~src ~dest:1
+            (Bytes.of_string (Printf.sprintf "%d:%03d" src i)))
+        [ 0; 2 ]
+    done;
+    wait_until "every frame received" (fun () -> Atomic.get got = 2 * per_link);
+    (* one stop each: a receiver leaves on its first *)
+    Transport.send net ~src:1 ~dest:1 (Bytes.of_string "stop");
+    Transport.send net ~src:1 ~dest:1 (Bytes.of_string "stop");
+    let streams =
+      List.map
+        (fun (th, r) ->
+          let s =
+            match await_result "receiver" r with
+            | Ok s -> s
+            | Error e -> raise e
+          in
+          Thread.join th;
+          s)
+        [ a; b ]
+    in
+    List.iter
+      (fun stream ->
+        List.iter
+          (fun src ->
+            let mine =
+              List.filter
+                (fun m -> String.starts_with ~prefix:(string_of_int src) m)
+                stream
+            in
+            Alcotest.(check (list string))
+              "FIFO per link within one receiver" (List.sort compare mine) mine)
+          [ 0; 2 ])
+      streams;
+    let expected =
+      List.concat_map
+        (fun src -> List.init per_link (Printf.sprintf "%d:%03d" src))
+        [ 0; 2 ]
+    in
+    Alcotest.(check (list string))
+      "every frame exactly once" (List.sort compare expected)
+      (List.sort compare (List.concat streams))
+
+  (* a receive blocked in poll wakes for a frame its own machine sends *)
+  let blocked_recv_self_send () =
+    with_sock 2 @@ fun net _ _ ->
+    let th, r = in_thread (recv_string net ~self:1) in
+    Unix.sleepf 0.03;
+    still_blocked "before the self-send" r;
+    Transport.send net ~src:1 ~dest:1 (Bytes.of_string "self");
+    (match await_result "self-send" r with
+    | Ok m -> Alcotest.(check string) "self-send received" "self" m
+    | Error e -> raise e);
+    Thread.join th
+
+  (* a raw peer claiming to be machine 0 replaces machine 1's
+     connection to it and writes one frame in two halves: the blocked
+     receiver polls the new connection and returns the frame only once
+     it is whole *)
+  let blocked_recv_split_frame () =
+    with_sock 2 @@ fun net s wire ->
+    let th, r = in_thread (recv_string net ~self:1) in
+    let g = Sock.link_generation s ~owner:1 ~peer:0 in
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.connect fd
+      (Unix.ADDR_INET (Unix.inet_addr_loopback, Sock.listen_port s 1));
+    let hello = Bytes.create 4 in
+    Bytes.set_int32_be hello 0 0l;
+    ignore (Unix.write fd hello 0 4 : int);
+    wait_until "the raw peer's connection registered" (fun () ->
+        Sock.link_generation s ~owner:1 ~peer:0 > g);
+    let frame = wire ~src:0 (Bytes.of_string "written in two halves") in
+    let len = Bytes.length frame in
+    let stream = Bytes.create (4 + len) in
+    Bytes.set_int32_be stream 0 (Int32.of_int len);
+    Bytes.blit frame 0 stream 4 len;
+    let half = (4 + len) / 2 in
+    ignore (Unix.write fd stream 0 half : int);
+    Unix.sleepf 0.03;
+    still_blocked "after the first half" r;
+    ignore (Unix.write fd stream half (4 + len - half) : int);
+    (match await_result "split frame" r with
+    | Ok m -> Alcotest.(check string) "reassembled" "written in two halves" m
+    | Error e -> raise e);
+    Thread.join th
+
+  let blocked_recv_shutdown () =
+    with_sock 2 @@ fun net _ _ ->
+    let th, r = in_thread (recv_string net ~self:1) in
+    Unix.sleepf 0.03;
+    still_blocked "before shutdown" r;
+    Transport.shutdown net;
+    (match await_result "shutdown" r with
+    | Error (Failure _) -> ()
+    | Error e -> raise e
+    | Ok m -> Alcotest.failf "received %S from a shut-down transport" m);
+    Thread.join th
+
+  (* once a severed link re-forms, frames sent over it arrive both ways *)
+  let sever_then_send () =
+    with_sock 2 @@ fun net s _ ->
+    Transport.send net ~src:0 ~dest:1 (Bytes.of_string "before");
+    Alcotest.(check string) "before the sever" "before" (recv_str net ~self:1);
+    let g01 = Sock.link_generation s ~owner:0 ~peer:1
+    and g10 = Sock.link_generation s ~owner:1 ~peer:0 in
+    Sock.sever s ~a:0 ~b:1;
+    wait_until "both ends re-registered" (fun () ->
+        Sock.link_generation s ~owner:0 ~peer:1 > g01
+        && Sock.link_generation s ~owner:1 ~peer:0 > g10);
+    Transport.send net ~src:0 ~dest:1 (Bytes.of_string "after");
+    Transport.send net ~src:1 ~dest:0 (Bytes.of_string "after-rev");
+    Alcotest.(check string) "0 -> 1 after reconnect" "after" (recv_str net ~self:1);
+    Alcotest.(check string) "1 -> 0 after reconnect" "after-rev"
+      (recv_str net ~self:0)
+
+  (* a frame larger than the kernel's socket buffers, written by the
+     thread that later receives it: with nobody else reading, the
+     writer must drain the receiving end itself *)
+  let oversized_frame_one_thread () =
+    with_sock 2 @@ fun net _ _ ->
+    let big = Bytes.init (4 lsl 20) (fun i -> Char.chr (i land 0xff)) in
+    Transport.send net ~src:0 ~dest:1 big;
+    match Transport.recv_deadline net ~self:1 ~seconds:10.0 with
+    | Some m -> Alcotest.(check bool) "oversized frame intact" true (Bytes.equal m big)
+    | None -> Alcotest.fail "oversized frame never arrived"
+
   let suite =
     List.map
       (fun (name, f) -> Alcotest.test_case (B.label ^ ": " ^ name) `Quick f)
@@ -258,6 +476,18 @@ module Conformance (B : BACKEND) = struct
       @ [
           ("deadline recv", deadline_recv);
           ("deadline recv races arrival", deadline_recv_race);
+        ]
+      @
+      if Option.is_none B.sock then []
+      else
+        [
+          ("two receivers share an endpoint", concurrent_receivers);
+          ("blocked recv wakes for a self-send", blocked_recv_self_send);
+          ("blocked recv reassembles a split frame", blocked_recv_split_frame);
+          ("blocked recv raises on shutdown", blocked_recv_shutdown);
+          ("frames flow after a sever re-forms the link", sever_then_send);
+          ("one thread sends and receives an oversized frame",
+            oversized_frame_one_thread);
         ])
 end
 
@@ -302,10 +532,37 @@ let stream_equality =
       streams_of (module Sim_backend) schedule
       = streams_of (module Sock_backend) schedule)
 
+(* ------------------------------------------------------------------ *)
+(* the non-blocking receive on an idle socket endpoint                 *)
+(* ------------------------------------------------------------------ *)
+
+(* an empty [try_recv_slice] is one zero-timeout poll over a cached fd
+   array: it allocates nothing, however often a polling caller spins *)
+let idle_poll_allocates_nothing () =
+  let metrics = Metrics.create () in
+  let net = Sock.pack (Sock.create_loopback_t ~n:2 metrics) in
+  with_net net metrics @@ fun net _ ->
+  let spin k =
+    for _ = 1 to k do
+      ignore (Transport.try_recv_slice net ~self:1 : (bytes * int * int) option)
+    done
+  in
+  spin 10;
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  spin 1000;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0))
+    "minor words over 1000 idle polls" (w1 -. w0) (w2 -. w1)
+
 let suite =
   [
     ( "transport conformance",
       Sim_conformance.suite @ Sock_conformance.suite
       @ Reliable_sim_conformance.suite @ Reliable_sock_conformance.suite
-      @ [ QCheck_alcotest.to_alcotest stream_equality ] );
+      @ [
+          QCheck_alcotest.to_alcotest stream_equality;
+          Alcotest.test_case "sock: idle try_recv allocates nothing" `Quick
+            idle_poll_allocates_nothing;
+        ] );
   ]
