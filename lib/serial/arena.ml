@@ -28,12 +28,55 @@ let pool_push p x =
     p.len <- p.len + 1
   end
 
+(* The pools of one kind of node, by shape key, behind a one-entry
+   (last key -> pool) cache: a call site's graph is usually all one
+   shape, so the table is consulted once per shape change, not once per
+   node. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* fold an object key's class bits into the low bits the buckets use *)
+  let hash k = (k lxor (k lsr 16)) land max_int
+end)
+
+type 'a shapes = {
+  by_key : 'a pool Int_tbl.t;
+  mutable last_key : int;  (* -1: no key cached yet *)
+  mutable last : 'a pool;
+}
+
+let shapes_make () =
+  { by_key = Int_tbl.create 16; last_key = -1; last = pool_make () }
+
+let pool s key =
+  if key = s.last_key then s.last
+  else begin
+    let p =
+      match Int_tbl.find s.by_key key with
+      | p -> p
+      | exception Not_found ->
+          let p = pool_make () in
+          Int_tbl.add s.by_key key p;
+          p
+    in
+    s.last_key <- key;
+    s.last <- p;
+    p
+  end
+
+(* pop a parked node; the caller has checked [p.len > 0] *)
+let take p =
+  p.len <- p.len - 1;
+  p.items.(p.len)
+
 type t = {
   metrics : Metrics.t;
-  free_objs : (int, Value.obj pool) Hashtbl.t;  (* key: cls * 2^16 + nfields *)
-  free_darrs : (int, Value.darr pool) Hashtbl.t;  (* key: length *)
-  free_iarrs : (int, Value.iarr pool) Hashtbl.t;
-  free_rarrs : (int, Value.rarr pool) Hashtbl.t;  (* key: length; relem checked *)
+  free_objs : Value.obj shapes;  (* key: cls * 2^16 + nfields *)
+  free_darrs : Value.darr shapes;  (* key: length *)
+  free_iarrs : Value.iarr shapes;
+  free_rarrs : Value.rarr shapes;  (* key: length; relem checked *)
   live_objs : Value.obj pool;
   live_darrs : Value.darr pool;
   live_iarrs : Value.iarr pool;
@@ -43,93 +86,78 @@ type t = {
 let create ~metrics =
   {
     metrics;
-    free_objs = Hashtbl.create 16;
-    free_darrs = Hashtbl.create 16;
-    free_iarrs = Hashtbl.create 16;
-    free_rarrs = Hashtbl.create 16;
+    free_objs = shapes_make ();
+    free_darrs = shapes_make ();
+    free_iarrs = shapes_make ();
+    free_rarrs = shapes_make ();
     live_objs = pool_make ();
     live_darrs = pool_make ();
     live_iarrs = pool_make ();
     live_rarrs = pool_make ();
   }
 
-(* allocation-free on the hit path: Hashtbl.find via exception, no
-   option boxing *)
-let take tbl key =
-  match Hashtbl.find tbl key with
-  | exception Not_found -> None
-  | p ->
-      if p.len = 0 then None
-      else begin
-        p.len <- p.len - 1;
-        Some p.items.(p.len)
-      end
+(* objects with more fields than the key holds are never pooled *)
+let max_keyed_fields = 0xffff
+let obj_key cls nfields = (cls lsl 16) lor nfields
 
-let park tbl key x =
-  let p =
-    match Hashtbl.find tbl key with
-    | exception Not_found ->
-        let p = pool_make () in
-        Hashtbl.add tbl key p;
-        p
-    | p -> p
-  in
-  pool_push p x
-
-let obj_key cls nfields = (cls lsl 16) lor (nfields land 0xffff)
+let fallback_obj t ~cls ~nfields =
+  Metrics.incr_arena_fallbacks t.metrics;
+  Value.new_obj ~cls ~nfields
 
 let obj t ~cls ~nfields =
   Metrics.incr_arena_allocs t.metrics;
   let o =
-    if nfields > 0xffff then begin
-      Metrics.incr_arena_fallbacks t.metrics;
-      Value.new_obj ~cls ~nfields
-    end
+    if nfields > max_keyed_fields then fallback_obj t ~cls ~nfields
     else
-      match take t.free_objs (obj_key cls nfields) with
-      | Some o -> o
-      | None ->
-          Metrics.incr_arena_fallbacks t.metrics;
-          Value.new_obj ~cls ~nfields
+      let p = pool t.free_objs (obj_key cls nfields) in
+      if p.len > 0 then take p else fallback_obj t ~cls ~nfields
   in
   pool_push t.live_objs o;
   o
 
 let darr t n =
   Metrics.incr_arena_allocs t.metrics;
+  let p = pool t.free_darrs n in
   let a =
-    match take t.free_darrs n with
-    | Some a -> a
-    | None ->
-        Metrics.incr_arena_fallbacks t.metrics;
-        Value.new_darr n
+    if p.len > 0 then take p
+    else begin
+      Metrics.incr_arena_fallbacks t.metrics;
+      Value.new_darr n
+    end
   in
   pool_push t.live_darrs a;
   a
 
 let iarr t n =
   Metrics.incr_arena_allocs t.metrics;
+  let p = pool t.free_iarrs n in
   let a =
-    match take t.free_iarrs n with
-    | Some a -> a
-    | None ->
-        Metrics.incr_arena_fallbacks t.metrics;
-        Value.new_iarr n
+    if p.len > 0 then take p
+    else begin
+      Metrics.incr_arena_fallbacks t.metrics;
+      Value.new_iarr n
+    end
   in
   pool_push t.live_iarrs a;
   a
 
+let fallback_rarr t relem n =
+  Metrics.incr_arena_fallbacks t.metrics;
+  Value.new_rarr relem n
+
 let rarr t relem n =
   Metrics.incr_arena_allocs t.metrics;
+  let p = pool t.free_rarrs n in
   let a =
-    match take t.free_rarrs n with
-    | Some a when Jir.Types.equal_ty a.Value.relem relem -> a
-    | Some _ | None ->
+    if p.len = 0 then fallback_rarr t relem n
+    else
+      let a = take p in
+      if Jir.Types.equal_ty a.Value.relem relem then a
+      else
         (* a popped array with the wrong element type is dropped to the
            GC rather than re-parked (re-parking could starve the pool
            behind a permanently mismatched head) *)
-        Metrics.incr_arena_fallbacks t.metrics;
-        Value.new_rarr relem n
+        fallback_rarr t relem n
   in
   pool_push t.live_rarrs a;
   a
@@ -138,28 +166,30 @@ let live t =
   t.live_objs.len + t.live_darrs.len + t.live_iarrs.len + t.live_rarrs.len
 
 let pooled t =
-  let sum tbl = Hashtbl.fold (fun _ p acc -> acc + p.len) tbl 0 in
+  let sum s = Int_tbl.fold (fun _ p acc -> acc + p.len) s.by_key 0 in
   sum t.free_objs + sum t.free_darrs + sum t.free_iarrs + sum t.free_rarrs
 
 let reset t =
   Metrics.incr_arena_resets t.metrics;
   for i = 0 to t.live_objs.len - 1 do
     let o = t.live_objs.items.(i) in
-    park t.free_objs (obj_key o.Value.cls (Array.length o.Value.fields)) o
+    let nfields = Array.length o.Value.fields in
+    if nfields <= max_keyed_fields then
+      pool_push (pool t.free_objs (obj_key o.Value.cls nfields)) o
   done;
   t.live_objs.len <- 0;
   for i = 0 to t.live_darrs.len - 1 do
     let a = t.live_darrs.items.(i) in
-    park t.free_darrs (Array.length a.Value.d) a
+    pool_push (pool t.free_darrs (Array.length a.Value.d)) a
   done;
   t.live_darrs.len <- 0;
   for i = 0 to t.live_iarrs.len - 1 do
     let a = t.live_iarrs.items.(i) in
-    park t.free_iarrs (Array.length a.Value.ia) a
+    pool_push (pool t.free_iarrs (Array.length a.Value.ia)) a
   done;
   t.live_iarrs.len <- 0;
   for i = 0 to t.live_rarrs.len - 1 do
     let a = t.live_rarrs.items.(i) in
-    park t.free_rarrs (Array.length a.Value.ra) a
+    pool_push (pool t.free_rarrs (Array.length a.Value.ra)) a
   done;
   t.live_rarrs.len <- 0

@@ -2,12 +2,20 @@ open Rmi_wire
 
 type field = { fname : string; fty : Jir.Types.ty }
 type cls = { cid : Jir.Types.class_id; cname : string; fields : field array }
-type t = { classes : cls array; registry : Typedesc.registry }
+(* both directions of the wire-id mapping are resolved once, here, so
+   the dynamic serializer's per-object lookups are array reads *)
+type t = {
+  classes : cls array;
+  wire_ids : Typedesc.type_id array;  (* class id -> wire id *)
+  by_wire : cls array;  (* wire id -> first class registered under it *)
+}
 
 let build classes =
   let registry = Typedesc.create () in
-  Array.iter (fun c -> ignore (Typedesc.register registry c.cname)) classes;
-  { classes; registry }
+  let wire_ids = Array.map (fun c -> Typedesc.register registry c.cname) classes in
+  let rec first id i = if wire_ids.(i) = id then classes.(i) else first id (i + 1) in
+  let by_wire = Array.init (Typedesc.cardinal registry) (fun id -> first id 0) in
+  { classes; wire_ids; by_wire }
 
 let of_program (p : Jir.Program.t) =
   build
@@ -44,16 +52,14 @@ let num_classes t = Array.length t.classes
 let find t name = Array.find_opt (fun c -> String.equal c.cname name) t.classes
 
 let wire_id t cid =
-  match Typedesc.id_of_name t.registry (cls t cid).cname with
-  | Some id -> id
-  | None -> assert false
+  if cid < 0 || cid >= Array.length t.wire_ids then
+    invalid_arg (Printf.sprintf "Class_meta.wire_id: bad class id %d" cid);
+  t.wire_ids.(cid)
 
 let of_wire_id t id =
-  match Typedesc.name_of_id t.registry id with
-  | Some name -> (
-      match find t name with Some c -> c | None -> assert false)
-  | None ->
-      raise (Msgbuf.Underflow (Printf.sprintf "unknown wire type id %d" id))
+  if id < 0 || id >= Array.length t.by_wire then
+    raise (Msgbuf.Underflow (Printf.sprintf "unknown wire type id %d" id));
+  t.by_wire.(id)
 
 let rec write_ty t w = function
   | Jir.Types.Tbool -> Msgbuf.write_u8 w 0

@@ -7,7 +7,7 @@ exception Type_confusion of string
 type wctx = {
   wmeta : Class_meta.t;
   wmetrics : Metrics.t;
-  wcycle : int Handle_table.t option;  (* object identity -> wire handle *)
+  wcycle : Handle_table.t option;  (* object identity -> wire handle *)
   wdefs : Plan.step array;  (* S_ref definitions *)
 }
 
@@ -85,6 +85,19 @@ let charge_alloc rctx v =
 
 let charge_reuse rctx = Metrics.add_reused_objs rctx.rmetrics 1
 
+(* The two ways an inline node enters the decoded graph, each with the
+   node's one box: a reuse candidate taken as the target keeps its own
+   box; a fresh node is boxed once by the caller and that box is
+   charged as an allocation.  Either way the box is registered under
+   the next handle. *)
+let take_cand rctx cand =
+  charge_reuse rctx;
+  register_handle rctx cand
+
+let enter_fresh rctx v =
+  charge_alloc rctx v;
+  register_handle rctx v
+
 (* Fresh-node constructors for the decode path: drawn from the arena's
    recycling pools when one is attached, from the GC heap otherwise.
    Both paths charge the paper-statistic counters identically — the
@@ -93,40 +106,20 @@ let charge_reuse rctx = Metrics.add_reused_objs rctx.rmetrics 1
    by the arena_* counters and by real [Gc.minor_words] in the [alloc]
    experiment. *)
 let alloc_obj rctx ~cls ~nfields =
-  let o =
-    match rctx.arena with
-    | Some a -> Arena.obj a ~cls ~nfields
-    | None -> Value.new_obj ~cls ~nfields
-  in
-  charge_alloc rctx (Value.Obj o);
-  o
+  match rctx.arena with
+  | Some a -> Arena.obj a ~cls ~nfields
+  | None -> Value.new_obj ~cls ~nfields
 
 let alloc_darr rctx n =
-  let a =
-    match rctx.arena with
-    | Some a -> Arena.darr a n
-    | None -> Value.new_darr n
-  in
-  charge_alloc rctx (Value.Darr a);
-  a
+  match rctx.arena with Some a -> Arena.darr a n | None -> Value.new_darr n
 
 let alloc_iarr rctx n =
-  let a =
-    match rctx.arena with
-    | Some a -> Arena.iarr a n
-    | None -> Value.new_iarr n
-  in
-  charge_alloc rctx (Value.Iarr a);
-  a
+  match rctx.arena with Some a -> Arena.iarr a n | None -> Value.new_iarr n
 
 let alloc_rarr rctx relem n =
-  let a =
-    match rctx.arena with
-    | Some a -> Arena.rarr a relem n
-    | None -> Value.new_rarr relem n
-  in
-  charge_alloc rctx (Value.Rarr a);
-  a
+  match rctx.arena with
+  | Some a -> Arena.rarr a relem n
+  | None -> Value.new_rarr relem n
 
 (* Reject corrupt/hostile lengths before allocating: every element
    needs at least [unit] bytes of payload still in the buffer.  Plans
@@ -154,22 +147,64 @@ let step_min_width : Plan.step -> int = function
       1
   | Plan.S_double -> 8
 
+(* The body of an inline double[] or int[] (after its tag or marker),
+   read in place into a candidate of the same length — one body for
+   the dynamic, interpreted and compiled readers. *)
+let read_darr_body rctx r ~cand =
+  let n = checked_len r (Msgbuf.read_uvarint r) ~unit:8 "double[]" in
+  match cand with
+  | Value.Darr a when Array.length a.d = n ->
+      take_cand rctx cand;
+      Msgbuf.read_double_slice r a.d 0 n;
+      cand
+  | _ ->
+      let a = alloc_darr rctx n in
+      let v = Value.Darr a in
+      enter_fresh rctx v;
+      Msgbuf.read_double_slice r a.d 0 n;
+      v
+
+let read_iarr_body rctx r ~cand =
+  let n = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "int[]" in
+  match cand with
+  | Value.Iarr a when Array.length a.ia = n ->
+      take_cand rctx cand;
+      Msgbuf.read_int_slice r a.ia 0 n;
+      cand
+  | _ ->
+      let a = alloc_iarr rctx n in
+      let v = Value.Iarr a in
+      enter_fresh rctx v;
+      Msgbuf.read_int_slice r a.ia 0 n;
+      v
+
 let charge_tag wctx n = Metrics.add_type_bytes wctx.wmetrics n
 
-(* serializer-side cycle check: Some handle if already sent *)
-let check_seen wctx v =
-  match (wctx.wcycle, Value.identity v) with
-  | Some table, Some id -> (
-      match Handle_table.lookup table id with
-      | Some h -> Some h
-      | None ->
-          Handle_table.add table id (Handle_table.next_handle table);
-          None)
-  | _ -> None
+(* serializer-side cycle check: the handle if already sent, -1 otherwise
+   (a first visit registers the node) *)
+let check_seen wctx (v : Value.t) =
+  match wctx.wcycle with
+  | None -> -1
+  | Some table -> (
+      match v with
+      | Value.Obj o -> Handle_table.find_or_add table o.oid
+      | Value.Darr a -> Handle_table.find_or_add table a.did
+      | Value.Iarr a -> Handle_table.find_or_add table a.iid
+      | Value.Rarr a -> Handle_table.find_or_add table a.rid
+      | Value.Str _ | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> -1)
 
 (* ------------------------------------------------------------------ *)
 (* dynamic (class-specific) serializer                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* a handle tag for an already-sent node; true when [v] was sent before *)
+let write_dyn_handle wctx w v =
+  let h = check_seen wctx v in
+  if h >= 0 then begin
+    charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_handle);
+    Msgbuf.write_uvarint w h
+  end;
+  h >= 0
 
 let rec write_dyn wctx w (v : Value.t) =
   match v with
@@ -186,52 +221,46 @@ let rec write_dyn wctx w (v : Value.t) =
   | Value.Str s ->
       charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_string);
       Msgbuf.write_string w s
-  | Value.Obj o -> (
-      match check_seen wctx v with
-      | Some h ->
-          charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_handle);
-          Msgbuf.write_uvarint w h
-      | None ->
-          (* one dynamic call into the per-class serializer *)
-          Metrics.incr_ser_invocations wctx.wmetrics;
-          charge_tag wctx
-            (Typedesc.write_tag w
-               (Typedesc.Tag_object (Class_meta.wire_id wctx.wmeta o.cls)));
-          Array.iter (write_dyn wctx w) o.fields)
-  | Value.Darr a -> (
-      match check_seen wctx v with
-      | Some h ->
-          charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_handle);
-          Msgbuf.write_uvarint w h
-      | None ->
-          Metrics.incr_ser_invocations wctx.wmetrics;
-          charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_double_array);
-          Msgbuf.write_uvarint w (Array.length a.d);
-          Msgbuf.write_double_slice w a.d 0 (Array.length a.d))
-  | Value.Iarr a -> (
-      match check_seen wctx v with
-      | Some h ->
-          charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_handle);
-          Msgbuf.write_uvarint w h
-      | None ->
-          Metrics.incr_ser_invocations wctx.wmetrics;
-          charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_int_array);
-          Msgbuf.write_uvarint w (Array.length a.ia);
-          Msgbuf.write_int_slice w a.ia 0 (Array.length a.ia))
-  | Value.Rarr a -> (
-      match check_seen wctx v with
-      | Some h ->
-          charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_handle);
-          Msgbuf.write_uvarint w h
-      | None ->
-          Metrics.incr_ser_invocations wctx.wmetrics;
-          let before = Msgbuf.length w in
-          ignore (Typedesc.write_tag w (Typedesc.Tag_obj_array 0));
-          Class_meta.write_ty wctx.wmeta w a.relem;
-          charge_tag wctx (Msgbuf.length w - before);
-          Msgbuf.write_uvarint w (Array.length a.ra);
-          Array.iter (write_dyn wctx w) a.ra)
+  | Value.Obj o ->
+      if not (write_dyn_handle wctx w v) then begin
+        (* one dynamic call into the per-class serializer *)
+        Metrics.incr_ser_invocations wctx.wmetrics;
+        charge_tag wctx
+          (Typedesc.write_tag w
+             (Typedesc.Tag_object (Class_meta.wire_id wctx.wmeta o.cls)));
+        for i = 0 to Array.length o.fields - 1 do
+          write_dyn wctx w o.fields.(i)
+        done
+      end
+  | Value.Darr a ->
+      if not (write_dyn_handle wctx w v) then begin
+        Metrics.incr_ser_invocations wctx.wmetrics;
+        charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_double_array);
+        Msgbuf.write_uvarint w (Array.length a.d);
+        Msgbuf.write_double_slice w a.d 0 (Array.length a.d)
+      end
+  | Value.Iarr a ->
+      if not (write_dyn_handle wctx w v) then begin
+        Metrics.incr_ser_invocations wctx.wmetrics;
+        charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_int_array);
+        Msgbuf.write_uvarint w (Array.length a.ia);
+        Msgbuf.write_int_slice w a.ia 0 (Array.length a.ia)
+      end
+  | Value.Rarr a ->
+      if not (write_dyn_handle wctx w v) then begin
+        Metrics.incr_ser_invocations wctx.wmetrics;
+        let before = Msgbuf.length w in
+        ignore (Typedesc.write_tag w (Typedesc.Tag_obj_array 0));
+        Class_meta.write_ty wctx.wmeta w a.relem;
+        charge_tag wctx (Msgbuf.length w - before);
+        Msgbuf.write_uvarint w (Array.length a.ra);
+        for i = 0 to Array.length a.ra - 1 do
+          write_dyn wctx w a.ra.(i)
+        done
+      end
 
+(* On reuse, each field's (element's) candidate is read from the target
+   just before the decoded child overwrites it. *)
 let rec read_dyn rctx r ~(cand : Value.t) : Value.t =
   match Typedesc.read_tag r with
   | Typedesc.Tag_null -> Value.Null
@@ -243,69 +272,47 @@ let rec read_dyn rctx r ~(cand : Value.t) : Value.t =
       charge_alloc rctx v;
       v
   | Typedesc.Tag_handle -> handle_value rctx (Msgbuf.read_uvarint r)
-  | Typedesc.Tag_object wire_id ->
+  | Typedesc.Tag_object wire_id -> (
       let cls = (Class_meta.of_wire_id rctx.rmeta wire_id).Class_meta.cid in
       let nfields =
         Array.length (Class_meta.cls rctx.rmeta cls).Class_meta.fields
       in
-      let target, cand_fields =
-        match cand with
-        | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
-            charge_reuse rctx;
-            (o, Some (Array.copy o.fields))
-        | _ ->
-            (alloc_obj rctx ~cls ~nfields, None)
-      in
-      register_handle rctx (Value.Obj target);
-      for i = 0 to nfields - 1 do
-        let fc = match cand_fields with Some c -> c.(i) | None -> Value.Null in
-        target.fields.(i) <- read_dyn rctx r ~cand:fc
-      done;
-      Value.Obj target
-  | Typedesc.Tag_double_array ->
-      let n = checked_len r (Msgbuf.read_uvarint r) ~unit:8 "double[]" in
-      let target =
-        match cand with
-        | Value.Darr a when Array.length a.d = n ->
-            charge_reuse rctx;
-            a
-        | _ ->
-            alloc_darr rctx n
-      in
-      register_handle rctx (Value.Darr target);
-      Msgbuf.read_double_slice r target.d 0 n;
-      Value.Darr target
-  | Typedesc.Tag_int_array ->
-      let n = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "int[]" in
-      let target =
-        match cand with
-        | Value.Iarr a when Array.length a.ia = n ->
-            charge_reuse rctx;
-            a
-        | _ ->
-            alloc_iarr rctx n
-      in
-      register_handle rctx (Value.Iarr target);
-      Msgbuf.read_int_slice r target.ia 0 n;
-      Value.Iarr target
-  | Typedesc.Tag_obj_array _ ->
+      match cand with
+      | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
+          take_cand rctx cand;
+          for i = 0 to nfields - 1 do
+            o.fields.(i) <- read_dyn rctx r ~cand:o.fields.(i)
+          done;
+          cand
+      | _ ->
+          let o = alloc_obj rctx ~cls ~nfields in
+          let v = Value.Obj o in
+          enter_fresh rctx v;
+          for i = 0 to nfields - 1 do
+            o.fields.(i) <- read_dyn rctx r ~cand:Value.Null
+          done;
+          v)
+  | Typedesc.Tag_double_array -> read_darr_body rctx r ~cand
+  | Typedesc.Tag_int_array -> read_iarr_body rctx r ~cand
+  | Typedesc.Tag_obj_array _ -> (
       let relem = Class_meta.read_ty rctx.rmeta r in
       let n = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "object[]" in
-      let target, cand_elems =
-        match cand with
-        | Value.Rarr a
-          when Array.length a.ra = n && Jir.Types.equal_ty a.relem relem ->
-            charge_reuse rctx;
-            (a, Some (Array.copy a.ra))
-        | _ ->
-            (alloc_rarr rctx relem n, None)
-      in
-      register_handle rctx (Value.Rarr target);
-      for i = 0 to n - 1 do
-        let ec = match cand_elems with Some c -> c.(i) | None -> Value.Null in
-        target.ra.(i) <- read_dyn rctx r ~cand:ec
-      done;
-      Value.Rarr target
+      match cand with
+      | Value.Rarr a
+        when Array.length a.ra = n && Jir.Types.equal_ty a.relem relem ->
+          take_cand rctx cand;
+          for i = 0 to n - 1 do
+            a.ra.(i) <- read_dyn rctx r ~cand:a.ra.(i)
+          done;
+          cand
+      | _ ->
+          let a = alloc_rarr rctx relem n in
+          let v = Value.Rarr a in
+          enter_fresh rctx v;
+          for i = 0 to n - 1 do
+            a.ra.(i) <- read_dyn rctx r ~cand:Value.Null
+          done;
+          v)
 
 (* ------------------------------------------------------------------ *)
 (* plan-driven (call-site specific) serializer                         *)
@@ -338,15 +345,17 @@ let write_ref_marker wctx w v =
   | Value.Null ->
       Msgbuf.write_u8 w m_null;
       false
-  | _ -> (
-      match check_seen wctx v with
-      | Some h ->
-          Msgbuf.write_u8 w m_handle;
-          Msgbuf.write_uvarint w h;
-          false
-      | None ->
-          Msgbuf.write_u8 w m_inline;
-          true)
+  | _ ->
+      let h = check_seen wctx v in
+      if h >= 0 then begin
+        Msgbuf.write_u8 w m_handle;
+        Msgbuf.write_uvarint w h;
+        false
+      end
+      else begin
+        Msgbuf.write_u8 w m_inline;
+        true
+      end
 
 (* Struct-of-arrays encoding for a rectangular array of scalar arrays:
    rows, cols, then one contiguous row-major payload — no per-row
@@ -405,7 +414,9 @@ let rec write_step wctx w (step : Plan.step) (v : Value.t) =
       if write_ref_marker wctx w v then begin
         match v with
         | Value.Obj o when o.cls = cls ->
-            Array.iteri (fun i s -> write_step wctx w s o.fields.(i)) fields
+            for i = 0 to Array.length fields - 1 do
+              write_step wctx w fields.(i) o.fields.(i)
+            done
         | _ -> confusion (Printf.sprintf "S_obj(cls %d)" cls) v
       end
   | Plan.S_double_array, v ->
@@ -429,7 +440,9 @@ let rec write_step wctx w (step : Plan.step) (v : Value.t) =
         match v with
         | Value.Rarr a ->
             Msgbuf.write_uvarint w (Array.length a.ra);
-            Array.iter (write_step wctx w elem) a.ra
+            for i = 0 to Array.length a.ra - 1 do
+              write_step wctx w elem a.ra.(i)
+            done
         | _ -> confusion "S_obj_array" v
       end
   | Plan.S_flat_array { felem }, v ->
@@ -462,11 +475,44 @@ let flat_elem_ty = function
   | Plan.F_darr -> Jir.Types.Tarray Jir.Types.Tdouble
   | Plan.F_iarr -> Jir.Types.Tarray Jir.Types.Tint
 
+(* Decode a flat matrix's rows into [target]'s slots: a row of the
+   right length is read in place when [in_place], any other slot gets a
+   fresh row, boxed once. *)
+let read_flat_rows rctx r (felem : Plan.flat_elem) ~in_place ~cols
+    (target : Value.rarr) =
+  match felem with
+  | Plan.F_darr ->
+      for i = 0 to Array.length target.Value.ra - 1 do
+        match target.Value.ra.(i) with
+        | Value.Darr d when in_place && Array.length d.Value.d = cols ->
+            charge_reuse rctx;
+            Msgbuf.read_double_slice r d.Value.d 0 cols
+        | _ ->
+            let d = alloc_darr rctx cols in
+            let v = Value.Darr d in
+            charge_alloc rctx v;
+            Msgbuf.read_double_slice r d.Value.d 0 cols;
+            target.Value.ra.(i) <- v
+      done
+  | Plan.F_iarr ->
+      for i = 0 to Array.length target.Value.ra - 1 do
+        match target.Value.ra.(i) with
+        | Value.Iarr d when in_place && Array.length d.Value.ia = cols ->
+            charge_reuse rctx;
+            Msgbuf.read_int_slice r d.Value.ia 0 cols
+        | _ ->
+            let d = alloc_iarr rctx cols in
+            let v = Value.Iarr d in
+            charge_alloc rctx v;
+            Msgbuf.read_int_slice r d.Value.ia 0 cols;
+            target.Value.ra.(i) <- v
+      done
+
 (* Decode a flat-encoded matrix: two varints, one shape check, then raw
    row-major slices — no per-row marker, tag or handle bookkeeping.
    The candidate is only consulted on the legacy heap path: under an
    arena the previous call's rows already sit in the shape pools (the
-   allocators below pop them back out), and reusing them in place as
+   allocators above pop them back out), and reusing them in place as
    well would alias one node into two roles. *)
 let read_flat rctx r (felem : Plan.flat_elem) ~(cand : Value.t) : Value.t =
   let rows = checked_len r (Msgbuf.read_uvarint r) ~unit:0 "flat[][] rows" in
@@ -476,51 +522,28 @@ let read_flat rctx r (felem : Plan.flat_elem) ~(cand : Value.t) : Value.t =
   if cols > 0 && rows > Msgbuf.remaining r / (cols * unit) then
     raise
       (Msgbuf.Underflow (Printf.sprintf "flat[][]: bad shape %dx%d" rows cols));
-  let in_place = rctx.arena = None in
-  let target =
-    match cand with
-    | Value.Rarr a
-      when in_place
-           && Array.length a.Value.ra = rows
-           && Jir.Types.equal_ty a.Value.relem (flat_elem_ty felem) ->
-        charge_reuse rctx;
-        a
-    | _ -> alloc_rarr rctx (flat_elem_ty felem) rows
-  in
-  register_handle rctx (Value.Rarr target);
-  (match felem with
-  | Plan.F_darr ->
-      for i = 0 to rows - 1 do
-        let row =
-          match target.Value.ra.(i) with
-          | Value.Darr d when in_place && Array.length d.Value.d = cols ->
-              charge_reuse rctx;
-              d
-          | _ -> alloc_darr rctx cols
-        in
-        Msgbuf.read_double_slice r row.Value.d 0 cols;
-        target.Value.ra.(i) <- Value.Darr row
-      done
-  | Plan.F_iarr ->
-      for i = 0 to rows - 1 do
-        let row =
-          match target.Value.ra.(i) with
-          | Value.Iarr d when in_place && Array.length d.Value.ia = cols ->
-              charge_reuse rctx;
-              d
-          | _ -> alloc_iarr rctx cols
-        in
-        Msgbuf.read_int_slice r row.Value.ia 0 cols;
-        target.Value.ra.(i) <- Value.Iarr row
-      done);
-  Value.Rarr target
+  let in_place = Option.is_none rctx.arena in
+  match cand with
+  | Value.Rarr a
+    when in_place
+         && Array.length a.Value.ra = rows
+         && Jir.Types.equal_ty a.Value.relem (flat_elem_ty felem) ->
+      take_cand rctx cand;
+      read_flat_rows rctx r felem ~in_place ~cols a;
+      cand
+  | _ ->
+      let a = alloc_rarr rctx (flat_elem_ty felem) rows in
+      let v = Value.Rarr a in
+      enter_fresh rctx v;
+      read_flat_rows rctx r felem ~in_place ~cols a;
+      v
 
-let read_ref_marker rctx r =
-  match Msgbuf.read_u8 r with
-  | 0 -> `Null
-  | 1 -> `Inline
-  | 2 -> `Handle (handle_value rctx (Msgbuf.read_uvarint r))
-  | n -> raise (Msgbuf.Underflow (Printf.sprintf "bad ref marker %d" n))
+(* a reference marker other than [m_inline]: null, or a back-reference
+   to a node already decoded *)
+let read_no_body rctx r m =
+  if m = m_null then Value.Null
+  else if m = m_handle then handle_value rctx (Msgbuf.read_uvarint r)
+  else raise (Msgbuf.Underflow (Printf.sprintf "bad ref marker %d" m))
 
 let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
   match step with
@@ -539,91 +562,57 @@ let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
   | Plan.S_dyn -> read_dyn rctx r ~cand
   | Plan.S_ref d -> read_step rctx r rctx.rdefs.(d) ~cand
   | Plan.S_obj { cls; fields } -> (
-      match read_ref_marker rctx r with
-      | `Null -> Value.Null
-      | `Handle v -> v
-      | `Inline ->
-          let nfields = Array.length fields in
-          let target, cand_fields =
-            match cand with
-            | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
-                charge_reuse rctx;
-                (o, Some (Array.copy o.fields))
-            | _ ->
-                (alloc_obj rctx ~cls ~nfields, None)
-          in
-          register_handle rctx (Value.Obj target);
-          Array.iteri
-            (fun i s ->
-              let fc =
-                match cand_fields with Some c -> c.(i) | None -> Value.Null
-              in
-              target.fields.(i) <- read_step rctx r s ~cand:fc)
-            fields;
-          Value.Obj target)
-  | Plan.S_double_array -> (
-      match read_ref_marker rctx r with
-      | `Null -> Value.Null
-      | `Handle v -> v
-      | `Inline ->
-          let n = checked_len r (Msgbuf.read_uvarint r) ~unit:8 "double[]" in
-          let target =
-            match cand with
-            | Value.Darr a when Array.length a.d = n ->
-                charge_reuse rctx;
-                a
-            | _ ->
-                alloc_darr rctx n
-          in
-          register_handle rctx (Value.Darr target);
-          Msgbuf.read_double_slice r target.d 0 n;
-          Value.Darr target)
-  | Plan.S_int_array -> (
-      match read_ref_marker rctx r with
-      | `Null -> Value.Null
-      | `Handle v -> v
-      | `Inline ->
-          let n = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "int[]" in
-          let target =
-            match cand with
-            | Value.Iarr a when Array.length a.ia = n ->
-                charge_reuse rctx;
-                a
-            | _ ->
-                alloc_iarr rctx n
-          in
-          register_handle rctx (Value.Iarr target);
-          Msgbuf.read_int_slice r target.ia 0 n;
-          Value.Iarr target)
+      let m = Msgbuf.read_u8 r in
+      if m <> m_inline then read_no_body rctx r m
+      else
+        let nfields = Array.length fields in
+        match cand with
+        | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
+            take_cand rctx cand;
+            for i = 0 to nfields - 1 do
+              o.fields.(i) <- read_step rctx r fields.(i) ~cand:o.fields.(i)
+            done;
+            cand
+        | _ ->
+            let o = alloc_obj rctx ~cls ~nfields in
+            let v = Value.Obj o in
+            enter_fresh rctx v;
+            for i = 0 to nfields - 1 do
+              o.fields.(i) <- read_step rctx r fields.(i) ~cand:Value.Null
+            done;
+            v)
+  | Plan.S_double_array ->
+      let m = Msgbuf.read_u8 r in
+      if m <> m_inline then read_no_body rctx r m else read_darr_body rctx r ~cand
+  | Plan.S_int_array ->
+      let m = Msgbuf.read_u8 r in
+      if m <> m_inline then read_no_body rctx r m else read_iarr_body rctx r ~cand
   | Plan.S_obj_array { elem } -> (
-      match read_ref_marker rctx r with
-      | `Null -> Value.Null
-      | `Handle v -> v
-      | `Inline ->
-          let n =
-            checked_len r (Msgbuf.read_uvarint r) ~unit:(step_min_width elem)
-              "object[]"
-          in
-          let target, cand_elems =
-            match cand with
-            | Value.Rarr a when Array.length a.ra = n ->
-                charge_reuse rctx;
-                (a, Some (Array.copy a.ra))
-            | _ -> (alloc_rarr rctx (ty_of_step elem) n, None)
-          in
-          register_handle rctx (Value.Rarr target);
-          for i = 0 to n - 1 do
-            let ec =
-              match cand_elems with Some c -> c.(i) | None -> Value.Null
-            in
-            target.ra.(i) <- read_step rctx r elem ~cand:ec
-          done;
-          Value.Rarr target)
-  | Plan.S_flat_array { felem } -> (
-      match read_ref_marker rctx r with
-      | `Null -> Value.Null
-      | `Handle v -> v
-      | `Inline -> read_flat rctx r felem ~cand)
+      let m = Msgbuf.read_u8 r in
+      if m <> m_inline then read_no_body rctx r m
+      else
+        let n =
+          checked_len r (Msgbuf.read_uvarint r) ~unit:(step_min_width elem)
+            "object[]"
+        in
+        match cand with
+        | Value.Rarr a when Array.length a.ra = n ->
+            take_cand rctx cand;
+            for i = 0 to n - 1 do
+              a.ra.(i) <- read_step rctx r elem ~cand:a.ra.(i)
+            done;
+            cand
+        | _ ->
+            let a = alloc_rarr rctx (ty_of_step elem) n in
+            let v = Value.Rarr a in
+            enter_fresh rctx v;
+            for i = 0 to n - 1 do
+              a.ra.(i) <- read_step rctx r elem ~cand:Value.Null
+            done;
+            v)
+  | Plan.S_flat_array { felem } ->
+      let m = Msgbuf.read_u8 r in
+      if m <> m_inline then read_no_body rctx r m else read_flat rctx r felem ~cand
 
 (* ------------------------------------------------------------------ *)
 (* compiled plans: partial evaluation of the step tree into closures   *)
@@ -704,7 +693,9 @@ let rec compile_write_in cache ~defs (step : Plan.step) :
           match v with
           | Value.Rarr a ->
               Msgbuf.write_uvarint w (Array.length a.ra);
-              Array.iter (compiled_elem wctx w) a.ra
+              for i = 0 to Array.length a.ra - 1 do
+                compiled_elem wctx w a.ra.(i)
+              done
           | v -> confusion "S_obj_array" v
         end
   | Plan.S_flat_array { felem } -> (
@@ -745,96 +736,65 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
   | Plan.S_obj { cls; fields } ->
       let compiled_fields = Array.map (compile_read_in cache ~defs) fields in
       let nfields = Array.length compiled_fields in
-      fun rctx r ~cand -> (
-        match read_ref_marker rctx r with
-        | `Null -> Value.Null
-        | `Handle v -> v
-        | `Inline ->
-            let target, cand_fields =
-              match cand with
-              | Value.Obj o when o.cls = cls && Array.length o.fields = nfields
-                ->
-                  charge_reuse rctx;
-                  (o, Some (Array.copy o.fields))
-              | _ ->
-                  (alloc_obj rctx ~cls ~nfields, None)
-            in
-            register_handle rctx (Value.Obj target);
-            for i = 0 to nfields - 1 do
-              let fc =
-                match cand_fields with Some c -> c.(i) | None -> Value.Null
-              in
-              target.fields.(i) <- compiled_fields.(i) rctx r ~cand:fc
-            done;
-            Value.Obj target)
-  | Plan.S_double_array -> (
       fun rctx r ~cand ->
-        match read_ref_marker rctx r with
-        | `Null -> Value.Null
-        | `Handle v -> v
-        | `Inline ->
-            let n = checked_len r (Msgbuf.read_uvarint r) ~unit:8 "double[]" in
-            let target =
-              match cand with
-              | Value.Darr a when Array.length a.d = n ->
-                  charge_reuse rctx;
-                  a
-              | _ ->
-                  alloc_darr rctx n
-            in
-            register_handle rctx (Value.Darr target);
-            Msgbuf.read_double_slice r target.d 0 n;
-            Value.Darr target)
-  | Plan.S_int_array -> (
+        let m = Msgbuf.read_u8 r in
+        if m <> m_inline then read_no_body rctx r m
+        else (
+          match cand with
+          | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
+              take_cand rctx cand;
+              for i = 0 to nfields - 1 do
+                o.fields.(i) <- compiled_fields.(i) rctx r ~cand:o.fields.(i)
+              done;
+              cand
+          | _ ->
+              let o = alloc_obj rctx ~cls ~nfields in
+              let v = Value.Obj o in
+              enter_fresh rctx v;
+              for i = 0 to nfields - 1 do
+                o.fields.(i) <- compiled_fields.(i) rctx r ~cand:Value.Null
+              done;
+              v)
+  | Plan.S_double_array ->
       fun rctx r ~cand ->
-        match read_ref_marker rctx r with
-        | `Null -> Value.Null
-        | `Handle v -> v
-        | `Inline ->
-            let n = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "int[]" in
-            let target =
-              match cand with
-              | Value.Iarr a when Array.length a.ia = n ->
-                  charge_reuse rctx;
-                  a
-              | _ ->
-                  alloc_iarr rctx n
-            in
-            register_handle rctx (Value.Iarr target);
-            Msgbuf.read_int_slice r target.ia 0 n;
-            Value.Iarr target)
+        let m = Msgbuf.read_u8 r in
+        if m <> m_inline then read_no_body rctx r m
+        else read_darr_body rctx r ~cand
+  | Plan.S_int_array ->
+      fun rctx r ~cand ->
+        let m = Msgbuf.read_u8 r in
+        if m <> m_inline then read_no_body rctx r m
+        else read_iarr_body rctx r ~cand
   | Plan.S_obj_array { elem } ->
       let compiled_elem = compile_read_in cache ~defs elem in
       let elem_ty = ty_of_step elem in
-      fun rctx r ~cand -> (
-        match read_ref_marker rctx r with
-        | `Null -> Value.Null
-        | `Handle v -> v
-        | `Inline ->
-            let n =
-              checked_len r (Msgbuf.read_uvarint r) ~unit:(step_min_width elem)
-                "object[]"
-            in
-            let target, cand_elems =
-              match cand with
-              | Value.Rarr a when Array.length a.ra = n ->
-                  charge_reuse rctx;
-                  (a, Some (Array.copy a.ra))
-              | _ -> (alloc_rarr rctx elem_ty n, None)
-            in
-            register_handle rctx (Value.Rarr target);
-            for i = 0 to n - 1 do
-              let ec =
-                match cand_elems with Some c -> c.(i) | None -> Value.Null
-              in
-              target.ra.(i) <- compiled_elem rctx r ~cand:ec
-            done;
-            Value.Rarr target)
-  | Plan.S_flat_array { felem } -> (
       fun rctx r ~cand ->
-        match read_ref_marker rctx r with
-        | `Null -> Value.Null
-        | `Handle v -> v
-        | `Inline -> read_flat rctx r felem ~cand)
+        let m = Msgbuf.read_u8 r in
+        if m <> m_inline then read_no_body rctx r m
+        else (
+          let n =
+            checked_len r (Msgbuf.read_uvarint r) ~unit:(step_min_width elem)
+              "object[]"
+          in
+          match cand with
+          | Value.Rarr a when Array.length a.ra = n ->
+              take_cand rctx cand;
+              for i = 0 to n - 1 do
+                a.ra.(i) <- compiled_elem rctx r ~cand:a.ra.(i)
+              done;
+              cand
+          | _ ->
+              let a = alloc_rarr rctx elem_ty n in
+              let v = Value.Rarr a in
+              enter_fresh rctx v;
+              for i = 0 to n - 1 do
+                a.ra.(i) <- compiled_elem rctx r ~cand:Value.Null
+              done;
+              v)
+  | Plan.S_flat_array { felem } ->
+      fun rctx r ~cand ->
+        let m = Msgbuf.read_u8 r in
+        if m <> m_inline then read_no_body rctx r m
+        else read_flat rctx r felem ~cand
 
 let compile_read ~defs step = compile_read_in (Hashtbl.create 4) ~defs step

@@ -17,8 +17,9 @@ let k_handle = 10
 type wctx = {
   wmeta : Class_meta.t;
   wmetrics : Metrics.t;
-  wcycle : int Handle_table.t;  (* object identity -> handle *)
-  sent_descs : (int, int) Hashtbl.t;  (* class id -> descriptor index *)
+  wcycle : Handle_table.t;  (* object identity -> handle *)
+  sent_descs : int array;  (* class id -> descriptor index, -1 = unsent *)
+  mutable nsent : int;
 }
 
 type rctx = {
@@ -35,7 +36,8 @@ let make_wctx wmeta wmetrics =
     wmeta;
     wmetrics;
     wcycle = Handle_table.create ~metrics:wmetrics ();
-    sent_descs = Hashtbl.create 8;
+    sent_descs = Array.make (Class_meta.num_classes wmeta) (-1);
+    nsent = 0;
   }
 
 let make_rctx rmeta rmetrics =
@@ -56,40 +58,45 @@ let handle rctx idx =
    this verbosity is exactly what KaRMI/Manta removed *)
 let write_class_info wctx w cls =
   let before = Msgbuf.length w in
-  (match Hashtbl.find_opt wctx.sent_descs cls with
-  | Some idx ->
-      Msgbuf.write_u8 w k_object_ref;
-      Msgbuf.write_uvarint w idx
-  | None ->
-      let c = Class_meta.cls wctx.wmeta cls in
-      Hashtbl.add wctx.sent_descs cls (Hashtbl.length wctx.sent_descs);
-      Msgbuf.write_u8 w k_object_desc;
-      Msgbuf.write_string w c.Class_meta.cname;
-      Msgbuf.write_uvarint w (Array.length c.Class_meta.fields);
-      Array.iter
-        (fun (f : Class_meta.field) -> Msgbuf.write_string w f.Class_meta.fname)
-        c.Class_meta.fields);
+  let c = Class_meta.cls wctx.wmeta cls in
+  let idx = wctx.sent_descs.(cls) in
+  if idx >= 0 then begin
+    Msgbuf.write_u8 w k_object_ref;
+    Msgbuf.write_uvarint w idx
+  end
+  else begin
+    wctx.sent_descs.(cls) <- wctx.nsent;
+    wctx.nsent <- wctx.nsent + 1;
+    Msgbuf.write_u8 w k_object_desc;
+    Msgbuf.write_string w c.Class_meta.cname;
+    Msgbuf.write_uvarint w (Array.length c.Class_meta.fields);
+    Array.iter
+      (fun (f : Class_meta.field) -> Msgbuf.write_string w f.Class_meta.fname)
+      c.Class_meta.fields
+  end;
   Metrics.add_type_bytes wctx.wmetrics (Msgbuf.length w - before)
 
-let check_seen wctx v =
-  match Value.identity v with
-  | None -> None
-  | Some id -> (
-      match Handle_table.lookup wctx.wcycle id with
-      | Some h -> Some h
-      | None ->
-          Handle_table.add wctx.wcycle id (Handle_table.next_handle wctx.wcycle);
-          None)
+(* the handle if already sent, -1 otherwise (a first visit registers
+   the node) *)
+let check_seen wctx (v : Value.t) =
+  match v with
+  | Value.Obj o -> Handle_table.find_or_add wctx.wcycle o.oid
+  | Value.Darr a -> Handle_table.find_or_add wctx.wcycle a.did
+  | Value.Iarr a -> Handle_table.find_or_add wctx.wcycle a.iid
+  | Value.Rarr a -> Handle_table.find_or_add wctx.wcycle a.rid
+  | Value.Str _ | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> -1
 
 let rec write wctx w (v : Value.t) =
   let seen_or body =
-    match check_seen wctx v with
-    | Some h ->
-        Msgbuf.write_u8 w k_handle;
-        Msgbuf.write_uvarint w h
-    | None ->
-        Metrics.incr_ser_invocations wctx.wmetrics;
-        body ()
+    let h = check_seen wctx v in
+    if h >= 0 then begin
+      Msgbuf.write_u8 w k_handle;
+      Msgbuf.write_uvarint w h
+    end
+    else begin
+      Metrics.incr_ser_invocations wctx.wmetrics;
+      body ()
+    end
   in
   match v with
   | Value.Null -> Msgbuf.write_u8 w k_null

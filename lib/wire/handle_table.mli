@@ -8,25 +8,29 @@
     first-class statistic ([Metrics.cycle_lookups]).
 
     Keys are unique object identities (each runtime object carries a
-    per-process unique [int] id).  On the deserializer side the dual
-    structure maps wire handles back to reconstructed objects. *)
+    per-process unique [int] id); values are dense wire handles in
+    registration order.  The table is open addressing over flat [int]
+    arrays — a multiplicative hash, linear probing, growth at half
+    load — so a probe neither hashes polymorphically nor allocates,
+    and {!reset} clears only the slots in use.  The accounting is per
+    probe, as for RMI's hash table: one cycle lookup on a hit, two (the
+    lookup and the insertion) on a miss.  On the deserializer side the
+    dual structure is the handle array in [Codec]. *)
 
-type 'v t
+type t
 
 (** [create metrics] builds an empty table that charges its probes to
     [metrics] (pass [None] to leave probes unaccounted, e.g. tests). *)
-val create : ?metrics:Rmi_stats.Metrics.t -> unit -> 'v t
+val create : ?metrics:Rmi_stats.Metrics.t -> unit -> t
 
-(** [lookup t key] probes the table, counting one cycle lookup. *)
-val lookup : 'v t -> int -> 'v option
-
-(** [add t key v] registers [key]; counts one cycle lookup (RMI adds
-    every serialized object reference to the hash, per the paper). *)
-val add : 'v t -> int -> 'v -> unit
+(** [find_or_add t key] returns [key]'s handle if it is registered
+    (one cycle lookup); otherwise registers it under {!next_handle}
+    and returns [-1] (two cycle lookups). *)
+val find_or_add : t -> int -> int
 
 (** [next_handle t] returns the wire handle the next added object will
     receive (a dense counter starting at 0). *)
-val next_handle : 'v t -> int
+val next_handle : t -> int
 
-val size : 'v t -> int
-val reset : 'v t -> unit
+val size : t -> int
+val reset : t -> unit

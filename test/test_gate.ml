@@ -3,8 +3,8 @@
    JSON key schema of fresh small gate runs against the checked-in
    BENCH_*.json artifacts — the CI `sed` column diffs depend on those
    keys and their order — and pins of the deterministic columns of the
-   transport and wirecost gates, which a refactor of the transport
-   layers must reproduce exactly. *)
+   transport, wirecost and alloc gates, which a refactor of the
+   transport layers or the codec must reproduce exactly. *)
 
 module Gate = Rmi_harness.Gate
 module E = Rmi_harness.Experiment
@@ -230,6 +230,27 @@ let wirecost_pin () =
     ]
     rows
 
+(* the alloc gate's deterministic columns at its CLI defaults (192
+   calls, window 16, seed 42), row by row against the checked-in
+   BENCH_alloc.json — the arena's engagement counts, the gated flag and
+   the reply digests; the minor-words columns are measurements and move *)
+let alloc_pin () =
+  let checked_in =
+    In_channel.with_open_text "../BENCH_alloc.json" In_channel.input_all
+  in
+  let g = E.alloc_compare ~calls:192 ~window:16 ~seed:42 () in
+  let rows text =
+    List.map
+      (fun line ->
+        drop_key "minor_words_per_call_heap"
+          (drop_key "minor_words_per_call_arena" line))
+      (json_rows text)
+  in
+  Alcotest.(check int) "8 rows" 8 (List.length (json_rows checked_in));
+  Alcotest.(check (list string))
+    "arena_allocs/arena_resets/arena_fallbacks/gated/digest per row"
+    (rows checked_in) (rows (Gate.to_json g))
+
 let single_domain_perf_unenforced () =
   (* a 1-domain run cannot measure speedup: the JSON must say the perf
      check was not enforced, as the text does, and the gate rests on
@@ -256,5 +277,6 @@ let suite =
           single_domain_perf_unenforced;
         Alcotest.test_case "transport columns pinned" `Quick transport_pin;
         Alcotest.test_case "wirecost columns pinned" `Quick wirecost_pin;
+        Alcotest.test_case "alloc columns pinned" `Quick alloc_pin;
       ] );
   ]

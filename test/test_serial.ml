@@ -295,6 +295,200 @@ let contexts_reusable_after_confusion () =
   Alcotest.(check bool) "same contexts roundtrip the cycle" true
     (Equality.equal (Value.Obj pair) got)
 
+(* --- golden bytes with the cycle table on --- *)
+
+(* Cell{next: Cell}, Pair{a: Cell, b: Cell}, Holder{x: double[], y: double[]} *)
+let gmeta =
+  Class_meta.make
+    [
+      ("Cell", [ ("next", Jir.Types.Tobject 0) ]);
+      ("Pair", [ ("a", Jir.Types.Tobject 0); ("b", Jir.Types.Tobject 0) ]);
+      ( "Holder",
+        [
+          ("x", Jir.Types.Tarray Jir.Types.Tdouble);
+          ("y", Jir.Types.Tarray Jir.Types.Tdouble);
+        ] );
+    ]
+
+let cell_step = Plan.S_obj { cls = 0; fields = [| Plan.S_ref 0 |] }
+let gdefs = [| cell_step |]
+
+(* a -> b -> c -> a *)
+let ring () =
+  let a = Value.new_obj ~cls:0 ~nfields:1
+  and b = Value.new_obj ~cls:0 ~nfields:1
+  and c = Value.new_obj ~cls:0 ~nfields:1 in
+  a.fields.(0) <- Value.Obj b;
+  b.fields.(0) <- Value.Obj c;
+  c.fields.(0) <- Value.Obj a;
+  Value.Obj a
+
+(* a Pair whose two fields are one Cell *)
+let dag () =
+  let shared = Value.new_obj ~cls:0 ~nfields:1 in
+  let p = Value.new_obj ~cls:1 ~nfields:2 in
+  p.fields.(0) <- Value.Obj shared;
+  p.fields.(1) <- Value.Obj shared;
+  Value.Obj p
+
+(* a Holder whose two fields are one double[] *)
+let twice () =
+  let d = Value.new_darr 3 in
+  d.d.(0) <- 1.5;
+  d.d.(1) <- -2.0;
+  d.d.(2) <- 0.25;
+  let h = Value.new_obj ~cls:2 ~nfields:2 in
+  h.fields.(0) <- Value.Darr d;
+  h.fields.(1) <- Value.Darr d;
+  Value.Obj h
+
+let same_node a b =
+  match (a, b) with
+  | Value.Obj x, Value.Obj y -> x == y
+  | Value.Darr x, Value.Darr y -> x == y
+  | _ -> false
+
+let field v i =
+  match v with
+  | Value.Obj o -> o.fields.(i)
+  | v -> Alcotest.failf "expected an object, got %a" Value.pp v
+
+(* the sharing each graph must come back with *)
+let ring_closed v = same_node v (field (field (field v 0) 0) 0)
+let fields_shared v = same_node (field v 0) (field v 1)
+
+let hex b =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+
+(* (graph, plan step, sharing check, compiled/step bytes, dyn bytes) *)
+let golden_graphs =
+  [
+    ("ring", ring, cell_step, ring_closed, "0101010200", "0500050005000900");
+    ( "dag", dag,
+      Plan.S_obj { cls = 1; fields = [| cell_step; cell_step |] },
+      fields_shared, "0101000201", "05010500000901" );
+    ( "double[] twice", twice,
+      Plan.S_obj { cls = 2; fields = [| Plan.S_double_array; Plan.S_double_array |] },
+      fields_shared,
+      "010103000000000000f83f00000000000000c0000000000000d03f0201",
+      "05020703000000000000f83f00000000000000c0000000000000d03f0901" );
+  ]
+
+let golden_cycle_bytes () =
+  List.iter
+    (fun (name, mk, step, shared, plan_hex, dyn_hex) ->
+      let encode write =
+        let w = Msgbuf.create_writer () in
+        write
+          (Codec.make_wctx ~defs:gdefs gmeta (Metrics.create ()) ~cycle:true)
+          w (mk ());
+        Msgbuf.contents w
+      in
+      let decode read bytes =
+        read
+          (Codec.make_rctx ~defs:gdefs gmeta (Metrics.create ()) ~cycle:true)
+          (Msgbuf.reader_of_bytes bytes)
+      in
+      let check_bytes what expected bytes =
+        Alcotest.(check string) (name ^ " " ^ what) expected (hex bytes)
+      in
+      let check_shared what v =
+        Alcotest.(check bool) (name ^ " sharing after " ^ what) true (shared v);
+        check_equal (name ^ " " ^ what) (mk ()) v
+      in
+      let compiled = encode (Codec.compile_write ~defs:gdefs step) in
+      check_bytes "compile_write" plan_hex compiled;
+      check_shared "compile_read"
+        (decode
+           (fun rctx r -> Codec.compile_read ~defs:gdefs step rctx r ~cand:Value.Null)
+           compiled);
+      let stepped = encode (fun wctx w v -> Codec.write_step wctx w step v) in
+      check_bytes "write_step" plan_hex stepped;
+      check_shared "read_step"
+        (decode (fun rctx r -> Codec.read_step rctx r step ~cand:Value.Null) stepped);
+      let dyn = encode Codec.write_dyn in
+      check_bytes "write_dyn" dyn_hex dyn;
+      check_shared "read_dyn"
+        (decode (fun rctx r -> Codec.read_dyn rctx r ~cand:Value.Null) dyn))
+    golden_graphs
+
+(* --- allocation pins: the codec's per-node cost in minor words --- *)
+
+let make_chain n =
+  let rec go acc k =
+    if k = 0 then acc
+    else begin
+      let c = Value.new_obj ~cls:0 ~nfields:1 in
+      c.fields.(0) <- acc;
+      go (Value.Obj c) (k - 1)
+    end
+  in
+  go Value.Null n
+
+(* minor words per run of [f], once warmed up *)
+let words_per_run f =
+  let reps = 100 in
+  for _ = 1 to 3 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
+
+let chain_nodes = 100
+
+let chain_bytes () =
+  let w = Msgbuf.create_writer () in
+  Codec.compile_write ~defs:gdefs cell_step
+    (Codec.make_wctx ~defs:gdefs gmeta (Metrics.create ()) ~cycle:true)
+    w (make_chain chain_nodes);
+  Msgbuf.contents w
+
+let encode_allocates_nothing () =
+  let write = Codec.compile_write ~defs:gdefs cell_step in
+  let wctx = Codec.make_wctx ~defs:gdefs gmeta (Metrics.create ()) ~cycle:true in
+  let w = Msgbuf.create_writer () in
+  let v = make_chain chain_nodes in
+  let words =
+    words_per_run (fun () ->
+        Msgbuf.clear w;
+        Codec.reset_wctx wctx;
+        write wctx w v)
+  in
+  Alcotest.(check (float 0.)) "minor words per 100-cell encode" 0. words
+
+(* words per decoded node of the 100-cell chain, arena- or heap-backed *)
+let decode_words ?arena () =
+  let read = Codec.compile_read ~defs:gdefs cell_step in
+  let m = Metrics.create () in
+  let arena = Option.map (fun () -> Arena.create ~metrics:m) arena in
+  let rctx = Codec.make_rctx ~defs:gdefs ?arena gmeta m ~cycle:true in
+  let bytes = chain_bytes () in
+  let r = Msgbuf.reader_of_bytes bytes in
+  let words =
+    words_per_run (fun () ->
+        Msgbuf.reset_reader r bytes;
+        Option.iter Arena.reset arena;
+        Codec.reset_rctx rctx;
+        ignore (read rctx r ~cand:Value.Null : Value.t))
+  in
+  words /. float_of_int chain_nodes
+
+let arena_decode_words () =
+  let w = decode_words ~arena:() () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f <= 2 words per node (the box)" w)
+    true (w <= 2.)
+
+let heap_decode_words () =
+  let w = decode_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f <= 8 words per node (record, fields, box)" w)
+    true (w <= 8.)
+
 (* random acyclic value graphs for property tests *)
 let gen_value =
   let open QCheck.Gen in
@@ -393,4 +587,13 @@ let suite =
       ] );
     ( "serial.introspect",
       [ Alcotest.test_case "roundtrip and type-byte cost" `Quick introspect_roundtrip_and_cost ] );
+    ( "serial.golden",
+      [ Alcotest.test_case "cycle-table bytes and sharing" `Quick golden_cycle_bytes ] );
+    ( "serial.alloc",
+      [
+        Alcotest.test_case "compiled encode allocates nothing" `Quick
+          encode_allocates_nothing;
+        Alcotest.test_case "arena decode: one box per node" `Quick arena_decode_words;
+        Alcotest.test_case "heap decode: <= 8 words per node" `Quick heap_decode_words;
+      ] );
   ]

@@ -115,14 +115,43 @@ let tag_roundtrip () =
 let handle_table_counts () =
   let m = Rmi_stats.Metrics.create () in
   let t = Handle_table.create ~metrics:m () in
-  Alcotest.(check (option int)) "miss" None (Handle_table.lookup t 5);
-  Handle_table.add t 5 41;
-  Alcotest.(check (option int)) "hit" (Some 41) (Handle_table.lookup t 5);
+  Alcotest.(check int) "miss registers" (-1) (Handle_table.find_or_add t 5);
+  Alcotest.(check int) "hit" 0 (Handle_table.find_or_add t 5);
   Alcotest.(check int) "handles dense" 1 (Handle_table.next_handle t);
   let s = Rmi_stats.Metrics.snapshot m in
   Alcotest.(check int) "3 probes charged" 3 s.Rmi_stats.Metrics.cycle_lookups;
   Handle_table.reset t;
-  Alcotest.(check (option int)) "reset" None (Handle_table.lookup t 5)
+  Alcotest.(check int) "reset" (-1) (Handle_table.find_or_add t 5)
+
+(* past many resizes: every key keeps the handle it was registered
+   under, probes are charged 1 per hit and 2 per miss, and a reset of
+   the grown table leaves it empty *)
+let handle_table_growth () =
+  let n = 10_000 in
+  let m = Rmi_stats.Metrics.create () in
+  let t = Handle_table.create ~metrics:m () in
+  (* spaced, colliding-prone keys *)
+  let key i = (i * 4096) + 7 in
+  for i = 0 to n - 1 do
+    if Handle_table.find_or_add t (key i) <> -1 then
+      Alcotest.failf "key %d seen before insertion" i;
+    Alcotest.(check int) "dense" (i + 1) (Handle_table.next_handle t)
+  done;
+  let lookups () = (Rmi_stats.Metrics.snapshot m).Rmi_stats.Metrics.cycle_lookups in
+  Alcotest.(check int) "2 probes per miss" (2 * n) (lookups ());
+  for i = 0 to n - 1 do
+    let h = Handle_table.find_or_add t (key i) in
+    if h <> i then Alcotest.failf "key %d: handle %d after growth" i h
+  done;
+  Alcotest.(check int) "1 probe per hit" (3 * n) (lookups ());
+  Alcotest.(check int) "size" n (Handle_table.size t);
+  Handle_table.reset t;
+  Alcotest.(check int) "empty after reset" 0 (Handle_table.size t);
+  for i = 0 to n - 1 do
+    if Handle_table.find_or_add t (key i) <> -1 then
+      Alcotest.failf "key %d survived the reset" i
+  done;
+  Alcotest.(check int) "renumbered from 0" n (Handle_table.next_handle t)
 
 (* --- protocol framing --- *)
 
@@ -728,7 +757,10 @@ let suite =
         Fixtures.qcheck_case prop_batch_into_equals_batch;
       ] );
     ( "wire.handle_table",
-      [ Alcotest.test_case "lookups counted" `Quick handle_table_counts ] );
+      [
+        Alcotest.test_case "lookups counted" `Quick handle_table_counts;
+        Alcotest.test_case "past 10 000 keys" `Quick handle_table_growth;
+      ] );
     ( "wire.protocol",
       [ Alcotest.test_case "header roundtrip" `Quick header_roundtrip ] );
   ]
