@@ -444,7 +444,9 @@ let compile_cmd =
     Arg.(
       value & flag
       & info [ "optimize"; "O" ]
-          ~doc:"Run the scalar SSA cleanups (constant folding, copy                 propagation, dead-code elimination) before the analyses.")
+          ~doc:
+            "Run the scalar SSA cleanups (constant folding, copy \
+             propagation, dead-code elimination) before the analyses.")
   in
   let run file show_jir show_dot optimize =
     let ic = open_in_bin file in
@@ -473,7 +475,8 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile"
        ~doc:
-         "Compile a source file (Java-like syntax, see examples/*.jav) and           print the optimizer's per-call-site decisions.")
+         "Compile a source file (Java-like syntax, see examples/*.jav) and \
+          print the optimizer's per-call-site decisions.")
     Term.(const run $ Cli.file_arg $ show_jir $ show_dot $ optimize)
 
 let breakdown_cmd =
@@ -503,7 +506,8 @@ let breakdown_cmd =
   Cmd.v
     (Cmd.info "breakdown"
        ~doc:
-         "Show where the modeled time goes, per cost-model component, for           the microbenchmarks under full optimization.")
+         "Show where the modeled time goes, per cost-model component, for \
+          the microbenchmarks under full optimization.")
     Term.(const run $ scale_arg $ mode_arg $ Cli.transport_arg)
 
 let trace_cmd =
@@ -559,7 +563,9 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Run a small traced workload and print the RMI event timeline and              per-call-site latency summary.")
+       ~doc:
+         "Run a small traced workload and print the RMI event timeline and \
+          per-call-site latency summary.")
     Term.(const run $ const ())
 
 let run_cmd =
@@ -622,7 +628,10 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:
-         "Compile a source file and execute it as a distributed program:           machine 0 runs the entry method, remote objects are placed           round-robin, and every RMI crosses the simulated cluster through           the selected optimization configuration.")
+         "Compile a source file and execute it as a distributed program: \
+          machine 0 runs the entry method, remote objects are placed \
+          round-robin, and every RMI crosses the simulated cluster through \
+          the selected optimization configuration.")
     Term.(
       const run $ Cli.file_arg $ Cli.entry_arg $ Cli.machines_arg
       $ Cli.config_arg $ mode_arg $ Cli.transport_arg $ Cli.faults_arg

@@ -173,7 +173,13 @@ let recv_blocking_slice t ~self =
   check t self;
   whole (Mailbox.recv_blocking t.boxes.(self))
 
-let pending_anywhere t = Array.exists (fun b -> not (Mailbox.is_empty b)) t.boxes
+(* a top-level loop: [Array.exists] builds a closure per call, and an
+   idle Reliable sweep asks this on every poll *)
+let rec any_pending boxes i =
+  i < Array.length boxes
+  && ((not (Mailbox.is_empty boxes.(i))) || any_pending boxes (i + 1))
+
+let pending_anywhere t = any_pending t.boxes 0
 
 (* the clock tick of a raw interconnect only applies due crash/restart
    transitions; there is nothing to retransmit *)

@@ -10,41 +10,36 @@ let kind_code = function Data -> 0 | Ack -> 1 | Hb -> 2
 (* FNV-1a over the header fields and a payload slice, folded to 30 bits
    so the uvarint encoding stays short.
 
-   The 64-bit accumulator is kept as two 32-bit native-int halves: an
-   [Int64 ref] boxes a fresh Int64 on every assignment — one minor-heap
-   allocation per hashed byte, which used to dominate the reliable
-   path's GC pressure (~3 words/byte, checksummed once on encode and
-   once on decode).  The FNV prime is 2^40 + 0x1b3, so the 64-bit
-   multiply decomposes into shifts and one small product per half;
-   the output is bit-identical to the boxed-Int64 formulation, so
-   frames on the wire do not change. *)
-let fnv_prime_low = 0x1b3
-let mask32 = 0xFFFFFFFF
+   The accumulator is a native int, wrapping mod 2^63 instead of 2^64.
+   Only the low 30 bits survive the fold, and both steps of the round
+   carry information upward only: xor is bitwise, and bit [k] of a
+   product depends only on bits [0..k] of its factors.  So every low
+   bit of the mod-2^63 state equals the same bit of the mod-2^64
+   state, provided the basis is reduced mod 2^63 as well (the prime,
+   2^40 + 0x1b3, already fits).  One round is then one xor and one
+   multiply, with no boxed [Int64] and no closure over the state, and
+   the fold is bit-identical to the 64-bit FNV-1a the frames have
+   always carried. *)
+let fnv_basis = 0x4bf29ce484222325 (* 0xcbf29ce484222325 mod 2^63 *)
+let fnv_prime = 0x100000001b3
+
+let[@inline] mix h b = (h lxor (b land 0xff)) * fnv_prime
 
 let checksum_slice ~kc ~src ~epoch ~lseq buf off len =
-  let lo = ref 0x84222325 and hi = ref 0xcbf29ce4 in
-  let mix b =
-    (* h <- (h lxor (b land 0xff)) * (2^40 + 0x1b3)  mod 2^64 *)
-    let l = !lo lxor (b land 0xff) in
-    let t = l * fnv_prime_low in
-    lo := t land mask32;
-    hi :=
-      ((!hi * fnv_prime_low) + (t lsr 32) + ((l lsl 8) land mask32)) land mask32
-  in
-  mix kc;
+  let h = ref (mix fnv_basis kc) in
   for i = 0 to 7 do
-    mix (src asr (i * 8))
+    h := mix !h (src asr (i * 8))
   done;
   for i = 0 to 7 do
-    mix (epoch asr (i * 8))
+    h := mix !h (epoch asr (i * 8))
   done;
   for i = 0 to 7 do
-    mix (lseq asr (i * 8))
+    h := mix !h (lseq asr (i * 8))
   done;
   for i = off to off + len - 1 do
-    mix (Char.code (Bytes.unsafe_get buf i))
+    h := mix !h (Char.code (Bytes.unsafe_get buf i))
   done;
-  !lo land 0x3FFFFFFF
+  !h land 0x3FFFFFFF
 
 let checksum ~kc ~src ~epoch ~lseq payload =
   checksum_slice ~kc ~src ~epoch ~lseq payload 0 (Bytes.length payload)

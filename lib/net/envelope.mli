@@ -29,6 +29,13 @@ val encode :
   kind:kind -> src:int -> ?epoch:int -> lseq:int -> payload:bytes -> unit ->
   bytes
 
+(** [checksum_slice ~kc ~src ~epoch ~lseq buf off len] is the 30-bit
+    checksum a frame carries: FNV-1a over the kind's wire code [kc], the
+    low 8 bytes of [src], [epoch] and [lseq] (least significant first),
+    then [buf.(off..off+len)]. *)
+val checksum_slice :
+  kc:int -> src:int -> epoch:int -> lseq:int -> bytes -> int -> int -> int
+
 (** {1 Zero-copy framing}
 
     The copy-free path builds the envelope {e around} a payload that

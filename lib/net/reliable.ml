@@ -57,10 +57,28 @@ type pending = {
   mutable due : int;  (* clock reading at which the timer expires *)
 }
 
+(* [min_due] and [firsts] summarize [unacked] for [idle]: while the
+   clock reads below [min_due] no timer on the link is due, so a sweep
+   needs only the table's size and whether any first send is pending,
+   not a walk over it *)
 type link_tx = {
   mutable next_lseq : int;
   unacked : (int, pending) Hashtbl.t;
+  mutable min_due : int;  (* <= every unacked frame's [due] *)
+  mutable firsts : int;  (* unacked frames with [attempts = 1] *)
 }
+
+(* a link with nothing unacked *)
+let clear_link ltx =
+  Hashtbl.reset ltx.unacked;
+  ltx.min_due <- max_int;
+  ltx.firsts <- 0
+
+(* [p] leaves [ltx]'s unacked table *)
+let drop_unacked ltx lseq p =
+  Hashtbl.remove ltx.unacked lseq;
+  if p.attempts = 1 then ltx.firsts <- ltx.firsts - 1;
+  if Hashtbl.length ltx.unacked = 0 then ltx.min_due <- max_int
 
 (* a link's duplicate memory: every lseq in [0, floor) was delivered,
    and [above] holds the delivered lseqs past the first gap.  In-order
@@ -114,6 +132,14 @@ module M = struct
     mutable hb : Transport.hb_params;
     clock : (unit -> int) option;  (* [None]: the clock is [tick] *)
     mutable tick : int;  (* idle calls so far *)
+    (* one [idle] sweep's tallies, reset at its start; under [lock].
+       The lists hold what fired, last first. *)
+    mutable sweep_unacked : int;
+    mutable sweep_early : bool;  (* a first send whose rto has not run out *)
+    mutable sweep_resend : (int * int * bytes) list;
+    mutable sweep_gave_up : int list;
+    mutable sweep_pings : (int * int) list;
+    mutable sweep_events : (int * int * Transport.peer_event) list;
     lock : Mutex.t;
     mutable peer_hooks :
       (self:int -> peer:int -> Transport.peer_event -> unit) list;
@@ -159,14 +185,14 @@ module M = struct
       Envelope.encode ~kind ~src ~epoch:(self_epoch t src) ~lseq
         ~payload:Bytes.empty ()
 
+  (* [lseq] is fresh on its link: [next_lseq] only grows until
+     [wipe_machine] clears the table with it *)
   let register_unacked t ~lseq ~ltx envelope =
+    let due = now t + t.params.rto in
     Hashtbl.replace ltx.unacked lseq
-      {
-        frame = envelope;
-        attempts = 1;
-        rto_now = t.params.rto;
-        due = now t + t.params.rto;
-      }
+      { frame = envelope; attempts = 1; rto_now = t.params.rto; due };
+    ltx.firsts <- ltx.firsts + 1;
+    if due < ltx.min_due then ltx.min_due <- due
 
   (* the legacy copy-based framing: the payload is snapshotted three
      times on its way into an envelope ([Bytes.to_string], the
@@ -313,7 +339,10 @@ module M = struct
           None
       | Envelope.Ack ->
           Mutex.lock t.lock;
-          Hashtbl.remove t.tx.(self).(src).unacked lseq;
+          let ltx = t.tx.(self).(src) in
+          (match Hashtbl.find ltx.unacked lseq with
+          | p -> drop_unacked ltx lseq p
+          | exception Not_found -> ());
           Mutex.unlock t.lock;
           None
       | Envelope.Data ->
@@ -381,57 +410,54 @@ module M = struct
   (* the retransmit + failure-detector clock                           *)
   (* ---------------------------------------------------------------- *)
 
+  (* a crashed machine's timers freeze; a machine another process hosts
+     is that process's concern — acting for it here would try to ship
+     frames over links this process does not have *)
+  let frozen t m =
+    (not (Transport.is_hosted t.lower m))
+    ||
+    match Transport.faults t.lower with
+    | None -> false
+    | Some sim -> Fault_sim.is_down sim m
+
   (* sweep the detector at reading [now] (covers every observer, like
      the retransmit timers: in Sync mode one machine drives everyone's
-     timers); with [t.lock] held *)
+     timers); with [t.lock] held.  The pings and events due land in
+     [t.sweep_pings] and [t.sweep_events], last first *)
   let detector_sweep t now =
-    let pings = ref [] in
-    let events = ref [] in
-    (* a crashed machine's timers freeze; a machine another process
-       hosts is that process's concern — acting for it here would try
-       to ship frames over links this process does not have *)
-    let skip m =
-      (not (Transport.is_hosted t.lower m))
-      ||
-      match Transport.faults t.lower with
-      | None -> false
-      | Some sim -> Fault_sim.is_down sim m
-    in
-    Array.iteri
-      (fun observer row ->
-        if not (skip observer) then
-          Array.iteri
-            (fun peer d ->
-              if observer <> peer then begin
-                let quiet = now - d.last_heard in
-                if quiet >= t.hb.down_after && d.health = Transport.Suspect
-                then begin
-                  d.health <- Transport.Down;
-                  events :=
-                    (observer, peer, Transport.Peer_confirmed_down) :: !events
-                end
-                else if quiet >= t.hb.suspect_after && d.health = Transport.Alive
-                then begin
-                  d.health <- Transport.Suspect;
-                  events := (observer, peer, Transport.Peer_suspected) :: !events
-                end;
-                if
-                  quiet >= t.hb.ping_every
-                  && now - d.last_ping >= t.hb.ping_every
-                then begin
-                  d.last_ping <- now;
-                  pings := (observer, peer) :: !pings
-                end
-              end)
-            row)
-      t.det;
-    (List.rev !pings, List.rev !events)
+    for observer = 0 to t.n - 1 do
+      if not (frozen t observer) then
+        for peer = 0 to t.n - 1 do
+          if observer <> peer then begin
+            let d = t.det.(observer).(peer) in
+            let quiet = now - d.last_heard in
+            if quiet >= t.hb.down_after && d.health = Transport.Suspect then begin
+              d.health <- Transport.Down;
+              t.sweep_events <-
+                (observer, peer, Transport.Peer_confirmed_down) :: t.sweep_events
+            end
+            else if quiet >= t.hb.suspect_after && d.health = Transport.Alive
+            then begin
+              d.health <- Transport.Suspect;
+              t.sweep_events <-
+                (observer, peer, Transport.Peer_suspected) :: t.sweep_events
+            end;
+            if quiet >= t.hb.ping_every && now - d.last_ping >= t.hb.ping_every
+            then begin
+              d.last_ping <- now;
+              t.sweep_pings <- (observer, peer) :: t.sweep_pings
+            end
+          end
+        done
+    done
 
   (* one more attempt for [p]: its interval doubles up to the cap *)
-  let rearm t now p =
+  let rearm t ltx now p =
+    if p.attempts = 1 then ltx.firsts <- ltx.firsts - 1;
     p.attempts <- p.attempts + 1;
     p.rto_now <- min (p.rto_now * 2) t.params.backoff_cap;
-    p.due <- now + p.rto_now
+    p.due <- now + p.rto_now;
+    if p.due < ltx.min_due then ltx.min_due <- p.due
 
   (* an rto waits out acks that are merely late.  When the lower
      transport holds no frame anywhere (only an in-process fabric can
@@ -452,13 +478,14 @@ module M = struct
         (fun src row ->
           Array.iteri
             (fun dest ltx ->
-              Hashtbl.iter
-                (fun _ p ->
-                  if p.attempts = 1 && p.due > now then begin
-                    rearm t now p;
-                    resend := (src, dest, p.frame) :: !resend
-                  end)
-                ltx.unacked)
+              if ltx.firsts > 0 then
+                Hashtbl.iter
+                  (fun _ p ->
+                    if p.attempts = 1 && p.due > now then begin
+                      rearm t ltx now p;
+                      resend := (src, dest, p.frame) :: !resend
+                    end)
+                  ltx.unacked)
             row)
         t.tx;
       Mutex.unlock t.lock;
@@ -466,6 +493,46 @@ module M = struct
     end
     else []
 
+  (* walk a link some timer on which may be due: resend what is due,
+     abandon what ran out of attempts, and tighten [min_due] to the
+     exact minimum of what stays *)
+  let sweep_link t now src dest ltx =
+    let expired = ref [] and min_due = ref max_int in
+    Hashtbl.iter
+      (fun lseq p ->
+        if p.due > now then begin
+          t.sweep_unacked <- t.sweep_unacked + 1;
+          if p.attempts = 1 then t.sweep_early <- true;
+          if p.due < !min_due then min_due := p.due
+        end
+        else if p.attempts >= t.params.max_attempts then
+          expired := (lseq, p) :: !expired
+        else begin
+          rearm t ltx now p;
+          t.sweep_unacked <- t.sweep_unacked + 1;
+          t.sweep_resend <- (src, dest, p.frame) :: t.sweep_resend;
+          if p.due < !min_due then min_due := p.due
+        end)
+      ltx.unacked;
+    ltx.min_due <- !min_due;
+    List.iter
+      (fun (lseq, p) ->
+        drop_unacked ltx lseq p;
+        Metrics.incr_timeouts (metrics t);
+        t.sweep_gave_up <- dest :: t.sweep_gave_up)
+      !expired
+
+  let quiet_fabric t =
+    (match Transport.faults t.lower with
+    | None -> true
+    | Some sim -> Fault_sim.held_frames sim = 0)
+    && not (pending_anywhere t)
+
+  (* While the clock reads below a link's [min_due] no frame on it is
+     due: the sweep adds its summaries instead of walking its table.
+     Only a link with a timer possibly due is walked, in the table's
+     own order, so the retransmit streams are those of a full walk.
+     Nothing is allocated unless some timer or detector event fires. *)
   let idle t ~self =
     check t self;
     (* the lower transport first: a chaos injector drains its due
@@ -474,72 +541,60 @@ module M = struct
     Mutex.lock t.lock;
     t.tick <- t.tick + 1;
     let now = now t in
-    let resend = ref [] in
-    let gave_up = ref [] in
-    let unacked = ref 0 in
-    (* a first send whose rto has not run out yet *)
-    let early = ref false in
-    Array.iteri
-      (fun src row ->
-        Array.iteri
-          (fun dest ltx ->
-            let expired = ref [] in
-            Hashtbl.iter
-              (fun lseq p ->
-                if p.due > now then begin
-                  incr unacked;
-                  if p.attempts = 1 then early := true
-                end
-                else if p.attempts >= t.params.max_attempts then
-                  expired := lseq :: !expired
-                else begin
-                  rearm t now p;
-                  incr unacked;
-                  resend := (src, dest, p.frame) :: !resend
-                end)
-              ltx.unacked;
-            List.iter
-              (fun lseq ->
-                Hashtbl.remove ltx.unacked lseq;
-                Metrics.incr_timeouts (metrics t);
-                gave_up := dest :: !gave_up)
-              !expired)
-          row)
-      t.tx;
-    let pings, events = detector_sweep t now in
+    t.sweep_unacked <- 0;
+    t.sweep_early <- false;
+    t.sweep_resend <- [];
+    t.sweep_gave_up <- [];
+    t.sweep_pings <- [];
+    t.sweep_events <- [];
+    for src = 0 to t.n - 1 do
+      let row = t.tx.(src) in
+      for dest = 0 to t.n - 1 do
+        let ltx = row.(dest) in
+        if now < ltx.min_due then begin
+          t.sweep_unacked <- t.sweep_unacked + Hashtbl.length ltx.unacked;
+          if ltx.firsts > 0 then t.sweep_early <- true
+        end
+        else sweep_link t now src dest ltx
+      done
+    done;
+    detector_sweep t now;
+    let unacked = t.sweep_unacked and early = t.sweep_early in
+    let resend = t.sweep_resend and gave_up = t.sweep_gave_up in
+    let pings = List.rev t.sweep_pings and events = List.rev t.sweep_events in
     Mutex.unlock t.lock;
     (* the idle-count clock keeps its pinned schedule *)
-    if !early && t.clock <> None then
-      resend := resend_first_sends t now @ !resend;
-    List.iter
-      (fun (src, dest, frame) ->
-        Metrics.incr_retries (metrics t);
-        Transport.send_raw t.lower ~src ~dest frame)
-      (List.rev !resend);
-    List.iter
-      (fun (observer, peer) ->
-        Metrics.incr_heartbeats_sent (metrics t);
-        Transport.send_raw t.lower ~src:observer ~dest:peer
-          (control_frame t ~kind:Envelope.Hb ~src:observer
-             ~lseq:Envelope.hb_ping))
-      pings;
-    List.iter
-      (fun (observer, peer, ev) ->
-        (match ev with
-        | Transport.Peer_suspected -> Metrics.incr_suspects (metrics t)
-        | Transport.Peer_confirmed_down -> Metrics.incr_peer_downs (metrics t)
-        | Transport.Peer_recovered -> ());
-        fire_peer t ~self:observer ~peer ev)
-      events;
-    if !gave_up <> [] then Transport.Gave_up (List.sort_uniq compare !gave_up)
-    else if !resend <> [] then Transport.Retransmitted (List.length !resend)
-    else if
-      !unacked = 0
-      && (match Transport.faults t.lower with
-         | None -> true
-         | Some sim -> Fault_sim.held_frames sim = 0)
-      && not (pending_anywhere t)
-    then Transport.Dead
+    let resend =
+      if early && Option.is_some t.clock then resend_first_sends t now @ resend
+      else resend
+    in
+    (* each closure below is built only when its list is non-empty *)
+    if resend <> [] then
+      List.iter
+        (fun (src, dest, frame) ->
+          Metrics.incr_retries (metrics t);
+          Transport.send_raw t.lower ~src ~dest frame)
+        (List.rev resend);
+    if pings <> [] then
+      List.iter
+        (fun (observer, peer) ->
+          Metrics.incr_heartbeats_sent (metrics t);
+          Transport.send_raw t.lower ~src:observer ~dest:peer
+            (control_frame t ~kind:Envelope.Hb ~src:observer
+               ~lseq:Envelope.hb_ping))
+        pings;
+    if events <> [] then
+      List.iter
+        (fun (observer, peer, ev) ->
+          (match ev with
+          | Transport.Peer_suspected -> Metrics.incr_suspects (metrics t)
+          | Transport.Peer_confirmed_down -> Metrics.incr_peer_downs (metrics t)
+          | Transport.Peer_recovered -> ());
+          fire_peer t ~self:observer ~peer ev)
+        events;
+    if gave_up <> [] then Transport.Gave_up (List.sort_uniq compare gave_up)
+    else if resend <> [] then Transport.Retransmitted (List.length resend)
+    else if unacked = 0 && quiet_fabric t then Transport.Dead
     else Transport.Waiting
 
   (* chop the wait into slices so a blocked machine keeps driving its
@@ -595,7 +650,7 @@ let wipe_machine (t : M.t) m =
   Array.iter
     (fun ltx ->
       ltx.next_lseq <- 0;
-      Hashtbl.reset ltx.unacked)
+      clear_link ltx)
     t.M.tx.(m);
   Array.iter Dedup.reset t.M.rx.(m);
   Array.iter
@@ -622,7 +677,12 @@ let wrap ?now ?params lower =
       tx =
         Array.init n (fun _ ->
             Array.init n (fun _ ->
-                { next_lseq = 0; unacked = Hashtbl.create 8 }));
+                {
+                  next_lseq = 0;
+                  unacked = Hashtbl.create 8;
+                  min_due = max_int;
+                  firsts = 0;
+                }));
       rx =
         Array.init n (fun _ ->
             Array.init n (fun _ -> Dedup.create ()));
@@ -638,6 +698,12 @@ let wrap ?now ?params lower =
       hb;
       clock = now;
       tick = 0;
+      sweep_unacked = 0;
+      sweep_early = false;
+      sweep_resend = [];
+      sweep_gave_up = [];
+      sweep_pings = [];
+      sweep_events = [];
       lock = Mutex.create ();
       peer_hooks = [];
     }

@@ -286,7 +286,8 @@ let compiled_for t ~callsite ~nargs ~has_ret =
       (if site_mode t && not (Hashtbl.mem t.plans callsite) then
          Log.warn (fun m ->
              m
-               "machine %d: no compiler plan for call site %d; falling back                 to the generic tag-carrying plan"
+               "machine %d: no compiler plan for call site %d; falling back \
+                to the generic tag-carrying plan"
                t.nid callsite));
       let cp = compile_plan plan in
       Hashtbl.replace t.compiled_plans key cp;
@@ -1245,7 +1246,10 @@ let await_pending (p : pending) =
         if quiescent then begin
           fail_outstanding t (fun _ -> true) (fun q ->
               Deadlock
-                (Printf.sprintf "machine %d: no reply for seq %d and the                                 cluster is quiescent" t.nid q.pc_seq));
+                (Printf.sprintf
+                   "machine %d: no reply for seq %d and the cluster is \
+                    quiescent"
+                   t.nid q.pc_seq));
           loop ()
         end
         else loop ()
@@ -1259,7 +1263,8 @@ let await_pending (p : pending) =
     | Rmi_net.Transport.Gave_up dests ->
         dead_rounds := 0;
         gave_up dests
-          (Printf.sprintf "frames to machine(s) %s exhausted their retransmit                           budget"
+          (Printf.sprintf
+             "frames to machine(s) %s exhausted their retransmit budget"
              (String.concat "," (List.map string_of_int dests)))
     | Rmi_net.Transport.Dead ->
         (* nothing in flight anywhere yet calls are outstanding: their

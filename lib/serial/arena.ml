@@ -73,6 +73,9 @@ let take p =
 
 type t = {
   metrics : Metrics.t;
+  (* hand-outs not yet added to [metrics] *)
+  mutable tallied_allocs : int;
+  mutable tallied_fallbacks : int;
   free_objs : Value.obj shapes;  (* key: cls * 2^16 + nfields *)
   free_darrs : Value.darr shapes;  (* key: length *)
   free_iarrs : Value.iarr shapes;
@@ -86,6 +89,8 @@ type t = {
 let create ~metrics =
   {
     metrics;
+    tallied_allocs = 0;
+    tallied_fallbacks = 0;
     free_objs = shapes_make ();
     free_darrs = shapes_make ();
     free_iarrs = shapes_make ();
@@ -100,12 +105,21 @@ let create ~metrics =
 let max_keyed_fields = 0xffff
 let obj_key cls nfields = (cls lsl 16) lor nfields
 
+let publish t =
+  Metrics.add_arena_allocs t.metrics t.tallied_allocs;
+  Metrics.add_arena_fallbacks t.metrics t.tallied_fallbacks;
+  t.tallied_allocs <- 0;
+  t.tallied_fallbacks <- 0
+
+let count_alloc t = t.tallied_allocs <- t.tallied_allocs + 1
+let count_fallback t = t.tallied_fallbacks <- t.tallied_fallbacks + 1
+
 let fallback_obj t ~cls ~nfields =
-  Metrics.incr_arena_fallbacks t.metrics;
+  count_fallback t;
   Value.new_obj ~cls ~nfields
 
-let obj t ~cls ~nfields =
-  Metrics.incr_arena_allocs t.metrics;
+let obj_tallied t ~cls ~nfields =
+  count_alloc t;
   let o =
     if nfields > max_keyed_fields then fallback_obj t ~cls ~nfields
     else
@@ -115,26 +129,26 @@ let obj t ~cls ~nfields =
   pool_push t.live_objs o;
   o
 
-let darr t n =
-  Metrics.incr_arena_allocs t.metrics;
+let darr_tallied t n =
+  count_alloc t;
   let p = pool t.free_darrs n in
   let a =
     if p.len > 0 then take p
     else begin
-      Metrics.incr_arena_fallbacks t.metrics;
+      count_fallback t;
       Value.new_darr n
     end
   in
   pool_push t.live_darrs a;
   a
 
-let iarr t n =
-  Metrics.incr_arena_allocs t.metrics;
+let iarr_tallied t n =
+  count_alloc t;
   let p = pool t.free_iarrs n in
   let a =
     if p.len > 0 then take p
     else begin
-      Metrics.incr_arena_fallbacks t.metrics;
+      count_fallback t;
       Value.new_iarr n
     end
   in
@@ -142,11 +156,11 @@ let iarr t n =
   a
 
 let fallback_rarr t relem n =
-  Metrics.incr_arena_fallbacks t.metrics;
+  count_fallback t;
   Value.new_rarr relem n
 
-let rarr t relem n =
-  Metrics.incr_arena_allocs t.metrics;
+let rarr_tallied t relem n =
+  count_alloc t;
   let p = pool t.free_rarrs n in
   let a =
     if p.len = 0 then fallback_rarr t relem n
@@ -160,6 +174,28 @@ let rarr t relem n =
         fallback_rarr t relem n
   in
   pool_push t.live_rarrs a;
+  a
+
+(* the allocators a caller outside the codec sees: each publishes its
+   own counts at once *)
+let obj t ~cls ~nfields =
+  let o = obj_tallied t ~cls ~nfields in
+  publish t;
+  o
+
+let darr t n =
+  let a = darr_tallied t n in
+  publish t;
+  a
+
+let iarr t n =
+  let a = iarr_tallied t n in
+  publish t;
+  a
+
+let rarr t relem n =
+  let a = rarr_tallied t relem n in
+  publish t;
   a
 
 let live t =

@@ -36,6 +36,21 @@ val darr : t -> int -> Value.darr
 val iarr : t -> int -> Value.iarr
 val rarr : t -> Jir.Types.ty -> int -> Value.rarr
 
+(** {1 Tallied allocation}
+
+    The same allocators, but the [arena_allocs]/[arena_fallbacks] they
+    charge stay in the arena's own tally until {!publish}.  The codec
+    allocates through these and publishes once per decode; the
+    allocators above publish on every call. *)
+
+val obj_tallied : t -> cls:Jir.Types.class_id -> nfields:int -> Value.obj
+val darr_tallied : t -> int -> Value.darr
+val iarr_tallied : t -> int -> Value.iarr
+val rarr_tallied : t -> Jir.Types.ty -> int -> Value.rarr
+
+(** Add the tallied counts to the arena's metrics. *)
+val publish : t -> unit
+
 (** Nodes handed out since the last {!reset}. *)
 val live : t -> int
 

@@ -4,9 +4,17 @@ module Plan = Rmi_core.Plan
 
 exception Type_confusion of string
 
+(* Each context tallies its paper counters in plain ints (as do its
+   cycle table and arena) and publishes them to the shared metrics when
+   the outermost public call returns or raises: the closures
+   [compile_write]/[compile_read] return, and [write_dyn], [read_dyn],
+   [write_step] and [read_step].  Inside, only the [_in] functions and
+   the inner compiled closures run, and they never publish. *)
 type wctx = {
   wmeta : Class_meta.t;
   wmetrics : Metrics.t;
+  mutable type_bytes : int;  (* tallies *)
+  mutable ser_invocations : int;
   wcycle : Handle_table.t option;  (* object identity -> wire handle *)
   wdefs : Plan.step array;  (* S_ref definitions *)
 }
@@ -14,6 +22,10 @@ type wctx = {
 type rctx = {
   rmeta : Class_meta.t;
   rmetrics : Metrics.t;
+  mutable lookups : int;  (* tallies *)
+  mutable allocs : int;
+  mutable new_bytes : int;
+  mutable reused : int;
   rcycle : bool;
   rdefs : Plan.step array;
   arena : Arena.t option;
@@ -26,6 +38,8 @@ let make_wctx ?(defs = [||]) wmeta wmetrics ~cycle =
   {
     wmeta;
     wmetrics;
+    type_bytes = 0;
+    ser_invocations = 0;
     wcycle = (if cycle then Some (Handle_table.create ~metrics:wmetrics ()) else None);
     wdefs = defs;
   }
@@ -45,12 +59,18 @@ let make_rctx ?(defs = [||]) ?arena rmeta rmetrics ~cycle =
   {
     rmeta;
     rmetrics;
+    lookups = 0;
+    allocs = 0;
+    new_bytes = 0;
+    reused = 0;
     rcycle = cycle;
     rdefs = defs;
     arena;
     handles = Array.make 16 Value.Null;
     nhandles = 0;
   }
+
+let count_lookup rctx = rctx.lookups <- rctx.lookups + 1
 
 let register_handle rctx v =
   if rctx.rcycle then begin
@@ -62,28 +82,30 @@ let register_handle rctx v =
     rctx.handles.(rctx.nhandles) <- v;
     rctx.nhandles <- rctx.nhandles + 1;
     (* the deserializer pays hash/handle maintenance too *)
-    Metrics.add_cycle_lookups rctx.rmetrics 1
+    count_lookup rctx
   end
 
 let handle_value rctx idx =
   if idx < 0 || idx >= rctx.nhandles then
     raise (Msgbuf.Underflow (Printf.sprintf "bad handle %d" idx));
-  Metrics.add_cycle_lookups rctx.rmetrics 1;
+  count_lookup rctx;
   rctx.handles.(idx)
 
 (* account a fresh allocation made by deserialization *)
 let charge_alloc rctx v =
-  Metrics.incr_allocs rctx.rmetrics;
-  Metrics.add_new_bytes rctx.rmetrics
-    (match v with
+  rctx.allocs <- rctx.allocs + 1;
+  rctx.new_bytes <-
+    rctx.new_bytes
+    +
+    match v with
     | Value.Str s -> 16 + String.length s
     | Value.Obj o -> 16 + (8 * Array.length o.fields)
     | Value.Darr a -> 16 + (8 * Array.length a.d)
     | Value.Iarr a -> 16 + (8 * Array.length a.ia)
     | Value.Rarr a -> 16 + (8 * Array.length a.ra)
-    | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> 0)
+    | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> 0
 
-let charge_reuse rctx = Metrics.add_reused_objs rctx.rmetrics 1
+let charge_reuse rctx = rctx.reused <- rctx.reused + 1
 
 (* The two ways an inline node enters the decoded graph, each with the
    node's one box: a reuse candidate taken as the target keeps its own
@@ -107,18 +129,22 @@ let enter_fresh rctx v =
    experiment. *)
 let alloc_obj rctx ~cls ~nfields =
   match rctx.arena with
-  | Some a -> Arena.obj a ~cls ~nfields
+  | Some a -> Arena.obj_tallied a ~cls ~nfields
   | None -> Value.new_obj ~cls ~nfields
 
 let alloc_darr rctx n =
-  match rctx.arena with Some a -> Arena.darr a n | None -> Value.new_darr n
+  match rctx.arena with
+  | Some a -> Arena.darr_tallied a n
+  | None -> Value.new_darr n
 
 let alloc_iarr rctx n =
-  match rctx.arena with Some a -> Arena.iarr a n | None -> Value.new_iarr n
+  match rctx.arena with
+  | Some a -> Arena.iarr_tallied a n
+  | None -> Value.new_iarr n
 
 let alloc_rarr rctx relem n =
   match rctx.arena with
-  | Some a -> Arena.rarr a relem n
+  | Some a -> Arena.rarr_tallied a relem n
   | None -> Value.new_rarr relem n
 
 (* Reject corrupt/hostile lengths before allocating: every element
@@ -178,7 +204,8 @@ let read_iarr_body rctx r ~cand =
       Msgbuf.read_int_slice r a.ia 0 n;
       v
 
-let charge_tag wctx n = Metrics.add_type_bytes wctx.wmetrics n
+let charge_tag wctx n = wctx.type_bytes <- wctx.type_bytes + n
+let count_invocation wctx = wctx.ser_invocations <- wctx.ser_invocations + 1
 
 (* serializer-side cycle check: the handle if already sent, -1 otherwise
    (a first visit registers the node) *)
@@ -187,10 +214,10 @@ let check_seen wctx (v : Value.t) =
   | None -> -1
   | Some table -> (
       match v with
-      | Value.Obj o -> Handle_table.find_or_add table o.oid
-      | Value.Darr a -> Handle_table.find_or_add table a.did
-      | Value.Iarr a -> Handle_table.find_or_add table a.iid
-      | Value.Rarr a -> Handle_table.find_or_add table a.rid
+      | Value.Obj o -> Handle_table.find_or_add_tallied table o.oid
+      | Value.Darr a -> Handle_table.find_or_add_tallied table a.did
+      | Value.Iarr a -> Handle_table.find_or_add_tallied table a.iid
+      | Value.Rarr a -> Handle_table.find_or_add_tallied table a.rid
       | Value.Str _ | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> -1)
 
 (* ------------------------------------------------------------------ *)
@@ -206,7 +233,7 @@ let write_dyn_handle wctx w v =
   end;
   h >= 0
 
-let rec write_dyn wctx w (v : Value.t) =
+let rec write_dyn_in wctx w (v : Value.t) =
   match v with
   | Value.Null -> charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_null)
   | Value.Bool b ->
@@ -224,44 +251,44 @@ let rec write_dyn wctx w (v : Value.t) =
   | Value.Obj o ->
       if not (write_dyn_handle wctx w v) then begin
         (* one dynamic call into the per-class serializer *)
-        Metrics.incr_ser_invocations wctx.wmetrics;
+        count_invocation wctx;
         charge_tag wctx
           (Typedesc.write_tag w
              (Typedesc.Tag_object (Class_meta.wire_id wctx.wmeta o.cls)));
         for i = 0 to Array.length o.fields - 1 do
-          write_dyn wctx w o.fields.(i)
+          write_dyn_in wctx w o.fields.(i)
         done
       end
   | Value.Darr a ->
       if not (write_dyn_handle wctx w v) then begin
-        Metrics.incr_ser_invocations wctx.wmetrics;
+        count_invocation wctx;
         charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_double_array);
         Msgbuf.write_uvarint w (Array.length a.d);
         Msgbuf.write_double_slice w a.d 0 (Array.length a.d)
       end
   | Value.Iarr a ->
       if not (write_dyn_handle wctx w v) then begin
-        Metrics.incr_ser_invocations wctx.wmetrics;
+        count_invocation wctx;
         charge_tag wctx (Typedesc.write_tag w Typedesc.Tag_int_array);
         Msgbuf.write_uvarint w (Array.length a.ia);
         Msgbuf.write_int_slice w a.ia 0 (Array.length a.ia)
       end
   | Value.Rarr a ->
       if not (write_dyn_handle wctx w v) then begin
-        Metrics.incr_ser_invocations wctx.wmetrics;
+        count_invocation wctx;
         let before = Msgbuf.length w in
         ignore (Typedesc.write_tag w (Typedesc.Tag_obj_array 0));
         Class_meta.write_ty wctx.wmeta w a.relem;
         charge_tag wctx (Msgbuf.length w - before);
         Msgbuf.write_uvarint w (Array.length a.ra);
         for i = 0 to Array.length a.ra - 1 do
-          write_dyn wctx w a.ra.(i)
+          write_dyn_in wctx w a.ra.(i)
         done
       end
 
 (* On reuse, each field's (element's) candidate is read from the target
    just before the decoded child overwrites it. *)
-let rec read_dyn rctx r ~(cand : Value.t) : Value.t =
+let rec read_dyn_in rctx r ~(cand : Value.t) : Value.t =
   match Typedesc.read_tag r with
   | Typedesc.Tag_null -> Value.Null
   | Typedesc.Tag_bool -> Value.Bool (Msgbuf.read_bool r)
@@ -281,7 +308,7 @@ let rec read_dyn rctx r ~(cand : Value.t) : Value.t =
       | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
           take_cand rctx cand;
           for i = 0 to nfields - 1 do
-            o.fields.(i) <- read_dyn rctx r ~cand:o.fields.(i)
+            o.fields.(i) <- read_dyn_in rctx r ~cand:o.fields.(i)
           done;
           cand
       | _ ->
@@ -289,7 +316,7 @@ let rec read_dyn rctx r ~(cand : Value.t) : Value.t =
           let v = Value.Obj o in
           enter_fresh rctx v;
           for i = 0 to nfields - 1 do
-            o.fields.(i) <- read_dyn rctx r ~cand:Value.Null
+            o.fields.(i) <- read_dyn_in rctx r ~cand:Value.Null
           done;
           v)
   | Typedesc.Tag_double_array -> read_darr_body rctx r ~cand
@@ -302,7 +329,7 @@ let rec read_dyn rctx r ~(cand : Value.t) : Value.t =
         when Array.length a.ra = n && Jir.Types.equal_ty a.relem relem ->
           take_cand rctx cand;
           for i = 0 to n - 1 do
-            a.ra.(i) <- read_dyn rctx r ~cand:a.ra.(i)
+            a.ra.(i) <- read_dyn_in rctx r ~cand:a.ra.(i)
           done;
           cand
       | _ ->
@@ -310,7 +337,7 @@ let rec read_dyn rctx r ~(cand : Value.t) : Value.t =
           let v = Value.Rarr a in
           enter_fresh rctx v;
           for i = 0 to n - 1 do
-            a.ra.(i) <- read_dyn rctx r ~cand:Value.Null
+            a.ra.(i) <- read_dyn_in rctx r ~cand:Value.Null
           done;
           v)
 
@@ -398,7 +425,7 @@ let write_flat _wctx w (felem : Plan.flat_elem) (a : Value.rarr) =
         | v -> confusion "S_flat_array(int) row" v
       done
 
-let rec write_step wctx w (step : Plan.step) (v : Value.t) =
+let rec write_step_in wctx w (step : Plan.step) (v : Value.t) =
   match (step, v) with
   | Plan.S_bool, Value.Bool b -> Msgbuf.write_bool w b
   | Plan.S_int, Value.Int i -> Msgbuf.write_varint w i
@@ -408,14 +435,14 @@ let rec write_step wctx w (step : Plan.step) (v : Value.t) =
       Msgbuf.write_u8 w m_inline;
       Msgbuf.write_string w s
   | Plan.S_null, Value.Null -> ()
-  | Plan.S_dyn, v -> write_dyn wctx w v
-  | Plan.S_ref d, v -> write_step wctx w wctx.wdefs.(d) v
+  | Plan.S_dyn, v -> write_dyn_in wctx w v
+  | Plan.S_ref d, v -> write_step_in wctx w wctx.wdefs.(d) v
   | Plan.S_obj { cls; fields }, v ->
       if write_ref_marker wctx w v then begin
         match v with
         | Value.Obj o when o.cls = cls ->
             for i = 0 to Array.length fields - 1 do
-              write_step wctx w fields.(i) o.fields.(i)
+              write_step_in wctx w fields.(i) o.fields.(i)
             done
         | _ -> confusion (Printf.sprintf "S_obj(cls %d)" cls) v
       end
@@ -441,7 +468,7 @@ let rec write_step wctx w (step : Plan.step) (v : Value.t) =
         | Value.Rarr a ->
             Msgbuf.write_uvarint w (Array.length a.ra);
             for i = 0 to Array.length a.ra - 1 do
-              write_step wctx w elem a.ra.(i)
+              write_step_in wctx w elem a.ra.(i)
             done
         | _ -> confusion "S_obj_array" v
       end
@@ -545,7 +572,7 @@ let read_no_body rctx r m =
   else if m = m_handle then handle_value rctx (Msgbuf.read_uvarint r)
   else raise (Msgbuf.Underflow (Printf.sprintf "bad ref marker %d" m))
 
-let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
+let rec read_step_in rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
   match step with
   | Plan.S_bool -> Value.Bool (Msgbuf.read_bool r)
   | Plan.S_int -> Value.Int (Msgbuf.read_varint r)
@@ -559,8 +586,8 @@ let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
           v
       | n -> raise (Msgbuf.Underflow (Printf.sprintf "bad string marker %d" n)))
   | Plan.S_null -> Value.Null
-  | Plan.S_dyn -> read_dyn rctx r ~cand
-  | Plan.S_ref d -> read_step rctx r rctx.rdefs.(d) ~cand
+  | Plan.S_dyn -> read_dyn_in rctx r ~cand
+  | Plan.S_ref d -> read_step_in rctx r rctx.rdefs.(d) ~cand
   | Plan.S_obj { cls; fields } -> (
       let m = Msgbuf.read_u8 r in
       if m <> m_inline then read_no_body rctx r m
@@ -570,7 +597,7 @@ let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
         | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
             take_cand rctx cand;
             for i = 0 to nfields - 1 do
-              o.fields.(i) <- read_step rctx r fields.(i) ~cand:o.fields.(i)
+              o.fields.(i) <- read_step_in rctx r fields.(i) ~cand:o.fields.(i)
             done;
             cand
         | _ ->
@@ -578,7 +605,7 @@ let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
             let v = Value.Obj o in
             enter_fresh rctx v;
             for i = 0 to nfields - 1 do
-              o.fields.(i) <- read_step rctx r fields.(i) ~cand:Value.Null
+              o.fields.(i) <- read_step_in rctx r fields.(i) ~cand:Value.Null
             done;
             v)
   | Plan.S_double_array ->
@@ -599,7 +626,7 @@ let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
         | Value.Rarr a when Array.length a.ra = n ->
             take_cand rctx cand;
             for i = 0 to n - 1 do
-              a.ra.(i) <- read_step rctx r elem ~cand:a.ra.(i)
+              a.ra.(i) <- read_step_in rctx r elem ~cand:a.ra.(i)
             done;
             cand
         | _ ->
@@ -607,7 +634,7 @@ let rec read_step rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
             let v = Value.Rarr a in
             enter_fresh rctx v;
             for i = 0 to n - 1 do
-              a.ra.(i) <- read_step rctx r elem ~cand:Value.Null
+              a.ra.(i) <- read_step_in rctx r elem ~cand:Value.Null
             done;
             v)
   | Plan.S_flat_array { felem } ->
@@ -646,7 +673,7 @@ let rec compile_write_in cache ~defs (step : Plan.step) :
         | v -> confusion "S_string" v)
   | Plan.S_null -> (
       fun _ _ v -> match v with Value.Null -> () | v -> confusion "S_null" v)
-  | Plan.S_dyn -> fun wctx w v -> write_dyn wctx w v
+  | Plan.S_dyn -> fun wctx w v -> write_dyn_in wctx w v
   | Plan.S_ref d -> (
       match Hashtbl.find_opt cache d with
       | Some cell -> fun wctx w v -> !cell wctx w v
@@ -705,7 +732,23 @@ let rec compile_write_in cache ~defs (step : Plan.step) :
           | Value.Rarr a -> write_flat wctx w felem a
           | v -> confusion "S_flat_array" v)
 
-let compile_write ~defs step = compile_write_in (Hashtbl.create 4) ~defs step
+(* publication: the tallies reach the metrics once the outermost call
+   is over, however it ends *)
+let publish_w wctx =
+  Metrics.add_type_bytes wctx.wmetrics wctx.type_bytes;
+  Metrics.add_ser_invocations wctx.wmetrics wctx.ser_invocations;
+  wctx.type_bytes <- 0;
+  wctx.ser_invocations <- 0;
+  match wctx.wcycle with Some table -> Handle_table.publish table | None -> ()
+
+let compile_write ~defs step =
+  let write = compile_write_in (Hashtbl.create 4) ~defs step in
+  fun wctx w v ->
+    match write wctx w v with
+    | () -> publish_w wctx
+    | exception e ->
+        publish_w wctx;
+        raise e
 
 let rec compile_read_in cache ~defs (step : Plan.step) :
     rctx -> Msgbuf.reader -> cand:Value.t -> Value.t =
@@ -723,7 +766,7 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
             v
         | n -> raise (Msgbuf.Underflow (Printf.sprintf "bad string marker %d" n)))
   | Plan.S_null -> fun _ _ ~cand:_ -> Value.Null
-  | Plan.S_dyn -> fun rctx r ~cand -> read_dyn rctx r ~cand
+  | Plan.S_dyn -> fun rctx r ~cand -> read_dyn_in rctx r ~cand
   | Plan.S_ref d -> (
       match Hashtbl.find_opt cache d with
       | Some cell -> fun rctx r ~cand -> !cell rctx r ~cand
@@ -797,4 +840,57 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
         if m <> m_inline then read_no_body rctx r m
         else read_flat rctx r felem ~cand
 
-let compile_read ~defs step = compile_read_in (Hashtbl.create 4) ~defs step
+let publish_r rctx =
+  let m = rctx.rmetrics in
+  Metrics.add_cycle_lookups m rctx.lookups;
+  Metrics.add_allocs m rctx.allocs;
+  Metrics.add_new_bytes m rctx.new_bytes;
+  Metrics.add_reused_objs m rctx.reused;
+  rctx.lookups <- 0;
+  rctx.allocs <- 0;
+  rctx.new_bytes <- 0;
+  rctx.reused <- 0;
+  match rctx.arena with Some a -> Arena.publish a | None -> ()
+
+let compile_read ~defs step =
+  let read = compile_read_in (Hashtbl.create 4) ~defs step in
+  fun rctx r ~cand ->
+    match read rctx r ~cand with
+    | v ->
+        publish_r rctx;
+        v
+    | exception e ->
+        publish_r rctx;
+        raise e
+
+let write_dyn wctx w v =
+  match write_dyn_in wctx w v with
+  | () -> publish_w wctx
+  | exception e ->
+      publish_w wctx;
+      raise e
+
+let read_dyn rctx r ~cand =
+  match read_dyn_in rctx r ~cand with
+  | v ->
+      publish_r rctx;
+      v
+  | exception e ->
+      publish_r rctx;
+      raise e
+
+let write_step wctx w step v =
+  match write_step_in wctx w step v with
+  | () -> publish_w wctx
+  | exception e ->
+      publish_w wctx;
+      raise e
+
+let read_step rctx r step ~cand =
+  match read_step_in rctx r step ~cand with
+  | v ->
+      publish_r rctx;
+      v
+  | exception e ->
+      publish_r rctx;
+      raise e

@@ -20,7 +20,12 @@
     by the previous call at this site.  Where the candidate's shape
     matches the incoming data it is overwritten in place (counted as
     reused objects); everywhere else fresh allocations are counted with
-    their byte sizes, feeding the paper's "new MBytes" statistic. *)
+    their byte sizes, feeding the paper's "new MBytes" statistic.
+
+    A context counts in plain ints while it works and adds its counts
+    to its metrics when a public entry point ({!write_dyn},
+    {!read_dyn}, {!write_step}, {!read_step} or a compiled closure)
+    returns or raises, so the metrics are exact between calls. *)
 
 exception Type_confusion of string
 (** An inlined plan step met a value of a different class — i.e. the

@@ -14,9 +14,13 @@ let k_iarr = 8
 let k_rarr = 9
 let k_handle = 10
 
+(* as in [Codec], the contexts tally their counters in plain ints and
+   publish them when [write] or [read] returns or raises *)
 type wctx = {
   wmeta : Class_meta.t;
   wmetrics : Metrics.t;
+  mutable type_bytes : int;  (* tallies *)
+  mutable ser_invocations : int;
   wcycle : Handle_table.t;  (* object identity -> handle *)
   sent_descs : int array;  (* class id -> descriptor index, -1 = unsent *)
   mutable nsent : int;
@@ -25,6 +29,9 @@ type wctx = {
 type rctx = {
   rmeta : Class_meta.t;
   rmetrics : Metrics.t;
+  mutable lookups : int;  (* tallies *)
+  mutable allocs : int;
+  mutable new_bytes : int;
   mutable handles : Value.t list;  (* reversed *)
   mutable nhandles : int;
   mutable descs : Class_meta.cls list;  (* reversed *)
@@ -35,24 +42,40 @@ let make_wctx wmeta wmetrics =
   {
     wmeta;
     wmetrics;
+    type_bytes = 0;
+    ser_invocations = 0;
     wcycle = Handle_table.create ~metrics:wmetrics ();
     sent_descs = Array.make (Class_meta.num_classes wmeta) (-1);
     nsent = 0;
   }
 
 let make_rctx rmeta rmetrics =
-  { rmeta; rmetrics; handles = []; nhandles = 0; descs = []; ndescs = 0 }
+  {
+    rmeta;
+    rmetrics;
+    lookups = 0;
+    allocs = 0;
+    new_bytes = 0;
+    handles = [];
+    nhandles = 0;
+    descs = [];
+    ndescs = 0;
+  }
+
+let count_lookup rctx = rctx.lookups <- rctx.lookups + 1
 
 let add_handle rctx v =
   rctx.handles <- v :: rctx.handles;
   rctx.nhandles <- rctx.nhandles + 1;
-  Metrics.add_cycle_lookups rctx.rmetrics 1
+  count_lookup rctx
 
 let handle rctx idx =
-  Metrics.add_cycle_lookups rctx.rmetrics 1;
+  count_lookup rctx;
   if idx < 0 || idx >= rctx.nhandles then
     raise (Msgbuf.Underflow (Printf.sprintf "bad handle %d" idx));
   List.nth rctx.handles (rctx.nhandles - 1 - idx)
+
+let charge_type_bytes wctx n = wctx.type_bytes <- wctx.type_bytes + n
 
 (* writes the full java-ish class descriptor: name plus field names —
    this verbosity is exactly what KaRMI/Manta removed *)
@@ -74,19 +97,19 @@ let write_class_info wctx w cls =
       (fun (f : Class_meta.field) -> Msgbuf.write_string w f.Class_meta.fname)
       c.Class_meta.fields
   end;
-  Metrics.add_type_bytes wctx.wmetrics (Msgbuf.length w - before)
+  charge_type_bytes wctx (Msgbuf.length w - before)
 
 (* the handle if already sent, -1 otherwise (a first visit registers
    the node) *)
 let check_seen wctx (v : Value.t) =
   match v with
-  | Value.Obj o -> Handle_table.find_or_add wctx.wcycle o.oid
-  | Value.Darr a -> Handle_table.find_or_add wctx.wcycle a.did
-  | Value.Iarr a -> Handle_table.find_or_add wctx.wcycle a.iid
-  | Value.Rarr a -> Handle_table.find_or_add wctx.wcycle a.rid
+  | Value.Obj o -> Handle_table.find_or_add_tallied wctx.wcycle o.oid
+  | Value.Darr a -> Handle_table.find_or_add_tallied wctx.wcycle a.did
+  | Value.Iarr a -> Handle_table.find_or_add_tallied wctx.wcycle a.iid
+  | Value.Rarr a -> Handle_table.find_or_add_tallied wctx.wcycle a.rid
   | Value.Str _ | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> -1
 
-let rec write wctx w (v : Value.t) =
+let rec write_in wctx w (v : Value.t) =
   let seen_or body =
     let h = check_seen wctx v in
     if h >= 0 then begin
@@ -94,7 +117,7 @@ let rec write wctx w (v : Value.t) =
       Msgbuf.write_uvarint w h
     end
     else begin
-      Metrics.incr_ser_invocations wctx.wmetrics;
+      wctx.ser_invocations <- wctx.ser_invocations + 1;
       body ()
     end
   in
@@ -116,7 +139,7 @@ let rec write wctx w (v : Value.t) =
       seen_or (fun () ->
           (* introspection: locate the class, walk its field table *)
           write_class_info wctx w o.cls;
-          Array.iter (write wctx w) o.fields)
+          Array.iter (write_in wctx w) o.fields)
   | Value.Darr a ->
       seen_or (fun () ->
           Msgbuf.write_u8 w k_darr;
@@ -132,21 +155,23 @@ let rec write wctx w (v : Value.t) =
           Msgbuf.write_u8 w k_rarr;
           let before = Msgbuf.length w in
           Class_meta.write_ty wctx.wmeta w a.relem;
-          Metrics.add_type_bytes wctx.wmetrics (Msgbuf.length w - before);
+          charge_type_bytes wctx (Msgbuf.length w - before);
           Msgbuf.write_uvarint w (Array.length a.ra);
-          Array.iter (write wctx w) a.ra)
+          Array.iter (write_in wctx w) a.ra)
 
 (* shallow per-node accounting: children are charged when visited *)
 let charge_alloc rctx (v : Value.t) =
-  Metrics.incr_allocs rctx.rmetrics;
-  Metrics.add_new_bytes rctx.rmetrics
-    (match v with
+  rctx.allocs <- rctx.allocs + 1;
+  rctx.new_bytes <-
+    rctx.new_bytes
+    +
+    match v with
     | Value.Str s -> 16 + String.length s
     | Value.Obj o -> 16 + (8 * Array.length o.fields)
     | Value.Darr a -> 16 + (8 * Array.length a.d)
     | Value.Iarr a -> 16 + (8 * Array.length a.ia)
     | Value.Rarr a -> 16 + (8 * Array.length a.ra)
-    | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> 0)
+    | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> 0
 
 let checked_len r n ~unit what =
   (* division avoids overflow for hostile 63-bit lengths *)
@@ -154,7 +179,7 @@ let checked_len r n ~unit what =
     raise (Msgbuf.Underflow (Printf.sprintf "%s: bad length %d" what n));
   n
 
-let rec read rctx r : Value.t =
+let rec read_in rctx r : Value.t =
   match Msgbuf.read_u8 r with
   | c when c = k_null -> Value.Null
   | c when c = k_bool -> Value.Bool (Msgbuf.read_bool r)
@@ -196,7 +221,7 @@ let rec read rctx r : Value.t =
       charge_alloc rctx (Value.Obj o);
       add_handle rctx (Value.Obj o);
       for i = 0 to Array.length o.fields - 1 do
-        o.fields.(i) <- read rctx r
+        o.fields.(i) <- read_in rctx r
       done;
       Value.Obj o
   | c when c = k_darr ->
@@ -220,7 +245,39 @@ let rec read rctx r : Value.t =
       charge_alloc rctx (Value.Rarr a);
       add_handle rctx (Value.Rarr a);
       for i = 0 to n - 1 do
-        a.ra.(i) <- read rctx r
+        a.ra.(i) <- read_in rctx r
       done;
       Value.Rarr a
   | c -> raise (Msgbuf.Underflow (Printf.sprintf "bad introspect code %d" c))
+
+let publish_w wctx =
+  Metrics.add_type_bytes wctx.wmetrics wctx.type_bytes;
+  Metrics.add_ser_invocations wctx.wmetrics wctx.ser_invocations;
+  wctx.type_bytes <- 0;
+  wctx.ser_invocations <- 0;
+  Handle_table.publish wctx.wcycle
+
+let publish_r rctx =
+  let m = rctx.rmetrics in
+  Metrics.add_cycle_lookups m rctx.lookups;
+  Metrics.add_allocs m rctx.allocs;
+  Metrics.add_new_bytes m rctx.new_bytes;
+  rctx.lookups <- 0;
+  rctx.allocs <- 0;
+  rctx.new_bytes <- 0
+
+let write wctx w v =
+  match write_in wctx w v with
+  | () -> publish_w wctx
+  | exception e ->
+      publish_w wctx;
+      raise e
+
+let read rctx r =
+  match read_in rctx r with
+  | v ->
+      publish_r rctx;
+      v
+  | exception e ->
+      publish_r rctx;
+      raise e

@@ -256,7 +256,9 @@ let reset (t : t) =
   Hashtbl.reset t.site_calls;
   Mutex.unlock t.site_mutex
 
-let add a n = ignore (Atomic.fetch_and_add a n)
+(* a zero add skips the atomic: a tally published at the end of a call
+   often holds zeros *)
+let add a n = if n <> 0 then ignore (Atomic.fetch_and_add a n)
 
 let incr_remote_rpcs (t : t) = add t.remote_rpcs 1
 let incr_local_rpcs (t : t) = add t.local_rpcs 1
@@ -264,10 +266,12 @@ let add_reused_objs (t : t) n = add t.reused_objs n
 let add_new_bytes (t : t) n = add t.new_bytes n
 let add_cycle_lookups (t : t) n = add t.cycle_lookups n
 let incr_ser_invocations (t : t) = add t.ser_invocations 1
+let add_ser_invocations (t : t) n = add t.ser_invocations n
 let incr_msgs_sent (t : t) = add t.msgs_sent 1
 let add_bytes_sent (t : t) n = add t.bytes_sent n
 let add_type_bytes (t : t) n = add t.type_bytes n
 let incr_allocs (t : t) = add t.allocs 1
+let add_allocs (t : t) n = add t.allocs n
 let incr_retries (t : t) = add t.retries 1
 let incr_timeouts (t : t) = add t.timeouts 1
 let incr_dup_drops (t : t) = add t.dup_drops 1
@@ -301,8 +305,10 @@ let incr_plan_cache_hits (t : t) = add t.plan_cache_hits 1
 let incr_plan_cache_misses (t : t) = add t.plan_cache_misses 1
 let add_bytes_copied (t : t) n = add t.bytes_copied n
 let incr_arena_allocs (t : t) = add t.arena_allocs 1
+let add_arena_allocs (t : t) n = add t.arena_allocs n
 let incr_arena_resets (t : t) = add t.arena_resets 1
 let incr_arena_fallbacks (t : t) = add t.arena_fallbacks 1
+let add_arena_fallbacks (t : t) n = add t.arena_fallbacks n
 let incr_pool_hits (t : t) = add t.pool_hits 1
 let incr_pool_misses (t : t) = add t.pool_misses 1
 let incr_dispatches (t : t) = add t.dispatches 1

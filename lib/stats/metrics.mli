@@ -95,7 +95,16 @@ val create : unit -> t
 
 val reset : t -> unit
 
-(** Counter increments; [n] defaults to 1 (or the byte count). *)
+(** Counter increments; [n] defaults to 1 (or the byte count).  Adding 0
+    touches nothing.
+
+    The per-object paper counters (cycle lookups, allocations, reuse,
+    type bytes, dynamic invocations, arena hand-outs) are bumped several
+    times per marshaled node.  A codec context, cycle table or arena —
+    used by one thread at a time — tallies them in plain [int] fields
+    and adds each tally here once, when the outermost operation returns
+    or raises: one atomic add per counter per call instead of one per
+    node, with the same totals at every point a caller can observe. *)
 
 val incr_remote_rpcs : t -> unit
 val incr_local_rpcs : t -> unit
@@ -103,10 +112,12 @@ val add_reused_objs : t -> int -> unit
 val add_new_bytes : t -> int -> unit
 val add_cycle_lookups : t -> int -> unit
 val incr_ser_invocations : t -> unit
+val add_ser_invocations : t -> int -> unit
 val incr_msgs_sent : t -> unit
 val add_bytes_sent : t -> int -> unit
 val add_type_bytes : t -> int -> unit
 val incr_allocs : t -> unit
+val add_allocs : t -> int -> unit
 
 (** Reliable-transport counters.  These never touch the logical-traffic
     counters above: [msgs_sent]/[bytes_sent] count each logical message
@@ -175,8 +186,10 @@ val incr_pool_misses : t -> unit
     end-of-dispatch reclaims escape analysis licensed. *)
 
 val incr_arena_allocs : t -> unit
+val add_arena_allocs : t -> int -> unit
 val incr_arena_resets : t -> unit
 val incr_arena_fallbacks : t -> unit
+val add_arena_fallbacks : t -> int -> unit
 
 (** Dispatch-pool telemetry (PR 6).  Only the multi-domain runtime
     touches the counters, so single-domain runs keep byte-identical

@@ -10,17 +10,27 @@ type t = {
   mutable homes : int array;
   mutable bits : int;  (* [slots] has [1 lsl bits] entries once allocated *)
   mutable count : int;
+  mutable charged : int;  (* cycle lookups not yet published *)
 }
 
 (* allocated on the first [find_or_add]: a context that never meets a
    heap node costs no arrays *)
 let create ?metrics () =
-  { metrics; slots = [||]; keys = [||]; homes = [||]; bits = 0; count = 0 }
+  {
+    metrics;
+    slots = [||];
+    keys = [||];
+    homes = [||];
+    bits = 0;
+    count = 0;
+    charged = 0;
+  }
 
-let charge t n =
-  match t.metrics with
-  | Some m -> Rmi_stats.Metrics.add_cycle_lookups m n
-  | None -> ()
+let publish t =
+  (match t.metrics with
+  | Some m -> Rmi_stats.Metrics.add_cycle_lookups m t.charged
+  | None -> ());
+  t.charged <- 0
 
 (* Fibonacci hashing: the top [bits] bits of the product *)
 let home t key = (key * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - t.bits)
@@ -50,16 +60,16 @@ let rec find t mask key i =
   else if t.keys.(h) = key then h
   else find t mask key ((i + 1) land mask)
 
-let find_or_add t key =
+let find_or_add_tallied t key =
   if 2 * (t.count + 1) > Array.length t.slots then grow t;
   let found = find t (Array.length t.slots - 1) key (home t key) in
   if found >= 0 then begin
-    charge t 1;
+    t.charged <- t.charged + 1;
     found
   end
   else begin
     (* a miss pays for the probe and the insertion, as RMI's table does *)
-    charge t 2;
+    t.charged <- t.charged + 2;
     let i = -1 - found and h = t.count in
     t.slots.(i) <- h;
     t.keys.(h) <- key;
@@ -67,6 +77,11 @@ let find_or_add t key =
     t.count <- h + 1;
     -1
   end
+
+let find_or_add t key =
+  let h = find_or_add_tallied t key in
+  publish t;
+  h
 
 let next_handle t = t.count
 let size t = t.count

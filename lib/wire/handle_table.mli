@@ -28,6 +28,14 @@ val create : ?metrics:Rmi_stats.Metrics.t -> unit -> t
     and returns [-1] (two cycle lookups). *)
 val find_or_add : t -> int -> int
 
+(** [find_or_add_tallied t key] is {!find_or_add}, but its cycle
+    lookups stay in the table's own tally until {!publish}: the
+    serializers probe once per node and publish once per message. *)
+val find_or_add_tallied : t -> int -> int
+
+(** [publish t] adds the tallied cycle lookups to the table's metrics. *)
+val publish : t -> unit
+
 (** [next_handle t] returns the wire handle the next added object will
     receive (a dense counter starting at 0). *)
 val next_handle : t -> int

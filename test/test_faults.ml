@@ -234,6 +234,51 @@ let handler_exception_does_not_kill_worker () =
       | Some v -> Alcotest.(check bool) "alive" true (Rmi_serial.Equality.equal v (box 2))
       | None -> Alcotest.fail "worker died")
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+  in
+  at 0
+
+(* the Deadlock message of a quiescent raw cluster, and the retransmit
+   give-up detail a Peer_down carries, read as single-spaced prose *)
+let failure_messages_single_spaced () =
+  let no_double_space what msg =
+    let rec scan i =
+      i + 1 >= String.length msg
+      || ((msg.[i] <> ' ' || msg.[i + 1] <> ' ') && scan (i + 1))
+    in
+    Alcotest.(check bool) (Printf.sprintf "%s: %S" what msg) true (scan 0)
+  in
+  let metrics = Metrics.create () in
+  let cluster = Rmi_net.Cluster.create ~n:2 metrics in
+  let plans = Hashtbl.create 4 in
+  let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
+  let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
+  Node.set_pump n0 (fun () -> Node.serve_pending n1);
+  Node.set_pump n1 (fun () -> Node.serve_pending n0);
+  Node.export n1 ~obj:0 ~meth:m_incr ~has_ret:true (fun args -> Some args.(0));
+  Rmi_net.Cluster.set_fault_hook cluster (fun ~src:_ ~dest:_ _ -> []);
+  (match
+     Node.call n0 ~dest:(Remote_ref.make ~machine:1 ~obj:0) ~meth:m_incr
+       ~callsite:1 ~has_ret:true [| box 1 |]
+   with
+  | _ -> Alcotest.fail "expected Deadlock"
+  | exception Node.Deadlock msg -> no_double_space "deadlock" msg);
+  let _, net, n0 = reliable_pair () in
+  Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->
+      if dest = 1 then [] else [ msg ]);
+  match
+    Node.call n0 ~dest:(Remote_ref.make ~machine:1 ~obj:0) ~meth:m_incr
+      ~callsite:1 ~has_ret:true [| box 1 |]
+  with
+  | _ -> Alcotest.fail "expected Peer_down"
+  | exception Node.Peer_down msg ->
+      Alcotest.(check bool) "the give-up detail" true
+        (contains msg "exhausted their retransmit budget");
+      no_double_space "retransmit give-up" msg
+
 let suite =
   [
     ( "faults",
@@ -246,6 +291,8 @@ let suite =
           `Quick transient_drops_recovered_and_counted;
         Alcotest.test_case "reliable: permanent partition -> clean timeout"
           `Quick permanent_partition_times_out_cleanly;
+        Alcotest.test_case "failure messages are single-spaced" `Quick
+          failure_messages_single_spaced;
         Alcotest.test_case "garbage header ignored" `Quick garbage_header_is_ignored;
         Alcotest.test_case "handler exceptions don't kill workers" `Quick
           handler_exception_does_not_kill_worker;

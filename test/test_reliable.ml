@@ -305,6 +305,53 @@ let held_frame_is_not_dead () =
   | Rmi_net.Transport.Dead -> Alcotest.fail "Dead while a frame is held"
   | _ -> Alcotest.fail "expected Waiting"
 
+(* --- the idle sweep's steady state ---
+
+   A sweep in which no timer is due reads each link's summaries and the
+   detector cells and allocates nothing, whether the links are empty
+   (the fabric is Dead) or hold a frame whose rto is far off (Waiting).
+   The rto and the detector thresholds are set beyond the test's reach,
+   so nothing fires while it spins. *)
+let idle_words ~n ~unacked =
+  let lower = Rmi_net.Sim.create ~n (Metrics.create ()) in
+  let far = 1 lsl 40 in
+  let net =
+    Rmi_net.Reliable.wrap
+      ~params:
+        { Rmi_net.Reliable.default_params with
+          Rmi_net.Reliable.rto = far; backoff_cap = far }
+      lower
+  in
+  Rmi_net.Transport.set_detector net
+    { Rmi_net.Transport.ping_every = far; suspect_after = far; down_after = far };
+  if unacked then
+    Rmi_net.Transport.send net ~src:0 ~dest:(n - 1) (Bytes.of_string "pending");
+  let outcome = ref Rmi_net.Transport.Raw_transport in
+  let spin k =
+    for _ = 1 to k do
+      outcome := Rmi_net.Transport.idle net ~self:0
+    done
+  in
+  spin 10;
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  spin 1000;
+  let w2 = Gc.minor_words () in
+  (!outcome, w2 -. w1 -. (w1 -. w0))
+
+let idle_allocates_nothing () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (unacked, expect) ->
+          let outcome, words = idle_words ~n ~unacked in
+          let what = Printf.sprintf "n=%d, %d unacked" n (Bool.to_int unacked) in
+          Alcotest.(check bool) (what ^ ": outcome") true (outcome = expect);
+          Alcotest.(check (float 0.)) (what ^ ": minor words over 1000 idles") 0.
+            words)
+        [ (false, Rmi_net.Transport.Dead); (true, Rmi_net.Transport.Waiting) ])
+    [ 2; 8 ]
+
 (* --- the microsecond clock ---
 
    A threaded fabric's timers read a monotonic clock instead of counting
@@ -586,6 +633,8 @@ let suite =
           pinned_lossy_chain_stream;
         Alcotest.test_case "pinned frame stream: durable crash" `Quick
           pinned_durable_crash_stream;
+        Alcotest.test_case "idle allocates nothing when nothing is due" `Quick
+          idle_allocates_nothing;
         Alcotest.test_case "held frame keeps idle Waiting, not Dead" `Quick
           held_frame_is_not_dead;
         Alcotest.test_case "clock: retransmit at rto, doubling, give-up"

@@ -489,6 +489,115 @@ let heap_decode_words () =
     (Printf.sprintf "%.2f <= 8 words per node (record, fields, box)" w)
     true (w <= 8.)
 
+(* --- the paper counters a compiled 100-cell chain publishes ---
+
+   The codec tallies per node and publishes when the outermost call
+   returns or raises, so every count reaches the metrics whole: an
+   encode and a decode of the chain publish 300 cycle lookups (two per
+   encoded cell, one per decoded cell), 100 allocations and 100 arena
+   hand-outs, before and after a write aborted by Type_confusion and a
+   read aborted by Underflow, which publish what they counted. *)
+
+type counts = { lookups : int; allocs : int; arena_allocs : int }
+
+let counts_of m f =
+  let before = Metrics.snapshot m in
+  f ();
+  let d = Metrics.diff (Metrics.snapshot m) before in
+  {
+    lookups = d.Metrics.cycle_lookups;
+    allocs = d.Metrics.allocs;
+    arena_allocs = d.Metrics.arena_allocs;
+  }
+
+let check_counts what expect got =
+  Alcotest.(check (list int)) (what ^ ": lookups, allocs, arena_allocs")
+    [ expect.lookups; expect.allocs; expect.arena_allocs ]
+    [ got.lookups; got.allocs; got.arena_allocs ]
+
+let chain_counters () =
+  let m = Metrics.create () in
+  let write = Codec.compile_write ~defs:gdefs cell_step in
+  let read = Codec.compile_read ~defs:gdefs cell_step in
+  let wctx = Codec.make_wctx ~defs:gdefs gmeta m ~cycle:true in
+  let arena = Arena.create ~metrics:m in
+  let rctx = Codec.make_rctx ~defs:gdefs ~arena gmeta m ~cycle:true in
+  let w = Msgbuf.create_writer () in
+  let encode v () =
+    Msgbuf.clear w;
+    Codec.reset_wctx wctx;
+    write wctx w v
+  in
+  let decode bytes () =
+    Arena.reset arena;
+    Codec.reset_rctx rctx;
+    ignore (read rctx (Msgbuf.reader_of_bytes bytes) ~cand:Value.Null : Value.t)
+  in
+  let chain = make_chain chain_nodes in
+  let round what =
+    check_counts (what ^ ": encode")
+      { lookups = 200; allocs = 0; arena_allocs = 0 }
+      (counts_of m (encode chain));
+    let bytes = Msgbuf.contents w in
+    check_counts (what ^ ": decode")
+      { lookups = 100; allocs = 100; arena_allocs = 100 }
+      (counts_of m (decode bytes));
+    bytes
+  in
+  ignore (round "cold" : bytes);
+  let bytes = round "warm" in
+  (* cell 50 is a Pair: its marker and registration go out, then the
+     class check throws *)
+  let bad = make_chain chain_nodes in
+  let rec nth v k =
+    match v with
+    | Value.Obj o -> if k = 0 then o else nth o.Value.fields.(0) (k - 1)
+    | _ -> assert false
+  in
+  let before_bad = nth bad 49 in
+  let pair = Value.new_obj ~cls:1 ~nfields:2 in
+  before_bad.Value.fields.(0) <- Value.Obj pair;
+  check_counts "aborted write"
+    { lookups = 102; allocs = 0; arena_allocs = 0 }
+    (counts_of m (fun () ->
+         match encode bad () with
+         | () -> Alcotest.fail "expected Type_confusion"
+         | exception Codec.Type_confusion _ -> ()));
+  ignore (round "after the aborted write" : bytes);
+  (* half the frame: 50 cells decode, the 51st marker underflows *)
+  check_counts "aborted read"
+    { lookups = 50; allocs = 50; arena_allocs = 50 }
+    (counts_of m (fun () ->
+         match decode (Bytes.sub bytes 0 50) () with
+         | () -> Alcotest.fail "expected Underflow"
+         | exception Msgbuf.Underflow _ -> ()));
+  ignore (round "after the aborted read" : bytes)
+
+(* two domains decode into one metrics record at once, each through its
+   own context and arena: the published tallies lose nothing *)
+let concurrent_decode_counts () =
+  let m = Metrics.create () in
+  let bytes = chain_bytes () in
+  let runs = 200 in
+  let worker () =
+    let read = Codec.compile_read ~defs:gdefs cell_step in
+    let arena = Arena.create ~metrics:m in
+    let rctx = Codec.make_rctx ~defs:gdefs ~arena gmeta m ~cycle:true in
+    for _ = 1 to runs do
+      Arena.reset arena;
+      Codec.reset_rctx rctx;
+      ignore (read rctx (Msgbuf.reader_of_bytes bytes) ~cand:Value.Null : Value.t)
+    done
+  in
+  let d = Domain.spawn worker in
+  worker ();
+  Domain.join d;
+  let s = Metrics.snapshot m in
+  let total = 2 * runs * chain_nodes in
+  Alcotest.(check (list int)) "lookups, allocs, arena_allocs"
+    [ total; total; total ]
+    [ s.Metrics.cycle_lookups; s.Metrics.allocs; s.Metrics.arena_allocs ]
+
 (* random acyclic value graphs for property tests *)
 let gen_value =
   let open QCheck.Gen in
@@ -595,5 +704,8 @@ let suite =
           encode_allocates_nothing;
         Alcotest.test_case "arena decode: one box per node" `Quick arena_decode_words;
         Alcotest.test_case "heap decode: <= 8 words per node" `Quick heap_decode_words;
+        Alcotest.test_case "chain counters published whole" `Quick chain_counters;
+        Alcotest.test_case "two domains decoding lose no counts" `Quick
+          concurrent_decode_counts;
       ] );
   ]

@@ -555,6 +555,126 @@ let idle_poll_allocates_nothing () =
   Alcotest.(check (float 0.0))
     "minor words over 1000 idle polls" (w1 -. w0) (w2 -. w1)
 
+(* ------------------------------------------------------------------ *)
+(* the envelope checksum                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The 64-bit FNV-1a the frames carried before the checksum moved to
+   native 63-bit wrapping ints: the accumulator as two 32-bit halves,
+   the multiply by 2^40 + 0x1b3 split into shifts and small products.
+   Kept here as the oracle the fast fold must match bit for bit. *)
+let oracle_checksum ~kc ~src ~epoch ~lseq buf off len =
+  let mask32 = 0xFFFFFFFF in
+  let lo = ref 0x84222325 and hi = ref 0xcbf29ce4 in
+  let mix b =
+    let l = !lo lxor (b land 0xff) in
+    let t = l * 0x1b3 in
+    lo := t land mask32;
+    hi := ((!hi * 0x1b3) + (t lsr 32) + ((l lsl 8) land mask32)) land mask32
+  in
+  mix kc;
+  List.iter
+    (fun x ->
+      for i = 0 to 7 do
+        mix (x asr (i * 8))
+      done)
+    [ src; epoch; lseq ];
+  for i = off to off + len - 1 do
+    mix (Char.code (Bytes.get buf i))
+  done;
+  !lo land 0x3FFFFFFF
+
+(* [Envelope.encode]'s layout, written out with the oracle checksum *)
+let oracle_frame ~kc ~src ~epoch ~lseq payload =
+  let w = Msgbuf.create_writer () in
+  Msgbuf.write_u8 w 0xC7;
+  Msgbuf.write_u8 w kc;
+  Msgbuf.write_uvarint w src;
+  Msgbuf.write_uvarint w epoch;
+  Msgbuf.write_uvarint w lseq;
+  Msgbuf.write_uvarint w
+    (oracle_checksum ~kc ~src ~epoch ~lseq payload 0 (Bytes.length payload));
+  Msgbuf.write_uvarint w (Bytes.length payload);
+  Msgbuf.write_bytes w payload 0 (Bytes.length payload);
+  Msgbuf.contents w
+
+let golden_payload n = Bytes.init n (fun i -> Char.chr (((i * 37) + 11) land 0xff))
+
+let hex_prefix b =
+  String.concat ""
+    (List.init (min 12 (Bytes.length b)) (fun i ->
+         Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
+(* length, first 12 bytes (the header and checksum) and MD5 of frames
+   recorded from the two-halves implementation *)
+let check_golden name b (len, prefix, md5) =
+  Alcotest.(check int) (name ^ ": length") len (Bytes.length b);
+  Alcotest.(check string) (name ^ ": header") prefix (hex_prefix b);
+  Alcotest.(check string) (name ^ ": digest") md5 (Digest.to_hex (Digest.bytes b))
+
+let checksum_goldens () =
+  List.iter
+    (fun (n, golden) ->
+      check_golden
+        (Printf.sprintf "payload %d" n)
+        (Envelope.encode ~kind:Envelope.Data ~src:3 ~epoch:2 ~lseq:17
+           ~payload:(golden_payload n) ())
+        golden)
+    [
+      (0, (11, "c700030211efb5da800300", "1206c11b8305bb85653a396bf0592079"));
+      (1, (12, "c700030211ece2a4b303010b", "9053accad764c51d03a222683e170507"));
+      (164, (176, "c700030211aba89aa201a401", "e1764b19d645250d1d68642b46dacb05"));
+      (1300, (1312, "c700030211fbd0d9cc03940a", "c7b216b979b0c08a0307a4187f09194c"));
+    ];
+  check_golden "lseq = max_int"
+    (Envelope.encode ~kind:Envelope.Hb ~src:1 ~epoch:4 ~lseq:max_int
+       ~payload:(golden_payload 5) ())
+    (24, "c7020104ffffffffffffffff", "c08de81fd03bd0044ffd0cdb4504957d");
+  (* a frame built around a payload that sits at an offset in a writer *)
+  let w = Msgbuf.create_writer () in
+  Msgbuf.write_bytes w (golden_payload 13) 0 13;
+  let start =
+    Envelope.encode_into w ~kind:Envelope.Data ~src:2 ~epoch:1 ~lseq:5
+      ~payload:(golden_payload 30) ()
+  in
+  Alcotest.(check int) "offset frame start" 51 start;
+  let s = Msgbuf.contents w in
+  check_golden "offset frame"
+    (Bytes.sub s start (Bytes.length s - start))
+    (40, "c700020105e6d481191e0b30", "ccd3f9f713bc64ffaab777e29f8559b0");
+  (* negative header fields never reach [encode] (uvarints reject them)
+     but a garbled frame can decode to them *)
+  Alcotest.(check (list int)) "negative src and epoch" [ 71897621; 215252710; 1025014157 ]
+    [
+      Envelope.checksum_slice ~kc:1 ~src:(-5) ~epoch:(-1) ~lseq:9 (golden_payload 7) 0 7;
+      Envelope.checksum_slice ~kc:0 ~src:min_int ~epoch:(-123456789) ~lseq:max_int
+        (golden_payload 40) 3 20;
+      Envelope.checksum_slice ~kc:2 ~src:(-1) ~epoch:(-1) ~lseq:(-1) Bytes.empty 0 0;
+    ]
+
+let checksum_matches_oracle =
+  QCheck.Test.make ~name:"envelope checksum == two-halves FNV-1a" ~count:500
+    QCheck.(
+      quad (int_bound 2) (pair int int) int
+        (pair (string_of_size Gen.(0 -- 300)) (pair small_nat small_nat)))
+    (fun (kc, (src, epoch), lseq, (payload, (a, b))) ->
+      let buf = Bytes.of_string payload in
+      let n = Bytes.length buf in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      let slice_ok =
+        Envelope.checksum_slice ~kc ~src ~epoch ~lseq buf off len
+        = oracle_checksum ~kc ~src ~epoch ~lseq buf off len
+      in
+      (* whole frames, where the header fields are non-negative *)
+      let src = src land max_int
+      and epoch = epoch land max_int
+      and lseq = lseq land max_int in
+      let kind = [| Envelope.Data; Envelope.Ack; Envelope.Hb |].(kc) in
+      slice_ok
+      && Envelope.encode ~kind ~src ~epoch ~lseq ~payload:buf ()
+         = oracle_frame ~kc ~src ~epoch ~lseq buf)
+
 let suite =
   [
     ( "transport conformance",
@@ -564,5 +684,8 @@ let suite =
           QCheck_alcotest.to_alcotest stream_equality;
           Alcotest.test_case "sock: idle try_recv allocates nothing" `Quick
             idle_poll_allocates_nothing;
+          Alcotest.test_case "envelope checksum goldens" `Quick
+            checksum_goldens;
+          QCheck_alcotest.to_alcotest checksum_matches_oracle;
         ] );
   ]
