@@ -22,9 +22,9 @@ let run_timed compiled ?backend ?faults ~config ~mode ~n body =
       ~plans:compiled.plans ~metrics ()
   in
   Rmi_runtime.Fabric.run fabric (fun fabric ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Rmi_net.Clock.now_us () in
       let result = body fabric in
-      let wall = Unix.gettimeofday () -. t0 in
+      let wall = float_of_int (Rmi_net.Clock.now_us () - t0) *. 1e-6 in
       (result, wall, Rmi_stats.Metrics.snapshot metrics))
 
 let place ~key ~machines = key mod machines

@@ -10,9 +10,9 @@ type t = { mutable rev_stats : stat list }
 let create () = { rev_stats = [] }
 
 let run t ~name ?(size = fun _ -> 0) ?(note = fun _ -> "") f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Rmi_stats.Clock.now_us () in
   let x = f () in
-  let ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let ms = float_of_int (Rmi_stats.Clock.now_us () - t0) *. 1e-3 in
   t.rev_stats <-
     { pass_name = name; pass_ms = ms; pass_size = size x; pass_note = note x }
     :: t.rev_stats;

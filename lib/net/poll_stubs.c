@@ -1,6 +1,5 @@
 /* poll(2) bindings for the Sock receive path and its connection
-   event loop, and the monotonic clock the transports' timers and
-   deadlines read.
+   event loop.
 
    Unix.select caps the mesh at FD_SETSIZE descriptors (1024 on Linux),
    which PR 7 worked around with a hard 26-machine loopback ceiling.
@@ -11,7 +10,6 @@
 #include <errno.h>
 #include <stdlib.h>
 #include <sys/resource.h>
-#include <time.h>
 
 #include <caml/mlvalues.h>
 #include <caml/memory.h>
@@ -89,17 +87,4 @@ CAMLprim value rmi_nofile_limit(value v_unit)
         lim = 1 << 20;
     }
     CAMLreturn(Val_long(lim));
-}
-
-/* rmi_clock_now_us : unit -> int  [@@noalloc]
-   CLOCK_MONOTONIC in microseconds.  Unlike gettimeofday it never steps
-   when the wall clock is set, so a deadline or retransmit timer read
-   from it can neither expire early nor stretch.  Allocates nothing and
-   takes no runtime lock, so the OCaml side declares it [@@noalloc]. */
-CAMLprim value rmi_clock_now_us(value v_unit)
-{
-    struct timespec ts;
-    (void)v_unit;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return Val_long((intnat)ts.tv_sec * 1000000 + ts.tv_nsec / 1000);
 }

@@ -3,6 +3,12 @@ module Metrics = Rmi_stats.Metrics
 
 (* frames larger than this are a protocol error, not a workload *)
 let max_frame = 64 * 1024 * 1024
+
+(* the unit of a conn's stream buffers: the read buffer grows by it, and
+   the send buffer never grows past it — so one flush is one write(2),
+   whose copy through the runtime's I/O buffer is capped at 64 KiB *)
+let chunk = 65536
+
 let mesh_timeout = 30.0
 let connect_retry_every = 0.05
 
@@ -37,6 +43,18 @@ module M = struct
        (receiving) record yet, reclaimed wholesale on [kill_conn] so a
        dying link cannot leave [pending_anywhere] pinned forever *)
     cinflight : int Atomic.t;
+    (* the send buffer ("cork"), under [wlock]: frames toward an
+       endpoint hosted in this process wait here until a thread about to
+       poll writes them out ([flush_corked]), or the sender finds the
+       destination's receiver blocked in [poll] *)
+    mutable wbuf : Bytes.t;  (* empty until first used, then [chunk] bytes *)
+    mutable wlen : int;
+    (* how many frames in [wbuf] are charged in flight, all of them to
+       the receiving record [wrc] (see [charge_frame]) *)
+    mutable wframes : int;
+    mutable wrc : conn option;
+    hdr : Bytes.t;  (* the length prefix of an unbuffered [ship_frame] *)
+    mutable listed : bool;  (* on [t.corked]; under [t.dlock] *)
   }
 
   (* accepted, but the 4-byte hello naming the peer hasn't arrived *)
@@ -90,6 +108,14 @@ module M = struct
        destination inbox, so [pending_anywhere] never reports quiet
        while a reply sits in a kernel socket buffer *)
     inflight : int Atomic.t;
+    (* conns whose cork may hold bytes: a stack of [ncorked] entries
+       under [dlock], a leaf lock (taken under a [wlock], never held
+       while taking another).  A poller reads [ncorked] without the lock
+       to skip an empty stack. *)
+    dlock : Mutex.t;
+    mutable corked : conn array;
+    ncorked : int Atomic.t;
+    writes : int Atomic.t;  (* write(2) calls that carried frame bytes *)
     mutable fault : (src:int -> dest:int -> bytes -> bytes list) option;
     (* the seeded chaos injector; every outbound frame passes through
        it, and its connection actions are applied by [chaos_drain] *)
@@ -206,16 +232,25 @@ module M = struct
 
   let fire_process t ev = List.iter (fun f -> f ev) t.process_hooks
 
-  (* remove one unit from [c.cinflight] iff it is still positive; a
-     false return means [kill_conn] already reclaimed the whole share *)
-  let inflight_take_back c =
+  (* remove up to [k] units from [c.cinflight] and as many from
+     [t.inflight]; fewer when [kill_conn] already reclaimed the share *)
+  let take_back t c k =
     let rec go () =
       let v = Atomic.get c.cinflight in
-      if v <= 0 then false
-      else if Atomic.compare_and_set c.cinflight v (v - 1) then true
+      let d = min v k in
+      if d <= 0 then ()
+      else if Atomic.compare_and_set c.cinflight v (v - d) then
+        ignore (Atomic.fetch_and_add t.inflight (-d) : int)
       else go ()
     in
     go ()
+
+  (* [c.wlock] held: forget [c]'s cork and take back its charges *)
+  let drop_cork t c =
+    (match c.wrc with Some rc -> take_back t rc c.wframes | None -> ());
+    c.wlen <- 0;
+    c.wframes <- 0;
+    c.wrc <- None
 
   (* close a connection and reclaim its in-flight share.  The fd is
      closed under [c.rlock] — [locked] says the caller (a reader that
@@ -234,6 +269,14 @@ module M = struct
     end;
     if not locked then Mutex.unlock c.rlock;
     if was_alive then begin
+      (* frames buffered on this link die with it, charges and all.
+         When another call holds [wlock] (perhaps this thread's own
+         send, reading to make room), its write fails on the closed fd
+         or, the cork being on [t.corked], the next flush drops it. *)
+      if Mutex.try_lock c.wlock then begin
+        drop_cork t c;
+        Mutex.unlock c.wlock
+      end;
       (* frames written to this link but never parsed out are gone;
          return them so quiescence fails fast instead of spinning *)
       let residue = Atomic.exchange c.cinflight 0 in
@@ -282,9 +325,15 @@ module M = struct
       wlock = Mutex.create ();
       rlock = Mutex.create ();
       alive = true;
-      rbuf = Bytes.create 65536;
+      rbuf = Bytes.create chunk;
       rlen = 0;
       cinflight = Atomic.make 0;
+      wbuf = Bytes.empty;
+      wlen = 0;
+      wframes = 0;
+      wrc = None;
+      hdr = Bytes.create 4;
+      listed = false;
     }
 
   (* one TCP connect attempt plus the 4-byte hello; None if the peer
@@ -402,7 +451,7 @@ module M = struct
         (* the one receive-side snapshot out of the stream buffer *)
         charge t len;
         deliver t ~dest:c.owner frame;
-        if t.loopback && inflight_take_back c then Atomic.decr t.inflight;
+        if t.loopback then take_back t c 1;
         pos := !pos + 4 + len
       end
     done;
@@ -413,8 +462,8 @@ module M = struct
 
   (* one non-blocking read and the frames it completes; [c.rlock] held *)
   let read_conn t c =
-    if Bytes.length c.rbuf - c.rlen < 65536 then begin
-      let grown = Bytes.create (max (2 * Bytes.length c.rbuf) (c.rlen + 65536)) in
+    if Bytes.length c.rbuf - c.rlen < chunk then begin
+      let grown = Bytes.create (max (2 * Bytes.length c.rbuf) (c.rlen + chunk)) in
       Bytes.blit c.rbuf 0 grown 0 c.rlen;
       c.rbuf <- grown
     end;
@@ -477,45 +526,36 @@ module M = struct
   (* send path                                                         *)
   (* ---------------------------------------------------------------- *)
 
+  (* the live conn [src] writes to [dest] on: the table's own option,
+     so the lookup allocates nothing *)
   let conn_to t ~src ~dest =
     Mutex.lock t.clock;
     let c = t.conns.(src).(dest) in
     Mutex.unlock t.clock;
     match c with
-    | Some c when c.alive -> Some c
+    | Some c' as live when c'.alive -> live
     | Some _ -> None  (* broken link: frames to it are lost *)
     | None -> invalid_arg (Printf.sprintf "Sock: no link %d -> %d" src dest)
 
-  (* loopback in-flight accounting: the frame will be parsed out of the
-     RECEIVER's end of the stream — [conns.(dest).(src)] — so the
-     per-conn share must be charged there, where [parse_frames]'s
-     take-back and [kill_conn]'s residue reclaim will find it.  A dying
-     receiver record means the bytes are already lost: charge nothing,
-     quiescence must not wait on them. *)
-  let charge_inflight t ~src ~dest =
+  (* loopback in-flight accounting: a frame [src] sends is parsed out of
+     the RECEIVER's end of the stream — [conns.(dest).(src)] — so its
+     charge goes there, where [parse_frames]'s take-back and
+     [kill_conn]'s residue reclaim will find it *)
+  let receiving t ~src ~dest =
     if not t.loopback then None
     else begin
       Mutex.lock t.clock;
       let r = t.conns.(dest).(src) in
       Mutex.unlock t.clock;
-      match r with
-      | Some rc when rc.alive ->
-          Atomic.incr t.inflight;
-          Atomic.incr rc.cinflight;
-          Some rc
-      | _ -> None
+      r
     end
-
-  (* undo one [charge_inflight] after a failed write *)
-  let uncharge_inflight t = function
-    | None -> ()
-    | Some rc -> if inflight_take_back rc then Atomic.decr t.inflight
 
   (* the kernel has no room toward [c.peer]: its end is not reading.
      Read what this thread can — the receiving record when it is hosted
      here (a synchronous fabric has no other reader) and the sender's
      own inbound links (two ends writing at each other must not both
-     stall with full buffers) — then give the far end a moment *)
+     stall with full buffers) — then give the far end a moment.  No
+     cork is flushed here: this thread holds [c.wlock]. *)
   let make_room t c =
     (if t.loopback then
        match t.conns.(c.peer).(c.owner) with
@@ -527,8 +567,10 @@ module M = struct
   (* [c.wlock] held; [c.fd] is non-blocking *)
   let rec write_conn t c b off len =
     if len > 0 then
-      match Unix.write c.fd b off len with
-      | k -> write_conn t c b (off + k) (len - k)
+      match Unix.single_write c.fd b off len with
+      | k ->
+          Atomic.incr t.writes;
+          write_conn t c b (off + k) (len - k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_conn t c b off len
       | exception
           (Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) as e) ->
@@ -537,29 +579,159 @@ module M = struct
           make_room t c;
           write_conn t c b off len
 
+  (* [c.wlock] held: write the cork out in one write(2).  Its frames
+     stay charged in flight until the receiver parses them; on a write
+     error the caller drops the cork, charges and all. *)
+  let flush_locked t c =
+    if c.wlen > 0 then begin
+      write_conn t c c.wbuf 0 c.wlen;
+      c.wlen <- 0;
+      c.wframes <- 0;
+      c.wrc <- None
+    end
+
+  (* [c.wlock] held: charge one frame written to [c] in flight to the
+     receiving record [r], counting it on [c] so a failed write or a
+     killed conn can take it back.  A dying receiving record means the
+     bytes are already lost: charge nothing, quiescence must not wait on
+     them.  A frame for another record than the cork's pending charges
+     flushes them first, so they all have one [wrc]. *)
+  let charge_frame t c r =
+    match r with
+    | Some rc when rc.alive ->
+        if c.wframes > 0 && c.wrc != r then flush_locked t c;
+        Atomic.incr t.inflight;
+        Atomic.incr rc.cinflight;
+        c.wframes <- c.wframes + 1;
+        c.wrc <- r
+    | _ -> ()
+
+  (* [c.wlock] held: [c] is on [t.corked], or a flusher that popped it
+     is about to take [c.wlock] *)
+  let list_corked t c =
+    Mutex.lock t.dlock;
+    if not c.listed then begin
+      c.listed <- true;
+      let k = Atomic.get t.ncorked in
+      if k = Array.length t.corked then begin
+        let grown = Array.make (max 8 (2 * k)) c in
+        Array.blit t.corked 0 grown 0 k;
+        t.corked <- grown
+      end;
+      t.corked.(k) <- c;
+      Atomic.set t.ncorked (k + 1)
+    end;
+    Mutex.unlock t.dlock
+
+  (* write [c]'s cork out — or drop it, when [c] died — with no [wlock]
+     held by this thread *)
+  let flush_conn t c =
+    Mutex.lock c.wlock;
+    match if c.alive then flush_locked t c else drop_cork t c with
+    | () -> Mutex.unlock c.wlock
+    | exception Unix.Unix_error _ ->
+        drop_cork t c;
+        Mutex.unlock c.wlock;
+        mark_dead t c
+    | exception e ->
+        Mutex.unlock c.wlock;
+        raise e
+
+  (* flush before poll: every cork of this transport is written out
+     before a thread polls its sockets, so no buffered frame waits on a
+     reader that is waiting on it *)
+  let rec flush_corked t =
+    if Atomic.get t.ncorked > 0 then begin
+      Mutex.lock t.dlock;
+      let k = Atomic.get t.ncorked in
+      if k = 0 then Mutex.unlock t.dlock
+      else begin
+        let c = t.corked.(k - 1) in
+        c.listed <- false;
+        Atomic.set t.ncorked (k - 1);
+        Mutex.unlock t.dlock;
+        flush_conn t c;
+        flush_corked t
+      end
+    end
+
+  (* a receiver of [dest] is blocked in [poll]: it flushed before it
+     blocked, so a frame buffered since then is the sender's to write *)
+  let receiver_blocked t dest =
+    match t.eps.(dest) with
+    | None -> false
+    | Some ep ->
+        Mutex.lock ep.ilock;
+        let blocked = match ep.waiting with [] -> false | _ -> true in
+        Mutex.unlock ep.ilock;
+        blocked
+
+  (* [c.wlock] held: append one frame to [c]'s cork *)
+  let cork t c r b off len =
+    if c.wlen + 4 + len > chunk then flush_locked t c;
+    charge_frame t c r;
+    if Bytes.length c.wbuf = 0 then c.wbuf <- Bytes.create chunk;
+    put_len c.wbuf c.wlen len;
+    Bytes.blit b off c.wbuf (c.wlen + 4) len;
+    charge t len;
+    if c.wlen = 0 then list_corked t c;
+    c.wlen <- c.wlen + 4 + len
+
+  (* [c.wlock] held: the cork, then one frame straight from [b]; with
+     [gapped], [b] has 4 writable bytes before [off] for the prefix *)
+  let write_through t c r b off len ~gapped =
+    flush_locked t c;
+    charge_frame t c r;
+    if gapped then begin
+      put_len b (off - 4) len;
+      write_conn t c b (off - 4) (len + 4)
+    end
+    else begin
+      put_len c.hdr 0 len;
+      write_conn t c c.hdr 0 4;
+      write_conn t c b off len
+    end;
+    c.wframes <- 0;
+    c.wrc <- None
+
+  (* one frame of [len] bytes at [b.(off)] from [src] to [dest] over
+     [c].  A frame for an endpoint hosted here joins the cork when it
+     fits; one for another process (no thread here can flush for it) or
+     one that cannot fit leaves at once, behind the cork. *)
+  let ship_conn t ~src ~dest c b off len ~gapped =
+    let r = receiving t ~src ~dest in
+    Mutex.lock c.wlock;
+    match
+      if not c.alive then false
+      else if is_hosted t dest && 4 + len <= chunk then begin
+        cork t c r b off len;
+        true
+      end
+      else begin
+        write_through t c r b off len ~gapped;
+        false
+      end
+    with
+    | corked ->
+        Mutex.unlock c.wlock;
+        if corked && receiver_blocked t dest then flush_conn t c
+    | exception Unix.Unix_error _ ->
+        drop_cork t c;
+        Mutex.unlock c.wlock;
+        mark_dead t c
+    | exception e ->
+        Mutex.unlock c.wlock;
+        raise e
+
   (* one physical frame, already materialized *)
   let ship_frame t ~src ~dest frame =
-    if Bytes.length frame > max_frame then
-      invalid_arg "Sock: frame exceeds the 64 MiB bound";
+    let len = Bytes.length frame in
+    if len > max_frame then invalid_arg "Sock: frame exceeds the 64 MiB bound";
     if src = dest then deliver t ~dest frame
     else
       match conn_to t ~src ~dest with
       | None -> ()
-      | Some c ->
-          let charged = charge_inflight t ~src ~dest in
-          Mutex.lock c.wlock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock c.wlock)
-            (fun () ->
-              try
-                let len = Bytes.length frame in
-                let hdr = Bytes.create 4 in
-                put_len hdr 0 len;
-                write_conn t c hdr 0 4;
-                write_conn t c frame 0 len
-              with Unix.Unix_error _ ->
-                uncharge_inflight t charged;
-                mark_dead t c)
+      | Some c -> ship_conn t ~src ~dest c frame 0 len ~gapped:false
 
   (* apply a chaos Sever: kill both hosted conn records of the pair
      (each is one end of the same TCP stream, so killing either would
@@ -610,26 +782,30 @@ module M = struct
     List.iter (fun tr -> apply_transition t tr) (Chaos.take_transitions c)
 
   let ship_hooked t ~src ~dest frame =
-    let frames =
-      match t.fault with None -> [ frame ] | Some hook -> hook ~src ~dest frame
-    in
-    match t.chaos with
-    | None -> List.iter (fun f -> ship_frame t ~src ~dest f) frames
-    | Some c ->
-        (* a frame the injector drops was never written: TCP cannot
-           resurrect it — recovery belongs to the Reliable layer above *)
-        List.iter
-          (fun f ->
+    match (t.fault, t.chaos) with
+    | None, None -> ship_frame t ~src ~dest frame  (* allocates nothing *)
+    | fault, chaos -> (
+        let frames =
+          match fault with None -> [ frame ] | Some hook -> hook ~src ~dest frame
+        in
+        match chaos with
+        | None -> List.iter (fun f -> ship_frame t ~src ~dest f) frames
+        | Some c ->
+            (* a frame the injector drops was never written: TCP cannot
+               resurrect it — recovery belongs to the Reliable layer above *)
             List.iter
-              (fun f' -> ship_frame t ~src ~dest f')
-              (Chaos.on_send c ~src ~dest f))
-          frames;
-        chaos_drain t c
+              (fun f ->
+                List.iter
+                  (fun f' -> ship_frame t ~src ~dest f')
+                  (Chaos.on_send c ~src ~dest f))
+              frames;
+            chaos_drain t c)
 
   (* the no-materialization path: the payload sits in [w] at
-     [payload_off] with >= 4 reserved bytes before it; the length
-     prefix is patched into that gap and prefix+payload leave in one
-     contiguous write straight from the writer's storage *)
+     [payload_off] with >= 4 reserved bytes before it.  Buffered, it is
+     copied into the cork; written through, the length prefix is
+     patched into that gap and prefix+payload leave in one contiguous
+     write straight from the writer's storage. *)
   let ship_writer t ~src ~dest w ~payload_off =
     let payload_len = Msgbuf.length w - payload_off in
     if payload_len > max_frame then
@@ -645,17 +821,8 @@ module M = struct
       match conn_to t ~src ~dest with
       | None -> ()
       | Some c ->
-          let storage = Msgbuf.unsafe_storage w in
-          put_len storage (payload_off - 4) payload_len;
-          let charged = charge_inflight t ~src ~dest in
-          Mutex.lock c.wlock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock c.wlock)
-            (fun () ->
-              try write_conn t c storage (payload_off - 4) (payload_len + 4)
-              with Unix.Unix_error _ ->
-                uncharge_inflight t charged;
-                mark_dead t c)
+          ship_conn t ~src ~dest c (Msgbuf.unsafe_storage w) payload_off
+            payload_len ~gapped:true
 
   let send t ~src ~dest msg =
     check t src;
@@ -704,6 +871,7 @@ module M = struct
     match pop ep with
     | Some _ as m -> m
     | None ->
+        flush_corked t;
         drain t ep ~self;
         pop ep
 
@@ -743,7 +911,9 @@ module M = struct
      read the ready conns.  The inbox check and the enlisting are one
      [ilock] section, and the row is snapshotted after it: a frame
      queued, or a conn registered, before the section is seen by this
-     call; one after it writes the pipe. *)
+     call; one after it writes the pipe.  The corks are flushed after
+     the section too: a frame buffered before a sender checks [waiting]
+     under [ilock] is either flushed here or by that sender. *)
   let await_ready t (ep : ep) ~self ~timeout =
     Mutex.lock ep.ilock;
     let w =
@@ -753,6 +923,7 @@ module M = struct
     match w with
     | None -> ()
     | Some w ->
+        flush_corked t;
         let r = current_row t ep ~self in
         if w.wrow != r then begin
           w.wrow <- r;
@@ -892,6 +1063,7 @@ module M = struct
 
   let idle t ~self =
     check t self;
+    flush_corked t;
     (* the caller is quiescing on us in a spin, and its receives'
        zero-timeout polls keep the runtime lock; on one domain that
        spin would starve the reconnector threads and the event loop's
@@ -1018,6 +1190,8 @@ let link_generation (t : M.t) ~owner ~peer =
   Mutex.unlock t.M.clock;
   g
 
+let writes (t : M.t) = Atomic.get t.M.writes
+
 let sever (t : M.t) ~a ~b =
   M.check t a;
   M.check t b;
@@ -1077,6 +1251,10 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
     metrics;
     pool = Msgbuf.Pool.create ~metrics;
     inflight = Atomic.make 0;
+    dlock = Mutex.create ();
+    corked = [||];
+    ncorked = Atomic.make 0;
+    writes = Atomic.make 0;
     fault = None;
     chaos = None;
     base_epoch = 0;

@@ -23,18 +23,37 @@
     the mesh (see {!max_loopback_machines}).  Batch frames are split by
     the {!Batching} layer above.
 
+    {b Sending.}  Each connection has a 64 KiB send buffer (a
+    "cork").  A frame for an endpoint hosted in this process is
+    appended to it — length prefix and payload, one copy, charged to
+    [bytes_copied] — and nothing is written at send time.  The cork
+    leaves in one [write] when
+    - any thread is about to poll this transport's sockets: an empty
+      [try_recv_slice], a blocking receive after it enlists its wake
+      pipe, and {!Transport.S.idle} first write out every non-empty
+      cork; or
+    - the sender, after buffering, finds a receiver of the destination
+      already blocked in [poll] (it checks under the lock the receiver
+      enlists under, so one of the two always writes the frame).
+    So a sent frame reaches its receiver with no further action by the
+    sender, and a synchronous fabric's window of requests (or replies)
+    crosses the kernel in one [write].  Self-sends are queued directly.
+    Frames for another process are written at once: no thread here
+    can flush for it.  A frame too large for an empty cork (64 KiB and
+    up) flushes the cork, then goes out straight from the caller's
+    storage; the zero-copy path back-fills its length prefix into the
+    reserved {!Envelope.gap} and writes prefix+payload in one [write].
+    A killed connection drops its cork and takes back the cork's
+    in-flight charges.  {!writes} counts the [write] calls.
+
     A background event-loop thread only sets connections up: it
     accepts peers and reads their hellos.  Sockets are non-blocking; a
-    send that finds the kernel buffer full reads what the sending
-    thread can (the receiving end when it is hosted here, the sender's
+    write that finds the kernel buffer full reads what the writing
+    thread can (the receiving end when it is hosted here, the writer's
     own inbound links) before it retries, so one thread can send a
     frame larger than the buffers and then receive it.
 
-    Framing is a 4-byte big-endian length prefix per frame.  The
-    zero-copy send path ships a pooled gapped writer without
-    materializing the frame: the prefix is back-filled into the
-    reserved {!Envelope.gap} immediately before the payload, and the
-    prefix+payload leave in one contiguous [write].
+    Framing is a 4-byte big-endian length prefix per frame.
 
     TCP already delivers reliably and in order {e while a connection
     lives}, so the backend is raw-like: [is_reliable] is [false] and
@@ -125,6 +144,11 @@ val chaos : t -> Chaos.t option
     1 after mesh formation, +1 per reconnect or duplicate-connect
     replacement. *)
 val link_generation : t -> owner:int -> peer:int -> int
+
+(** How many [write(2)] calls have carried frame bytes on this
+    transport's connections (each successful call; hellos are not
+    counted) — how well the corks coalesce. *)
+val writes : t -> int
 
 (** Kill the TCP connection between [a] and [b] mid-stream (both
     hosted conn records if loopback).  Reconnection then re-forms it —

@@ -131,7 +131,20 @@ module type S = sig
   val is_hosted : t -> int -> bool
 
   (** [send t ~src ~dest msg]; self-sends are allowed (loopback).
-      Charges one [msgs_sent] and the payload bytes to the metrics. *)
+      Charges one [msgs_sent] and the payload bytes to the metrics.
+
+      Delivery contract, shared by the whole send family ([send],
+      [send_raw], [send_writer], [send_raw_writer]): once the call
+      returns, the frame reaches [dest] with no further action by the
+      sender — a receive on [dest] returns it (unless a fault or a link
+      death loses it first), in send order per ([src], [dest]) pair.
+      A backend may hold the frame back until a receiver of [dest]
+      polls ({!Sock} buffers frames for an endpoint hosted in the same
+      process and writes them out before any of its receives polls, or
+      at once when a receiver is already blocked), so a caller must not
+      expect it to be {e visible} anywhere — in a kernel buffer, to
+      another process — before then.  While it is held,
+      {!pending_anywhere} counts it. *)
   val send : t -> src:int -> dest:int -> bytes -> unit
 
   (** Physical transmit: [frame] rides the same wire path as a [send]

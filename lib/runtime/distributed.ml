@@ -115,9 +115,9 @@ let run ?(config = Config.site_reuse_cycle) ?(mode = Fabric.Sync)
     states.(m) <- Some (I.create ~remote_hook:(hook m) prog)
   done;
   Fabric.run fabric (fun _ ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Rmi_net.Clock.now_us () in
       let value = I.run (state_of 0) entry args in
-      let wall_seconds = Unix.gettimeofday () -. t0 in
+      let wall_seconds = float_of_int (Rmi_net.Clock.now_us () - t0) *. 1e-6 in
       {
         value;
         statics =

@@ -22,15 +22,20 @@ type entry = { seq : int; at_us : float; event : event }
 type t = {
   mutable rev_entries : entry list;
   mutable count : int;
-  started : float;
+  started : int;  (* a {!Rmi_net.Clock.now_us} reading *)
   mutex : Mutex.t;
 }
 
 let create () =
-  { rev_entries = []; count = 0; started = Unix.gettimeofday (); mutex = Mutex.create () }
+  {
+    rev_entries = [];
+    count = 0;
+    started = Rmi_net.Clock.now_us ();
+    mutex = Mutex.create ();
+  }
 
 let record t event =
-  let at_us = (Unix.gettimeofday () -. t.started) *. 1e6 in
+  let at_us = float_of_int (Rmi_net.Clock.now_us () - t.started) in
   Mutex.lock t.mutex;
   t.rev_entries <- { seq = t.count; at_us; event } :: t.rev_entries;
   t.count <- t.count + 1;

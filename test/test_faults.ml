@@ -241,6 +241,31 @@ let contains hay needle =
   in
   at 0
 
+(* over raw TCP on a synchronous fabric, a request still in the
+   sender's cork when a sever kills the link is gone, and so is its
+   in-flight charge: the caller sees a quiescent cluster (Deadlock)
+   instead of spinning on a frame that will never arrive *)
+let severed_cork_is_deadlock () =
+  let metrics = Metrics.create () in
+  let chaos =
+    Rmi_net.Chaos.(
+      create ~seed:1 ~n:2
+        ~plan:[ { at = 1; action = Sever { a = 0; b = 1 } } ]
+        Rmi_net.Fault_sim.lossless)
+  in
+  let fabric =
+    Fabric.create ~backend:Fabric.Sock ~chaos ~n:2 ~meta ~config:Config.class_
+      ~plans:(Hashtbl.create 4) ~metrics ()
+  in
+  Fun.protect ~finally:(fun () -> Fabric.shutdown_net fabric) @@ fun () ->
+  Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_incr ~has_ret:true
+    (fun args -> Some args.(0));
+  Alcotest.(check bool) "deadlock detected" true
+    (try
+       ignore (call fabric);
+       false
+     with Node.Deadlock _ -> true)
+
 (* the Deadlock message of a quiescent raw cluster, and the retransmit
    give-up detail a Peer_down carries, read as single-spaced prose *)
 let failure_messages_single_spaced () =
@@ -287,6 +312,8 @@ let suite =
           truncated_payload_is_clean_error;
         Alcotest.test_case "dropped message -> deadlock detection" `Quick
           dropped_message_detected_as_deadlock;
+        Alcotest.test_case "sock: severed cork -> deadlock detection" `Quick
+          severed_cork_is_deadlock;
         Alcotest.test_case "reliable: transient drops recovered + counted"
           `Quick transient_drops_recovered_and_counted;
         Alcotest.test_case "reliable: permanent partition -> clean timeout"

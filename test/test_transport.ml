@@ -111,6 +111,14 @@ let drain_empty net ~self =
     "inbox drained" true
     (Transport.recv_deadline net ~self ~seconds:0.02 = None)
 
+(* poll [pred] until it holds or [seconds] pass, then assert it *)
+let wait_until ?(seconds = 10.0) what pred =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (pred ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check bool) what true (pred ())
+
 module Conformance (B : BACKEND) = struct
   let fifo_ordering () =
     with_backend (module B) 2 @@ fun net _ ->
@@ -299,13 +307,6 @@ module Conformance (B : BACKEND) = struct
           go ()
     in
     go ()
-
-  let wait_until ?(seconds = 10.0) what pred =
-    let deadline = Unix.gettimeofday () +. seconds in
-    while (not (pred ())) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.001
-    done;
-    Alcotest.(check bool) what true (pred ())
 
   let recv_string net ~self () =
     Bytes.to_string (Transport.recv_blocking net ~self)
@@ -556,6 +557,164 @@ let idle_poll_allocates_nothing () =
     "minor words over 1000 idle polls" (w1 -. w0) (w2 -. w1)
 
 (* ------------------------------------------------------------------ *)
+(* the send cork: frames for a hosted endpoint leave on the next poll  *)
+(* ------------------------------------------------------------------ *)
+
+let with_sock_t ~n f =
+  let metrics = Metrics.create () in
+  let s = Sock.create_loopback_t ~n metrics in
+  with_net (Sock.pack s) metrics @@ fun net _ -> f s net
+
+(* a writer holding [payload] behind the reserved gap *)
+let gapped payload =
+  let w = Msgbuf.create_writer () in
+  ignore (Msgbuf.reserve w Envelope.gap : int);
+  Msgbuf.write_bytes w payload 0 (Bytes.length payload);
+  w
+
+(* K frames sent from one thread between two polls — materialized and
+   gapped alike — cross the kernel in one write(2), made by the
+   receiver's poll; nothing is written at send time *)
+let corked_frames_share_one_write () =
+  with_sock_t ~n:2 @@ fun s net ->
+  let k = 8 in
+  let w0 = Sock.writes s in
+  for i = 0 to k - 1 do
+    let m = Bytes.of_string (Printf.sprintf "cork-%d" i) in
+    if i mod 2 = 0 then Transport.send net ~src:0 ~dest:1 m
+    else
+      Transport.send_writer net ~src:0 ~dest:1 (gapped m)
+        ~payload_off:Envelope.gap
+  done;
+  Alcotest.(check int) "nothing written at send time" w0 (Sock.writes s);
+  Alcotest.(check bool) "buffered frames are pending" true
+    (Transport.pending_anywhere net);
+  for i = 0 to k - 1 do
+    Alcotest.(check string) "in order" (Printf.sprintf "cork-%d" i)
+      (recv_str net ~self:1)
+  done;
+  Alcotest.(check int) "one write for all of them" (w0 + 1) (Sock.writes s);
+  Alcotest.(check bool)
+    "quiet once received" false
+    (Transport.pending_anywhere net)
+
+(* steady state: buffering a frame and flushing the cork allocate
+   nothing — the flush here is machine 0's own receive, which polls an
+   idle endpoint *)
+let corked_sends_allocate_nothing () =
+  with_sock_t ~n:2 @@ fun _ net ->
+  let frame = Bytes.make 48 'c' in
+  let rounds = ref 0 in
+  let round () =
+    incr rounds;
+    for _ = 1 to 4 do
+      Transport.send net ~src:0 ~dest:1 frame
+    done;
+    ignore (Transport.try_recv_slice net ~self:0 : (bytes * int * int) option)
+  in
+  (* the first round allocates the cork itself *)
+  round ();
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 50 do
+    round ()
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0))
+    "minor words over 50 rounds of 4 sends and a flush" (w1 -. w0) (w2 -. w1);
+  for _ = 1 to 4 * !rounds do
+    Alcotest.(check string)
+      "delivered" (Bytes.to_string frame) (recv_str net ~self:1)
+  done
+
+(* a conn killed with frames in its cork drops them unwritten and takes
+   back their in-flight charges.  Replacing machine 1's conn to 0 by a
+   fresh connect kills the sending record alone — the receiving record
+   at machine 0, which the charge went to, lives on — so only the
+   cork's own reclaim can clear [pending_anywhere]; a sever kills both. *)
+let killed_cork_charges_reclaimed () =
+  (with_sock_t ~n:2 @@ fun s net ->
+   let w0 = Sock.writes s in
+   Transport.send net ~src:1 ~dest:0 (Bytes.of_string "stranded");
+   Alcotest.(check bool) "a buffered frame is pending" true
+     (Transport.pending_anywhere net);
+   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+   Unix.connect fd
+     (Unix.ADDR_INET (Unix.inet_addr_loopback, Sock.listen_port s 1));
+   let hello = Bytes.create 4 in
+   Bytes.set_int32_be hello 0 0l;
+   ignore (Unix.write fd hello 0 4 : int);
+   wait_until "the replaced conn's charge taken back" (fun () ->
+       not (Transport.pending_anywhere net));
+   Alcotest.(check int) "the cork was dropped unwritten" w0 (Sock.writes s));
+  with_sock_t ~n:2 @@ fun s net ->
+  let w0 = Sock.writes s in
+  let g = Sock.link_generation s ~owner:0 ~peer:1 in
+  Transport.send net ~src:0 ~dest:1 (Bytes.of_string "lost");
+  Sock.sever s ~a:0 ~b:1;
+  Alcotest.(check bool) "nothing pending after the sever" false
+    (Transport.pending_anywhere net);
+  Alcotest.(check int) "the cork was dropped unwritten" w0 (Sock.writes s);
+  wait_until "the link re-formed" (fun () ->
+      Sock.link_generation s ~owner:0 ~peer:1 > g);
+  Transport.send net ~src:0 ~dest:1 (Bytes.of_string "after");
+  Alcotest.(check string) "the dropped frame never arrives" "after"
+    (recv_str net ~self:1)
+
+(* two sender threads feed one endpoint with small frames (corked) and
+   frames of 64 KiB and more (written through, behind the cork) while
+   the main thread receives: every frame arrives exactly once, intact
+   and in order per link *)
+let frame_sizes =
+  QCheck.(
+    list_of_size Gen.(1 -- 10)
+      (make ~print:string_of_int
+         Gen.(frequency [ (3, int_range 8 300); (1, int_range 65536 140_000) ])))
+
+let sized ~src ~seq size =
+  Bytes.init size (fun i ->
+      if i = 0 then Char.chr src
+      else if i = 1 then Char.chr seq
+      else Char.chr ((i + (7 * seq) + src) land 0xff))
+
+let two_senders_exactly_once =
+  QCheck.Test.make ~count:15
+    ~name:"sock: two senders' corked and large frames arrive once, in order"
+    (QCheck.pair frame_sizes frame_sizes) (fun (sizes0, sizes1) ->
+      with_sock_t ~n:3 @@ fun _ net ->
+      let sender src sizes =
+        Thread.create
+          (fun () ->
+            List.iteri
+              (fun seq size ->
+                let m = sized ~src ~seq size in
+                if seq mod 2 = 0 then Transport.send net ~src ~dest:2 m
+                else
+                  Transport.send_writer net ~src ~dest:2 (gapped m)
+                    ~payload_off:Envelope.gap)
+              sizes)
+          ()
+      in
+      let threads = [ sender 0 sizes0; sender 1 sizes1 ] in
+      let total = List.length sizes0 + List.length sizes1 in
+      let got = Array.make 2 [] in
+      for _ = 1 to total do
+        match Transport.recv_deadline net ~self:2 ~seconds:10.0 with
+        | Some m ->
+            let src = Char.code (Bytes.get m 0) in
+            got.(src) <- m :: got.(src)
+        | None -> QCheck.Test.fail_report "a frame never arrived"
+      done;
+      List.iter Thread.join threads;
+      let expect src sizes =
+        List.mapi (fun seq size -> sized ~src ~seq size) sizes
+      in
+      List.rev got.(0) = expect 0 sizes0
+      && List.rev got.(1) = expect 1 sizes1
+      && Transport.recv_deadline net ~self:2 ~seconds:0.02 = None)
+
+(* ------------------------------------------------------------------ *)
 (* the envelope checksum                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -684,6 +843,13 @@ let suite =
           QCheck_alcotest.to_alcotest stream_equality;
           Alcotest.test_case "sock: idle try_recv allocates nothing" `Quick
             idle_poll_allocates_nothing;
+          Alcotest.test_case "sock: frames between two polls share one write"
+            `Quick corked_frames_share_one_write;
+          Alcotest.test_case "sock: corked sends and a flush allocate nothing"
+            `Quick corked_sends_allocate_nothing;
+          Alcotest.test_case "sock: a killed conn's cork charges are reclaimed"
+            `Quick killed_cork_charges_reclaimed;
+          QCheck_alcotest.to_alcotest two_senders_exactly_once;
           Alcotest.test_case "envelope checksum goldens" `Quick
             checksum_goldens;
           QCheck_alcotest.to_alcotest checksum_matches_oracle;
