@@ -113,24 +113,17 @@ let invalidations t = locked t (fun () -> t.n_invalidations)
 
 let source_of_optimizer ?config (opt : Optimizer.t) =
   let prog = opt.Optimizer.prog in
-  let slice_hash site =
+  let program_hash site =
     match Optimizer.decision_for opt site with
     | None -> None
-    | Some d ->
-        let caller =
-          Jir.Program.method_decl prog d.Optimizer.cs.Heap_analysis.caller
-        in
-        let callee =
-          Jir.Program.method_decl prog d.Optimizer.cs.Heap_analysis.callee
-        in
-        (* the slice a plan depends on: both method bodies and every
-           class layout (field order feeds S_obj steps).  The records
-           are mutable, so editing them changes the digest. *)
-        Some
-          (Digest.string
-             (Marshal.to_string
-                (caller, callee, prog.Jir.Program.classes)
-                []))
+    | Some _ ->
+        (* the analyses behind a plan read more than the call's own
+           slice: the escape verdict follows the callee's local calls
+           and the whole program's static points-to sets.  So the
+           digest covers the whole program — every method body, class
+           layout and static.  The method records are mutable, so
+           editing any of them changes the digest. *)
+        Some (Digest.string (Marshal.to_string prog []))
   in
   let compile site =
     let opt' = Optimizer.run ?config prog in
@@ -138,4 +131,4 @@ let source_of_optimizer ?config (opt : Optimizer.t) =
     | Some d -> Some d.Optimizer.plan
     | None -> None
   in
-  { src_hash = slice_hash; src_compile = compile }
+  { src_hash = program_hash; src_compile = compile }

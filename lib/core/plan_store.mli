@@ -9,10 +9,10 @@
     of re-hitting the same [Type_confusion].
 
     Entries are keyed by call site and guarded by a content hash of the
-    program slice the plan was compiled from (caller body, callee body,
-    class layouts).  If the slice changes — a method edited, a class
-    relaid — the next {!get} notices the stale hash, drops every cached
-    version and recompiles through the pass manager. *)
+    program the plan was compiled from.  If it changes — any method
+    edited, a class relaid — the next {!get} notices the stale hash,
+    drops every cached version and recompiles through the pass
+    manager. *)
 
 type t
 
@@ -61,9 +61,11 @@ val misses : t -> int
 val invalidations : t -> int
 
 (** [source_of_optimizer ?config opt] builds a source over an analyzed
-    program: the hash covers the caller's and callee's method bodies
-    plus every class layout (the records are mutable, so editing a
-    method or class changes the hash and invalidates the entry), and
-    compilation re-runs {!Optimizer.run} — through the pass manager —
+    program: the hash covers the whole program — every method body,
+    class layout and static — because a site's verdicts also depend on
+    methods outside its caller and callee (the callee's local calls,
+    every store into a static).  The method records are mutable, so
+    editing any method changes the hash and invalidates the entry.
+    Compilation re-runs {!Optimizer.run} — through the pass manager —
     on the current state of the program. *)
 val source_of_optimizer : ?config:Codegen.config -> Optimizer.t -> source

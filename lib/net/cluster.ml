@@ -91,18 +91,24 @@ let poll_crashes t =
             transitions)
 
 let transmit t ~src ~dest frame =
-  let frames =
-    match t.fault with None -> [ frame ] | Some hook -> hook ~src ~dest frame
-  in
-  let frames =
-    match t.sim with
-    | None -> frames
-    | Some sim ->
-        List.concat_map (fun f -> Fault_sim.on_send sim ~src ~dest f) frames
-  in
-  List.iter (Mailbox.send t.boxes.(dest)) frames;
-  (* a send may have pushed the frame clock over a scheduled crash *)
-  poll_crashes t
+  match (t.fault, t.sim) with
+  | None, None ->
+      (* no hook and no simulator: straight to the mailbox, with no
+         one-frame list to build *)
+      Mailbox.send t.boxes.(dest) frame
+  | fault, sim ->
+      let frames =
+        match fault with None -> [ frame ] | Some hook -> hook ~src ~dest frame
+      in
+      let frames =
+        match sim with
+        | None -> frames
+        | Some sim ->
+            List.concat_map (fun f -> Fault_sim.on_send sim ~src ~dest f) frames
+      in
+      List.iter (Mailbox.send t.boxes.(dest)) frames;
+      (* a send may have pushed the frame clock over a scheduled crash *)
+      poll_crashes t
 
 (* test/diagnostic backdoor: deliver a raw frame to [dest]'s mailbox,
    bypassing hook and simulator *)

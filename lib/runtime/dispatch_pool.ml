@@ -31,6 +31,8 @@ type node_q = {
   q_mutex : Mutex.t;
   mutable depth : int;  (* Queue.length, maintained under [q_mutex] *)
   serve_mutex : Mutex.t;  (* one dispatch at a time per node *)
+  probe : Msgbuf.reader;
+      (* the owner worker's admission reader, re-aimed at each frame *)
 }
 
 type t = {
@@ -72,34 +74,54 @@ let try_dequeue nq =
   Mutex.unlock nq.q_mutex;
   task
 
+(* does admission control apply to the message at [r]?  Only to a
+   client request: a Request whose whole header parses and whose seq is
+   not the control seq.  Reading it builds no header record. *)
+let is_client_request r =
+  match
+    match Protocol.read_kind r with
+    | Protocol.Request ->
+        let seq = Protocol.read_seq r in
+        ignore (Protocol.read_plan_ver r : int);
+        seq <> shutdown_seq
+    | Protocol.Reply | Protocol.Ack | Protocol.Exn_reply | Protocol.Reject ->
+        false
+  with
+  | client -> client
+  | exception Msgbuf.Underflow _ -> false
+
 (* pull at most one message from [nq]'s mailbox: enqueue it, or reject
    it when it is a client request and the queue is full.  Only [nq]'s
-   owner worker calls this, so the mailbox stays single-consumer. *)
+   owner worker calls this, so the mailbox and [nq.probe] stay
+   single-consumer.  A malformed header is queued like a reply, and
+   [Node] drops it when it is dispatched. *)
 let intake_one t nq =
   match
     Rmi_net.Transport.try_recv_slice t.net ~self:(Node.id nq.node)
   with
   | None -> false
   | Some ((buf, off, len) as task) ->
-      let hdr =
-        match Protocol.read_header (Msgbuf.reader_of_bytes ~off ~len buf) with
-        | hdr -> Some hdr
-        | exception Msgbuf.Underflow _ -> None
-      in
-      (match hdr with
-      | Some h
-        when h.Protocol.kind = Protocol.Request
-             && h.Protocol.seq <> shutdown_seq ->
-          if not (try_enqueue t nq task) then Node.send_reject nq.node h
-      | _ ->
-          (* replies, acks, rejects and control frames bypass admission
-             control: refusing them could wedge the protocol.  The
-             queue is unbounded for them, but their volume is bounded
-             by the node's own outstanding calls. *)
-          Mutex.lock nq.q_mutex;
-          Queue.push task nq.q;
-          nq.depth <- nq.depth + 1;
-          Mutex.unlock nq.q_mutex);
+      let r = nq.probe in
+      Msgbuf.reset_slice r buf ~off ~len;
+      (if is_client_request r then begin
+         if not (try_enqueue t nq task) then begin
+           (* only a reject needs the whole header as a record *)
+           Msgbuf.reset_slice r buf ~off ~len;
+           Node.send_reject nq.node (Protocol.read_header r)
+         end
+       end
+       else begin
+         (* replies, acks, rejects and control frames bypass admission
+            control: refusing them could wedge the protocol.  The queue
+            is unbounded for them, but their volume is bounded by the
+            node's own outstanding calls. *)
+         Mutex.lock nq.q_mutex;
+         Queue.push task nq.q;
+         nq.depth <- nq.depth + 1;
+         Mutex.unlock nq.q_mutex
+       end);
+      (* pin no frame between intakes *)
+      Msgbuf.reset_slice r Bytes.empty ~off:0 ~len:0;
       true
 
 let execute t nq task =
@@ -179,6 +201,7 @@ let create ~net ~nodes ~domains ~queue_depth () =
           q_mutex = Mutex.create ();
           depth = 0;
           serve_mutex = Mutex.create ();
+          probe = Msgbuf.reader_of_bytes Bytes.empty;
         })
       nodes
   in

@@ -29,6 +29,15 @@ let layer ?now ?params config lower =
   in
   if config.Config.batching then Rmi_net.Batching.wrap net else net
 
+(* one Sync pump: serve every machine but [self] once, in id order, and
+   say whether any of them served anything.  A top-level loop, so a
+   waiting caller's every pump allocates nothing. *)
+let rec pump nodes ~self i progress =
+  if i >= Array.length nodes then progress
+  else
+    let served = i <> self && Node.serve_pending nodes.(i) in
+    pump nodes ~self (i + 1) (served || progress)
+
 let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store
     ?arq_params ~n ~meta ~config ~plans ~metrics () =
   (* a threaded fabric times its retransmits and heartbeats on the
@@ -69,15 +78,7 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store
   (if mode = Sync then
      (* a machine that waits pumps every other machine's queue *)
      Array.iteri
-       (fun self node ->
-         Node.set_pump node (fun () ->
-             let progress = ref false in
-             Array.iteri
-               (fun other node' ->
-                 if other <> self && Node.serve_pending node' then
-                   progress := true)
-               nodes;
-             !progress))
+       (fun self node -> Node.set_pump node (fun () -> pump nodes ~self 0 false))
        nodes);
   t
 

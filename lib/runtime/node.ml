@@ -11,6 +11,17 @@ let log_src = Logs.Src.create "rmi.runtime" ~doc:"RMI runtime events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* a [Log.debug] message closure allocates whether or not it prints:
+   hot paths build it only when the source's level lets it through *)
+let debug_on () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
+(* int-keyed tables hash and bucket an int exactly as the polymorphic
+   [Hashtbl] does, so a fold visits entries in the same order; they
+   compare keys without the polymorphic compare and, unlike tuple
+   keys, build nothing per lookup *)
+module Itbl = Hashtbl.Make (Int)
+
 exception Remote_exception of string
 exception No_such_method of string
 exception Deadlock of string
@@ -69,17 +80,21 @@ type t = {
   cfg : Config.t;
   plans : (int, Plan.t) Hashtbl.t;
   plan_store : Rmi_core.Plan_store.t option;
-  handlers : (int * int, export_entry) Hashtbl.t;
-  handlers_mutex : Mutex.t;  (* exports may come from other domains *)
+  (* obj -> meth -> entry.  A published table is never mutated: [export]
+     copies, edits and republishes it, so a lookup from any domain
+     reads it without a lock *)
+  handlers : export_entry Itbl.t Itbl.t Atomic.t;
+  handlers_mutex : Mutex.t;  (* serializes exports from other domains *)
   mutable seq : int;
   (* every in-flight asynchronous call, keyed on the request seq that
      the reply header echoes back *)
-  outstanding : (int, pending) Hashtbl.t;
-  arg_caches : (int, Value.t option array) Hashtbl.t;
-  ret_caches : (int, Value.t) Hashtbl.t;
-  (* keyed (callsite, plan version): a node may have to decode several
-     encoding generations of one site concurrently *)
-  compiled_plans : (int * int, compiled_plan) Hashtbl.t;
+  outstanding : pending Itbl.t;
+  (* reuse candidates per call site; [Value.Null] marks an empty slot *)
+  arg_caches : Value.t array Itbl.t;
+  ret_caches : Value.t Itbl.t;
+  (* callsite -> plan version -> compiled plan: a node may have to
+     decode several encoding generations of one site concurrently *)
+  compiled_plans : compiled_plan Itbl.t Itbl.t;
   tiers : (int, site_tier) Hashtbl.t;
   (* server-side reply cache, keyed (client, client-epoch, seq): a
      retried request is answered from here instead of re-executing the
@@ -118,9 +133,11 @@ and pending_state =
   | Failed of exn
 
 let reset_caches t =
-  Hashtbl.reset t.arg_caches;
-  Hashtbl.reset t.ret_caches
+  Itbl.reset t.arg_caches;
+  Itbl.reset t.ret_caches
 
+(* for the rare events; a hot path matches on [t.trace] itself so that
+   without a trace the event is never built *)
 let trace_event t event =
   match t.trace with Some tr -> Trace.record tr event | None -> ()
 
@@ -133,13 +150,13 @@ let create ?plan_store net ~id ~meta ~config ~plans =
       cfg = config;
       plans;
       plan_store;
-      handlers = Hashtbl.create 16;
+      handlers = Atomic.make (Itbl.create 1);
       handlers_mutex = Mutex.create ();
       seq = 0;
-      outstanding = Hashtbl.create 8;
-      arg_caches = Hashtbl.create 16;
-      ret_caches = Hashtbl.create 16;
-      compiled_plans = Hashtbl.create 16;
+      outstanding = Itbl.create 8;
+      arg_caches = Itbl.create 16;
+      ret_caches = Itbl.create 16;
+      compiled_plans = Itbl.create 16;
       tiers = Hashtbl.create 16;
       reply_cache = Hashtbl.create 64;
       reply_order = Queue.create ();
@@ -191,15 +208,20 @@ let set_pump t pump =
 let set_trace t trace = t.trace <- Some trace
 
 let export t ~obj ~meth ~has_ret fn =
-  Mutex.lock t.handlers_mutex;
-  Hashtbl.replace t.handlers (obj, meth) { fn; has_ret };
-  Mutex.unlock t.handlers_mutex
+  Mutex.protect t.handlers_mutex (fun () ->
+      let table = Itbl.copy (Atomic.get t.handlers) in
+      let meths =
+        match Itbl.find_opt table obj with
+        | Some meths -> Itbl.copy meths
+        | None -> Itbl.create 8
+      in
+      Itbl.replace meths meth { fn; has_ret };
+      Itbl.replace table obj meths;
+      Atomic.set t.handlers table)
 
-let find_handler t key =
-  Mutex.lock t.handlers_mutex;
-  let r = Hashtbl.find_opt t.handlers key in
-  Mutex.unlock t.handlers_mutex;
-  r
+(* @raise Not_found when nothing is exported as (obj, meth) *)
+let find_handler t ~obj ~meth =
+  Itbl.find (Itbl.find (Atomic.get t.handlers) obj) meth
 
 let metrics t = Rmi_net.Transport.metrics t.net
 
@@ -253,9 +275,9 @@ let effective_plan t ~callsite ~nargs ~has_ret =
   match t.cfg.Config.serializer with
   | Config.Class_specific -> Plan.generic ~callsite ~nargs ~has_ret
   | Config.Site_specific -> (
-      match Hashtbl.find_opt t.plans callsite with
-      | Some p -> p
-      | None -> Plan.generic ~callsite ~nargs ~has_ret)
+      match Hashtbl.find t.plans callsite with
+      | p -> p
+      | exception Not_found -> Plan.generic ~callsite ~nargs ~has_ret)
 
 let site_mode t = t.cfg.Config.serializer = Config.Site_specific
 
@@ -273,16 +295,32 @@ let compile_plan (plan : Plan.t) =
     cp_arctx = None;
   }
 
+(* the compiled plan for (callsite, version).
+   @raise Not_found when none is cached *)
+let find_compiled t ~callsite ~version =
+  Itbl.find (Itbl.find t.compiled_plans callsite) version
+
+let add_compiled t ~callsite ~version cp =
+  let versions =
+    match Itbl.find t.compiled_plans callsite with
+    | versions -> versions
+    | exception Not_found ->
+        let versions = Itbl.create 2 in
+        Itbl.replace t.compiled_plans callsite versions;
+        versions
+  in
+  Itbl.replace versions version cp
+
 (* compiled once per (node, call site, plan version); the config is
    fixed per node so the effective plan per version is stable.  The
    [nargs] recheck matters for version 0: class-generic traffic shares
    callsite -1 across methods of different arity. *)
 let compiled_for t ~callsite ~nargs ~has_ret =
   let plan = effective_plan t ~callsite ~nargs ~has_ret in
-  let key = (callsite, plan.Plan.version) in
-  match Hashtbl.find_opt t.compiled_plans key with
-  | Some cp when Array.length cp.cp_plan.Plan.args = nargs -> cp
-  | _ ->
+  let version = plan.Plan.version in
+  match find_compiled t ~callsite ~version with
+  | cp when Array.length cp.cp_plan.Plan.args = nargs -> cp
+  | _ | (exception Not_found) ->
       (if site_mode t && not (Hashtbl.mem t.plans callsite) then
          Log.warn (fun m ->
              m
@@ -290,26 +328,26 @@ let compiled_for t ~callsite ~nargs ~has_ret =
                 to the generic tag-carrying plan"
                t.nid callsite));
       let cp = compile_plan plan in
-      Hashtbl.replace t.compiled_plans key cp;
+      add_compiled t ~callsite ~version cp;
       cp
 
 (* compile [plan] and remember it under its (callsite, version) key *)
 let intern_plan t (plan : Plan.t) =
-  let key = (plan.Plan.callsite, plan.Plan.version) in
-  match Hashtbl.find_opt t.compiled_plans key with
-  | Some cp -> cp
-  | None ->
+  let callsite = plan.Plan.callsite and version = plan.Plan.version in
+  match find_compiled t ~callsite ~version with
+  | cp -> cp
+  | exception Not_found ->
       let cp = compile_plan plan in
-      Hashtbl.replace t.compiled_plans key cp;
+      add_compiled t ~callsite ~version cp;
       cp
 
 let compiled_generic t ~callsite ~nargs ~has_ret =
-  let key = (callsite, Plan.generic_version) in
-  match Hashtbl.find_opt t.compiled_plans key with
-  | Some cp when Array.length cp.cp_plan.Plan.args = nargs -> cp
-  | _ ->
+  let version = Plan.generic_version in
+  match find_compiled t ~callsite ~version with
+  | cp when Array.length cp.cp_plan.Plan.args = nargs -> cp
+  | _ | (exception Not_found) ->
       let cp = compile_plan (Plan.generic ~callsite ~nargs ~has_ret) in
-      Hashtbl.replace t.compiled_plans key cp;
+      add_compiled t ~callsite ~version cp;
       cp
 
 let adaptive t =
@@ -317,7 +355,7 @@ let adaptive t =
 
 (* resolve the plan a payload tagged [plan_ver] was encoded with:
    compiled cache, then the shared plan table, then the plan store's
-   per-version history *)
+   per-version history.  @raise Not_found when none of them has it *)
 let resolve_version t ~callsite ~nargs ~has_ret ver =
   if ver = Plan.generic_version then
     (* 0 usually means "generic encoding", but legacy hand-built plans
@@ -327,12 +365,12 @@ let resolve_version t ~callsite ~nargs ~has_ret ver =
        it, otherwise the peer's site was still cold and used the truly
        generic steps *)
     match compiled_for t ~callsite ~nargs ~has_ret with
-    | cp when cp.cp_plan.Plan.version = Plan.generic_version -> Some cp
-    | _ -> Some (compiled_generic t ~callsite ~nargs ~has_ret)
+    | cp when cp.cp_plan.Plan.version = Plan.generic_version -> cp
+    | _ -> compiled_generic t ~callsite ~nargs ~has_ret
   else
-    match Hashtbl.find_opt t.compiled_plans (callsite, ver) with
-    | Some cp -> Some cp
-    | None -> (
+    match find_compiled t ~callsite ~version:ver with
+    | cp -> cp
+    | exception Not_found -> (
         let from_table =
           match Hashtbl.find_opt t.plans callsite with
           | Some p when p.Plan.version = ver -> Some p
@@ -347,7 +385,7 @@ let resolve_version t ~callsite ~nargs ~has_ret ver =
                   Rmi_core.Plan_store.version store ~site:callsite ver
               | None -> None)
         in
-        match plan with Some p -> Some (intern_plan t p) | None -> None)
+        match plan with Some p -> intern_plan t p | None -> raise Not_found)
 
 (* deoptimization bookkeeping shared by the argument (caller) and
    return (callee) paths: publish the widened plan so every node — and
@@ -445,32 +483,32 @@ let eff_reuse_ret t (plan : Plan.t) =
 (* reuse caches (Figure 13's temp_arr, per call site)                  *)
 (* ------------------------------------------------------------------ *)
 
+(* An empty slot holds [Value.Null], which is also what taking it
+   yields: a null candidate and no candidate decode alike. *)
 let take_arg_cand t ~callsite ~nargs i =
-  match Hashtbl.find_opt t.arg_caches callsite with
-  | None ->
-      Hashtbl.replace t.arg_caches callsite (Array.make nargs None);
+  match Itbl.find t.arg_caches callsite with
+  | exception Not_found ->
+      Itbl.replace t.arg_caches callsite (Array.make nargs Value.Null);
       Value.Null
-  | Some slots -> (
-      match slots.(i) with
-      | Some v ->
-          (* multithreading guard: empty the slot while in use *)
-          slots.(i) <- None;
-          v
-      | None -> Value.Null)
+  | slots ->
+      let v = slots.(i) in
+      (* multithreading guard: empty the slot while in use *)
+      slots.(i) <- Value.Null;
+      v
 
 let restore_arg_cand t ~callsite i v =
-  match Hashtbl.find_opt t.arg_caches callsite with
-  | Some slots -> slots.(i) <- Some v
-  | None -> ()
+  match Itbl.find t.arg_caches callsite with
+  | slots -> slots.(i) <- v
+  | exception Not_found -> ()
 
 let take_ret_cand t ~callsite =
-  match Hashtbl.find_opt t.ret_caches callsite with
-  | Some v ->
-      Hashtbl.remove t.ret_caches callsite;
+  match Itbl.find t.ret_caches callsite with
+  | v ->
+      Itbl.replace t.ret_caches callsite Value.Null;
       v
-  | None -> Value.Null
+  | exception Not_found -> Value.Null
 
-let restore_ret_cand t ~callsite v = Hashtbl.replace t.ret_caches callsite v
+let restore_ret_cand t ~callsite v = Itbl.replace t.ret_caches callsite v
 
 (* ------------------------------------------------------------------ *)
 (* marshaling                                                          *)
@@ -552,94 +590,114 @@ let serve_rctx_for t cp ~cycle =
         rctx
   end
 
-let marshal_args_positional t cp header args =
+(* the header of an answer to the request [hdr]: its addressing with
+   [kind] and [plan_ver], written from fields so no header is copied *)
+let write_answer w (hdr : Protocol.header) ~kind ~plan_ver =
+  Protocol.write_fields w ~kind ~src:hdr.src ~epoch:hdr.epoch ~seq:hdr.seq
+    ~target_obj:hdr.target_obj ~method_id:hdr.method_id ~callsite:hdr.callsite
+    ~nargs:hdr.nargs ~plan_ver
+
+(* the request of call [seq], encoded with [cp]: its header, written
+   from the call's fields, then one write step per argument *)
+let marshal_args_positional t cp ~epoch ~seq ~obj ~meth ~callsite args =
   let plan = cp.cp_plan in
+  let writes = cp.cp_write_args in
   let w = acquire_msg_writer t in
   try
-    Protocol.write_header w header;
+    Protocol.write_fields w ~kind:Protocol.Request ~src:t.nid ~epoch ~seq
+      ~target_obj:obj ~method_id:meth ~callsite ~nargs:(Array.length args)
+      ~plan_ver:plan.Plan.version;
     let wctx = wctx_for t cp ~cycle:(eff_cycle_args t plan) in
-    Array.iteri
-      (fun i write ->
-        try write wctx w args.(i)
-        with Codec.Type_confusion msg ->
+    for i = 0 to Array.length writes - 1 do
+      match writes.(i) wctx w args.(i) with
+      | () -> ()
+      | exception Codec.Type_confusion msg ->
           (* the aborted write may have registered objects in the cycle
              table; reset so a replay cannot emit dangling handles *)
           Codec.reset_wctx wctx;
-          raise (Arg_confusion (i, msg)))
-      cp.cp_write_args;
+          raise (Arg_confusion (i, msg))
+    done;
     w
   with e ->
     release_msg_writer t w;
     raise e
-
-let marshal_args t cp header args =
-  try marshal_args_positional t cp header args
-  with Arg_confusion (_, msg) -> raise (Codec.Type_confusion msg)
 
 (* Adaptive encode: when a specialized plan's static promise is broken
    by a runtime value, widen the offending argument to the dynamic
    step, publish the repaired plan, and replay the write through it —
    the RMI still succeeds, just via the dynamic serializer for that
    position.  Terminates: each round widens one position and S_dyn
-   never raises.  Returns the (possibly widened) plan actually used and
-   the encoded request, whose header carries the matching version. *)
-let marshal_args_tiered t st cp header args =
-  if not (adaptive t) then (cp, header, marshal_args t cp header args)
+   never raises.  [p.pc_cp] ends as the (possibly widened) plan the
+   returned request was encoded with; its header carries the matching
+   version. *)
+let rec marshal_args_adaptive t st (p : pending) ~epoch ~obj ~meth args =
+  let cp = p.pc_cp in
+  match
+    marshal_args_positional t cp ~epoch ~seq:p.pc_seq ~obj ~meth
+      ~callsite:p.pc_callsite args
+  with
+  | w -> w
+  | exception Arg_confusion (i, msg) ->
+      if cp.cp_plan.Plan.version = Plan.generic_version then
+        (* the generic plan cannot confuse types; re-raise *)
+        raise (Codec.Type_confusion msg)
+      else begin
+        let widened = Plan.widen cp.cp_plan (`Arg i) in
+        let cp' =
+          publish_widened t widened
+            ~position:(Format.asprintf "%a" Plan.pp_position (`Arg i))
+        in
+        (match st with Some st -> st.st_cp <- cp' | None -> ());
+        p.pc_cp <- cp';
+        marshal_args_adaptive t st p ~epoch ~obj ~meth args
+      end
+
+let marshal_request t st (p : pending) ~epoch ~obj ~meth args =
+  if adaptive t then marshal_args_adaptive t st p ~epoch ~obj ~meth args
   else
-    let rec attempt cp header =
-      match marshal_args_positional t cp header args with
-      | w -> (cp, header, w)
-      | exception Arg_confusion (i, msg) ->
-          if cp.cp_plan.Plan.version = Plan.generic_version then
-            (* the generic plan cannot confuse types; re-raise *)
-            raise (Codec.Type_confusion msg)
-          else begin
-            let widened = Plan.widen cp.cp_plan (`Arg i) in
-            let cp' =
-              publish_widened t widened
-                ~position:(Format.asprintf "%a" Plan.pp_position (`Arg i))
-            in
-            (match st with Some st -> st.st_cp <- cp' | None -> ());
-            attempt cp'
-              { header with Protocol.plan_ver = widened.Plan.version }
-          end
-    in
-    attempt cp header
+    match
+      marshal_args_positional t p.pc_cp ~epoch ~seq:p.pc_seq ~obj ~meth
+        ~callsite:p.pc_callsite args
+    with
+    | w -> w
+    | exception Arg_confusion (_, msg) -> raise (Codec.Type_confusion msg)
 
 let unmarshal_args t cp ~callsite r =
   let plan = cp.cp_plan in
   let rctx = serve_rctx_for t cp ~cycle:(eff_cycle_args t plan) in
-  let nargs = Array.length plan.Plan.args in
-  let roots =
-    Array.mapi
-      (fun i read ->
-        let cand =
-          if eff_reuse_arg t plan i then take_arg_cand t ~callsite ~nargs i
-          else Value.Null
-        in
-        read rctx r ~cand)
-      cp.cp_read_args
-  in
+  let reads = cp.cp_read_args in
+  let nargs = Array.length reads in
+  let roots = Array.make nargs Value.Null in
+  for i = 0 to nargs - 1 do
+    let cand =
+      if eff_reuse_arg t plan i then take_arg_cand t ~callsite ~nargs i
+      else Value.Null
+    in
+    roots.(i) <- reads.(i) rctx r ~cand
+  done;
   (* set the parameters up for the next RMI at this site *)
-  Array.iteri
-    (fun i root ->
-      if eff_reuse_arg t plan i then restore_arg_cand t ~callsite i root)
-    roots;
+  for i = 0 to nargs - 1 do
+    if eff_reuse_arg t plan i then restore_arg_cand t ~callsite i roots.(i)
+  done;
   roots
 
-let marshal_ret t cp header ret =
-  let plan = cp.cp_plan in
+(* the reply to the request with these header fields: an [Ack], or a
+   [Reply] carrying [ret] encoded with [cp] *)
+let marshal_ret t cp ~src ~epoch ~seq ~obj ~meth ~callsite ~nargs ~plan_ver ret
+    =
   let w = acquire_msg_writer ~initial_capacity:256 t in
   try
-    match (cp.cp_write_ret, ret) with
-    | None, _ ->
-        Protocol.write_header w { header with Protocol.kind = Protocol.Ack };
+    match cp.cp_write_ret with
+    | None ->
+        Protocol.write_fields w ~kind:Protocol.Ack ~src ~epoch ~seq
+          ~target_obj:obj ~method_id:meth ~callsite ~nargs ~plan_ver;
         w
-    | Some write, v ->
+    | Some write ->
+        Protocol.write_fields w ~kind:Protocol.Reply ~src ~epoch ~seq
+          ~target_obj:obj ~method_id:meth ~callsite ~nargs ~plan_ver;
+        let wctx = wctx_for t cp ~cycle:(eff_cycle_ret t cp.cp_plan) in
         (* a void method under a value-bearing plan replies null *)
-        Protocol.write_header w { header with Protocol.kind = Protocol.Reply };
-        let wctx = wctx_for t cp ~cycle:(eff_cycle_ret t plan) in
-        write wctx w (Option.value v ~default:Value.Null);
+        write wctx w (Option.value ret ~default:Value.Null);
         w
   with e ->
     release_msg_writer t w;
@@ -649,56 +707,57 @@ let marshal_ret t cp header ret =
    plan deoptimizes the return position — widen, publish, replay — so
    the caller still gets its reply (tagged with the widened version)
    instead of an exception. *)
-let marshal_ret_tiered t cp header ret =
-  if not (adaptive t) then marshal_ret t cp header ret
+let rec marshal_ret_tiered t cp ~src ~epoch ~seq ~obj ~meth ~callsite ~nargs
+    ~plan_ver ret =
+  if not (adaptive t) then
+    marshal_ret t cp ~src ~epoch ~seq ~obj ~meth ~callsite ~nargs ~plan_ver ret
   else
-    let rec attempt cp (header : Protocol.header) =
-      match marshal_ret t cp header ret with
-      | w -> w
-      | exception Codec.Type_confusion msg ->
-          if cp.cp_plan.Plan.version = Plan.generic_version then
-            raise (Codec.Type_confusion msg)
-          else begin
-            let widened = Plan.widen cp.cp_plan `Ret in
-            let cp' = publish_widened t widened ~position:"ret" in
-            (* this site may also be called *from* this node *)
-            (match Hashtbl.find_opt t.tiers widened.Plan.callsite with
-            | Some st when st.st_promoted -> st.st_cp <- cp'
-            | _ -> ());
-            attempt cp'
-              { header with Protocol.plan_ver = widened.Plan.version }
-          end
-    in
-    attempt cp header
+    match
+      marshal_ret t cp ~src ~epoch ~seq ~obj ~meth ~callsite ~nargs ~plan_ver
+        ret
+    with
+    | w -> w
+    | exception Codec.Type_confusion msg ->
+        if cp.cp_plan.Plan.version = Plan.generic_version then
+          raise (Codec.Type_confusion msg)
+        else begin
+          let widened = Plan.widen cp.cp_plan `Ret in
+          let cp' = publish_widened t widened ~position:"ret" in
+          (* this site may also be called *from* this node *)
+          (match Hashtbl.find_opt t.tiers widened.Plan.callsite with
+          | Some st when st.st_promoted -> st.st_cp <- cp'
+          | _ -> ());
+          marshal_ret_tiered t cp' ~src ~epoch ~seq ~obj ~meth ~callsite ~nargs
+            ~plan_ver:widened.Plan.version ret
+        end
 
-let unmarshal_ret t cp ~callsite (hdr : Protocol.header) r =
+let unmarshal_ret t cp ~callsite ~kind ~plan_ver r =
   (* the reply announces which plan version encoded the return value;
      a server that deoptimized mid-reply answers with a newer version
      than the request carried *)
   let cp =
-    if hdr.Protocol.plan_ver = cp.cp_plan.Plan.version then cp
+    if plan_ver = cp.cp_plan.Plan.version then cp
     else begin
       let nargs = Array.length cp.cp_plan.Plan.args in
       let has_ret = cp.cp_plan.Plan.ret <> None in
-      match resolve_version t ~callsite ~nargs ~has_ret hdr.Protocol.plan_ver with
-      | Some cp' ->
+      match resolve_version t ~callsite ~nargs ~has_ret plan_ver with
+      | cp' ->
           (* adopt the newer encoding for future calls at this site *)
-          (if adaptive t && hdr.Protocol.plan_ver > cp.cp_plan.Plan.version
-           then
+          (if adaptive t && plan_ver > cp.cp_plan.Plan.version then
              match Hashtbl.find_opt t.tiers callsite with
              | Some st when st.st_promoted -> st.st_cp <- cp'
              | _ -> ());
           cp'
-      | None ->
+      | exception Not_found ->
           raise
             (Remote_exception
                (Printf.sprintf
                   "machine %d: reply for site %d uses unknown plan version %d"
-                  t.nid callsite hdr.Protocol.plan_ver))
+                  t.nid callsite plan_ver))
     end
   in
   let plan = cp.cp_plan in
-  match hdr.kind with
+  match kind with
   | Protocol.Ack -> None
   | Protocol.Exn_reply -> raise (Remote_exception (Msgbuf.read_string r))
   | Protocol.Reply -> (
@@ -720,43 +779,49 @@ let unmarshal_ret t cp ~callsite (hdr : Protocol.header) r =
 (* sending: direct, or through the per-link batch buffers              *)
 (* ------------------------------------------------------------------ *)
 
+(* one event per envelope the batching layer shipped *)
+let rec trace_flushes tr machine = function
+  | [] -> ()
+  | (dest, msgs, bytes) :: rest ->
+      Trace.record tr (Trace.Batch_flush { machine; dest; msgs; bytes });
+      trace_flushes tr machine rest
+
 let send_msg t ~dest payload =
-  if t.cfg.Config.batching then
-    List.iter
-      (fun (d, msgs, bytes) ->
-        trace_event t (Trace.Batch_flush { machine = t.nid; dest = d; msgs; bytes }))
-      (Rmi_net.Transport.send_buffered t.net ~src:t.nid ~dest payload)
+  if t.cfg.Config.batching then begin
+    let flushed =
+      Rmi_net.Transport.send_buffered t.net ~src:t.nid ~dest payload
+    in
+    match t.trace with Some tr -> trace_flushes tr t.nid flushed | None -> ()
+  end
   else Rmi_net.Transport.send t.net ~src:t.nid ~dest payload
 
 (* ship the message sitting in [w] (built by [acquire_msg_writer]).
-   [snapshot] is the message already materialized by the caller (the
-   retry copy of a request, a reply-cache entry) so paths that need
-   bytes anyway never copy twice.  In zero-copy mode without batching,
-   the reliable transport frames the writer's payload in place
-   ([Reliable]'s [send_writer]); under the raw transport the one snapshot
-   doubles as the wire frame. *)
-let send_from_writer t ~dest ?snapshot w =
+   In zero-copy mode without batching, the reliable transport frames
+   the writer's payload in place ([Reliable]'s [send_writer]). *)
+let send_from_writer t ~dest w =
   if (not (zc t)) || t.cfg.Config.batching then
-    let msg =
-      match snapshot with Some m -> m | None -> msg_of_writer t w
-    in
-    send_msg t ~dest msg
+    send_msg t ~dest (msg_of_writer t w)
   else
-    match snapshot with
-    | Some msg when not (Rmi_net.Transport.is_reliable t.net) ->
-        Rmi_net.Transport.send t.net ~src:t.nid ~dest msg
-    | _ ->
-        Rmi_net.Transport.send_writer t.net ~src:t.nid ~dest w
-          ~payload_off:gap
+    Rmi_net.Transport.send_writer t.net ~src:t.nid ~dest w ~payload_off:gap
+
+(* [send_from_writer] when the caller already materialized the message
+   as [snapshot] (the retry copy of a request, a reply-cache entry), so
+   paths that need bytes anyway never copy twice; under the raw
+   transport the one snapshot doubles as the wire frame *)
+let send_snapshot t ~dest snapshot w =
+  if (not (zc t)) || t.cfg.Config.batching then send_msg t ~dest snapshot
+  else if not (Rmi_net.Transport.is_reliable t.net) then
+    Rmi_net.Transport.send t.net ~src:t.nid ~dest snapshot
+  else
+    Rmi_net.Transport.send_writer t.net ~src:t.nid ~dest w ~payload_off:gap
 
 (* ship whatever this machine has coalesced; a no-op when batching is
    off or the buffers are empty *)
 let flush_self t =
-  if t.cfg.Config.batching then
-    List.iter
-      (fun (d, msgs, bytes) ->
-        trace_event t (Trace.Batch_flush { machine = t.nid; dest = d; msgs; bytes }))
-      (Rmi_net.Transport.flush t.net ~src:t.nid)
+  if t.cfg.Config.batching then begin
+    let flushed = Rmi_net.Transport.flush t.net ~src:t.nid in
+    match t.trace with Some tr -> trace_flushes tr t.nid flushed | None -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* the outstanding-request table                                       *)
@@ -818,42 +883,48 @@ let breaker_success t dest =
       b.opened_at <- None
 
 let resolve_future t (p : pending) state =
-  Hashtbl.remove t.outstanding p.pc_seq;
+  Itbl.remove t.outstanding p.pc_seq;
   p.pc_state <- state;
   (* any response — value or remote exception — proves the peer alive *)
   (match state with
   | Resolved _ | Failed (Remote_exception _) | Failed (No_such_method _) ->
       if p.pc_dest <> t.nid then breaker_success t p.pc_dest
   | _ -> ());
-  trace_event t
-    (Trace.Future_resolved
-       { machine = t.nid; seq = p.pc_seq; callsite = p.pc_callsite;
-         failed = (match state with Failed _ -> true | _ -> false) });
+  (match t.trace with
+  | Some tr ->
+      Trace.record tr
+        (Trace.Future_resolved
+           { machine = t.nid; seq = p.pc_seq; callsite = p.pc_callsite;
+             failed = (match state with Failed _ -> true | _ -> false) })
+  | None -> ());
   match state with
   | Failed _ -> ()
-  | _ ->
+  | _ -> (
       let elapsed_us = Rmi_net.Clock.now_us () - p.pc_started in
       (* client-observed round trip, one histogram sample per settled
          call; both the local and any remote domain may record, hence
          the atomic buckets *)
       Metrics.record_latency_ns (metrics t) (elapsed_us * 1000);
-      trace_event t
-        (Trace.Call_end
-           { machine = t.nid; callsite = p.pc_callsite;
-             elapsed_us = float_of_int elapsed_us })
+      match t.trace with
+      | Some tr ->
+          Trace.record tr
+            (Trace.Call_end
+               { machine = t.nid; callsite = p.pc_callsite;
+                 elapsed_us = float_of_int elapsed_us })
+      | None -> ())
 
-(* a reply/ack/exn-reply landed: settle whichever future asked for it.
-   Replies can arrive in any order relative to the issue order — the
-   seq in the echoed header is the correlation key. *)
-let handle_reply t (hdr : Protocol.header) r =
-  match Hashtbl.find_opt t.outstanding hdr.Protocol.seq with
-  | None ->
+(* a reply/ack/exn-reply of [kind] landed: settle whichever future
+   asked for it.  Replies can arrive in any order relative to the issue
+   order — the [seq] echoed in the header is the correlation key. *)
+let handle_reply t ~kind ~seq ~plan_ver r =
+  match Itbl.find t.outstanding seq with
+  | exception Not_found ->
       (* no one is waiting: a duplicate suppressed late, or a reply to
          an abandoned (timed-out) call; drop it *)
-      Log.debug (fun m ->
-          m "machine %d: dropping unexpected reply seq=%d" t.nid
-            hdr.Protocol.seq)
-  | Some p when hdr.Protocol.kind = Protocol.Reject ->
+      if debug_on () then
+        Log.debug (fun m ->
+            m "machine %d: dropping unexpected reply seq=%d" t.nid seq)
+  | p when kind = Protocol.Reject ->
       (* admission control refused the request: it was never executed,
          so re-sending cannot double-execute.  Overload is failure
          pressure — it feeds the peer's circuit breaker — but it does
@@ -886,9 +957,10 @@ let handle_reply t (hdr : Protocol.header) r =
         end;
         send_msg t ~dest:p.pc_dest p.pc_request
       end
-  | Some p ->
+  | p ->
       let state =
-        match unmarshal_ret t p.pc_cp ~callsite:p.pc_callsite hdr r with
+        match unmarshal_ret t p.pc_cp ~callsite:p.pc_callsite ~kind ~plan_ver r
+        with
         | v -> Resolved v
         | exception e -> Failed e
       in
@@ -898,7 +970,7 @@ let handle_reply t (hdr : Protocol.header) r =
    re-raise at await time *)
 let fail_outstanding t sel mk_exn =
   let victims =
-    Hashtbl.fold (fun _ p acc -> if sel p then p :: acc else acc) t.outstanding []
+    Itbl.fold (fun _ p acc -> if sel p then p :: acc else acc) t.outstanding []
   in
   List.iter (fun p -> resolve_future t p (Failed (mk_exn p))) victims
 
@@ -920,16 +992,45 @@ let cache_reply t key reply =
     Hashtbl.replace t.reply_cache key reply
   end
 
+(* an [Exn_reply] to [hdr]'s request carrying [msg], in a fresh
+   message writer *)
+let exn_reply t (hdr : Protocol.header) msg =
+  let w = acquire_msg_writer t in
+  write_answer w hdr ~kind:Protocol.Exn_reply ~plan_ver:hdr.plan_ver;
+  Msgbuf.write_string w msg;
+  w
+
+(* the reply to [hdr]'s request, executed by [entry]: the request
+   header says which plan version encoded the arguments — version 0 is
+   the generic tag-carrying plan, higher versions resolve through the
+   compiled cache, the shared plan table or the plan store *)
+let execute_request t (hdr : Protocol.header) entry r =
+  match
+    resolve_version t ~callsite:hdr.callsite ~nargs:hdr.nargs
+      ~has_ret:entry.has_ret hdr.plan_ver
+  with
+  | exception Not_found ->
+      exn_reply t hdr
+        (Printf.sprintf "machine %d: unknown plan version %d for site %d"
+           t.nid hdr.plan_ver hdr.callsite)
+  | cp -> (
+      try
+        let args = unmarshal_args t cp ~callsite:hdr.callsite r in
+        let ret = entry.fn args in
+        marshal_ret_tiered t cp ~src:hdr.src ~epoch:hdr.epoch ~seq:hdr.seq
+          ~obj:hdr.target_obj ~meth:hdr.method_id ~callsite:hdr.callsite
+          ~nargs:hdr.nargs ~plan_ver:hdr.plan_ver ret
+      with
+      | Codec.Type_confusion msg | Failure msg | Remote_exception msg ->
+          exn_reply t hdr msg
+      | Msgbuf.Underflow msg ->
+          (* corrupt or truncated request payload: report it cleanly
+             instead of taking the serving machine down *)
+          exn_reply t hdr ("malformed request: " ^ msg))
+
 let serve_request t (hdr : Protocol.header) r =
   if hdr.method_id = shutdown_method then t.shutdown <- true
   else begin
-    let exn_reply_now msg =
-      let w = acquire_msg_writer t in
-      Protocol.write_header w { hdr with Protocol.kind = Protocol.Exn_reply };
-      Msgbuf.write_string w msg;
-      send_from_writer t ~dest:hdr.src w;
-      release_msg_writer t w
-    in
     (* the reply cache only matters where requests can be retried — the
        reliable transport; the raw paper-table path skips it entirely *)
     let cache_key =
@@ -950,52 +1051,24 @@ let serve_request t (hdr : Protocol.header) r =
         Metrics.incr_reply_cache_hits (metrics t);
         send_msg t ~dest:hdr.src reply
     | None -> (
-        match find_handler t (hdr.target_obj, hdr.method_id) with
-        | None ->
-            exn_reply_now
-              (Printf.sprintf "machine %d has no (obj %d, method %d)" t.nid
-                 hdr.target_obj hdr.method_id)
-        | Some entry ->
-            trace_event t
-              (Trace.Served
-                 { machine = t.nid; src = hdr.src; meth = hdr.method_id;
-                   callsite = hdr.callsite });
-            (* the request header says which plan version encoded the
-               arguments: version 0 is the generic tag-carrying plan,
-               higher versions resolve through the compiled cache, the
-               shared plan table or the plan store *)
-            let exn_reply msg =
-              let w = acquire_msg_writer t in
-              Protocol.write_header w
-                { hdr with Protocol.kind = Protocol.Exn_reply };
-              Msgbuf.write_string w msg;
-              w
+        match find_handler t ~obj:hdr.target_obj ~meth:hdr.method_id with
+        | exception Not_found ->
+            let w =
+              exn_reply t hdr
+                (Printf.sprintf "machine %d has no (obj %d, method %d)" t.nid
+                   hdr.target_obj hdr.method_id)
             in
-            let reply =
-              match
-                resolve_version t ~callsite:hdr.callsite ~nargs:hdr.nargs
-                  ~has_ret:entry.has_ret hdr.plan_ver
-              with
-              | None ->
-                  exn_reply
-                    (Printf.sprintf
-                       "machine %d: unknown plan version %d for site %d" t.nid
-                       hdr.plan_ver hdr.callsite)
-              | Some cp -> (
-                  try
-                    let args = unmarshal_args t cp ~callsite:hdr.callsite r in
-                    let ret = entry.fn args in
-                    marshal_ret_tiered t cp hdr ret
-                  with
-                  | Codec.Type_confusion msg | Failure msg
-                  | Remote_exception msg ->
-                      exn_reply msg
-                  | Msgbuf.Underflow msg ->
-                      (* corrupt or truncated request payload: report it
-                         cleanly instead of taking the serving machine
-                         down *)
-                      exn_reply ("malformed request: " ^ msg))
-            in
+            send_from_writer t ~dest:hdr.src w;
+            release_msg_writer t w
+        | entry ->
+            (match t.trace with
+            | Some tr ->
+                Trace.record tr
+                  (Trace.Served
+                     { machine = t.nid; src = hdr.src; meth = hdr.method_id;
+                       callsite = hdr.callsite })
+            | None -> ());
+            let reply = execute_request t hdr entry r in
             (match cache_key with
             | Some key ->
                 (* snapshotted and stored before the reply leaves:
@@ -1003,52 +1076,62 @@ let serve_request t (hdr : Protocol.header) r =
                    a crash at frame granularity *)
                 let snapshot = msg_of_writer t reply in
                 cache_reply t key snapshot;
-                send_from_writer t ~dest:hdr.src ~snapshot reply
+                send_snapshot t ~dest:hdr.src snapshot reply
             | None -> send_from_writer t ~dest:hdr.src reply);
             release_msg_writer t reply)
   end
 
+(* hand a pooled reader back; a fresh one is left to the GC *)
+let release_reader t ~pooled r =
+  if pooled then Msgbuf.Pool.release_reader (node_pool t) r
+
+(* the message at [r]: a request is served, anything else settles a
+   future.  Only a request's header is built as a record; a reply's
+   kind, seq and plan version are read as plain ints.  A message whose
+   header cannot be parsed has no reply address: it is dropped, and a
+   synchronous caller sees quiescence (Deadlock), a parallel one its
+   own timeout. *)
+let consume_reader t r =
+  match Protocol.read_kind r with
+  | exception Msgbuf.Underflow _ -> ()
+  | Protocol.Request -> (
+      match Protocol.read_after_kind r Protocol.Request with
+      | exception Msgbuf.Underflow _ -> ()
+      | hdr -> serve_request t hdr r)
+  | (Protocol.Reply | Protocol.Ack | Protocol.Exn_reply | Protocol.Reject) as
+    kind -> (
+      match Protocol.read_seq r with
+      | exception Msgbuf.Underflow _ -> ()
+      | seq -> (
+          match Protocol.read_plan_ver r with
+          | exception Msgbuf.Underflow _ -> ()
+          | plan_ver -> handle_reply t ~kind ~seq ~plan_ver r))
+
 (* [msg] is a slice of the received frame — under zero-copy framing an
    envelope payload or batch sub-message is read where it landed, never
    copied out first; readers over it come from the cluster pool *)
-let dispatch t (buf, off, len) k =
+let consume t (buf, off, len) =
   let pooled = zc t in
   let r =
-    if pooled then Msgbuf.Pool.acquire_reader (node_pool t) ~off ~len buf
+    if pooled then Msgbuf.Pool.acquire_reader (node_pool t) buf ~off ~len
     else Msgbuf.reader_of_bytes ~off ~len buf
   in
-  let release () =
-    if pooled then Msgbuf.Pool.release_reader (node_pool t) r
-  in
-  match Protocol.read_header r with
-  | exception Msgbuf.Underflow _ ->
-      (* a message whose header cannot be parsed has no reply address:
-         drop it; a synchronous caller sees quiescence (Deadlock), a
-         parallel one its own timeout *)
-      release ();
-      k `Served
-  | hdr -> (
-      match hdr.kind with
-      | Protocol.Request ->
-          Fun.protect ~finally:release (fun () -> serve_request t hdr r);
-          k `Served
-      | Protocol.Reply | Protocol.Ack | Protocol.Exn_reply | Protocol.Reject ->
-          Fun.protect ~finally:release (fun () -> k (`Reply (hdr, r))))
+  match consume_reader t r with
+  | () -> release_reader t ~pooled r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release_reader t ~pooled r;
+      Printexc.raise_with_backtrace e bt
 
-let consume t msg =
-  dispatch t msg (function
-    | `Served -> ()
-    | `Reply (hdr, r) -> handle_reply t hdr r)
+let rec drain_inbox t served =
+  match Rmi_net.Transport.try_recv_slice t.net ~self:t.nid with
+  | None -> served
+  | Some msg ->
+      consume t msg;
+      drain_inbox t true
 
 let serve_pending t =
-  let rec go served =
-    match Rmi_net.Transport.try_recv_slice t.net ~self:t.nid with
-    | None -> served
-    | Some msg ->
-        consume t msg;
-        go true
-  in
-  let served = go false in
+  let served = drain_inbox t false in
   (* replies produced above may be sitting in this machine's batch
      buffers: ship them so the callers can make progress *)
   flush_self t;
@@ -1069,7 +1152,7 @@ let serve_slice t msg =
 let send_reject t (hdr : Protocol.header) =
   Metrics.incr_queue_rejects (metrics t);
   let w = acquire_msg_writer t in
-  Protocol.write_header w { hdr with Protocol.kind = Protocol.Reject };
+  write_answer w hdr ~kind:Protocol.Reject ~plan_ver:hdr.plan_ver;
   send_from_writer t ~dest:hdr.Protocol.src w;
   release_msg_writer t w;
   flush_self t
@@ -1105,11 +1188,6 @@ let send_shutdown t ~dest =
 (* the progress engine                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Await the settlement of [p], serving interleaved requests meanwhile —
-   the paper's GM-style progress while a data request is outstanding.
-   In synchronous mode the pump runs the other machines directly and a
-   quiescent cluster is an immediate deadlock; in parallel mode we
-   block on the mailbox until the reply (or a nested request) lands. *)
 (* one transport cycle on [q]'s request exhausted its retransmit
    budget (or the cluster went quiescent with [q] unanswered): retry,
    fail over to a replica, or give up according to the failure policy *)
@@ -1167,7 +1245,7 @@ let transport_failed t (q : pending) detail =
 let sweep_deadlines t =
   let now = Rmi_net.Clock.now_us () in
   let victims =
-    Hashtbl.fold
+    Itbl.fold
       (fun _ q acc -> if now >= q.pc_deadline then q :: acc else acc)
       t.outstanding []
   in
@@ -1181,111 +1259,112 @@ let sweep_deadlines t =
                  q.pc_seq))))
     victims
 
-let await_pending (p : pending) =
-  let t = p.pc_node in
-  (* consecutive idle rounds in which nothing at all was in flight;
-     only meaningful without a pump, where other domains may simply be
-     busy executing a handler *)
-  let dead_rounds = ref 0 in
-  let rec loop () =
-    match p.pc_state with
-    | Resolved v -> v
-    | Failed e -> raise e
-    | Pending -> (
-        (* anything we coalesced — including p's own request — must be
-           on the wire before we idle-wait for the answer *)
-        flush_self t;
-        match Rmi_net.Transport.try_recv_slice t.net ~self:t.nid with
-        | Some msg ->
-            consume t msg;
-            loop ()
-        | None ->
-            if t.has_pump then
-              if t.pump () then loop ()
-              else if Rmi_net.Transport.pending_anywhere t.net then loop ()
-              else drive_transport ~quiescent:true
-            else if Rmi_net.Transport.is_reliable t.net then
-              (* parallel mode over the reliable transport: wait in
-                 short slices so this machine keeps its retransmit
-                 timers running *)
-              match
-                Rmi_net.Transport.recv_deadline_slice t.net ~self:t.nid
-                  ~seconds:0.002
-              with
-              | Some msg ->
-                  consume t msg;
-                  loop ()
-              | None -> drive_transport ~quiescent:false
-            else begin
-              let msg =
-                Rmi_net.Transport.recv_blocking_slice t.net ~self:t.nid
-              in
-              consume t msg;
-              loop ()
-            end)
-  and drive_transport ~quiescent =
-    (* end-to-end deadlines fire whatever the transport is doing, so no
-       future can outlive its budget *)
-    sweep_deadlines t;
-    (* every outstanding call routed at a destination the transport gave
-       up on goes through the failure policy: RPC retry, failover to a
-       replica, or Peer_down/Rpc_timeout *)
-    let gave_up dests detail =
-      let victims =
-        Hashtbl.fold
-          (fun _ q acc -> if List.mem q.pc_dest dests then q :: acc else acc)
-          t.outstanding []
-      in
-      List.iter (fun q -> transport_failed t q detail) victims;
-      (* retried requests may be sitting in the batch buffers *)
-      flush_self t;
-      loop ()
-    in
-    match Rmi_net.Transport.idle t.net ~self:t.nid with
-    | Rmi_net.Transport.Raw_transport ->
-        if quiescent then begin
-          fail_outstanding t (fun _ -> true) (fun q ->
-              Deadlock
-                (Printf.sprintf
-                   "machine %d: no reply for seq %d and the cluster is \
-                    quiescent"
-                   t.nid q.pc_seq));
-          loop ()
-        end
-        else loop ()
-    | Rmi_net.Transport.Retransmitted n ->
-        dead_rounds := 0;
-        trace_event t (Trace.Retry { machine = t.nid; frames = n });
-        loop ()
-    | Rmi_net.Transport.Waiting ->
-        dead_rounds := 0;
-        loop ()
-    | Rmi_net.Transport.Gave_up dests ->
-        dead_rounds := 0;
-        gave_up dests
-          (Printf.sprintf
-             "frames to machine(s) %s exhausted their retransmit budget"
-             (String.concat "," (List.map string_of_int dests)))
-    | Rmi_net.Transport.Dead ->
-        (* nothing in flight anywhere yet calls are outstanding: their
-           requests (or replies) died with a crashed machine — e.g. an
-           amnesia restart that lost an acked-but-unanswered request.
-           Resending is the only road to progress. *)
-        let dests =
-          List.sort_uniq compare
-            (Hashtbl.fold (fun _ q acc -> q.pc_dest :: acc) t.outstanding [])
-        in
-        if quiescent then
-          (* synchronous mode: this thread is the whole cluster, so an
-             empty network can never produce the reply by waiting *)
-          gave_up dests "nothing left in flight"
-        else begin
-          incr dead_rounds;
-          if !dead_rounds > 500 then gave_up dests "nothing left in flight"
-          else loop ()
-        end
+(* every outstanding call routed at a destination the transport gave up
+   on goes through the failure policy: RPC retry, failover to a
+   replica, or Peer_down/Rpc_timeout *)
+let gave_up t dests detail =
+  let victims =
+    Itbl.fold
+      (fun _ q acc -> if List.mem q.pc_dest dests then q :: acc else acc)
+      t.outstanding []
   in
-  loop ()
+  List.iter (fun q -> transport_failed t q detail) victims;
+  (* retried requests may be sitting in the batch buffers *)
+  flush_self t
+
+(* Await the settlement of [p], serving interleaved requests meanwhile —
+   the paper's GM-style progress while a data request is outstanding.
+   In synchronous mode the pump runs the other machines directly and a
+   quiescent cluster is an immediate deadlock; in parallel mode we
+   block on the mailbox until the reply (or a nested request) lands.
+   [dead_rounds] counts consecutive idle rounds in which nothing at all
+   was in flight; it only matters without a pump, where other domains
+   may simply be busy executing a handler.  The loop is top-level
+   recursion, so a wait allocates no closures. *)
+let rec await_loop t (p : pending) dead_rounds =
+  match p.pc_state with
+  | Resolved v -> v
+  | Failed e -> raise e
+  | Pending -> (
+      (* anything we coalesced — including p's own request — must be
+         on the wire before we idle-wait for the answer *)
+      flush_self t;
+      match Rmi_net.Transport.try_recv_slice t.net ~self:t.nid with
+      | Some msg ->
+          consume t msg;
+          await_loop t p dead_rounds
+      | None ->
+          if t.has_pump then
+            if t.pump () then await_loop t p dead_rounds
+            else if Rmi_net.Transport.pending_anywhere t.net then
+              await_loop t p dead_rounds
+            else drive_transport t p dead_rounds ~quiescent:true
+          else if Rmi_net.Transport.is_reliable t.net then
+            (* parallel mode over the reliable transport: wait in short
+               slices so this machine keeps its retransmit timers
+               running *)
+            match
+              Rmi_net.Transport.recv_deadline_slice t.net ~self:t.nid
+                ~seconds:0.002
+            with
+            | Some msg ->
+                consume t msg;
+                await_loop t p dead_rounds
+            | None -> drive_transport t p dead_rounds ~quiescent:false
+          else begin
+            let msg = Rmi_net.Transport.recv_blocking_slice t.net ~self:t.nid in
+            consume t msg;
+            await_loop t p dead_rounds
+          end)
+
+and drive_transport t p dead_rounds ~quiescent =
+  (* end-to-end deadlines fire whatever the transport is doing, so no
+     future can outlive its budget *)
+  sweep_deadlines t;
+  match Rmi_net.Transport.idle t.net ~self:t.nid with
+  | Rmi_net.Transport.Raw_transport ->
+      if quiescent then
+        fail_outstanding t
+          (fun _ -> true)
+          (fun q ->
+            Deadlock
+              (Printf.sprintf
+                 "machine %d: no reply for seq %d and the cluster is \
+                  quiescent"
+                 t.nid q.pc_seq));
+      await_loop t p dead_rounds
+  | Rmi_net.Transport.Retransmitted n ->
+      trace_event t (Trace.Retry { machine = t.nid; frames = n });
+      await_loop t p 0
+  | Rmi_net.Transport.Waiting -> await_loop t p 0
+  | Rmi_net.Transport.Gave_up dests ->
+      gave_up t dests
+        (Printf.sprintf
+           "frames to machine(s) %s exhausted their retransmit budget"
+           (String.concat "," (List.map string_of_int dests)));
+      await_loop t p 0
+  | Rmi_net.Transport.Dead ->
+      (* nothing in flight anywhere yet calls are outstanding: their
+         requests (or replies) died with a crashed machine — e.g. an
+         amnesia restart that lost an acked-but-unanswered request.
+         Resending is the only road to progress. *)
+      let dests =
+        List.sort_uniq compare
+          (Itbl.fold (fun _ q acc -> q.pc_dest :: acc) t.outstanding [])
+      in
+      if quiescent then begin
+        (* synchronous mode: this thread is the whole cluster, so an
+           empty network can never produce the reply by waiting *)
+        gave_up t dests "nothing left in flight";
+        await_loop t p dead_rounds
+      end
+      else begin
+        let dead_rounds = dead_rounds + 1 in
+        if dead_rounds > 500 then gave_up t dests "nothing left in flight";
+        await_loop t p dead_rounds
+      end
+
+let await_pending (p : pending) = await_loop p.pc_node p 0
 
 (* nonblocking settlement check: drain the mailbox (and, in synchronous
    mode, give the rest of the cluster one pump) without ever idling *)
@@ -1293,17 +1372,10 @@ let peek_pending (p : pending) =
   let t = p.pc_node in
   (if is_pending p then begin
      flush_self t;
-     let rec drain () =
-       match Rmi_net.Transport.try_recv_slice t.net ~self:t.nid with
-       | Some msg ->
-           consume t msg;
-           drain ()
-       | None -> ()
-     in
-     drain ();
+     ignore (drain_inbox t false : bool);
      if is_pending p && t.has_pump then begin
        ignore (t.pump () : bool);
-       drain ()
+       ignore (drain_inbox t false : bool)
      end
    end);
   match p.pc_state with
@@ -1315,16 +1387,73 @@ let peek_pending (p : pending) =
 (* calling                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* the served half of a same-machine call, over the request sitting in
+   [w]: decode the arguments, execute, encode the reply and decode it
+   back, as a remote call's server and client would *)
+let serve_local t (p : pending) ~epoch ~obj ~meth ~nargs w =
+  let r = reader_of_msg_writer t w in
+  ignore (Protocol.read_kind r : Protocol.kind);
+  ignore (Protocol.read_seq r : int);
+  ignore (Protocol.read_plan_ver r : int);
+  let entry =
+    match find_handler t ~obj ~meth with
+    | entry -> entry
+    | exception Not_found ->
+        raise
+          (No_such_method
+             (Printf.sprintf "machine %d has no (obj %d, method %d)" t.nid obj
+                meth))
+  in
+  let cp = p.pc_cp and callsite = p.pc_callsite in
+  let call_args = unmarshal_args t cp ~callsite r in
+  let ret = entry.fn call_args in
+  let wr =
+    marshal_ret_tiered t cp ~src:t.nid ~epoch ~seq:p.pc_seq ~obj ~meth
+      ~callsite ~nargs ~plan_ver:cp.cp_plan.Plan.version ret
+  in
+  match
+    let rr = reader_of_msg_writer t wr in
+    let kind = Protocol.read_kind rr in
+    ignore (Protocol.read_seq rr : int);
+    let plan_ver = Protocol.read_plan_ver rr in
+    unmarshal_ret t cp ~callsite ~kind ~plan_ver rr
+  with
+  | v ->
+      release_msg_writer t wr;
+      v
+  | exception e ->
+      release_msg_writer t wr;
+      raise e
+
+(* same machine: clone through the serializer, skip the wire; runs
+   eagerly, with any exception captured for the await *)
+let call_local t st (p : pending) ~epoch ~obj ~meth ~nargs args =
+  match marshal_request t st p ~epoch ~obj ~meth args with
+  | exception e -> Failed e
+  | w -> (
+      match serve_local t p ~epoch ~obj ~meth ~nargs w with
+      | v ->
+          release_msg_writer t w;
+          Resolved v
+      | exception e ->
+          release_msg_writer t w;
+          Failed e)
+
 let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
     args =
   let started = Rmi_net.Clock.now_us () in
-  trace_event t
-    (Trace.Call_start
-       { machine = t.nid; dest = dest.Remote_ref.machine; meth; callsite;
-         local = dest.Remote_ref.machine = t.nid });
-  Log.debug (fun m ->
-      m "machine %d: call meth=%d site=%d -> machine %d" t.nid meth callsite
-        dest.Remote_ref.machine);
+  let machine = dest.Remote_ref.machine and obj = dest.Remote_ref.obj in
+  (match t.trace with
+  | Some tr ->
+      Trace.record tr
+        (Trace.Call_start
+           { machine = t.nid; dest = machine; meth; callsite;
+             local = machine = t.nid })
+  | None -> ());
+  if debug_on () then
+    Log.debug (fun m ->
+        m "machine %d: call meth=%d site=%d -> machine %d" t.nid meth callsite
+          machine);
   let nargs = Array.length args in
   let cp = dispatch_cp t ~callsite ~nargs ~has_ret in
   if Array.length cp.cp_plan.Plan.args <> nargs then
@@ -1334,19 +1463,7 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
          (Array.length cp.cp_plan.Plan.args)
          nargs);
   t.seq <- t.seq + 1;
-  let header =
-    {
-      Protocol.kind = Protocol.Request;
-      src = t.nid;
-      epoch = Rmi_net.Transport.self_epoch t.net t.nid;
-      seq = t.seq;
-      target_obj = dest.Remote_ref.obj;
-      method_id = meth;
-      callsite;
-      nargs;
-      plan_ver = cp.cp_plan.Plan.version;
-    }
-  in
+  let epoch = Rmi_net.Transport.self_epoch t.net t.nid in
   let budget =
     match deadline with
     | Some d -> d
@@ -1356,8 +1473,8 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
     {
       pc_seq = t.seq;
       pc_callsite = callsite;
-      pc_dest = dest.Remote_ref.machine;
-      pc_primary = dest.Remote_ref.machine;
+      pc_dest = machine;
+      pc_primary = machine;
       pc_cp = cp;
       pc_node = t;
       pc_started = started;
@@ -1368,51 +1485,19 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
       pc_state = Pending;
     }
   in
-  trace_event t
-    (Trace.Future_created
-       { machine = t.nid; seq = p.pc_seq; callsite;
-         dest = dest.Remote_ref.machine });
+  (match t.trace with
+  | Some tr ->
+      Trace.record tr
+        (Trace.Future_created
+           { machine = t.nid; seq = p.pc_seq; callsite; dest = machine })
+  | None -> ());
   let tier_st = if adaptive t then Hashtbl.find_opt t.tiers callsite else None in
-  if dest.Remote_ref.machine = t.nid then begin
-    (* same machine: clone through the serializer, skip the wire; runs
-       eagerly, with any exception captured for the await *)
+  if machine = t.nid then begin
     Metrics.incr_local_rpcs (metrics t);
-    let state =
-      match
-        let cp, header, w = marshal_args_tiered t tier_st cp header args in
-        p.pc_cp <- cp;
-        Fun.protect
-          ~finally:(fun () -> release_msg_writer t w)
-          (fun () ->
-            let r = reader_of_msg_writer t w in
-            let (_ : Protocol.header) = Protocol.read_header r in
-            let entry =
-              match find_handler t (dest.Remote_ref.obj, meth) with
-              | Some e -> e
-              | None ->
-                  raise
-                    (No_such_method
-                       (Printf.sprintf "machine %d has no (obj %d, method %d)"
-                          t.nid dest.Remote_ref.obj meth))
-            in
-            let call_args = unmarshal_args t cp ~callsite r in
-            let ret = entry.fn call_args in
-            let wr = marshal_ret_tiered t cp header ret in
-            Fun.protect
-              ~finally:(fun () -> release_msg_writer t wr)
-              (fun () ->
-                let rr = reader_of_msg_writer t wr in
-                let rhdr = Protocol.read_header rr in
-                unmarshal_ret t p.pc_cp ~callsite rhdr rr))
-      with
-      | v -> Resolved v
-      | exception e -> Failed e
-    in
-    resolve_future t p state;
+    resolve_future t p (call_local t tier_st p ~epoch ~obj ~meth ~nargs args);
     p
   end
-  else if not (breaker_allows t ~dest:dest.Remote_ref.machine ~now:started)
-  then begin
+  else if not (breaker_allows t ~dest:machine ~now:started) then begin
     (* circuit open: fail fast without touching the wire, so a dead
        peer costs one exception instead of a full retransmit budget *)
     Metrics.incr_breaker_fastfails (metrics t);
@@ -1420,19 +1505,18 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
       (Failed
          (Peer_down
             (Printf.sprintf "machine %d: circuit open to machine %d" t.nid
-               dest.Remote_ref.machine)));
+               machine)));
     p
   end
   else begin
     Metrics.incr_remote_rpcs (metrics t);
-    let cp, _header, w = marshal_args_tiered t tier_st cp header args in
-    p.pc_cp <- cp;
+    let w = marshal_request t tier_st p ~epoch ~obj ~meth args in
     (* the one payload snapshot the zero-copy path makes: the stable
        request bytes kept for RPC-level retries *)
     p.pc_request <- msg_of_writer t w;
-    Hashtbl.replace t.outstanding p.pc_seq p;
-    Metrics.record_outstanding (metrics t) (Hashtbl.length t.outstanding);
-    send_from_writer t ~dest:dest.Remote_ref.machine ~snapshot:p.pc_request w;
+    Itbl.replace t.outstanding p.pc_seq p;
+    Metrics.record_outstanding (metrics t) (Itbl.length t.outstanding);
+    send_snapshot t ~dest:machine p.pc_request w;
     release_msg_writer t w;
     p
   end

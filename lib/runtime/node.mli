@@ -75,7 +75,8 @@ val set_pump : t -> (unit -> bool) -> unit
 
 (** [export t ~obj ~meth ~has_ret handler] registers a remotely
     invokable method.  [has_ret] must match the method's signature on
-    every machine. *)
+    every machine.  Safe from any domain: an export republishes a
+    copied handler table, so a call's lookup takes no lock. *)
 val export : t -> obj:int -> meth:int -> has_ret:bool -> handler -> unit
 
 (** A promise for the result of one asynchronous call, keyed on the

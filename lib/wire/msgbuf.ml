@@ -157,13 +157,16 @@ let reader_of_writer ?(off = 0) w =
   if off < 0 || off > w.len then invalid_arg "Msgbuf.reader_of_writer";
   { data = w.buf; limit = w.len; pos = off }
 
-let reset_reader r ?(off = 0) ?len data =
-  let len = match len with Some n -> n | None -> Bytes.length data - off in
+let reset_slice r data ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length data then
-    invalid_arg "Msgbuf.reset_reader";
+    invalid_arg "Msgbuf.reset_slice";
   r.data <- data;
   r.limit <- off + len;
   r.pos <- off
+
+let reset_reader r ?(off = 0) ?len data =
+  let len = match len with Some n -> n | None -> Bytes.length data - off in
+  reset_slice r data ~off ~len
 
 let remaining r = r.limit - r.pos
 
@@ -257,26 +260,56 @@ let read_int_slice r a pos len =
 module Pool = struct
   module Metrics = Rmi_stats.Metrics
 
+  (* a free list as an array stack, so a release allocates no list
+     cell; [Array.length items] only grows, to the most buffers ever
+     out at once *)
+  type 'a stack = { mutable items : 'a array; mutable n : int; empty : 'a }
+
+  let stack empty = { items = [||]; n = 0; empty }
+
+  let push s x =
+    if s.n = Array.length s.items then begin
+      let items = Array.make (max 8 (2 * s.n)) s.empty in
+      Array.blit s.items 0 items 0 s.n;
+      s.items <- items
+    end;
+    s.items.(s.n) <- x;
+    s.n <- s.n + 1
+
+  (* the most recently released item (LIFO, as the list was), its slot
+     cleared so the stack pins nothing handed out *)
+  let pop s =
+    s.n <- s.n - 1;
+    let x = s.items.(s.n) in
+    s.items.(s.n) <- s.empty;
+    x
+
   type buffers = {
     metrics : Metrics.t;
     lock : Mutex.t;
-    mutable writers : writer list;
-    mutable readers : reader list;
+    writers : writer stack;
+    readers : reader stack;
   }
 
-  let create ~metrics = { metrics; lock = Mutex.create (); writers = []; readers = [] }
+  let create ~metrics =
+    {
+      metrics;
+      lock = Mutex.create ();
+      writers = stack { buf = Bytes.empty; len = 0 };
+      readers = stack { data = Bytes.empty; limit = 0; pos = 0 };
+    }
 
   let acquire_writer p =
     Mutex.lock p.lock;
     let w =
-      match p.writers with
-      | w :: rest ->
-          p.writers <- rest;
-          Metrics.incr_pool_hits p.metrics;
-          w
-      | [] ->
-          Metrics.incr_pool_misses p.metrics;
-          create_writer ~initial_capacity:512 ()
+      if p.writers.n > 0 then begin
+        Metrics.incr_pool_hits p.metrics;
+        pop p.writers
+      end
+      else begin
+        Metrics.incr_pool_misses p.metrics;
+        create_writer ~initial_capacity:512 ()
+      end
     in
     Mutex.unlock p.lock;
     clear w;
@@ -284,7 +317,7 @@ module Pool = struct
 
   let release_writer p w =
     Mutex.lock p.lock;
-    p.writers <- w :: p.writers;
+    push p.writers w;
     Mutex.unlock p.lock
 
   (* [with_writer p f] runs [f] on a pooled writer and releases it even
@@ -294,26 +327,26 @@ module Pool = struct
     let w = acquire_writer p in
     Fun.protect ~finally:(fun () -> release_writer p w) (fun () -> f w)
 
-  let acquire_reader p ?off ?len data =
+  let acquire_reader p data ~off ~len =
     Mutex.lock p.lock;
     let r =
-      match p.readers with
-      | r :: rest ->
-          p.readers <- rest;
-          Metrics.incr_pool_hits p.metrics;
-          r
-      | [] ->
-          Metrics.incr_pool_misses p.metrics;
-          { data = Bytes.empty; limit = 0; pos = 0 }
+      if p.readers.n > 0 then begin
+        Metrics.incr_pool_hits p.metrics;
+        pop p.readers
+      end
+      else begin
+        Metrics.incr_pool_misses p.metrics;
+        { data = Bytes.empty; limit = 0; pos = 0 }
+      end
     in
     Mutex.unlock p.lock;
-    reset_reader r ?off ?len data;
+    reset_slice r data ~off ~len;
     r
 
   let release_reader p r =
     (* drop the data reference so the pool never pins a large frame *)
-    reset_reader r Bytes.empty;
+    reset_slice r Bytes.empty ~off:0 ~len:0;
     Mutex.lock p.lock;
-    p.readers <- r :: p.readers;
+    push p.readers r;
     Mutex.unlock p.lock
 end

@@ -108,6 +108,11 @@ val reader_of_writer : ?off:int -> writer -> reader
     mirroring [Codec.reset_rctx]). *)
 val reset_reader : reader -> ?off:int -> ?len:int -> bytes -> unit
 
+(** [reset_slice r data ~off ~len] is [reset_reader r ~off ~len data]
+    without the optional arguments, which a caller would box on every
+    call. *)
+val reset_slice : reader -> bytes -> off:int -> len:int -> unit
+
 (** Bytes remaining to be read. *)
 val remaining : reader -> int
 
@@ -164,9 +169,11 @@ module Pool : sig
       around [f], releasing on exceptions too. *)
   val with_writer : buffers -> (writer -> 'a) -> 'a
 
-  (** [acquire_reader p ?off ?len data] returns a pooled reader aimed
-      at [data] (see {!reader_of_bytes} for [off]/[len]). *)
-  val acquire_reader : buffers -> ?off:int -> ?len:int -> bytes -> reader
+  (** [acquire_reader p data ~off ~len] returns a pooled reader aimed
+      at the [len] bytes of [data] from [off] (as {!reset_slice}).  The
+      arguments are not optional, so the receive path, which calls it
+      once per message, boxes none of them. *)
+  val acquire_reader : buffers -> bytes -> off:int -> len:int -> reader
 
   val release_reader : buffers -> reader -> unit
 end

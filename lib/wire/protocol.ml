@@ -31,19 +31,26 @@ let kind_of_code = function
   | 5 -> Reject
   | n -> raise (Msgbuf.Underflow (Printf.sprintf "bad message kind %d" n))
 
-let write_header w h =
-  Msgbuf.write_u8 w (kind_code h.kind);
-  Msgbuf.write_uvarint w h.src;
-  Msgbuf.write_uvarint w h.epoch;
-  Msgbuf.write_uvarint w h.seq;
-  Msgbuf.write_varint w h.target_obj;
-  Msgbuf.write_varint w h.method_id;
-  Msgbuf.write_varint w h.callsite;
-  Msgbuf.write_uvarint w h.nargs;
-  Msgbuf.write_uvarint w h.plan_ver
+let write_fields w ~kind ~src ~epoch ~seq ~target_obj ~method_id ~callsite
+    ~nargs ~plan_ver =
+  Msgbuf.write_u8 w (kind_code kind);
+  Msgbuf.write_uvarint w src;
+  Msgbuf.write_uvarint w epoch;
+  Msgbuf.write_uvarint w seq;
+  Msgbuf.write_varint w target_obj;
+  Msgbuf.write_varint w method_id;
+  Msgbuf.write_varint w callsite;
+  Msgbuf.write_uvarint w nargs;
+  Msgbuf.write_uvarint w plan_ver
 
-let read_header r =
-  let kind = kind_of_code (Msgbuf.read_u8 r) in
+let write_header w h =
+  write_fields w ~kind:h.kind ~src:h.src ~epoch:h.epoch ~seq:h.seq
+    ~target_obj:h.target_obj ~method_id:h.method_id ~callsite:h.callsite
+    ~nargs:h.nargs ~plan_ver:h.plan_ver
+
+let read_kind r = kind_of_code (Msgbuf.read_u8 r)
+
+let read_after_kind r kind =
   let src = Msgbuf.read_uvarint r in
   let epoch = Msgbuf.read_uvarint r in
   let seq = Msgbuf.read_uvarint r in
@@ -53,6 +60,22 @@ let read_header r =
   let nargs = Msgbuf.read_uvarint r in
   let plan_ver = Msgbuf.read_uvarint r in
   { kind; src; epoch; seq; target_obj; method_id; callsite; nargs; plan_ver }
+
+let read_header r = read_after_kind r (read_kind r)
+
+(* the record-free readers consume exactly the bytes, and raise on
+   exactly the inputs, that [read_after_kind] does *)
+let read_seq r =
+  ignore (Msgbuf.read_uvarint r : int);
+  ignore (Msgbuf.read_uvarint r : int);
+  Msgbuf.read_uvarint r
+
+let read_plan_ver r =
+  ignore (Msgbuf.read_varint r : int);
+  ignore (Msgbuf.read_varint r : int);
+  ignore (Msgbuf.read_varint r : int);
+  ignore (Msgbuf.read_uvarint r : int);
+  Msgbuf.read_uvarint r
 
 let pp_kind ppf k =
   Format.pp_print_string ppf

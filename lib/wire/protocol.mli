@@ -42,8 +42,45 @@ type header = {
 
 val write_header : Msgbuf.writer -> header -> unit
 
+(** [write_fields w ~kind ...] writes the same bytes as {!write_header}
+    of the record with these fields, without building the record: the
+    call path writes request and reply headers this way. *)
+val write_fields :
+  Msgbuf.writer ->
+  kind:kind ->
+  src:int ->
+  epoch:int ->
+  seq:int ->
+  target_obj:int ->
+  method_id:int ->
+  callsite:int ->
+  nargs:int ->
+  plan_ver:int ->
+  unit
+
 (** @raise Msgbuf.Underflow on a malformed header. *)
 val read_header : Msgbuf.reader -> header
+
+(** {2 Piecewise header reads}
+
+    A header can also be read in order, one piece at a time, raising
+    {!Msgbuf.Underflow} exactly where {!read_header} would:
+    {!read_kind}, then either {!read_after_kind} for the whole record,
+    or {!read_seq} then {!read_plan_ver}, which allocate nothing. *)
+
+(** [read_kind r] reads the kind byte that starts a header. *)
+val read_kind : Msgbuf.reader -> kind
+
+(** [read_after_kind r kind] reads the rest of a header of [kind]. *)
+val read_after_kind : Msgbuf.reader -> kind -> header
+
+(** [read_seq r], after {!read_kind}, reads up to and including [seq]
+    and returns it. *)
+val read_seq : Msgbuf.reader -> int
+
+(** [read_plan_ver r], after {!read_seq}, reads the rest of the header
+    and returns its [plan_ver], leaving [r] at the payload. *)
+val read_plan_ver : Msgbuf.reader -> int
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp_header : Format.formatter -> header -> unit

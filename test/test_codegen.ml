@@ -351,6 +351,64 @@ let plan_store_invalidates_on_edit () =
   Alcotest.(check bool) "stale widened version dropped" true
     (Plan_store.version store ~site 2 = None)
 
+(* A remote [Foo.foo(Bar)] hands its argument to a local helper, so
+   the argument's escape verdict rests on the helper's body, which is
+   neither the caller's nor the callee's.  Editing only the helper to
+   store the argument into a static must not leave the cached reuse
+   licence in place. *)
+let helper_program ~helper_body =
+  Jfront.Lower.compile
+    (Printf.sprintf
+       {|class Data { int payload; }
+class Bar { Data d; }
+class Helper {
+  static Bar kept;
+  static void helper(Bar b) { %s }
+}
+remote class Foo {
+  void foo(Bar b) { Helper.helper(b); }
+}
+class Driver {
+  static void main() {
+    Bar b = new Bar();
+    b.d = new Data();
+    Foo f = new Foo();
+    f.foo(b);
+  }
+}|}
+       helper_body)
+
+let plan_store_sees_helper_edit () =
+  let prog = helper_program ~helper_body:"" in
+  let opt = Optimizer.run prog in
+  let site =
+    match opt.Optimizer.decisions with
+    | [ d ] -> d.Optimizer.plan.Plan.callsite
+    | _ -> Alcotest.fail "expected one remote call site"
+  in
+  let store = Plan_store.create (Plan_store.source_of_optimizer opt) in
+  (match Plan_store.get store ~site with
+  | Some (p, Plan_store.Compiled) ->
+      Alcotest.(check bool) "helper keeps nothing: reusable" true
+        (p.Plan.reuse_args = [| true |] && p.Plan.non_escaping)
+  | _ -> Alcotest.fail "first get must compile");
+  (* the edited helper, in SSA form like the program it is patched
+     into *)
+  let edited = helper_program ~helper_body:"Helper.kept = b;" in
+  ignore (Optimizer.run edited : Optimizer.t);
+  let helper p =
+    Jir.Program.method_decl p (Jfront.Lower.method_named p "Helper.helper")
+  in
+  let h = helper prog and h' = helper edited in
+  h.Jir.Program.blocks <- h'.Jir.Program.blocks;
+  h.Jir.Program.var_types <- h'.Jir.Program.var_types;
+  match Plan_store.get store ~site with
+  | Some (p, outcome) ->
+      Alcotest.(check bool) "not a hit" true (outcome <> Plan_store.Hit);
+      Alcotest.(check bool) "argument now escapes" true
+        (p.Plan.reuse_args = [| false |] && not p.Plan.non_escaping)
+  | None -> Alcotest.fail "site must compile"
+
 (* cached ≡ fresh under any interleaving of edits and lookups *)
 let prop_cached_equals_fresh =
   QCheck.Test.make ~name:"plan store: cached plan = fresh compile" ~count:60
@@ -396,6 +454,8 @@ let suite =
           plan_store_hit_and_publish;
         Alcotest.test_case "program edit invalidates" `Quick
           plan_store_invalidates_on_edit;
+        Alcotest.test_case "helper edit outside the call's slice invalidates"
+          `Quick plan_store_sees_helper_edit;
         Fixtures.qcheck_case prop_cached_equals_fresh;
       ] );
     ( "codegen.optimizer",

@@ -158,6 +158,69 @@ let admission_rejects () =
     (s.Metrics.queue_depth_hwm <= 1);
   Alcotest.(check int) "one dispatch per call" calls s.Metrics.dispatches
 
+(* a Request-kind frame whose header is cut off after its seq, found
+   by intake while the queue is full, is queued like a reply (not
+   rejected) and dropped at dispatch; a well-formed request arriving
+   at the same full queue is rejected and retried to completion.  One
+   worker drains both mailboxes in a fixed order: per round it takes
+   one frame from machine 1, then one from machine 2, then executes
+   one task, own queues first.  Everything is sent before it starts:
+   round 1 admits [a] and [b] and runs [a]; round 2 queues the
+   malformed frame behind [b] (the queue is full) and runs [b]; round
+   3 rejects [c] (the malformed frame still fills the queue) and drops
+   the malformed frame. *)
+let malformed_request_under_full_queue () =
+  let metrics = Metrics.create () in
+  let fabric =
+    Fabric.create ~mode:Fabric.Parallel ~n:3 ~meta
+      ~config:
+        (Config.with_domains ~queue_depth:1 1
+           (Config.with_failover failover Config.class_))
+      ~plans:(Hashtbl.create 4) ~metrics ()
+  in
+  for s = 1 to 2 do
+    Node.export (Fabric.node fabric s) ~obj:0 ~meth:m_double ~has_ret:true
+      (fun args ->
+        match args.(0) with
+        | Value.Obj { fields = [| Value.Int v |]; _ } -> Some (box (2 * v))
+        | _ -> None)
+  done;
+  let call machine v =
+    Node.call_async (Fabric.node fabric 0)
+      ~dest:(Remote_ref.make ~machine ~obj:0)
+      ~meth:m_double ~callsite:(-1) ~has_ret:true [| box v |]
+  in
+  let a = call 1 1 in
+  let b = call 2 2 in
+  let cut = Msgbuf.create_writer () in
+  Msgbuf.write_u8 cut 0 (* Request *);
+  Msgbuf.write_uvarint cut 0 (* src *);
+  Msgbuf.write_uvarint cut 0 (* epoch *);
+  Msgbuf.write_uvarint cut 999 (* seq; the header ends here *);
+  Rmi_net.Cluster.inject_frame (Fabric.cluster fabric) ~dest:2
+    (Msgbuf.contents cut);
+  let c = call 2 3 in
+  (* peek with a time bound: a worker killed by the frame must fail
+     the test, not hang it *)
+  let rec settle fut tries =
+    match Node.Future.peek fut with
+    | Some (Some (Value.Obj { fields = [| Value.Int v |]; _ })) -> v
+    | Some _ -> Alcotest.fail "unexpected reply"
+    | None ->
+        if tries = 0 then Alcotest.fail "call never settled";
+        Unix.sleepf 0.001;
+        settle fut (tries - 1)
+  in
+  let replies =
+    Fabric.run fabric (fun _ -> List.map (fun f -> settle f 10_000) [ a; b; c ])
+  in
+  let s = Metrics.snapshot metrics in
+  Alcotest.(check (list int)) "every call answered" [ 2; 4; 6 ] replies;
+  Alcotest.(check int) "only the well-formed request was rejected" 1
+    s.Metrics.queue_rejects;
+  Alcotest.(check int) "the malformed frame was dispatched" 4
+    s.Metrics.dispatches
+
 (* the pool's scheduling telemetry on an unconstrained run *)
 let steals_are_counted () =
   let calls = 60 in
@@ -189,7 +252,9 @@ let pool_race () =
           Msgbuf.write_uvarint w v;
           Msgbuf.write_double w (float_of_int v);
           let b = Msgbuf.contents w in
-          let r = Msgbuf.Pool.acquire_reader pool b in
+          let r =
+            Msgbuf.Pool.acquire_reader pool b ~off:0 ~len:(Bytes.length b)
+          in
           if
             Msgbuf.read_uvarint r <> v
             || Msgbuf.read_double r <> float_of_int v
@@ -288,6 +353,8 @@ let suite =
           admission_rejects;
         Alcotest.test_case "pool telemetry: dispatches exact, no spurious \
                             rejects" `Quick steals_are_counted;
+        Alcotest.test_case "malformed request under a full queue is queued"
+          `Quick malformed_request_under_full_queue;
         Alcotest.test_case "Msgbuf.Pool: 4-domain acquire/release race"
           `Quick pool_race;
         Alcotest.test_case "Plan_store: concurrent compile + invalidate"

@@ -421,6 +421,64 @@ let trace_records_events () =
   Trace.clear tr;
   Alcotest.(check int) "cleared" 0 (Trace.length tr)
 
+(* minor words per trivial call, measured at 31 (local) and 66 (remote)
+   on OCaml 5.1; the headroom absorbs other compiler releases *)
+let local_bound = 40
+let remote_bound = 80
+
+(* the runtime's fixed per-call cost: a void RMI with one int argument
+   over a raw Sync Sim fabric, trace off.  The codec writes and reads
+   one varint, so almost every word counted here is the call path's
+   own: headers, futures, readers, the pump and the mailbox. *)
+let words_per_trivial_call ~machine =
+  let plans = no_plans () in
+  Hashtbl.replace plans 31
+    {
+      Plan.callsite = 31;
+      defs = [||];
+      args = [| Plan.S_int |];
+      ret = None;
+      cycle_args = false;
+      cycle_ret = false;
+      reuse_args = [| false |];
+      reuse_ret = false;
+      non_escaping = false;
+      version = 1;
+      polluted = false;
+    };
+  let fabric = make_fabric ~config:Config.site_reuse_cycle ~plans () in
+  for i = 0 to Fabric.size fabric - 1 do
+    Node.export (Fabric.node fabric i) ~obj:0 ~meth:m_void ~has_ret:false
+      (fun _ -> None)
+  done;
+  let caller = Fabric.node fabric 0 in
+  let dest = Remote_ref.make ~machine ~obj:0 in
+  let args = [| Value.Int 7 |] in
+  let calls k =
+    for _ = 1 to k do
+      ignore
+        (Node.call caller ~dest ~meth:m_void ~callsite:31 ~has_ret:false args
+          : Value.t option)
+    done
+  in
+  calls 100;
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  calls n;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let trivial_call_allocation_bounded () =
+  let local = words_per_trivial_call ~machine:0 in
+  let remote = words_per_trivial_call ~machine:1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "local call: %.1f minor words <= %d" local local_bound)
+    true
+    (local <= float_of_int local_bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "remote call: %.1f minor words <= %d" remote remote_bound)
+    true
+    (remote <= float_of_int remote_bound)
+
 let suite =
   [
     ( "runtime.calls",
@@ -433,6 +491,8 @@ let suite =
         Alcotest.test_case "local call clones" `Quick local_call_clones;
         Alcotest.test_case "nested RMI no deadlock" `Quick nested_rmi_no_deadlock;
         Alcotest.test_case "rpc counters" `Quick rpc_counters;
+        Alcotest.test_case "trivial call allocation bounded" `Quick
+          trivial_call_allocation_bounded;
       ] );
     ( "runtime.optimizations",
       [

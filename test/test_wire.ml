@@ -163,7 +163,19 @@ let header_roundtrip () =
       { kind = Reply; src = 1; epoch = 0; seq = 42; target_obj = 7; method_id = 3; callsite = 12; nargs = 2; plan_ver = 0 };
       { kind = Ack; src = 3; epoch = 2; seq = 1000000; target_obj = -1; method_id = 255; callsite = 0; nargs = 7; plan_ver = 1 };
       { kind = Exn_reply; src = 2; epoch = 9; seq = 1; target_obj = 2; method_id = 3; callsite = 4; nargs = 1; plan_ver = 130 };
+      { kind = Reject; src = 300; epoch = 1; seq = 77; target_obj = 5; method_id = -2; callsite = 9; nargs = 3; plan_ver = 2 };
     ]
+  in
+  (* the piecewise reads: kind, seq and plan version, or [None] where
+     the bytes run out *)
+  let piecewise r =
+    match
+      let kind = read_kind r in
+      let seq = read_seq r in
+      (kind, seq, read_plan_ver r)
+    with
+    | v -> Some v
+    | exception Msgbuf.Underflow _ -> None
   in
   List.iter
     (fun h ->
@@ -174,7 +186,28 @@ let header_roundtrip () =
       Alcotest.(check string) "header"
         (Format.asprintf "%a" pp_header h)
         (Format.asprintf "%a" pp_header h');
-      Alcotest.(check int) "size" (Msgbuf.length w) (header_size h))
+      Alcotest.(check int) "size" (Msgbuf.length w) (header_size h);
+      let w' = Msgbuf.create_writer () in
+      write_fields w' ~kind:h.kind ~src:h.src ~epoch:h.epoch ~seq:h.seq
+        ~target_obj:h.target_obj ~method_id:h.method_id ~callsite:h.callsite
+        ~nargs:h.nargs ~plan_ver:h.plan_ver;
+      Alcotest.(check bool) "write_fields = write_header" true
+        (Msgbuf.contents w' = Msgbuf.contents w);
+      let r = Msgbuf.reader_of_writer w in
+      Alcotest.(check bool) "piecewise reads" true
+        (piecewise r = Some (h.kind, h.seq, h.plan_ver));
+      Alcotest.(check int) "piecewise reads consume the header" 0
+        (Msgbuf.remaining r);
+      (* every truncation fails both ways *)
+      let bytes = Msgbuf.contents w in
+      for len = 0 to Bytes.length bytes - 1 do
+        let cut () = Msgbuf.reader_of_bytes ~len bytes in
+        Alcotest.(check bool) "truncated header" true
+          ((match read_header (cut ()) with
+           | _ -> false
+           | exception Msgbuf.Underflow _ -> true)
+          && piecewise (cut ()) = None)
+      done)
     cases
 
 (* --- properties --- *)
@@ -621,10 +654,12 @@ let pool_readers () =
   let m = Rmi_stats.Metrics.create () in
   let p = Msgbuf.Pool.create ~metrics:m in
   let data = Bytes.of_string "\x05\x06\x07" in
-  let r1 = Msgbuf.Pool.acquire_reader p ~off:1 ~len:2 data in
+  let r1 = Msgbuf.Pool.acquire_reader p data ~off:1 ~len:2 in
   Alcotest.(check int) "aimed at slice" 6 (Msgbuf.read_u8 r1);
   Msgbuf.Pool.release_reader p r1;
-  let r2 = Msgbuf.Pool.acquire_reader p data in
+  let r2 =
+    Msgbuf.Pool.acquire_reader p data ~off:0 ~len:(Bytes.length data)
+  in
   Alcotest.(check bool) "reader recycled" true (r1 == r2);
   Alcotest.(check int) "re-aimed at start" 5 (Msgbuf.read_u8 r2)
 
