@@ -5,9 +5,10 @@
     libraries.  It re-exports the stable surface — configurations,
     fabrics, nodes, futures, metrics, tracing, the experiment driver —
     and narrows {!Node} to the caller-facing operations: the fabric's
-    wiring hooks ([set_pump], [serve_loop], [send_shutdown], [create])
-    are deliberately absent; {!Fabric.create} and {!Fabric.run} are the
-    only way to stand a cluster up.
+    and the dispatch pool's wiring hooks ([create], [set_pump],
+    [serve_pending], [serve_slice], [send_reject], [serve_loop],
+    [send_shutdown]) are deliberately absent; {!Fabric.create} and
+    {!Fabric.run} are the only way to stand a cluster up.
 
     A minimal remote call:
     {[

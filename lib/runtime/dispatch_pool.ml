@@ -45,10 +45,6 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-let shutdown_seq = 0
-(* control requests (fabric shutdown) carry seq 0 and are never
-   rejected: admission control applies to client calls only *)
-
 (* try to queue [task] for [nq]; [false] when the queue is full *)
 let try_enqueue t nq task =
   Mutex.lock nq.q_mutex;
@@ -74,22 +70,6 @@ let try_dequeue nq =
   Mutex.unlock nq.q_mutex;
   task
 
-(* does admission control apply to the message at [r]?  Only to a
-   client request: a Request whose whole header parses and whose seq is
-   not the control seq.  Reading it builds no header record. *)
-let is_client_request r =
-  match
-    match Protocol.read_kind r with
-    | Protocol.Request ->
-        let seq = Protocol.read_seq r in
-        ignore (Protocol.read_plan_ver r : int);
-        seq <> shutdown_seq
-    | Protocol.Reply | Protocol.Ack | Protocol.Exn_reply | Protocol.Reject ->
-        false
-  with
-  | client -> client
-  | exception Msgbuf.Underflow _ -> false
-
 (* pull at most one message from [nq]'s mailbox: enqueue it, or reject
    it when it is a client request and the queue is full.  Only [nq]'s
    owner worker calls this, so the mailbox and [nq.probe] stay
@@ -103,7 +83,7 @@ let intake_one t nq =
   | Some ((buf, off, len) as task) ->
       let r = nq.probe in
       Msgbuf.reset_slice r buf ~off ~len;
-      (if is_client_request r then begin
+      (if Server.is_client_request r then begin
          if not (try_enqueue t nq task) then begin
            (* only a reject needs the whole header as a record *)
            Msgbuf.reset_slice r buf ~off ~len;

@@ -9,7 +9,10 @@
       by tests and by the statistics tables.
     - [Parallel]: machines 1..n-1 are OCaml domains running serve
       loops; machine 0 is the caller's domain.  Real parallelism for
-      wall-clock measurements (the paper's 2-CPU runs).
+      wall-clock measurements (the paper's 2-CPU runs).  With
+      [Config.domains > 0], one {!Dispatch_pool} of that many worker
+      domains serves machines 1..n-1 instead, with bounded request
+      queues and admission control.
 
     Orthogonally, two transport backends (the {!Rmi_net.Transport.S}
     substitution):

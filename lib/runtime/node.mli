@@ -13,9 +13,12 @@
     serialize/deserialize (cloning preserves RMI parameter semantics)
     but skip the wire and count as local RPCs.
 
-    Reuse caches live here: one per (call site, argument) on the
-    callee, one per call site for return values on the caller, with the
-    take-then-restore guard of Figure 13. *)
+    Reuse caches live in each call site's record ({!Site}): one slot
+    per argument on the callee, one for the return value on the caller,
+    with the take-then-restore guard of Figure 13.  A node is the
+    composition of {!Site} (per-site state and the marshaling phases),
+    {!Server} (serving) and {!Client} (calls, futures and the await
+    loop). *)
 
 type t
 

@@ -1,0 +1,607 @@
+(* One record per call site and the phase functions a call runs
+   through it.  The paper's Section 3 optimizations are all per site —
+   a generated (un)marshaler, a cycle-table verdict and a reuse slot —
+   so a node keeps, for each site, the compiled versions of its plan,
+   its adaptive-tier state, its reuse slots and each version's codec
+   contexts, and looks the record up once per side of a call.
+
+   A remote call runs
+     client:  encoding |> marshal_args  ~~wire~~>
+     server:  version |> unmarshal_args |> handler |> marshal_ret  ~~wire~~>
+     client:  unmarshal_ret
+   and a same-machine call runs the same phases with the request and
+   reply writers in place of the wire.  A value that breaks a
+   specialized plan's static promise deoptimizes its position inside
+   [marshal_args] or [marshal_ret]: [deopt] widens, publishes and hands
+   back the version the write replays with. *)
+
+open Rmi_wire
+module Value = Rmi_serial.Value
+module Codec = Rmi_serial.Codec
+module Arena = Rmi_serial.Arena
+module Plan = Rmi_core.Plan
+module Plan_store = Rmi_core.Plan_store
+module Metrics = Rmi_stats.Metrics
+module Transport = Rmi_net.Transport
+
+(* library log source; silent unless the application enables it *)
+let log_src = Logs.Src.create "rmi.runtime" ~doc:"RMI runtime events"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
+
+(* a [Log.debug] message closure allocates whether or not it prints:
+   hot paths build it only when the source's level lets it through *)
+let debug_on () =
+  match Logs.Src.level log_src with Some Logs.Debug -> true | _ -> false
+
+(* int-keyed tables hash and bucket an int exactly as the polymorphic
+   [Hashtbl] does, so a fold visits entries in the same order; they
+   compare keys without the polymorphic compare and build nothing per
+   lookup *)
+module Itbl = Hashtbl.Make (Int)
+
+exception Remote_exception of string
+
+type wwrite = Codec.wctx -> Msgbuf.writer -> Value.t -> unit
+type rread = Codec.rctx -> Msgbuf.reader -> cand:Value.t -> Value.t
+
+(* a plan partially evaluated into closures via Codec.compile_write and
+   Codec.compile_read — the runtime analogue of the paper's generated
+   marshaler code — with this node's effective optimization flags *)
+type version = {
+  plan : Plan.t;
+  write_args : wwrite array;
+  read_args : rread array;
+  write_ret : wwrite option;
+  read_ret : rread option;
+  cycle_args : bool;
+  cycle_ret : bool;
+  reuse_args : bool array;
+  reuse_ret : bool;
+  (* served arguments decode into an arena, made on the first decode,
+     when the knob is on, the escape verdict proves no argument outlives
+     its dispatch, and reuse is off: reuse already recycles the previous
+     call's graph in place, and both at once would hand the same node
+     out twice.  Return values escape to the application and stay on
+     the GC heap. *)
+  arena_licensed : bool;
+  mutable arena : Arena.t option;
+  (* one codec context per phase, kept and reset before each use under
+     zero-copy framing, so a hot site stops allocating contexts and
+     handle tables.  Safe because a node's marshal/unmarshal brackets
+     run to completion on its own thread before any nested use. *)
+  wargs : Codec.wctx option ref;
+  rargs : Codec.rctx option ref;
+  wret : Codec.wctx option ref;
+  rret : Codec.rctx option ref;
+}
+
+type t = {
+  callsite : int;
+  (* plan version -> compiled: a node may have to decode several
+     encoding generations of one site concurrently *)
+  versions : version Itbl.t;
+  (* what the next call encodes with: the adaptive tier's choice, or
+     the effective plan as of plan-table generation [gen]; [None]
+     before the first call and after a crash *)
+  mutable current : version option;
+  mutable gen : int;
+  mutable calls : int;
+  mutable promoted : bool;
+  (* reuse candidates (Figure 13's temp_arr); [Value.Null] is empty *)
+  mutable arg_slots : Value.t array;
+  mutable ret_slot : Value.t;
+}
+
+(* what every phase of one node reads *)
+type env = {
+  net : Transport.t;
+  nid : int;
+  meta : Rmi_serial.Class_meta.t;
+  cfg : Config.t;
+  plans : (int, Plan.t) Hashtbl.t;
+  plan_store : Plan_store.t option;
+  sites : t Itbl.t;
+  mutable trace : Trace.t option;
+}
+
+let callsite s = s.callsite
+let plan v = v.plan
+let metrics e = Transport.metrics e.net
+let zc e = Transport.zero_copy e.net
+let site_mode e = e.cfg.Config.serializer = Config.Site_specific
+let adaptive e = site_mode e && e.cfg.Config.tier = Config.Adaptive
+
+(* for the rare events; a hot path matches on [e.trace] itself so that
+   without a trace the event is never built *)
+let trace_event e event =
+  match e.trace with Some tr -> Trace.record tr event | None -> ()
+
+(* ------------------------------------------------------------------ *)
+(* message writers and sends                                          *)
+(* ------------------------------------------------------------------ *)
+
+let gap = Rmi_net.Envelope.gap
+
+(* a writer positioned for the framing mode: pooled with the envelope
+   gap reserved under zero-copy (so the reliable transport can
+   back-fill its header in place), a fresh throwaway one otherwise *)
+let acquire ?(initial_capacity = 512) e =
+  if zc e then begin
+    let w = Msgbuf.Pool.acquire_writer (Transport.pool e.net) in
+    ignore (Msgbuf.reserve w gap : int);
+    w
+  end
+  else Msgbuf.create_writer ~initial_capacity ()
+
+let release e w =
+  if zc e then Msgbuf.Pool.release_writer (Transport.pool e.net) w
+
+(* the logical message sitting in [w] (after the gap in zc mode),
+   snapshotted; every such materialization is a physical payload copy
+   and is charged to [bytes_copied] in both framing modes *)
+let msg_of_writer e w =
+  let msg =
+    if zc e then Msgbuf.sub w ~off:gap ~len:(Msgbuf.length w - gap)
+    else Msgbuf.contents w
+  in
+  Metrics.add_bytes_copied (metrics e) (Bytes.length msg);
+  msg
+
+let reader_of_writer e w =
+  Msgbuf.reader_of_writer ~off:(if zc e then gap else 0) w
+
+(* one event per envelope the batching layer shipped *)
+let rec trace_flushes tr machine = function
+  | [] -> ()
+  | (dest, msgs, bytes) :: rest ->
+      Trace.record tr (Trace.Batch_flush { machine; dest; msgs; bytes });
+      trace_flushes tr machine rest
+
+let send_msg e ~dest payload =
+  if e.cfg.Config.batching then begin
+    let flushed = Transport.send_buffered e.net ~src:e.nid ~dest payload in
+    match e.trace with Some tr -> trace_flushes tr e.nid flushed | None -> ()
+  end
+  else Transport.send e.net ~src:e.nid ~dest payload
+
+(* ship the message sitting in [w].  In zero-copy mode without
+   batching, the reliable transport frames the writer's payload in
+   place ([Reliable]'s [send_writer]). *)
+let send_from_writer e ~dest w =
+  if (not (zc e)) || e.cfg.Config.batching then
+    send_msg e ~dest (msg_of_writer e w)
+  else Transport.send_writer e.net ~src:e.nid ~dest w ~payload_off:gap
+
+(* [send_from_writer] when the caller already materialized the message
+   as [snapshot] (the retry copy of a request, a reply-cache entry), so
+   paths that need bytes anyway never copy twice; under the raw
+   transport the one snapshot doubles as the wire frame *)
+let send_snapshot e ~dest snapshot w =
+  if (not (zc e)) || e.cfg.Config.batching then send_msg e ~dest snapshot
+  else if not (Transport.is_reliable e.net) then
+    Transport.send e.net ~src:e.nid ~dest snapshot
+  else Transport.send_writer e.net ~src:e.nid ~dest w ~payload_off:gap
+
+(* ship whatever this machine has coalesced; a no-op when batching is
+   off or the buffers are empty *)
+let flush e =
+  if e.cfg.Config.batching then begin
+    let flushed = Transport.flush e.net ~src:e.nid in
+    match e.trace with Some tr -> trace_flushes tr e.nid flushed | None -> ()
+  end
+
+(* ------------------------------------------------------------------ *)
+(* the shared plan table                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A fabric hands one plan table to all its nodes, and a deopt on any
+   domain writes it: every access holds [plans_mutex].  [generation]
+   counts the writes, so a site re-reads the table only after one, and
+   a call pays one atomic read for a plan that stays current. *)
+let plans_mutex = Mutex.create ()
+let generation = Atomic.make 0
+
+let find_plan e callsite =
+  Mutex.lock plans_mutex;
+  let p = Hashtbl.find_opt e.plans callsite in
+  Mutex.unlock plans_mutex;
+  p
+
+let publish_plan e (p : Plan.t) =
+  Mutex.lock plans_mutex;
+  Hashtbl.replace e.plans p.Plan.callsite p;
+  Atomic.incr generation;
+  Mutex.unlock plans_mutex
+
+(* ------------------------------------------------------------------ *)
+(* sites, versions and the tiers                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* this node's record for [callsite], made on first use *)
+let get e callsite =
+  match Itbl.find e.sites callsite with
+  | s -> s
+  | exception Not_found ->
+      let s =
+        { callsite; versions = Itbl.create 2; current = None; gen = -1;
+          calls = 0; promoted = false; arg_slots = [||];
+          ret_slot = Value.Null }
+      in
+      Itbl.replace e.sites callsite s;
+      s
+
+let clear_slots s =
+  Array.fill s.arg_slots 0 (Array.length s.arg_slots) Value.Null;
+  s.ret_slot <- Value.Null
+
+let reset_caches e = Itbl.iter (fun _ s -> clear_slots s) e.sites
+
+(* tier state and reuse slots are process memory and die with a
+   crashed node, which re-warms every site from the generic plan; the
+   compiled versions are a cache of what the plans say and stay *)
+let crash e =
+  Itbl.iter
+    (fun _ s ->
+      clear_slots s;
+      s.calls <- 0;
+      s.promoted <- false;
+      s.current <- None)
+    e.sites
+
+let compile e (plan : Plan.t) =
+  let defs = plan.Plan.defs in
+  let elide = site_mode e && e.cfg.Config.elide_cycle in
+  let reuse = site_mode e && e.cfg.Config.reuse in
+  {
+    plan;
+    write_args = Array.map (Codec.compile_write ~defs) plan.Plan.args;
+    read_args = Array.map (Codec.compile_read ~defs) plan.Plan.args;
+    write_ret = Option.map (Codec.compile_write ~defs) plan.Plan.ret;
+    read_ret = Option.map (Codec.compile_read ~defs) plan.Plan.ret;
+    cycle_args = (not elide) || plan.Plan.cycle_args;
+    cycle_ret = (not elide) || plan.Plan.cycle_ret;
+    reuse_args =
+      Array.init (Array.length plan.Plan.args) (fun i ->
+          reuse && plan.Plan.reuse_args.(i));
+    reuse_ret = reuse && plan.Plan.reuse_ret;
+    arena_licensed =
+      e.cfg.Config.arena && site_mode e && (not e.cfg.Config.reuse)
+      && plan.Plan.non_escaping;
+    arena = None;
+    wargs = ref None;
+    rargs = ref None;
+    wret = ref None;
+    rret = ref None;
+  }
+
+(* [plan] compiled at [s], once per version.  A cached version of
+   another arity is recompiled: class mode shares callsite -1 (and
+   version 0) across methods of every arity. *)
+let intern e s (plan : Plan.t) =
+  match Itbl.find s.versions plan.Plan.version with
+  | v when Array.length v.plan.Plan.args = Array.length plan.Plan.args -> v
+  | _ | (exception Not_found) ->
+      let v = compile e plan in
+      Itbl.replace s.versions plan.Plan.version v;
+      v
+
+(* the compiler's plan for [s], or the generic tag-carrying one; always
+   the generic one under [Class_specific] *)
+let effective_plan e s ~nargs ~has_ret =
+  match if site_mode e then find_plan e s.callsite else None with
+  | Some p -> p
+  | None ->
+      if site_mode e then
+        Log.warn (fun m ->
+            m
+              "machine %d: no compiler plan for call site %d; falling back \
+               to the generic tag-carrying plan"
+              e.nid s.callsite);
+      Plan.generic ~callsite:s.callsite ~nargs ~has_ret
+
+(* the version a payload tagged [ver] was encoded with: compiled here,
+   in the shared plan table, or in the plan store's history.  Version 0
+   usually means the generic encoding, but a hand-built plan (and the
+   class-mode pseudo-plan) may carry version 0 with its own steps: the
+   site's effective plan decides.  @raise Not_found when none has it *)
+let version e s ~nargs ~has_ret ver =
+  match Itbl.find s.versions ver with
+  | v when ver <> Plan.generic_version || Array.length v.plan.Plan.args = nargs
+    ->
+      v
+  | _ | (exception Not_found) -> (
+      if ver = Plan.generic_version then
+        let p = effective_plan e s ~nargs ~has_ret in
+        intern e s
+          (if p.Plan.version = ver then p
+           else Plan.generic ~callsite:s.callsite ~nargs ~has_ret)
+      else
+        let plan =
+          match find_plan e s.callsite with
+          | Some p when p.Plan.version = ver -> Some p
+          | _ -> (
+              match e.plan_store with
+              | Some store -> Plan_store.version store ~site:s.callsite ver
+              | None -> None)
+        in
+        match plan with Some p -> intern e s p | None -> raise Not_found)
+
+let current s =
+  match s.current with
+  | Some v -> v
+  | None -> invalid_arg "Site.current: the site has not been called"
+
+let set_current s v =
+  s.current <- Some v;
+  v
+
+(* a widened version — made here, or announced by a peer's reply —
+   becomes the site's encoding once the tier has promoted it *)
+let adopt s v = if s.promoted then s.current <- Some v
+
+(* the site crossed the hot threshold: switch it to its specialized
+   plan, from the plan store (compiling on demand through the pass
+   manager) or the compiler's table; without one it stays generic *)
+let promote e s ~nargs =
+  s.promoted <- true;
+  let plan =
+    match e.plan_store with
+    | Some store -> (
+        match Plan_store.get store ~site:s.callsite with
+        | Some (p, Plan_store.Hit) ->
+            Metrics.incr_plan_cache_hits (metrics e);
+            Some p
+        | Some (p, (Plan_store.Compiled | Plan_store.Invalidated)) ->
+            Metrics.incr_plan_cache_misses (metrics e);
+            Some p
+        | None -> find_plan e s.callsite)
+    | None -> find_plan e s.callsite
+  in
+  match plan with
+  | Some p
+    when p.Plan.version > Plan.generic_version
+         && Array.length p.Plan.args = nargs ->
+      s.current <- Some (intern e s p);
+      Metrics.incr_tier_promotions (metrics e);
+      trace_event e
+        (Trace.Promote
+           { machine = e.nid; callsite = s.callsite; calls = s.calls;
+             version = p.Plan.version })
+  | _ -> ()
+
+(* the version an outgoing call at [s] encodes with.  The adaptive tier
+   counts the call and promotes a hot site; otherwise the site follows
+   the shared table, re-reading it only after a publish. *)
+let encoding e s ~nargs ~has_ret =
+  if adaptive e then begin
+    s.calls <- s.calls + 1;
+    Metrics.record_site_call (metrics e) ~callsite:s.callsite;
+    if (not s.promoted) && s.calls >= e.cfg.Config.hot_threshold then
+      promote e s ~nargs;
+    match s.current with
+    | Some v -> v
+    | None ->
+        set_current s
+          (intern e s (Plan.generic ~callsite:s.callsite ~nargs ~has_ret))
+  end
+  else
+    match s.current with
+    | Some v
+      when s.gen = Atomic.get generation
+           && Array.length v.plan.Plan.args = nargs ->
+        v
+    | _ ->
+        s.gen <- Atomic.get generation;
+        set_current s (intern e s (effective_plan e s ~nargs ~has_ret))
+
+(* A runtime value broke [v]'s static promise at [pos]: widen that
+   position to the dynamic step, publish the repaired plan so every
+   node decodes with it (and this node re-learns it after a restart),
+   and return the version to replay the write with.  A widening this
+   site already made is replayed without publishing it again: requests
+   sent before it still carry the plan it replaced.  The generic plan
+   cannot confuse types, and without the adaptive tier nothing
+   deoptimizes: both re-raise. *)
+let deopt e s v pos msg =
+  if v.plan.Plan.version = Plan.generic_version || not (adaptive e) then
+    raise (Codec.Type_confusion msg);
+  let widened = Plan.widen v.plan pos in
+  let v' =
+    match Itbl.find_opt s.versions widened.Plan.version with
+    | Some v' when v'.plan = widened -> v'
+    | _ ->
+        let position = Format.asprintf "%a" Plan.pp_position pos in
+        Metrics.incr_tier_deopts (metrics e);
+        trace_event e
+          (Trace.Deopt
+             { machine = e.nid; callsite = s.callsite; position;
+               version = widened.Plan.version });
+        Log.debug (fun m ->
+            m "machine %d: deopt site=%d at %s -> plan v%d" e.nid s.callsite
+              position widened.Plan.version);
+        publish_plan e widened;
+        Option.iter
+          (fun store -> Plan_store.publish store widened)
+          e.plan_store;
+        intern e s widened
+  in
+  adopt s v';
+  v'
+
+(* ------------------------------------------------------------------ *)
+(* codec contexts and reuse slots                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* the context in [slot], reset for one more use, or a new one from
+   [make], kept when [keep]: the legacy copy path pays a fresh context
+   per use *)
+let ctx slot ~keep reset make e v ~cycle =
+  match !slot with
+  | Some c ->
+      reset c;
+      c
+  | None ->
+      let c = make e v ~cycle in
+      if keep then slot := Some c;
+      c
+
+let make_wctx e v ~cycle =
+  Codec.make_wctx ~defs:v.plan.Plan.defs e.meta (metrics e) ~cycle
+
+let make_rctx e v ~cycle =
+  Codec.make_rctx ~defs:v.plan.Plan.defs e.meta (metrics e) ~cycle
+
+let make_arg_rctx e v ~cycle =
+  Codec.make_rctx ~defs:v.plan.Plan.defs ?arena:v.arena e.meta (metrics e)
+    ~cycle
+
+(* An empty slot holds [Value.Null], which is also what taking it
+   yields: a null candidate and no candidate decode alike.  Taking
+   empties the slot while its value is in use. *)
+let take_arg s ~nargs i =
+  if Array.length s.arg_slots <> nargs then
+    s.arg_slots <- Array.make nargs Value.Null;
+  let v = s.arg_slots.(i) in
+  s.arg_slots.(i) <- Value.Null;
+  v
+
+let take_ret s =
+  let v = s.ret_slot in
+  s.ret_slot <- Value.Null;
+  v
+
+(* ------------------------------------------------------------------ *)
+(* the marshaling phases                                               *)
+(* ------------------------------------------------------------------ *)
+
+exception Confused of Plan.position * string
+
+(* the request of call [seq], encoded with [s]'s current version: its
+   header, written from the call's fields, then one write per argument.
+   A deopt replays it, so [current s] is afterwards the version the
+   request carries. *)
+let rec marshal_args e s ~epoch ~seq ~obj ~meth args =
+  let v = current s in
+  let w = acquire e in
+  match
+    Protocol.write_fields w ~kind:Protocol.Request ~src:e.nid ~epoch ~seq
+      ~target_obj:obj ~method_id:meth ~callsite:s.callsite
+      ~nargs:(Array.length args) ~plan_ver:v.plan.Plan.version;
+    let wctx =
+      ctx v.wargs ~keep:(zc e) Codec.reset_wctx make_wctx e v
+        ~cycle:v.cycle_args
+    in
+    for i = 0 to Array.length v.write_args - 1 do
+      match v.write_args.(i) wctx w args.(i) with
+      | () -> ()
+      | exception Codec.Type_confusion msg -> raise (Confused (`Arg i, msg))
+    done
+  with
+  | () -> w
+  | exception Confused (pos, msg) ->
+      release e w;
+      ignore (deopt e s v pos msg : version);
+      marshal_args e s ~epoch ~seq ~obj ~meth args
+  | exception ex ->
+      release e w;
+      raise ex
+
+(* the served arguments, decoded with [v] over the candidates the
+   site's previous call left, or into [v]'s arena.  The arena's
+   previous dispatch is reclaimed here rather than on the dispatch's
+   many exits — equivalent, since the escape verdict proves nothing
+   kept it. *)
+let unmarshal_args e s v r =
+  if v.arena_licensed && Option.is_none v.arena then
+    v.arena <- Some (Arena.create ~metrics:(metrics e));
+  Option.iter Arena.reset v.arena;
+  let rctx =
+    ctx v.rargs
+      ~keep:(zc e || v.arena_licensed)
+      Codec.reset_rctx make_arg_rctx e v ~cycle:v.cycle_args
+  in
+  let reads = v.read_args in
+  let nargs = Array.length reads in
+  let roots = Array.make nargs Value.Null in
+  for i = 0 to nargs - 1 do
+    let cand = if v.reuse_args.(i) then take_arg s ~nargs i else Value.Null in
+    roots.(i) <- reads.(i) rctx r ~cand
+  done;
+  (* set the parameters up for the next RMI at this site *)
+  for i = 0 to nargs - 1 do
+    if v.reuse_args.(i) then s.arg_slots.(i) <- roots.(i)
+  done;
+  roots
+
+(* the reply to the request with these header fields: an [Ack], or a
+   [Reply] carrying [ret] encoded with [v] (a void method under a
+   value-bearing plan replies null).  A deopt replays it with the
+   widened version, whose number the reply then carries. *)
+let rec marshal_ret e s v ~src ~epoch ~seq ~obj ~meth ~nargs ret =
+  let w = acquire ~initial_capacity:256 e in
+  match
+    Protocol.write_fields w
+      ~kind:
+        (if Option.is_none v.write_ret then Protocol.Ack else Protocol.Reply)
+      ~src ~epoch ~seq ~target_obj:obj ~method_id:meth ~callsite:s.callsite
+      ~nargs ~plan_ver:v.plan.Plan.version;
+    match v.write_ret with
+    | None -> ()
+    | Some write ->
+        write
+          (ctx v.wret ~keep:(zc e) Codec.reset_wctx make_wctx e v
+             ~cycle:v.cycle_ret)
+          w
+          (Option.value ret ~default:Value.Null)
+  with
+  | () -> w
+  | exception Codec.Type_confusion msg ->
+      release e w;
+      marshal_ret e s (deopt e s v `Ret msg) ~src ~epoch ~seq ~obj ~meth ~nargs
+        ret
+  | exception ex ->
+      release e w;
+      raise ex
+
+(* the value a reply of [kind] carries, decoded with the version it
+   announces: a server that deoptimized mid-reply answers with a newer
+   one than the request carried, which the site adopts *)
+let unmarshal_ret e s v ~kind ~plan_ver r =
+  let v =
+    if plan_ver = v.plan.Plan.version then v
+    else
+      match
+        version e s
+          ~nargs:(Array.length v.plan.Plan.args)
+          ~has_ret:(Option.is_some v.plan.Plan.ret)
+          plan_ver
+      with
+      | v' ->
+          if plan_ver > v.plan.Plan.version then adopt s v';
+          v'
+      | exception Not_found ->
+          raise
+            (Remote_exception
+               (Printf.sprintf
+                  "machine %d: reply for site %d uses unknown plan version %d"
+                  e.nid s.callsite plan_ver))
+  in
+  match kind with
+  | Protocol.Ack -> None
+  | Protocol.Exn_reply -> raise (Remote_exception (Msgbuf.read_string r))
+  | Protocol.Reply -> (
+      match v.read_ret with
+      | None -> None
+      | Some read ->
+          let rctx =
+            ctx v.rret ~keep:(zc e) Codec.reset_rctx make_rctx e v
+              ~cycle:v.cycle_ret
+          in
+          let cand = if v.reuse_ret then take_ret s else Value.Null in
+          let ret = read rctx r ~cand in
+          if v.reuse_ret then s.ret_slot <- ret;
+          Some ret)
+  | Protocol.Request | Protocol.Reject ->
+      (* requests are served, rejects resent, before unmarshaling *)
+      assert false

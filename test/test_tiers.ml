@@ -46,14 +46,14 @@ let pair a b =
 
 let int_pair a b = pair (Value.Int a) (Value.Int b)
 
-(* 2-machine sync fabric with the swap handler on machine 1 *)
-let make_fabric ?(handler = fun _ -> Some (int_pair 1 2)) ~config () =
+(* 2-machine fabric (sync unless [mode] says otherwise) with the swap
+   handler on machine 1 *)
+let make_fabric ?(mode = Fabric.Sync) ?(handler = fun _ -> Some (int_pair 1 2))
+    ~config () =
   let metrics = Metrics.create () in
   let plans = Hashtbl.create 4 in
   Hashtbl.replace plans site swap_plan;
-  let fabric =
-    Fabric.create ~mode:Fabric.Sync ~n:2 ~meta ~config ~plans ~metrics ()
-  in
+  let fabric = Fabric.create ~mode ~n:2 ~meta ~config ~plans ~metrics () in
   Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_swap ~has_ret:true handler;
   (fabric, plans, metrics)
 
@@ -67,6 +67,23 @@ let check_pair what expect got =
   | Some v ->
       Alcotest.(check bool) what true (Rmi_serial.Equality.equal v expect)
   | None -> Alcotest.failf "%s: no reply" what
+
+(* The deopt cases run on two inputs: one call at a time on a Sync
+   fabric, and a Parallel fabric — machine 1 serving on its own domain —
+   with several calls in flight per step, so one domain publishes a
+   widened plan while the other reads the shared plan table. *)
+let deopt_inputs =
+  [ ("sync", Fabric.Sync, 1); ("parallel", Fabric.Parallel, 4) ]
+
+(* one step: [n] swap calls with argument [v], all issued before any
+   is awaited, each checked against [expect] *)
+let check_calls what fabric n v expect =
+  List.init n (fun _ ->
+      Node.call_async (Fabric.node fabric 0)
+        ~dest:(Remote_ref.make ~machine:1 ~obj:0)
+        ~meth:m_swap ~callsite:site ~has_ret:true [| v |])
+  |> Node.Future.all
+  |> List.iter (check_pair what expect)
 
 (* --- promotion --- *)
 
@@ -146,47 +163,63 @@ let lying_plan_arg_deopt_still_succeeds () =
      one field: the specialized encoder hits Type_confusion, the site
      deoptimizes (arg0 -> dyn) and the very same call succeeds *)
   let config = Config.with_adaptive ~hot_threshold:1 Config.site_reuse_cycle in
-  let fabric, plans, metrics = make_fabric ~config () in
-  let lying = pair (Value.Double 0.5) (Value.Int 2) in
-  check_pair "deoptimized call succeeds" (int_pair 1 2) (call fabric lying);
-  let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "one deopt" 1 s.Metrics.tier_deopts;
-  Alcotest.(check int) "one promotion" 1 s.Metrics.tier_promotions;
-  let current = Hashtbl.find plans site in
-  Alcotest.(check bool) "site marked polluted" true current.Plan.polluted;
-  Alcotest.(check int) "version bumped" 2 current.Plan.version;
-  Alcotest.(check bool) "arg widened to dyn" true
-    (current.Plan.args.(0) = Plan.S_dyn);
-  Alcotest.(check bool) "ret untouched" true
-    (current.Plan.ret = Some pair_step);
-  (* subsequent calls — lying or honest — run on the widened plan with
-     no further deopts *)
-  check_pair "second lying call" (int_pair 1 2) (call fabric lying);
-  check_pair "honest call" (int_pair 1 2) (call fabric (int_pair 3 4));
-  Alcotest.(check int) "still one deopt" 1
-    (Metrics.snapshot metrics).Metrics.tier_deopts
+  List.iter
+    (fun (input, mode, n) ->
+      let what = Printf.sprintf "%s: %s" input in
+      let fabric, plans, metrics = make_fabric ~mode ~config () in
+      Fabric.run fabric @@ fun fabric ->
+      let lying = pair (Value.Double 0.5) (Value.Int 2) in
+      check_calls (what "deoptimized call succeeds") fabric n lying
+        (int_pair 1 2);
+      let s = Metrics.snapshot metrics in
+      Alcotest.(check int) (what "one deopt") 1 s.Metrics.tier_deopts;
+      Alcotest.(check int) (what "one promotion") 1 s.Metrics.tier_promotions;
+      let current = Hashtbl.find plans site in
+      Alcotest.(check bool) (what "site marked polluted") true
+        current.Plan.polluted;
+      Alcotest.(check int) (what "version bumped") 2 current.Plan.version;
+      Alcotest.(check bool) (what "arg widened to dyn") true
+        (current.Plan.args.(0) = Plan.S_dyn);
+      Alcotest.(check bool) (what "ret untouched") true
+        (current.Plan.ret = Some pair_step);
+      (* subsequent calls — lying or honest — run on the widened plan
+         with no further deopts *)
+      check_calls (what "second lying call") fabric n lying (int_pair 1 2);
+      check_calls (what "honest call") fabric n (int_pair 3 4) (int_pair 1 2);
+      Alcotest.(check int) (what "still one deopt") 1
+        (Metrics.snapshot metrics).Metrics.tier_deopts)
+    deopt_inputs
 
 let lying_plan_ret_deopt_still_succeeds () =
   (* the handler returns a shape the plan's return step cannot encode:
      the server deoptimizes the return position and replies with the
-     widened encoding, which the caller adopts *)
+     widened encoding, which the caller adopts.  Requests already in
+     flight carry the old plan: the server replays the one widening for
+     them rather than deoptimizing again. *)
   let config = Config.with_adaptive ~hot_threshold:1 Config.site_reuse_cycle in
   let odd = pair (Value.Str "boom") (Value.Int 9) in
-  let fabric, plans, metrics =
-    make_fabric ~handler:(fun _ -> Some odd) ~config ()
-  in
-  check_pair "ret-deoptimized call succeeds" odd (call fabric (int_pair 1 2));
-  let s = Metrics.snapshot metrics in
-  Alcotest.(check int) "one deopt" 1 s.Metrics.tier_deopts;
-  let current = Hashtbl.find plans site in
-  Alcotest.(check bool) "site marked polluted" true current.Plan.polluted;
-  Alcotest.(check bool) "ret widened to dyn" true
-    (current.Plan.ret = Some Plan.S_dyn);
-  Alcotest.(check bool) "args untouched" true
-    (current.Plan.args.(0) = pair_step);
-  check_pair "subsequent call" odd (call fabric (int_pair 3 4));
-  Alcotest.(check int) "still one deopt" 1
-    (Metrics.snapshot metrics).Metrics.tier_deopts
+  List.iter
+    (fun (input, mode, n) ->
+      let what = Printf.sprintf "%s: %s" input in
+      let fabric, plans, metrics =
+        make_fabric ~mode ~handler:(fun _ -> Some odd) ~config ()
+      in
+      Fabric.run fabric @@ fun fabric ->
+      check_calls (what "ret-deoptimized call succeeds") fabric n
+        (int_pair 1 2) odd;
+      let s = Metrics.snapshot metrics in
+      Alcotest.(check int) (what "one deopt") 1 s.Metrics.tier_deopts;
+      let current = Hashtbl.find plans site in
+      Alcotest.(check bool) (what "site marked polluted") true
+        current.Plan.polluted;
+      Alcotest.(check bool) (what "ret widened to dyn") true
+        (current.Plan.ret = Some Plan.S_dyn);
+      Alcotest.(check bool) (what "args untouched") true
+        (current.Plan.args.(0) = pair_step);
+      check_calls (what "subsequent call") fabric n (int_pair 3 4) odd;
+      Alcotest.(check int) (what "still one deopt") 1
+        (Metrics.snapshot metrics).Metrics.tier_deopts)
+    deopt_inputs
 
 let aot_lying_plan_raises_cleanly () =
   (* regression: without the adaptive tier there is no deopt path — a
