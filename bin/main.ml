@@ -152,8 +152,8 @@ let wirecost_cmd =
             "Seed for the lossy fault schedule of the reliable+faults \
              variant; both framings replay it deterministically.")
   in
-  let run calls window seed =
-    run_gate "wirecost" (E.wirecost_compare ~calls ~window ~seed ())
+  let run calls window seed json =
+    run_gate ?json "wirecost" (E.wirecost_compare ~calls ~window ~seed ())
   in
   Cmd.v
     (Cmd.info "wirecost"
@@ -165,7 +165,8 @@ let wirecost_cmd =
           exits nonzero on any frame or result drift — or if the enveloped \
           variants cut fewer than 50% of the copied bytes per call.  The \
           CI bench-smoke job gates on this.")
-    Term.(const run $ wire_calls_arg $ Cli.window_arg $ wire_seed_arg)
+    Term.(
+      const run $ wire_calls_arg $ Cli.window_arg $ wire_seed_arg $ Cli.json_arg)
 
 let alloc_cmd =
   let alloc_calls_arg =

@@ -80,7 +80,10 @@ val pp_position : Format.formatter -> position -> unit
     serializer never raises [Type_confusion], so the repaired plan is
     guaranteed to make progress.  The cycle table is re-enabled and
     reuse disabled for that side (conservative: the dynamic encoding
-    carries handles), [version] is bumped and [polluted] set.
+    carries handles), [version] is bumped by one and [polluted] set.
+    Two widenings of one version at different positions get the same
+    number here, so a runtime that publishes them renumbers each above
+    every version it knows of the site.
     @raise Invalid_argument on an out-of-range argument index or
     widening [`Ret] of an ack-only plan. *)
 val widen : t -> position -> t

@@ -93,6 +93,10 @@ let version t ~site v =
       | None -> None
       | Some e -> Hashtbl.find_opt e.e_plans v)
 
+let latest_version t ~site =
+  locked t (fun () ->
+      Option.map (fun e -> e.e_latest) (Hashtbl.find_opt t.entries site))
+
 let publish t (plan : Plan.t) =
   let site = plan.Plan.callsite in
   locked t (fun () ->

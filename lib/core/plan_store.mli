@@ -49,6 +49,10 @@ val get : t -> site:Jir.Types.site -> (Plan.t * outcome) option
     (e.g. to decode a request tagged with an older encoding). *)
 val version : t -> site:Jir.Types.site -> int -> Plan.t option
 
+(** [latest_version t ~site] is the highest version cached for [site],
+    without compiling or counting a lookup. *)
+val latest_version : t -> site:Jir.Types.site -> int option
+
 (** [publish t plan] records [plan] under [(plan.callsite,
     plan.version)] and makes it the site's latest when its version is
     the highest seen.  Used by the deoptimizer to share widened plans. *)

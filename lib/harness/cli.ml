@@ -43,15 +43,6 @@ let window_arg =
           "Pipelining depth: how many asynchronous calls are issued \
            back-to-back before the window is awaited.")
 
-let pipeline_arg =
-  Arg.(
-    value & flag
-    & info [ "pipeline" ]
-        ~doc:
-          "Issue the workload's RMIs through $(b,call_async) futures \
-           (windows of $(b,--window) calls) instead of one synchronous \
-           call at a time.")
-
 let batch_arg =
   Arg.(
     value & flag

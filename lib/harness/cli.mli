@@ -1,9 +1,7 @@
-(** Shared Cmdliner vocabulary for the experiment binaries.
-
-    [bin/main.ml] (the $(b,rmi-experiments) driver) and
-    [bench/main.ml] accept the same workload knobs; the converters and
-    argument definitions live here so the two front ends cannot
-    drift. *)
+(** Cmdliner vocabulary for the $(b,rmi-experiments) command line
+    ([bin/main.ml]): the converters and argument definitions its
+    subcommands share, so that one knob parses the same way in every
+    gate. *)
 
 open Cmdliner
 
@@ -22,9 +20,6 @@ val config_arg : Rmi_runtime.Config.t Term.t
 
 (** [--window N]: pipelining depth, default 16. *)
 val window_arg : int Term.t
-
-(** [--pipeline]: issue RMIs as futures in windows. *)
-val pipeline_arg : bool Term.t
 
 (** [--batch]: coalesce small messages into batch envelopes. *)
 val batch_arg : bool Term.t

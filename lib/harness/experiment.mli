@@ -150,8 +150,9 @@ val tiers_compare :
     fewer bytes per call. *)
 val wirecost_compare : ?calls:int -> ?window:int -> ?seed:int -> unit -> Gate.t
 
-(** The checked-in pre-PR minor-words-per-call baseline for the gated
-    row (matrix16x16, reliable, site+reuse+cycle) from BENCH_wire.json. *)
+(** The minor-words-per-call baseline for the gated row (matrix16x16,
+    reliable, site+reuse+cycle), measured before the arena work; the
+    [alloc] gate requires a 50% cut against it. *)
 val alloc_baseline_minor : float
 
 (** Run the paper-table message shapes through their site-specialized

@@ -76,9 +76,8 @@ let render t =
     | _, names -> [ "gate: FAIL (" ^ String.concat ", " names ^ ")" ]
   in
   String.concat "\n"
-    (List.filter (fun s -> s <> "") [ t.title ]
-    @ [ table t.table ]
-    @ List.map (fun (name, tb) -> name ^ ":\n" ^ table tb) t.extra
+    (t.title :: table t.table
+     :: List.map (fun (name, tb) -> name ^ ":\n" ^ table tb) t.extra
     @ List.map line t.fields @ t.notes @ verdict)
 
 let to_json t =
@@ -91,11 +90,11 @@ let to_json t =
               "    {" ^ String.concat ", " (List.map2 pair tb.columns row) ^ "}")
             tb.rows))
   in
-  let title = if t.title = "" then [] else [ pair "title" (Str t.title) ] in
   "{\n"
   ^ String.concat ",\n"
       (List.map (fun s -> "  " ^ s)
-         (title @ List.map (fun f -> pair (key f) (cell_of f)) t.fields)
+         (pair "title" (Str t.title)
+         :: List.map (fun f -> pair (key f) (cell_of f)) t.fields)
       @ List.map rows (("rows", t.table) :: t.extra))
   ^ "\n}\n"
 

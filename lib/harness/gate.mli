@@ -1,7 +1,7 @@
 (** A differential gate's report: one record that every harness gate
-    (pipeline, crash, chaos, tiers, wirecost, alloc, load, transport)
-    and the bench wire emitter build, and one renderer, JSON writer and
-    verdict for all of them.
+    (pipeline, crash, chaos, tiers, wirecost, alloc, load, transport,
+    proc) builds, and one renderer, JSON writer and verdict for all of
+    them.
 
     A gate is a title, ordered top-level fields, a table of rows (plus
     optional further tables) and note lines.  A field is either a
@@ -12,7 +12,7 @@
     {b JSON schema stability.}  CI greps the serialised form
     ([BENCH_*.json] and the chaos artifact) with [sed] regexes, so
     {!to_json}'s layout is part of the contract: the ["title"] key
-    first (when the title is non-empty), then every field in order,
+    first, then every field in order,
     then ["rows"] and each further table as an array with one object
     per line, keys in column order.  Floats print with the digits their
     cell carries, so a column's format is fixed by the code that builds

@@ -232,15 +232,6 @@ module M = struct
   let set_fault_hook t hook = Transport.set_fault_hook t.lower hook
   let clear_fault_hook t = Transport.clear_fault_hook t.lower
   let shutdown t = Transport.shutdown t.lower
-
-  include Transport.Recv_defaults (struct
-    type nonrec t = t
-
-    let metrics = metrics
-    let try_recv_slice = try_recv_slice
-    let recv_blocking_slice = recv_blocking_slice
-    let recv_deadline_slice = recv_deadline_slice
-  end)
 end
 
 let wrap lower =

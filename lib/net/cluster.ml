@@ -212,14 +212,3 @@ let name = "sim"
 
 (* everything lives in this process; nothing to release *)
 let shutdown _ = ()
-
-(* the bytes-returning receive wrappers are the shared defaults derived
-   from the slice family — backends implement only slices *)
-include Transport.Recv_defaults (struct
-  type nonrec t = t
-
-  let metrics = metrics
-  let try_recv_slice = try_recv_slice
-  let recv_blocking_slice = recv_blocking_slice
-  let recv_deadline_slice = recv_deadline_slice
-end)

@@ -104,19 +104,18 @@ val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
 (** Nothing to ship: returns [[]]. *)
 val flush : t -> src:int -> (int * int * int) list
 
-val try_recv : t -> self:int -> bytes option
+(** {1 Receive}
 
-(** {1 Slice receive}
-
-    The zero-copy receive API: messages come back as [(frame, off,
-    len)] slices — here always a whole mailbox frame, which a layer
-    above may split without copying.  The bytes-returning functions
-    ([try_recv]/[recv_blocking]/[recv_deadline]) are
-    {!Transport.Recv_defaults} wrappers derived from the slice family —
-    the backend implements only slices. *)
+    Messages come back as [(frame, off, len)] slices — here always a
+    whole mailbox frame, which a layer above may split without
+    copying. *)
 
 val try_recv_slice : t -> self:int -> (bytes * int * int) option
+
+(** Blocks until a message for [self] arrives. *)
 val recv_blocking_slice : t -> self:int -> bytes * int * int
+
+(** Timed {!recv_blocking_slice}; [None] after [seconds] of silence. *)
 val recv_deadline_slice :
   t -> self:int -> seconds:float -> (bytes * int * int) option
 
@@ -124,12 +123,6 @@ val recv_deadline_slice :
     fault hook and the simulator.  A test/diagnostic backdoor (e.g.
     forging a stale-epoch envelope for the {!Reliable} layer above). *)
 val inject_frame : t -> dest:int -> bytes -> unit
-
-(** Blocks until a message for [self] arrives. *)
-val recv_blocking : t -> self:int -> bytes
-
-(** Timed {!recv_blocking}; [None] after [seconds] of silence. *)
-val recv_deadline : t -> self:int -> seconds:float -> bytes option
 
 (** Applies any crash/restart transitions the frame clock made due and
     answers [Raw_transport]: the raw interconnect has nothing to

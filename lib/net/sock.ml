@@ -1162,16 +1162,6 @@ module M = struct
       close_quietly t.wake_r;
       close_quietly t.wake_w
     end
-
-  (* bytes-returning receive wrappers: the shared Transport defaults *)
-  include Transport.Recv_defaults (struct
-    type nonrec t = t
-
-    let metrics = metrics
-    let try_recv_slice = try_recv_slice
-    let recv_blocking_slice = recv_blocking_slice
-    let recv_deadline_slice = recv_deadline_slice
-  end)
 end
 
 include M

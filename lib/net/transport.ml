@@ -21,35 +21,6 @@ type process_event =
       durability : Fault_sim.durability;
     }
 
-module type RECV_SLICE = sig
-  type t
-
-  val metrics : t -> Rmi_stats.Metrics.t
-  val try_recv_slice : t -> self:int -> (bytes * int * int) option
-  val recv_blocking_slice : t -> self:int -> bytes * int * int
-
-  val recv_deadline_slice :
-    t -> self:int -> seconds:float -> (bytes * int * int) option
-end
-
-(* the one materialize policy: whole frames pass through unchanged (the
-   legacy framing mode keeps its exact pre-slice behavior); a proper
-   sub-slice is snapshotted and the copy charged to [bytes_copied] *)
-module Recv_defaults (B : RECV_SLICE) = struct
-  let materialize t (buf, off, len) =
-    if off = 0 && len = Bytes.length buf then buf
-    else begin
-      Rmi_stats.Metrics.add_bytes_copied (B.metrics t) len;
-      Bytes.sub buf off len
-    end
-
-  let try_recv t ~self = Option.map (materialize t) (B.try_recv_slice t ~self)
-  let recv_blocking t ~self = materialize t (B.recv_blocking_slice t ~self)
-
-  let recv_deadline t ~self ~seconds =
-    Option.map (materialize t) (B.recv_deadline_slice t ~self ~seconds)
-end
-
 (* logical-traffic accounting, identical on every transport: the
    payload bytes, counted once *)
 let account_send metrics len =
@@ -100,9 +71,6 @@ module type S = sig
   val recv_deadline_slice :
     t -> self:int -> seconds:float -> (bytes * int * int) option
 
-  val try_recv : t -> self:int -> bytes option
-  val recv_blocking : t -> self:int -> bytes
-  val recv_deadline : t -> self:int -> seconds:float -> bytes option
   val idle : t -> self:int -> idle_outcome
   val pending_anywhere : t -> bool
   val peer_health : t -> self:int -> peer:int -> peer_health
@@ -168,12 +136,6 @@ let recv_blocking_slice (Packed ((module M), h)) ~self =
 
 let recv_deadline_slice (Packed ((module M), h)) ~self ~seconds =
   M.recv_deadline_slice h ~self ~seconds
-
-let try_recv (Packed ((module M), h)) ~self = M.try_recv h ~self
-let recv_blocking (Packed ((module M), h)) ~self = M.recv_blocking h ~self
-
-let recv_deadline (Packed ((module M), h)) ~self ~seconds =
-  M.recv_deadline h ~self ~seconds
 
 let idle (Packed ((module M), h)) ~self = M.idle h ~self
 let pending_anywhere (Packed ((module M), h)) = M.pending_anywhere h

@@ -13,13 +13,7 @@
     Layers stack on a backend by implementing {!S} over a lower {!t}:
     {!Reliable.wrap} adds the ARQ, {!Batching.wrap} request
     coalescing.  A backend or layer that does not coalesce takes
-    [send_buffered]/[flush] from {!Unbuffered}.
-
-    Backends implement only the {e slice} receive family
-    ([try_recv_slice] / [recv_blocking_slice] / [recv_deadline_slice]);
-    the bytes-returning wrappers are derived once by {!Recv_defaults}
-    with the shared materialize-and-charge semantics, so the two
-    families cannot drift per backend. *)
+    [send_buffered]/[flush] from {!Unbuffered}. *)
 
 (** What {!S.idle} did; see {!S.idle}. *)
 type idle_outcome =
@@ -61,29 +55,6 @@ type process_event =
       epoch : int;
       durability : Fault_sim.durability;
     }
-
-(** The slice-receive core a backend must provide; {!Recv_defaults}
-    derives the bytes-returning wrappers from it. *)
-module type RECV_SLICE = sig
-  type t
-
-  val metrics : t -> Rmi_stats.Metrics.t
-  val try_recv_slice : t -> self:int -> (bytes * int * int) option
-  val recv_blocking_slice : t -> self:int -> bytes * int * int
-
-  val recv_deadline_slice :
-    t -> self:int -> seconds:float -> (bytes * int * int) option
-end
-
-(** Derives [try_recv]/[recv_blocking]/[recv_deadline] from the slice
-    family: whole frames pass through unchanged; a proper sub-slice is
-    snapshotted and the copy charged to the [bytes_copied] metric —
-    the one materialize policy every backend shares. *)
-module Recv_defaults (B : RECV_SLICE) : sig
-  val try_recv : B.t -> self:int -> bytes option
-  val recv_blocking : B.t -> self:int -> bytes
-  val recv_deadline : B.t -> self:int -> seconds:float -> bytes option
-end
 
 (** Charge one logical message of [len] payload bytes sent outside a
     batch: [msgs_sent], [bytes_sent] and [unbatched]. *)
@@ -190,12 +161,6 @@ module type S = sig
   val recv_deadline_slice :
     t -> self:int -> seconds:float -> (bytes * int * int) option
 
-  (** Materializing wrappers (derived via {!Recv_defaults}). *)
-
-  val try_recv : t -> self:int -> bytes option
-  val recv_blocking : t -> self:int -> bytes
-  val recv_deadline : t -> self:int -> seconds:float -> bytes option
-
   (** Fire the retransmit timers and failure-detector checks that are
       due, advancing an idle-count clock by one tick (a clock read from
       the monotonic clock just gets a new reading). *)
@@ -277,9 +242,6 @@ val recv_blocking_slice : t -> self:int -> bytes * int * int
 val recv_deadline_slice :
   t -> self:int -> seconds:float -> (bytes * int * int) option
 
-val try_recv : t -> self:int -> bytes option
-val recv_blocking : t -> self:int -> bytes
-val recv_deadline : t -> self:int -> seconds:float -> bytes option
 val idle : t -> self:int -> idle_outcome
 val pending_anywhere : t -> bool
 val peer_health : t -> self:int -> peer:int -> peer_health

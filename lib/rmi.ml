@@ -18,16 +18,11 @@ module Paper_data = Rmi_harness.Paper_data
 module Cli = Rmi_harness.Cli
 
 module Internals = struct
-  module Cluster = Rmi_net.Cluster
-  module Sim = Rmi_net.Sim
-  module Sock = Rmi_net.Sock
   module Protocol = Rmi_wire.Protocol
   module Msgbuf = Rmi_wire.Msgbuf
   module Codec = Rmi_serial.Codec
-  module Introspect = Rmi_serial.Introspect
   module Class_meta = Rmi_serial.Class_meta
   module Plan = Rmi_core.Plan
-  module Plan_store = Rmi_core.Plan_store
   module Pass_manager = Rmi_core.Pass_manager
   module Optimizer = Rmi_core.Optimizer
 end

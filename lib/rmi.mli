@@ -124,19 +124,14 @@ module Paper_data = Rmi_harness.Paper_data
 module Cli = Rmi_harness.Cli
 
 (** Escape hatch for benchmarks and tests that poke below the facade:
-    the wire format, the raw codec layers and the simulated
-    interconnect.  Applications should not need anything in here. *)
+    the wire format, the raw codec layers and the compiler's pass
+    records.  Applications should not need anything in here. *)
 module Internals : sig
-  module Cluster = Rmi_net.Cluster
-  module Sim = Rmi_net.Sim
-  module Sock = Rmi_net.Sock
   module Protocol = Rmi_wire.Protocol
   module Msgbuf = Rmi_wire.Msgbuf
   module Codec = Rmi_serial.Codec
-  module Introspect = Rmi_serial.Introspect
   module Class_meta = Rmi_serial.Class_meta
   module Plan = Rmi_core.Plan
-  module Plan_store = Rmi_core.Plan_store
   module Pass_manager = Rmi_core.Pass_manager
   module Optimizer = Rmi_core.Optimizer
 end

@@ -208,11 +208,39 @@ let find_plan e callsite =
   Mutex.unlock plans_mutex;
   p
 
-let publish_plan e (p : Plan.t) =
+(* the same steps and flags, whatever their numbers *)
+let same_plan (a : Plan.t) (b : Plan.t) =
+  { a with Plan.version = b.Plan.version } = b
+
+(* [p], a widening site [s] has not made before, as the fabric knows
+   it.  The plan another node already published for the same widening
+   keeps its number; a new one is numbered one above every version the
+   table, the plan store and [s] know, and published to both.  Taking
+   the number under the lock keeps two widenings of one version (at
+   two positions, or on two nodes) from sharing it. *)
+let publish_widening e s (p : Plan.t) =
   Mutex.lock plans_mutex;
-  Hashtbl.replace e.plans p.Plan.callsite p;
-  Atomic.incr generation;
-  Mutex.unlock plans_mutex
+  let p =
+    match Hashtbl.find_opt e.plans s.callsite with
+    | Some q when same_plan q p -> q
+    | q ->
+        let table =
+          match q with Some q -> q.Plan.version | None -> Plan.generic_version
+        in
+        let store =
+          Option.bind e.plan_store (fun store ->
+              Plan_store.latest_version store ~site:s.callsite)
+        in
+        let known = max table (Option.value store ~default:table) in
+        let top = Itbl.fold (fun ver _ -> max ver) s.versions known in
+        let p = { p with Plan.version = top + 1 } in
+        Hashtbl.replace e.plans s.callsite p;
+        Atomic.incr generation;
+        Option.iter (fun store -> Plan_store.publish store p) e.plan_store;
+        p
+  in
+  Mutex.unlock plans_mutex;
+  p
 
 (* ------------------------------------------------------------------ *)
 (* sites, versions and the tiers                                       *)
@@ -407,10 +435,16 @@ let deopt e s v pos msg =
   if v.plan.Plan.version = Plan.generic_version || not (adaptive e) then
     raise (Codec.Type_confusion msg);
   let widened = Plan.widen v.plan pos in
+  let made =
+    Itbl.fold
+      (fun _ v' made -> if same_plan v'.plan widened then Some v' else made)
+      s.versions None
+  in
   let v' =
-    match Itbl.find_opt s.versions widened.Plan.version with
-    | Some v' when v'.plan = widened -> v'
-    | _ ->
+    match made with
+    | Some v' -> v'
+    | None ->
+        let widened = publish_widening e s widened in
         let position = Format.asprintf "%a" Plan.pp_position pos in
         Metrics.incr_tier_deopts (metrics e);
         trace_event e
@@ -420,10 +454,6 @@ let deopt e s v pos msg =
         Log.debug (fun m ->
             m "machine %d: deopt site=%d at %s -> plan v%d" e.nid s.callsite
               position widened.Plan.version);
-        publish_plan e widened;
-        Option.iter
-          (fun store -> Plan_store.publish store widened)
-          e.plan_store;
         intern e s widened
   in
   adopt s v';

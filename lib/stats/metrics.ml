@@ -326,11 +326,12 @@ let record_queue_depth (t : t) depth =
 
 let record_latency_ns (t : t) ns = add t.lat_hist.(lat_bucket ns) 1
 
+(* once per adaptive-tier dispatch: [Hashtbl.find] builds no option *)
 let record_site_call (t : t) ~callsite =
   Mutex.lock t.site_mutex;
-  (match Hashtbl.find_opt t.site_calls callsite with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.site_calls callsite (ref 1));
+  (match Hashtbl.find t.site_calls callsite with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add t.site_calls callsite (ref 1));
   Mutex.unlock t.site_mutex
 
 let site_call_count (t : t) ~callsite =

@@ -345,3 +345,7 @@ let qcheck_case test =
       with e ->
         Printf.eprintf "\n[qcheck] replay with QCHECK_SEED=%d\n%!" seed;
         raise e )
+
+(* The message a slice receive returned ([Transport.try_recv_slice] and
+   its blocking and timed forms), copied out of the frame it shares. *)
+let message (buf, off, len) = Bytes.sub buf off len

@@ -37,8 +37,8 @@ let roundtrip ?(seconds = 10.0) net ~src ~dest tag =
   Transport.send net ~src ~dest (Bytes.of_string tag);
   let deadline = Unix.gettimeofday () +. seconds in
   let rec go () =
-    match Transport.recv_deadline net ~self:dest ~seconds:0.2 with
-    | Some m when Bytes.to_string m = tag -> ()
+    match Transport.recv_deadline_slice net ~self:dest ~seconds:0.2 with
+    | Some m when Bytes.to_string (Fixtures.message m) = tag -> ()
     | Some _ -> go ()  (* stale frame from an earlier phase *)
     | None ->
         if Unix.gettimeofday () >= deadline then

@@ -332,11 +332,11 @@ let stale_epoch_frames_are_fenced () =
            ());
       let before = (Metrics.snapshot metrics).Metrics.stale_drops in
       (* read through the reliable layer, where the fence lives *)
-      (match Transport.try_recv net ~self:0 with
+      (match Transport.try_recv_slice net ~self:0 with
       | None -> ()
-      | Some b ->
+      | Some m ->
           Alcotest.failf "stale frame leaked through the fence: %S"
-            (Bytes.to_string b));
+            (Bytes.to_string (Fixtures.message m)));
       Alcotest.(check bool) "stale frame counted" true
         ((Metrics.snapshot metrics).Metrics.stale_drops > before);
       (* the live path is unaffected *)
@@ -375,11 +375,11 @@ let detector_convicts_silent_peer_then_recovers () =
   Alcotest.(check bool) "conviction counted" true (s.Metrics.peer_downs >= 1);
   (* machine 1 wakes up: draining its mailbox answers the pings with
      pongs; receiving a pong rehabilitates the peer *)
-  while Transport.try_recv net ~self:1 <> None do
+  while Transport.try_recv_slice net ~self:1 <> None do
     ()
   done;
   for _ = 1 to 4 do
-    ignore (Transport.try_recv net ~self:0)
+    ignore (Transport.try_recv_slice net ~self:0)
   done;
   Alcotest.(check bool) "recovered event" true
     (List.mem (0, 1, Transport.Peer_recovered) !events);

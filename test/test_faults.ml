@@ -150,7 +150,7 @@ let transient_drops_recovered_and_counted () =
 
 let permanent_partition_times_out_cleanly () =
   let metrics, net, n0 = reliable_pair () in
-  (* machine 1 is unreachable forever; recv_blocking must not hang —
+  (* machine 1 is unreachable forever; recv_blocking_slice must not hang —
      after the RPC-level retries are spent the call has to surface a
      clean Peer_down *)
   Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->

@@ -145,16 +145,20 @@ let recv_deadline_edge_cases () =
      frame (poll semantics), and return None — not hang — when empty *)
   Cluster.send c ~src:0 ~dest:1 (Bytes.of_string "queued");
   Alcotest.(check (option string)) "zero deadline drains" (Some "queued")
-    (Option.map Bytes.to_string (Cluster.recv_deadline c ~self:1 ~seconds:0.0));
+    (Option.map Fixtures.message (Cluster.recv_deadline_slice c ~self:1 ~seconds:0.0)
+     |> Option.map Bytes.to_string);
   Alcotest.(check (option string)) "zero deadline empty" None
-    (Option.map Bytes.to_string (Cluster.recv_deadline c ~self:1 ~seconds:0.0));
+    (Option.map Fixtures.message (Cluster.recv_deadline_slice c ~self:1 ~seconds:0.0)
+     |> Option.map Bytes.to_string);
   Cluster.send c ~src:0 ~dest:1 (Bytes.of_string "again");
   Alcotest.(check (option string)) "negative deadline drains" (Some "again")
-    (Option.map Bytes.to_string
-       (Cluster.recv_deadline c ~self:1 ~seconds:(-1.0)));
+    (Option.map Fixtures.message
+       (Cluster.recv_deadline_slice c ~self:1 ~seconds:(-1.0))
+     |> Option.map Bytes.to_string);
   Alcotest.(check (option string)) "negative deadline empty" None
-    (Option.map Bytes.to_string
-       (Cluster.recv_deadline c ~self:1 ~seconds:(-1.0)))
+    (Option.map Fixtures.message
+       (Cluster.recv_deadline_slice c ~self:1 ~seconds:(-1.0))
+     |> Option.map Bytes.to_string)
 
 let recv_deadline_expires_while_frames_held () =
   (* every frame is held back one send by the reorder stage: a deadline
@@ -187,8 +191,9 @@ let recv_deadline_expires_while_frames_held () =
   Alcotest.(check int) "frame held" 1 (Fault_sim.held_frames sim);
   let t0 = Unix.gettimeofday () in
   Alcotest.(check (option string)) "deadline expires, frame still held" None
-    (Option.map Bytes.to_string
-       (Cluster.recv_deadline c ~self:1 ~seconds:0.02));
+    (Option.map Fixtures.message
+       (Cluster.recv_deadline_slice c ~self:1 ~seconds:0.02)
+     |> Option.map Bytes.to_string);
   Alcotest.(check bool) "expired promptly" true
     (Unix.gettimeofday () -. t0 < 5.0);
   (* subsequent sends on the link age the hold queue and release the
@@ -198,8 +203,8 @@ let recv_deadline_expires_while_frames_held () =
   let seen = Hashtbl.create 4 in
   let flushes = ref 0 in
   while not (Hashtbl.mem seen "held" && Hashtbl.mem seen "release") do
-    (match Cluster.recv_deadline c ~self:1 ~seconds:0.05 with
-    | Some b -> Hashtbl.replace seen (Bytes.to_string b) ()
+    (match Cluster.recv_deadline_slice c ~self:1 ~seconds:0.05 with
+    | Some m -> Hashtbl.replace seen (Bytes.to_string (Fixtures.message m)) ()
     | None ->
         incr flushes;
         if !flushes > 8 then Alcotest.fail "held frame never released";
@@ -221,9 +226,9 @@ let cluster_counts_traffic () =
   Alcotest.(check int) "bytes" 42 s.Metrics.bytes_sent;
   Alcotest.(check bool) "pending" true (Cluster.pending_anywhere c);
   Alcotest.(check bool) "machine 2 has one" true
-    (Cluster.try_recv c ~self:2 <> None);
+    (Cluster.try_recv_slice c ~self:2 <> None);
   Alcotest.(check bool) "machine 1 has none" true
-    (Cluster.try_recv c ~self:1 = None)
+    (Cluster.try_recv_slice c ~self:1 = None)
 
 let cluster_rejects_bad_ids () =
   let m = Metrics.create () in

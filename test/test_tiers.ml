@@ -11,6 +11,7 @@ module Codec = Rmi_serial.Codec
 module Metrics = Rmi_stats.Metrics
 module Plan = Rmi_core.Plan
 module Fault_sim = Rmi_net.Fault_sim
+module Plan_store = Rmi_core.Plan_store
 
 let meta =
   Rmi_serial.Class_meta.make
@@ -221,6 +222,107 @@ let lying_plan_ret_deopt_still_succeeds () =
         (Metrics.snapshot metrics).Metrics.tier_deopts)
     deopt_inputs
 
+(* Two positions of one version deoptimize, through one node's client
+   and server sides or through two nodes: each widening gets its own
+   number, and every number names one plan in every node's compiled
+   versions and in the plan store.  A plan store with no source keeps
+   the published history, so an old number still decodes after the
+   table has moved on. *)
+let two_positions_of_one_version () =
+  let config = Config.with_adaptive ~hot_threshold:1 Config.site_reuse_cycle in
+  let odd = pair (Value.Str "boom") (Value.Int 9) in
+  let lying = pair (Value.Double 0.5) (Value.Int 2) in
+  let setup () =
+    let metrics = Metrics.create () in
+    let plans = Hashtbl.create 4 in
+    Hashtbl.replace plans site swap_plan;
+    let store =
+      Plan_store.create
+        { Plan_store.src_hash = (fun _ -> None); src_compile = (fun _ -> None) }
+    in
+    let fabric =
+      Fabric.create ~mode:Fabric.Sync ~plan_store:store ~n:2 ~meta ~config
+        ~plans ~metrics ()
+    in
+    (* once [odd_replies] is set, machine 1 answers an all-int pair
+       with a shape the return step cannot encode; machine 0, and
+       machine 1 for a lying argument, answer honestly *)
+    let odd_replies = ref false in
+    Node.export (Fabric.node fabric 0) ~obj:0 ~meth:m_swap ~has_ret:true
+      (fun _ -> Some (int_pair 1 2));
+    Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_swap ~has_ret:true
+      (fun args ->
+        match args.(0) with
+        | Value.Obj { Value.fields = [| Value.Int _; _ |]; _ } when !odd_replies ->
+            Some odd
+        | _ -> Some (int_pair 1 2));
+    (fabric, store, metrics, odd_replies)
+  in
+  let call_async fabric ~src ~dst v =
+    Node.call_async (Fabric.node fabric src)
+      ~dest:(Remote_ref.make ~machine:dst ~obj:0)
+      ~meth:m_swap ~callsite:site ~has_ret:true [| v |]
+  in
+  let call fabric ~src ~dst v = Node.Future.await (call_async fabric ~src ~dst v) in
+  let inputs =
+    [
+      ( "one node",
+        (* machine 1 widens arg0 of version 1 as a client, then serves a
+           request machine 0 still encodes with version 1 and widens its
+           return *)
+        fun fabric odd_replies ->
+          check_pair "0->1 promotes machine 0" (int_pair 1 2)
+            (call fabric ~src:0 ~dst:1 (int_pair 3 4));
+          check_pair "1->0 promotes machine 1" (int_pair 1 2)
+            (call fabric ~src:1 ~dst:0 (int_pair 3 4));
+          check_pair "1->0 widens arg0" (int_pair 1 2)
+            (call fabric ~src:1 ~dst:0 lying);
+          odd_replies := true;
+          check_pair "0->1 widens ret" odd
+            (call fabric ~src:0 ~dst:1 (int_pair 3 4)) );
+      ( "two nodes",
+        (* machine 0 widens arg0 of version 1 while a request it sent
+           with version 1 makes machine 1 widen the return *)
+        fun fabric odd_replies ->
+          check_pair "0->1 promotes machine 0" (int_pair 1 2)
+            (call fabric ~src:0 ~dst:1 (int_pair 3 4));
+          odd_replies := true;
+          let honest = call_async fabric ~src:0 ~dst:1 (int_pair 3 4) in
+          let widening = call_async fabric ~src:0 ~dst:1 lying in
+          check_pair "reply to the version 1 request" odd
+            (Node.Future.await honest);
+          check_pair "reply to the widened request" (int_pair 1 2)
+            (Node.Future.await widening) );
+    ]
+  in
+  List.iter
+    (fun (input, steps) ->
+      let what = Printf.sprintf "%s: %s" input in
+      let fabric, store, metrics, odd_replies = setup () in
+      steps fabric odd_replies;
+      Alcotest.(check int) (what "two deopts") 2
+        (Metrics.snapshot metrics).Metrics.tier_deopts;
+      let stored ver =
+        match Plan_store.version store ~site ver with
+        | Some p -> (p.Plan.args.(0) = Plan.S_dyn, p.Plan.ret = Some Plan.S_dyn)
+        | None -> Alcotest.failf "%s" (what (Printf.sprintf "no version %d" ver))
+      in
+      Alcotest.(check (pair bool bool)) (what "version 2 widens arg0 only")
+        (true, false) (stored 2);
+      Alcotest.(check (pair bool bool)) (what "version 3 widens ret only")
+        (false, true) (stored 3);
+      (* both nodes keep calling each other with honest and lying
+         arguments *)
+      odd_replies := false;
+      List.iter
+        (fun (src, dst) ->
+          check_pair (what "honest call after") (int_pair 1 2)
+            (call fabric ~src ~dst (int_pair 3 4));
+          check_pair (what "lying call after") (int_pair 1 2)
+            (call fabric ~src ~dst lying))
+        [ (0, 1); (1, 0) ])
+    inputs
+
 let aot_lying_plan_raises_cleanly () =
   (* regression: without the adaptive tier there is no deopt path — a
      wrong plan must surface as Codec.Type_confusion at the call site,
@@ -335,6 +437,8 @@ let suite =
           lying_plan_arg_deopt_still_succeeds;
         Alcotest.test_case "lying plan: return deopt" `Quick
           lying_plan_ret_deopt_still_succeeds;
+        Alcotest.test_case "two positions of one version deopt" `Quick
+          two_positions_of_one_version;
         Alcotest.test_case "aot lying plan raises cleanly" `Quick
           aot_lying_plan_raises_cleanly;
       ] );

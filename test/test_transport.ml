@@ -102,14 +102,14 @@ type batch_input =
    socket, not yet its inbox, when the send returns — so every
    conformance receive waits rather than polls once *)
 let recv_str net ~self =
-  match Transport.recv_deadline net ~self ~seconds:5.0 with
-  | Some m -> Bytes.to_string m
+  match Transport.recv_deadline_slice net ~self ~seconds:5.0 with
+  | Some m -> Bytes.to_string (Fixtures.message m)
   | None -> Alcotest.fail "no message within the 5 s conformance deadline"
 
 let drain_empty net ~self =
   Alcotest.(check bool)
     "inbox drained" true
-    (Transport.recv_deadline net ~self ~seconds:0.02 = None)
+    (Transport.recv_deadline_slice net ~self ~seconds:0.02 = None)
 
 (* poll [pred] until it holds or [seconds] pass, then assert it *)
 let wait_until ?(seconds = 10.0) what pred =
@@ -240,14 +240,14 @@ module Conformance (B : BACKEND) = struct
     let t0 = Unix.gettimeofday () in
     Alcotest.(check bool)
       "empty inbox times out" true
-      (Transport.recv_deadline net ~self:1 ~seconds:0.05 = None);
+      (Transport.recv_deadline_slice net ~self:1 ~seconds:0.05 = None);
     Alcotest.(check bool)
       "waited for the deadline" true
       (Unix.gettimeofday () -. t0 >= 0.04);
     Transport.send net ~src:0 ~dest:1 (Bytes.of_string "late");
     Alcotest.(check string) "arrival ends the wait" "late" (recv_str net ~self:1)
 
-  (* regression: a message landing between recv_deadline's internal
+  (* regression: a message landing between recv_deadline_slice's internal
      polls must be returned, never dequeued into a discarded comparison.
      The stagger sweeps the send across the receiver's poll cycle so
      some iterations hit every window. *)
@@ -262,10 +262,11 @@ module Conformance (B : BACKEND) = struct
             Transport.send net ~src:0 ~dest:1 (Bytes.of_string expected))
           ()
       in
-      (match Transport.recv_deadline net ~self:1 ~seconds:5.0 with
+      (match Transport.recv_deadline_slice net ~self:1 ~seconds:5.0 with
       | Some m ->
           Alcotest.(check string)
-            "raced arrival returned" expected (Bytes.to_string m)
+            "raced arrival returned" expected
+            (Bytes.to_string (Fixtures.message m))
       | None -> Alcotest.fail ("raced arrival dropped: " ^ expected));
       Thread.join sender
     done;
@@ -309,7 +310,7 @@ module Conformance (B : BACKEND) = struct
     go ()
 
   let recv_string net ~self () =
-    Bytes.to_string (Transport.recv_blocking net ~self)
+    Bytes.to_string (Fixtures.message (Transport.recv_blocking_slice net ~self))
 
   let still_blocked what result =
     Alcotest.(check bool) (what ^ ": still blocked") true (Atomic.get result = None)
@@ -457,8 +458,10 @@ module Conformance (B : BACKEND) = struct
     with_sock 2 @@ fun net _ _ ->
     let big = Bytes.init (4 lsl 20) (fun i -> Char.chr (i land 0xff)) in
     Transport.send net ~src:0 ~dest:1 big;
-    match Transport.recv_deadline net ~self:1 ~seconds:10.0 with
-    | Some m -> Alcotest.(check bool) "oversized frame intact" true (Bytes.equal m big)
+    match Transport.recv_deadline_slice net ~self:1 ~seconds:10.0 with
+    | Some m ->
+        Alcotest.(check bool) "oversized frame intact" true
+          (Bytes.equal (Fixtures.message m) big)
     | None -> Alcotest.fail "oversized frame never arrived"
 
   let suite =
@@ -700,8 +703,9 @@ let two_senders_exactly_once =
       let total = List.length sizes0 + List.length sizes1 in
       let got = Array.make 2 [] in
       for _ = 1 to total do
-        match Transport.recv_deadline net ~self:2 ~seconds:10.0 with
+        match Transport.recv_deadline_slice net ~self:2 ~seconds:10.0 with
         | Some m ->
+            let m = Fixtures.message m in
             let src = Char.code (Bytes.get m 0) in
             got.(src) <- m :: got.(src)
         | None -> QCheck.Test.fail_report "a frame never arrived"
@@ -712,7 +716,7 @@ let two_senders_exactly_once =
       in
       List.rev got.(0) = expect 0 sizes0
       && List.rev got.(1) = expect 1 sizes1
-      && Transport.recv_deadline net ~self:2 ~seconds:0.02 = None)
+      && Transport.recv_deadline_slice net ~self:2 ~seconds:0.02 = None)
 
 (* ------------------------------------------------------------------ *)
 (* the envelope checksum                                               *)
