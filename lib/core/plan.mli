@@ -81,9 +81,8 @@ val pp_position : Format.formatter -> position -> unit
     guaranteed to make progress.  The cycle table is re-enabled and
     reuse disabled for that side (conservative: the dynamic encoding
     carries handles), [version] is bumped by one and [polluted] set.
-    Two widenings of one version at different positions get the same
-    number here, so a runtime that publishes them renumbers each above
-    every version it knows of the site.
+    {!Plan_store.widen} widens only a site's latest plan, so the
+    numbers of a site's widenings form a chain.
     @raise Invalid_argument on an out-of-range argument index or
     widening [`Ret] of an ack-only plan. *)
 val widen : t -> position -> t

@@ -3,6 +3,7 @@ type backend = Sim | Sock
 
 type t = {
   net : Rmi_net.Transport.t;
+  plans : Rmi_core.Plan_store.t;
   sim : Rmi_net.Cluster.t option;
   nodes : Node.t array;
   fmode : mode;
@@ -12,8 +13,16 @@ type t = {
   mutable started : bool;
 }
 
+(* the fabric's one plan registry, the caller's store or a source-less
+   one, holding the caller's plans, and [n] nodes sharing it *)
 let make_nodes ?plan_store net ~n ~meta ~config ~plans =
-  Array.init n (fun id -> Node.create ?plan_store net ~id ~meta ~config ~plans)
+  let store =
+    match plan_store with
+    | Some store -> store
+    | None -> Rmi_core.Plan_store.empty ()
+  in
+  Hashtbl.iter (fun _ p -> Rmi_core.Plan_store.install store p) plans;
+  (store, Array.init n (fun id -> Node.create net ~id ~meta ~config ~plans:store))
 
 (* stack the Reliable ARQ adapter over the raw transport when the
    config asks for it, then the batching layer over that when the
@@ -70,9 +79,9 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store
         Option.iter (Rmi_net.Transport.set_faults lower) faults;
         (layer config lower, None)
   in
-  let nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
+  let plans, nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
   let t =
-    { net; sim; nodes; fmode = mode; proc = false; domains = []; pool = None;
+    { net; plans; sim; nodes; fmode = mode; proc = false; domains = []; pool = None;
       started = false }
   in
   (if mode = Sync then
@@ -93,8 +102,8 @@ let create_process ?listen ?chaos ?epoch ?plan_store ~self ~addrs ~meta
       (Rmi_net.Sock.create_process ?chaos ?epoch ?listen ~self ~addrs metrics)
   in
   let n = Array.length addrs in
-  let nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
-  { net; sim = None; nodes; fmode = Parallel; proc = true; domains = [];
+  let plans, nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
+  { net; plans; sim = None; nodes; fmode = Parallel; proc = true; domains = [];
     pool = None; started = false }
 
 let mode t = t.fmode
@@ -108,6 +117,7 @@ let node t i =
   t.nodes.(i)
 
 let metrics t = Rmi_net.Transport.metrics t.net
+let plan_store t = t.plans
 let net t = t.net
 
 let cluster t =

@@ -1,5 +1,6 @@
-(** Cluster assembly: [n] machines sharing a class table, a compiler
-    plan table and an optimization configuration.
+(** Cluster assembly: [n] machines sharing a class table, a plan
+    registry ({!Rmi_core.Plan_store}) and an optimization
+    configuration.
 
     Two execution modes mirror the substitution documented in
     DESIGN.md:
@@ -41,9 +42,14 @@ type t
     stacks the {!Rmi_net.Batching} layer on top of that.
     [?faults] installs a seeded fault schedule on the physical links
     (meaningful with the reliable transport; the raw path does not
-    recover from loss).  [?plan_store] hands every node the compiler's
-    plan cache so adaptive-tier promotions hit it and widened plans
-    survive node restarts (PR 4).
+    recover from loss).  The fabric holds one plan registry
+    ({!plan_store}), shared by its nodes: [?plan_store], or a
+    source-less store when absent, into which it installs [plans] (an
+    entry the store already holds for a site wins).  The caller's
+    table is only read.  A store built over the compiler
+    ({!Rmi_core.Plan_store.source_of_optimizer}) serves adaptive-tier
+    promotions from its plan cache.  Widened plans live in the
+    registry, so a restarted node re-learns them.
 
     [?backend] (default [Sim]) selects the interconnect.  [Sock] builds
     a loopback TCP mesh: real syscalls, one address space.  With
@@ -109,6 +115,9 @@ val process_mode : t -> bool
 val size : t -> int
 val node : t -> int -> Node.t
 val metrics : t -> Rmi_stats.Metrics.t
+
+(** The fabric's plan registry: every version of every site's plan. *)
+val plan_store : t -> Rmi_core.Plan_store.t
 
 (** The interconnect, backend-agnostic (fault hooks, flushing,
     shutdown). *)

@@ -13,9 +13,9 @@ exception Rpc_timeout = Client.Rpc_timeout
 exception Peer_down = Client.Peer_down
 exception Server_busy = Client.Server_busy
 
-let create ?plan_store net ~id ~meta ~config ~plans =
+let create net ~id ~meta ~config ~plans =
   let env =
-    { Site.net; nid = id; meta; cfg = config; plans; plan_store;
+    { Site.net; nid = id; meta; cfg = config; plans;
       sites = Site.Itbl.create 16; trace = None }
   in
   let srv = Server.create env in

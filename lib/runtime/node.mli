@@ -51,21 +51,19 @@ exception Peer_down of string
     new calls (PR 6). *)
 exception Server_busy of string
 
-(** [create ?plan_store net ~id ~meta ~config ~plans] builds one
-    machine on transport [net] (any {!Rmi_net.Transport.t} backend: the
-    simulated interconnect via {!Rmi_net.Sim.pack}, or TCP sockets via
-    {!Rmi_net.Sock}).  [plans] is the fabric-shared plan table (call
-    site -> current plan); [plan_store] (PR 4), when given, backs the
-    adaptive tier's promotions with the compiler's content-hash-keyed
-    plan cache and records widened plans so they survive a node
-    restart. *)
+(** [create net ~id ~meta ~config ~plans] builds one machine on
+    transport [net] (any {!Rmi_net.Transport.t} backend: the simulated
+    interconnect via {!Rmi_net.Sim.pack}, or TCP sockets via
+    {!Rmi_net.Sock}).  [plans] is the fabric's plan registry, shared
+    by its nodes: the sites' plans, every widened version, and — when
+    it has a source — the compiler's content-hash-keyed plan cache
+    behind the adaptive tier's promotions. *)
 val create :
-  ?plan_store:Rmi_core.Plan_store.t ->
   Rmi_net.Transport.t ->
   id:int ->
   meta:Rmi_serial.Class_meta.t ->
   config:Config.t ->
-  plans:(int, Rmi_core.Plan.t) Hashtbl.t ->
+  plans:Rmi_core.Plan_store.t ->
   t
 
 val id : t -> int

@@ -12,8 +12,9 @@
    and a same-machine call runs the same phases with the request and
    reply writers in place of the wire.  A value that breaks a
    specialized plan's static promise deoptimizes its position inside
-   [marshal_args] or [marshal_ret]: [deopt] widens, publishes and hands
-   back the version the write replays with. *)
+   [marshal_args] or [marshal_ret]: [deopt] widens the site's latest
+   plan in the fabric's plan store and hands back the version the write
+   replays with. *)
 
 open Rmi_wire
 module Value = Rmi_serial.Value
@@ -82,7 +83,7 @@ type t = {
      encoding generations of one site concurrently *)
   versions : version Itbl.t;
   (* what the next call encodes with: the adaptive tier's choice, or
-     the effective plan as of plan-table generation [gen]; [None]
+     the effective plan as of plan-store generation [gen]; [None]
      before the first call and after a crash *)
   mutable current : version option;
   mutable gen : int;
@@ -99,8 +100,7 @@ type env = {
   nid : int;
   meta : Rmi_serial.Class_meta.t;
   cfg : Config.t;
-  plans : (int, Plan.t) Hashtbl.t;
-  plan_store : Plan_store.t option;
+  plans : Plan_store.t;
   sites : t Itbl.t;
   mutable trace : Trace.t option;
 }
@@ -192,57 +192,6 @@ let flush e =
   end
 
 (* ------------------------------------------------------------------ *)
-(* the shared plan table                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* A fabric hands one plan table to all its nodes, and a deopt on any
-   domain writes it: every access holds [plans_mutex].  [generation]
-   counts the writes, so a site re-reads the table only after one, and
-   a call pays one atomic read for a plan that stays current. *)
-let plans_mutex = Mutex.create ()
-let generation = Atomic.make 0
-
-let find_plan e callsite =
-  Mutex.lock plans_mutex;
-  let p = Hashtbl.find_opt e.plans callsite in
-  Mutex.unlock plans_mutex;
-  p
-
-(* the same steps and flags, whatever their numbers *)
-let same_plan (a : Plan.t) (b : Plan.t) =
-  { a with Plan.version = b.Plan.version } = b
-
-(* [p], a widening site [s] has not made before, as the fabric knows
-   it.  The plan another node already published for the same widening
-   keeps its number; a new one is numbered one above every version the
-   table, the plan store and [s] know, and published to both.  Taking
-   the number under the lock keeps two widenings of one version (at
-   two positions, or on two nodes) from sharing it. *)
-let publish_widening e s (p : Plan.t) =
-  Mutex.lock plans_mutex;
-  let p =
-    match Hashtbl.find_opt e.plans s.callsite with
-    | Some q when same_plan q p -> q
-    | q ->
-        let table =
-          match q with Some q -> q.Plan.version | None -> Plan.generic_version
-        in
-        let store =
-          Option.bind e.plan_store (fun store ->
-              Plan_store.latest_version store ~site:s.callsite)
-        in
-        let known = max table (Option.value store ~default:table) in
-        let top = Itbl.fold (fun ver _ -> max ver) s.versions known in
-        let p = { p with Plan.version = top + 1 } in
-        Hashtbl.replace e.plans s.callsite p;
-        Atomic.incr generation;
-        Option.iter (fun store -> Plan_store.publish store p) e.plan_store;
-        p
-  in
-  Mutex.unlock plans_mutex;
-  p
-
-(* ------------------------------------------------------------------ *)
 (* sites, versions and the tiers                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -314,10 +263,12 @@ let intern e s (plan : Plan.t) =
       Itbl.replace s.versions plan.Plan.version v;
       v
 
-(* the compiler's plan for [s], or the generic tag-carrying one; always
-   the generic one under [Class_specific] *)
+(* the plan store's latest plan for [s], or the generic tag-carrying
+   one; always the generic one under [Class_specific] *)
 let effective_plan e s ~nargs ~has_ret =
-  match if site_mode e then find_plan e s.callsite else None with
+  match
+    if site_mode e then Plan_store.latest e.plans ~site:s.callsite else None
+  with
   | Some p -> p
   | None ->
       if site_mode e then
@@ -329,10 +280,10 @@ let effective_plan e s ~nargs ~has_ret =
       Plan.generic ~callsite:s.callsite ~nargs ~has_ret
 
 (* the version a payload tagged [ver] was encoded with: compiled here,
-   in the shared plan table, or in the plan store's history.  Version 0
-   usually means the generic encoding, but a hand-built plan (and the
-   class-mode pseudo-plan) may carry version 0 with its own steps: the
-   site's effective plan decides.  @raise Not_found when none has it *)
+   or in the plan store.  Version 0 usually means the generic encoding,
+   but a hand-built plan (and the class-mode pseudo-plan) may carry
+   version 0 with its own steps: the site's effective plan decides.
+   @raise Not_found when neither has it *)
 let version e s ~nargs ~has_ret ver =
   match Itbl.find s.versions ver with
   | v when ver <> Plan.generic_version || Array.length v.plan.Plan.args = nargs
@@ -345,15 +296,9 @@ let version e s ~nargs ~has_ret ver =
           (if p.Plan.version = ver then p
            else Plan.generic ~callsite:s.callsite ~nargs ~has_ret)
       else
-        let plan =
-          match find_plan e s.callsite with
-          | Some p when p.Plan.version = ver -> Some p
-          | _ -> (
-              match e.plan_store with
-              | Some store -> Plan_store.version store ~site:s.callsite ver
-              | None -> None)
-        in
-        match plan with Some p -> intern e s p | None -> raise Not_found)
+        match Plan_store.version e.plans ~site:s.callsite ver with
+        | Some p -> intern e s p
+        | None -> raise Not_found)
 
 let current s =
   match s.current with
@@ -365,29 +310,28 @@ let set_current s v =
   v
 
 (* a widened version — made here, or announced by a peer's reply —
-   becomes the site's encoding once the tier has promoted it *)
-let adopt s v = if s.promoted then s.current <- Some v
+   becomes the site's encoding once the tier has promoted it.  A
+   site's versions form a chain, each widening the last, so a higher
+   number widens every position a lower one does. *)
+let adopt s v =
+  match s.current with
+  | Some c when s.promoted && v.plan.Plan.version > c.plan.Plan.version ->
+      s.current <- Some v
+  | _ -> ()
 
 (* the site crossed the hot threshold: switch it to its specialized
-   plan, from the plan store (compiling on demand through the pass
-   manager) or the compiler's table; without one it stays generic *)
+   plan, the plan store's latest (compiling on demand through the pass
+   manager); without one it stays generic *)
 let promote e s ~nargs =
   s.promoted <- true;
-  let plan =
-    match e.plan_store with
-    | Some store -> (
-        match Plan_store.get store ~site:s.callsite with
-        | Some (p, Plan_store.Hit) ->
-            Metrics.incr_plan_cache_hits (metrics e);
-            Some p
-        | Some (p, (Plan_store.Compiled | Plan_store.Invalidated)) ->
-            Metrics.incr_plan_cache_misses (metrics e);
-            Some p
-        | None -> find_plan e s.callsite)
-    | None -> find_plan e s.callsite
-  in
+  let plan = Plan_store.get e.plans ~site:s.callsite in
+  (match plan with
+  | Some (_, Plan_store.Hit) -> Metrics.incr_plan_cache_hits (metrics e)
+  | Some (_, (Plan_store.Compiled | Plan_store.Invalidated)) ->
+      Metrics.incr_plan_cache_misses (metrics e)
+  | Some (_, Plan_store.Installed) | None -> ());
   match plan with
-  | Some p
+  | Some (p, _)
     when p.Plan.version > Plan.generic_version
          && Array.length p.Plan.args = nargs ->
       s.current <- Some (intern e s p);
@@ -400,7 +344,7 @@ let promote e s ~nargs =
 
 (* the version an outgoing call at [s] encodes with.  The adaptive tier
    counts the call and promotes a hot site; otherwise the site follows
-   the shared table, re-reading it only after a publish. *)
+   the plan store, re-reading it only after its generation moves. *)
 let encoding e s ~nargs ~has_ret =
   if adaptive e then begin
     s.calls <- s.calls + 1;
@@ -416,46 +360,38 @@ let encoding e s ~nargs ~has_ret =
   else
     match s.current with
     | Some v
-      when s.gen = Atomic.get generation
+      when s.gen = Plan_store.generation e.plans
            && Array.length v.plan.Plan.args = nargs ->
         v
     | _ ->
-        s.gen <- Atomic.get generation;
+        s.gen <- Plan_store.generation e.plans;
         set_current s (intern e s (effective_plan e s ~nargs ~has_ret))
 
 (* A runtime value broke [v]'s static promise at [pos]: widen that
-   position to the dynamic step, publish the repaired plan so every
-   node decodes with it (and this node re-learns it after a restart),
-   and return the version to replay the write with.  A widening this
-   site already made is replayed without publishing it again: requests
-   sent before it still carry the plan it replaced.  The generic plan
-   cannot confuse types, and without the adaptive tier nothing
-   deoptimizes: both re-raise. *)
+   position of the site's latest plan in the plan store, so every node
+   decodes with it (and this node re-learns it after a restart), and
+   return the version to replay the write with.  When another call
+   already widened [pos] — a request sent before the widening still
+   carries the plan it replaced — the store hands the latest back
+   unchanged and nothing is counted.  The generic plan cannot confuse
+   types, and without the adaptive tier nothing deoptimizes: both
+   re-raise. *)
 let deopt e s v pos msg =
   if v.plan.Plan.version = Plan.generic_version || not (adaptive e) then
     raise (Codec.Type_confusion msg);
-  let widened = Plan.widen v.plan pos in
-  let made =
-    Itbl.fold
-      (fun _ v' made -> if same_plan v'.plan widened then Some v' else made)
-      s.versions None
-  in
-  let v' =
-    match made with
-    | Some v' -> v'
-    | None ->
-        let widened = publish_widening e s widened in
-        let position = Format.asprintf "%a" Plan.pp_position pos in
-        Metrics.incr_tier_deopts (metrics e);
-        trace_event e
-          (Trace.Deopt
-             { machine = e.nid; callsite = s.callsite; position;
-               version = widened.Plan.version });
-        Log.debug (fun m ->
-            m "machine %d: deopt site=%d at %s -> plan v%d" e.nid s.callsite
-              position widened.Plan.version);
-        intern e s widened
-  in
+  let widened, made = Plan_store.widen e.plans ~site:s.callsite pos in
+  if made then begin
+    let position = Format.asprintf "%a" Plan.pp_position pos in
+    Metrics.incr_tier_deopts (metrics e);
+    trace_event e
+      (Trace.Deopt
+         { machine = e.nid; callsite = s.callsite; position;
+           version = widened.Plan.version });
+    Log.debug (fun m ->
+        m "machine %d: deopt site=%d at %s -> plan v%d" e.nid s.callsite
+          position widened.Plan.version)
+  end;
+  let v' = intern e s widened in
   adopt s v';
   v'
 
@@ -608,7 +544,7 @@ let unmarshal_ret e s v ~kind ~plan_ver r =
           plan_ver
       with
       | v' ->
-          if plan_ver > v.plan.Plan.version then adopt s v';
+          adopt s v';
           v'
       | exception Not_found ->
           raise

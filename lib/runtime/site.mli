@@ -16,9 +16,9 @@
     and a same-machine call runs the same five phases over the request
     and reply writers instead of the wire.  A value that breaks a
     specialized plan deoptimizes inside [marshal_args] or
-    [marshal_ret]: the position is widened, the repaired plan published
-    to the shared plan table and the plan store, and the write replayed
-    with it. *)
+    [marshal_ret]: the position of the site's latest plan is widened in
+    the fabric's plan store, which numbers every version of every site,
+    and the write replayed with the result. *)
 
 open Rmi_wire
 
@@ -46,10 +46,7 @@ type env = {
   nid : int;
   meta : Rmi_serial.Class_meta.t;
   cfg : Config.t;
-  plans : (int, Rmi_core.Plan.t) Hashtbl.t;
-      (** the fabric-shared plan table; read and written only under
-          this module's lock *)
-  plan_store : Rmi_core.Plan_store.t option;
+  plans : Rmi_core.Plan_store.t;  (** the fabric's plan registry *)
   sites : t Itbl.t;
   mutable trace : Trace.t option;
 }
@@ -103,8 +100,8 @@ val crash : env -> unit
 (** [encoding e s ~nargs ~has_ret] is the version an outgoing call at
     [s] encodes with.  Under the adaptive tier it counts the call and
     promotes a hot site; otherwise it is the site's effective plan (the
-    compiler's, or generic), re-read from the shared table only after
-    a publish. *)
+    plan store's latest, or generic), re-read only after the store's
+    generation moves. *)
 val encoding : env -> t -> nargs:int -> has_ret:bool -> version
 
 (** The version the site's last call encodes with; after
@@ -112,9 +109,8 @@ val encoding : env -> t -> nargs:int -> has_ret:bool -> version
 val current : t -> version
 
 (** [version e s ~nargs ~has_ret ver] is the version a payload tagged
-    [ver] was encoded with: compiled here, in the shared plan table or
-    in the plan store's history.
-    @raise Not_found when none of them has it *)
+    [ver] was encoded with: compiled here, or in the plan store.
+    @raise Not_found when neither has it *)
 val version : env -> t -> nargs:int -> has_ret:bool -> int -> version
 
 (** {1 Phases} *)

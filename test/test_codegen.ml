@@ -314,10 +314,15 @@ let plan_store_hit_and_publish () =
   Alcotest.(check int) "one miss" 1 (Plan_store.misses store);
   Alcotest.(check int) "one hit" 1 (Plan_store.hits store);
   Alcotest.(check int) "no invalidation" 0 (Plan_store.invalidations store);
-  (* the deoptimizer publishes a widened plan: it becomes latest while
-     the older version stays addressable for in-flight decodes *)
-  let v1 = fresh_plan fx in
-  Plan_store.publish store (Plan.widen v1 (`Arg 0));
+  (* the deoptimizer widens the latest plan: the result becomes latest
+     while the older version stays addressable for in-flight decodes,
+     and widening the same position again makes nothing new *)
+  (match Plan_store.widen store ~site (`Arg 0) with
+  | p, true -> Alcotest.(check int) "widening numbered 2" 2 p.Plan.version
+  | _, false -> Alcotest.fail "the first widening must make a version");
+  (match Plan_store.widen store ~site (`Arg 0) with
+  | p, false -> Alcotest.(check int) "latest handed back" 2 p.Plan.version
+  | _, true -> Alcotest.fail "a dynamic position must not widen again");
   (match Plan_store.get store ~site with
   | Some (p, Plan_store.Hit) ->
       Alcotest.(check int) "widened plan is latest" 2 p.Plan.version;
@@ -332,7 +337,7 @@ let plan_store_invalidates_on_edit () =
   let store = store_of fx in
   let site = fx.Fixtures.s_site in
   ignore (Plan_store.get store ~site);
-  Plan_store.publish store (Plan.widen (fresh_plan fx) (`Arg 0));
+  ignore (Plan_store.widen store ~site (`Arg 0));
   (* edit the caller's body slice: the content hash moves, so the next
      get drops every cached version — widened descendants included —
      and recompiles *)
@@ -409,25 +414,34 @@ let plan_store_sees_helper_edit () =
         (p.Plan.reuse_args = [| false |] && not p.Plan.non_escaping)
   | None -> Alcotest.fail "site must compile"
 
-(* cached ≡ fresh under any interleaving of edits and lookups *)
+(* cached ≡ fresh under any interleaving of edits and lookups: each
+   step edits one method, picked at random — the helper outside the
+   caller/callee slice included — or none *)
 let prop_cached_equals_fresh =
   QCheck.Test.make ~name:"plan store: cached plan = fresh compile" ~count:60
-    QCheck.(small_list bool)
+    QCheck.(small_list (option small_nat))
     (fun edits ->
-      let fx = Fixtures.array2d () in
-      let store = store_of fx in
-      let site = fx.Fixtures.s_site in
+      let prog = helper_program ~helper_body:"" in
+      let opt = Optimizer.run prog in
+      let site =
+        match opt.Optimizer.decisions with
+        | [ d ] -> d.Optimizer.plan.Plan.callsite
+        | _ -> QCheck.Test.fail_report "expected one remote call site"
+      in
+      let store = Plan_store.create (Plan_store.source_of_optimizer opt) in
+      let methods = prog.Jir.Program.methods in
       List.for_all
         (fun edit ->
-          if edit then
-            Array.iter
-              (fun (m : Jir.Program.method_decl) ->
-                m.Jir.Program.var_types <-
-                  Array.append m.Jir.Program.var_types [| Jir.Types.Tint |])
-              fx.Fixtures.s_prog.Jir.Program.methods;
-          match Plan_store.get store ~site with
-          | Some (cached, _) -> cached = fresh_plan fx
-          | None -> false)
+          Option.iter
+            (fun i ->
+              let m = methods.(i mod Array.length methods) in
+              m.Jir.Program.var_types <-
+                Array.append m.Jir.Program.var_types [| Jir.Types.Tint |])
+            edit;
+          let fresh = Optimizer.decision_for (Optimizer.run prog) site in
+          match (Plan_store.get store ~site, fresh) with
+          | Some (cached, _), Some d -> cached = d.Optimizer.plan
+          | _ -> false)
         edits)
 
 let suite =

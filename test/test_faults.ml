@@ -48,7 +48,7 @@ let truncated_payload_is_clean_error () =
   let metrics = Metrics.create () in
   let cluster = Rmi_net.Cluster.create ~n:2 metrics in
   (* build nodes directly so the cluster handle stays in reach *)
-  let plans = Hashtbl.create 4 in
+  let plans = Rmi_core.Plan_store.empty () in
   let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
   let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);
@@ -80,7 +80,7 @@ let truncated_payload_is_clean_error () =
 let dropped_message_detected_as_deadlock () =
   let metrics = Metrics.create () in
   let cluster = Rmi_net.Cluster.create ~n:2 metrics in
-  let plans = Hashtbl.create 4 in
+  let plans = Rmi_core.Plan_store.empty () in
   let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
   let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);
@@ -108,7 +108,7 @@ let dropped_message_detected_as_deadlock () =
 let reliable_pair () =
   let metrics = Metrics.create () in
   let net = Rmi_net.Reliable.wrap (Rmi_net.Sim.create ~n:2 metrics) in
-  let plans = Hashtbl.create 4 in
+  let plans = Rmi_core.Plan_store.empty () in
   let n0 = Node.create net ~id:0 ~meta ~config:Config.class_ ~plans in
   let n1 = Node.create net ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);
@@ -196,7 +196,7 @@ let permanent_partition_times_out_cleanly () =
 let garbage_header_is_ignored () =
   let metrics = Metrics.create () in
   let cluster = Rmi_net.Cluster.create ~n:2 metrics in
-  let plans = Hashtbl.create 4 in
+  let plans = Rmi_core.Plan_store.empty () in
   let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
   let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);
@@ -278,7 +278,7 @@ let failure_messages_single_spaced () =
   in
   let metrics = Metrics.create () in
   let cluster = Rmi_net.Cluster.create ~n:2 metrics in
-  let plans = Hashtbl.create 4 in
+  let plans = Rmi_core.Plan_store.empty () in
   let n0 = Node.create (Rmi_net.Sim.pack cluster) ~id:0 ~meta ~config:Config.class_ ~plans in
   let n1 = Node.create (Rmi_net.Sim.pack cluster) ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);

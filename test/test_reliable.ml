@@ -36,7 +36,7 @@ let run_batch ~transport ?sim ids =
   let metrics = Metrics.create () in
   let net = transport metrics in
   Option.iter (Rmi_net.Transport.set_faults net) sim;
-  let plans = Hashtbl.create 4 in
+  let plans = Rmi_core.Plan_store.empty () in
   let n0 = Node.create net ~id:0 ~meta ~config:Config.class_ ~plans in
   let n1 = Node.create net ~id:1 ~meta ~config:Config.class_ ~plans in
   Node.set_pump n0 (fun () -> Node.serve_pending n1);

@@ -56,7 +56,13 @@ let make_fabric ?(mode = Fabric.Sync) ?(handler = fun _ -> Some (int_pair 1 2))
   Hashtbl.replace plans site swap_plan;
   let fabric = Fabric.create ~mode ~n:2 ~meta ~config ~plans ~metrics () in
   Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_swap ~has_ret:true handler;
-  (fabric, plans, metrics)
+  (fabric, metrics)
+
+(* the swap site's latest plan in the fabric's plan store *)
+let latest fabric =
+  match Plan_store.latest (Fabric.plan_store fabric) ~site with
+  | Some p -> p
+  | None -> Alcotest.fail "the fabric's store lost the swap site"
 
 let call fabric v =
   Node.call (Fabric.node fabric 0)
@@ -90,7 +96,7 @@ let check_calls what fabric n v expect =
 
 let promotes_at_hot_threshold () =
   let config = Config.with_adaptive ~hot_threshold:4 Config.site_reuse_cycle in
-  let fabric, _, metrics = make_fabric ~config () in
+  let fabric, metrics = make_fabric ~config () in
   let tr = Trace.create () in
   Node.set_trace (Fabric.node fabric 0) tr;
   for i = 1 to 6 do
@@ -117,7 +123,7 @@ let promotes_at_hot_threshold () =
 let aot_never_promotes () =
   (* the paper presets stay on the static model: plans from call one,
      no tier activity in the counters *)
-  let fabric, _, metrics = make_fabric ~config:Config.site_reuse_cycle () in
+  let fabric, metrics = make_fabric ~config:Config.site_reuse_cycle () in
   for i = 1 to 6 do
     check_pair "swap reply" (int_pair 1 2) (call fabric (int_pair i i))
   done;
@@ -129,7 +135,7 @@ let aot_never_promotes () =
 let adaptive_spends_generic_bytes_until_hot () =
   (* per-call wire cost: generic until the threshold, AOT after *)
   let cost config calls =
-    let fabric, _, metrics = make_fabric ~config () in
+    let fabric, metrics = make_fabric ~config () in
     let per_call = ref [] in
     let last = ref 0 in
     for i = 1 to calls do
@@ -167,7 +173,7 @@ let lying_plan_arg_deopt_still_succeeds () =
   List.iter
     (fun (input, mode, n) ->
       let what = Printf.sprintf "%s: %s" input in
-      let fabric, plans, metrics = make_fabric ~mode ~config () in
+      let fabric, metrics = make_fabric ~mode ~config () in
       Fabric.run fabric @@ fun fabric ->
       let lying = pair (Value.Double 0.5) (Value.Int 2) in
       check_calls (what "deoptimized call succeeds") fabric n lying
@@ -175,7 +181,7 @@ let lying_plan_arg_deopt_still_succeeds () =
       let s = Metrics.snapshot metrics in
       Alcotest.(check int) (what "one deopt") 1 s.Metrics.tier_deopts;
       Alcotest.(check int) (what "one promotion") 1 s.Metrics.tier_promotions;
-      let current = Hashtbl.find plans site in
+      let current = latest fabric in
       Alcotest.(check bool) (what "site marked polluted") true
         current.Plan.polluted;
       Alcotest.(check int) (what "version bumped") 2 current.Plan.version;
@@ -202,7 +208,7 @@ let lying_plan_ret_deopt_still_succeeds () =
   List.iter
     (fun (input, mode, n) ->
       let what = Printf.sprintf "%s: %s" input in
-      let fabric, plans, metrics =
+      let fabric, metrics =
         make_fabric ~mode ~handler:(fun _ -> Some odd) ~config ()
       in
       Fabric.run fabric @@ fun fabric ->
@@ -210,7 +216,7 @@ let lying_plan_ret_deopt_still_succeeds () =
         (int_pair 1 2) odd;
       let s = Metrics.snapshot metrics in
       Alcotest.(check int) (what "one deopt") 1 s.Metrics.tier_deopts;
-      let current = Hashtbl.find plans site in
+      let current = latest fabric in
       Alcotest.(check bool) (what "site marked polluted") true
         current.Plan.polluted;
       Alcotest.(check bool) (what "ret widened to dyn") true
@@ -224,25 +230,23 @@ let lying_plan_ret_deopt_still_succeeds () =
 
 (* Two positions of one version deoptimize, through one node's client
    and server sides or through two nodes: each widening gets its own
-   number, and every number names one plan in every node's compiled
-   versions and in the plan store.  A plan store with no source keeps
-   the published history, so an old number still decodes after the
-   table has moved on. *)
+   number and widens the site's latest plan, so version 3 keeps
+   version 2's argument widening, and every number names one plan in
+   every node's compiled versions and in the fabric's plan store —
+   the caller's, or the one the fabric builds without it.  An old
+   number still decodes after the site has moved on, and no later
+   call, lying or honest, from either node deoptimizes again. *)
 let two_positions_of_one_version () =
   let config = Config.with_adaptive ~hot_threshold:1 Config.site_reuse_cycle in
   let odd = pair (Value.Str "boom") (Value.Int 9) in
   let lying = pair (Value.Double 0.5) (Value.Int 2) in
-  let setup () =
+  let setup plan_store =
     let metrics = Metrics.create () in
     let plans = Hashtbl.create 4 in
     Hashtbl.replace plans site swap_plan;
-    let store =
-      Plan_store.create
-        { Plan_store.src_hash = (fun _ -> None); src_compile = (fun _ -> None) }
-    in
     let fabric =
-      Fabric.create ~mode:Fabric.Sync ~plan_store:store ~n:2 ~meta ~config
-        ~plans ~metrics ()
+      Fabric.create ~mode:Fabric.Sync ?plan_store ~n:2 ~meta ~config ~plans
+        ~metrics ()
     in
     (* once [odd_replies] is set, machine 1 answers an all-int pair
        with a shape the return step cannot encode; machine 0, and
@@ -256,7 +260,7 @@ let two_positions_of_one_version () =
         | Value.Obj { Value.fields = [| Value.Int _; _ |]; _ } when !odd_replies ->
             Some odd
         | _ -> Some (int_pair 1 2));
-    (fabric, store, metrics, odd_replies)
+    (fabric, metrics, odd_replies)
   in
   let call_async fabric ~src ~dst v =
     Node.call_async (Fabric.node fabric src)
@@ -295,10 +299,21 @@ let two_positions_of_one_version () =
             (Node.Future.await widening) );
     ]
   in
+  let stores =
+    [ ("no plan store", fun () -> None);
+      ("plan store", fun () -> Some (Plan_store.empty ())) ]
+  in
   List.iter
-    (fun (input, steps) ->
-      let what = Printf.sprintf "%s: %s" input in
-      let fabric, store, metrics, odd_replies = setup () in
+    (fun ((store_input, plan_store), (input, steps)) ->
+      let what = Printf.sprintf "%s, %s: %s" store_input input in
+      let plan_store = plan_store () in
+      let fabric, metrics, odd_replies = setup plan_store in
+      let store = Fabric.plan_store fabric in
+      Option.iter
+        (fun given ->
+          Alcotest.(check bool) (what "the caller's store is the fabric's")
+            true (given == store))
+        plan_store;
       steps fabric odd_replies;
       Alcotest.(check int) (what "two deopts") 2
         (Metrics.snapshot metrics).Metrics.tier_deopts;
@@ -309,8 +324,8 @@ let two_positions_of_one_version () =
       in
       Alcotest.(check (pair bool bool)) (what "version 2 widens arg0 only")
         (true, false) (stored 2);
-      Alcotest.(check (pair bool bool)) (what "version 3 widens ret only")
-        (false, true) (stored 3);
+      Alcotest.(check (pair bool bool)) (what "version 3 widens arg0 and ret")
+        (true, true) (stored 3);
       (* both nodes keep calling each other with honest and lying
          arguments *)
       odd_replies := false;
@@ -320,14 +335,18 @@ let two_positions_of_one_version () =
             (call fabric ~src ~dst (int_pair 3 4));
           check_pair (what "lying call after") (int_pair 1 2)
             (call fabric ~src ~dst lying))
-        [ (0, 1); (1, 0) ])
-    inputs
+        [ (0, 1); (1, 0) ];
+      Alcotest.(check int) (what "still two deopts") 2
+        (Metrics.snapshot metrics).Metrics.tier_deopts)
+    (List.concat_map
+       (fun store -> List.map (fun input -> (store, input)) inputs)
+       stores)
 
 let aot_lying_plan_raises_cleanly () =
   (* regression: without the adaptive tier there is no deopt path — a
      wrong plan must surface as Codec.Type_confusion at the call site,
      with the counters and the site's plan left untouched *)
-  let fabric, plans, metrics = make_fabric ~config:Config.site_reuse_cycle () in
+  let fabric, metrics = make_fabric ~config:Config.site_reuse_cycle () in
   let lying = pair (Value.Double 0.5) (Value.Int 2) in
   (match call fabric lying with
   | exception Codec.Type_confusion _ -> ()
@@ -335,7 +354,7 @@ let aot_lying_plan_raises_cleanly () =
   let s = Metrics.snapshot metrics in
   Alcotest.(check int) "no deopt recorded" 0 s.Metrics.tier_deopts;
   Alcotest.(check bool) "plan untouched" false
-    (Hashtbl.find plans site).Plan.polluted;
+    (latest fabric).Plan.polluted;
   (* the node (and its writer contexts) stay usable *)
   check_pair "fabric still works" (int_pair 1 2) (call fabric (int_pair 5 6))
 
