@@ -270,10 +270,12 @@ let load_cmd =
          "Drive the paper-table message shapes (chain100, matrix16x16) \
           from a pipelined client round-robin across $(b,--servers) \
           machines, over reliable, batched and seeded-lossy links — once \
-          on the serial runtime and once on the work-stealing pool of \
-          $(b,--domains) worker domains with $(b,--queue-depth)-bounded \
-          admission.  Prints throughput and p50/p99/p999 client RTT per \
-          domain count and exits nonzero when any reply digest differs \
+          with one worker domain polling every server and once with \
+          $(b,--domains) workers: a worker owning one server runs its \
+          serve loop, one owning several polls them with \
+          $(b,--queue-depth)-bounded admission and steals work.  Prints \
+          throughput and p50/p99/p999 client RTT per domain count and \
+          exits nonzero when any reply digest differs \
           across domain counts, or (on hosts with the cores) when the \
           pool misses the $(b,--speedup-floor) throughput gate or the \
           $(b,--tail-tol) p999 bound.  The CI load-smoke job gates on \

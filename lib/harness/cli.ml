@@ -159,9 +159,11 @@ let domains_arg =
     & opt int 4
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker domains for the work-stealing dispatch pool.  $(b,1) \
-           keeps the paper's serial per-node serve loops; higher counts \
-           share every server's traffic across $(docv) OCaml domains.")
+          "Worker domains serving the servers.  A worker that owns one \
+           server runs its serve loop, the paper's one thread per \
+           machine; with fewer workers than servers, each polls its \
+           servers through bounded queues and steals from the others.  \
+           $(b,1) serves every server from one domain.")
 
 let queue_depth_arg =
   Arg.(

@@ -64,8 +64,9 @@ val entry_arg : string Term.t
 (** [--machines N]: cluster size, default 2. *)
 val machines_arg : int Term.t
 
-(** [--domains N]: worker domains for the dispatch pool, default 4;
-    1 keeps the paper's serial per-node serve loops. *)
+(** [--domains N]: worker domains serving the servers, default 4; a
+    worker that owns one server runs its serve loop, and 1 serves every
+    server from one polling domain. *)
 val domains_arg : int Term.t
 
 (** [--queue-depth N]: per-node admission bound, default

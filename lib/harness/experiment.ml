@@ -1474,7 +1474,7 @@ let load_compare ?(calls = 600) ?(window = 32) ?(servers = 8)
    from machine 0 to machine 1 under the parallel fabric, replies
    awaited in issue order.  The digest is over the structurally
    rendered replies in that order, so it is deterministic whatever the
-   kernel's TCP scheduling or the serve domain's interleaving did —
+   kernel's TCP scheduling or the serve loop's interleaving did —
    the same trick the load gate uses across domain counts. *)
 let run_transport_run ~backend ~config ~window ~calls (ww : wire_workload) =
   let metrics = Metrics.create () in

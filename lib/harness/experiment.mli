@@ -174,10 +174,12 @@ val shape_summary : timing_table -> string
 
 (** Drive [calls] pipelined RMIs from one client round-robin across
     [servers] machines — chain100 and matrix16x16, each over reliable,
-    batched and seeded-lossy links — once on the serial runtime
-    ([domains = 1]) and once on the work-stealing pool ([domains]
-    workers, [queue_depth]-bounded per-node queues).  [spin] re-folds
-    the argument in the handler so servers are CPU-bound.  Checks:
+    batched and seeded-lossy links — once with one worker domain
+    polling every server and once with [domains] workers (one serve
+    loop per server when [domains >= servers], otherwise polling
+    workers with [queue_depth]-bounded per-node queues and stealing).
+    [spin] re-folds the argument in the handler so servers are
+    CPU-bound.  Checks:
     [digest_ok] — issue-order reply digests (independent of how the
     pool interleaved execution) match across domain counts everywhere;
     [perf_enforced] — matrix16x16/reliable reaches [speedup_floor]x

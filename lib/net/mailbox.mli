@@ -17,9 +17,12 @@ val try_recv : t -> bytes option
     arrives (sends signal it), releasing the processor meanwhile. *)
 val recv_blocking : t -> bytes
 
-(** Like {!recv_blocking} but gives up after [seconds]; used by the
-    reliable transport so blocked machines can drive their retransmit
-    timers. *)
+(** Like {!recv_blocking} but gives up after [seconds]: it spins for
+    up to 50 µs, then polls in 50 µs sleeps.  A wait that follows one
+    which gave up, with nothing taken in between, does not spin.  The
+    reliable transport waits here in slices so blocked machines drive
+    their retransmit timers: a server's blocking receive and a parallel
+    client's await, under {!Reliable} and {!Batching}. *)
 val recv_deadline : t -> seconds:float -> bytes option
 
 (** Discard everything queued — the crash simulator's view of losing a

@@ -30,10 +30,11 @@ type params = { rto : int; backoff_cap : int; max_attempts : int }
 
 let default_params = { rto = 2; backoff_cap = 32; max_attempts = 12 }
 
-(* the microsecond timers.  rto is the pool worker's idle-sleep
+(* the microsecond timers.  rto is a polling pool worker's idle-sleep
    quantum, so no idle caller can fire a timer sooner than one sleep
-   after the send; 12 attempts capped at 32 ms give a frame ~147 ms
-   before it is abandoned *)
+   after the send, and the slice a blocked receiver waits between
+   sweeps; 12 attempts capped at 32 ms give a frame ~147 ms before it
+   is abandoned *)
 let clock_params = { rto = 100; backoff_cap = 32_000; max_attempts = 12 }
 
 let clock_hb =
@@ -131,6 +132,7 @@ module M = struct
     det : det_cell array array; (* det.(self).(peer) *)
     mutable hb : Transport.hb_params;
     clock : (unit -> int) option;  (* [None]: the clock is [tick] *)
+    slice : float;  (* [recv_blocking_slice]'s wait between idles, s *)
     mutable tick : int;  (* idle calls so far *)
     (* one [idle] sweep's tallies, reset at its start; under [lock].
        The lists hold what fired, last first. *)
@@ -600,12 +602,25 @@ module M = struct
   (* chop the wait into slices so a blocked machine keeps driving its
      own retransmit timers (a server whose reply was dropped must resend
      it even though it is only receiving) *)
-  let rec recv_blocking_slice t ~self =
-    match recv_deadline_slice t ~self ~seconds:0.002 with
+  let rec slices t ~self =
+    match recv_deadline_slice t ~self ~seconds:t.slice with
     | Some payload -> payload
     | None ->
         ignore (idle t ~self : Transport.idle_outcome);
-        recv_blocking_slice t ~self
+        slices t ~self
+
+  (* on the monotonic clock a receive that finds nothing sweeps before
+     its first slice, as a polling worker's idle round does: a frame
+     lost just before is resent now, not a slice later.  The idle-count
+     clock sweeps only after a slice, since its give-up budget counts
+     the sweeps *)
+  let recv_blocking_slice t ~self =
+    match try_recv_slice t ~self with
+    | Some m -> m
+    | None ->
+        if Option.is_some t.clock then
+          ignore (idle t ~self : Transport.idle_outcome);
+        slices t ~self
 
   (* ---------------------------------------------------------------- *)
   (* everything else: the adapter's own state or pure delegation       *)
@@ -687,6 +702,14 @@ let wrap ?now ?params lower =
                 }));
       hb;
       clock = now;
+      (* the monotonic clock's timers are due an rto after a send, so a
+         blocked receiver looks at them that often; the idle-count
+         clock keeps 2 ms slices, in which process mode's give-up
+         budget is counted *)
+      slice =
+        (match now with
+        | None -> 0.002
+        | Some _ -> float_of_int params.rto *. 1e-6);
       tick = 0;
       sweep_unacked = 0;
       sweep_early = false;

@@ -91,16 +91,20 @@ type t = {
           allocator changes; [legacy_heap] turns the GC-heap decode
           path back on for the [alloc] differential experiment *)
   domains : int;
-      (** worker domains in the server-side dispatch pool (PR 6).  [0]
-          — the preset default — keeps the paper's serial model: each
-          node is served by its own dedicated loop and requests execute
-          one at a time.  [>= 1] routes every served node's requests
-          through a work-stealing pool of this many OCaml domains with
-          bounded per-node queues and admission control *)
+      (** worker domains serving a [Fabric.Parallel] fabric's machines
+          1..n-1 (the dispatch pool, the one parallel runtime).  [0]
+          — the preset default — gives one worker per served machine,
+          and a worker that owns one machine runs its serve loop: the
+          paper's one thread draining each machine's network.  [>= 1]
+          caps the workers at that many (never more than the served
+          machines); a worker that owns several machines polls them
+          through bounded per-node queues with admission control and
+          work stealing *)
   queue_depth : int;
-      (** per-node request-queue capacity under the dispatch pool;
-          requests arriving at a full queue are rejected with a typed
-          busy reply the client retries under its deadline *)
+      (** per-node request-queue capacity at a worker that polls
+          several machines; requests arriving at a full queue are
+          rejected with a typed busy reply the client retries under
+          its deadline *)
 }
 
 (** Per-node queue capacity used by the presets (64 requests). *)
@@ -145,10 +149,11 @@ val with_arena : bool -> t -> t
     used as the baseline by the [alloc] experiment). *)
 val legacy_heap : t -> t
 
-(** [with_domains n t] serves requests from a work-stealing pool of [n]
-    domains ([n = 0] restores the serial per-node loop); [queue_depth]
-    bounds each node's request queue before admission control rejects.
-    Raises [Invalid_argument] on a negative [n] or a [queue_depth] < 1. *)
+(** [with_domains n t] serves a parallel fabric with at most [n]
+    worker domains ([n = 0]: one per served machine, each a serve
+    loop); [queue_depth] bounds each polled machine's request queue
+    before admission control rejects.  Raises [Invalid_argument] on a
+    negative [n] or a [queue_depth] < 1. *)
 val with_domains : ?queue_depth:int -> int -> t -> t
 
 val find : string -> t option

@@ -1,15 +1,18 @@
-(* Work-stealing multi-domain dispatch (PR 6).
+(* The parallel runtime: worker domains serving a fabric's nodes.
 
-   The paper's server model is serial: one loop per machine, one
-   request at a time.  The pool replaces the per-node loops with [n]
-   worker domains sharing every served node's traffic:
+   Each served node is owned by exactly one worker ([node index mod
+   workers]), and only its owner receives on it, so the receive path
+   stays single-consumer per machine, as in the paper.  A worker that
+   owns one node runs its serve loop ([Node.serve_loop]): its queue
+   would never hold more than the one task its owner is executing, so
+   it stays empty, and the worker exits on the fabric's shutdown
+   request.  A worker that owns several nodes runs a polling round:
 
-   - intake: each node's mailbox is drained by exactly ONE worker (its
-     owner, [node index mod workers]), so the cluster's receive path
-     stays single-consumer per machine.  Arriving requests land in a
-     bounded per-node queue; a request that finds its queue full is
-     answered with a [Protocol.Reject] frame before its payload is
-     ever decoded — admission control, not silent drop.
+   - intake: arriving requests land in a bounded per-node queue; a
+     request that finds its queue full is answered with a
+     [Protocol.Reject] frame before its payload is ever decoded —
+     admission control, not silent drop.  Shutdown requests are
+     dropped: a polling worker exits on the stop flag.
    - execution: workers prefer their own nodes' queues and steal from
      the others when empty.  A per-node serve mutex keeps each node's
      dispatches serialized (the node's plan caches, reuse tables and
@@ -83,33 +86,32 @@ let intake_one t nq =
   | Some ((buf, off, len) as task) ->
       let r = nq.probe in
       Msgbuf.reset_slice r buf ~off ~len;
-      (if Server.is_client_request r then begin
-         if not (try_enqueue t nq task) then begin
-           (* only a reject needs the whole header as a record *)
-           Msgbuf.reset_slice r buf ~off ~len;
-           Node.send_reject nq.node (Protocol.read_header r)
-         end
-       end
-       else begin
-         (* replies, acks, rejects and control frames bypass admission
-            control: refusing them could wedge the protocol.  The queue
-            is unbounded for them, but their volume is bounded by the
-            node's own outstanding calls. *)
-         Mutex.lock nq.q_mutex;
-         Queue.push task nq.q;
-         nq.depth <- nq.depth + 1;
-         Mutex.unlock nq.q_mutex
-       end);
+      (match Server.admission r with
+      | Server.Client_request ->
+          if not (try_enqueue t nq task) then begin
+            (* only a reject needs the whole header as a record *)
+            Msgbuf.reset_slice r buf ~off ~len;
+            Node.send_reject nq.node (Protocol.read_header r)
+          end
+      | Server.Control -> ()  (* a polling worker stops on its flag *)
+      | Server.Other ->
+          (* replies, acks and rejects bypass admission control:
+             refusing them could wedge the protocol.  The queue is
+             unbounded for them, but their volume is bounded by the
+             node's own outstanding calls. *)
+          Mutex.lock nq.q_mutex;
+          Queue.push task nq.q;
+          nq.depth <- nq.depth + 1;
+          Mutex.unlock nq.q_mutex);
       (* pin no frame between intakes *)
       Msgbuf.reset_slice r Bytes.empty ~off:0 ~len:0;
       true
 
-let execute t nq task =
+let execute nq task =
   Mutex.lock nq.serve_mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock nq.serve_mutex)
-    (fun () -> Node.serve_slice nq.node task);
-  Metrics.incr_dispatches t.metrics
+    (fun () -> Node.serve_slice nq.node task)
 
 (* one task, own queues first, then steal *)
 let run_one t w =
@@ -119,7 +121,7 @@ let run_one t w =
     else if i mod t.n_workers = w then
       match try_dequeue t.queues.(i) with
       | Some task ->
-          execute t t.queues.(i) task;
+          execute t.queues.(i) task;
           true
       | None -> own (i + 1)
     else own (i + 1)
@@ -130,16 +132,16 @@ let run_one t w =
       match try_dequeue t.queues.(i) with
       | Some task ->
           Metrics.incr_steals t.metrics;
-          execute t t.queues.(i) task;
+          execute t.queues.(i) task;
           true
       | None -> steal (i + 1)
     else steal (i + 1)
   in
   own 0 || steal 0
 
-let worker t w () =
+let poll t w =
   let n = Array.length t.queues in
-  let idle_rounds = ref 0 in
+  let idle_rounds = ref 0 and dispatches = ref 0 in
   let stop = ref false in
   while not !stop do
     let progress = ref false in
@@ -147,7 +149,10 @@ let worker t w () =
       if i mod t.n_workers = w && intake_one t t.queues.(i) then
         progress := true
     done;
-    if run_one t w then progress := true;
+    if run_one t w then begin
+      progress := true;
+      incr dispatches
+    end;
     if !progress then idle_rounds := 0
     else begin
       incr idle_rounds;
@@ -165,13 +170,21 @@ let worker t w () =
            it starves the client domain driving the workload *)
         Unix.sleepf 0.0001
     end
-  done
+  done;
+  Metrics.add_dispatches t.metrics !dispatches
+
+(* worker [w] owns nodes [w], [w + n_workers], ...; it owns exactly one
+   when [w + n_workers] is past the last node *)
+let worker t w () =
+  if w + t.n_workers >= Array.length t.queues then
+    Node.serve_loop t.queues.(w).node
+  else poll t w
 
 let create ~net ~nodes ~domains ~queue_depth () =
   if domains < 1 then invalid_arg "Dispatch_pool.create: domains < 1";
+  if domains > Array.length nodes then
+    invalid_arg "Dispatch_pool.create: more domains than nodes";
   if queue_depth < 1 then invalid_arg "Dispatch_pool.create: queue_depth < 1";
-  if Array.length nodes = 0 then
-    invalid_arg "Dispatch_pool.create: no nodes to serve";
   let queues =
     Array.map
       (fun node ->

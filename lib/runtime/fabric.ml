@@ -8,9 +8,7 @@ type t = {
   nodes : Node.t array;
   fmode : mode;
   proc : bool;  (* process mode: only one machine lives in this OS process *)
-  mutable domains : unit Domain.t list;
-  mutable pool : Dispatch_pool.t option;
-  mutable started : bool;
+  mutable pool : Dispatch_pool.t option;  (* serving machines 1..n-1 *)
 }
 
 (* the fabric's one plan registry, the caller's store or a source-less
@@ -81,8 +79,7 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store
   in
   let plans, nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
   let t =
-    { net; plans; sim; nodes; fmode = mode; proc = false; domains = []; pool = None;
-      started = false }
+    { net; plans; sim; nodes; fmode = mode; proc = false; pool = None }
   in
   (if mode = Sync then
      (* a machine that waits pumps every other machine's queue *)
@@ -103,8 +100,7 @@ let create_process ?listen ?chaos ?epoch ?plan_store ~self ~addrs ~meta
   in
   let n = Array.length addrs in
   let plans, nodes = make_nodes ?plan_store net ~n ~meta ~config ~plans in
-  { net; plans; sim = None; nodes; fmode = Parallel; proc = true; domains = [];
-    pool = None; started = false }
+  { net; plans; sim = None; nodes; fmode = Parallel; proc = true; pool = None }
 
 let mode t = t.fmode
 let backend t = match t.sim with Some _ -> Sim | None -> Sock
@@ -128,51 +124,31 @@ let cluster t =
         "Fabric.cluster: not a Sim-backed fabric (use Fabric.net for the \
          transport-generic view)"
 
+(* one worker per served node unless the config asks for fewer *)
 let start t =
-  match t.fmode with
-  | Sync -> ()
-  | Parallel ->
-      (* process mode hosts exactly one machine: there are no sibling
-         nodes in this address space to spawn serve loops for *)
-      if (not t.proc) && not t.started then begin
-        t.started <- true;
-        let cfg = Node.config t.nodes.(0) in
-        if cfg.Config.domains > 0 && Array.length t.nodes > 1 then
-          (* PR 6: one work-stealing pool serves nodes 1..n-1 with
-             [cfg.domains] worker domains and bounded request queues;
-             node 0 stays the caller's *)
-          t.pool <-
-            Some
-              (Dispatch_pool.create ~net:t.net
-                 ~nodes:(Array.sub t.nodes 1 (Array.length t.nodes - 1))
-                 ~domains:cfg.Config.domains
-                 ~queue_depth:cfg.Config.queue_depth ())
-        else
-          t.domains <-
-            List.init
-              (Array.length t.nodes - 1)
-              (fun i ->
-                let worker = t.nodes.(i + 1) in
-                Domain.spawn (fun () -> Node.serve_loop worker))
-      end
+  let served = Array.length t.nodes - 1 in
+  (* process mode hosts exactly one machine: there are no sibling
+     nodes in this address space to serve *)
+  if t.fmode = Parallel && (not t.proc) && t.pool = None && served > 0 then
+    let cfg = Node.config t.nodes.(0) in
+    t.pool <-
+      Some
+        (Dispatch_pool.create ~net:t.net
+           ~nodes:(Array.sub t.nodes 1 served)
+           ~domains:
+             (if cfg.Config.domains > 0 then min cfg.Config.domains served
+              else served)
+           ~queue_depth:cfg.Config.queue_depth ())
 
 let stop t =
-  match t.fmode with
-  | Sync -> ()
-  | Parallel ->
-      if t.started then begin
-        t.started <- false;
-        match t.pool with
-        | Some pool ->
-            Dispatch_pool.stop pool;
-            t.pool <- None
-        | None ->
-            for dest = 1 to Array.length t.nodes - 1 do
-              Node.send_shutdown t.nodes.(0) ~dest
-            done;
-            List.iter Domain.join t.domains;
-            t.domains <- []
-      end
+  match t.pool with
+  | None -> ()
+  | Some pool ->
+      t.pool <- None;
+      for dest = 1 to Array.length t.nodes - 1 do
+        Node.send_shutdown t.nodes.(0) ~dest
+      done;
+      Dispatch_pool.stop pool
 
 let shutdown_net t = Rmi_net.Transport.shutdown t.net
 

@@ -8,12 +8,13 @@
     - [Sync]: everything on one thread.  A machine awaiting a reply
       pumps the other machines' queues directly — deterministic, used
       by tests and by the statistics tables.
-    - [Parallel]: machines 1..n-1 are OCaml domains running serve
-      loops; machine 0 is the caller's domain.  Real parallelism for
-      wall-clock measurements (the paper's 2-CPU runs).  With
-      [Config.domains > 0], one {!Dispatch_pool} of that many worker
-      domains serves machines 1..n-1 instead, with bounded request
-      queues and admission control.
+    - [Parallel]: one {!Dispatch_pool} of worker domains serves
+      machines 1..n-1; machine 0 is the caller's domain.  Real
+      parallelism for wall-clock measurements (the paper's 2-CPU runs).
+      There is one worker per served machine, or [Config.domains] when
+      that is positive and smaller.  A worker that owns one machine
+      runs its serve loop; one that owns several polls them through
+      bounded request queues with admission control.
 
     Orthogonally, two transport backends (the {!Rmi_net.Transport.S}
     substitution):
@@ -130,11 +131,12 @@ val net : t -> Rmi_net.Transport.t
     @raise Invalid_argument on a [Sock]-backed fabric — use {!net}. *)
 val cluster : t -> Rmi_net.Cluster.t
 
-(** Start worker domains (no-op in [Sync] mode and in process mode). *)
+(** Start the worker pool serving machines 1..n-1 (no-op in [Sync]
+    mode, in process mode and while started). *)
 val start : t -> unit
 
-(** Shut workers down and join them (no-op in [Sync] mode and in
-    process mode).  Idempotent. *)
+(** Send every served machine a shutdown request from machine 0, stop
+    the workers and join them (no-op unless started).  Idempotent. *)
 val stop : t -> unit
 
 (** Release the transport's OS resources ({!Rmi_net.Transport.shutdown}:

@@ -158,9 +158,9 @@ val serve_pending : t -> bool
 
 (** [serve_slice t (buf, off, len)] executes one received frame slice
     on this node — request, reply or reject — then ships any coalesced
-    replies.  Building block of the dispatch pool (PR 6), which calls
-    it from worker domains; callers must ensure at most one slice is
-    in [serve_slice] per node at a time. *)
+    replies.  A polling worker of the dispatch pool calls it
+    from its domain; callers must ensure at most one slice is in
+    [serve_slice] per node at a time. *)
 val serve_slice : t -> bytes * int * int -> unit
 
 (** [send_reject t hdr] answers [hdr]'s sender with a [Reject] frame
@@ -169,8 +169,14 @@ val serve_slice : t -> bytes * int * int -> unit
     request must not have been executed. *)
 val send_reject : t -> Rmi_wire.Protocol.header -> unit
 
-(** Serve until a shutdown message arrives (worker-domain main loop). *)
+(** Serve until a shutdown message arrives: the main loop of a worker
+    domain that owns this one node, and of a process-mode server.  Every
+    frame but the shutdown counts as one of [dispatches], added when
+    the loop ends. *)
 val serve_loop : t -> unit
+
+(** [send_shutdown t ~dest] sends [dest] the shutdown request, through
+    [t]'s batch buffer so it cannot overtake coalesced traffic. *)
 
 val send_shutdown : t -> dest:int -> unit
 

@@ -77,21 +77,23 @@ let crash t ~amnesia =
 let control_seq = 0
 let shutdown_method = -99
 
-(* does admission control apply to the message at [r]?  Only to a
-   client request: a Request whose whole header parses and whose seq is
+type admission = Client_request | Control | Other
+
+(* how admission control treats the message at [r]: it applies to a
+   client request, a Request whose whole header parses and whose seq is
    not the control seq.  Reading it builds no header record. *)
-let is_client_request r =
+let admission r =
   match
     match Protocol.read_kind r with
     | Protocol.Request ->
         let seq = Protocol.read_seq r in
         ignore (Protocol.read_plan_ver r : int);
-        seq <> control_seq
+        if seq = control_seq then Control else Client_request
     | Protocol.Reply | Protocol.Ack | Protocol.Exn_reply | Protocol.Reject ->
-        false
+        Other
   with
-  | client -> client
-  | exception Msgbuf.Underflow _ -> false
+  | a -> a
+  | exception Msgbuf.Underflow _ -> Other
 
 (* ------------------------------------------------------------------ *)
 (* serving                                                             *)
@@ -278,12 +280,18 @@ let send_reject t (hdr : Protocol.header) =
   Site.release e w;
   Site.flush e
 
+(* block for a frame, execute it, flush, until the shutdown request
+   arrives.  Every frame but that one counts as a dispatch, as in the
+   pool's polling round, published when the loop ends. *)
 let serve_loop t =
+  let e = t.env in
+  let dispatches = ref 0 in
   t.shutdown <- false;
   while not t.shutdown do
-    serve_slice t
-      (Transport.recv_blocking_slice t.env.Site.net ~self:t.env.Site.nid)
-  done
+    serve_slice t (Transport.recv_blocking_slice e.Site.net ~self:e.Site.nid);
+    if not t.shutdown then incr dispatches
+  done;
+  Metrics.add_dispatches (Site.metrics e) !dispatches
 
 let send_shutdown t ~dest =
   let e = t.env in

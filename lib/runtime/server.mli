@@ -34,10 +34,14 @@ val crash : t -> amnesia:bool -> unit
 (** The control-request rule.  A control request (the fabric's
     shutdown) is the one request with seq 0, since a node numbers its
     calls from 1: it runs no handler, and admission control never
-    refuses it.  [is_client_request r] reads the header at [r] (no
-    record) and says whether admission control applies to it: a
-    request whose whole header parses and whose seq is not 0. *)
-val is_client_request : Msgbuf.reader -> bool
+    refuses it.  [admission r] reads the header at [r] (no record):
+    [Client_request], to which admission control applies, is a request
+    whose whole header parses and whose seq is not 0; [Control] is the
+    control request; [Other] is anything else, a malformed header
+    included. *)
+type admission = Client_request | Control | Other
+
+val admission : Msgbuf.reader -> admission
 
 (** [consume t (buf, off, len)] serves a request, or hands anything
     else to [on_reply]; a message whose header does not parse is
@@ -51,5 +55,10 @@ val drain_inbox : t -> bool -> bool
 val serve_pending : t -> bool
 val serve_slice : t -> bytes * int * int -> unit
 val send_reject : t -> Protocol.header -> unit
+
+(** Block for a frame, execute it and flush, until the shutdown request
+    arrives; every other frame counts as one of [dispatches], added
+    when the loop ends. *)
 val serve_loop : t -> unit
+
 val send_shutdown : t -> dest:int -> unit

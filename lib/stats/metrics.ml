@@ -311,7 +311,7 @@ let incr_arena_fallbacks (t : t) = add t.arena_fallbacks 1
 let add_arena_fallbacks (t : t) n = add t.arena_fallbacks n
 let incr_pool_hits (t : t) = add t.pool_hits 1
 let incr_pool_misses (t : t) = add t.pool_misses 1
-let incr_dispatches (t : t) = add t.dispatches 1
+let add_dispatches (t : t) n = add t.dispatches n
 let incr_queue_rejects (t : t) = add t.queue_rejects 1
 let incr_steals (t : t) = add t.steals 1
 

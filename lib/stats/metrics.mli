@@ -191,12 +191,13 @@ val incr_arena_resets : t -> unit
 val incr_arena_fallbacks : t -> unit
 val add_arena_fallbacks : t -> int -> unit
 
-(** Dispatch-pool telemetry (PR 6).  Only the multi-domain runtime
-    touches the counters, so single-domain runs keep byte-identical
-    output; the latency histogram is recorded on every completed call
-    but surfaced only by the load experiment. *)
+(** Dispatch-pool telemetry.  Only a parallel fabric's worker domains
+    touch the counters, so [Sync] runs keep byte-identical output; the
+    latency histogram is recorded on every completed call but surfaced
+    only by the load experiment.  A worker tallies its dispatches in a
+    plain int and adds them once, as it exits. *)
 
-val incr_dispatches : t -> unit
+val add_dispatches : t -> int -> unit
 val incr_queue_rejects : t -> unit
 val incr_steals : t -> unit
 

@@ -38,8 +38,8 @@ let base = Config.with_reliable (Config.with_failover failover Config.class_)
 
 (* [calls] pipelined doubling RMIs from machine 0, round-robin across
    [servers] machines, under [domains] pool workers.  Returns the
-   reply digest (issue order), the per-call handler execution counts
-   and the metrics snapshot. *)
+   reply digest (issue order), the per-call handler execution counts,
+   the metrics snapshot and the [msgs_sent] the fabric's stop added. *)
 let run_load ~domains ~queue_depth ?faults ~servers ~calls ~window ~config ()
     =
   let metrics = Metrics.create () in
@@ -69,6 +69,7 @@ let run_load ~domains ~queue_depth ?faults ~servers ~calls ~window ~config ()
   done;
   let caller = Fabric.node fabric 0 in
   let buf = Buffer.create 256 in
+  let sent_before_stop = ref 0 in
   Fabric.run fabric (fun _ ->
       let i = ref 0 in
       while !i < calls do
@@ -93,10 +94,13 @@ let run_load ~domains ~queue_depth ?faults ~servers ~calls ~window ~config ()
             Buffer.add_char buf ';')
           futures;
         i := !i + k
-      done);
+      done;
+      sent_before_stop := (Metrics.snapshot metrics).Metrics.msgs_sent);
+  let s = Metrics.snapshot metrics in
   ( Digest.to_hex (Digest.string (Buffer.contents buf)),
     execs,
-    Metrics.snapshot metrics )
+    s,
+    s.Metrics.msgs_sent - !sent_before_stop )
 
 let exactly_once execs = Array.for_all (fun a -> Atomic.get a = 1) execs
 
@@ -111,14 +115,17 @@ let check_parity seed =
     run_load ~domains ~queue_depth:2 ~faults:seed ~servers:2 ~calls
       ~window:6 ~config ()
   in
-  let d1, e1, s1 = run 1 in
-  let d2, e2, s2 = run 2 in
+  let d1, e1, s1, _ = run 1 in
+  let d2, e2, s2, _ = run 2 in
   String.equal d1 d2
   && exactly_once e1 && exactly_once e2
   (* one RTT sample per settled call, under either scheduler *)
   && Metrics.lat_count s1.Metrics.lat_hist = calls
   && Metrics.lat_count s2.Metrics.lat_hist = calls
 
+(* over 2 servers, domains 1 vs 2 compares the two worker kinds: one
+   domain polls both servers' queues, two domains each run one
+   server's serve loop *)
 let prop_domain_parity =
   QCheck.Test.make
     ~name:
@@ -137,7 +144,7 @@ let fixed_seed_parity () =
    the client's retry, exactly once *)
 let admission_rejects () =
   let calls = 48 in
-  let digest, execs, s =
+  let digest, execs, s, _ =
     run_load ~domains:2 ~queue_depth:1 ~servers:4 ~calls ~window:16
       ~config:base ()
   in
@@ -221,17 +228,28 @@ let malformed_request_under_full_queue () =
   Alcotest.(check int) "the malformed frame was dispatched" 4
     s.Metrics.dispatches
 
-(* the pool's scheduling telemetry on an unconstrained run *)
+(* the pool's scheduling telemetry on an unconstrained run, with one
+   worker per server (each a serve loop), with three workers (one
+   polling two servers beside two serve loops) and with two (each
+   polling two servers).  Stop sends every server one shutdown
+   request, which no worker counts as a dispatch. *)
 let steals_are_counted () =
-  let calls = 60 in
-  let _, execs, s =
-    run_load ~domains:2 ~queue_depth:64 ~servers:4 ~calls ~window:12
-      ~config:base ()
-  in
-  Alcotest.(check bool) "exactly once" true (exactly_once execs);
-  Alcotest.(check int) "one dispatch per call" calls s.Metrics.dispatches;
-  Alcotest.(check bool) "no rejects at depth 64" true
-    (s.Metrics.queue_rejects = 0)
+  let calls = 60 and servers = 4 in
+  List.iter
+    (fun domains ->
+      let at = Printf.sprintf " (%d domains)" domains in
+      let _, execs, s, stop_msgs =
+        run_load ~domains ~queue_depth:64 ~servers ~calls ~window:12
+          ~config:base ()
+      in
+      Alcotest.(check bool) ("exactly once" ^ at) true (exactly_once execs);
+      Alcotest.(check int) ("one dispatch per call" ^ at) calls
+        s.Metrics.dispatches;
+      Alcotest.(check bool) ("no rejects at depth 64" ^ at) true
+        (s.Metrics.queue_rejects = 0);
+      Alcotest.(check int) ("stop sends one message per server" ^ at) servers
+        stop_msgs)
+    [ servers; 3; 2 ]
 
 (* ---- Msgbuf.Pool under contention ------------------------------- *)
 
