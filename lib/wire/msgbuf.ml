@@ -80,14 +80,34 @@ let write_string w s =
   Bytes.blit_string s 0 w.buf w.len n;
   w.len <- w.len + n
 
+(* A double crosses as the little-endian bytes of its bit pattern.  On
+   a little-endian host with flat float arrays, an array slice already
+   is those bytes, so the slice primitives copy it with one [memcpy]
+   (msgbuf_stubs.c) after their own bounds checks; elsewhere the
+   element loop is the only path.  [Int64.bits_of_float] and
+   [float_of_bits] are C calls, not primitives, so the loop makes one
+   call per element. *)
+external blit_doubles_to_bytes : float array -> int -> bytes -> int -> int -> unit
+  = "rmi_msgbuf_blit_doubles_to_bytes"
+[@@noalloc]
+
+external blit_bytes_to_doubles : bytes -> int -> float array -> int -> int -> unit
+  = "rmi_msgbuf_blit_bytes_to_doubles"
+[@@noalloc]
+
+let bulk_doubles =
+  (not Sys.big_endian) && Obj.tag (Obj.repr [| 0.0 |]) = Obj.double_array_tag
+
 let write_double_slice w a pos len =
   if pos < 0 || len < 0 || pos + len > Array.length a then
     invalid_arg "Msgbuf.write_double_slice";
   ensure w (len * 8);
-  for i = 0 to len - 1 do
-    Bytes.set_int64_le w.buf (w.len + (i * 8))
-      (Int64.bits_of_float (Array.unsafe_get a (pos + i)))
-  done;
+  if bulk_doubles then blit_doubles_to_bytes a pos w.buf w.len len
+  else
+    for i = 0 to len - 1 do
+      Bytes.set_int64_le w.buf (w.len + (i * 8))
+        (Int64.bits_of_float (Array.unsafe_get a (pos + i)))
+    done;
   w.len <- w.len + (len * 8)
 
 (* one [ensure] for the worst case, then an unchecked loop *)
@@ -239,18 +259,65 @@ let read_double_slice r a pos len =
   if pos < 0 || len < 0 || pos + len > Array.length a then
     invalid_arg "Msgbuf.read_double_slice";
   check r (len * 8) "double slice";
-  for i = 0 to len - 1 do
-    Array.unsafe_set a (pos + i)
-      (Int64.float_of_bits (Bytes.get_int64_le r.data (r.pos + (i * 8))))
-  done;
+  if bulk_doubles then blit_bytes_to_doubles r.data r.pos a pos len
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set a (pos + i)
+        (Int64.float_of_bits (Bytes.get_int64_le r.data (r.pos + (i * 8))))
+    done;
   r.pos <- r.pos + (len * 8)
+
+(* An int slice checks bounds once per value, not once per byte: with
+   at least [max_varint_bytes] left, no varint [read_varint] accepts can
+   run past [r.limit], so the value is decoded with unchecked reads and
+   one [r.pos] store.  Within the last 9 bytes it falls back to
+   [read_varint].  Both paths consume the same bytes and raise the same
+   [Underflow]: the 10th byte's continuation bit is "too long" either
+   way, before an 11th is read.  The kernels are top-level functions,
+   since a local closure would allocate per slice. *)
+let max_varint_bytes = 10
+
+(* [magnitude_at r at shift mag] is [magnitude_from] over the bytes
+   from [at], which the caller knows are there *)
+let rec magnitude_at r at shift mag =
+  if shift > 62 then begin
+    r.pos <- at;
+    raise (Underflow "uvarint64: too long")
+  end;
+  let b = Char.code (Bytes.unsafe_get r.data at) in
+  let mag = mag lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then begin
+    r.pos <- at + 1;
+    mag
+  end
+  else magnitude_at r (at + 1) (shift + 7) mag
+
+let rec ints_from r a i stop =
+  if i < stop then begin
+    let v =
+      if r.limit - r.pos >= max_varint_bytes then begin
+        let at = r.pos in
+        let b = Char.code (Bytes.unsafe_get r.data at) in
+        let mag = (b land 0x7f) lsr 1 in
+        let mag =
+          if b land 0x80 = 0 then begin
+            r.pos <- at + 1;
+            mag
+          end
+          else magnitude_at r (at + 1) 6 mag
+        in
+        mag lxor -(b land 1)
+      end
+      else read_varint r
+    in
+    Array.unsafe_set a i v;
+    ints_from r a (i + 1) stop
+  end
 
 let read_int_slice r a pos len =
   if pos < 0 || len < 0 || pos + len > Array.length a then
     invalid_arg "Msgbuf.read_int_slice";
-  for i = pos to pos + len - 1 do
-    Array.unsafe_set a i (read_varint r)
-  done
+  ints_from r a pos (pos + len)
 
 (* Free lists of writers and readers so steady-state RMI traffic reuses
    buffer storage instead of allocating it per call — the Manta/GM

@@ -11,7 +11,10 @@
     (short of growing a writer's storage or raising): varints are
     coded in native-int arithmetic by non-closure loops, and a write
     checks capacity once per value ([write_int_slice] once per
-    slice). *)
+    slice).  Slices cross in bulk: a double slice is one [memcpy]
+    where float arrays are flat and the host little-endian (an element
+    loop elsewhere, with the same bytes), and an int slice is read with
+    one bounds check per value. *)
 
 type writer
 type reader
@@ -46,7 +49,10 @@ val write_double : writer -> float -> unit
 val write_string : writer -> string -> unit
 
 (** [write_double_slice w a pos len] appends [len] doubles of [a]
-    starting at [pos] without intermediate boxing. *)
+    starting at [pos], each as {!write_double} would, without
+    intermediate boxing: one [memcpy] of [8 * len] bytes on a
+    little-endian host with flat float arrays, an element loop
+    otherwise. *)
 val write_double_slice : writer -> float array -> int -> int -> unit
 
 (** [write_int_slice w a pos len] appends [len] ints of [a] starting
@@ -137,12 +143,17 @@ val read_varint : reader -> int
 val read_double : reader -> float
 val read_string : reader -> string
 
-(** [read_double_slice r a pos len] fills [a.(pos..pos+len-1)]. *)
+(** [read_double_slice r a pos len] fills [a.(pos..pos+len-1)] with
+    {!read_double}s, copied as {!write_double_slice} writes them.  It
+    checks all [8 * len] bytes first: on [Underflow "double slice"]
+    neither [a] nor the reader has changed. *)
 val read_double_slice : reader -> float array -> int -> int -> unit
 
 (** [read_int_slice r a pos len] fills [a.(pos..pos+len-1)] with
-    {!read_varint}s.  On [Underflow] the elements decoded so far have
-    been stored. *)
+    {!read_varint}s, raising what {!read_varint} raises on the same
+    bytes.  A value with at least 10 bytes left is decoded with one
+    bounds check; within the last 9 bytes each byte is checked.  On
+    [Underflow] the elements decoded so far have been stored. *)
 val read_int_slice : reader -> int array -> int -> int -> unit
 
 (** {1 Buffer pool}

@@ -511,6 +511,155 @@ let golden_malformed_parity () =
         ])
     golden_malformed
 
+(* --- double slices: bit-exact bytes --- *)
+
+(* The bulk copy must put the same bytes on the wire as the element
+   loop it replaces: each double as the little-endian bytes of
+   [Int64.bits_of_float], whatever the value. *)
+let expected_double_bytes xs =
+  let b = Bytes.create (8 * Array.length xs) in
+  Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x)) xs;
+  b
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let special_doubles =
+  [|
+    Float.nan;
+    Int64.float_of_bits 0x7ff8_0000_dead_beefL (* quiet NaN, payload *);
+    Int64.float_of_bits 0x7ff0_0000_0000_0001L (* signalling NaN *);
+    Int64.float_of_bits 0xfff4_0000_0000_0000L (* negative signalling NaN *);
+    -0.0;
+    0.0;
+    Float.infinity;
+    Float.neg_infinity;
+    Int64.float_of_bits 1L (* smallest subnormal *);
+    Float.max_float;
+    -1.5;
+  |]
+
+let double_slice_bytes () =
+  let xs = special_doubles and n = Array.length special_doubles in
+  let w = Msgbuf.create_writer () in
+  Msgbuf.write_double_slice w xs 0 n;
+  Alcotest.(check string) "whole slice" (hex (expected_double_bytes xs))
+    (hex (Msgbuf.contents w));
+  let back = Array.make n 7.0 in
+  Msgbuf.read_double_slice (Msgbuf.reader_of_writer w) back 0 n;
+  Alcotest.(check bool) "whole slice bits" true (same_bits xs back);
+  (* a slice from [pos > 0], written and read at an odd offset: after a
+     1-byte varint *)
+  let w = Msgbuf.create_writer () in
+  Msgbuf.write_varint w 3;
+  Msgbuf.write_double_slice w xs 2 5;
+  Alcotest.(check string) "offset slice"
+    ("06" ^ hex (expected_double_bytes (Array.sub xs 2 5)))
+    (hex (Msgbuf.contents w));
+  let r = Msgbuf.reader_of_writer w in
+  Alcotest.(check int) "varint before slice" 3 (Msgbuf.read_varint r);
+  let back = Array.make 9 7.0 in
+  Msgbuf.read_double_slice r back 3 5;
+  Alcotest.(check bool) "offset slice bits" true
+    (same_bits (Array.sub xs 2 5) (Array.sub back 3 5));
+  Alcotest.(check bool) "outside the slice untouched" true
+    (Array.for_all (( = ) 7.0) (Array.append (Array.sub back 0 3) (Array.sub back 8 1)));
+  Alcotest.(check int) "drained" 0 (Msgbuf.remaining r)
+
+let double_slice_truncated () =
+  let xs = special_doubles and n = Array.length special_doubles in
+  let w = Msgbuf.create_writer () in
+  Msgbuf.write_double_slice w xs 0 n;
+  let data = Msgbuf.contents w in
+  List.iter
+    (fun len ->
+      let r = Msgbuf.reader_of_bytes ~len data in
+      let back = Array.make n 7.0 in
+      Alcotest.check_raises
+        (Printf.sprintf "truncated at %d" len)
+        (Msgbuf.Underflow "double slice")
+        (fun () -> Msgbuf.read_double_slice r back 0 n);
+      Alcotest.(check bool)
+        (Printf.sprintf "target unchanged at %d" len)
+        true
+        (Array.for_all (( = ) 7.0) back);
+      Alcotest.(check int)
+        (Printf.sprintf "reader unmoved at %d" len)
+        len (Msgbuf.remaining r))
+    [ 0; 1; 8; 8 * n - 1 ]
+
+let prop_double_slice_bits =
+  QCheck.Test.make ~name:"double slices carry any 64-bit pattern" ~count:300
+    QCheck.(pair (list int64) small_nat)
+    (fun (bits, skip) ->
+      let xs = Array.of_list (List.map Int64.float_of_bits bits) in
+      let n = Array.length xs in
+      let pos = if n = 0 then 0 else skip mod (n + 1) in
+      let w = Msgbuf.create_writer () in
+      Msgbuf.write_varint w skip;
+      Msgbuf.write_double_slice w xs pos (n - pos);
+      let r = Msgbuf.reader_of_writer w in
+      let skip' = Msgbuf.read_varint r in
+      let payload = Msgbuf.sub w ~off:(Msgbuf.length w - (8 * (n - pos)))
+          ~len:(8 * (n - pos)) in
+      let back = Array.make (n - pos) 0.0 in
+      Msgbuf.read_double_slice r back 0 (n - pos);
+      skip = skip'
+      && Bytes.equal payload (expected_double_bytes (Array.sub xs pos (n - pos)))
+      && same_bits (Array.sub xs pos (n - pos)) back)
+
+(* A multi-value int slice takes the unchecked path for a value with at
+   least 10 bytes left and [read_varint] within the last 9.  Valid
+   values, then each malformed golden input: whole and followed by
+   padding (an overlong value, read unchecked), and cut at every length
+   so that the buffer ends inside it (a truncated value, read checked).
+   Either way the slice raises what [read_varint] raises at that offset,
+   and the values before it have been stored. *)
+let int_slice_malformed_parity () =
+  let valid = [| 5; -300; max_int; min_int; 0 |] in
+  let n = Array.length valid in
+  let w = Msgbuf.create_writer () in
+  Msgbuf.write_int_slice w valid 0 n;
+  let prefix = Msgbuf.contents w in
+  let at = Bytes.length prefix in
+  let unchecked = ref 0 and checked = ref 0 in
+  let parity label tail =
+    let data = Bytes.cat prefix tail in
+    let want =
+      match Msgbuf.read_varint (Msgbuf.reader_of_bytes ~off:at data) with
+      | v -> Alcotest.failf "%s: decodes to %d" label v
+      | exception Msgbuf.Underflow m -> m
+    in
+    if Bytes.length tail >= 10 then incr unchecked else incr checked;
+    let a = Array.make (n + 1) 7 in
+    let got =
+      match Msgbuf.read_int_slice (Msgbuf.reader_of_bytes data) a 0 (n + 1) with
+      | () -> None
+      | exception Msgbuf.Underflow m -> Some m
+    in
+    Alcotest.(check (option string)) (label ^ " message") (Some want) got;
+    Alcotest.(check (array int)) (label ^ " values before")
+      (Array.append valid [| 7 |]) a
+  in
+  List.iter
+    (fun (input, want_v, _) ->
+      let m = of_hex input in
+      if want_v = Error "uvarint64: too long" then begin
+        parity ("overlong " ^ input) m;
+        parity ("overlong padded " ^ input) (Bytes.cat m (Bytes.make 16 '\x00'))
+      end;
+      for cut = 0 to min 9 (Bytes.length m) do
+        let tail = Bytes.sub m 0 cut in
+        if Bytes.for_all (fun c -> Char.code c land 0x80 <> 0) tail then
+          parity (Printf.sprintf "truncated %s at %d" input cut) tail
+      done)
+    golden_malformed;
+  Alcotest.(check bool) "unchecked path raised" true (!unchecked > 0);
+  Alcotest.(check bool) "checked path raised" true (!checked > 0)
+
 (* --- allocation guard: the primitives allocate nothing --- *)
 
 let minor_words_of f =
@@ -569,6 +718,19 @@ let primitives_allocation_free () =
         Msgbuf.read_int_slice r back 0 256
       done);
   Alcotest.(check bool) "slices roundtrip" true (back = ints);
+  let doubles = Array.map float_of_int ints in
+  check "write_double_slice" (fun () ->
+      Msgbuf.clear w;
+      for _ = 1 to n do
+        Msgbuf.write_double_slice w doubles 0 256
+      done);
+  let back = Array.make 256 0.0 in
+  let r = Msgbuf.reader_of_writer w in
+  check "read_double_slice" (fun () ->
+      for _ = 1 to n do
+        Msgbuf.read_double_slice r back 0 256
+      done);
+  Alcotest.(check bool) "double slices roundtrip" true (back = doubles);
   ignore (Sys.opaque_identity !sink)
 
 (* --- offset readers and skip --- *)
@@ -762,6 +924,12 @@ let suite =
         Alcotest.test_case "golden varint bytes" `Quick golden_varint_bytes;
         Alcotest.test_case "malformed varint parity" `Quick
           golden_malformed_parity;
+        Alcotest.test_case "malformed value in an int slice" `Quick
+          int_slice_malformed_parity;
+        Alcotest.test_case "double slice bytes" `Quick double_slice_bytes;
+        Alcotest.test_case "truncated double slice" `Quick
+          double_slice_truncated;
+        Fixtures.qcheck_case prop_double_slice_bits;
         Alcotest.test_case "primitives allocation-free" `Quick
           primitives_allocation_free;
         Fixtures.qcheck_case prop_varint_roundtrip;
