@@ -349,3 +349,17 @@ let qcheck_case test =
 (* The message a slice receive returned ([Transport.try_recv_slice] and
    its blocking and timed forms), copied out of the frame it shares. *)
 let message (buf, off, len) = Bytes.sub buf off len
+
+(* A gate cell as an Alcotest value, so golden rows print on mismatch. *)
+let gate_cell =
+  let module Gate = Rmi_harness.Gate in
+  let pp ppf = function
+    | Gate.Str s -> Format.fprintf ppf "Str %S" s
+    | Int i -> Format.fprintf ppf "Int %d" i
+    | Float (d, f) -> Format.fprintf ppf "Float (%d, %h)" d f
+    | Bool b -> Format.fprintf ppf "Bool %b" b
+    | Ints l ->
+        Format.fprintf ppf "Ints [%s]"
+          (String.concat "; " (List.map string_of_int l))
+  in
+  Alcotest.testable pp ( = )

@@ -143,9 +143,16 @@ let transport_schema () =
 let small_load () = E.load_compare ~domains:1 ~calls:32 ~window:8 ~servers:2 ~spin:1 ()
 
 let load_schema () =
-  check_schema
-    ~row:(fun l -> contains l "\"domains\": 1,")
-    "BENCH_load.json" (small_load ())
+  let g = small_load () in
+  check_schema ~row:(fun l -> contains l "\"domains\": 1,") "BENCH_load.json" g;
+  (* golden: the issue-order reply digest of each workload, on every
+     variant *)
+  let chain = Gate.Str "dc00264a28fa04b5b87ba055d4a4b1af"
+  and matrix = Gate.Str "d19986d9cd76cd3a5ee28bf9060db60a" in
+  Alcotest.(check (list Fixtures.gate_cell))
+    "digest column"
+    [ chain; chain; chain; matrix; matrix; matrix ]
+    (Gate.column g "digest")
 
 (* [line] without its ["key": value] pair *)
 let drop_key key line =

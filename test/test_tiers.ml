@@ -369,7 +369,21 @@ let tiers_compare_converges () =
   Alcotest.(check bool) "replies byte-identical" true
     (Gate.verdict g "replies_equal" = Gate.Pass);
   Alcotest.(check bool) "adaptive converges to aot" true
-    (Gate.verdict g "converged" = Gate.Pass)
+    (Gate.verdict g "converged" = Gate.Pass);
+  (* golden: the reply digests and the per-window bytes per call *)
+  let digest = Gate.Str "a5e57a19acdb543ded4808834ac0bdcd" in
+  Alcotest.(check (list Fixtures.gate_cell))
+    "reply digests" [ digest; digest; digest ] (Gate.column g "digest");
+  let window i generic aot adaptive =
+    Gate.[ Int i; Float (1, generic); Float (1, aot); Float (1, adaptive) ]
+  in
+  Alcotest.(check (list (list Fixtures.gate_cell)))
+    "warmup rows"
+    [
+      window 1 30.0 24.0 29.0; window 2 30.0 24.0 24.0; window 3 30.0 24.0 24.0;
+      window 4 31.0 25.0 25.0;
+    ]
+    (List.assoc "warmup" g.Gate.extra).rows
 
 (* --- crash: tiers re-warm --- *)
 
