@@ -45,7 +45,7 @@ let run_table3_4 scale mode backend ~want3 ~want4 =
   if want3 then print_timing_and_shape t;
   if want4 then
     print_endline
-      (E.stats_table ~id:"table4" ~title:"Table 4: LU runtime statistics" t
+      (E.stats_table ~title:"Table 4: LU runtime statistics" t
          Rmi.Paper_data.table4_stats)
 
 let run_table5_6 scale mode backend ~want5 ~want6 =
@@ -53,7 +53,7 @@ let run_table5_6 scale mode backend ~want5 ~want6 =
   if want5 then print_timing_and_shape t;
   if want6 then
     print_endline
-      (E.stats_table ~id:"table6" ~title:"Table 6: Superoptimizer runtime statistics" t
+      (E.stats_table ~title:"Table 6: Superoptimizer runtime statistics" t
          Rmi.Paper_data.table6_stats)
 
 let run_table7_8 scale mode backend ~want7 ~want8 =
@@ -61,7 +61,7 @@ let run_table7_8 scale mode backend ~want7 ~want8 =
   if want7 then print_timing_and_shape t;
   if want8 then
     print_endline
-      (E.stats_table ~id:"table8" ~title:"Table 8: Webserver runtime statistics" t
+      (E.stats_table ~title:"Table 8: Webserver runtime statistics" t
          Rmi.Paper_data.table8_stats)
 
 let table_cmd name doc f =
@@ -116,7 +116,7 @@ let tiers_cmd =
   let tier_calls_arg =
     Arg.(
       value
-      & opt int 64
+      & opt Cli.positive 64
       & info [ "calls" ] ~docv:"N"
           ~doc:"How many swap RMIs each tier variant issues.")
   in
@@ -139,7 +139,7 @@ let wirecost_cmd =
   let wire_calls_arg =
     Arg.(
       value
-      & opt int 48
+      & opt Cli.positive 48
       & info [ "calls" ] ~docv:"N"
           ~doc:"How many RMIs each (workload, variant, framing) run issues.")
   in
@@ -172,7 +172,7 @@ let alloc_cmd =
   let alloc_calls_arg =
     Arg.(
       value
-      & opt int 192
+      & opt Cli.positive 192
       & info [ "calls" ] ~docv:"N"
           ~doc:
             "How many measured RMIs each (workload, variant, allocator) run \
@@ -210,14 +210,14 @@ let load_cmd =
   let load_calls_arg =
     Arg.(
       value
-      & opt int 600
+      & opt Cli.positive 600
       & info [ "calls" ] ~docv:"N"
           ~doc:"How many RMIs each (workload, variant, domains) run issues.")
   in
   let load_window_arg =
     Arg.(
       value
-      & opt int 32
+      & opt Cli.positive 32
       & info [ "window" ] ~docv:"N"
           ~doc:"Pipelining depth of the load client.")
   in
@@ -289,14 +289,14 @@ let transport_cmd =
   let t_calls_arg =
     Arg.(
       value
-      & opt int 64
+      & opt Cli.positive 64
       & info [ "calls" ] ~docv:"N"
           ~doc:"How many RMIs each (workload, variant, backend) run issues.")
   in
   let t_window_arg =
     Arg.(
       value
-      & opt int 8
+      & opt Cli.positive 8
       & info [ "window" ] ~docv:"N"
           ~doc:"Pipelining depth of the pipelined variants.")
   in
@@ -355,14 +355,14 @@ let proc_cmd =
   let p_calls_arg =
     Arg.(
       value
-      & opt int 64
+      & opt Cli.positive 64
       & info [ "calls" ] ~docv:"N"
           ~doc:"How many RMIs the client issues per workload.")
   in
   let p_window_arg =
     Arg.(
       value
-      & opt int 8
+      & opt Cli.positive 8
       & info [ "window" ] ~docv:"N"
           ~doc:"Pipelining depth of the client.")
   in

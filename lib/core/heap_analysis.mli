@@ -35,8 +35,8 @@ type callsite_info = {
     [`Clone] is the paper's deep-copy transfer with (logical, physical)
     tuples; [`Share] is the naive treatment — remote formals alias the
     caller's nodes, exactly the "naive (but wrong) solution" the paper
-    warns about.  [`Share] exists for the ablation tests/benches that
-    reproduce that argument; everything else uses [`Clone]. *)
+    warns about.  [`Share] exists for the tests that reproduce that
+    argument ([test/test_heap.ml]); everything else uses [`Clone]. *)
 type remote_semantics = [ `Clone | `Share ]
 
 type result

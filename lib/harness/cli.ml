@@ -34,10 +34,18 @@ let config_arg =
     & info [ "config" ] ~docv:"CONFIG"
         ~doc:"Optimization configuration (the paper's table rows).")
 
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let window_arg =
   Arg.(
     value
-    & opt int 16
+    & opt positive 16
     & info [ "window" ] ~docv:"N"
         ~doc:
           "Pipelining depth: how many asynchronous calls are issued \
@@ -209,7 +217,7 @@ let crashes_arg =
 let calls_arg =
   Arg.(
     value
-    & opt int 80
+    & opt positive 80
     & info [ "calls" ] ~docv:"N"
         ~doc:"How many echo RMIs the crash workload issues.")
 

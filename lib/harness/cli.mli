@@ -18,6 +18,10 @@ val scale_arg : Experiment.scale Term.t
 val mode_arg : Rmi_runtime.Fabric.mode Term.t
 val config_arg : Rmi_runtime.Config.t Term.t
 
+(** An integer >= 1; anything else is a usage error.  Every [--calls]
+    and [--window] parses with it. *)
+val positive : int Arg.conv
+
 (** [--window N]: pipelining depth, default 16. *)
 val window_arg : int Term.t
 

@@ -1,4 +1,4 @@
-(** Experiment driver reproducing the paper's Tables 1-8.
+(** The paper's Tables 1-8 and the differential gates.
 
     Each timing table runs its application under the five optimization
     configurations and reports, per row: measured wall-clock seconds,
@@ -8,7 +8,11 @@
     (4/6/8) report the same counters the paper prints.
 
     Workload sizes default to values that finish in seconds on a
-    laptop; [scale] switches to the paper's sizes. *)
+    laptop; [scale] switches to the paper's sizes.
+
+    Every gate but [pipeline] (which runs the applications' own
+    pipelined drivers) is a list of {!Driver.spec}s run by
+    {!Driver.run} plus its checks and rows. *)
 
 type scale = Small | Paper
 
@@ -70,15 +74,18 @@ val table7 :
     table4 = stats of table3's rows, etc. *)
 
 val stats_table :
-  id:string -> title:string -> timing_table -> Paper_data.stats_row list ->
-  string
+  title:string -> timing_table -> Paper_data.stats_row list -> string
 (** Rendered paper-vs-measured statistics table. *)
 
 (** {1 Differential gates}
 
     Each [*_compare] returns a {!Gate.t}: its rows, named checks and
     notes.  The command-line front ends print it, write it as JSON and
-    exit 1 naming any failed check. *)
+    exit 1 naming any failed check.  The driver records a call that
+    raised [Rpc_timeout] or [Peer_down] as failed and carries on; the
+    checks that compare replies across runs require that no call
+    failed.  A gate given fewer than one call or a window below one
+    raises [Invalid_argument]. *)
 
 (** Run the two transmission microbenchmarks (Tables 1/2 workloads)
     under [site + reuse + cycle] in all three issue disciplines —

@@ -6,9 +6,11 @@
     id, this one ships the full class name (and, for the first
     occurrence in a stream, the field names) — mimicking Java
     serialization's class descriptors — and discovers the layout by
-    looking the class up per object.  Used by the ablation benchmarks
-    to quantify what per-class generation already buys before the
-    paper's optimizations start. *)
+    looking the class up per object.  Its users are the serializer
+    tests: [test/test_serial.ml] measures what per-class generation
+    already buys before the paper's optimizations start (the type bytes
+    it saves), and [test/test_differential.ml] round-trips and fuzzes
+    it beside the other serializers. *)
 
 type wctx
 type rctx
