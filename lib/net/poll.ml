@@ -11,11 +11,12 @@ external nofile_limit : unit -> int = "rmi_nofile_limit"
 (* [readable fds ~timeout] waits up to [timeout] seconds (negative:
    indefinitely) and returns the indices into [fds] that are readable
    (or hung up / errored — a reader must reap those too), ascending.
-   [] on timeout or interrupt. *)
+   [] on timeout or interrupt.  The wait is passed on in whole
+   microseconds, rounded up, so a 100 us slice stays 100 us. *)
 let readable fds ~timeout =
-  let ms =
+  let us =
     if timeout < 0.0 then -1
     else if timeout = 0.0 then 0
-    else max 1 (int_of_float (ceil (timeout *. 1000.0)))
+    else max 1 (int_of_float (ceil (timeout *. 1e6)))
   in
-  poll_readable fds ms
+  poll_readable fds us

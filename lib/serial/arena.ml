@@ -1,32 +1,30 @@
 module Metrics = Rmi_stats.Metrics
 
 (* OCaml cannot region-allocate ordinary heap blocks, so the "arena" is
-   a set of shape-keyed recycling pools: every node the decoder asks for
-   is logged as live, and [reset] returns the whole live set to the
-   pools in one sweep.  Steady state on a stable call site is therefore
-   allocation-free — the generalization of the paper's per-position
-   argument reuse to arbitrary (varying-shape) argument graphs, made
-   sound by the escape analysis verdict that licenses the reset. *)
+   a set of shape-keyed recycling pools of boxed nodes: a shape's pool
+   hands its parked nodes out in order from a cursor, and [reset]
+   rewinds the cursors of the shapes touched since the last reset.  A
+   node is parked once, when it is first allocated, together with its
+   [Value.t] box, so the steady state on a stable call site writes no
+   pointer and allocates no word — the generalization of the paper's
+   per-position argument reuse to arbitrary (varying-shape) argument
+   graphs, made sound by the escape analysis verdict that licenses the
+   reset. *)
 
-type 'a pool = { mutable items : 'a array; mutable len : int }
+(* [nodes.(0..len)] are the shape's parked nodes, each in its box;
+   [nodes.(0..cursor)] are those handed out since the last reset *)
+type pool = {
+  mutable nodes : Value.t array;
+  mutable len : int;
+  mutable cursor : int;
+}
 
-(* beyond this many parked nodes per shape the pool stops growing and
-   lets the GC take the surplus — a backstop against a workload that
-   decodes one giant graph once *)
+(* beyond this many nodes per shape the pool stops growing and lets the
+   GC take the surplus — a backstop against a workload that decodes one
+   giant graph once *)
 let max_pooled_per_shape = 4096
 
-let pool_make () = { items = [||]; len = 0 }
-
-let pool_push p x =
-  if p.len < max_pooled_per_shape then begin
-    if p.len >= Array.length p.items then begin
-      let fresh = Array.make (max 16 (2 * Array.length p.items)) x in
-      Array.blit p.items 0 fresh 0 p.len;
-      p.items <- fresh
-    end;
-    p.items.(p.len) <- x;
-    p.len <- p.len + 1
-  end
+let pool_make () = { nodes = [||]; len = 0; cursor = 0 }
 
 (* The pools of one kind of node, by shape key, behind a one-entry
    (last key -> pool) cache: a call site's graph is usually all one
@@ -41,10 +39,10 @@ module Int_tbl = Hashtbl.Make (struct
   let hash k = (k lxor (k lsr 16)) land max_int
 end)
 
-type 'a shapes = {
-  by_key : 'a pool Int_tbl.t;
+type shapes = {
+  by_key : pool Int_tbl.t;
   mutable last_key : int;  (* -1: no key cached yet *)
-  mutable last : 'a pool;
+  mutable last : pool;
 }
 
 let shapes_make () =
@@ -66,24 +64,18 @@ let pool s key =
     p
   end
 
-(* pop a parked node; the caller has checked [p.len > 0] *)
-let take p =
-  p.len <- p.len - 1;
-  p.items.(p.len)
-
 type t = {
   metrics : Metrics.t;
   (* hand-outs not yet added to [metrics] *)
   mutable tallied_allocs : int;
   mutable tallied_fallbacks : int;
-  free_objs : Value.obj shapes;  (* key: cls * 2^16 + nfields *)
-  free_darrs : Value.darr shapes;  (* key: length *)
-  free_iarrs : Value.iarr shapes;
-  free_rarrs : Value.rarr shapes;  (* key: length; relem checked *)
-  live_objs : Value.obj pool;
-  live_darrs : Value.darr pool;
-  live_iarrs : Value.iarr pool;
-  live_rarrs : Value.rarr pool;
+  objs : shapes;  (* key: cls * 2^16 + nfields *)
+  darrs : shapes;  (* key: length *)
+  iarrs : shapes;
+  rarrs : shapes;  (* key: length; relem checked *)
+  (* the pools whose cursor left 0 since the last reset *)
+  mutable touched : pool array;
+  mutable ntouched : int;
 }
 
 let create ~metrics =
@@ -91,14 +83,12 @@ let create ~metrics =
     metrics;
     tallied_allocs = 0;
     tallied_fallbacks = 0;
-    free_objs = shapes_make ();
-    free_darrs = shapes_make ();
-    free_iarrs = shapes_make ();
-    free_rarrs = shapes_make ();
-    live_objs = pool_make ();
-    live_darrs = pool_make ();
-    live_iarrs = pool_make ();
-    live_rarrs = pool_make ();
+    objs = shapes_make ();
+    darrs = shapes_make ();
+    iarrs = shapes_make ();
+    rarrs = shapes_make ();
+    touched = [||];
+    ntouched = 0;
   }
 
 (* objects with more fields than the key holds are never pooled *)
@@ -114,118 +104,120 @@ let publish t =
 let count_alloc t = t.tallied_allocs <- t.tallied_allocs + 1
 let count_fallback t = t.tallied_fallbacks <- t.tallied_fallbacks + 1
 
-let fallback_obj t ~cls ~nfields =
+(* [p]'s cursor is about to leave 0: log it for [reset] *)
+let touch t p =
+  if t.ntouched = Array.length t.touched then begin
+    let fresh = Array.make (max 8 (2 * t.ntouched)) p in
+    Array.blit t.touched 0 fresh 0 t.ntouched;
+    t.touched <- fresh
+  end;
+  t.touched.(t.ntouched) <- p;
+  t.ntouched <- t.ntouched + 1
+
+(* the parked node at [p]'s cursor, or [Null] when all are out *)
+let next t p =
+  let c = p.cursor in
+  if c < p.len then begin
+    if c = 0 then touch t p;
+    p.cursor <- c + 1;
+    Array.unsafe_get p.nodes c
+  end
+  else Value.Null
+
+(* a pool miss: the fresh node [v] is parked at the cursor while the
+   shape has room, and handed out either way *)
+let park t p v =
   count_fallback t;
-  Value.new_obj ~cls ~nfields
+  let c = p.cursor in
+  if c < max_pooled_per_shape then begin
+    if c = 0 then touch t p;
+    if c = Array.length p.nodes then begin
+      let fresh = Array.make (max 16 (2 * c)) Value.Null in
+      Array.blit p.nodes 0 fresh 0 c;
+      p.nodes <- fresh
+    end;
+    p.nodes.(c) <- v;
+    p.len <- c + 1;
+    p.cursor <- c + 1
+  end;
+  v
 
-let obj_tallied t ~cls ~nfields =
+let obj_box t ~cls ~nfields =
   count_alloc t;
-  let o =
-    if nfields > max_keyed_fields then fallback_obj t ~cls ~nfields
-    else
-      let p = pool t.free_objs (obj_key cls nfields) in
-      if p.len > 0 then take p else fallback_obj t ~cls ~nfields
-  in
-  pool_push t.live_objs o;
-  o
+  if nfields > max_keyed_fields then begin
+    count_fallback t;
+    Value.Obj (Value.new_obj ~cls ~nfields)
+  end
+  else
+    let p = pool t.objs (obj_key cls nfields) in
+    match next t p with
+    | Value.Null -> park t p (Value.Obj (Value.new_obj ~cls ~nfields))
+    | v -> v
 
-let darr_tallied t n =
+let darr_box t n =
   count_alloc t;
-  let p = pool t.free_darrs n in
-  let a =
-    if p.len > 0 then take p
-    else begin
+  let p = pool t.darrs n in
+  match next t p with
+  | Value.Null -> park t p (Value.Darr (Value.new_darr n))
+  | v -> v
+
+let iarr_box t n =
+  count_alloc t;
+  let p = pool t.iarrs n in
+  match next t p with
+  | Value.Null -> park t p (Value.Iarr (Value.new_iarr n))
+  | v -> v
+
+let rarr_box t relem n =
+  count_alloc t;
+  let p = pool t.rarrs n in
+  match next t p with
+  | Value.Rarr a as v when Jir.Types.equal_ty a.Value.relem relem -> v
+  | Value.Null -> park t p (Value.Rarr (Value.new_rarr relem n))
+  | _ ->
+      (* a parked array with the wrong element type is replaced in its
+         slot by a fresh one, which later calls then recycle *)
       count_fallback t;
-      Value.new_darr n
-    end
-  in
-  pool_push t.live_darrs a;
-  a
+      let v = Value.Rarr (Value.new_rarr relem n) in
+      p.nodes.(p.cursor - 1) <- v;
+      v
 
-let iarr_tallied t n =
-  count_alloc t;
-  let p = pool t.free_iarrs n in
-  let a =
-    if p.len > 0 then take p
-    else begin
-      count_fallback t;
-      Value.new_iarr n
-    end
-  in
-  pool_push t.live_iarrs a;
-  a
-
-let fallback_rarr t relem n =
-  count_fallback t;
-  Value.new_rarr relem n
-
-let rarr_tallied t relem n =
-  count_alloc t;
-  let p = pool t.free_rarrs n in
-  let a =
-    if p.len = 0 then fallback_rarr t relem n
-    else
-      let a = take p in
-      if Jir.Types.equal_ty a.Value.relem relem then a
-      else
-        (* a popped array with the wrong element type is dropped to the
-           GC rather than re-parked (re-parking could starve the pool
-           behind a permanently mismatched head) *)
-        fallback_rarr t relem n
-  in
-  pool_push t.live_rarrs a;
-  a
-
-(* the allocators a caller outside the codec sees: each publishes its
-   own counts at once *)
+(* the allocators a caller outside the codec sees: each unboxes its
+   node and publishes its counts at once *)
 let obj t ~cls ~nfields =
-  let o = obj_tallied t ~cls ~nfields in
+  let v = obj_box t ~cls ~nfields in
   publish t;
-  o
+  match v with Value.Obj o -> o | _ -> assert false
 
 let darr t n =
-  let a = darr_tallied t n in
+  let v = darr_box t n in
   publish t;
-  a
+  match v with Value.Darr a -> a | _ -> assert false
 
 let iarr t n =
-  let a = iarr_tallied t n in
+  let v = iarr_box t n in
   publish t;
-  a
+  match v with Value.Iarr a -> a | _ -> assert false
 
 let rarr t relem n =
-  let a = rarr_tallied t relem n in
+  let v = rarr_box t relem n in
   publish t;
-  a
+  match v with Value.Rarr a -> a | _ -> assert false
 
 let live t =
-  t.live_objs.len + t.live_darrs.len + t.live_iarrs.len + t.live_rarrs.len
+  let n = ref 0 in
+  for i = 0 to t.ntouched - 1 do
+    n := !n + t.touched.(i).cursor
+  done;
+  !n
 
 let pooled t =
-  let sum s = Int_tbl.fold (fun _ p acc -> acc + p.len) s.by_key 0 in
-  sum t.free_objs + sum t.free_darrs + sum t.free_iarrs + sum t.free_rarrs
+  let sum s = Int_tbl.fold (fun _ p acc -> acc + p.len - p.cursor) s.by_key 0 in
+  sum t.objs + sum t.darrs + sum t.iarrs + sum t.rarrs
 
 let reset t =
   Metrics.incr_arena_resets t.metrics;
-  for i = 0 to t.live_objs.len - 1 do
-    let o = t.live_objs.items.(i) in
-    let nfields = Array.length o.Value.fields in
-    if nfields <= max_keyed_fields then
-      pool_push (pool t.free_objs (obj_key o.Value.cls nfields)) o
+  for i = 0 to t.ntouched - 1 do
+    t.touched.(i).cursor <- 0
   done;
-  t.live_objs.len <- 0;
-  for i = 0 to t.live_darrs.len - 1 do
-    let a = t.live_darrs.items.(i) in
-    pool_push (pool t.free_darrs (Array.length a.Value.d)) a
-  done;
-  t.live_darrs.len <- 0;
-  for i = 0 to t.live_iarrs.len - 1 do
-    let a = t.live_iarrs.items.(i) in
-    pool_push (pool t.free_iarrs (Array.length a.Value.ia)) a
-  done;
-  t.live_iarrs.len <- 0;
-  for i = 0 to t.live_rarrs.len - 1 do
-    let a = t.live_rarrs.items.(i) in
-    pool_push (pool t.free_rarrs (Array.length a.Value.ra)) a
-  done;
-  t.live_rarrs.len <- 0
+  t.ntouched <- 0

@@ -109,7 +109,7 @@ let charge_reuse rctx = rctx.reused <- rctx.reused + 1
 
 (* The two ways an inline node enters the decoded graph, each with the
    node's one box: a reuse candidate taken as the target keeps its own
-   box; a fresh node is boxed once by the caller and that box is
+   box; a fresh node comes boxed from its allocator and that box is
    charged as an allocation.  Either way the box is registered under
    the next handle. *)
 let take_cand rctx cand =
@@ -120,32 +120,39 @@ let enter_fresh rctx v =
   charge_alloc rctx v;
   register_handle rctx v
 
-(* Fresh-node constructors for the decode path: drawn from the arena's
-   recycling pools when one is attached, from the GC heap otherwise.
-   Both paths charge the paper-statistic counters identically — the
-   arena substitutes the allocator, not the plan-level accounting, so
-   every published table is untouched; the arena's own effect is told
-   by the arena_* counters and by real [Gc.minor_words] in the [alloc]
+(* Fresh-node constructors for the decode path, each returning the
+   node in its box: drawn (box and all) from the arena's recycling
+   pools when one is attached, from the GC heap otherwise.  Both paths
+   charge the paper-statistic counters identically — the arena
+   substitutes the allocator, not the plan-level accounting, so every
+   published table is untouched; the arena's own effect is told by the
+   arena_* counters and by real [Gc.minor_words] in the [alloc]
    experiment. *)
 let alloc_obj rctx ~cls ~nfields =
   match rctx.arena with
-  | Some a -> Arena.obj_tallied a ~cls ~nfields
-  | None -> Value.new_obj ~cls ~nfields
+  | Some a -> Arena.obj_box a ~cls ~nfields
+  | None -> Value.Obj (Value.new_obj ~cls ~nfields)
 
 let alloc_darr rctx n =
   match rctx.arena with
-  | Some a -> Arena.darr_tallied a n
-  | None -> Value.new_darr n
+  | Some a -> Arena.darr_box a n
+  | None -> Value.Darr (Value.new_darr n)
 
 let alloc_iarr rctx n =
   match rctx.arena with
-  | Some a -> Arena.iarr_tallied a n
-  | None -> Value.new_iarr n
+  | Some a -> Arena.iarr_box a n
+  | None -> Value.Iarr (Value.new_iarr n)
 
 let alloc_rarr rctx relem n =
   match rctx.arena with
-  | Some a -> Arena.rarr_tallied a relem n
-  | None -> Value.new_rarr relem n
+  | Some a -> Arena.rarr_box a relem n
+  | None -> Value.Rarr (Value.new_rarr relem n)
+
+(* the record in a box one of the allocators above returned *)
+let obj_in = function Value.Obj o -> o | _ -> assert false
+let darr_in = function Value.Darr a -> a | _ -> assert false
+let iarr_in = function Value.Iarr a -> a | _ -> assert false
+let rarr_in = function Value.Rarr a -> a | _ -> assert false
 
 (* Reject corrupt/hostile lengths before allocating: every element
    needs at least [unit] bytes of payload still in the buffer.  Plans
@@ -184,8 +191,8 @@ let read_darr_body rctx r ~cand =
       Msgbuf.read_double_slice r a.d 0 n;
       cand
   | _ ->
-      let a = alloc_darr rctx n in
-      let v = Value.Darr a in
+      let v = alloc_darr rctx n in
+      let a = darr_in v in
       enter_fresh rctx v;
       Msgbuf.read_double_slice r a.d 0 n;
       v
@@ -198,8 +205,8 @@ let read_iarr_body rctx r ~cand =
       Msgbuf.read_int_slice r a.ia 0 n;
       cand
   | _ ->
-      let a = alloc_iarr rctx n in
-      let v = Value.Iarr a in
+      let v = alloc_iarr rctx n in
+      let a = iarr_in v in
       enter_fresh rctx v;
       Msgbuf.read_int_slice r a.ia 0 n;
       v
@@ -312,8 +319,8 @@ let rec read_dyn_in rctx r ~(cand : Value.t) : Value.t =
           done;
           cand
       | _ ->
-          let o = alloc_obj rctx ~cls ~nfields in
-          let v = Value.Obj o in
+          let v = alloc_obj rctx ~cls ~nfields in
+          let o = obj_in v in
           enter_fresh rctx v;
           for i = 0 to nfields - 1 do
             o.fields.(i) <- read_dyn_in rctx r ~cand:Value.Null
@@ -333,8 +340,8 @@ let rec read_dyn_in rctx r ~(cand : Value.t) : Value.t =
           done;
           cand
       | _ ->
-          let a = alloc_rarr rctx relem n in
-          let v = Value.Rarr a in
+          let v = alloc_rarr rctx relem n in
+          let a = rarr_in v in
           enter_fresh rctx v;
           for i = 0 to n - 1 do
             a.ra.(i) <- read_dyn_in rctx r ~cand:Value.Null
@@ -504,7 +511,7 @@ let flat_elem_ty = function
 
 (* Decode a flat matrix's rows into [target]'s slots: a row of the
    right length is read in place when [in_place], any other slot gets a
-   fresh row, boxed once. *)
+   fresh row. *)
 let read_flat_rows rctx r (felem : Plan.flat_elem) ~in_place ~cols
     (target : Value.rarr) =
   match felem with
@@ -515,8 +522,8 @@ let read_flat_rows rctx r (felem : Plan.flat_elem) ~in_place ~cols
             charge_reuse rctx;
             Msgbuf.read_double_slice r d.Value.d 0 cols
         | _ ->
-            let d = alloc_darr rctx cols in
-            let v = Value.Darr d in
+            let v = alloc_darr rctx cols in
+            let d = darr_in v in
             charge_alloc rctx v;
             Msgbuf.read_double_slice r d.Value.d 0 cols;
             target.Value.ra.(i) <- v
@@ -528,8 +535,8 @@ let read_flat_rows rctx r (felem : Plan.flat_elem) ~in_place ~cols
             charge_reuse rctx;
             Msgbuf.read_int_slice r d.Value.ia 0 cols
         | _ ->
-            let d = alloc_iarr rctx cols in
-            let v = Value.Iarr d in
+            let v = alloc_iarr rctx cols in
+            let d = iarr_in v in
             charge_alloc rctx v;
             Msgbuf.read_int_slice r d.Value.ia 0 cols;
             target.Value.ra.(i) <- v
@@ -539,7 +546,7 @@ let read_flat_rows rctx r (felem : Plan.flat_elem) ~in_place ~cols
    row-major slices — no per-row marker, tag or handle bookkeeping.
    The candidate is only consulted on the legacy heap path: under an
    arena the previous call's rows already sit in the shape pools (the
-   allocators above pop them back out), and reusing them in place as
+   allocators above hand them back out), and reusing them in place as
    well would alias one node into two roles. *)
 let read_flat rctx r (felem : Plan.flat_elem) ~(cand : Value.t) : Value.t =
   let rows = checked_len r (Msgbuf.read_uvarint r) ~unit:0 "flat[][] rows" in
@@ -559,8 +566,8 @@ let read_flat rctx r (felem : Plan.flat_elem) ~(cand : Value.t) : Value.t =
       read_flat_rows rctx r felem ~in_place ~cols a;
       cand
   | _ ->
-      let a = alloc_rarr rctx (flat_elem_ty felem) rows in
-      let v = Value.Rarr a in
+      let v = alloc_rarr rctx (flat_elem_ty felem) rows in
+      let a = rarr_in v in
       enter_fresh rctx v;
       read_flat_rows rctx r felem ~in_place ~cols a;
       v
@@ -601,8 +608,8 @@ let rec read_step_in rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
             done;
             cand
         | _ ->
-            let o = alloc_obj rctx ~cls ~nfields in
-            let v = Value.Obj o in
+            let v = alloc_obj rctx ~cls ~nfields in
+            let o = obj_in v in
             enter_fresh rctx v;
             for i = 0 to nfields - 1 do
               o.fields.(i) <- read_step_in rctx r fields.(i) ~cand:Value.Null
@@ -630,8 +637,8 @@ let rec read_step_in rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
             done;
             cand
         | _ ->
-            let a = alloc_rarr rctx (ty_of_step elem) n in
-            let v = Value.Rarr a in
+            let v = alloc_rarr rctx (ty_of_step elem) n in
+            let a = rarr_in v in
             enter_fresh rctx v;
             for i = 0 to n - 1 do
               a.ra.(i) <- read_step_in rctx r elem ~cand:Value.Null
@@ -791,8 +798,8 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
               done;
               cand
           | _ ->
-              let o = alloc_obj rctx ~cls ~nfields in
-              let v = Value.Obj o in
+              let v = alloc_obj rctx ~cls ~nfields in
+              let o = obj_in v in
               enter_fresh rctx v;
               for i = 0 to nfields - 1 do
                 o.fields.(i) <- compiled_fields.(i) rctx r ~cand:Value.Null
@@ -827,8 +834,8 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
               done;
               cand
           | _ ->
-              let a = alloc_rarr rctx elem_ty n in
-              let v = Value.Rarr a in
+              let v = alloc_rarr rctx elem_ty n in
+              let a = rarr_in v in
               enter_fresh rctx v;
               for i = 0 to n - 1 do
                 a.ra.(i) <- compiled_elem rctx r ~cand:Value.Null

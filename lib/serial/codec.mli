@@ -42,7 +42,7 @@ val make_wctx :
   Class_meta.t -> Rmi_stats.Metrics.t -> cycle:bool -> wctx
 
 (** [make_rctx ?arena] — when an arena is supplied, every Value node the
-    context materializes is drawn from (and logged in) the arena's
+    context materializes is drawn, box and all, from the arena's
     recycling pools instead of the GC heap; the paper-statistic counters
     are charged identically either way, so published tables are
     untouched.  The caller resets the arena between dispatches when the

@@ -389,10 +389,17 @@ module Pool = struct
 
   (* [with_writer p f] runs [f] on a pooled writer and releases it even
      on exceptions.  The writer's storage MUST NOT escape [f]: snapshot
-     anything long-lived with [sub]/[contents] first. *)
+     anything long-lived with [sub]/[contents] first.  A match on both
+     exits, not [Fun.protect], so the bracket itself allocates nothing. *)
   let with_writer p f =
     let w = acquire_writer p in
-    Fun.protect ~finally:(fun () -> release_writer p w) (fun () -> f w)
+    match f w with
+    | x ->
+        release_writer p w;
+        x
+    | exception e ->
+        release_writer p w;
+        raise e
 
   let acquire_reader p data ~off ~len =
     Mutex.lock p.lock;

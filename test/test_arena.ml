@@ -73,6 +73,43 @@ let rarr_relem_mismatch_falls_back () =
   Alcotest.(check bool) "fresh array carries the requested relem" true
     (Jir.Types.equal_ty r2.Value.relem (Jir.Types.Tarray Jir.Types.Tint))
 
+(* The cap is 4096 nodes per shape.  A call holding 5000 objects of one
+   shape leaves the 904 past the cap to the GC on every call; one
+   holding 3000 and 2000 objects of two shapes has all 5000 recycled by
+   the next call. *)
+let cap_is_per_shape () =
+  let round a shapes =
+    List.iter
+      (fun (cls, n) ->
+        for _ = 1 to n do
+          ignore (Arena.obj a ~cls ~nfields:1 : Value.obj)
+        done)
+      shapes
+  in
+  (* live and pooled around the first reset, then the fallbacks of the
+     first and second call and the hand-outs of both *)
+  let counts shapes =
+    let m = Metrics.create () in
+    let a = Arena.create ~metrics:m in
+    round a shapes;
+    let live = Arena.live a in
+    Arena.reset a;
+    let pooled = Arena.pooled a in
+    let first = (Metrics.snapshot m).Metrics.arena_fallbacks in
+    round a shapes;
+    Arena.reset a;
+    let s = Metrics.snapshot m in
+    [ live; pooled; first; s.Metrics.arena_fallbacks - first; s.Metrics.arena_allocs ]
+  in
+  Alcotest.(check (list int))
+    "one shape past the cap: live, pooled, fallbacks, fallbacks, allocs"
+    [ 4096; 4096; 5000; 904; 10000 ]
+    (counts [ (0, 5000) ]);
+  Alcotest.(check (list int))
+    "two shapes under it: live, pooled, fallbacks, fallbacks, allocs"
+    [ 5000; 5000; 5000; 0; 10000 ]
+    (counts [ (0, 3000); (1, 2000) ])
+
 (* ------------------------------------------------------------------ *)
 (* random graphs: arena decode must be indistinguishable from heap     *)
 (* ------------------------------------------------------------------ *)
@@ -335,6 +372,7 @@ let suite =
           pool_hit_miss_reset;
         Alcotest.test_case "rarr element-type mismatch falls back" `Quick
           rarr_relem_mismatch_falls_back;
+        Alcotest.test_case "cap is per shape" `Quick cap_is_per_shape;
         Alcotest.test_case "flat matrix recycles across resets" `Quick
           flat_recycles_across_resets;
         Alcotest.test_case "flat array rejects broken shapes" `Quick
