@@ -305,7 +305,10 @@ let transport_cmd =
       value
       & opt int 42
       & info [ "seed" ] ~docv:"N"
-          ~doc:"Workload seed (both backends replay the same calls).")
+          ~doc:
+            "Label printed in the report's title.  The transport gate has \
+             no fault schedule and no seeded input: every seed runs the \
+             same calls.")
   in
   let run calls window seed json =
     run_gate ?json "transport" (E.transport_compare ~calls ~window ~seed ())

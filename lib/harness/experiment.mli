@@ -213,7 +213,8 @@ val load_compare :
     pipelined+batched, under the parallel fabric; one row per backend.
     Checks: [digest_ok] — byte-identical issue-order reply digests and
     checksums; [model_ok] — identical wire counters and modeled
-    seconds.  Its JSON is BENCH_transport.json. *)
+    seconds.  Its JSON is BENCH_transport.json.  [seed] only labels the
+    title: the gate has no fault schedule and no seeded input. *)
 val transport_compare : ?calls:int -> ?window:int -> ?seed:int -> unit -> Gate.t
 
 (** [transport_proc ~self ~addrs ()] runs machine [self] of a TCP

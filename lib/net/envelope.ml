@@ -47,11 +47,11 @@ let checksum ~kc ~src ~epoch ~lseq payload =
 (* Worst-case encoded header: magic + kind byte + three 10-byte varints
    (src/epoch/lseq) + 5-byte checksum (30-bit) + 10-byte payload
    length.  Writers on the zero-copy path reserve this much in front of
-   the payload; [encode_around] then right-justifies the real (minimal)
+   the payload; [frame_around] then right-justifies the real (minimal)
    header against the payload inside the gap. *)
 let gap = 48
 
-let encode ~kind ~src ?(epoch = 0) ~lseq ~payload () =
+let encode ~kind ~src ~epoch ~lseq ~payload () =
   let w = Msgbuf.create_writer ~initial_capacity:(Bytes.length payload + 16) () in
   let kc = kind_code kind in
   Msgbuf.write_u8 w magic;
@@ -63,15 +63,15 @@ let encode ~kind ~src ?(epoch = 0) ~lseq ~payload () =
   Msgbuf.write_string w (Bytes.to_string payload);
   Msgbuf.contents w
 
-(* [encode_around w ~payload_off] frames the payload already sitting in
+(* [frame_around w ~payload_off] frames the payload already sitting in
    [w.(payload_off..length w)] without copying it: the header is
    back-filled into the [gap] bytes reserved just before [payload_off],
    right-justified so it abuts the payload, and the frame's start
    offset is returned.  All varints are minimal, so the resulting bytes
    [start..length w) are identical to what [encode] produces. *)
-let encode_around w ~kind ~src ?(epoch = 0) ~lseq ~payload_off () =
+let frame_around w ~kind ~src ~epoch ~lseq ~payload_off =
   let payload_len = Msgbuf.length w - payload_off in
-  if payload_len < 0 then invalid_arg "Envelope.encode_around";
+  if payload_len < 0 then invalid_arg "Envelope.frame_around";
   let kc = kind_code kind in
   let csum =
     checksum_slice ~kc ~src ~epoch ~lseq (Msgbuf.unsafe_storage w) payload_off
@@ -83,7 +83,7 @@ let encode_around w ~kind ~src ?(epoch = 0) ~lseq ~payload_off () =
     + Msgbuf.uvarint_size payload_len
   in
   let start = payload_off - hsize in
-  if start < 0 then invalid_arg "Envelope.encode_around: gap too small";
+  if start < 0 then invalid_arg "Envelope.frame_around: gap too small";
   Msgbuf.patch_u8 w ~at:start magic;
   Msgbuf.patch_u8 w ~at:(start + 1) kc;
   let at = ref (start + 2) in
@@ -95,13 +95,16 @@ let encode_around w ~kind ~src ?(epoch = 0) ~lseq ~payload_off () =
   assert (!at = payload_off);
   start
 
+let encode_around w ~kind ~src ?(epoch = 0) ~lseq ~payload_off () =
+  frame_around w ~kind ~src ~epoch ~lseq ~payload_off
+
 (* append a whole envelope around a bytes payload to a pooled writer:
    one blit instead of [encode]'s string round-trip plus snapshot *)
-let encode_into w ~kind ~src ?(epoch = 0) ~lseq ~payload () =
+let encode_into w ~kind ~src ~epoch ~lseq ~payload () =
   let payload_off = Msgbuf.length w + gap in
   ignore (Msgbuf.reserve w gap : int);
   Msgbuf.write_bytes w payload 0 (Bytes.length payload);
-  encode_around w ~kind ~src ~epoch ~lseq ~payload_off ()
+  frame_around w ~kind ~src ~epoch ~lseq ~payload_off
 
 (* The header parse reads each varint with two pure int functions, so
    it allocates nothing: where the varint ends, then its value.  Both

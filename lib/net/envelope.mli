@@ -25,8 +25,10 @@ type t = {
   lseq : int;  (** per-(src,dest)-link sequence number *)
 }
 
+(** [epoch] is a required argument here and in {!frame_around} and
+    {!encode_into}: an optional one boxes a [Some] on every call. *)
 val encode :
-  kind:kind -> src:int -> ?epoch:int -> lseq:int -> payload:bytes -> unit ->
+  kind:kind -> src:int -> epoch:int -> lseq:int -> payload:bytes -> unit ->
   bytes
 
 (** [checksum_slice ~kc ~src ~epoch ~lseq buf off len] is the 30-bit
@@ -41,20 +43,27 @@ val checksum_slice :
 
     The copy-free path builds the envelope {e around} a payload that
     already sits in a writer: reserve {!gap} bytes, write the payload
-    after them, then call {!encode_around} to back-fill the header
+    after them, then call {!frame_around} to back-fill the header
     (right-justified against the payload, minimal varints) and return
     the frame's start offset.  Frames built this way are byte-identical
     to {!encode}'s output. *)
 
 (** Worst-case encoded header size; the gap to reserve before a
-    payload destined for {!encode_around}. *)
+    payload destined for {!frame_around}. *)
 val gap : int
 
-(** [encode_around w ~kind ~src ?epoch ~lseq ~payload_off ()] frames
+(** [frame_around w ~kind ~src ~epoch ~lseq ~payload_off] frames
     [w.(payload_off..length w)] in place; at least {!gap} bytes before
     [payload_off] must have been reserved.  Returns the frame's start
     offset: the frame is [w.(start..length w)].
     @raise Invalid_argument when the gap is too small. *)
+val frame_around :
+  Rmi_wire.Msgbuf.writer ->
+  kind:kind -> src:int -> epoch:int -> lseq:int -> payload_off:int -> int
+
+(** {!frame_around} with [epoch] 0 unless given, for framing outside the
+    ARQ (the benchmark's envelope replay).  Passing [~epoch] boxes it;
+    {!Reliable} calls {!frame_around}. *)
 val encode_around :
   Rmi_wire.Msgbuf.writer ->
   kind:kind -> src:int -> ?epoch:int -> lseq:int -> payload_off:int -> unit ->
@@ -62,10 +71,10 @@ val encode_around :
 
 (** [encode_into w ~payload ()] appends a whole envelope around a bytes
     payload (one blit); returns the frame's start offset as for
-    {!encode_around}. *)
+    {!frame_around}. *)
 val encode_into :
   Rmi_wire.Msgbuf.writer ->
-  kind:kind -> src:int -> ?epoch:int -> lseq:int -> payload:bytes -> unit ->
+  kind:kind -> src:int -> epoch:int -> lseq:int -> payload:bytes -> unit ->
   int
 
 (** {1 Parsing}

@@ -268,8 +268,8 @@ module M = struct
     let lseq = ltx.next_lseq in
     ltx.next_lseq <- lseq + 1;
     let start =
-      Envelope.encode_around w ~kind:Data ~src ~epoch:(self_epoch t src) ~lseq
-        ~payload_off ()
+      Envelope.frame_around w ~kind:Data ~src ~epoch:(self_epoch t src) ~lseq
+        ~payload_off
     in
     let envelope = Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start) in
     charge t (Bytes.length envelope);

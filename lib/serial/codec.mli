@@ -86,7 +86,23 @@ val read_step :
     generated marshaler code (and of the partial-evaluation approach it
     cites): per call no step-tree interpretation remains, only direct
     calls.  Semantics are identical to {!write_step}/{!read_step}
-    (checked by a differential property test). *)
+    (checked by a differential property test): the same bytes, the same
+    handle order, the same counters and the same use of a reuse
+    candidate whose nodes are each reachable by one path.  (Over a
+    candidate with sharing or a cycle, a node can be taken twice, and
+    both decode wrong graphs, not always the same ones.)
+
+    Each recursive definition in [defs] is compiled once per call of
+    these functions, into one recursive function.  An [S_ref d] inside
+    definition [d]'s own [S_obj] body calls that function directly, and
+    when the body's last field is [S_ref d] (a list's spine), the
+    function follows it in a loop instead of recursing.  A list of any
+    length therefore takes constant stack on both sides; a tree takes
+    stack in proportion to the depth of its non-last self-references.
+    An [S_ref] nested deeper inside its own definition, or one of a
+    mutual recursion, calls through a cell set once the function
+    exists.  The compiled functions keep no state of their own, so they
+    are reentrant, and one pair may serve several contexts. *)
 
 val compile_write :
   defs:Rmi_core.Plan.step array ->

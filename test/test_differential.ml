@@ -19,6 +19,13 @@ let meta =
     [
       ("Cell", [ ("next", Jir.Types.Tobject 0) ]);
       ("Pair", [ ("a", Jir.Types.Tint); ("b", Jir.Types.Tobject 0) ]);
+      ("Item", [ ("v", Jir.Types.Tint); ("next", Jir.Types.Tobject 2) ]);
+      ("Tree", [ ("l", Jir.Types.Tobject 3); ("r", Jir.Types.Tobject 3) ]);
+      ( "Branch",
+        [
+          ("kids", Jir.Types.Tarray (Jir.Types.Tobject 4));
+          ("next", Jir.Types.Tobject 4);
+        ] );
     ]
 
 (* random acyclic values over the Cell/Pair world *)
@@ -104,49 +111,275 @@ let via_plan v =
     (Codec.make_rctx meta m ~cycle:true)
     (Msgbuf.reader_of_writer w) Plan.S_dyn ~cand:Value.Null
 
-(* the step plan used for compiled-vs-interpreted comparison: a
-   recursive Cell chain with a dynamic escape hatch *)
-let chain_step = Plan.S_ref 0
-let chain_defs = [| Plan.S_obj { cls = 0; fields = [| Plan.S_ref 0 |] } |]
+(* --- compiled = interpreted on recursive plans ---
+
+   Each plan below is a recursive definition table over one class, and
+   [graph] builds a random object graph of that class: a spine that
+   mostly runs on to the next node, tree children, and (unless
+   [~shared:false]) back-references to any node, so cycles and shared
+   tails occur.  Both codecs encode it with a cycle table and decode
+   it over the GC heap, into a warm arena, or over a reuse candidate of
+   another length; the bytes, the decoded graphs (sharing included)
+   and every published counter must agree, and the graph must come
+   back.
+
+   A reuse candidate is always built with [~shared:false]: a candidate
+   node reachable twice can be taken twice by either codec, which then
+   decodes a wrong graph, so only tree-shaped candidates have a defined
+   result to compare. *)
+
+type rec_plan = { pname : string; defs : Plan.step array; cls : int }
+
+let rec_plans =
+  [|
+    (* Table 1's list *)
+    {
+      pname = "cell list";
+      defs = [| Plan.S_obj { cls = 0; fields = [| Plan.S_ref 0 |] } |];
+      cls = 0;
+    };
+    (* a spine behind a non-recursive field *)
+    {
+      pname = "item list";
+      defs = [| Plan.S_obj { cls = 2; fields = [| Plan.S_int; Plan.S_ref 0 |] } |];
+      cls = 2;
+    };
+    (* two self-references: the left one recurses, the right one loops *)
+    {
+      pname = "tree";
+      defs = [| Plan.S_obj { cls = 3; fields = [| Plan.S_ref 0; Plan.S_ref 0 |] } |];
+      cls = 3;
+    };
+    (* a self-reference nested in an array, beside a spine *)
+    {
+      pname = "branch";
+      defs =
+        [|
+          Plan.S_obj
+            {
+              cls = 4;
+              fields = [| Plan.S_obj_array { elem = Plan.S_ref 0 }; Plan.S_ref 0 |];
+            };
+        |];
+      cls = 4;
+    };
+    (* mutual recursion: cells alternate between two definitions *)
+    {
+      pname = "cell list, two definitions";
+      defs =
+        [|
+          Plan.S_obj { cls = 0; fields = [| Plan.S_ref 1 |] };
+          Plan.S_obj { cls = 0; fields = [| Plan.S_ref 0 |] };
+        |];
+      cls = 0;
+    };
+  |]
+
+(* [len] nodes of [p]'s class; node 0 is the root.  Every reference is
+   null now and then, a back-reference to any node now and then when
+   [shared], and otherwise the next node not yet referenced: alone,
+   that makes a tree, a list for one reference per node. *)
+let graph ?(shared = true) st p len =
+  let nodes =
+    Array.init len (fun _ ->
+        Value.new_obj ~cls:p.cls ~nfields:(if p.cls = 0 then 1 else 2))
+  in
+  let fresh = ref 1 in
+  let link () =
+    let k = Random.State.int st 16 in
+    if shared && k = 0 then Value.Obj nodes.(Random.State.int st len)
+    else if k = 1 || !fresh >= len then Value.Null
+    else begin
+      incr fresh;
+      Value.Obj nodes.(!fresh - 1)
+    end
+  in
+  Array.iter
+    (fun (o : Value.obj) ->
+      match p.cls with
+      | 0 -> o.fields.(0) <- link ()
+      | 2 ->
+          o.fields.(0) <- Value.Int (Random.State.int st 1000 - 500);
+          o.fields.(1) <- link ()
+      | 3 ->
+          o.fields.(0) <- link ();
+          o.fields.(1) <- link ()
+      | _ ->
+          let kids = Array.init (Random.State.int st 3) (fun _ -> link ()) in
+          let a = Value.new_rarr (Jir.Types.Tobject 4) (Array.length kids) in
+          Array.blit kids 0 a.Value.ra 0 (Array.length kids);
+          o.fields.(0) <- Value.Rarr a;
+          o.fields.(1) <- link ())
+    nodes;
+  Value.Obj nodes.(0)
+
+(* [a] and [b] are the same graph up to node identity: one bijection
+   between their nodes maps every reference of [a] to [b]'s *)
+let isomorphic a b =
+  let fwd = Hashtbl.create 64 and bwd = Hashtbl.create 64 in
+  let pair ida idb k =
+    match (Hashtbl.find_opt fwd ida, Hashtbl.find_opt bwd idb) with
+    | Some j, Some i -> j = idb && i = ida
+    | None, None ->
+        Hashtbl.add fwd ida idb;
+        Hashtbl.add bwd idb ida;
+        k ()
+    | _ -> false
+  in
+  let rec go (a : Value.t) (b : Value.t) =
+    match (a, b) with
+    | Value.Obj x, Value.Obj y ->
+        x.cls = y.cls
+        && Array.length x.fields = Array.length y.fields
+        && pair x.oid y.oid (fun () -> all2 x.fields y.fields)
+    | Value.Rarr x, Value.Rarr y ->
+        Array.length x.ra = Array.length y.ra
+        && pair x.rid y.rid (fun () -> all2 x.ra y.ra)
+    | (Value.Obj _ | Value.Rarr _), _ | _, (Value.Obj _ | Value.Rarr _) -> false
+    | a, b -> Equality.equal a b
+  and all2 xs ys =
+    let ok = ref true in
+    Array.iteri (fun i x -> if !ok then ok := go x ys.(i)) xs;
+    !ok
+  in
+  go a b
+
+type decode_mode = Heap | Warm_arena | Reuse
+
+let mode_name = function
+  | Heap -> "heap"
+  | Warm_arena -> "warm arena"
+  | Reuse -> "reuse"
+
+type rec_case = {
+  plan : rec_plan;
+  len : int;
+  other_len : int;  (* the warm-up graph's or the candidate's *)
+  seed : int;
+  mode : decode_mode;
+}
+
+let arb_rec_case =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun (((p, len), (other_len, seed)), mode) ->
+        { plan = rec_plans.(p); len; other_len; seed; mode })
+      (pair
+         (pair
+            (pair (int_bound (Array.length rec_plans - 1)) (int_range 1 40))
+            (pair (int_range 1 40) int))
+         (oneofl [ Heap; Warm_arena; Reuse ]))
+  in
+  QCheck.make gen ~print:(fun c ->
+      Printf.sprintf "%s, %d nodes, other %d, seed %d, %s" c.plan.pname c.len
+        c.other_len c.seed (mode_name c.mode))
+
+(* one codec: [write] and [read] over the plan's root [S_ref 0] *)
+type codec = {
+  write : Codec.wctx -> Msgbuf.writer -> Value.t -> unit;
+  read : Codec.rctx -> Msgbuf.reader -> cand:Value.t -> Value.t;
+}
+
+let interpreted =
+  {
+    write = (fun wctx w v -> Codec.write_step wctx w (Plan.S_ref 0) v);
+    read = (fun rctx r ~cand -> Codec.read_step rctx r (Plan.S_ref 0) ~cand);
+  }
+
+let compiled defs =
+  {
+    write = Codec.compile_write ~defs (Plan.S_ref 0);
+    read = Codec.compile_read ~defs (Plan.S_ref 0);
+  }
+
+let encode c ~defs m v =
+  let w = Msgbuf.create_writer () in
+  c.write (Codec.make_wctx ~defs meta m ~cycle:true) w v;
+  Msgbuf.contents w
+
+(* decode [bytes] as [case.mode] says; [other] is the warm-up graph's
+   or the candidate's encoding.  Only the decode of [bytes] is counted:
+   its counters are the difference around it. *)
+let decode c case m ~other bytes =
+  let defs = case.plan.defs in
+  let run ?arena cand b =
+    c.read
+      (Codec.make_rctx ~defs ?arena meta m ~cycle:true)
+      (Msgbuf.reader_of_bytes b) ~cand
+  in
+  let counted f =
+    let before = Metrics.snapshot m in
+    let v = f () in
+    (v, Metrics.diff (Metrics.snapshot m) before)
+  in
+  match case.mode with
+  | Heap -> counted (fun () -> run Value.Null bytes)
+  | Warm_arena ->
+      let arena = Arena.create ~metrics:m in
+      ignore (run ~arena Value.Null other : Value.t);
+      Arena.reset arena;
+      counted (fun () -> run ~arena Value.Null bytes)
+  | Reuse ->
+      let cand = run Value.Null other in
+      counted (fun () -> run cand bytes)
 
 let prop_compiled_equals_interpreted =
   QCheck.Test.make ~name:"compiled plan = interpreted plan (bytes and value)"
-    ~count:400
-    QCheck.(small_nat)
-    (fun len ->
-      (* a pure Cell chain of random length fits the recursive plan *)
-      let rec chain k =
-        if k = 0 then Value.Null
-        else begin
-          let c = Value.new_obj ~cls:0 ~nfields:1 in
-          c.Value.fields.(0) <- chain (k - 1);
-          Value.Obj c
-        end
+    ~count:600 arb_rec_case
+    (fun case ->
+      let defs = case.plan.defs in
+      let v = graph (Random.State.make [| case.seed |]) case.plan case.len in
+      let other =
+        graph ~shared:(case.mode <> Reuse)
+          (Random.State.make [| case.seed + 1 |])
+          case.plan case.other_len
       in
-      let v =
-        match chain (len + 1) with Value.Null -> assert false | v -> v
+      let codecs = [ interpreted; compiled defs ] in
+      let results =
+        List.map
+          (fun c ->
+            let wm = Metrics.create () in
+            let bytes = encode c ~defs wm v in
+            let rm = Metrics.create () in
+            let other = encode c ~defs (Metrics.create ()) other in
+            let decoded, counts = decode c case rm ~other bytes in
+            (bytes, Metrics.snapshot wm, decoded, counts))
+          codecs
       in
-      let m = Metrics.create () in
-      let w1 = Msgbuf.create_writer () in
-      Codec.write_step
-        (Codec.make_wctx ~defs:chain_defs meta m ~cycle:true)
-        w1 chain_step v;
-      let w2 = Msgbuf.create_writer () in
-      (Codec.compile_write ~defs:chain_defs chain_step)
-        (Codec.make_wctx ~defs:chain_defs meta m ~cycle:true)
-        w2 v;
-      let same_bytes = Bytes.equal (Msgbuf.contents w1) (Msgbuf.contents w2) in
-      let r1 =
-        Codec.read_step
-          (Codec.make_rctx ~defs:chain_defs meta m ~cycle:true)
-          (Msgbuf.reader_of_writer w1) chain_step ~cand:Value.Null
-      in
-      let r2 =
-        (Codec.compile_read ~defs:chain_defs chain_step)
-          (Codec.make_rctx ~defs:chain_defs meta m ~cycle:true)
-          (Msgbuf.reader_of_writer w2) ~cand:Value.Null
-      in
-      same_bytes && Equality.equal r1 r2 && Equality.equal v r1)
+      match results with
+      | [ (b1, w1, d1, r1); (b2, w2, d2, r2) ] ->
+          Bytes.equal b1 b2 && w1 = w2 && r1 = r2 && isomorphic d1 d2
+          && isomorphic v d1
+      | _ -> assert false)
+
+(* Table 1's list at a length where a frame per cell would overflow an
+   8 MiB stack: the compiled codec loops down the spine on both sides.
+   The length is checked with a loop, since [Equality] recurses. *)
+let million_cell_chain () =
+  let n = 1_000_000 in
+  let defs = (rec_plans.(0)).defs in
+  let rec chain acc k =
+    if k = 0 then acc
+    else begin
+      let c = Value.new_obj ~cls:0 ~nfields:1 in
+      c.Value.fields.(0) <- acc;
+      chain (Value.Obj c) (k - 1)
+    end
+  in
+  let c = compiled defs in
+  let bytes = encode c ~defs (Metrics.create ()) (chain Value.Null n) in
+  let decoded =
+    c.read
+      (Codec.make_rctx ~defs meta (Metrics.create ()) ~cycle:true)
+      (Msgbuf.reader_of_bytes bytes) ~cand:Value.Null
+  in
+  let rec length acc = function
+    | Value.Null -> acc
+    | Value.Obj o when o.Value.cls = 0 -> length (acc + 1) o.Value.fields.(0)
+    | v -> Alcotest.failf "cell %d is %a" acc Value.pp v
+  in
+  Alcotest.(check int) "cells decoded" n (length 0 decoded)
 
 let prop_three_families_agree =
   QCheck.Test.make ~name:"introspect = dyn = plan on random graphs" ~count:400
@@ -208,6 +441,25 @@ let fuzz_plan =
       | (_ : Value.t) -> true
       | exception Msgbuf.Underflow _ -> true)
 
+let fuzz_compiled =
+  let plans =
+    Array.map
+      (fun p -> Codec.compile_read ~defs:p.defs (Plan.S_ref 0))
+      rec_plans
+  in
+  QCheck.Test.make ~name:"compiled deserializer survives random bytes"
+    ~count:2000
+    QCheck.(pair (int_bound (Array.length rec_plans - 1)) arb_bytes)
+    (fun (p, bytes) ->
+      let m = Metrics.create () in
+      match
+        plans.(p)
+          (Codec.make_rctx ~defs:rec_plans.(p).defs meta m ~cycle:true)
+          (Msgbuf.reader_of_bytes bytes) ~cand:Value.Null
+      with
+      | (_ : Value.t) -> true
+      | exception Msgbuf.Underflow _ -> true)
+
 let fuzz_header =
   QCheck.Test.make ~name:"protocol header survives random bytes" ~count:2000
     arb_bytes
@@ -237,12 +489,15 @@ let suite =
       [
         Fixtures.qcheck_case prop_three_families_agree;
         Fixtures.qcheck_case prop_compiled_equals_interpreted;
+        Alcotest.test_case "1,000,000-cell chain round-trips compiled" `Quick
+          million_cell_chain;
       ] );
     ( "fuzz",
       [
         Fixtures.qcheck_case fuzz_dyn;
         Fixtures.qcheck_case fuzz_introspect;
         Fixtures.qcheck_case fuzz_plan;
+        Fixtures.qcheck_case fuzz_compiled;
         Fixtures.qcheck_case fuzz_header;
         Alcotest.test_case "hostile length rejected" `Quick hostile_length_rejected;
       ] );

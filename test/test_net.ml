@@ -63,11 +63,11 @@ let envelope_roundtrip () =
   | Some ({ Envelope.kind = Data; src = 3; epoch = 2; lseq = 77 }, p) ->
       Alcotest.(check string) "payload intact" "hello rmi" (Bytes.to_string p)
   | _ -> Alcotest.fail "roundtrip failed");
-  (* an ack frame has no payload; epoch defaults to 0 *)
+  (* an ack frame has no payload *)
   (match
      Envelope.decode
-       (Envelope.encode ~kind:Envelope.Ack ~src:0 ~lseq:5 ~payload:Bytes.empty
-          ())
+       (Envelope.encode ~kind:Envelope.Ack ~src:0 ~epoch:0 ~lseq:5
+          ~payload:Bytes.empty ())
    with
   | Some ({ Envelope.kind = Ack; src = 0; epoch = 0; lseq = 5 }, p) ->
       Alcotest.(check int) "empty payload" 0 (Bytes.length p)
