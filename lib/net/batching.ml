@@ -33,7 +33,7 @@ module M = struct
   let pool t = Transport.pool t.lower
   let is_reliable t = Transport.is_reliable t.lower
   let is_hosted t m = Transport.is_hosted t.lower m
-  let charge t n = Metrics.add_bytes_copied (metrics t) n
+  let charge t n = Metrics.add (metrics t) Bytes_copied n
 
   let check t who =
     if who < 0 || who >= t.n then
@@ -59,8 +59,8 @@ module M = struct
      copies of the group. *)
   let ship t ~src (dest, msgs, bytes) =
     let k = List.length msgs in
-    Metrics.incr_msgs_sent (metrics t);
-    Metrics.add_bytes_sent (metrics t) bytes;
+    Metrics.add (metrics t) Msgs_sent 1;
+    Metrics.add (metrics t) Bytes_sent bytes;
     Metrics.record_batch (metrics t) ~msgs:k;
     (match msgs with
     | [ m ] -> Transport.send_raw t.lower ~src ~dest m

@@ -32,7 +32,7 @@ let pool t = t.pool
 
 (* every physical payload copy on the wire path is charged here, under
    both modes — the quantity the wirecost experiment compares *)
-let charge t n = Rmi_stats.Metrics.add_bytes_copied t.metrics n
+let charge t n = Rmi_stats.Metrics.add t.metrics Bytes_copied n
 
 (* no retransmit machinery: reliability is the [Reliable] adapter's *)
 let is_reliable _ = false
@@ -79,13 +79,13 @@ let poll_crashes t =
             (fun tr ->
               match tr with
               | Fault_sim.Crashed { machine; durability } ->
-                  Rmi_stats.Metrics.incr_crashes t.metrics;
+                  Rmi_stats.Metrics.add t.metrics Crashes 1;
                   (* its mailbox dies with it; a layer stacked above
                      wipes its own state from its process hook *)
                   Mailbox.clear t.boxes.(machine);
                   fire_process t (Transport.Proc_crashed { machine; durability })
               | Fault_sim.Restarted { machine; epoch; durability } ->
-                  Rmi_stats.Metrics.incr_restarts t.metrics;
+                  Rmi_stats.Metrics.add t.metrics Restarts 1;
                   fire_process t
                     (Transport.Proc_restarted { machine; epoch; durability }))
             transitions)

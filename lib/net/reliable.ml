@@ -162,7 +162,7 @@ module M = struct
   let pool t = Transport.pool t.lower
   let is_reliable _ = true
   let is_hosted t m = Transport.is_hosted t.lower m
-  let charge t n = Metrics.add_bytes_copied (metrics t) n
+  let charge t n = Metrics.add (metrics t) Bytes_copied n
 
   let check t who =
     if who < 0 || who >= t.n then
@@ -360,7 +360,7 @@ module M = struct
     let d = t.det.(self).(src) in
     let data = kind = Envelope.Data in
     if data && epoch >= d.known_epoch then begin
-      Metrics.incr_acks_sent (metrics t);
+      Metrics.add (metrics t) Acks_sent 1;
       Transport.send_raw t.lower ~src:self ~dest:src
         (control_frame t ~kind:Envelope.Ack ~src:self ~lseq)
     end;
@@ -373,14 +373,14 @@ module M = struct
     Mutex.unlock t.lock;
     if recovered then fire_peer t ~self ~peer:src Transport.Peer_recovered;
     if stale then begin
-      Metrics.incr_stale_drops (metrics t);
+      Metrics.add (metrics t) Stale_drops 1;
       None
     end
     else if fresh then Some (buf, off, len)
     else begin
-      if data then Metrics.incr_dup_drops (metrics t)
+      if data then Metrics.add (metrics t) Dup_drops 1
       else if kind = Envelope.Hb && lseq = Envelope.hb_ping then begin
-        Metrics.incr_heartbeats_sent (metrics t);
+        Metrics.add (metrics t) Heartbeats_sent 1;
         Transport.send_raw t.lower ~src:self ~dest:src
           (control_frame t ~kind:Envelope.Hb ~src:self ~lseq:Envelope.hb_pong)
       end;
@@ -542,7 +542,7 @@ module M = struct
     List.iter
       (fun (lseq, p) ->
         drop_unacked ltx lseq p;
-        Metrics.incr_timeouts (metrics t);
+        Metrics.add (metrics t) Timeouts 1;
         t.sweep_gave_up <- dest :: t.sweep_gave_up)
       !expired
 
@@ -596,13 +596,13 @@ module M = struct
     if resend <> [] then
       List.iter
         (fun (src, dest, frame) ->
-          Metrics.incr_retries (metrics t);
+          Metrics.add (metrics t) Retries 1;
           Transport.send_raw t.lower ~src ~dest frame)
         (List.rev resend);
     if pings <> [] then
       List.iter
         (fun (observer, peer) ->
-          Metrics.incr_heartbeats_sent (metrics t);
+          Metrics.add (metrics t) Heartbeats_sent 1;
           Transport.send_raw t.lower ~src:observer ~dest:peer
             (control_frame t ~kind:Envelope.Hb ~src:observer
                ~lseq:Envelope.hb_ping))
@@ -611,8 +611,8 @@ module M = struct
       List.iter
         (fun (observer, peer, ev) ->
           (match ev with
-          | Transport.Peer_suspected -> Metrics.incr_suspects (metrics t)
-          | Transport.Peer_confirmed_down -> Metrics.incr_peer_downs (metrics t)
+          | Transport.Peer_suspected -> Metrics.add (metrics t) Suspects 1
+          | Transport.Peer_confirmed_down -> Metrics.add (metrics t) Peer_downs 1
           | Transport.Peer_recovered -> ());
           fire_peer t ~self:observer ~peer ev)
         events;

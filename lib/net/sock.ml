@@ -153,7 +153,7 @@ module M = struct
   let pool t = t.pool
   let is_reliable _ = false
 
-  let charge t n = Metrics.add_bytes_copied t.metrics n
+  let charge t n = Metrics.add t.metrics Bytes_copied n
 
   let check t who =
     if who < 0 || who >= t.n then
@@ -751,7 +751,7 @@ module M = struct
      injector swallows its traffic) *)
   let apply_transition t = function
     | Fault_sim.Crashed { machine; durability } ->
-        Metrics.incr_crashes t.metrics;
+        Metrics.add t.metrics Crashes 1;
         (match t.eps.(machine) with
         | Some ep ->
             Mutex.lock ep.ilock;
@@ -763,7 +763,7 @@ module M = struct
         done;
         fire_process t (Transport.Proc_crashed { machine; durability })
     | Fault_sim.Restarted { machine; epoch; durability } ->
-        Metrics.incr_restarts t.metrics;
+        Metrics.add t.metrics Restarts 1;
         fire_process t (Transport.Proc_restarted { machine; epoch; durability })
 
   (* drain the injector's side effects after its clock advanced:

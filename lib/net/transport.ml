@@ -24,9 +24,9 @@ type process_event =
 (* logical-traffic accounting, identical on every transport: the
    payload bytes, counted once *)
 let account_send metrics len =
-  Rmi_stats.Metrics.incr_msgs_sent metrics;
-  Rmi_stats.Metrics.add_bytes_sent metrics len;
-  Rmi_stats.Metrics.incr_unbatched metrics
+  Rmi_stats.Metrics.add metrics Msgs_sent 1;
+  Rmi_stats.Metrics.add metrics Bytes_sent len;
+  Rmi_stats.Metrics.add metrics Unbatched_msgs 1
 
 module Unbuffered (B : sig
   type t

@@ -239,14 +239,14 @@ let transport_failed t (q : pending) detail =
            && (Transport.peer_health t.env.Site.net ~self:nid ~peer:q.pc_dest
                = Transport.Down
               || q.pc_attempts > policy.Config.max_call_retries) ->
-        Metrics.incr_failovers (metrics t);
+        Metrics.add (metrics t) Failovers 1;
         trace_event t
           (Trace.Failover
              { machine = nid; seq = q.pc_seq; primary = q.pc_primary;
                replica });
         q.pc_dest <- replica
     | _ -> ());
-    Metrics.incr_call_retries (metrics t);
+    Metrics.add (metrics t) Call_retries 1;
     trace_event t
       (Trace.Call_retry
          { machine = nid; seq = q.pc_seq; dest = q.pc_dest;
@@ -491,14 +491,14 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
            { machine = nid; seq = p.pc_seq; callsite; dest = machine })
   | None -> ());
   if machine = nid then begin
-    Metrics.incr_local_rpcs (metrics t);
+    Metrics.add (metrics t) Local_rpcs 1;
     resolve_future t p (call_local t p ~epoch ~obj ~meth ~nargs args);
     p
   end
   else if not (breaker_allows t ~dest:machine ~now:started) then begin
     (* circuit open: fail fast without touching the wire, so a dead
        peer costs one exception instead of a full retransmit budget *)
-    Metrics.incr_breaker_fastfails (metrics t);
+    Metrics.add (metrics t) Breaker_fastfails 1;
     resolve_future t p
       (Failed
          (Peer_down
@@ -507,14 +507,14 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
     p
   end
   else begin
-    Metrics.incr_remote_rpcs (metrics t);
+    Metrics.add (metrics t) Remote_rpcs 1;
     let w = Site.marshal_args e s ~epoch ~seq:p.pc_seq ~obj ~meth args in
     p.pc_version <- Site.current s;
     (* the one payload snapshot the zero-copy path makes: the stable
        request bytes kept for RPC-level retries *)
     p.pc_request <- Site.msg_of_writer e w;
     Itbl.replace t.outstanding p.pc_seq p;
-    Metrics.record_outstanding (metrics t) (Itbl.length t.outstanding);
+    Metrics.raise_max (metrics t) Outstanding_hwm (Itbl.length t.outstanding);
     Site.send_snapshot e ~dest:machine p.pc_request w;
     Site.release e w;
     p

@@ -58,7 +58,7 @@ let try_enqueue t nq task =
   end;
   let depth = nq.depth in
   Mutex.unlock nq.q_mutex;
-  if ok then Metrics.record_queue_depth t.metrics depth;
+  if ok then Metrics.raise_max t.metrics Queue_depth_hwm depth;
   ok
 
 let try_dequeue nq =
@@ -131,7 +131,7 @@ let run_one t w =
     else if i mod t.n_workers <> w then
       match try_dequeue t.queues.(i) with
       | Some task ->
-          Metrics.incr_steals t.metrics;
+          Metrics.add t.metrics Steals 1;
           execute t.queues.(i) task;
           true
       | None -> steal (i + 1)
@@ -171,7 +171,7 @@ let poll t w =
         Unix.sleepf 0.0001
     end
   done;
-  Metrics.add_dispatches t.metrics !dispatches
+  Metrics.add t.metrics Dispatches !dispatches
 
 (* worker [w] owns nodes [w], [w + n_workers], ...; it owns exactly one
    when [w + n_workers] is past the last node *)

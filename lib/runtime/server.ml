@@ -176,7 +176,7 @@ let serve_request t (hdr : Protocol.header) r =
         (* an RPC-level retry of a request this node already executed
            (its reply was lost, or a failover raced a slow primary):
            replay the stored reply, exactly-once preserved *)
-        Metrics.incr_reply_cache_hits (Site.metrics e);
+        Metrics.add (Site.metrics e) Reply_cache_hits 1;
         Site.send_msg e ~dest:hdr.src reply
     | None -> (
         match find_handler t ~obj:hdr.target_obj ~meth:hdr.method_id with
@@ -273,7 +273,7 @@ let serve_slice t msg =
    is ever decoded. *)
 let send_reject t (hdr : Protocol.header) =
   let e = t.env in
-  Metrics.incr_queue_rejects (Site.metrics e);
+  Metrics.add (Site.metrics e) Queue_rejects 1;
   let w = Site.acquire e in
   write_answer w hdr ~kind:Protocol.Reject;
   Site.send_from_writer e ~dest:hdr.src w;
@@ -291,7 +291,7 @@ let serve_loop t =
     serve_slice t (Transport.recv_blocking_slice e.Site.net ~self:e.Site.nid);
     if not t.shutdown then incr dispatches
   done;
-  Metrics.add_dispatches (Site.metrics e) !dispatches
+  Metrics.add (Site.metrics e) Dispatches !dispatches
 
 let send_shutdown t ~dest =
   let e = t.env in

@@ -145,7 +145,7 @@ let msg_of_writer e w =
     if zc e then Msgbuf.sub w ~off:gap ~len:(Msgbuf.length w - gap)
     else Msgbuf.contents w
   in
-  Metrics.add_bytes_copied (metrics e) (Bytes.length msg);
+  Metrics.add (metrics e) Bytes_copied (Bytes.length msg);
   msg
 
 let reader_of_writer e w =
@@ -326,16 +326,16 @@ let promote e s ~nargs =
   s.promoted <- true;
   let plan = Plan_store.get e.plans ~site:s.callsite in
   (match plan with
-  | Some (_, Plan_store.Hit) -> Metrics.incr_plan_cache_hits (metrics e)
+  | Some (_, Plan_store.Hit) -> Metrics.add (metrics e) Plan_cache_hits 1
   | Some (_, (Plan_store.Compiled | Plan_store.Invalidated)) ->
-      Metrics.incr_plan_cache_misses (metrics e)
+      Metrics.add (metrics e) Plan_cache_misses 1
   | Some (_, Plan_store.Installed) | None -> ());
   match plan with
   | Some (p, _)
     when p.Plan.version > Plan.generic_version
          && Array.length p.Plan.args = nargs ->
       s.current <- Some (intern e s p);
-      Metrics.incr_tier_promotions (metrics e);
+      Metrics.add (metrics e) Tier_promotions 1;
       trace_event e
         (Trace.Promote
            { machine = e.nid; callsite = s.callsite; calls = s.calls;
@@ -382,7 +382,7 @@ let deopt e s v pos msg =
   let widened, made = Plan_store.widen e.plans ~site:s.callsite pos in
   if made then begin
     let position = Format.asprintf "%a" Plan.pp_position pos in
-    Metrics.incr_tier_deopts (metrics e);
+    Metrics.add (metrics e) Tier_deopts 1;
     trace_event e
       (Trace.Deopt
          { machine = e.nid; callsite = s.callsite; position;

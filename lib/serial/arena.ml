@@ -96,8 +96,8 @@ let max_keyed_fields = 0xffff
 let obj_key cls nfields = (cls lsl 16) lor nfields
 
 let publish t =
-  Metrics.add_arena_allocs t.metrics t.tallied_allocs;
-  Metrics.add_arena_fallbacks t.metrics t.tallied_fallbacks;
+  Metrics.add t.metrics Arena_allocs t.tallied_allocs;
+  Metrics.add t.metrics Arena_fallbacks t.tallied_fallbacks;
   t.tallied_allocs <- 0;
   t.tallied_fallbacks <- 0
 
@@ -216,7 +216,7 @@ let pooled t =
   sum t.objs + sum t.darrs + sum t.iarrs + sum t.rarrs
 
 let reset t =
-  Metrics.incr_arena_resets t.metrics;
+  Metrics.add t.metrics Arena_resets 1;
   for i = 0 to t.ntouched - 1 do
     t.touched.(i).cursor <- 0
   done;

@@ -786,8 +786,8 @@ and compile_write_obj cache ~defs ~self cls fields =
 (* publication: the tallies reach the metrics once the outermost call
    is over, however it ends *)
 let publish_w wctx =
-  Metrics.add_type_bytes wctx.wmetrics wctx.type_bytes;
-  Metrics.add_ser_invocations wctx.wmetrics wctx.ser_invocations;
+  Metrics.add wctx.wmetrics Type_bytes wctx.type_bytes;
+  Metrics.add wctx.wmetrics Ser_invocations wctx.ser_invocations;
   wctx.type_bytes <- 0;
   wctx.ser_invocations <- 0;
   match wctx.wcycle with Some table -> Handle_table.publish table | None -> ()
@@ -934,10 +934,10 @@ and compile_read_obj cache ~defs ~self cls fields =
 
 let publish_r rctx =
   let m = rctx.rmetrics in
-  Metrics.add_cycle_lookups m rctx.lookups;
-  Metrics.add_allocs m rctx.allocs;
-  Metrics.add_new_bytes m rctx.new_bytes;
-  Metrics.add_reused_objs m rctx.reused;
+  Metrics.add m Cycle_lookups rctx.lookups;
+  Metrics.add m Allocs rctx.allocs;
+  Metrics.add m New_bytes rctx.new_bytes;
+  Metrics.add m Reused_objs rctx.reused;
   rctx.lookups <- 0;
   rctx.allocs <- 0;
   rctx.new_bytes <- 0;

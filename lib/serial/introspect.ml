@@ -251,17 +251,17 @@ let rec read_in rctx r : Value.t =
   | c -> raise (Msgbuf.Underflow (Printf.sprintf "bad introspect code %d" c))
 
 let publish_w wctx =
-  Metrics.add_type_bytes wctx.wmetrics wctx.type_bytes;
-  Metrics.add_ser_invocations wctx.wmetrics wctx.ser_invocations;
+  Metrics.add wctx.wmetrics Type_bytes wctx.type_bytes;
+  Metrics.add wctx.wmetrics Ser_invocations wctx.ser_invocations;
   wctx.type_bytes <- 0;
   wctx.ser_invocations <- 0;
   Handle_table.publish wctx.wcycle
 
 let publish_r rctx =
   let m = rctx.rmetrics in
-  Metrics.add_cycle_lookups m rctx.lookups;
-  Metrics.add_allocs m rctx.allocs;
-  Metrics.add_new_bytes m rctx.new_bytes;
+  Metrics.add m Cycle_lookups rctx.lookups;
+  Metrics.add m Allocs rctx.allocs;
+  Metrics.add m New_bytes rctx.new_bytes;
   rctx.lookups <- 0;
   rctx.allocs <- 0;
   rctx.new_bytes <- 0

@@ -2,9 +2,12 @@
 
     The paper's Tables 4, 6 and 8 report per-application statistics:
     reused objects, local/remote RPCs, megabytes allocated by
-    deserialization, and cycle-table lookups.  A [Metrics.t] holds one
-    atomic counter per statistic so that machines running in separate
-    domains can update them concurrently. *)
+    deserialization, and cycle-table lookups.  A [Metrics.t] is one
+    table of atomic cells — one per {!counter}, then the batch-size and
+    latency histogram buckets — so that machines running in separate
+    domains can update it concurrently.  Writers pass a {!counter} to
+    {!add}; readers take a {!snapshot}, whose fields carry the
+    counters' names. *)
 
 type t
 
@@ -91,12 +94,33 @@ val lat_quantile : int array -> float -> float
 (** Total number of samples recorded in a latency histogram. *)
 val lat_count : int array -> int
 
+(** One constructor per [int] field of {!snapshot}, named after it.
+
+    The transport counters (reliability, crash and failover, batching,
+    wire-path and arena telemetry) never touch the logical-traffic
+    counters of messages and bytes sent: those count each logical message
+    once (a batch envelope as one message carrying the sum of its
+    payloads), so lossless, reliable and unbatched runs report
+    byte-identical paper-table traffic.  Only the adaptive tier touches
+    the tiering counters and only a parallel fabric's workers the
+    dispatch-pool counters, so ahead-of-time and [Sync] runs keep
+    byte-identical output. *)
+type counter =
+  | Remote_rpcs | Local_rpcs | Reused_objs | New_bytes | Cycle_lookups
+  | Ser_invocations | Msgs_sent | Bytes_sent | Type_bytes | Allocs
+  | Retries | Timeouts | Dup_drops | Acks_sent
+  | Crashes | Restarts | Heartbeats_sent | Stale_drops | Suspects
+  | Peer_downs | Call_retries | Failovers | Breaker_fastfails
+  | Reply_cache_hits
+  | Batches_sent | Batched_msgs | Unbatched_msgs | Outstanding_hwm
+  | Tier_promotions | Tier_deopts | Plan_cache_hits | Plan_cache_misses
+  | Bytes_copied | Pool_hits | Pool_misses
+  | Arena_allocs | Arena_resets | Arena_fallbacks
+  | Dispatches | Queue_rejects | Steals | Queue_depth_hwm
+
 val create : unit -> t
 
-val reset : t -> unit
-
-(** Counter increments; [n] defaults to 1 (or the byte count).  Adding 0
-    touches nothing.
+(** [add t c n] adds [n] to counter [c]; adding 0 touches nothing.
 
     The per-object paper counters (cycle lookups, allocations, reuse,
     type bytes, dynamic invocations, arena hand-outs) are bumped several
@@ -104,117 +128,29 @@ val reset : t -> unit
     used by one thread at a time — tallies them in plain [int] fields
     and adds each tally here once, when the outermost operation returns
     or raises: one atomic add per counter per call instead of one per
-    node, with the same totals at every point a caller can observe. *)
+    node, with the same totals at every point a caller can observe.  A
+    dispatch-pool worker likewise adds its tally once, as it exits. *)
+val add : t -> counter -> int -> unit
 
-val incr_remote_rpcs : t -> unit
-val incr_local_rpcs : t -> unit
-val add_reused_objs : t -> int -> unit
-val add_new_bytes : t -> int -> unit
-val add_cycle_lookups : t -> int -> unit
-val incr_ser_invocations : t -> unit
-val add_ser_invocations : t -> int -> unit
-val incr_msgs_sent : t -> unit
-val add_bytes_sent : t -> int -> unit
-val add_type_bytes : t -> int -> unit
-val incr_allocs : t -> unit
-val add_allocs : t -> int -> unit
-
-(** Reliable-transport counters.  These never touch the logical-traffic
-    counters above: [msgs_sent]/[bytes_sent] count each logical message
-    once, so the lossless reliable path reports byte-identical traffic
-    to the raw path. *)
-
-val incr_retries : t -> unit
-val incr_timeouts : t -> unit
-val incr_dup_drops : t -> unit
-val incr_acks_sent : t -> unit
-
-(** Crash, failure-detector and failover counters (PR 3).  Like the
-    reliability counters they never touch the logical-traffic counters:
-    heartbeats and fenced frames are transport plumbing, not messages. *)
-
-val incr_crashes : t -> unit
-val incr_restarts : t -> unit
-val incr_heartbeats_sent : t -> unit
-val incr_stale_drops : t -> unit
-val incr_suspects : t -> unit
-val incr_peer_downs : t -> unit
-val incr_call_retries : t -> unit
-val incr_failovers : t -> unit
-val incr_breaker_fastfails : t -> unit
-val incr_reply_cache_hits : t -> unit
-
-(** Batching and pipelining counters.  Like the reliability counters,
-    these never touch [msgs_sent]/[bytes_sent]: a batch envelope counts
-    as one message whose bytes are the sum of its logical payloads, so
-    unbatched runs report exactly the paper-table traffic. *)
+(** [raise_max t c v] raises high-water mark [c] (most async calls
+    simultaneously awaiting replies on one node, or the deepest node
+    request queue) to [v] if it is a new maximum. *)
+val raise_max : t -> counter -> int -> unit
 
 (** [record_batch t ~msgs] accounts one flushed envelope that carried
-    [msgs] logical messages: updates the histogram and either
-    [unbatched_msgs] (singleton) or [batches_sent]/[batched_msgs]. *)
+    [msgs] logical messages: updates the histogram and either the
+    unbatched count (singleton) or the batch and batched-message
+    counts. *)
 val record_batch : t -> msgs:int -> unit
 
-(** One logical message sent outside the batching path. *)
-val incr_unbatched : t -> unit
-
-(** [record_outstanding t depth] raises the outstanding-call
-    high-water mark to [depth] if it is a new maximum. *)
-val record_outstanding : t -> int -> unit
-
-(** Tiered-specialization counters (PR 4).  Only the adaptive tier
-    touches them, so ahead-of-time runs keep byte-identical output. *)
-
-val incr_tier_promotions : t -> unit
-val incr_tier_deopts : t -> unit
-val incr_plan_cache_hits : t -> unit
-val incr_plan_cache_misses : t -> unit
-
-(** Zero-copy wire-path telemetry (PR 5).  [bytes_copied] charges every
-    physical payload copy made while framing, batching or buffering a
-    message — the quantity the zero-copy path minimizes — while the pool
-    counters account writer/reader free-list reuse.  Like the transport
-    counters they never touch [msgs_sent]/[bytes_sent]. *)
-
-val add_bytes_copied : t -> int -> unit
-val incr_pool_hits : t -> unit
-val incr_pool_misses : t -> unit
-
-(** Arena telemetry (PR 10): Value-node recycling on the decode path.
-    [arena_allocs] counts every node an arena hands out (recycled or
-    fresh), [arena_fallbacks] the subset that had to come off the GC
-    heap (cold pool or shape mismatch), [arena_resets] the wholesale
-    end-of-dispatch reclaims escape analysis licensed. *)
-
-val incr_arena_allocs : t -> unit
-val add_arena_allocs : t -> int -> unit
-val incr_arena_resets : t -> unit
-val incr_arena_fallbacks : t -> unit
-val add_arena_fallbacks : t -> int -> unit
-
-(** Dispatch-pool telemetry.  Only a parallel fabric's worker domains
-    touch the counters, so [Sync] runs keep byte-identical output; the
-    latency histogram is recorded on every completed call but surfaced
-    only by the load experiment.  A worker tallies its dispatches in a
-    plain int and adds them once, as it exits. *)
-
-val add_dispatches : t -> int -> unit
-val incr_queue_rejects : t -> unit
-val incr_steals : t -> unit
-
-(** [record_queue_depth t depth] raises the queue-depth high-water mark
-    to [depth] if it is a new maximum. *)
-val record_queue_depth : t -> int -> unit
-
 (** [record_latency_ns t ns] counts one completed call whose
-    client-observed round trip took [ns] nanoseconds. *)
+    client-observed round trip took [ns] nanoseconds.  Every completed
+    call records one; only the load experiment prints the histogram. *)
 val record_latency_ns : t -> int -> unit
 
 (** [record_site_call t ~callsite] counts one adaptive-tier dispatch at
-    [callsite] and returns nothing; read back with {!site_call_count}. *)
+    [callsite]; read back in {!snapshot}'s [site_calls]. *)
 val record_site_call : t -> callsite:int -> unit
-
-(** Current invocation count for [callsite] (0 if never seen). *)
-val site_call_count : t -> callsite:int -> int
 
 val snapshot : t -> snapshot
 
@@ -228,9 +164,11 @@ val merge : snapshot -> snapshot -> snapshot
 
 (** [strip_timing s] is [s] with the latency histogram zeroed — the one
     field whose contents depend on wall-clock timing rather than the
-    seeded schedule.  Determinism tests compare
-    [strip_timing a = strip_timing b] and check the (deterministic)
-    sample count with [lat_count] separately. *)
+    seeded schedule on a Sim fabric run under [Sync].  Determinism tests
+    there compare [strip_timing a = strip_timing b] and check the
+    (deterministic) sample count with [lat_count] separately.  Over Sock
+    or across domains the ARQ counters follow the thread schedule too,
+    so two stripped snapshots of one seed may differ. *)
 val strip_timing : snapshot -> snapshot
 
 val pp : Format.formatter -> snapshot -> unit

@@ -28,7 +28,7 @@ let create ?metrics () =
 
 let publish t =
   (match t.metrics with
-  | Some m -> Rmi_stats.Metrics.add_cycle_lookups m t.charged
+  | Some m -> Rmi_stats.Metrics.add m Cycle_lookups t.charged
   | None -> ());
   t.charged <- 0
 

@@ -370,11 +370,11 @@ module Pool = struct
     Mutex.lock p.lock;
     let w =
       if p.writers.n > 0 then begin
-        Metrics.incr_pool_hits p.metrics;
+        Metrics.add p.metrics Pool_hits 1;
         pop p.writers
       end
       else begin
-        Metrics.incr_pool_misses p.metrics;
+        Metrics.add p.metrics Pool_misses 1;
         create_writer ~initial_capacity:512 ()
       end
     in
@@ -405,11 +405,11 @@ module Pool = struct
     Mutex.lock p.lock;
     let r =
       if p.readers.n > 0 then begin
-        Metrics.incr_pool_hits p.metrics;
+        Metrics.add p.metrics Pool_hits 1;
         pop p.readers
       end
       else begin
-        Metrics.incr_pool_misses p.metrics;
+        Metrics.add p.metrics Pool_misses 1;
         { data = Bytes.empty; limit = 0; pos = 0 }
       end
     in

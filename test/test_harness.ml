@@ -98,6 +98,52 @@ let stats_rendering () =
   let s = E.stats_table ~title:"T" t P.table4_stats in
   Alcotest.(check bool) "has content" true (String.length s > 200)
 
+(* golden: every counter cell of the paper's statistics tables (4, 6
+   and 8) for all five configs.  The runs are seeded and synchronous, so
+   each cell is exact; new_bytes is pinned in bytes, not the rendered
+   MBytes. *)
+let stats_tables_pinned () =
+  let cells (t : E.timing_table) =
+    List.map
+      (fun (r : E.row) ->
+        let s = r.E.stats in
+        ( r.E.config.Config.name,
+          Rmi_stats.Metrics.
+            [
+              s.reused_objs; s.local_rpcs; s.remote_rpcs; s.new_bytes;
+              s.cycle_lookups; s.ser_invocations;
+            ] ))
+      t.E.rows
+  in
+  let check title t expected =
+    Alcotest.(check (list (pair string (list int))))
+      title expected (cells t)
+  in
+  check "Table 4 (LU)" (E.table3 ())
+    [
+      ("class", [ 0; 588; 652; 12142080; 252960; 84320 ]);
+      ("site", [ 0; 588; 652; 12142080; 14880; 0 ]);
+      ("site + cycle", [ 0; 588; 652; 12142080; 0; 0 ]);
+      ("site + reuse", [ 63138; 588; 652; 3050208; 14880; 0 ]);
+      ("site + reuse + cycle", [ 63138; 588; 652; 3050208; 0; 0 ]);
+    ];
+  check "Table 6 (superoptimizer)" (E.table5 ())
+    [
+      ("class", [ 0; 10001; 10001; 6051192; 597054; 199018 ]);
+      ("site", [ 0; 10001; 10001; 6051192; 597054; 0 ]);
+      ("site + cycle", [ 0; 10001; 10001; 6051192; 0; 0 ]);
+      ("site + reuse", [ 0; 10001; 10001; 6051192; 597054; 0 ]);
+      ("site + reuse + cycle", [ 0; 10001; 10001; 6051192; 0; 0 ]);
+    ];
+  check "Table 8 (webserver)" (E.table7 ())
+    [
+      ("class", [ 0; 2500; 2500; 11920000; 60000; 20000 ]);
+      ("site", [ 0; 2500; 2500; 11920000; 60000; 0 ]);
+      ("site + cycle", [ 0; 2500; 2500; 11920000; 0; 0 ]);
+      ("site + reuse", [ 19994; 2500; 2500; 2680; 60000; 0 ]);
+      ("site + reuse + cycle", [ 19994; 2500; 2500; 2680; 0; 0 ]);
+    ]
+
 let shape_summary_detects_mismatch () =
   (* hand-build a table whose measured winner contradicts the paper *)
   let mk name modeled =
@@ -215,6 +261,8 @@ let suite =
         Alcotest.test_case "table1 end to end" `Quick table1_end_to_end;
         Alcotest.test_case "table2 end to end" `Quick table2_end_to_end;
         Alcotest.test_case "stats rendering" `Quick stats_rendering;
+        Alcotest.test_case "statistics tables pinned" `Quick
+          stats_tables_pinned;
         Alcotest.test_case "shape mismatch detected" `Quick
           shape_summary_detects_mismatch;
         Alcotest.test_case "--faults composes with --pipeline" `Quick

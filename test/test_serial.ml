@@ -170,7 +170,7 @@ let reuse_hits_matching_shape () =
   Codec.write_step (Codec.make_wctx meta m ~cycle:false) w step (Value.Rarr (mk ()));
   let cand = Value.Rarr (mk ()) in
   let cand_id = match cand with Value.Rarr a -> a.rid | _ -> assert false in
-  Metrics.reset m;
+  let m = Metrics.create () (* the read side counts alone *) in
   let rctx = Codec.make_rctx meta m ~cycle:false in
   let got = Codec.read_step rctx (Msgbuf.reader_of_writer w) step ~cand in
   (match got with
@@ -188,7 +188,7 @@ let reuse_falls_back_on_mismatch () =
   let w = Msgbuf.create_writer () in
   let incoming = Value.new_darr 8 in
   Codec.write_step (Codec.make_wctx meta m ~cycle:false) w step (Value.Darr incoming);
-  Metrics.reset m;
+  let m = Metrics.create () (* the read side counts alone *) in
   let rctx = Codec.make_rctx meta m ~cycle:false in
   let cand = Value.Darr (Value.new_darr 4) in
   (match Codec.read_step rctx (Msgbuf.reader_of_writer w) step ~cand with
@@ -212,7 +212,7 @@ let reuse_through_dyn_list () =
   let w = Msgbuf.create_writer () in
   Codec.write_dyn (Codec.make_wctx meta m ~cycle:true) w (make_list 10);
   let cand = make_list 10 in
-  Metrics.reset m;
+  let m = Metrics.create () (* the read side counts alone *) in
   let rctx = Codec.make_rctx meta m ~cycle:true in
   let got = Codec.read_dyn rctx (Msgbuf.reader_of_writer w) ~cand in
   check_equal "list" (make_list 10) got;

@@ -5,17 +5,17 @@ module Ascii_table = Rmi_stats.Ascii_table
 
 let counters_accumulate () =
   let m = Metrics.create () in
-  Metrics.incr_remote_rpcs m;
-  Metrics.incr_remote_rpcs m;
-  Metrics.incr_local_rpcs m;
-  Metrics.add_reused_objs m 10;
-  Metrics.add_new_bytes m 1024;
-  Metrics.add_cycle_lookups m 3;
-  Metrics.incr_ser_invocations m;
-  Metrics.incr_msgs_sent m;
-  Metrics.add_bytes_sent m 256;
-  Metrics.add_type_bytes m 7;
-  Metrics.incr_allocs m;
+  Metrics.add m Remote_rpcs 1;
+  Metrics.add m Remote_rpcs 1;
+  Metrics.add m Local_rpcs 1;
+  Metrics.add m Reused_objs 10;
+  Metrics.add m New_bytes 1024;
+  Metrics.add m Cycle_lookups 3;
+  Metrics.add m Ser_invocations 1;
+  Metrics.add m Msgs_sent 1;
+  Metrics.add m Bytes_sent 256;
+  Metrics.add m Type_bytes 7;
+  Metrics.add m Allocs 1;
   let s = Metrics.snapshot m in
   Alcotest.(check int) "remote" 2 s.Metrics.remote_rpcs;
   Alcotest.(check int) "local" 1 s.Metrics.local_rpcs;
@@ -28,18 +28,12 @@ let counters_accumulate () =
   Alcotest.(check int) "type bytes" 7 s.Metrics.type_bytes;
   Alcotest.(check int) "allocs" 1 s.Metrics.allocs
 
-let reset_zeroes () =
-  let m = Metrics.create () in
-  Metrics.add_bytes_sent m 100;
-  Metrics.reset m;
-  Alcotest.(check bool) "zero after reset" true (Metrics.snapshot m = Metrics.zero)
-
 let diff_and_merge () =
   let m = Metrics.create () in
-  Metrics.add_bytes_sent m 100;
+  Metrics.add m Bytes_sent 100;
   let s1 = Metrics.snapshot m in
-  Metrics.add_bytes_sent m 50;
-  Metrics.incr_allocs m;
+  Metrics.add m Bytes_sent 50;
+  Metrics.add m Allocs 1;
   let s2 = Metrics.snapshot m in
   let d = Metrics.diff s2 s1 in
   Alcotest.(check int) "diff bytes" 50 d.Metrics.bytes_sent;
@@ -52,7 +46,7 @@ let concurrent_updates () =
   let m = Metrics.create () in
   let worker () =
     for _ = 1 to 10_000 do
-      Metrics.incr_msgs_sent m
+      Metrics.add m Msgs_sent 1
     done
   in
   let d = Domain.spawn worker in
@@ -129,128 +123,63 @@ let prop_merge_diff_laws =
       && Metrics.diff (Metrics.merge sa sb) sb = sa
       && Metrics.merge sa sb = Metrics.merge sb sa)
 
-(* every mutator in the interface moves its counter, and [reset] puts
-   every one of them back to zero *)
+(* every counter reaches its own snapshot field and no other: each
+   counter gets a distinct amount through the one [add] (the value
+   [mk_snapshot 0] holds in its field), so a field wired to another
+   counter's cell, two counters sharing a cell, or a counter overlapping
+   a histogram bucket reads back wrong *)
 let every_counter_covered () =
   let m = Metrics.create () in
-  Metrics.incr_remote_rpcs m;
-  Metrics.incr_local_rpcs m;
-  Metrics.add_reused_objs m 2;
-  Metrics.add_new_bytes m 3;
-  Metrics.add_cycle_lookups m 4;
-  Metrics.incr_ser_invocations m;
-  Metrics.incr_msgs_sent m;
-  Metrics.add_bytes_sent m 5;
-  Metrics.add_type_bytes m 6;
-  Metrics.incr_allocs m;
-  Metrics.incr_retries m;
-  Metrics.incr_timeouts m;
-  Metrics.incr_dup_drops m;
-  Metrics.incr_acks_sent m;
-  Metrics.incr_crashes m;
-  Metrics.incr_restarts m;
-  Metrics.incr_heartbeats_sent m;
-  Metrics.incr_stale_drops m;
-  Metrics.incr_suspects m;
-  Metrics.incr_peer_downs m;
-  Metrics.incr_call_retries m;
-  Metrics.incr_failovers m;
-  Metrics.incr_breaker_fastfails m;
-  Metrics.incr_reply_cache_hits m;
+  List.iter
+    (fun (c, n) -> Metrics.add m c n)
+    Metrics.
+      [
+        (Remote_rpcs, 1); (Local_rpcs, 2); (Reused_objs, 3); (New_bytes, 4);
+        (Cycle_lookups, 5); (Ser_invocations, 6); (Msgs_sent, 7);
+        (Bytes_sent, 8); (Type_bytes, 9); (Allocs, 10); (Retries, 11);
+        (Timeouts, 12); (Dup_drops, 13); (Acks_sent, 14); (Crashes, 15);
+        (Restarts, 16); (Heartbeats_sent, 17); (Stale_drops, 18);
+        (Suspects, 19); (Peer_downs, 20); (Call_retries, 21);
+        (Failovers, 22); (Breaker_fastfails, 23); (Reply_cache_hits, 24);
+        (Batches_sent, 25); (Batched_msgs, 26); (Unbatched_msgs, 27);
+        (Outstanding_hwm, 28); (Tier_promotions, 29); (Tier_deopts, 30);
+        (Plan_cache_hits, 31); (Plan_cache_misses, 32); (Bytes_copied, 42);
+        (Pool_hits, 43); (Pool_misses, 44); (Arena_allocs, 49);
+        (Arena_resets, 50); (Arena_fallbacks, 51); (Dispatches, 45);
+        (Queue_rejects, 46); (Steals, 47); (Queue_depth_hwm, 48);
+      ];
+  let counters_only =
+    {
+      (mk_snapshot 0) with
+      Metrics.batch_hist = Array.make Metrics.hist_buckets 0;
+      lat_hist = Array.make Metrics.lat_buckets 0;
+      site_calls = [];
+    }
+  in
+  Alcotest.(check bool) "every field reads its own counter's amount" true
+    (Metrics.snapshot m = counters_only);
+  (* the recorders land in their own cells *)
   Metrics.record_batch m ~msgs:3;
-  Metrics.incr_unbatched m;
-  Metrics.record_outstanding m 7;
-  Metrics.incr_tier_promotions m;
-  Metrics.incr_tier_deopts m;
-  Metrics.incr_plan_cache_hits m;
-  Metrics.incr_plan_cache_misses m;
-  Metrics.add_bytes_copied m 8;
-  Metrics.incr_pool_hits m;
-  Metrics.incr_pool_misses m;
-  Metrics.incr_arena_allocs m;
-  Metrics.incr_arena_resets m;
-  Metrics.incr_arena_fallbacks m;
-  Metrics.add_dispatches m 1;
-  Metrics.incr_queue_rejects m;
-  Metrics.incr_steals m;
-  Metrics.record_queue_depth m 9;
+  Metrics.raise_max m Outstanding_hwm 5;
+  Metrics.raise_max m Queue_depth_hwm 60;
   Metrics.record_latency_ns m 1_500;
   Metrics.record_site_call m ~callsite:42;
-  (* destructure without a wildcard: adding a snapshot field breaks
-     this match until the test covers it *)
-  let {
-    Metrics.remote_rpcs;
-    local_rpcs;
-    reused_objs;
-    new_bytes;
-    cycle_lookups;
-    ser_invocations;
-    msgs_sent;
-    bytes_sent;
-    type_bytes;
-    allocs;
-    retries;
-    timeouts;
-    dup_drops;
-    acks_sent;
-    crashes;
-    restarts;
-    heartbeats_sent;
-    stale_drops;
-    suspects;
-    peer_downs;
-    call_retries;
-    failovers;
-    breaker_fastfails;
-    reply_cache_hits;
-    batches_sent;
-    batched_msgs;
-    unbatched_msgs;
-    outstanding_hwm;
-    tier_promotions;
-    tier_deopts;
-    plan_cache_hits;
-    plan_cache_misses;
-    bytes_copied;
-    pool_hits;
-    pool_misses;
-    arena_allocs;
-    arena_resets;
-    arena_fallbacks;
-    dispatches;
-    queue_rejects;
-    steals;
-    queue_depth_hwm;
-    batch_hist;
-    lat_hist;
-    site_calls;
-  } =
-    Metrics.snapshot m
-  in
-  List.iteri
-    (fun i v ->
-      if v <= 0 then Alcotest.failf "counter #%d not moved by its mutator" i)
-    [
-      remote_rpcs; local_rpcs; reused_objs; new_bytes; cycle_lookups;
-      ser_invocations; msgs_sent; bytes_sent; type_bytes; allocs; retries;
-      timeouts; dup_drops; acks_sent; crashes; restarts; heartbeats_sent;
-      stale_drops; suspects; peer_downs; call_retries; failovers;
-      breaker_fastfails; reply_cache_hits; batches_sent; batched_msgs;
-      unbatched_msgs; outstanding_hwm; tier_promotions; tier_deopts;
-      plan_cache_hits; plan_cache_misses; bytes_copied; pool_hits; pool_misses;
-      arena_allocs; arena_resets; arena_fallbacks;
-      dispatches; queue_rejects; steals; queue_depth_hwm;
-    ];
-  Alcotest.(check bool) "histogram moved" true
-    (Array.exists (fun v -> v > 0) batch_hist);
-  Alcotest.(check int) "latency sample recorded" 1 (Metrics.lat_count lat_hist);
+  let s = Metrics.snapshot m in
+  Alcotest.(check int) "batch counted" 26 s.Metrics.batches_sent;
+  Alcotest.(check int) "batched messages counted" 29 s.Metrics.batched_msgs;
+  Alcotest.(check (array int)) "one flush in the size-3 bucket"
+    (Array.init Metrics.hist_buckets (fun i ->
+         if i = Metrics.hist_bucket 3 then 1 else 0))
+    s.Metrics.batch_hist;
+  Alcotest.(check int) "a lower peak keeps the mark" 28 s.Metrics.outstanding_hwm;
+  Alcotest.(check int) "a higher peak raises the mark" 60
+    s.Metrics.queue_depth_hwm;
+  Alcotest.(check int) "latency sample recorded" 1
+    (Metrics.lat_count s.Metrics.lat_hist);
   Alcotest.(check int) "latency sample in the right bucket" 1
-    lat_hist.(Metrics.lat_bucket 1_500);
+    s.Metrics.lat_hist.(Metrics.lat_bucket 1_500);
   Alcotest.(check (list (pair int int))) "site calls recorded"
-    [ (42, 1) ] site_calls;
-  Metrics.reset m;
-  Alcotest.(check bool) "reset restores zero on every counter" true
-    (Metrics.snapshot m = Metrics.zero)
+    [ (42, 1) ] s.Metrics.site_calls
 
 (* --- latency histogram laws ------------------------------------- *)
 
@@ -369,7 +298,6 @@ let suite =
     ( "stats.metrics",
       [
         Alcotest.test_case "counters accumulate" `Quick counters_accumulate;
-        Alcotest.test_case "reset" `Quick reset_zeroes;
         Alcotest.test_case "diff/merge" `Quick diff_and_merge;
         Alcotest.test_case "concurrent updates" `Quick concurrent_updates;
         Alcotest.test_case "every counter covered" `Quick every_counter_covered;
