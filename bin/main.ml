@@ -141,7 +141,7 @@ let wirecost_cmd =
       value
       & opt Cli.positive 48
       & info [ "calls" ] ~docv:"N"
-          ~doc:"How many RMIs each (workload, variant, framing) run issues.")
+          ~doc:"How many RMIs each (workload, variant) run issues.")
   in
   let wire_seed_arg =
     Arg.(
@@ -150,7 +150,8 @@ let wirecost_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:
             "Seed for the lossy fault schedule of the reliable+faults \
-             variant; both framings replay it deterministically.")
+             variant; a run replays it deterministically, so the variant's \
+             frame digest is a function of the seed.")
   in
   let run calls window seed json =
     run_gate ?json "wirecost" (E.wirecost_compare ~calls ~window ~seed ())
@@ -158,13 +159,13 @@ let wirecost_cmd =
   Cmd.v
     (Cmd.info "wirecost"
        ~doc:
-         "Compare the legacy copy-based wire framing against the zero-copy \
-          pooled framing on the paper-table message shapes, over raw, \
-          reliable, batched and seeded-lossy links.  Digests every physical \
-          frame to prove both framings byte-identical on the wire, and \
-          exits nonzero on any frame or result drift — or if the enveloped \
-          variants cut fewer than 50% of the copied bytes per call.  The \
-          CI bench-smoke job gates on this.")
+         "Report the zero-copy wire framing's cost on the paper-table \
+          message shapes, over raw, reliable, batched and seeded-lossy \
+          links: payload bytes copied per call, pool hits and misses, and \
+          a digest of every physical frame.  Exits nonzero if the variants \
+          of a workload disagree on its result.  The CI bench-smoke job \
+          diffs the copied, pool and digest columns against \
+          BENCH_wire.json.")
     Term.(
       const run $ wire_calls_arg $ Cli.window_arg $ wire_seed_arg $ Cli.json_arg)
 

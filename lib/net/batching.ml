@@ -29,7 +29,6 @@ module M = struct
   let name = "batching"
   let size t = t.n
   let metrics t = Transport.metrics t.lower
-  let zero_copy t = Transport.zero_copy t.lower
   let pool t = Transport.pool t.lower
   let is_reliable t = Transport.is_reliable t.lower
   let is_hosted t m = Transport.is_hosted t.lower m
@@ -53,10 +52,9 @@ module M = struct
     Transport.send_raw_writer t.lower ~src ~dest w ~payload_off
 
   (* one group (oldest member first) becomes one wire frame; a lone
-     member ships as itself.  The zero-copy mode assembles the batch in
-     a gap-reserved pooled writer (one blit per member) for [lower] to
-     frame in place; the legacy mode batches with [encode_batch], three
-     copies of the group. *)
+     member ships as itself.  A batch is assembled in a gap-reserved
+     pooled writer (one blit per member) for [lower] to frame in
+     place. *)
   let ship t ~src (dest, msgs, bytes) =
     let k = List.length msgs in
     Metrics.add (metrics t) Msgs_sent 1;
@@ -64,17 +62,13 @@ module M = struct
     Metrics.record_batch (metrics t) ~msgs:k;
     (match msgs with
     | [ m ] -> Transport.send_raw t.lower ~src ~dest m
-    | _ when zero_copy t ->
+    | _ ->
         Msgbuf.Pool.with_writer (pool t) (fun w ->
             ignore (Msgbuf.reserve w Envelope.gap : int);
             Protocol.encode_batch_into w msgs;
             charge t bytes;
             Transport.send_raw_writer t.lower ~src ~dest w
-              ~payload_off:Envelope.gap)
-    | _ ->
-        let f = Protocol.encode_batch msgs in
-        charge t (3 * bytes);
-        Transport.send_raw t.lower ~src ~dest f);
+              ~payload_off:Envelope.gap));
     (dest, k, bytes)
 
   (* with [t.lock] held: empty the link, returning its group *)
@@ -120,27 +114,18 @@ module M = struct
     m
 
   (* the batch frame [buf.(off..off+len)] arrived for [self]: its first
-     member is returned and the rest queue in the inbox.  The zero-copy
-     mode hands members up as slices of the frame; the legacy mode
-     copies each out (charged).  A garbled batch is dropped whole,
-     like any other corrupt frame. *)
+     member is returned and the rest queue in the inbox, all as slices
+     of the frame.  A garbled batch is dropped whole, like any other
+     corrupt frame. *)
   let split t ~self buf off len =
     match Protocol.decode_batch_slice buf ~off ~len with
     | None | Some [] -> None
     | Some (first :: rest) ->
-        let member (o, l) =
-          if zero_copy t then (buf, o, l)
-          else begin
-            charge t l;
-            (Bytes.sub buf o l, 0, l)
-          end
-        in
-        let first = member first in
-        let rest = List.map member rest in
         Mutex.lock t.imutex.(self);
-        List.iter (fun m -> Queue.push m t.inbox.(self)) rest;
+        List.iter (fun (o, l) -> Queue.push (buf, o, l) t.inbox.(self)) rest;
         Mutex.unlock t.imutex.(self);
-        Some first
+        let o, l = first in
+        Some (buf, o, l)
 
   (* the receive loops are top-level functions, not local closures, and
      a frame that is not a batch goes up as [lower]'s own [Some], so a

@@ -11,13 +11,10 @@
     flushed group is one envelope, one seq/ack unit.
 
     A group of two or more messages is one {!Rmi_wire.Protocol} batch
-    frame; a lone message ships as itself.  Framing follows [lower]'s
-    {!Transport.S.zero_copy} mode.  Zero-copy batches are assembled in
-    a gap-reserved pooled writer and shipped with [lower]'s
+    frame; a lone message ships as itself.  A batch is assembled in a
+    gap-reserved pooled writer and shipped with [lower]'s
     [send_raw_writer]; received members are handed up as slices of the
-    frame.  The legacy mode builds the frame with [encode_batch] and
-    copies each received member out, charging [bytes_copied] for every
-    copy.  Frames that are not batches pass through untouched.  A
+    frame.  Frames that are not batches pass through untouched.  A
     garbled batch is dropped whole.
 
     Accounting: a flushed group counts {e one} [msgs_sent], the sum of

@@ -2,23 +2,18 @@ type t = {
   n : int;
   boxes : Mailbox.t array;
   metrics : Rmi_stats.Metrics.t;
-  (* zero-copy wire path: frames are built in place in pooled writers
-     and payloads handed up as slices.  Off = the copy-based framing,
-     kept for the wirecost comparison. *)
-  zero_copy : bool;
   pool : Rmi_wire.Msgbuf.Pool.buffers;
   mutable fault : (src:int -> dest:int -> bytes -> bytes list) option;
   mutable sim : Fault_sim.t option;
   mutable process_hooks : (Transport.process_event -> unit) list;
 }
 
-let create ?(zero_copy = true) ~n metrics =
+let create ~n metrics =
   if n < 1 then invalid_arg "Cluster.create: need at least one machine";
   {
     n;
     boxes = Array.init n (fun _ -> Mailbox.create ());
     metrics;
-    zero_copy;
     pool = Rmi_wire.Msgbuf.Pool.create ~metrics;
     fault = None;
     sim = None;
@@ -27,11 +22,10 @@ let create ?(zero_copy = true) ~n metrics =
 
 let size t = t.n
 let metrics t = t.metrics
-let zero_copy t = t.zero_copy
 let pool t = t.pool
 
-(* every physical payload copy on the wire path is charged here, under
-   both modes — the quantity the wirecost experiment compares *)
+(* every physical payload copy on the wire path is charged here — the
+   quantity the wirecost experiment reports *)
 let charge t n = Rmi_stats.Metrics.add t.metrics Bytes_copied n
 
 (* no retransmit machinery: reliability is the [Reliable] adapter's *)

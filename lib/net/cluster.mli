@@ -24,19 +24,13 @@
 
 type t
 
-(** [zero_copy] (default [true]) selects the wire framing mode of the
-    layers stacked above, which read it through {!zero_copy}: frames
-    are built {e around} payloads sitting in pooled writers
-    ({!send_writer}) and received payloads are handed up as slices of
-    the frame, so a message body is snapshotted at most once per
-    direction.  With [zero_copy:false] the layers use the copy-based
-    framing.  Both modes produce byte-identical frames on the wire;
-    every physical payload copy either mode makes is charged to the
-    [bytes_copied] metric, which is how the [wirecost] experiment
-    compares them. *)
-val create : ?zero_copy:bool -> n:int -> Rmi_stats.Metrics.t -> t
-
-val zero_copy : t -> bool
+(** [create ~n metrics]: [n] empty mailboxes.  The layers stacked
+    above build frames {e around} payloads sitting in pooled writers
+    ({!send_writer}) and hand received payloads up as slices of the
+    frame, so a message body is snapshotted at most once per
+    direction; every physical payload copy is charged to the
+    [bytes_copied] metric, which the [wirecost] experiment reports. *)
+val create : n:int -> Rmi_stats.Metrics.t -> t
 
 (** The cluster's shared writer/reader free-list pool (acquisitions
     count [pool_hits]/[pool_misses]). *)

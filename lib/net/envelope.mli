@@ -25,8 +25,12 @@ type t = {
   lseq : int;  (** per-(src,dest)-link sequence number *)
 }
 
-(** [epoch] is a required argument here and in {!frame_around} and
-    {!encode_into}: an optional one boxes a [Some] on every call. *)
+(** [encode ~kind ~src ~epoch ~lseq ~payload ()] is the whole frame in
+    a fresh buffer, written field by field.  No library code calls it:
+    it is the reference encoder the tests compare {!frame_around},
+    {!encode_around} and {!encode_into} against.  [epoch] is a
+    required argument here and in {!frame_around} and {!encode_into}:
+    an optional one boxes a [Some] on every call. *)
 val encode :
   kind:kind -> src:int -> epoch:int -> lseq:int -> payload:bytes -> unit ->
   bytes

@@ -158,7 +158,6 @@ module M = struct
   let name = "reliable"
   let size t = t.n
   let metrics t = Transport.metrics t.lower
-  let zero_copy t = Transport.zero_copy t.lower
   let pool t = Transport.pool t.lower
   let is_reliable _ = true
   let is_hosted t m = Transport.is_hosted t.lower m
@@ -180,28 +179,24 @@ module M = struct
   (* send path: envelope, register for retransmission, ship raw        *)
   (* ---------------------------------------------------------------- *)
 
-  (* control frames (acks, heartbeats): empty payload, so no payload
-     copies either way — but the zero-copy mode builds them in a pooled
-     writer instead of allocating a throwaway one per frame *)
+  (* control frames (acks, heartbeats): empty payload, built in a
+     pooled writer instead of a throwaway one per frame *)
   let control_frame t ~kind ~src ~lseq =
     let epoch = self_epoch t src in
-    if zero_copy t then begin
-      let p = pool t in
-      let w = Msgbuf.Pool.acquire_writer p in
-      match
-        let start =
-          Envelope.encode_into w ~kind ~src ~epoch ~lseq ~payload:Bytes.empty ()
-        in
-        Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start)
-      with
-      | frame ->
-          Msgbuf.Pool.release_writer p w;
-          frame
-      | exception e ->
-          Msgbuf.Pool.release_writer p w;
-          raise e
-    end
-    else Envelope.encode ~kind ~src ~epoch ~lseq ~payload:Bytes.empty ()
+    let p = pool t in
+    let w = Msgbuf.Pool.acquire_writer p in
+    match
+      let start =
+        Envelope.encode_into w ~kind ~src ~epoch ~lseq ~payload:Bytes.empty ()
+      in
+      Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start)
+    with
+    | frame ->
+        Msgbuf.Pool.release_writer p w;
+        frame
+    | exception e ->
+        Msgbuf.Pool.release_writer p w;
+        raise e
 
   (* [lseq] is fresh on its link: [next_lseq] only grows until
      [wipe_machine] clears the table with it *)
@@ -212,28 +207,10 @@ module M = struct
     ltx.firsts <- ltx.firsts + 1;
     if due < ltx.min_due then ltx.min_due <- due
 
-  (* the legacy copy-based framing: the payload is snapshotted three
-     times on its way into an envelope ([Bytes.to_string], the
-     length-prefixed blit, and the final [contents]), each charged to
-     [bytes_copied] *)
-  let send_frame_legacy t ~src ~dest frame =
-    Mutex.lock t.lock;
-    let ltx = t.tx.(src).(dest) in
-    let lseq = ltx.next_lseq in
-    ltx.next_lseq <- lseq + 1;
-    let envelope =
-      Envelope.encode ~kind:Data ~src ~epoch:(self_epoch t src) ~lseq
-        ~payload:frame ()
-    in
-    charge t (3 * Bytes.length frame);
-    register_unacked t ~lseq ~ltx envelope;
-    Mutex.unlock t.lock;
-    Transport.send_raw t.lower ~src ~dest envelope
-
   (* envelope a payload already materialized as bytes: one blit into a
      pooled writer plus the single frame snapshot shared by the lower
      transport and the retransmit buffer *)
-  let send_frame_zc t ~src ~dest frame =
+  let send_frame t ~src ~dest frame =
     let envelope =
       Msgbuf.Pool.with_writer (pool t) (fun w ->
           Mutex.lock t.lock;
@@ -254,11 +231,7 @@ module M = struct
     in
     Transport.send_raw t.lower ~src ~dest envelope
 
-  let send_frame t ~src ~dest frame =
-    if zero_copy t then send_frame_zc t ~src ~dest frame
-    else send_frame_legacy t ~src ~dest frame
-
-  (* the zero-copy fast path: the payload sits in [w] after a reserved
+  (* the fast path: the payload sits in [w] after a reserved
      {!Envelope.gap}; the envelope header is back-filled in place and
      the frame snapshotted exactly once (the copy the lower transport
      and the retransmit buffer share) *)
@@ -387,17 +360,10 @@ module M = struct
       None
     end
 
-  (* the legacy framing copies the payload out (charged) *)
-  let filter_copy t self buf kind ~src ~epoch ~lseq ~off ~len =
-    charge t len;
-    filter t self (Bytes.sub buf off len) kind ~src ~epoch ~lseq ~off:0 ~len
-
   (* a frame from the lower transport; one failing its checksum is
      dropped here (the sender's timer recovers it) *)
   let admit t ~self (buf, off, len) =
-    Envelope.parse buf ~off ~len ~garbled:None
-      (if zero_copy t then filter else filter_copy)
-      t self
+    Envelope.parse buf ~off ~len ~garbled:None filter t self
 
   (* the receive loops are top-level functions, not local closures, so
      an empty poll allocates nothing *)

@@ -19,10 +19,8 @@
     when nothing is in flight anywhere: no unacked frame, no frame held
     by [lower]'s fault schedule, nothing queued in [lower].
 
-    Framing follows [lower]'s {!Transport.S.zero_copy} mode: zero-copy
-    envelopes are built in pooled writers and payloads handed up as
-    slices; the legacy mode (Sim only) makes and charges the
-    copy-based framing's copies.
+    Framing is zero-copy: envelopes are built in pooled writers and
+    payloads handed up as slices of the received frame.
 
     Accounting: logical counters charge the payload once at the
     adapter, exactly as the raw transport does; envelope and control

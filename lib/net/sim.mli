@@ -9,6 +9,5 @@ module Backend : Transport.S with type t = Cluster.t
 (** Erase an existing cluster into a transport. *)
 val pack : Cluster.t -> Transport.t
 
-(** [create ?zero_copy ~n metrics] is {!Cluster.create} followed by
-    {!pack}. *)
-val create : ?zero_copy:bool -> n:int -> Rmi_stats.Metrics.t -> Transport.t
+(** [create ~n metrics] is {!Cluster.create} followed by {!pack}. *)
+val create : n:int -> Rmi_stats.Metrics.t -> Transport.t

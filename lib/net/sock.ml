@@ -149,7 +149,6 @@ module M = struct
   let name = "sock"
   let size t = t.n
   let metrics t = t.metrics
-  let zero_copy _ = true
   let pool t = t.pool
   let is_reliable _ = false
 

@@ -47,7 +47,6 @@ module type S = sig
   val name : string
   val size : t -> int
   val metrics : t -> Rmi_stats.Metrics.t
-  val zero_copy : t -> bool
   val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
   val is_reliable : t -> bool
   val is_hosted : t -> int -> bool
@@ -95,7 +94,6 @@ let pack (type a) (m : (module S with type t = a)) (h : a) : t = Packed (m, h)
 let name (Packed ((module M), _)) = M.name
 let size (Packed ((module M), h)) = M.size h
 let metrics (Packed ((module M), h)) = M.metrics h
-let zero_copy (Packed ((module M), h)) = M.zero_copy h
 let pool (Packed ((module M), h)) = M.pool h
 let is_reliable (Packed ((module M), h)) = M.is_reliable h
 let is_hosted (Packed ((module M), h)) m = M.is_hosted h m

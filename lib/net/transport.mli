@@ -3,7 +3,7 @@
     fabric and a real socket fabric are interchangeable backends.
 
     A backend implements {!S} — creation is backend-specific (the
-    simulated {!Cluster} takes a framing mode and a machine count, a
+    simulated {!Cluster} takes a machine count, a
     {!Sock} fabric takes addresses), so [S] covers an already-created
     instance: the send family, the slice-receive family, the
     idle/retransmit clock, fault hooks and peer health.  {!pack} erases
@@ -81,10 +81,6 @@ module type S = sig
 
   val size : t -> int
   val metrics : t -> Rmi_stats.Metrics.t
-
-  (** Whether the backend runs the zero-copy wire path (gap-reserved
-      pooled writers framed in place). *)
-  val zero_copy : t -> bool
 
   (** The shared writer/reader free-list pool. *)
   val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
@@ -216,7 +212,6 @@ val pack : (module S with type t = 'a) -> 'a -> t
 val name : t -> string
 val size : t -> int
 val metrics : t -> Rmi_stats.Metrics.t
-val zero_copy : t -> bool
 val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
 val is_reliable : t -> bool
 val is_hosted : t -> int -> bool

@@ -386,7 +386,7 @@ let peek (p : pending) =
    client's decode of it — cloning preserves RMI parameter semantics *)
 let serve_local t (p : pending) ~epoch ~obj ~meth ~nargs w =
   let e = t.env and s = p.pc_site and v = p.pc_version in
-  let r = Site.reader_of_writer e w in
+  let r = Site.reader_of_writer w in
   ignore (Protocol.read_kind r : Protocol.kind);
   ignore (Protocol.read_seq r : int);
   ignore (Protocol.read_plan_ver r : int);
@@ -405,7 +405,7 @@ let serve_local t (p : pending) ~epoch ~obj ~meth ~nargs w =
       ~nargs ret
   in
   match
-    let rr = Site.reader_of_writer e wr in
+    let rr = Site.reader_of_writer wr in
     let kind = Protocol.read_kind rr in
     ignore (Protocol.read_seq rr : int);
     let plan_ver = Protocol.read_plan_ver rr in

@@ -31,7 +31,6 @@ type t = {
   failover : failover;
   tier : tier;
   hot_threshold : int;
-  zero_copy : bool;
   arena : bool;
   domains : int;
   queue_depth : int;
@@ -42,26 +41,25 @@ let default_queue_depth = 64
 let class_ =
   { name = "class"; serializer = Class_specific; elide_cycle = false; reuse = false;
     transport = Raw; batching = false; failover = default_failover;
-    tier = Aot; hot_threshold = default_hot_threshold; zero_copy = true;
-    arena = true;
+    tier = Aot; hot_threshold = default_hot_threshold; arena = true;
     domains = 0; queue_depth = default_queue_depth }
 
 let site =
   { name = "site"; serializer = Site_specific; elide_cycle = false; reuse = false;
     transport = Raw; batching = false; failover = default_failover;
-    tier = Aot; hot_threshold = default_hot_threshold; zero_copy = true; arena = true;
+    tier = Aot; hot_threshold = default_hot_threshold; arena = true;
     domains = 0; queue_depth = default_queue_depth }
 
 let site_cycle =
   { name = "site + cycle"; serializer = Site_specific; elide_cycle = true; reuse = false;
     transport = Raw; batching = false; failover = default_failover;
-    tier = Aot; hot_threshold = default_hot_threshold; zero_copy = true; arena = true;
+    tier = Aot; hot_threshold = default_hot_threshold; arena = true;
     domains = 0; queue_depth = default_queue_depth }
 
 let site_reuse =
   { name = "site + reuse"; serializer = Site_specific; elide_cycle = false; reuse = true;
     transport = Raw; batching = false; failover = default_failover;
-    tier = Aot; hot_threshold = default_hot_threshold; zero_copy = true; arena = true;
+    tier = Aot; hot_threshold = default_hot_threshold; arena = true;
     domains = 0; queue_depth = default_queue_depth }
 
 let site_reuse_cycle =
@@ -75,7 +73,6 @@ let site_reuse_cycle =
     failover = default_failover;
     tier = Aot;
     hot_threshold = default_hot_threshold;
-    zero_copy = true;
     arena = true;
     domains = 0;
     queue_depth = default_queue_depth;
@@ -89,8 +86,6 @@ let with_adaptive ?(hot_threshold = default_hot_threshold) t =
   { t with tier = Adaptive; hot_threshold }
 
 let with_tier tier t = { t with tier }
-let with_zero_copy zc t = { t with zero_copy = zc }
-let legacy_copy t = { t with zero_copy = false }
 let with_arena a t = { t with arena = a }
 let legacy_heap t = { t with arena = false }
 

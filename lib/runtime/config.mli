@@ -77,12 +77,6 @@ type t = {
   hot_threshold : int;
       (** invocations of one call site before the adaptive tier
           promotes it to the specialized plan *)
-  zero_copy : bool;
-      (** frame requests/replies in place over pooled buffers instead
-          of snapshotting the payload at every wire layer (PR 5).  On
-          for every preset — frames are byte-identical either way, so
-          all published numbers are untouched; [legacy_copy] turns the
-          old framing back on for the [wirecost] comparison *)
   arena : bool;
       (** decode served arguments into a recycling arena and reclaim
           them wholesale after dispatch when the plan's [non_escaping]
@@ -134,13 +128,6 @@ val with_adaptive : ?hot_threshold:int -> t -> t
 
 (** Same optimization row with this tier (threshold unchanged). *)
 val with_tier : tier -> t -> t
-
-(** Same optimization row with the given framing mode. *)
-val with_zero_copy : bool -> t -> t
-
-(** Same optimization row on the pre-PR-5 copy-based wire framing
-    (used as the baseline by the [wirecost] experiment). *)
-val legacy_copy : t -> t
 
 (** Same optimization row with the given decode-arena mode. *)
 val with_arena : bool -> t -> t

@@ -62,9 +62,7 @@ let create ?(mode = Sync) ?(backend = Sim) ?faults ?chaos ?plan_store
           invalid_arg
             "Fabric.create: the chaos injector drives a socket transport; \
              use ?faults with the Sim backend";
-        let cluster =
-          Rmi_net.Cluster.create ~zero_copy:config.Config.zero_copy ~n metrics
-        in
+        let cluster = Rmi_net.Cluster.create ~n metrics in
         Option.iter (Rmi_net.Cluster.set_faults cluster) faults;
         (layer config (Rmi_net.Sim.pack cluster), Some cluster)
     | Sock ->

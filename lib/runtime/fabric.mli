@@ -61,9 +61,7 @@ type t
     (drops/dups/holds/corruption/crashes replayed over real frames);
     [?chaos] installs a full injector with a connection plan (severs,
     stalls) — pass one or the other, not both.  As on [Sim], injected
-    loss is only recovered under the [Reliable] transport.  [Sock]
-    framing is always zero-copy; [config.zero_copy] only affects the
-    node-side codec contexts. *)
+    loss is only recovered under the [Reliable] transport. *)
 val create :
   ?mode:mode ->
   ?backend:backend ->

@@ -231,22 +231,17 @@ let consume_reader t r =
           | exception Msgbuf.Underflow _ -> ()
           | plan_ver -> t.on_reply kind ~seq ~plan_ver r))
 
-(* [msg] is a slice of the received frame — under zero-copy framing an
-   envelope payload or batch sub-message is read where it landed, never
-   copied out first; readers over it come from the cluster pool *)
+(* [msg] is a slice of the received frame — an envelope payload or
+   batch sub-message is read where it landed, never copied out first;
+   readers over it come from the cluster pool *)
 let consume t (buf, off, len) =
-  let e = t.env in
-  let pooled = Site.zc e in
-  let pool = Transport.pool e.Site.net in
-  let r =
-    if pooled then Msgbuf.Pool.acquire_reader pool buf ~off ~len
-    else Msgbuf.reader_of_bytes ~off ~len buf
-  in
+  let pool = Transport.pool t.env.Site.net in
+  let r = Msgbuf.Pool.acquire_reader pool buf ~off ~len in
   match consume_reader t r with
-  | () -> if pooled then Msgbuf.Pool.release_reader pool r
+  | () -> Msgbuf.Pool.release_reader pool r
   | exception ex ->
       let bt = Printexc.get_raw_backtrace () in
-      if pooled then Msgbuf.Pool.release_reader pool r;
+      Msgbuf.Pool.release_reader pool r;
       Printexc.raise_with_backtrace ex bt
 
 let rec drain_inbox t served =

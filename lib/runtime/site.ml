@@ -108,7 +108,6 @@ type env = {
 let callsite s = s.callsite
 let plan v = v.plan
 let metrics e = Transport.metrics e.net
-let zc e = Transport.zero_copy e.net
 let site_mode e = e.cfg.Config.serializer = Config.Site_specific
 let adaptive e = site_mode e && e.cfg.Config.tier = Config.Adaptive
 
@@ -123,33 +122,24 @@ let trace_event e event =
 
 let gap = Rmi_net.Envelope.gap
 
-(* a writer positioned for the framing mode: pooled with the envelope
-   gap reserved under zero-copy (so the reliable transport can
-   back-fill its header in place), a fresh throwaway one otherwise *)
-let acquire ?(initial_capacity = 512) e =
-  if zc e then begin
-    let w = Msgbuf.Pool.acquire_writer (Transport.pool e.net) in
-    ignore (Msgbuf.reserve w gap : int);
-    w
-  end
-  else Msgbuf.create_writer ~initial_capacity ()
+(* a pooled writer with the envelope gap reserved, so the reliable
+   transport can back-fill its header in place *)
+let acquire e =
+  let w = Msgbuf.Pool.acquire_writer (Transport.pool e.net) in
+  ignore (Msgbuf.reserve w gap : int);
+  w
 
-let release e w =
-  if zc e then Msgbuf.Pool.release_writer (Transport.pool e.net) w
+let release e w = Msgbuf.Pool.release_writer (Transport.pool e.net) w
 
-(* the logical message sitting in [w] (after the gap in zc mode),
-   snapshotted; every such materialization is a physical payload copy
-   and is charged to [bytes_copied] in both framing modes *)
+(* the logical message sitting in [w] after the gap, snapshotted; every
+   such materialization is a physical payload copy and is charged to
+   [bytes_copied] *)
 let msg_of_writer e w =
-  let msg =
-    if zc e then Msgbuf.sub w ~off:gap ~len:(Msgbuf.length w - gap)
-    else Msgbuf.contents w
-  in
+  let msg = Msgbuf.sub w ~off:gap ~len:(Msgbuf.length w - gap) in
   Metrics.add (metrics e) Bytes_copied (Bytes.length msg);
   msg
 
-let reader_of_writer e w =
-  Msgbuf.reader_of_writer ~off:(if zc e then gap else 0) w
+let reader_of_writer w = Msgbuf.reader_of_writer ~off:gap w
 
 (* one event per envelope the batching layer shipped *)
 let rec trace_flushes tr machine = function
@@ -165,12 +155,11 @@ let send_msg e ~dest payload =
   end
   else Transport.send e.net ~src:e.nid ~dest payload
 
-(* ship the message sitting in [w].  In zero-copy mode without
-   batching, the reliable transport frames the writer's payload in
-   place ([Reliable]'s [send_writer]). *)
+(* ship the message sitting in [w].  Without batching, the reliable
+   transport frames the writer's payload in place ([Reliable]'s
+   [send_writer]). *)
 let send_from_writer e ~dest w =
-  if (not (zc e)) || e.cfg.Config.batching then
-    send_msg e ~dest (msg_of_writer e w)
+  if e.cfg.Config.batching then send_msg e ~dest (msg_of_writer e w)
   else Transport.send_writer e.net ~src:e.nid ~dest w ~payload_off:gap
 
 (* [send_from_writer] when the caller already materialized the message
@@ -178,7 +167,7 @@ let send_from_writer e ~dest w =
    paths that need bytes anyway never copy twice; under the raw
    transport the one snapshot doubles as the wire frame *)
 let send_snapshot e ~dest snapshot w =
-  if (not (zc e)) || e.cfg.Config.batching then send_msg e ~dest snapshot
+  if e.cfg.Config.batching then send_msg e ~dest snapshot
   else if not (Transport.is_reliable e.net) then
     Transport.send e.net ~src:e.nid ~dest snapshot
   else Transport.send_writer e.net ~src:e.nid ~dest w ~payload_off:gap
@@ -400,16 +389,15 @@ let deopt e s v pos msg =
 (* ------------------------------------------------------------------ *)
 
 (* the context in [slot], reset for one more use, or a new one from
-   [make], kept when [keep]: the legacy copy path pays a fresh context
-   per use *)
-let ctx slot ~keep reset make e v ~cycle =
+   [make], kept there *)
+let ctx slot reset make e v ~cycle =
   match !slot with
   | Some c ->
       reset c;
       c
   | None ->
       let c = make e v ~cycle in
-      if keep then slot := Some c;
+      slot := Some c;
       c
 
 let make_wctx e v ~cycle =
@@ -454,10 +442,7 @@ let rec marshal_args e s ~epoch ~seq ~obj ~meth args =
     Protocol.write_fields w ~kind:Protocol.Request ~src:e.nid ~epoch ~seq
       ~target_obj:obj ~method_id:meth ~callsite:s.callsite
       ~nargs:(Array.length args) ~plan_ver:v.plan.Plan.version;
-    let wctx =
-      ctx v.wargs ~keep:(zc e) Codec.reset_wctx make_wctx e v
-        ~cycle:v.cycle_args
-    in
+    let wctx = ctx v.wargs Codec.reset_wctx make_wctx e v ~cycle:v.cycle_args in
     for i = 0 to Array.length v.write_args - 1 do
       match v.write_args.(i) wctx w args.(i) with
       | () -> ()
@@ -483,9 +468,7 @@ let unmarshal_args e s v r =
     v.arena <- Some (Arena.create ~metrics:(metrics e));
   Option.iter Arena.reset v.arena;
   let rctx =
-    ctx v.rargs
-      ~keep:(zc e || v.arena_licensed)
-      Codec.reset_rctx make_arg_rctx e v ~cycle:v.cycle_args
+    ctx v.rargs Codec.reset_rctx make_arg_rctx e v ~cycle:v.cycle_args
   in
   let reads = v.read_args in
   let nargs = Array.length reads in
@@ -505,7 +488,7 @@ let unmarshal_args e s v r =
    value-bearing plan replies null).  A deopt replays it with the
    widened version, whose number the reply then carries. *)
 let rec marshal_ret e s v ~src ~epoch ~seq ~obj ~meth ~nargs ret =
-  let w = acquire ~initial_capacity:256 e in
+  let w = acquire e in
   match
     Protocol.write_fields w
       ~kind:
@@ -516,8 +499,7 @@ let rec marshal_ret e s v ~src ~epoch ~seq ~obj ~meth ~nargs ret =
     | None -> ()
     | Some write ->
         write
-          (ctx v.wret ~keep:(zc e) Codec.reset_wctx make_wctx e v
-             ~cycle:v.cycle_ret)
+          (ctx v.wret Codec.reset_wctx make_wctx e v ~cycle:v.cycle_ret)
           w
           (Option.value ret ~default:Value.Null)
   with
@@ -561,8 +543,7 @@ let unmarshal_ret e s v ~kind ~plan_ver r =
       | None -> None
       | Some read ->
           let rctx =
-            ctx v.rret ~keep:(zc e) Codec.reset_rctx make_rctx e v
-              ~cycle:v.cycle_ret
+            ctx v.rret Codec.reset_rctx make_rctx e v ~cycle:v.cycle_ret
           in
           let cand = if v.reuse_ret then take_ret s else Value.Null in
           let ret = read rctx r ~cand in

@@ -54,16 +54,14 @@ type env = {
 val callsite : t -> int
 val plan : version -> Rmi_core.Plan.t
 val metrics : env -> Rmi_stats.Metrics.t
-val zc : env -> bool
 
 (** Record the event when a trace is attached. *)
 val trace_event : env -> Trace.event -> unit
 
 (** {1 Message writers and sends} *)
 
-(** A writer for one message: pooled with the envelope gap reserved
-    under zero-copy framing, a fresh one otherwise. *)
-val acquire : ?initial_capacity:int -> env -> Msgbuf.writer
+(** A pooled writer for one message, with the envelope gap reserved. *)
+val acquire : env -> Msgbuf.writer
 
 val release : env -> Msgbuf.writer -> unit
 
@@ -72,7 +70,7 @@ val release : env -> Msgbuf.writer -> unit
 val msg_of_writer : env -> Msgbuf.writer -> bytes
 
 (** A reader over the message in the writer, in place. *)
-val reader_of_writer : env -> Msgbuf.writer -> Msgbuf.reader
+val reader_of_writer : Msgbuf.writer -> Msgbuf.reader
 
 val send_msg : env -> dest:int -> bytes -> unit
 val send_from_writer : env -> dest:int -> Msgbuf.writer -> unit

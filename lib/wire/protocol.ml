@@ -107,17 +107,14 @@ let header_size h =
    (0-3) or a coalesced envelope (4) *)
 let batch_code = 4
 
-let is_batch frame = Bytes.length frame > 0 && Char.code (Bytes.get frame 0) = batch_code
-
 let is_batch_at frame ~off ~len =
   len > 0 && Char.code (Bytes.get frame off) = batch_code
 
 (* [encode_batch_into w msgs] appends the batch frame to [w] — a pooled
    (and possibly gap-reserved) writer — blitting each message in place.
    The per-message length prefix plus blit produces exactly the bytes
-   [write_string w (Bytes.to_string m)] used to, without the
-   intermediate string copy, so batch frames stay byte-identical across
-   the legacy and zero-copy paths. *)
+   of [encode_batch]'s [write_string w (Bytes.to_string m)], without the
+   intermediate string copy. *)
 let encode_batch_into w msgs =
   Msgbuf.write_u8 w batch_code;
   Msgbuf.write_uvarint w (List.length msgs);
@@ -156,9 +153,3 @@ let decode_batch_slice frame ~off ~len =
   with
   | exception Msgbuf.Underflow _ -> None
   | v -> v
-
-let decode_batch frame =
-  match decode_batch_slice frame ~off:0 ~len:(Bytes.length frame) with
-  | None -> None
-  | Some slices ->
-      Some (List.map (fun (off, len) -> Bytes.sub frame off len) slices)

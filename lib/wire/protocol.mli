@@ -95,29 +95,27 @@ val header_size : header -> int
     frame}, so the interconnect charges a single per-message latency
     for the whole group.  A batch frame is distinguished from a single
     message by its first byte: header kinds encode as 0-3, a batch as
-    4, so [is_batch] decides with one byte of lookahead. *)
+    4, so [is_batch_at] decides with one byte of lookahead. *)
 
-(** [true] iff the frame is a coalesced envelope. *)
-val is_batch : bytes -> bool
-
-(** Slice variant of {!is_batch} for payloads read in place. *)
+(** [true] iff the frame at [frame[off..off+len)] is a coalesced
+    envelope. *)
 val is_batch_at : bytes -> off:int -> len:int -> bool
 
-(** [encode_batch msgs] frames the messages (each a complete
-    header+payload encoding) as one envelope.  [msgs] must be
-    non-empty. *)
-val encode_batch : bytes list -> bytes
-
-(** [encode_batch_into w msgs] appends the same frame to an existing
-    writer, blitting each message in place — the zero-copy batching
-    path.  Byte-identical to {!encode_batch}. *)
+(** [encode_batch_into w msgs] appends the batch frame of [msgs] (each
+    a complete header+payload encoding, at least one) to an existing
+    writer, blitting each message in place: how [Batching] builds every
+    batch. *)
 val encode_batch_into : Msgbuf.writer -> bytes list -> unit
 
-(** Inverse of {!encode_batch}; [None] when the frame is not a batch or
-    is truncated. *)
-val decode_batch : bytes -> bytes list option
+(** [encode_batch msgs] is {!encode_batch_into}'s frame built by
+    copying ([Bytes.to_string] and a length-prefixed string write per
+    message) into a fresh writer.  No library code calls it: it is the
+    reference encoder the wire tests compare {!encode_batch_into}
+    against. *)
+val encode_batch : bytes list -> bytes
 
 (** [decode_batch_slice frame ~off ~len] splits the batch at
     [frame[off..off+len)] into [(off, len)] sub-message slices of
-    [frame], copy-free.  [None] as for {!decode_batch}. *)
+    [frame], copy-free.  [None] when the frame is not a batch or is
+    truncated. *)
 val decode_batch_slice : bytes -> off:int -> len:int -> (int * int) list option

@@ -181,11 +181,10 @@ let parallel_mode_over_reliable () =
 
 (* --- pinned Sim + Reliable frame streams ---
 
-   The wirecost gate compares two framing modes within one build, so a
-   change that moves both the same way passes it.  These runs pin the
-   absolute stream instead: every physical frame leaving the transmit
-   path is folded into a digest exactly as the wirecost gate folds it,
-   and the recovery counters are pinned beside it. *)
+   Like the wirecost report's digests (pinned against BENCH_wire.json),
+   these runs pin absolute streams: every physical frame leaving the
+   transmit path is folded into a digest exactly as the wirecost report
+   folds it, and the recovery counters are pinned beside it. *)
 
 let cell_meta =
   Rmi_serial.Class_meta.make

@@ -844,7 +844,7 @@ let prop_encode_around_equals_encode =
             (pair (int_bound 1_000_000) string)))
     (fun (kind, src, epoch, (lseq, payload_s)) ->
       let payload = Bytes.of_string payload_s in
-      let legacy = Envelope.encode ~kind ~src ~epoch ~lseq ~payload () in
+      let reference = Envelope.encode ~kind ~src ~epoch ~lseq ~payload () in
       let w = Msgbuf.create_writer () in
       ignore (Msgbuf.reserve w Envelope.gap : int);
       Msgbuf.write_bytes w payload 0 (Bytes.length payload);
@@ -852,8 +852,8 @@ let prop_encode_around_equals_encode =
         Envelope.encode_around w ~kind ~src ~epoch ~lseq
           ~payload_off:Envelope.gap ()
       in
-      let zc = Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start) in
-      Bytes.equal legacy zc)
+      let in_place = Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start) in
+      Bytes.equal reference in_place)
 
 let prop_encode_around_decodes =
   QCheck.Test.make ~name:"encode_around frames decode to their payload"
@@ -895,13 +895,13 @@ let prop_batch_into_equals_batch =
     QCheck.(list_of_size Gen.(int_range 1 8) string)
     (fun msgs_s ->
       let msgs = List.map Bytes.of_string msgs_s in
-      let legacy = Protocol.encode_batch msgs in
+      let reference = Protocol.encode_batch msgs in
       let w = Msgbuf.create_writer () in
       (* an unrelated prefix proves the append is position-independent *)
       Msgbuf.write_u8 w 0xEE;
       Protocol.encode_batch_into w msgs;
-      let zc = Msgbuf.sub w ~off:1 ~len:(Msgbuf.length w - 1) in
-      Bytes.equal legacy zc)
+      let in_place = Msgbuf.sub w ~off:1 ~len:(Msgbuf.length w - 1) in
+      Bytes.equal reference in_place)
 
 let suite =
   [
