@@ -17,6 +17,8 @@ module M = struct
   type t = {
     lower : Transport.t;
     n : int;
+    metrics : Metrics.t;  (* the backend's *)
+    pool : Msgbuf.Pool.buffers;  (* the backend's *)
     links : link array array;  (* links.(src).(dest) *)
     lock : Mutex.t;  (* guards [links] *)
     (* members of an already-received batch, served ahead of [lower];
@@ -26,22 +28,17 @@ module M = struct
     imutex : Mutex.t array;
   }
 
-  let name = "batching"
-  let size t = t.n
-  let metrics t = Transport.metrics t.lower
-  let pool t = Transport.pool t.lower
-  let is_reliable t = Transport.is_reliable t.lower
-  let is_hosted t m = Transport.is_hosted t.lower m
-  let charge t n = Metrics.add (metrics t) Bytes_copied n
+  let charge t n = Metrics.add t.metrics Bytes_copied n
 
   let check t who =
     if who < 0 || who >= t.n then
       invalid_arg (Printf.sprintf "Batching: bad machine id %d" who)
 
   (* ---------------------------------------------------------------- *)
-  (* send path                                                         *)
+  (* send path: the unbuffered sends pass through                      *)
   (* ---------------------------------------------------------------- *)
 
+  let is_reliable t = Transport.is_reliable t.lower
   let send t ~src ~dest msg = Transport.send t.lower ~src ~dest msg
   let send_raw t ~src ~dest frame = Transport.send_raw t.lower ~src ~dest frame
 
@@ -57,13 +54,13 @@ module M = struct
      place. *)
   let ship t ~src (dest, msgs, bytes) =
     let k = List.length msgs in
-    Metrics.add (metrics t) Msgs_sent 1;
-    Metrics.add (metrics t) Bytes_sent bytes;
-    Metrics.record_batch (metrics t) ~msgs:k;
+    Metrics.add t.metrics Msgs_sent 1;
+    Metrics.add t.metrics Bytes_sent bytes;
+    Metrics.record_batch t.metrics ~msgs:k;
     (match msgs with
     | [ m ] -> Transport.send_raw t.lower ~src ~dest m
     | _ ->
-        Msgbuf.Pool.with_writer (pool t) (fun w ->
+        Msgbuf.Pool.with_writer t.pool (fun w ->
             ignore (Msgbuf.reserve w Envelope.gap : int);
             Protocol.encode_batch_into w msgs;
             charge t bytes;
@@ -202,21 +199,9 @@ module M = struct
     Queue.clear t.inbox.(m);
     Mutex.unlock t.imutex.(m)
 
-  (* ---------------------------------------------------------------- *)
-  (* everything else: pure delegation                                  *)
-  (* ---------------------------------------------------------------- *)
-
+  (* peer health is [lower]'s: the layer keeps no view of its own *)
   let peer_health t ~self ~peer = Transport.peer_health t.lower ~self ~peer
-  let set_detector t hb = Transport.set_detector t.lower hb
-  let self_epoch t m = Transport.self_epoch t.lower m
   let on_peer_event t f = Transport.on_peer_event t.lower f
-  let on_process_event t f = Transport.on_process_event t.lower f
-  let set_faults t fs = Transport.set_faults t.lower fs
-  let clear_faults t = Transport.clear_faults t.lower
-  let faults t = Transport.faults t.lower
-  let set_fault_hook t hook = Transport.set_fault_hook t.lower hook
-  let clear_fault_hook t = Transport.clear_fault_hook t.lower
-  let shutdown t = Transport.shutdown t.lower
 end
 
 let wrap lower =
@@ -225,6 +210,8 @@ let wrap lower =
     {
       M.lower;
       n;
+      metrics = Transport.metrics lower;
+      pool = Transport.pool lower;
       links =
         Array.init n (fun _ -> Array.init n (fun _ -> { msgs = []; bytes = 0 }));
       lock = Mutex.create ();
@@ -236,4 +223,4 @@ let wrap lower =
   Transport.on_process_event lower (function
     | Transport.Proc_crashed { machine; _ } -> M.wipe_machine t machine
     | Transport.Proc_restarted _ -> ());
-  Transport.pack (module M) t
+  Transport.stack lower (module M) t

@@ -23,12 +23,14 @@
     overhead is excluded from [bytes_sent].  The group then leaves
     through [lower]'s uncharged [send_raw]/[send_raw_writer].
 
-    On a [Proc_crashed] event from [lower], the crashed machine's
+    On a [Proc_crashed] event from the backend, the crashed machine's
     unflushed groups and not-yet-received members are dropped.
     {!Transport.S.pending_anywhere} also counts what the layer holds,
     and {!Transport.S.idle} answers [Waiting] instead of [lower]'s
-    [Dead] while it holds anything.  Everything else forwards to
-    [lower]. *)
+    [Dead] while it holds anything.  The unbuffered sends,
+    [is_reliable], [peer_health] and [on_peer_event] pass through to
+    [lower]; the control plane is the backend's, carried up by
+    {!Transport.stack}. *)
 
 (** [wrap lower] stacks the batching layer over [lower], which must not
     also be used directly afterwards. *)

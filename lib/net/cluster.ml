@@ -44,7 +44,6 @@ let fire_process t ev = List.iter (fun f -> f ev) t.process_hooks
 (* the raw interconnect has no failure detector: like raw Sock, every
    peer is [Alive] and peer events never fire *)
 let on_peer_event _ _ = ()
-let set_detector _ _ = ()
 
 let peer_health t ~self ~peer =
   check t self;
@@ -193,16 +192,9 @@ let idle t ~self =
 (* ------------------------------------------------------------------ *)
 
 let set_faults t sim = t.sim <- Some sim
-let clear_faults t = t.sim <- None
 let faults t = t.sim
 let set_fault_hook t hook = t.fault <- Some hook
 let clear_fault_hook t = t.fault <- None
-
-(* ------------------------------------------------------------------ *)
-(* Transport.S completion                                              *)
-(* ------------------------------------------------------------------ *)
-
-let name = "sim"
 
 (* everything lives in this process; nothing to release *)
 let shutdown _ = ()

@@ -26,26 +26,32 @@
 module Msgbuf = Rmi_wire.Msgbuf
 module Metrics = Rmi_stats.Metrics
 
-type params = { rto : int; backoff_cap : int; max_attempts : int }
+type params = {
+  rto : int; backoff_cap : int; max_attempts : int;
+  ping_every : int; suspect_after : int; down_after : int;
+}
 
-let default_params = { rto = 2; backoff_cap = 32; max_attempts = 12 }
+let default_params =
+  { rto = 2; backoff_cap = 32; max_attempts = 12;
+    ping_every = 8; suspect_after = 16; down_after = 48 }
 
 (* the microsecond timers.  rto is a polling pool worker's idle-sleep
    quantum, so no idle caller can fire a timer sooner than one sleep
    after the send, and the slice a blocked receiver waits between
    sweeps while a frame awaits its ack; 12 attempts capped at 32 ms
-   give a frame ~147 ms before it is abandoned *)
-let clock_params = { rto = 100; backoff_cap = 32_000; max_attempts = 12 }
+   give a frame ~147 ms before it is abandoned.  The detector pings a
+   peer quiet for 8 ms, suspects it after 16 ms and confirms it down
+   after 48 ms. *)
+let clock_params =
+  { rto = 100; backoff_cap = 32_000; max_attempts = 12;
+    ping_every = 8_000; suspect_after = 16_000; down_after = 48_000 }
 
 (* a blocked receiver's slice on the microsecond clock while no link
    holds an unacked frame: only the detector's timers can come due, and
-   pings go out every 8 ms (clock_hb), so a sweep a millisecond keeps
+   pings go out every 8 ms (clock_params), so a sweep a millisecond keeps
    them within an eighth of their period without waking ten thousand
    times a second *)
 let clock_idle_slice = 0.001
-
-let clock_hb =
-  { Transport.ping_every = 8_000; suspect_after = 16_000; down_after = 48_000 }
 
 (* what [self] believes about [peer], and the highest incarnation seen
    (the fence) *)
@@ -133,11 +139,12 @@ module M = struct
   type t = {
     lower : Transport.t;
     n : int;
+    metrics : Metrics.t;  (* the backend's *)
+    pool : Msgbuf.Pool.buffers;  (* the backend's *)
     params : params;
     tx : link_tx array array;   (* tx.(src).(dest) *)
     rx : Dedup.t array array;   (* rx.(self).(src) *)
     det : det_cell array array; (* det.(self).(peer) *)
-    mutable hb : Transport.hb_params;
     clock : (unit -> int) option;  (* [None]: the clock is [tick] *)
     slice : float;  (* [recv_blocking_slice]'s wait between idles, s *)
     idle_slice : float;  (* the same while no link holds an unacked frame *)
@@ -155,13 +162,8 @@ module M = struct
       (self:int -> peer:int -> Transport.peer_event -> unit) list;
   }
 
-  let name = "reliable"
-  let size t = t.n
-  let metrics t = Transport.metrics t.lower
-  let pool t = Transport.pool t.lower
   let is_reliable _ = true
-  let is_hosted t m = Transport.is_hosted t.lower m
-  let charge t n = Metrics.add (metrics t) Bytes_copied n
+  let charge t n = Metrics.add t.metrics Bytes_copied n
 
   let check t who =
     if who < 0 || who >= t.n then
@@ -169,8 +171,6 @@ module M = struct
 
   let fire_peer t ~self ~peer ev =
     List.iter (fun f -> f ~self ~peer ev) t.peer_hooks
-
-  let self_epoch t m = Transport.self_epoch t.lower m
 
   (* the one reading every timer compares against *)
   let now t = match t.clock with Some f -> f () | None -> t.tick
@@ -182,8 +182,8 @@ module M = struct
   (* control frames (acks, heartbeats): empty payload, built in a
      pooled writer instead of a throwaway one per frame *)
   let control_frame t ~kind ~src ~lseq =
-    let epoch = self_epoch t src in
-    let p = pool t in
+    let epoch = Transport.self_epoch t.lower src in
+    let p = t.pool in
     let w = Msgbuf.Pool.acquire_writer p in
     match
       let start =
@@ -212,14 +212,14 @@ module M = struct
      transport and the retransmit buffer *)
   let send_frame t ~src ~dest frame =
     let envelope =
-      Msgbuf.Pool.with_writer (pool t) (fun w ->
+      Msgbuf.Pool.with_writer t.pool (fun w ->
           Mutex.lock t.lock;
           let ltx = t.tx.(src).(dest) in
           let lseq = ltx.next_lseq in
           ltx.next_lseq <- lseq + 1;
           let start =
-            Envelope.encode_into w ~kind:Data ~src ~epoch:(self_epoch t src)
-              ~lseq ~payload:frame ()
+            Envelope.encode_into w ~kind:Data ~src
+              ~epoch:(Transport.self_epoch t.lower src) ~lseq ~payload:frame ()
           in
           let envelope =
             Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start)
@@ -241,8 +241,8 @@ module M = struct
     let lseq = ltx.next_lseq in
     ltx.next_lseq <- lseq + 1;
     let start =
-      Envelope.frame_around w ~kind:Data ~src ~epoch:(self_epoch t src) ~lseq
-        ~payload_off
+      Envelope.frame_around w ~kind:Data ~src
+        ~epoch:(Transport.self_epoch t.lower src) ~lseq ~payload_off
     in
     let envelope = Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start) in
     charge t (Bytes.length envelope);
@@ -253,7 +253,7 @@ module M = struct
   let send t ~src ~dest msg =
     check t src;
     check t dest;
-    Transport.account_send (metrics t) (Bytes.length msg);
+    Transport.account_send t.metrics (Bytes.length msg);
     send_frame t ~src ~dest msg
 
   (* frames a layer stacked above has already accounted for (a flushed
@@ -266,7 +266,7 @@ module M = struct
   let send_writer t ~src ~dest w ~payload_off =
     check t src;
     check t dest;
-    Transport.account_send (metrics t) (Msgbuf.length w - payload_off);
+    Transport.account_send t.metrics (Msgbuf.length w - payload_off);
     send_frame_writer t ~src ~dest w ~payload_off
 
   let send_raw_writer t ~src ~dest w ~payload_off =
@@ -333,7 +333,7 @@ module M = struct
     let d = t.det.(self).(src) in
     let data = kind = Envelope.Data in
     if data && epoch >= d.known_epoch then begin
-      Metrics.add (metrics t) Acks_sent 1;
+      Metrics.add t.metrics Acks_sent 1;
       Transport.send_raw t.lower ~src:self ~dest:src
         (control_frame t ~kind:Envelope.Ack ~src:self ~lseq)
     end;
@@ -346,14 +346,14 @@ module M = struct
     Mutex.unlock t.lock;
     if recovered then fire_peer t ~self ~peer:src Transport.Peer_recovered;
     if stale then begin
-      Metrics.add (metrics t) Stale_drops 1;
+      Metrics.add t.metrics Stale_drops 1;
       None
     end
     else if fresh then Some (buf, off, len)
     else begin
-      if data then Metrics.add (metrics t) Dup_drops 1
+      if data then Metrics.add t.metrics Dup_drops 1
       else if kind = Envelope.Hb && lseq = Envelope.hb_ping then begin
-        Metrics.add (metrics t) Heartbeats_sent 1;
+        Metrics.add t.metrics Heartbeats_sent 1;
         Transport.send_raw t.lower ~src:self ~dest:src
           (control_frame t ~kind:Envelope.Hb ~src:self ~lseq:Envelope.hb_pong)
       end;
@@ -394,6 +394,9 @@ module M = struct
     | Some _ as m -> m
     | None -> wait t ~self (Clock.deadline_after seconds)
 
+  (* the adapter queues nothing a receive could return: an unacked
+     frame is either in [lower], which counts it, or lost, and then only
+     [idle] brings it back *)
   let pending_anywhere t = Transport.pending_anywhere t.lower
 
   (* ---------------------------------------------------------------- *)
@@ -421,18 +424,20 @@ module M = struct
           if observer <> peer then begin
             let d = t.det.(observer).(peer) in
             let quiet = now - d.last_heard in
-            if quiet >= t.hb.down_after && d.health = Transport.Suspect then begin
+            if quiet >= t.params.down_after && d.health = Transport.Suspect then begin
               d.health <- Transport.Down;
               t.sweep_events <-
                 (observer, peer, Transport.Peer_confirmed_down) :: t.sweep_events
             end
-            else if quiet >= t.hb.suspect_after && d.health = Transport.Alive
+            else if quiet >= t.params.suspect_after && d.health = Transport.Alive
             then begin
               d.health <- Transport.Suspect;
               t.sweep_events <-
                 (observer, peer, Transport.Peer_suspected) :: t.sweep_events
             end;
-            if quiet >= t.hb.ping_every && now - d.last_ping >= t.hb.ping_every
+            if
+              quiet >= t.params.ping_every
+              && now - d.last_ping >= t.params.ping_every
             then begin
               d.last_ping <- now;
               t.sweep_pings <- (observer, peer) :: t.sweep_pings
@@ -508,7 +513,7 @@ module M = struct
     List.iter
       (fun (lseq, p) ->
         drop_unacked ltx lseq p;
-        Metrics.add (metrics t) Timeouts 1;
+        Metrics.add t.metrics Timeouts 1;
         t.sweep_gave_up <- dest :: t.sweep_gave_up)
       !expired
 
@@ -562,13 +567,13 @@ module M = struct
     if resend <> [] then
       List.iter
         (fun (src, dest, frame) ->
-          Metrics.add (metrics t) Retries 1;
+          Metrics.add t.metrics Retries 1;
           Transport.send_raw t.lower ~src ~dest frame)
         (List.rev resend);
     if pings <> [] then
       List.iter
         (fun (observer, peer) ->
-          Metrics.add (metrics t) Heartbeats_sent 1;
+          Metrics.add t.metrics Heartbeats_sent 1;
           Transport.send_raw t.lower ~src:observer ~dest:peer
             (control_frame t ~kind:Envelope.Hb ~src:observer
                ~lseq:Envelope.hb_ping))
@@ -577,8 +582,8 @@ module M = struct
       List.iter
         (fun (observer, peer, ev) ->
           (match ev with
-          | Transport.Peer_suspected -> Metrics.add (metrics t) Suspects 1
-          | Transport.Peer_confirmed_down -> Metrics.add (metrics t) Peer_downs 1
+          | Transport.Peer_suspected -> Metrics.add t.metrics Suspects 1
+          | Transport.Peer_confirmed_down -> Metrics.add t.metrics Peer_downs 1
           | Transport.Peer_recovered -> ());
           fire_peer t ~self:observer ~peer ev)
         events;
@@ -627,7 +632,7 @@ module M = struct
         slices t ~self
 
   (* ---------------------------------------------------------------- *)
-  (* everything else: the adapter's own state or pure delegation       *)
+  (* peer health: the detector's verdicts, never [lower]'s             *)
   (* ---------------------------------------------------------------- *)
 
   let peer_health t ~self ~peer =
@@ -635,15 +640,7 @@ module M = struct
     check t peer;
     t.det.(self).(peer).health
 
-  let set_detector t hb = t.hb <- hb
   let on_peer_event t f = t.peer_hooks <- t.peer_hooks @ [ f ]
-  let on_process_event t f = Transport.on_process_event t.lower f
-  let set_faults t fs = Transport.set_faults t.lower fs
-  let clear_faults t = Transport.clear_faults t.lower
-  let faults t = Transport.faults t.lower
-  let set_fault_hook t hook = Transport.set_fault_hook t.lower hook
-  let clear_fault_hook t = Transport.clear_fault_hook t.lower
-  let shutdown t = Transport.shutdown t.lower
 end
 
 include M
@@ -672,16 +669,18 @@ let wipe_machine (t : M.t) m =
 
 let wrap ?now ?params lower =
   let n = Transport.size lower in
-  let defaults, hb, start =
+  let defaults, start =
     match now with
-    | None -> (default_params, Transport.default_hb, 0)
-    | Some f -> (clock_params, clock_hb, f ())
+    | None -> (default_params, 0)
+    | Some f -> (clock_params, f ())
   in
   let params = Option.value params ~default:defaults in
   let t =
     {
       M.lower;
       n;
+      metrics = Transport.metrics lower;
+      pool = Transport.pool lower;
       params;
       tx =
         Array.init n (fun _ ->
@@ -704,7 +703,6 @@ let wrap ?now ?params lower =
                   health = Transport.Alive;
                   known_epoch = 0;
                 }));
-      hb;
       clock = now;
       (* the monotonic clock's timers are due an rto after a send, so a
          blocked receiver looks at them that often while a frame is
@@ -731,4 +729,4 @@ let wrap ?now ?params lower =
   Transport.on_process_event lower (function
     | Transport.Proc_crashed { machine; _ } -> wipe_machine t machine
     | Transport.Proc_restarted _ -> ());
-  Transport.pack (module M) t
+  Transport.stack lower (module M) t

@@ -3,9 +3,6 @@
     delivery is not a mode of this backend: stack {!Reliable.wrap} on
     it, as {!Rmi_runtime.Fabric} does for [Config.Reliable]. *)
 
-(** Witness that {!Cluster} satisfies the transport signature. *)
-module Backend : Transport.S with type t = Cluster.t
-
 (** Erase an existing cluster into a transport. *)
 val pack : Cluster.t -> Transport.t
 

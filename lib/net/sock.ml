@@ -146,7 +146,6 @@ module M = struct
     mutable closed : bool;
   }
 
-  let name = "sock"
   let size t = t.n
   let metrics t = t.metrics
   let pool t = t.pool
@@ -1057,7 +1056,7 @@ module M = struct
     done
 
   (* ---------------------------------------------------------------- *)
-  (* everything else in Transport.S                                    *)
+  (* the idle clock, peer health and the control plane                *)
   (* ---------------------------------------------------------------- *)
 
   let idle t ~self =
@@ -1097,8 +1096,6 @@ module M = struct
     check t peer;
     t.health.(self).(peer)
 
-  let set_detector _ _ = ()
-
   let self_epoch t m =
     check t m;
     t.base_epoch
@@ -1111,7 +1108,6 @@ module M = struct
      surface becomes a chaos injector with an empty connection plan:
      the frame-level semantics are exactly the Sim backend's *)
   let set_faults t fs = t.chaos <- Some (Chaos.of_fault_sim ~n:t.n fs)
-  let clear_faults t = t.chaos <- None
   let faults t = Option.map Chaos.fault_sim t.chaos
   let set_fault_hook t hook = t.fault <- Some hook
   let clear_fault_hook t = t.fault <- None

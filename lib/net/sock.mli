@@ -1,5 +1,5 @@
 (** The [Sock] backend: a real Unix/TCP interconnect implementing
-    {!Transport.S}.
+    {!Transport.BACKEND}.
 
     [n] machine endpoints in a full TCP mesh (one connection per
     unordered pair; the higher id initiates, a 4-byte hello names the
@@ -75,7 +75,7 @@
     (the newest connection is the one the reconnecting initiator
     writes to).
 
-    {b Chaos.}  {!Transport.S.set_faults} wraps the schedule in a
+    {b Chaos.}  {!Transport.BACKEND.set_faults} wraps the schedule in a
     {!Chaos} injector (empty connection plan); creation takes [?chaos]
     for a full injector with sever/stall actions.  Every outbound frame
     then passes through the injector — drops, duplicates, holds,

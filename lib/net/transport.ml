@@ -7,10 +7,6 @@ type idle_outcome =
 
 type peer_health = Alive | Suspect | Down
 
-type hb_params = { ping_every : int; suspect_after : int; down_after : int }
-
-let default_hb = { ping_every = 8; suspect_after = 16; down_after = 48 }
-
 type peer_event = Peer_suspected | Peer_confirmed_down | Peer_recovered
 
 type process_event =
@@ -44,14 +40,8 @@ end
 module type S = sig
   type t
 
-  val name : string
-  val size : t -> int
-  val metrics : t -> Rmi_stats.Metrics.t
-  val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
   val is_reliable : t -> bool
-  val is_hosted : t -> int -> bool
   val send : t -> src:int -> dest:int -> bytes -> unit
-
   val send_raw : t -> src:int -> dest:int -> bytes -> unit
 
   val send_writer :
@@ -73,12 +63,19 @@ module type S = sig
   val idle : t -> self:int -> idle_outcome
   val pending_anywhere : t -> bool
   val peer_health : t -> self:int -> peer:int -> peer_health
-  val set_detector : t -> hb_params -> unit
-  val self_epoch : t -> int -> int
   val on_peer_event : t -> (self:int -> peer:int -> peer_event -> unit) -> unit
+end
+
+module type BACKEND = sig
+  include S
+
+  val size : t -> int
+  val metrics : t -> Rmi_stats.Metrics.t
+  val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
+  val is_hosted : t -> int -> bool
+  val self_epoch : t -> int -> int
   val on_process_event : t -> (process_event -> unit) -> unit
   val set_faults : t -> Fault_sim.t -> unit
-  val clear_faults : t -> unit
   val faults : t -> Fault_sim.t option
 
   val set_fault_hook :
@@ -88,18 +85,24 @@ module type S = sig
   val shutdown : t -> unit
 end
 
-type t = Packed : (module S with type t = 'a) * 'a -> t
+(* the backend's control plane, shared by every layer stacked on it *)
+type backend = Backend : (module BACKEND with type t = 'b) * 'b -> backend
 
-let pack (type a) (m : (module S with type t = a)) (h : a) : t = Packed (m, h)
-let name (Packed ((module M), _)) = M.name
-let size (Packed ((module M), h)) = M.size h
-let metrics (Packed ((module M), h)) = M.metrics h
-let pool (Packed ((module M), h)) = M.pool h
-let is_reliable (Packed ((module M), h)) = M.is_reliable h
-let is_hosted (Packed ((module M), h)) m = M.is_hosted h m
-let send (Packed ((module M), h)) ~src ~dest msg = M.send h ~src ~dest msg
+(* the top layer's frame path, and the backend below it *)
+type t = Packed : (module S with type t = 'a) * 'a * backend -> t
 
-let send_raw (Packed ((module M), h)) ~src ~dest frame =
+let pack (type a) (m : (module BACKEND with type t = a)) (h : a) : t =
+  let module B = (val m) in
+  Packed ((module B), h, Backend (m, h))
+
+let stack (type a) (Packed (_, _, b)) (m : (module S with type t = a)) (h : a)
+    : t =
+  Packed (m, h, b)
+
+let is_reliable (Packed ((module M), h, _)) = M.is_reliable h
+let send (Packed ((module M), h, _)) ~src ~dest msg = M.send h ~src ~dest msg
+
+let send_raw (Packed ((module M), h, _)) ~src ~dest frame =
   M.send_raw h ~src ~dest frame
 
 (* the gap contract lives here, at the signature level: every backend
@@ -115,39 +118,49 @@ let check_gap who w ~payload_off =
          who payload_off Envelope.gap
          (Rmi_wire.Msgbuf.length w))
 
-let send_writer (Packed ((module M), h)) ~src ~dest w ~payload_off =
+let send_writer (Packed ((module M), h, _)) ~src ~dest w ~payload_off =
   check_gap "send_writer" w ~payload_off;
   M.send_writer h ~src ~dest w ~payload_off
 
-let send_raw_writer (Packed ((module M), h)) ~src ~dest w ~payload_off =
+let send_raw_writer (Packed ((module M), h, _)) ~src ~dest w ~payload_off =
   check_gap "send_raw_writer" w ~payload_off;
   M.send_raw_writer h ~src ~dest w ~payload_off
 
-let send_buffered (Packed ((module M), h)) ~src ~dest msg =
+let send_buffered (Packed ((module M), h, _)) ~src ~dest msg =
   M.send_buffered h ~src ~dest msg
 
-let flush (Packed ((module M), h)) ~src = M.flush h ~src
-let try_recv_slice (Packed ((module M), h)) ~self = M.try_recv_slice h ~self
+let flush (Packed ((module M), h, _)) ~src = M.flush h ~src
+let try_recv_slice (Packed ((module M), h, _)) ~self = M.try_recv_slice h ~self
 
-let recv_blocking_slice (Packed ((module M), h)) ~self =
+let recv_blocking_slice (Packed ((module M), h, _)) ~self =
   M.recv_blocking_slice h ~self
 
-let recv_deadline_slice (Packed ((module M), h)) ~self ~seconds =
+let recv_deadline_slice (Packed ((module M), h, _)) ~self ~seconds =
   M.recv_deadline_slice h ~self ~seconds
 
-let idle (Packed ((module M), h)) ~self = M.idle h ~self
-let pending_anywhere (Packed ((module M), h)) = M.pending_anywhere h
+let idle (Packed ((module M), h, _)) ~self = M.idle h ~self
+let pending_anywhere (Packed ((module M), h, _)) = M.pending_anywhere h
 
-let peer_health (Packed ((module M), h)) ~self ~peer =
+let peer_health (Packed ((module M), h, _)) ~self ~peer =
   M.peer_health h ~self ~peer
 
-let set_detector (Packed ((module M), h)) hb = M.set_detector h hb
-let self_epoch (Packed ((module M), h)) m = M.self_epoch h m
-let on_peer_event (Packed ((module M), h)) f = M.on_peer_event h f
-let on_process_event (Packed ((module M), h)) f = M.on_process_event h f
-let set_faults (Packed ((module M), h)) sim = M.set_faults h sim
-let clear_faults (Packed ((module M), h)) = M.clear_faults h
-let faults (Packed ((module M), h)) = M.faults h
-let set_fault_hook (Packed ((module M), h)) hook = M.set_fault_hook h hook
-let clear_fault_hook (Packed ((module M), h)) = M.clear_fault_hook h
-let shutdown (Packed ((module M), h)) = M.shutdown h
+let on_peer_event (Packed ((module M), h, _)) f = M.on_peer_event h f
+let size (Packed (_, _, Backend ((module B), b))) = B.size b
+let metrics (Packed (_, _, Backend ((module B), b))) = B.metrics b
+let pool (Packed (_, _, Backend ((module B), b))) = B.pool b
+let is_hosted (Packed (_, _, Backend ((module B), b))) m = B.is_hosted b m
+let self_epoch (Packed (_, _, Backend ((module B), b))) m = B.self_epoch b m
+
+let on_process_event (Packed (_, _, Backend ((module B), b))) f =
+  B.on_process_event b f
+
+let set_faults (Packed (_, _, Backend ((module B), b))) sim = B.set_faults b sim
+let faults (Packed (_, _, Backend ((module B), b))) = B.faults b
+
+let set_fault_hook (Packed (_, _, Backend ((module B), b))) hook =
+  B.set_fault_hook b hook
+
+let clear_fault_hook (Packed (_, _, Backend ((module B), b))) =
+  B.clear_fault_hook b
+
+let shutdown (Packed (_, _, Backend ((module B), b))) = B.shutdown b

@@ -1,19 +1,20 @@
 (** The transport signature: everything the runtime layer needs from an
-    interconnect, carved out of the [Cluster] monolith so the simulated
-    fabric and a real socket fabric are interchangeable backends.
+    interconnect, so the simulated fabric and a real socket fabric are
+    interchangeable backends.
 
-    A backend implements {!S} — creation is backend-specific (the
-    simulated {!Cluster} takes a machine count, a
-    {!Sock} fabric takes addresses), so [S] covers an already-created
-    instance: the send family, the slice-receive family, the
-    idle/retransmit clock, fault hooks and peer health.  {!pack} erases
-    the backend into the first-class {!t} that {!Rmi_runtime.Fabric},
-    [Node] and [Dispatch_pool] are written against.
-
-    Layers stack on a backend by implementing {!S} over a lower {!t}:
-    {!Reliable.wrap} adds the ARQ, {!Batching.wrap} request
-    coalescing.  A backend or layer that does not coalesce takes
-    [send_buffered]/[flush] from {!Unbuffered}. *)
+    {!S} is the frame path — the send and slice-receive families, the
+    idle/retransmit clock and peer health — which every member of a
+    stack states, so the compiler makes each layer decide each of them.
+    {!BACKEND} adds the control plane (size, metrics, pool, hosting,
+    epochs, process events, faults, shutdown), which only {!Cluster}
+    and {!Sock} implement; creation is backend-specific.  {!pack}
+    erases a backend into the first-class {!t} that
+    {!Rmi_runtime.Fabric}, [Node] and [Dispatch_pool] are written
+    against.  A layer implements {!S} over a lower {!t} and {!stack}s
+    itself on it, keeping the backend's control plane: {!Reliable.wrap}
+    adds the ARQ, {!Batching.wrap} request coalescing.  A transport
+    that does not coalesce takes [send_buffered]/[flush] from
+    {!Unbuffered}. *)
 
 (** What {!S.idle} did; see {!S.idle}. *)
 type idle_outcome =
@@ -30,19 +31,6 @@ type idle_outcome =
 
 (** What a machine believes about a peer. *)
 type peer_health = Alive | Suspect | Down
-
-(** Failure-detector thresholds, in the units of the reliable
-    adapter's clock: [idle] calls, or microseconds for an adapter
-    given [~now] (see [Reliable.wrap]). *)
-type hb_params = {
-  ping_every : int;     (** clock units between pings to a quiet peer *)
-  suspect_after : int;  (** quiet time before Alive -> Suspect *)
-  down_after : int;     (** quiet time before Suspect -> Down *)
-}
-
-(** The [idle]-count thresholds: ping after 8, suspect after 16, down
-    after 48. *)
-val default_hb : hb_params
 
 type peer_event = Peer_suspected | Peer_confirmed_down | Peer_recovered
 
@@ -72,30 +60,13 @@ end) : sig
   val flush : B.t -> src:int -> (int * int * int) list
 end
 
-(** The full transport signature. *)
+(** The frame path: what every member of a stack states. *)
 module type S = sig
   type t
-
-  (** Short backend identifier ("sim", "sock") for reports. *)
-  val name : string
-
-  val size : t -> int
-  val metrics : t -> Rmi_stats.Metrics.t
-
-  (** The shared writer/reader free-list pool. *)
-  val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
 
   (** Whether {!idle} drives an ARQ whose outcomes the caller must
       interpret (retransmissions, give-ups). *)
   val is_reliable : t -> bool
-
-  (** Whether machine [m]'s endpoint lives in this process.  Loopback
-      and simulated backends host every machine; a process-mode backend
-      hosts only its own id.  Acting as a non-hosted machine — sending
-      with it as [src], receiving for it, driving its timers — is not
-      meaningful, and a reliability layer stacked above must restrict
-      its per-machine clock work to hosted ids. *)
-  val is_hosted : t -> int -> bool
 
   (** [send t ~src ~dest msg]; self-sends are allowed (loopback).
       Charges one [msgs_sent] and the payload bytes to the metrics.
@@ -162,26 +133,50 @@ module type S = sig
       the monotonic clock just gets a new reading). *)
   val idle : t -> self:int -> idle_outcome
 
-  (** Any message pending anywhere this backend can see?  (deadlock
+  (** Any message pending anywhere this transport can see?  (deadlock
       diagnostics; a multi-process backend answers conservatively) *)
   val pending_anywhere : t -> bool
 
-  (** {2 Peer health and fault machinery} *)
+  (** {2 Peer health} — each layer decides what it reports: {!Sock}
+      its links, {!Reliable} only its heartbeat verdicts. *)
 
   val peer_health : t -> self:int -> peer:int -> peer_health
-  val set_detector : t -> hb_params -> unit
+  val on_peer_event : t -> (self:int -> peer:int -> peer_event -> unit) -> unit
+end
+
+(** The frame path plus the control plane, which every layer stacked on
+    the backend shares. *)
+module type BACKEND = sig
+  include S
+
+  val size : t -> int
+  val metrics : t -> Rmi_stats.Metrics.t
+
+  (** The shared writer/reader free-list pool. *)
+  val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
+
+  (** Whether machine [m]'s endpoint lives in this process.  Loopback
+      and simulated backends host every machine; a process-mode backend
+      hosts only its own id.  Acting as a non-hosted machine — sending
+      with it as [src], receiving for it, driving its timers — is not
+      meaningful, and a reliability layer stacked above must restrict
+      its per-machine clock work to hosted ids. *)
+  val is_hosted : t -> int -> bool
 
   (** The incarnation number machine [m] currently stamps on frames. *)
   val self_epoch : t -> int -> int
 
-  val on_peer_event : t -> (self:int -> peer:int -> peer_event -> unit) -> unit
+  (** Hooks run on every crash and restart, after the backend dropped
+      the machine's queued frames, in registration order: each layer
+      registers its wipe when stacked, before any runtime hook. *)
   val on_process_event : t -> (process_event -> unit) -> unit
 
-  (** Install a seeded fault schedule.  Backends without a simulated
-      physical layer raise [Invalid_argument]. *)
+  (** Install a seeded fault schedule on every frame the backend
+      carries (data, acks and retransmissions of a layer above alike).
+      {!Cluster} runs it in its physical layer; {!Sock} wraps it in a
+      {!Chaos} injector with an empty connection plan. *)
   val set_faults : t -> Fault_sim.t -> unit
 
-  val clear_faults : t -> unit
   val faults : t -> Fault_sim.t option
 
   (** The hook sees every physical frame about to leave and returns the
@@ -201,24 +196,24 @@ module type S = sig
   val shutdown : t -> unit
 end
 
-(** A transport with its backend erased. *)
-type t = Packed : (module S with type t = 'a) * 'a -> t
+(** A stack: the top layer's frame path, the backend's control plane. *)
+type t
 
-val pack : (module S with type t = 'a) -> 'a -> t
+val pack : (module BACKEND with type t = 'a) -> 'a -> t
 
-(** {1 Forwarders} — one per {!S} member, so runtime code reads
-    [Transport.send net ~src ~dest msg] regardless of backend. *)
+(** [stack lower (module L) l] puts layer [l]'s frame path on top of
+    [lower], keeping [lower]'s control plane. *)
+val stack : t -> (module S with type t = 'a) -> 'a -> t
 
-val name : t -> string
-val size : t -> int
-val metrics : t -> Rmi_stats.Metrics.t
-val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
+(** {1 Forwarders} — so runtime code reads [Transport.send net ~src
+    ~dest msg] regardless of the stack.  The frame path goes to the top
+    layer. *)
+
 val is_reliable : t -> bool
-val is_hosted : t -> int -> bool
 val send : t -> src:int -> dest:int -> bytes -> unit
 val send_raw : t -> src:int -> dest:int -> bytes -> unit
 
-(** Forwards to the backend after asserting the gap contract: raises
+(** Forwards to the top layer after asserting the gap contract: raises
     [Invalid_argument] unless [Envelope.gap <= payload_off <= length w]
     — the reservation requirement enforced at the signature level
     rather than per-backend prose. *)
@@ -240,12 +235,17 @@ val recv_deadline_slice :
 val idle : t -> self:int -> idle_outcome
 val pending_anywhere : t -> bool
 val peer_health : t -> self:int -> peer:int -> peer_health
-val set_detector : t -> hb_params -> unit
-val self_epoch : t -> int -> int
 val on_peer_event : t -> (self:int -> peer:int -> peer_event -> unit) -> unit
+
+(** The control plane goes to the backend. *)
+
+val size : t -> int
+val metrics : t -> Rmi_stats.Metrics.t
+val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
+val is_hosted : t -> int -> bool
+val self_epoch : t -> int -> int
 val on_process_event : t -> (process_event -> unit) -> unit
 val set_faults : t -> Fault_sim.t -> unit
-val clear_faults : t -> unit
 val faults : t -> Fault_sim.t option
 
 val set_fault_hook :

@@ -113,7 +113,7 @@ module Ascii_table = Rmi_stats.Ascii_table
 module Costmodel = Rmi_net.Costmodel
 module Fault_sim = Rmi_net.Fault_sim
 
-(** The first-class transport interface ({!Rmi_net.Transport.S}) behind
+(** The first-class transport interface ({!Rmi_net.Transport.BACKEND}) behind
     {!Fabric}'s [backend] parameter; {!Fabric.net} exposes a fabric's
     instance. *)
 module Transport = Rmi_net.Transport

@@ -16,7 +16,7 @@
       runs its serve loop; one that owns several polls them through
       bounded request queues with admission control.
 
-    Orthogonally, two transport backends (the {!Rmi_net.Transport.S}
+    Orthogonally, two transport backends (the {!Rmi_net.Transport.BACKEND}
     substitution):
 
     - [Sim]: the in-process simulated interconnect ({!Rmi_net.Cluster})
@@ -27,7 +27,8 @@
 
 type mode = Sync | Parallel
 
-(** Which {!Rmi_net.Transport.S} implementation carries the frames. *)
+(** Which {!Rmi_net.Transport.BACKEND} implementation carries the
+    frames. *)
 type backend = Sim | Sock
 
 type t
@@ -38,8 +39,8 @@ type t
     transport, the same stack on [Sim] and [Sock].  Its timers count
     idle polls under [Sync] (a deterministic schedule) and read the
     monotonic clock ({!Rmi_net.Clock.now_us}) under [Parallel];
-    [?arq_params] overrides the adapter's retransmit settings, in that
-    clock's units (see {!Rmi_net.Reliable.wrap}).  [config.batching]
+    [?arq_params] overrides the adapter's retransmit and detector
+    settings, in that clock's units (see {!Rmi_net.Reliable.wrap}).  [config.batching]
     stacks the {!Rmi_net.Batching} layer on top of that.
     [?faults] installs a seeded fault schedule on the physical links
     (meaningful with the reliable transport; the raw path does not

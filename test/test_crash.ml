@@ -351,9 +351,13 @@ let stale_epoch_frames_are_fenced () =
 
 let detector_convicts_silent_peer_then_recovers () =
   let metrics = Metrics.create () in
-  let net = Rmi_net.Reliable.wrap (Rmi_net.Sim.create ~n:2 metrics) in
-  Transport.set_detector net
-    { Transport.ping_every = 2; suspect_after = 3; down_after = 6 };
+  let net =
+    Rmi_net.Reliable.wrap
+      ~params:
+        { Rmi_net.Reliable.default_params with
+          Rmi_net.Reliable.ping_every = 2; suspect_after = 3; down_after = 6 }
+      (Rmi_net.Sim.create ~n:2 metrics)
+  in
   let events = ref [] in
   Transport.on_peer_event net (fun ~self ~peer e ->
       events := (self, peer, e) :: !events);

@@ -318,11 +318,14 @@ let idle_words ~n ~unacked =
     Rmi_net.Reliable.wrap
       ~params:
         { Rmi_net.Reliable.default_params with
-          Rmi_net.Reliable.rto = far; backoff_cap = far }
+          Rmi_net.Reliable.rto = far;
+          backoff_cap = far;
+          ping_every = far;
+          suspect_after = far;
+          down_after = far;
+        }
       lower
   in
-  Rmi_net.Transport.set_detector net
-    { Rmi_net.Transport.ping_every = far; suspect_after = far; down_after = far };
   if unacked then
     Rmi_net.Transport.send net ~src:0 ~dest:(n - 1) (Bytes.of_string "pending");
   let outcome = ref Rmi_net.Transport.Raw_transport in
@@ -521,7 +524,7 @@ let clock_held_frame_resend () =
    suspected and confirmed down at the microsecond thresholds *)
 let clock_failure_detector () =
   let net, clock, frames = fake_clocked () in
-  let hb = Reliable.clock_hb in
+  let p = Reliable.clock_params in
   let idle_at at =
     clock := clock_start + at;
     ignore (Transport.idle net ~self:0 : Transport.idle_outcome)
@@ -537,14 +540,14 @@ let clock_failure_detector () =
       | Transport.Down -> "Down")
   in
   (* no data was sent, so every frame the hook sees is a ping *)
-  idle_at (hb.Transport.ping_every - 1);
+  idle_at (p.Reliable.ping_every - 1);
   Alcotest.(check int) "no ping before ping_every" 0 !frames;
-  idle_at hb.Transport.ping_every;
+  idle_at p.Reliable.ping_every;
   Alcotest.(check int) "each machine pings the other at ping_every" 2 !frames;
-  health_at (hb.Transport.suspect_after - 1) "Alive";
-  health_at hb.Transport.suspect_after "Suspect";
-  health_at (hb.Transport.down_after - 1) "Suspect";
-  health_at hb.Transport.down_after "Down"
+  health_at (p.Reliable.suspect_after - 1) "Alive";
+  health_at p.Reliable.suspect_after "Suspect";
+  health_at (p.Reliable.down_after - 1) "Suspect";
+  health_at p.Reliable.down_after "Down"
 
 (* a threaded fabric under seeded loss: one pool worker domain serves
    batched, windowed calls over the wall-clock ARQ.  Results are exact,
@@ -683,7 +686,7 @@ let dedup_matches_delivered_set () =
    reads it at most [ms + ms / 8 + 6] times: [wrap]'s start, the first
    sweep, one sweep per slice begun, the late frame's send and its
    receipt, one rto slice begun between those two, and the receipt of
-   each of machine 0's pings, one per 8 ms ([clock_hb]). *)
+   each of machine 0's pings, one per 8 ms ([clock_params]). *)
 let idle_receiver_sweeps_per_ms () =
   let reads = Atomic.make 0 in
   let now () =
