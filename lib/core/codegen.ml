@@ -119,12 +119,12 @@ and inline_array ctx ~depth ~path elem set =
   | Types.Tdouble -> Plan.S_double_array
   | Types.Tint -> Plan.S_int_array
   | Types.Tvoid -> Plan.S_dyn
-  (* homogeneous array-of-scalar-arrays: decode into flat row-major
-     storage, one bounds check per matrix.  Ragged/null/shared rows are
-     a runtime shape violation the writer detects, deoptimizing the
-     position to S_dyn through the widen machinery. *)
-  | Types.Tarray Types.Tdouble -> Plan.S_flat_array { felem = Plan.F_darr }
-  | Types.Tarray Types.Tint -> Plan.S_flat_array { felem = Plan.F_iarr }
+  (* homogeneous double[][]: decode into flat row-major storage, one
+     bounds check per matrix.  Ragged/null/shared rows are a runtime
+     shape violation the writer detects, deoptimizing the position to
+     S_dyn through the widen machinery. *)
+  | Types.Tarray Types.Tdouble -> Plan.S_flat_array
+  | Types.Tarray Types.Tint -> Plan.S_obj_array { elem = Plan.S_int_array }
   | Types.Tbool | Types.Tstring | Types.Tobject _ | Types.Tarray _ ->
       let g = Heap_analysis.graph ctx.r in
       let path = Int_set.union path set in
@@ -144,10 +144,7 @@ let budgeted config step =
    the cycle analysis could not prove acyclic, fall back to the boxed
    per-row encoding. *)
 let rec deflatten = function
-  | Plan.S_flat_array { felem = Plan.F_darr } ->
-      Plan.S_obj_array { elem = Plan.S_double_array }
-  | Plan.S_flat_array { felem = Plan.F_iarr } ->
-      Plan.S_obj_array { elem = Plan.S_int_array }
+  | Plan.S_flat_array -> Plan.S_obj_array { elem = Plan.S_double_array }
   | Plan.S_obj { cls; fields } ->
       Plan.S_obj { cls; fields = Array.map deflatten fields }
   | Plan.S_obj_array { elem } -> Plan.S_obj_array { elem = deflatten elem }

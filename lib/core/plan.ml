@@ -1,5 +1,3 @@
-type flat_elem = F_darr | F_iarr
-
 type step =
   | S_bool
   | S_int
@@ -10,7 +8,7 @@ type step =
   | S_double_array
   | S_int_array
   | S_obj_array of { elem : step }
-  | S_flat_array of { felem : flat_elem }
+  | S_flat_array
   | S_dyn
   | S_ref of int
 
@@ -91,7 +89,7 @@ let rec step_size = function
   (* a flat step covers both levels of the matrix it fuses, so it costs
      what the S_obj_array/S_*_array pair it replaces would — inlining
      budgets are unchanged by flattening *)
-  | S_flat_array _ -> 2
+  | S_flat_array -> 2
   | S_obj { fields; _ } ->
       Array.fold_left (fun acc s -> acc + step_size s) 1 fields
   | S_obj_array { elem } -> 1 + step_size elem
@@ -115,8 +113,7 @@ let rec pp_step ppf = function
   | S_double_array -> Format.pp_print_string ppf "double[]"
   | S_int_array -> Format.pp_print_string ppf "int[]"
   | S_obj_array { elem } -> Format.fprintf ppf "%a[]" pp_step elem
-  | S_flat_array { felem = F_darr } -> Format.pp_print_string ppf "flat double[][]"
-  | S_flat_array { felem = F_iarr } -> Format.pp_print_string ppf "flat int[][]"
+  | S_flat_array -> Format.pp_print_string ppf "flat double[][]"
   | S_dyn -> Format.pp_print_string ppf "dyn"
   | S_ref d -> Format.fprintf ppf "rec#%d" d
 

@@ -4,14 +4,11 @@
     (Figures 6 and 13).  Here "generated code" is a [step] tree that a
     runtime executor walks in a tight loop: no per-object method-table
     dispatch, no wire type information for statically known classes,
-    and the cycle table/reuse cache are compiled in or out per the
+    and the cycle table and reuse are compiled in or out per the
     analyses' verdicts.
 
     Layout invariant: [S_obj.fields] has one step per {e flat} field
     (inherited first), matching {!Jir.Program.all_fields} order. *)
-
-(** Element kind of a flattened array-of-arrays. *)
-type flat_elem = F_darr  (** double[][] *) | F_iarr  (** int[][] *)
 
 type step =
   | S_bool
@@ -24,9 +21,9 @@ type step =
   | S_double_array  (** marker, length varint, raw payload *)
   | S_int_array
   | S_obj_array of { elem : step }  (** marker, length, element steps *)
-  | S_flat_array of { felem : flat_elem }
-      (** rectangular array-of-scalar-arrays flattened struct-of-arrays
-          style: marker, rows, cols, then one contiguous row-major
+  | S_flat_array
+      (** rectangular [double[][]] flattened struct-of-arrays style:
+          marker, rows, cols, then one contiguous row-major
           payload — one bounds check per matrix instead of one marker +
           length + bounds check per row.  The writer proves the shape
           (no null/shared/ragged rows) at serialization time and raises
@@ -49,8 +46,8 @@ type t = {
   ret : step option;  (** [None]: return ignored — reply is a bare ack *)
   cycle_args : bool;  (** runtime cycle table needed for the arguments *)
   cycle_ret : bool;
-  reuse_args : bool array;  (** per-argument reuse cache at the callee *)
-  reuse_ret : bool;  (** return-value reuse cache at the caller *)
+  reuse_args : bool array;  (** per-argument reuse at the callee *)
+  reuse_ret : bool;  (** return-value reuse at the caller *)
   non_escaping : bool;
       (** escape analysis proved no argument outlives the served call:
           the whole decoded argument graph may be reclaimed wholesale

@@ -887,7 +887,7 @@ let alloc_chain_plan =
     (Plan.S_ref 0) Plan.S_int
 
 let alloc_matrix_plan =
-  aot_plan ~reuse:true (Plan.S_flat_array { felem = Plan.F_darr }) Plan.S_double
+  aot_plan ~reuse:true Plan.S_flat_array Plan.S_double
 
 (* Every paper-table message shape x three transport/optimization
    variants, each run under both allocator modes after a warmup
@@ -960,7 +960,7 @@ let alloc_compare ?(calls = 192) ?(window = 8) ?(seed = 42) () =
           [
             "workload"; "variant"; "minor_words_per_call_heap";
             "minor_words_per_call_arena"; "arena_allocs"; "arena_resets";
-            "arena_fallbacks"; "gated"; "digest";
+            "arena_fallbacks"; "reused_objs"; "gated"; "digest";
           ];
         rows =
           List.map
@@ -970,7 +970,7 @@ let alloc_compare ?(calls = 192) ?(window = 8) ?(seed = 42) () =
               [
                 Str w; Str v; Float (1, heap.minor); Float (1, arena.minor);
                 Int s.arena_allocs; Int s.arena_resets; Int s.arena_fallbacks;
-                Bool (gated w variant); Str arena.digest;
+                Int s.reused_objs; Bool (gated w variant); Str arena.digest;
               ])
             rows;
       };

@@ -95,7 +95,8 @@ module Node : sig
       normally done for every node by {!Registry.new_replicated}. *)
   val set_replica : t -> primary:int -> replica:int -> unit
 
-  (** Drop all reuse caches (between benchmark configurations). *)
+  (** Drop every site's recycling arenas (between benchmark
+      configurations). *)
   val reset_caches : t -> unit
 
   (** Attach a trace collector: every call this node makes and every

@@ -19,7 +19,7 @@ let create net ~id ~meta ~config ~plans =
       sites = Site.Itbl.create 16; trace = None }
   in
   let srv = Server.create env in
-  (* crash semantics: process memory (tier state, reuse slots) always
+  (* crash semantics: process memory (tier state, arenas) always
      dies with the node; the reply cache survives only the Durable
      variant, which models a cache on stable storage *)
   Rmi_net.Transport.on_process_event net (function

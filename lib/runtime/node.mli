@@ -13,9 +13,9 @@
     serialize/deserialize (cloning preserves RMI parameter semantics)
     but skip the wire and count as local RPCs.
 
-    Reuse caches live in each call site's record ({!Site}): one slot
-    per argument on the callee, one for the return value on the caller,
-    with the take-then-restore guard of Figure 13.  A node is the
+    The paper's reuse (Figure 13) lives in each call site's record
+    ({!Site}): one recycling arena for the arguments the callee serves
+    and one for the replies the caller decodes.  A node is the
     composition of {!Site} (per-site state and the marshaling phases),
     {!Server} (serving) and {!Client} (calls, futures and the await
     loop). *)
@@ -180,7 +180,8 @@ val serve_loop : t -> unit
 
 val send_shutdown : t -> dest:int -> unit
 
-(** Drop all reuse caches (between benchmark configurations). *)
+(** Drop every site's recycling arenas (between benchmark
+    configurations). *)
 val reset_caches : t -> unit
 
 (** Attach a trace collector: every call this node makes (start/end

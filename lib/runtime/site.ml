@@ -1,9 +1,10 @@
 (* One record per call site and the phase functions a call runs
    through it.  The paper's Section 3 optimizations are all per site —
-   a generated (un)marshaler, a cycle-table verdict and a reuse slot —
-   so a node keeps, for each site, the compiled versions of its plan,
-   its adaptive-tier state, its reuse slots and each version's codec
-   contexts, and looks the record up once per side of a call.
+   a generated (un)marshaler, a cycle-table verdict and argument and
+   return-value reuse — so a node keeps, for each site, the compiled
+   versions of its plan, its adaptive-tier state, its recycling arenas
+   and each version's codec contexts, and looks the record up once per
+   side of a call.
 
    A remote call runs
      client:  encoding |> marshal_args  ~~wire~~>
@@ -57,16 +58,16 @@ type version = {
   read_ret : rread option;
   cycle_args : bool;
   cycle_ret : bool;
-  reuse_args : bool array;
-  reuse_ret : bool;
-  (* served arguments decode into an arena, made on the first decode,
-     when the knob is on, the escape verdict proves no argument outlives
-     its dispatch, and reuse is off: reuse already recycles the previous
-     call's graph in place, and both at once would hand the same node
-     out twice.  Return values escape to the application and stay on
-     the GC heap. *)
-  arena_licensed : bool;
-  mutable arena : Arena.t option;
+  (* The argument positions that decode from the site's argument arena:
+     on a reuse config, those whose escape verdict lets them outlive no
+     call (the paper's argument reuse); otherwise all of them, when the
+     arena knob is on and the plan's non_escaping verdict proves no
+     argument outlives its dispatch.  A reply decodes from the site's
+     return arena only under the paper's return-value reuse: otherwise
+     return values escape to the application and stay on the GC heap. *)
+  arena_args : bool array;
+  arena_any : bool;  (* some position of [arena_args] *)
+  arena_ret : bool;
   (* one codec context per phase, kept and reset before each use under
      zero-copy framing, so a hot site stops allocating contexts and
      handle tables.  Safe because a node's marshal/unmarshal brackets
@@ -89,9 +90,11 @@ type t = {
   mutable gen : int;
   mutable calls : int;
   mutable promoted : bool;
-  (* reuse candidates (Figure 13's temp_arr); [Value.Null] is empty *)
-  mutable arg_slots : Value.t array;
-  mutable ret_slot : Value.t;
+  (* the recycling arenas of served arguments and of replies, made on
+     first use; on a reuse config they charge the paper's reused objects
+     (Figure 13's temp_arr, by shape rather than by position) *)
+  mutable args_arena : Arena.t option;
+  mutable ret_arena : Arena.t option;
 }
 
 (* what every phase of one node reads *)
@@ -110,6 +113,7 @@ let plan v = v.plan
 let metrics e = Transport.metrics e.net
 let site_mode e = e.cfg.Config.serializer = Config.Site_specific
 let adaptive e = site_mode e && e.cfg.Config.tier = Config.Adaptive
+let reuse e = site_mode e && e.cfg.Config.reuse
 
 (* for the rare events; a hot path matches on [e.trace] itself so that
    without a trace the event is never built *)
@@ -191,25 +195,24 @@ let get e callsite =
   | exception Not_found ->
       let s =
         { callsite; versions = Itbl.create 2; current = None; gen = -1;
-          calls = 0; promoted = false; arg_slots = [||];
-          ret_slot = Value.Null }
+          calls = 0; promoted = false; args_arena = None; ret_arena = None }
       in
       Itbl.replace e.sites callsite s;
       s
 
-let clear_slots s =
-  Array.fill s.arg_slots 0 (Array.length s.arg_slots) Value.Null;
-  s.ret_slot <- Value.Null
+let drop_arenas s =
+  s.args_arena <- None;
+  s.ret_arena <- None
 
-let reset_caches e = Itbl.iter (fun _ s -> clear_slots s) e.sites
+let reset_caches e = Itbl.iter (fun _ s -> drop_arenas s) e.sites
 
-(* tier state and reuse slots are process memory and die with a
-   crashed node, which re-warms every site from the generic plan; the
-   compiled versions are a cache of what the plans say and stay *)
+(* tier state and arenas are process memory and die with a crashed
+   node, which re-warms every site from the generic plan; the compiled
+   versions are a cache of what the plans say and stay *)
 let crash e =
   Itbl.iter
     (fun _ s ->
-      clear_slots s;
+      drop_arenas s;
       s.calls <- 0;
       s.promoted <- false;
       s.current <- None)
@@ -218,7 +221,12 @@ let crash e =
 let compile e (plan : Plan.t) =
   let defs = plan.Plan.defs in
   let elide = site_mode e && e.cfg.Config.elide_cycle in
-  let reuse = site_mode e && e.cfg.Config.reuse in
+  let arena_args =
+    if reuse e then plan.Plan.reuse_args
+    else
+      Array.make (Array.length plan.Plan.args)
+        (e.cfg.Config.arena && site_mode e && plan.Plan.non_escaping)
+  in
   {
     plan;
     write_args = Array.map (Codec.compile_write ~defs) plan.Plan.args;
@@ -227,14 +235,9 @@ let compile e (plan : Plan.t) =
     read_ret = Option.map (Codec.compile_read ~defs) plan.Plan.ret;
     cycle_args = (not elide) || plan.Plan.cycle_args;
     cycle_ret = (not elide) || plan.Plan.cycle_ret;
-    reuse_args =
-      Array.init (Array.length plan.Plan.args) (fun i ->
-          reuse && plan.Plan.reuse_args.(i));
-    reuse_ret = reuse && plan.Plan.reuse_ret;
-    arena_licensed =
-      e.cfg.Config.arena && site_mode e && (not e.cfg.Config.reuse)
-      && plan.Plan.non_escaping;
-    arena = None;
+    arena_args;
+    arena_any = Array.exists Fun.id arena_args;
+    arena_ret = reuse e && plan.Plan.reuse_ret;
     wargs = ref None;
     rargs = ref None;
     wret = ref None;
@@ -385,7 +388,7 @@ let deopt e s v pos msg =
   v'
 
 (* ------------------------------------------------------------------ *)
-(* codec contexts and reuse slots                                      *)
+(* codec contexts and arenas                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* the context in [slot], reset for one more use, or a new one from
@@ -406,24 +409,20 @@ let make_wctx e v ~cycle =
 let make_rctx e v ~cycle =
   Codec.make_rctx ~defs:v.plan.Plan.defs e.meta (metrics e) ~cycle
 
-let make_arg_rctx e v ~cycle =
-  Codec.make_rctx ~defs:v.plan.Plan.defs ?arena:v.arena e.meta (metrics e)
-    ~cycle
-
-(* An empty slot holds [Value.Null], which is also what taking it
-   yields: a null candidate and no candidate decode alike.  Taking
-   empties the slot while its value is in use. *)
-let take_arg s ~nargs i =
-  if Array.length s.arg_slots <> nargs then
-    s.arg_slots <- Array.make nargs Value.Null;
-  let v = s.arg_slots.(i) in
-  s.arg_slots.(i) <- Value.Null;
-  v
-
-let take_ret s =
-  let v = s.ret_slot in
-  s.ret_slot <- Value.Null;
-  v
+(* [slot], one of a site's arenas, made on first use and reset for one
+   more decode.  A reuse config's arenas charge the paper's reuse
+   counters; any other charges the arena's own. *)
+let arena e slot =
+  let slot =
+    match slot with
+    | Some _ -> slot
+    | None ->
+        Some
+          (if reuse e then Arena.create_reuse ()
+           else Arena.create ~metrics:(metrics e))
+  in
+  Option.iter Arena.reset slot;
+  slot
 
 (* ------------------------------------------------------------------ *)
 (* the marshaling phases                                               *)
@@ -458,28 +457,20 @@ let rec marshal_args e s ~epoch ~seq ~obj ~meth args =
       release e w;
       raise ex
 
-(* the served arguments, decoded with [v] over the candidates the
-   site's previous call left, or into [v]'s arena.  The arena's
-   previous dispatch is reclaimed here rather than on the dispatch's
-   many exits — equivalent, since the escape verdict proves nothing
-   kept it. *)
+(* the served arguments, decoded with [v], at [arena_args] positions
+   from the site's argument arena.  The arena's previous dispatch is
+   reclaimed here rather than on the dispatch's many exits — equivalent,
+   since the escape verdict proves nothing kept it.  ([compile_read]'s
+   [cand] label is unread.) *)
 let unmarshal_args e s v r =
-  if v.arena_licensed && Option.is_none v.arena then
-    v.arena <- Some (Arena.create ~metrics:(metrics e));
-  Option.iter Arena.reset v.arena;
-  let rctx =
-    ctx v.rargs Codec.reset_rctx make_arg_rctx e v ~cycle:v.cycle_args
-  in
+  if v.arena_any then s.args_arena <- arena e s.args_arena;
+  let rctx = ctx v.rargs Codec.reset_rctx make_rctx e v ~cycle:v.cycle_args in
   let reads = v.read_args in
   let nargs = Array.length reads in
   let roots = Array.make nargs Value.Null in
   for i = 0 to nargs - 1 do
-    let cand = if v.reuse_args.(i) then take_arg s ~nargs i else Value.Null in
-    roots.(i) <- reads.(i) rctx r ~cand
-  done;
-  (* set the parameters up for the next RMI at this site *)
-  for i = 0 to nargs - 1 do
-    if v.reuse_args.(i) then s.arg_slots.(i) <- roots.(i)
+    Codec.set_arena rctx (if v.arena_args.(i) then s.args_arena else None);
+    roots.(i) <- reads.(i) rctx r ~cand:Value.Null
   done;
   roots
 
@@ -545,10 +536,9 @@ let unmarshal_ret e s v ~kind ~plan_ver r =
           let rctx =
             ctx v.rret Codec.reset_rctx make_rctx e v ~cycle:v.cycle_ret
           in
-          let cand = if v.reuse_ret then take_ret s else Value.Null in
-          let ret = read rctx r ~cand in
-          if v.reuse_ret then s.ret_slot <- ret;
-          Some ret)
+          if v.arena_ret then s.ret_arena <- arena e s.ret_arena;
+          Codec.set_arena rctx (if v.arena_ret then s.ret_arena else None);
+          Some (read rctx r ~cand:Value.Null))
   | Protocol.Request | Protocol.Reject ->
       (* requests are served, rejects resent, before unmarshaling *)
       assert false

@@ -3,8 +3,9 @@
 
     The record holds what the paper's Section 3 makes per site: the
     compiled versions of the site's plan (its generated marshalers),
-    the adaptive tier's state, the reuse slots of Figure 13 and each
-    version's codec contexts and decode arena.  A remote call runs
+    the adaptive tier's state, the recycling arenas of its served
+    arguments and its replies (the paper's reuse, Figure 13) and each
+    version's codec contexts.  A remote call runs
 
     {v
     client:  encoding |> marshal_args          ~~ request ~~>
@@ -88,10 +89,10 @@ val flush : env -> unit
     use. *)
 val get : env -> int -> t
 
-(** Empty every site's reuse slots. *)
+(** Drop every site's recycling arenas. *)
 val reset_caches : env -> unit
 
-(** A crash: reuse slots and tier state are lost, so every site
+(** A crash: arenas and tier state are lost, so every site
     re-warms from the generic plan; compiled versions stay. *)
 val crash : env -> unit
 
@@ -125,8 +126,9 @@ val marshal_args :
   Rmi_serial.Value.t array ->
   Msgbuf.writer
 
-(** The arguments at the reader, decoded with the version over the
-    site's reuse candidates, or into the version's arena. *)
+(** The arguments at the reader, decoded with the version; the
+    positions an escape verdict licenses draw from the site's argument
+    arena, reset once per dispatch. *)
 val unmarshal_args :
   env -> t -> version -> Msgbuf.reader -> Rmi_serial.Value.t array
 
@@ -146,7 +148,8 @@ val marshal_ret :
   Msgbuf.writer
 
 (** The value of a reply of [kind] to a request encoded with the
-    version, decoded with the version the reply announces.
+    version, decoded with the version the reply announces; under
+    return-value reuse, from the site's return arena, reset per reply.
     @raise Remote_exception for an [Exn_reply] or an unknown version *)
 val unmarshal_ret :
   env ->

@@ -6,10 +6,11 @@ module Metrics = Rmi_stats.Metrics
    rewinds the cursors of the shapes touched since the last reset.  A
    node is parked once, when it is first allocated, together with its
    [Value.t] box, so the steady state on a stable call site writes no
-   pointer and allocates no word — the generalization of the paper's
-   per-position argument reuse to arbitrary (varying-shape) argument
-   graphs, made sound by the escape analysis verdict that licenses the
-   reset. *)
+   pointer and allocates no word.  This is the paper's argument and
+   return-value reuse, by shape rather than by position, made sound by
+   the escape analysis verdict that licenses the reset; the cursor
+   hands a parked node out at most once per reset, however the graph
+   it last held was shared. *)
 
 (* [nodes.(0..len)] are the shape's parked nodes, each in its box;
    [nodes.(0..cursor)] are those handed out since the last reset *)
@@ -65,10 +66,11 @@ let pool s key =
   end
 
 type t = {
-  metrics : Metrics.t;
+  metrics : Metrics.t option;  (* [None]: a reuse arena, which charges nothing *)
   (* hand-outs not yet added to [metrics] *)
   mutable tallied_allocs : int;
   mutable tallied_fallbacks : int;
+  mutable hit : bool;  (* the last hand-out was a parked node *)
   objs : shapes;  (* key: cls * 2^16 + nfields *)
   darrs : shapes;  (* key: length *)
   iarrs : shapes;
@@ -78,11 +80,12 @@ type t = {
   mutable ntouched : int;
 }
 
-let create ~metrics =
+let make metrics =
   {
     metrics;
     tallied_allocs = 0;
     tallied_fallbacks = 0;
+    hit = false;
     objs = shapes_make ();
     darrs = shapes_make ();
     iarrs = shapes_make ();
@@ -91,18 +94,33 @@ let create ~metrics =
     ntouched = 0;
   }
 
+let create ~metrics = make (Some metrics)
+let create_reuse () = make None
+let reuses t = Option.is_none t.metrics
+let hit t = t.hit
+
 (* objects with more fields than the key holds are never pooled *)
 let max_keyed_fields = 0xffff
 let obj_key cls nfields = (cls lsl 16) lor nfields
 
 let publish t =
-  Metrics.add t.metrics Arena_allocs t.tallied_allocs;
-  Metrics.add t.metrics Arena_fallbacks t.tallied_fallbacks;
+  (match t.metrics with
+  | Some m ->
+      Metrics.add m Arena_allocs t.tallied_allocs;
+      Metrics.add m Arena_fallbacks t.tallied_fallbacks
+  | None -> ());
   t.tallied_allocs <- 0;
   t.tallied_fallbacks <- 0
 
-let count_alloc t = t.tallied_allocs <- t.tallied_allocs + 1
-let count_fallback t = t.tallied_fallbacks <- t.tallied_fallbacks + 1
+(* a hand-out; it is a hit unless it also counts a miss *)
+let count_alloc t =
+  t.tallied_allocs <- t.tallied_allocs + 1;
+  t.hit <- true
+
+(* a miss: the hand-out is a fresh node *)
+let count_fallback t =
+  t.tallied_fallbacks <- t.tallied_fallbacks + 1;
+  t.hit <- false
 
 (* [p]'s cursor is about to leave 0: log it for [reset] *)
 let touch t p =
@@ -182,6 +200,34 @@ let rarr_box t relem n =
       p.nodes.(p.cursor - 1) <- v;
       v
 
+(* A flat matrix's rows: [rows] is filled with double[] nodes of
+   length [n], drawn as [darr_box] draws them, and the count of parked
+   ones returned.  When the pool has every row parked, they are handed
+   out by one cursor move, and a slot that already holds its node (as
+   a recycled matrix's slots do) is not written again. *)
+let darrs_into t (rows : Value.t array) n =
+  let p = pool t.darrs n in
+  let k = Array.length rows and c = p.cursor in
+  if k > 0 && c + k <= p.len then begin
+    if c = 0 then touch t p;
+    t.tallied_allocs <- t.tallied_allocs + k;
+    t.hit <- true;
+    p.cursor <- c + k;
+    for i = 0 to k - 1 do
+      let v = Array.unsafe_get p.nodes (c + i) in
+      if Array.unsafe_get rows i != v then rows.(i) <- v
+    done;
+    k
+  end
+  else begin
+    let hits = ref 0 in
+    for i = 0 to k - 1 do
+      rows.(i) <- darr_box t n;
+      if t.hit then incr hits
+    done;
+    !hits
+  end
+
 (* the allocators a caller outside the codec sees: each unboxes its
    node and publishes its counts at once *)
 let obj t ~cls ~nfields =
@@ -216,7 +262,7 @@ let pooled t =
   sum t.objs + sum t.darrs + sum t.iarrs + sum t.rarrs
 
 let reset t =
-  Metrics.add t.metrics Arena_resets 1;
+  Option.iter (fun m -> Metrics.add m Arena_resets 1) t.metrics;
   for i = 0 to t.ntouched - 1 do
     t.touched.(i).cursor <- 0
   done;

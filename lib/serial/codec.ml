@@ -28,8 +28,8 @@ type rctx = {
   mutable reused : int;
   rcycle : bool;
   rdefs : Plan.step array;
-  arena : Arena.t option;
-      (* backing store for decoded nodes; [None] = GC heap (legacy) *)
+  mutable arena : Arena.t option;
+      (* backing store for decoded nodes; [None] = GC heap *)
   mutable handles : Value.t array;
   mutable nhandles : int;
 }
@@ -54,6 +54,7 @@ let reset_wctx wctx =
   | None -> ()
 
 let reset_rctx rctx = rctx.nhandles <- 0
+let set_arena rctx arena = rctx.arena <- arena
 
 let make_rctx ?(defs = [||]) ?arena rmeta rmetrics ~cycle =
   {
@@ -91,6 +92,9 @@ let handle_value rctx idx =
   count_lookup rctx;
   rctx.handles.(idx)
 
+(* the bytes an allocated array or object of [n] slots is counted as *)
+let slots_bytes n = 16 + (8 * n)
+
 (* account a fresh allocation made by deserialization *)
 let charge_alloc rctx v =
   rctx.allocs <- rctx.allocs + 1;
@@ -99,35 +103,33 @@ let charge_alloc rctx v =
     +
     match v with
     | Value.Str s -> 16 + String.length s
-    | Value.Obj o -> 16 + (8 * Array.length o.fields)
-    | Value.Darr a -> 16 + (8 * Array.length a.d)
-    | Value.Iarr a -> 16 + (8 * Array.length a.ia)
-    | Value.Rarr a -> 16 + (8 * Array.length a.ra)
+    | Value.Obj o -> slots_bytes (Array.length o.fields)
+    | Value.Darr a -> slots_bytes (Array.length a.d)
+    | Value.Iarr a -> slots_bytes (Array.length a.ia)
+    | Value.Rarr a -> slots_bytes (Array.length a.ra)
     | Value.Null | Value.Bool _ | Value.Int _ | Value.Double _ -> 0
 
-let charge_reuse rctx = rctx.reused <- rctx.reused + 1
+(* Charge a node one of the allocators below just returned.  A node a
+   reuse arena recycled is a reused object; any other — from the GC
+   heap, from an arena standing in for it, or a reuse arena's miss — is
+   an allocation.  An arena standing in for the heap substitutes the
+   allocator, not the paper's accounting, so its effect is told only by
+   the arena_* counters and by real [Gc.minor_words] in the [alloc]
+   experiment. *)
+let charge rctx v =
+  match rctx.arena with
+  | Some a when Arena.reuses a && Arena.hit a -> rctx.reused <- rctx.reused + 1
+  | _ -> charge_alloc rctx v
 
-(* The two ways an inline node enters the decoded graph, each with the
-   node's one box: a reuse candidate taken as the target keeps its own
-   box; a fresh node comes boxed from its allocator and that box is
-   charged as an allocation.  Either way the box is registered under
-   the next handle. *)
-let take_cand rctx cand =
-  charge_reuse rctx;
-  register_handle rctx cand
-
-let enter_fresh rctx v =
-  charge_alloc rctx v;
+(* an inline node enters the decoded graph in its one box: charged, and
+   registered under the next handle *)
+let enter rctx v =
+  charge rctx v;
   register_handle rctx v
 
-(* Fresh-node constructors for the decode path, each returning the
-   node in its box: drawn (box and all) from the arena's recycling
-   pools when one is attached, from the GC heap otherwise.  Both paths
-   charge the paper-statistic counters identically — the arena
-   substitutes the allocator, not the plan-level accounting, so every
-   published table is untouched; the arena's own effect is told by the
-   arena_* counters and by real [Gc.minor_words] in the [alloc]
-   experiment. *)
+(* Node constructors for the decode path, each returning the node in
+   its box: drawn (box and all) from the arena's recycling pools when
+   one is attached, from the GC heap otherwise. *)
 let alloc_obj rctx ~cls ~nfields =
   match rctx.arena with
   | Some a -> Arena.obj_box a ~cls ~nfields
@@ -175,41 +177,26 @@ let step_min_width : Plan.step -> int = function
   | Plan.S_null -> 0
   | Plan.S_ref _ -> 1 (* a marker byte at least *)
   | Plan.S_bool | Plan.S_string | Plan.S_obj _ | Plan.S_double_array
-  | Plan.S_int_array | Plan.S_obj_array _ | Plan.S_flat_array _ | Plan.S_dyn
+  | Plan.S_int_array | Plan.S_obj_array _ | Plan.S_flat_array | Plan.S_dyn
   | Plan.S_int ->
       1
   | Plan.S_double -> 8
 
-(* The body of an inline double[] or int[] (after its tag or marker),
-   read in place into a candidate of the same length — one body for
-   the dynamic, interpreted and compiled readers. *)
-let read_darr_body rctx r ~cand =
+(* The body of an inline double[] or int[] (after its tag or marker) —
+   one body for the dynamic, interpreted and compiled readers. *)
+let read_darr_body rctx r =
   let n = checked_len r (Msgbuf.read_uvarint r) ~unit:8 "double[]" in
-  match cand with
-  | Value.Darr a when Array.length a.d = n ->
-      take_cand rctx cand;
-      Msgbuf.read_double_slice r a.d 0 n;
-      cand
-  | _ ->
-      let v = alloc_darr rctx n in
-      let a = darr_in v in
-      enter_fresh rctx v;
-      Msgbuf.read_double_slice r a.d 0 n;
-      v
+  let v = alloc_darr rctx n in
+  enter rctx v;
+  Msgbuf.read_double_slice r (darr_in v).d 0 n;
+  v
 
-let read_iarr_body rctx r ~cand =
+let read_iarr_body rctx r =
   let n = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "int[]" in
-  match cand with
-  | Value.Iarr a when Array.length a.ia = n ->
-      take_cand rctx cand;
-      Msgbuf.read_int_slice r a.ia 0 n;
-      cand
-  | _ ->
-      let v = alloc_iarr rctx n in
-      let a = iarr_in v in
-      enter_fresh rctx v;
-      Msgbuf.read_int_slice r a.ia 0 n;
-      v
+  let v = alloc_iarr rctx n in
+  enter rctx v;
+  Msgbuf.read_int_slice r (iarr_in v).ia 0 n;
+  v
 
 let charge_tag wctx n = wctx.type_bytes <- wctx.type_bytes + n
 let count_invocation wctx = wctx.ser_invocations <- wctx.ser_invocations + 1
@@ -293,9 +280,7 @@ let rec write_dyn_in wctx w (v : Value.t) =
         done
       end
 
-(* On reuse, each field's (element's) candidate is read from the target
-   just before the decoded child overwrites it. *)
-let rec read_dyn_in rctx r ~(cand : Value.t) : Value.t =
+let rec read_dyn_in rctx r : Value.t =
   match Typedesc.read_tag r with
   | Typedesc.Tag_null -> Value.Null
   | Typedesc.Tag_bool -> Value.Bool (Msgbuf.read_bool r)
@@ -306,47 +291,30 @@ let rec read_dyn_in rctx r ~(cand : Value.t) : Value.t =
       charge_alloc rctx v;
       v
   | Typedesc.Tag_handle -> handle_value rctx (Msgbuf.read_uvarint r)
-  | Typedesc.Tag_object wire_id -> (
+  | Typedesc.Tag_object wire_id ->
       let cls = (Class_meta.of_wire_id rctx.rmeta wire_id).Class_meta.cid in
       let nfields =
         Array.length (Class_meta.cls rctx.rmeta cls).Class_meta.fields
       in
-      match cand with
-      | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
-          take_cand rctx cand;
-          for i = 0 to nfields - 1 do
-            o.fields.(i) <- read_dyn_in rctx r ~cand:o.fields.(i)
-          done;
-          cand
-      | _ ->
-          let v = alloc_obj rctx ~cls ~nfields in
-          let o = obj_in v in
-          enter_fresh rctx v;
-          for i = 0 to nfields - 1 do
-            o.fields.(i) <- read_dyn_in rctx r ~cand:Value.Null
-          done;
-          v)
-  | Typedesc.Tag_double_array -> read_darr_body rctx r ~cand
-  | Typedesc.Tag_int_array -> read_iarr_body rctx r ~cand
-  | Typedesc.Tag_obj_array _ -> (
+      let v = alloc_obj rctx ~cls ~nfields in
+      let o = obj_in v in
+      enter rctx v;
+      for i = 0 to nfields - 1 do
+        o.fields.(i) <- read_dyn_in rctx r
+      done;
+      v
+  | Typedesc.Tag_double_array -> read_darr_body rctx r
+  | Typedesc.Tag_int_array -> read_iarr_body rctx r
+  | Typedesc.Tag_obj_array _ ->
       let relem = Class_meta.read_ty rctx.rmeta r in
       let n = checked_len r (Msgbuf.read_uvarint r) ~unit:1 "object[]" in
-      match cand with
-      | Value.Rarr a
-        when Array.length a.ra = n && Jir.Types.equal_ty a.relem relem ->
-          take_cand rctx cand;
-          for i = 0 to n - 1 do
-            a.ra.(i) <- read_dyn_in rctx r ~cand:a.ra.(i)
-          done;
-          cand
-      | _ ->
-          let v = alloc_rarr rctx relem n in
-          let a = rarr_in v in
-          enter_fresh rctx v;
-          for i = 0 to n - 1 do
-            a.ra.(i) <- read_dyn_in rctx r ~cand:Value.Null
-          done;
-          v)
+      let v = alloc_rarr rctx relem n in
+      let a = rarr_in v in
+      enter rctx v;
+      for i = 0 to n - 1 do
+        a.ra.(i) <- read_dyn_in rctx r
+      done;
+      v
 
 (* ------------------------------------------------------------------ *)
 (* plan-driven (call-site specific) serializer                         *)
@@ -397,40 +365,23 @@ let write_ref_marker wctx w v =
    non-null scalar array of the same length); any violation raises
    [Type_confusion] so the plan deoptimizes through the widen
    machinery, exactly like a class-shape violation on [S_obj]. *)
-let write_flat _wctx w (felem : Plan.flat_elem) (a : Value.rarr) =
+let write_flat w (a : Value.rarr) =
   let rows = Array.length a.Value.ra in
   Msgbuf.write_uvarint w rows;
-  match felem with
-  | Plan.F_darr ->
-      let cols =
-        if rows = 0 then 0
-        else
-          match a.Value.ra.(0) with
-          | Value.Darr r -> Array.length r.Value.d
-          | v -> confusion "S_flat_array(double) row" v
-      in
-      Msgbuf.write_uvarint w cols;
-      for i = 0 to rows - 1 do
-        match a.Value.ra.(i) with
-        | Value.Darr r when Array.length r.Value.d = cols ->
-            Msgbuf.write_double_slice w r.Value.d 0 cols
-        | v -> confusion "S_flat_array(double) row" v
-      done
-  | Plan.F_iarr ->
-      let cols =
-        if rows = 0 then 0
-        else
-          match a.Value.ra.(0) with
-          | Value.Iarr r -> Array.length r.Value.ia
-          | v -> confusion "S_flat_array(int) row" v
-      in
-      Msgbuf.write_uvarint w cols;
-      for i = 0 to rows - 1 do
-        match a.Value.ra.(i) with
-        | Value.Iarr r when Array.length r.Value.ia = cols ->
-            Msgbuf.write_int_slice w r.Value.ia 0 cols
-        | v -> confusion "S_flat_array(int) row" v
-      done
+  let cols =
+    if rows = 0 then 0
+    else
+      match a.Value.ra.(0) with
+      | Value.Darr r -> Array.length r.Value.d
+      | v -> confusion "S_flat_array row" v
+  in
+  Msgbuf.write_uvarint w cols;
+  for i = 0 to rows - 1 do
+    match a.Value.ra.(i) with
+    | Value.Darr r when Array.length r.Value.d = cols ->
+        Msgbuf.write_double_slice w r.Value.d 0 cols
+    | v -> confusion "S_flat_array row" v
+  done
 
 let rec write_step_in wctx w (step : Plan.step) (v : Value.t) =
   match (step, v) with
@@ -479,10 +430,10 @@ let rec write_step_in wctx w (step : Plan.step) (v : Value.t) =
             done
         | _ -> confusion "S_obj_array" v
       end
-  | Plan.S_flat_array { felem }, v ->
+  | Plan.S_flat_array, v ->
       if write_ref_marker wctx w v then begin
         match v with
-        | Value.Rarr a -> write_flat wctx w felem a
+        | Value.Rarr a -> write_flat w a
         | _ -> confusion "S_flat_array" v
       end
   | (Plan.S_bool | Plan.S_int | Plan.S_double | Plan.S_null | Plan.S_string), v
@@ -499,78 +450,40 @@ let rec ty_of_step : Plan.step -> Jir.Types.ty = function
   | Plan.S_double_array -> Jir.Types.Tarray Jir.Types.Tdouble
   | Plan.S_int_array -> Jir.Types.Tarray Jir.Types.Tint
   | Plan.S_obj_array { elem } -> Jir.Types.Tarray (ty_of_step elem)
-  | Plan.S_flat_array { felem = Plan.F_darr } ->
-      Jir.Types.Tarray (Jir.Types.Tarray Jir.Types.Tdouble)
-  | Plan.S_flat_array { felem = Plan.F_iarr } ->
-      Jir.Types.Tarray (Jir.Types.Tarray Jir.Types.Tint)
+  | Plan.S_flat_array -> Jir.Types.Tarray (Jir.Types.Tarray Jir.Types.Tdouble)
   | Plan.S_null | Plan.S_dyn | Plan.S_ref _ -> Jir.Types.Tvoid
 
-let flat_elem_ty = function
-  | Plan.F_darr -> Jir.Types.Tarray Jir.Types.Tdouble
-  | Plan.F_iarr -> Jir.Types.Tarray Jir.Types.Tint
-
-(* Decode a flat matrix's rows into [target]'s slots: a row of the
-   right length is read in place when [in_place], any other slot gets a
-   fresh row. *)
-let read_flat_rows rctx r (felem : Plan.flat_elem) ~in_place ~cols
-    (target : Value.rarr) =
-  match felem with
-  | Plan.F_darr ->
-      for i = 0 to Array.length target.Value.ra - 1 do
-        match target.Value.ra.(i) with
-        | Value.Darr d when in_place && Array.length d.Value.d = cols ->
-            charge_reuse rctx;
-            Msgbuf.read_double_slice r d.Value.d 0 cols
-        | _ ->
-            let v = alloc_darr rctx cols in
-            let d = darr_in v in
-            charge_alloc rctx v;
-            Msgbuf.read_double_slice r d.Value.d 0 cols;
-            target.Value.ra.(i) <- v
-      done
-  | Plan.F_iarr ->
-      for i = 0 to Array.length target.Value.ra - 1 do
-        match target.Value.ra.(i) with
-        | Value.Iarr d when in_place && Array.length d.Value.ia = cols ->
-            charge_reuse rctx;
-            Msgbuf.read_int_slice r d.Value.ia 0 cols
-        | _ ->
-            let v = alloc_iarr rctx cols in
-            let d = iarr_in v in
-            charge_alloc rctx v;
-            Msgbuf.read_int_slice r d.Value.ia 0 cols;
-            target.Value.ra.(i) <- v
-      done
-
 (* Decode a flat-encoded matrix: two varints, one shape check, then raw
-   row-major slices — no per-row marker, tag or handle bookkeeping.
-   The candidate is only consulted on the legacy heap path: under an
-   arena the previous call's rows already sit in the shape pools (the
-   allocators above hand them back out), and reusing them in place as
-   well would alias one node into two roles. *)
-let read_flat rctx r (felem : Plan.flat_elem) ~(cand : Value.t) : Value.t =
+   row-major slices — no per-row marker, tag or handle bookkeeping. *)
+let read_flat rctx r : Value.t =
   let rows = checked_len r (Msgbuf.read_uvarint r) ~unit:0 "flat[][] rows" in
   let cols = checked_len r (Msgbuf.read_uvarint r) ~unit:0 "flat[][] cols" in
-  let unit = match felem with Plan.F_darr -> 8 | Plan.F_iarr -> 1 in
   (* one bounds check for the whole matrix *)
-  if cols > 0 && rows > Msgbuf.remaining r / (cols * unit) then
+  if cols > 0 && rows > Msgbuf.remaining r / (cols * 8) then
     raise
       (Msgbuf.Underflow (Printf.sprintf "flat[][]: bad shape %dx%d" rows cols));
-  let in_place = Option.is_none rctx.arena in
-  match cand with
-  | Value.Rarr a
-    when in_place
-         && Array.length a.Value.ra = rows
-         && Jir.Types.equal_ty a.Value.relem (flat_elem_ty felem) ->
-      take_cand rctx cand;
-      read_flat_rows rctx r felem ~in_place ~cols a;
-      cand
-  | _ ->
-      let v = alloc_rarr rctx (flat_elem_ty felem) rows in
-      let a = rarr_in v in
-      enter_fresh rctx v;
-      read_flat_rows rctx r felem ~in_place ~cols a;
-      v
+  let v = alloc_rarr rctx (Jir.Types.Tarray Jir.Types.Tdouble) rows in
+  let a = rarr_in v in
+  enter rctx v;
+  (* the rows, drawn together and charged as [charge] charges each *)
+  let reused =
+    match rctx.arena with
+    | Some ar ->
+        let hits = Arena.darrs_into ar a.Value.ra cols in
+        if Arena.reuses ar then hits else 0
+    | None ->
+        for i = 0 to rows - 1 do
+          a.Value.ra.(i) <- Value.Darr (Value.new_darr cols)
+        done;
+        0
+  in
+  rctx.reused <- rctx.reused + reused;
+  rctx.allocs <- rctx.allocs + (rows - reused);
+  rctx.new_bytes <- rctx.new_bytes + ((rows - reused) * slots_bytes cols);
+  for i = 0 to rows - 1 do
+    Msgbuf.read_double_slice r (darr_in a.Value.ra.(i)).Value.d 0 cols
+  done;
+  v
 
 (* a reference marker other than [m_inline]: null, or a back-reference
    to a node already decoded *)
@@ -579,7 +492,7 @@ let read_no_body rctx r m =
   else if m = m_handle then handle_value rctx (Msgbuf.read_uvarint r)
   else raise (Msgbuf.Underflow (Printf.sprintf "bad ref marker %d" m))
 
-let rec read_step_in rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
+let rec read_step_in rctx r (step : Plan.step) : Value.t =
   match step with
   | Plan.S_bool -> Value.Bool (Msgbuf.read_bool r)
   | Plan.S_int -> Value.Int (Msgbuf.read_varint r)
@@ -593,35 +506,27 @@ let rec read_step_in rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
           v
       | n -> raise (Msgbuf.Underflow (Printf.sprintf "bad string marker %d" n)))
   | Plan.S_null -> Value.Null
-  | Plan.S_dyn -> read_dyn_in rctx r ~cand
-  | Plan.S_ref d -> read_step_in rctx r rctx.rdefs.(d) ~cand
-  | Plan.S_obj { cls; fields } -> (
+  | Plan.S_dyn -> read_dyn_in rctx r
+  | Plan.S_ref d -> read_step_in rctx r rctx.rdefs.(d)
+  | Plan.S_obj { cls; fields } ->
       let m = Msgbuf.read_u8 r in
       if m <> m_inline then read_no_body rctx r m
       else
         let nfields = Array.length fields in
-        match cand with
-        | Value.Obj o when o.cls = cls && Array.length o.fields = nfields ->
-            take_cand rctx cand;
-            for i = 0 to nfields - 1 do
-              o.fields.(i) <- read_step_in rctx r fields.(i) ~cand:o.fields.(i)
-            done;
-            cand
-        | _ ->
-            let v = alloc_obj rctx ~cls ~nfields in
-            let o = obj_in v in
-            enter_fresh rctx v;
-            for i = 0 to nfields - 1 do
-              o.fields.(i) <- read_step_in rctx r fields.(i) ~cand:Value.Null
-            done;
-            v)
+        let v = alloc_obj rctx ~cls ~nfields in
+        let o = obj_in v in
+        enter rctx v;
+        for i = 0 to nfields - 1 do
+          o.fields.(i) <- read_step_in rctx r fields.(i)
+        done;
+        v
   | Plan.S_double_array ->
       let m = Msgbuf.read_u8 r in
-      if m <> m_inline then read_no_body rctx r m else read_darr_body rctx r ~cand
+      if m <> m_inline then read_no_body rctx r m else read_darr_body rctx r
   | Plan.S_int_array ->
       let m = Msgbuf.read_u8 r in
-      if m <> m_inline then read_no_body rctx r m else read_iarr_body rctx r ~cand
-  | Plan.S_obj_array { elem } -> (
+      if m <> m_inline then read_no_body rctx r m else read_iarr_body rctx r
+  | Plan.S_obj_array { elem } ->
       let m = Msgbuf.read_u8 r in
       if m <> m_inline then read_no_body rctx r m
       else
@@ -629,24 +534,16 @@ let rec read_step_in rctx r (step : Plan.step) ~(cand : Value.t) : Value.t =
           checked_len r (Msgbuf.read_uvarint r) ~unit:(step_min_width elem)
             "object[]"
         in
-        match cand with
-        | Value.Rarr a when Array.length a.ra = n ->
-            take_cand rctx cand;
-            for i = 0 to n - 1 do
-              a.ra.(i) <- read_step_in rctx r elem ~cand:a.ra.(i)
-            done;
-            cand
-        | _ ->
-            let v = alloc_rarr rctx (ty_of_step elem) n in
-            let a = rarr_in v in
-            enter_fresh rctx v;
-            for i = 0 to n - 1 do
-              a.ra.(i) <- read_step_in rctx r elem ~cand:Value.Null
-            done;
-            v)
-  | Plan.S_flat_array { felem } ->
+        let v = alloc_rarr rctx (ty_of_step elem) n in
+        let a = rarr_in v in
+        enter rctx v;
+        for i = 0 to n - 1 do
+          a.ra.(i) <- read_step_in rctx r elem
+        done;
+        v
+  | Plan.S_flat_array ->
       let m = Msgbuf.read_u8 r in
-      if m <> m_inline then read_no_body rctx r m else read_flat rctx r felem ~cand
+      if m <> m_inline then read_no_body rctx r m else read_flat rctx r
 
 (* ------------------------------------------------------------------ *)
 (* compiled plans: partial evaluation of the step tree into closures   *)
@@ -749,11 +646,11 @@ let rec compile_write_in cache ~defs (step : Plan.step) :
               done
           | v -> confusion "S_obj_array" v
         end
-  | Plan.S_flat_array { felem } -> (
+  | Plan.S_flat_array -> (
       fun wctx w v ->
         if write_ref_marker wctx w v then
           match v with
-          | Value.Rarr a -> write_flat wctx w felem a
+          | Value.Rarr a -> write_flat w a
           | v -> confusion "S_flat_array" v)
 
 (* An object of class [cls], inside the body of definition [self] (-1
@@ -802,13 +699,13 @@ let compile_write ~defs step =
         raise e
 
 let rec compile_read_in cache ~defs (step : Plan.step) :
-    rctx -> Msgbuf.reader -> cand:Value.t -> Value.t =
+    rctx -> Msgbuf.reader -> Value.t =
   match step with
-  | Plan.S_bool -> fun _ r ~cand:_ -> Value.Bool (Msgbuf.read_bool r)
-  | Plan.S_int -> fun _ r ~cand:_ -> Value.Int (Msgbuf.read_varint r)
-  | Plan.S_double -> fun _ r ~cand:_ -> Value.Double (Msgbuf.read_double r)
+  | Plan.S_bool -> fun _ r -> Value.Bool (Msgbuf.read_bool r)
+  | Plan.S_int -> fun _ r -> Value.Int (Msgbuf.read_varint r)
+  | Plan.S_double -> fun _ r -> Value.Double (Msgbuf.read_double r)
   | Plan.S_string -> (
-      fun rctx r ~cand:_ ->
+      fun rctx r ->
         match Msgbuf.read_u8 r with
         | 0 -> Value.Null
         | 1 ->
@@ -816,14 +713,14 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
             charge_alloc rctx v;
             v
         | n -> raise (Msgbuf.Underflow (Printf.sprintf "bad string marker %d" n)))
-  | Plan.S_null -> fun _ _ ~cand:_ -> Value.Null
-  | Plan.S_dyn -> fun rctx r ~cand -> read_dyn_in rctx r ~cand
+  | Plan.S_null -> fun _ _ -> Value.Null
+  | Plan.S_dyn -> read_dyn_in
   | Plan.S_ref d -> (
       match Hashtbl.find_opt cache d with
       | Some (Done f) -> f
-      | Some (Compiling cell) -> fun rctx r ~cand -> !cell rctx r ~cand
+      | Some (Compiling cell) -> fun rctx r -> !cell rctx r
       | None ->
-          let cell = ref (fun _ _ ~cand:_ -> assert false) in
+          let cell = ref (fun _ _ -> assert false) in
           Hashtbl.replace cache d (Compiling cell);
           let f =
             match defs.(d) with
@@ -837,64 +734,49 @@ let rec compile_read_in cache ~defs (step : Plan.step) :
   | Plan.S_obj { cls; fields } ->
       compile_read_obj cache ~defs ~self:(-1) cls fields
   | Plan.S_double_array ->
-      fun rctx r ~cand ->
+      fun rctx r ->
         let m = Msgbuf.read_u8 r in
-        if m <> m_inline then read_no_body rctx r m
-        else read_darr_body rctx r ~cand
+        if m <> m_inline then read_no_body rctx r m else read_darr_body rctx r
   | Plan.S_int_array ->
-      fun rctx r ~cand ->
+      fun rctx r ->
         let m = Msgbuf.read_u8 r in
-        if m <> m_inline then read_no_body rctx r m
-        else read_iarr_body rctx r ~cand
+        if m <> m_inline then read_no_body rctx r m else read_iarr_body rctx r
   | Plan.S_obj_array { elem } ->
       let compiled_elem = compile_read_in cache ~defs elem in
       let elem_ty = ty_of_step elem in
-      fun rctx r ~cand ->
+      fun rctx r ->
         let m = Msgbuf.read_u8 r in
         if m <> m_inline then read_no_body rctx r m
-        else (
+        else
           let n =
             checked_len r (Msgbuf.read_uvarint r) ~unit:(step_min_width elem)
               "object[]"
           in
-          match cand with
-          | Value.Rarr a when Array.length a.ra = n ->
-              take_cand rctx cand;
-              for i = 0 to n - 1 do
-                a.ra.(i) <- compiled_elem rctx r ~cand:a.ra.(i)
-              done;
-              cand
-          | _ ->
-              let v = alloc_rarr rctx elem_ty n in
-              let a = rarr_in v in
-              enter_fresh rctx v;
-              for i = 0 to n - 1 do
-                a.ra.(i) <- compiled_elem rctx r ~cand:Value.Null
-              done;
-              v)
-  | Plan.S_flat_array { felem } ->
-      fun rctx r ~cand ->
+          let v = alloc_rarr rctx elem_ty n in
+          let a = rarr_in v in
+          enter rctx v;
+          for i = 0 to n - 1 do
+            a.ra.(i) <- compiled_elem rctx r
+          done;
+          v
+  | Plan.S_flat_array ->
+      fun rctx r ->
         let m = Msgbuf.read_u8 r in
-        if m <> m_inline then read_no_body rctx r m
-        else read_flat rctx r felem ~cand
+        if m <> m_inline then read_no_body rctx r m else read_flat rctx r
 
 (* An object of class [cls], inside the body of definition [self] (-1
-   outside any).  [go] decodes an inline node as [read_step] does: the
-   candidate when its shape matches, a fresh node otherwise, registered
-   before its head fields, which get a taken node's old fields as their
-   candidates and a fresh node's [Null].  [link] stores the node into
-   its parent's spine field, or makes it the root when it has no
-   parent.  With a spine, [go] then goes on by a self tail call to the
-   node that field refers to, with a taken node's old tail as the next
-   candidate ([Null] after a fresh node), so a list is decoded in one
-   frame.  The root and the parent are arguments, never kept in the
-   closure. *)
+   outside any).  [go] decodes an inline node as [read_step] does,
+   registered before its head fields.  [link] stores the node into its
+   parent's spine field, or makes it the root when it has no parent.
+   With a spine, [go] then goes on by a self tail call to the node that
+   field refers to, so a list is decoded in one frame.  The root and
+   the parent are arguments, never kept in the closure. *)
 and compile_read_obj cache ~defs ~self cls fields =
   let nfields = Array.length fields in
   let spine, nhead = split_spine self fields in
   let head =
     Array.init nhead (fun i ->
-        if is_ref self fields.(i) then fun _ _ ~cand:_ -> assert false
+        if is_ref self fields.(i) then fun _ _ -> assert false
         else compile_read_in cache ~defs fields.(i))
   in
   let link parent root v =
@@ -904,29 +786,20 @@ and compile_read_obj cache ~defs ~self cls fields =
         root
     | _ -> v
   in
-  let rec go rctx r ~cand parent root =
+  let rec go rctx r parent root =
     let m = Msgbuf.read_u8 r in
     if m <> m_inline then link parent root (read_no_body rctx r m)
     else
-      match cand with
-      | Value.Obj o as v when o.cls = cls && Array.length o.fields = nfields ->
-          take_cand rctx v;
-          for i = 0 to nhead - 1 do
-            o.fields.(i) <- head.(i) rctx r ~cand:o.fields.(i)
-          done;
-          let root = link parent root v in
-          if spine then go rctx r ~cand:o.fields.(nhead) v root else root
-      | _ ->
-          let v = alloc_obj rctx ~cls ~nfields in
-          let o = obj_in v in
-          enter_fresh rctx v;
-          for i = 0 to nhead - 1 do
-            o.fields.(i) <- head.(i) rctx r ~cand:Value.Null
-          done;
-          let root = link parent root v in
-          if spine then go rctx r ~cand:Value.Null v root else root
+      let v = alloc_obj rctx ~cls ~nfields in
+      let o = obj_in v in
+      enter rctx v;
+      for i = 0 to nhead - 1 do
+        o.fields.(i) <- head.(i) rctx r
+      done;
+      let root = link parent root v in
+      if spine then go rctx r v root else root
   in
-  let read rctx r ~cand = go rctx r ~cand Value.Null Value.Null in
+  let read rctx r = go rctx r Value.Null Value.Null in
   for i = 0 to nhead - 1 do
     if is_ref self fields.(i) then head.(i) <- read
   done;
@@ -946,8 +819,8 @@ let publish_r rctx =
 
 let compile_read ~defs step =
   let read = compile_read_in (Hashtbl.create 4) ~defs step in
-  fun rctx r ~cand ->
-    match read rctx r ~cand with
+  fun rctx r ~cand:_ ->
+    match read rctx r with
     | v ->
         publish_r rctx;
         v
@@ -962,8 +835,8 @@ let write_dyn wctx w v =
       publish_w wctx;
       raise e
 
-let read_dyn rctx r ~cand =
-  match read_dyn_in rctx r ~cand with
+let read_dyn rctx r =
+  match read_dyn_in rctx r with
   | v ->
       publish_r rctx;
       v
@@ -978,8 +851,8 @@ let write_step wctx w step v =
       publish_w wctx;
       raise e
 
-let read_step rctx r step ~cand =
-  match read_step_in rctx r step ~cand with
+let read_step rctx r step =
+  match read_step_in rctx r step with
   | v ->
       publish_r rctx;
       v

@@ -16,11 +16,11 @@
     use; the marshaling engine derives that flag identically on both
     sides from the plan and the optimization configuration.
 
-    Reading takes a {e reuse candidate} — the object graph deserialized
-    by the previous call at this site.  Where the candidate's shape
-    matches the incoming data it is overwritten in place (counted as
-    reused objects); everywhere else fresh allocations are counted with
-    their byte sizes, feeding the paper's "new MBytes" statistic.
+    A reader draws every node it decodes from its context's arena
+    ({!set_arena}), or from the GC heap without one.  A node a reuse
+    arena ({!Arena.create_reuse}) recycles is counted as a reused
+    object; every other node is counted as an allocation with its byte
+    size, feeding the paper's "new MBytes" statistic.
 
     A context counts in plain ints while it works and adds its counts
     to its metrics when a public entry point ({!write_dyn},
@@ -43,15 +43,20 @@ val make_wctx :
 
 (** [make_rctx ?arena] — when an arena is supplied, every Value node the
     context materializes is drawn, box and all, from the arena's
-    recycling pools instead of the GC heap; the paper-statistic counters
-    are charged identically either way, so published tables are
-    untouched.  The caller resets the arena between dispatches when the
-    plan's [non_escaping] bit licenses it.  Reuse candidates must be
-    [Null] under an arena: the two recycling schemes alias if mixed. *)
+    recycling pools instead of the GC heap.  An arena from
+    {!Arena.create} leaves the paper-statistic counters as on the heap,
+    so published tables are untouched; a reuse arena charges its
+    recycled nodes as reused objects.  The caller resets the arena
+    between decodes when an escape-analysis verdict licenses it. *)
 val make_rctx :
   ?defs:Rmi_core.Plan.step array ->
   ?arena:Arena.t ->
   Class_meta.t -> Rmi_stats.Metrics.t -> cycle:bool -> rctx
+
+(** [set_arena r a] makes the context's next reads draw from [a] ([None]:
+    the GC heap), keeping its registered handles: one message's
+    positions may decode from different stores. *)
+val set_arena : rctx -> Arena.t option -> unit
 
 (** [reset_wctx w] clears the cycle handle-table (a no-op without one).
     Required before reusing a writer context whose previous write was
@@ -69,15 +74,12 @@ val reset_rctx : rctx -> unit
 
 val write_dyn : wctx -> Rmi_wire.Msgbuf.writer -> Value.t -> unit
 
-(** [read_dyn rctx r ~cand] deserializes, recycling [cand] where
-    possible ([Null] = no candidate). *)
-val read_dyn : rctx -> Rmi_wire.Msgbuf.reader -> cand:Value.t -> Value.t
+val read_dyn : rctx -> Rmi_wire.Msgbuf.reader -> Value.t
 
 (** {1 Plan-driven (call-site specific) serializers} *)
 
 val write_step : wctx -> Rmi_wire.Msgbuf.writer -> Rmi_core.Plan.step -> Value.t -> unit
-val read_step :
-  rctx -> Rmi_wire.Msgbuf.reader -> Rmi_core.Plan.step -> cand:Value.t -> Value.t
+val read_step : rctx -> Rmi_wire.Msgbuf.reader -> Rmi_core.Plan.step -> Value.t
 
 (** {1 Compiled plans}
 
@@ -87,10 +89,7 @@ val read_step :
     cites): per call no step-tree interpretation remains, only direct
     calls.  Semantics are identical to {!write_step}/{!read_step}
     (checked by a differential property test): the same bytes, the same
-    handle order, the same counters and the same use of a reuse
-    candidate whose nodes are each reachable by one path.  (Over a
-    candidate with sharing or a cycle, a node can be taken twice, and
-    both decode wrong graphs, not always the same ones.)
+    handle order and the same counters.
 
     Each recursive definition in [defs] is compiled once per call of
     these functions, into one recursive function.  An [S_ref d] inside
@@ -109,6 +108,9 @@ val compile_write :
   Rmi_core.Plan.step ->
   wctx -> Rmi_wire.Msgbuf.writer -> Value.t -> unit
 
+(** The [cand] label is not read: it remains for callers that still
+    pass the previous call's graph, from when reuse overwrote that graph
+    in place.  Reuse now draws from a reuse arena ({!set_arena}). *)
 val compile_read :
   defs:Rmi_core.Plan.step array ->
   Rmi_core.Plan.step ->

@@ -15,7 +15,7 @@ type t
 type snapshot = {
   remote_rpcs : int;      (** RMIs whose target lived on another machine *)
   local_rpcs : int;       (** RMIs whose target happened to be local *)
-  reused_objs : int;      (** objects recycled by the reuse cache *)
+  reused_objs : int;      (** decoded objects a reuse arena recycled *)
   new_bytes : int;        (** bytes allocated by deserialization *)
   cycle_lookups : int;    (** handle-table probes during (de)serialization *)
   ser_invocations : int;  (** dynamic calls into per-class serializers *)

@@ -186,20 +186,20 @@ let linked_list ?(elements = 100) () =
   one_site (B.finish b)
 
 (* Figures 12/13: 16x16 double[][] transmission. *)
-let array2d ?(n = 16) () =
+let array2d ?(n = 16) ?(elem = Types.Tdouble) () =
   let b = B.create () in
   let foo_cls = B.declare_class b ~remote:true "ArrayBench" in
   let send =
     B.declare_method b ~owner:foo_cls ~name:"ArrayBench.send"
-      ~params:[ Tarray (Tarray Tdouble) ] ~ret:Tvoid ()
+      ~params:[ Tarray (Tarray elem) ] ~ret:Tvoid ()
   in
   B.define b send (fun mb -> B.ret mb None);
   let bench = B.declare_method b ~name:"benchmark" ~params:[] ~ret:Tvoid () in
   B.define b bench (fun mb ->
       let f = B.alloc mb foo_cls in
-      let arr = B.alloc_array mb (Tarray Tdouble) (Int n) in
+      let arr = B.alloc_array mb (Tarray elem) (Int n) in
       B.loop_up mb ~from:(Int 0) ~limit:(Int n) (fun i ->
-          let inner = B.alloc_array mb Tdouble (Int n) in
+          let inner = B.alloc_array mb elem (Int n) in
           B.store_elem mb arr (Var i) (Var inner));
       B.rcall_ignore mb (Var f) send [ Var arr ];
       B.ret mb None);

@@ -190,7 +190,7 @@ let arb_graph = QCheck.make ~print:(Format.asprintf "%a" Value.pp) gen_graph
 let decode_with ?arena bytes =
   let m = Metrics.create () in
   let rctx = Codec.make_rctx ?arena meta m ~cycle:true in
-  (Codec.read_dyn rctx (Msgbuf.reader_of_writer bytes) ~cand:Value.Null, m)
+  (Codec.read_dyn rctx (Msgbuf.reader_of_writer bytes), m)
 
 let prop_arena_decode_equals_heap =
   QCheck.Test.make ~name:"arena decode == heap decode on random graphs"
@@ -243,7 +243,7 @@ let matrix rows cols =
   done;
   Value.Rarr outer
 
-let flat_step = Plan.S_flat_array { felem = Plan.F_darr }
+let flat_step = Plan.S_flat_array
 
 let encode_flat v =
   let m = Metrics.create () in
@@ -259,7 +259,6 @@ let flat_recycles_across_resets () =
   let rctx = Codec.make_rctx ~arena meta m ~cycle:false in
   let got1 =
     Codec.read_step rctx (Msgbuf.reader_of_writer bytes) flat_step
-      ~cand:Value.Null
   in
   check_equal "first arena decode" v got1;
   Alcotest.(check int) "matrix is 5 live nodes" 5 (Arena.live arena);
@@ -267,16 +266,27 @@ let flat_recycles_across_resets () =
   Codec.reset_rctx rctx;
   let got2 =
     Codec.read_step rctx (Msgbuf.reader_of_writer bytes) flat_step
-      ~cand:Value.Null
   in
   check_equal "second arena decode" v got2;
   (match (got1, got2) with
   | Value.Rarr a, Value.Rarr b ->
       Alcotest.(check bool) "outer array physically recycled" true (a == b)
   | _ -> Alcotest.fail "expected reference arrays");
-  let s = Metrics.snapshot m in
-  Alcotest.(check bool) "steady state: no new fallbacks on round 2" true
-    (s.Metrics.arena_allocs > s.Metrics.arena_fallbacks)
+  let counts () =
+    let s = Metrics.snapshot m in
+    (s.Metrics.arena_allocs, s.Metrics.arena_fallbacks)
+  in
+  Alcotest.(check (pair int int)) "steady state: no new fallbacks on round 2"
+    (10, 5) (counts ());
+  (* two more rows of the same length: the four parked rows, then two
+     fresh ones, under a fresh outer array *)
+  let taller = matrix 6 4 in
+  Arena.reset arena;
+  Codec.reset_rctx rctx;
+  check_equal "taller matrix" taller
+    (Codec.read_step rctx (Msgbuf.reader_of_writer (encode_flat taller))
+       flat_step);
+  Alcotest.(check (pair int int)) "7 drawn, 3 of them fresh" (17, 8) (counts ())
 
 (* ------------------------------------------------------------------ *)
 (* broken static promises: confusion -> widen -> replay                *)
@@ -323,7 +333,7 @@ let flat_rejects_broken_shapes () =
   let mixed = Value.new_rarr (Jir.Types.Tarray Jir.Types.Tdouble) 2 in
   mixed.Value.ra.(0) <- Value.Darr (Value.new_darr 3);
   mixed.Value.ra.(1) <- Value.Iarr (Value.new_iarr 3);
-  Alcotest.(check bool) "int row under F_darr raises" true
+  Alcotest.(check bool) "int row under a flat double[][] raises" true
     (confusion_on (Value.Rarr mixed));
   (* the happy shape still does not *)
   Alcotest.(check bool) "rectangular matrix encodes" false
@@ -360,7 +370,6 @@ let flat_deopt_widen_replay () =
   in
   let got =
     Codec.read_step rctx (Msgbuf.reader_of_writer w) widened.Plan.args.(0)
-      ~cand:Value.Null
   in
   check_equal "widened replay" v got
 

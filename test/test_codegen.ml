@@ -25,7 +25,7 @@ let fig13_array_plan () =
      double[][], rows decoded straight into unboxed storage.  No cycle
      table, argument reusable, ack-only reply. *)
   (match plan.Plan.args with
-  | [| Plan.S_flat_array { felem = Plan.F_darr } |] -> ()
+  | [| Plan.S_flat_array |] -> ()
   | [| s |] -> Alcotest.failf "unexpected step %s" (plan_step_str s)
   | _ -> Alcotest.fail "expected one arg");
   Alcotest.(check bool) "cycle table removed" false plan.Plan.cycle_args;
@@ -33,6 +33,44 @@ let fig13_array_plan () =
   Alcotest.(check bool) "escape verdict lifted to the plan" true
     plan.Plan.non_escaping;
   Alcotest.(check bool) "ack-only reply" true (plan.Plan.ret = None)
+
+(* int[][] has no flat step: each row is an int[] with its own marker,
+   so ragged and null rows round-trip *)
+let int_matrix_plan_roundtrip () =
+  let fx = Fixtures.array2d ~elem:Jir.Types.Tint () in
+  let r = analyze fx.s_prog in
+  let plan = Codegen.plan_for r (callsite_of r fx.s_site) in
+  let step =
+    match plan.Plan.args with
+    | [| Plan.S_obj_array { elem = Plan.S_int_array } as s |] -> s
+    | [| s |] -> Alcotest.failf "unexpected step %s" (plan_step_str s)
+    | _ -> Alcotest.fail "expected one arg"
+  in
+  let module V = Rmi_serial.Value in
+  let row xs =
+    let a = V.new_iarr (List.length xs) in
+    List.iteri (fun i x -> a.V.ia.(i) <- x) xs;
+    V.Iarr a
+  in
+  let m = V.new_rarr (Jir.Types.Tarray Jir.Types.Tint) 3 in
+  m.V.ra.(0) <- row [ 1; -2; 3 ];
+  m.V.ra.(2) <- row [ 1 lsl 40 ];
+  let v = V.Rarr m in
+  let meta = Rmi_serial.Class_meta.of_program fx.s_prog in
+  let metrics = Rmi_stats.Metrics.create () in
+  let cycle = plan.Plan.cycle_args and defs = plan.Plan.defs in
+  let w = Rmi_wire.Msgbuf.create_writer () in
+  Rmi_serial.Codec.compile_write ~defs step
+    (Rmi_serial.Codec.make_wctx ~defs meta metrics ~cycle)
+    w v;
+  let got =
+    Rmi_serial.Codec.compile_read ~defs step
+      (Rmi_serial.Codec.make_rctx ~defs meta metrics ~cycle)
+      (Rmi_wire.Msgbuf.reader_of_writer w)
+      ~cand:V.Null
+  in
+  Alcotest.(check bool) "int[][] round-trips" true
+    (Rmi_serial.Equality.equal v got)
 
 let fig5_per_callsite_specialization () =
   let fx = Fixtures.fig5 () in
@@ -449,6 +487,8 @@ let suite =
     ( "codegen.plans",
       [
         Alcotest.test_case "figure 13 array marshaler" `Quick fig13_array_plan;
+        Alcotest.test_case "int[][] plan round-trips" `Quick
+          int_matrix_plan_roundtrip;
         Alcotest.test_case "figure 5/6 per-callsite specialization" `Quick
           fig5_per_callsite_specialization;
         Alcotest.test_case "recursive type -> self reference" `Quick

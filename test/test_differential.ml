@@ -100,7 +100,6 @@ let via_dyn v =
   let w = Msgbuf.create_writer () in
   Codec.write_dyn (Codec.make_wctx meta m ~cycle:true) w v;
   Codec.read_dyn (Codec.make_rctx meta m ~cycle:true) (Msgbuf.reader_of_writer w)
-    ~cand:Value.Null
 
 let via_plan v =
   (* the S_dyn plan step must behave identically to the dynamic path *)
@@ -109,7 +108,7 @@ let via_plan v =
   Codec.write_step (Codec.make_wctx meta m ~cycle:true) w Plan.S_dyn v;
   Codec.read_step
     (Codec.make_rctx meta m ~cycle:true)
-    (Msgbuf.reader_of_writer w) Plan.S_dyn ~cand:Value.Null
+    (Msgbuf.reader_of_writer w) Plan.S_dyn
 
 (* --- compiled = interpreted on recursive plans ---
 
@@ -118,15 +117,10 @@ let via_plan v =
    mostly runs on to the next node, tree children, and (unless
    [~shared:false]) back-references to any node, so cycles and shared
    tails occur.  Both codecs encode it with a cycle table and decode
-   it over the GC heap, into a warm arena, or over a reuse candidate of
-   another length; the bytes, the decoded graphs (sharing included)
-   and every published counter must agree, and the graph must come
-   back.
-
-   A reuse candidate is always built with [~shared:false]: a candidate
-   node reachable twice can be taken twice by either codec, which then
-   decodes a wrong graph, so only tree-shaped candidates have a defined
-   result to compare. *)
+   it over the GC heap, or into a warm arena or a warm reuse arena,
+   warmed by a graph of another length; the bytes, the decoded graphs
+   (sharing included) and every published counter must agree, and the
+   graph must come back. *)
 
 type rec_plan = { pname : string; defs : Plan.step array; cls : int }
 
@@ -278,19 +272,20 @@ let arb_rec_case =
 (* one codec: [write] and [read] over the plan's root [S_ref 0] *)
 type codec = {
   write : Codec.wctx -> Msgbuf.writer -> Value.t -> unit;
-  read : Codec.rctx -> Msgbuf.reader -> cand:Value.t -> Value.t;
+  read : Codec.rctx -> Msgbuf.reader -> Value.t;
 }
 
 let interpreted =
   {
     write = (fun wctx w v -> Codec.write_step wctx w (Plan.S_ref 0) v);
-    read = (fun rctx r ~cand -> Codec.read_step rctx r (Plan.S_ref 0) ~cand);
+    read = (fun rctx r -> Codec.read_step rctx r (Plan.S_ref 0));
   }
 
 let compiled defs =
+  let read = Codec.compile_read ~defs (Plan.S_ref 0) in
   {
     write = Codec.compile_write ~defs (Plan.S_ref 0);
-    read = Codec.compile_read ~defs (Plan.S_ref 0);
+    read = (fun rctx r -> read rctx r ~cand:Value.Null);
   }
 
 let encode c ~defs m v =
@@ -298,31 +293,29 @@ let encode c ~defs m v =
   c.write (Codec.make_wctx ~defs meta m ~cycle:true) w v;
   Msgbuf.contents w
 
-(* decode [bytes] as [case.mode] says; [other] is the warm-up graph's
-   or the candidate's encoding.  Only the decode of [bytes] is counted:
-   its counters are the difference around it. *)
-let decode c case m ~other bytes =
-  let defs = case.plan.defs in
-  let run ?arena cand b =
+(* decode [bytes] as [mode] says; [other] is the warm-up graph's
+   encoding.  Only the decode of [bytes] is counted: its counters are
+   the difference around it. *)
+let decode c ~defs mode m ~other bytes =
+  let run ?arena b =
     c.read
       (Codec.make_rctx ~defs ?arena meta m ~cycle:true)
-      (Msgbuf.reader_of_bytes b) ~cand
+      (Msgbuf.reader_of_bytes b)
   in
   let counted f =
     let before = Metrics.snapshot m in
     let v = f () in
     (v, Metrics.diff (Metrics.snapshot m) before)
   in
-  match case.mode with
-  | Heap -> counted (fun () -> run Value.Null bytes)
-  | Warm_arena ->
-      let arena = Arena.create ~metrics:m in
-      ignore (run ~arena Value.Null other : Value.t);
-      Arena.reset arena;
-      counted (fun () -> run ~arena Value.Null bytes)
-  | Reuse ->
-      let cand = run Value.Null other in
-      counted (fun () -> run cand bytes)
+  let warm arena =
+    ignore (run ~arena other : Value.t);
+    Arena.reset arena;
+    counted (fun () -> run ~arena bytes)
+  in
+  match mode with
+  | Heap -> counted (fun () -> run bytes)
+  | Warm_arena -> warm (Arena.create ~metrics:m)
+  | Reuse -> warm (Arena.create_reuse ())
 
 let prop_compiled_equals_interpreted =
   QCheck.Test.make ~name:"compiled plan = interpreted plan (bytes and value)"
@@ -331,9 +324,7 @@ let prop_compiled_equals_interpreted =
       let defs = case.plan.defs in
       let v = graph (Random.State.make [| case.seed |]) case.plan case.len in
       let other =
-        graph ~shared:(case.mode <> Reuse)
-          (Random.State.make [| case.seed + 1 |])
-          case.plan case.other_len
+        graph (Random.State.make [| case.seed + 1 |]) case.plan case.other_len
       in
       let codecs = [ interpreted; compiled defs ] in
       let results =
@@ -343,7 +334,7 @@ let prop_compiled_equals_interpreted =
             let bytes = encode c ~defs wm v in
             let rm = Metrics.create () in
             let other = encode c ~defs (Metrics.create ()) other in
-            let decoded, counts = decode c case rm ~other bytes in
+            let decoded, counts = decode c ~defs case.mode rm ~other bytes in
             (bytes, Metrics.snapshot wm, decoded, counts))
           codecs
       in
@@ -353,9 +344,53 @@ let prop_compiled_equals_interpreted =
           && isomorphic v d1
       | _ -> assert false)
 
+(* Reuse over any previous graph: the previous graph gets one more
+   reference, from a random node to a random node, which adds a cycle
+   or sharing.  Decoded into a reuse arena after it, the next graph
+   equals a GC-heap decode: every node is handed out once, however the
+   nodes it last held were linked, and each is charged once, as reused
+   or allocated. *)
+let add_back_ref st p g =
+  let rec reach acc = function
+    | Value.Obj o when not (List.memq o acc) ->
+        Array.fold_left reach (o :: acc) o.Value.fields
+    | Value.Rarr a -> Array.fold_left reach acc a.Value.ra
+    | _ -> acc
+  in
+  let nodes = Array.of_list (reach [] g) in
+  let pick () = nodes.(Random.State.int st (Array.length nodes)) in
+  let src = pick () in
+  (* every plan's class has a self-typed last field *)
+  src.Value.fields.(if p.cls = 0 then 0 else 1) <- Value.Obj (pick ());
+  g
+
+let prop_reuse_after_shared_graph =
+  QCheck.Test.make
+    ~name:"reuse arena after a shared or cyclic graph = heap decode" ~count:400
+    arb_rec_case
+    (fun case ->
+      let defs = case.plan.defs in
+      let v = graph (Random.State.make [| case.seed |]) case.plan case.len in
+      let st = Random.State.make [| case.seed + 1 |] in
+      let prev = add_back_ref st case.plan (graph st case.plan case.other_len) in
+      List.for_all
+        (fun c ->
+          let bytes = encode c ~defs (Metrics.create ()) v in
+          let other = encode c ~defs (Metrics.create ()) prev in
+          let decode mode =
+            decode c ~defs mode (Metrics.create ()) ~other bytes
+          in
+          let heap, h = decode Heap and reused, r = decode Reuse in
+          isomorphic heap reused && isomorphic v reused
+          && r.Metrics.reused_objs + r.Metrics.allocs = h.Metrics.allocs
+          && r.Metrics.cycle_lookups = h.Metrics.cycle_lookups)
+        [ interpreted; compiled defs ])
+
 (* Table 1's list at a length where a frame per cell would overflow an
-   8 MiB stack: the compiled codec loops down the spine on both sides.
-   The length is checked with a loop, since [Equality] recurses. *)
+   8 MiB stack: the compiled codec loops down the spine on both sides,
+   over the GC heap and then twice into one reuse arena, the second
+   time warm.  The length is checked with a loop, since [Equality]
+   recurses. *)
 let million_cell_chain () =
   let n = 1_000_000 in
   let defs = (rec_plans.(0)).defs in
@@ -369,17 +404,30 @@ let million_cell_chain () =
   in
   let c = compiled defs in
   let bytes = encode c ~defs (Metrics.create ()) (chain Value.Null n) in
-  let decoded =
+  let decode ?arena m =
     c.read
-      (Codec.make_rctx ~defs meta (Metrics.create ()) ~cycle:true)
-      (Msgbuf.reader_of_bytes bytes) ~cand:Value.Null
+      (Codec.make_rctx ~defs ?arena meta m ~cycle:true)
+      (Msgbuf.reader_of_bytes bytes)
   in
   let rec length acc = function
     | Value.Null -> acc
     | Value.Obj o when o.Value.cls = 0 -> length (acc + 1) o.Value.fields.(0)
     | v -> Alcotest.failf "cell %d is %a" acc Value.pp v
   in
-  Alcotest.(check int) "cells decoded" n (length 0 decoded)
+  Alcotest.(check int) "cells decoded" n
+    (length 0 (decode (Metrics.create ())));
+  let arena = Arena.create_reuse () in
+  Alcotest.(check int) "cells decoded into a cold arena" n
+    (length 0 (decode ~arena (Metrics.create ())));
+  Arena.reset arena;
+  let m = Metrics.create () in
+  Alcotest.(check int) "cells decoded into a warm arena" n
+    (length 0 (decode ~arena m));
+  (* the shape's pool holds 4096 cells; the rest come from the heap *)
+  Alcotest.(check (pair int int))
+    "warm: pooled cells reused, the rest allocated" (4096, n - 4096)
+    (let s = Metrics.snapshot m in
+     (s.Metrics.reused_objs, s.Metrics.allocs))
 
 let prop_three_families_agree =
   QCheck.Test.make ~name:"introspect = dyn = plan on random graphs" ~count:400
@@ -408,7 +456,7 @@ let fuzz_dyn =
       match
         Codec.read_dyn
           (Codec.make_rctx meta m ~cycle:true)
-          (Msgbuf.reader_of_bytes bytes) ~cand:Value.Null
+          (Msgbuf.reader_of_bytes bytes)
       with
       | (_ : Value.t) -> true
       | exception Msgbuf.Underflow _ -> true)
@@ -436,7 +484,7 @@ let fuzz_plan =
       match
         Codec.read_step
           (Codec.make_rctx meta m ~cycle:true)
-          (Msgbuf.reader_of_bytes bytes) step ~cand:Value.Null
+          (Msgbuf.reader_of_bytes bytes) step
       with
       | (_ : Value.t) -> true
       | exception Msgbuf.Underflow _ -> true)
@@ -479,7 +527,7 @@ let hostile_length_rejected () =
        ignore
          (Codec.read_dyn
             (Codec.make_rctx meta m ~cycle:true)
-            (Msgbuf.reader_of_writer w) ~cand:Value.Null);
+            (Msgbuf.reader_of_writer w));
        false
      with Msgbuf.Underflow _ -> true)
 
@@ -489,6 +537,7 @@ let suite =
       [
         Fixtures.qcheck_case prop_three_families_agree;
         Fixtures.qcheck_case prop_compiled_equals_interpreted;
+        Fixtures.qcheck_case prop_reuse_after_shared_graph;
         Alcotest.test_case "1,000,000-cell chain round-trips compiled" `Quick
           million_cell_chain;
       ] );

@@ -173,7 +173,7 @@ let string_and_bool_array_fields () =
   let got =
     Codec.read_step
       (Codec.make_rctx meta m ~cycle:false)
-      (Msgbuf.reader_of_writer w) step ~cand:Value.Null
+      (Msgbuf.reader_of_writer w) step
   in
   match Rmi_serial.Equality.check ~expected:(Value.Obj o) ~actual:got with
   | Ok () -> ()
@@ -193,7 +193,7 @@ let null_string_field () =
   let got =
     Codec.read_step
       (Codec.make_rctx meta m ~cycle:false)
-      (Msgbuf.reader_of_writer w) step ~cand:Value.Null
+      (Msgbuf.reader_of_writer w) step
   in
   match got with
   | Value.Obj o' ->

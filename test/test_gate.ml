@@ -237,8 +237,9 @@ let wirecost_pin () =
 
 (* the alloc gate's deterministic columns at its CLI defaults (192
    calls, window 16, seed 42), row by row against the checked-in
-   BENCH_alloc.json — the arena's engagement counts, the gated flag and
-   the reply digests; the minor-words columns are measurements and move *)
+   BENCH_alloc.json — the arena's engagement counts, the reused objects,
+   the gated flag and the reply digests; the minor-words columns are
+   measurements and move *)
 let alloc_pin () =
   let checked_in =
     In_channel.with_open_text "../BENCH_alloc.json" In_channel.input_all
@@ -253,7 +254,7 @@ let alloc_pin () =
   in
   Alcotest.(check int) "8 rows" 8 (List.length (json_rows checked_in));
   Alcotest.(check (list string))
-    "arena_allocs/arena_resets/arena_fallbacks/gated/digest per row"
+    "arena_allocs/arena_resets/arena_fallbacks/reused_objs/gated/digest per row"
     (rows checked_in) (rows (Gate.to_json g))
 
 let single_domain_perf_unenforced () =

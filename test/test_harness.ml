@@ -99,9 +99,9 @@ let stats_rendering () =
   Alcotest.(check bool) "has content" true (String.length s > 200)
 
 (* golden: every counter cell of the paper's statistics tables (4, 6
-   and 8) for all five configs.  The runs are seeded and synchronous, so
-   each cell is exact; new_bytes is pinned in bytes, not the rendered
-   MBytes. *)
+   and 8), and of the same statistics behind Tables 1 and 2, for all
+   five configs.  The runs are seeded and synchronous, so each cell is
+   exact; new_bytes is pinned in bytes, not the rendered MBytes. *)
 let stats_tables_pinned () =
   let cells (t : E.timing_table) =
     List.map
@@ -119,6 +119,22 @@ let stats_tables_pinned () =
     Alcotest.(check (list (pair string (list int))))
       title expected (cells t)
   in
+  check "Table 1 (linked list)" (E.table1 ())
+    [
+      ("class", [ 0; 0; 200; 480000; 60000; 20000 ]);
+      ("site", [ 0; 0; 200; 480000; 60000; 0 ]);
+      ("site + cycle", [ 0; 0; 200; 480000; 60000; 0 ]);
+      ("site + reuse", [ 19900; 0; 200; 2400; 60000; 0 ]);
+      ("site + reuse + cycle", [ 19900; 0; 200; 2400; 60000; 0 ]);
+    ];
+  check "Table 2 (array)" (E.table2 ())
+    [
+      ("class", [ 0; 0; 200; 489600; 10200; 3400 ]);
+      ("site", [ 0; 0; 200; 489600; 600; 0 ]);
+      ("site + cycle", [ 0; 0; 200; 489600; 0; 0 ]);
+      ("site + reuse", [ 3383; 0; 200; 2448; 600; 0 ]);
+      ("site + reuse + cycle", [ 3383; 0; 200; 2448; 0; 0 ]);
+    ];
   check "Table 4 (LU)" (E.table3 ())
     [
       ("class", [ 0; 588; 652; 12142080; 252960; 84320 ]);

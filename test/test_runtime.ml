@@ -11,6 +11,7 @@ let meta =
     [
       ("Cell", [ ("next", Jir.Types.Tobject 0) ]);
       ("Box", [ ("v", Jir.Types.Tint) ]);
+      ("Pair", [ ("a", Jir.Types.Tobject 0); ("b", Jir.Types.Tobject 0) ]);
     ]
 
 let no_plans () : (int, Plan.t) Hashtbl.t = Hashtbl.create 4
@@ -366,6 +367,98 @@ let reset_caches_forgets_candidates () =
     (Metrics.diff s2 s1).Metrics.reused_objs;
   Alcotest.(check int) "fresh allocation" 1 (Metrics.diff s2 s1).Metrics.allocs
 
+(* Reuse over a previous graph with a cycle or sharing.  The site is
+   reuse-licensed and keeps its cycle table; the first call leaves a
+   graph whose nodes are linked differently from the second call's, and
+   the handler must see exactly what the second call sent. *)
+let cell_defs = [| Plan.S_obj { cls = 0; fields = [| Plan.S_ref 0 |] } |]
+
+let cell next =
+  let c = Value.new_obj ~cls:0 ~nfields:1 in
+  c.fields.(0) <- next;
+  c
+
+let rec cells n = if n = 0 then Value.Null else Value.Obj (cell (cells (n - 1)))
+
+(* the distinct cells down a [next] chain, up to null or a repeat *)
+let distinct_cells v =
+  let rec go seen = function
+    | Value.Obj o when not (List.memq o seen) -> go (o :: seen) o.fields.(0)
+    | _ -> List.length seen
+  in
+  go [] v
+
+(* two calls at a reuse site with one argument of [step]; [check] runs
+   in the handler on the second call's argument *)
+let reuse_after ~step ~first ~second check =
+  let plans = no_plans () in
+  Hashtbl.replace plans 40
+    {
+      Plan.callsite = 40;
+      defs = cell_defs;
+      args = [| step |];
+      ret = None;
+      cycle_args = true;
+      cycle_ret = false;
+      reuse_args = [| true |];
+      reuse_ret = false;
+      non_escaping = true;
+      version = 1;
+      polluted = false;
+    };
+  let fabric = make_fabric ~config:Config.site_reuse_cycle ~plans () in
+  let calls = ref 0 in
+  Node.export (Fabric.node fabric 1) ~obj:0 ~meth:m_void ~has_ret:false
+    (fun args ->
+      incr calls;
+      if !calls = 2 then check args.(0);
+      None);
+  let call v =
+    ignore
+      (Node.call (Fabric.node fabric 0)
+         ~dest:(Remote_ref.make ~machine:1 ~obj:0)
+         ~meth:m_void ~callsite:40 ~has_ret:false [| v |])
+  in
+  call first;
+  call second;
+  Alcotest.(check int) "both calls served" 2 !calls;
+  Alcotest.(check bool) "the second call reused nodes" true
+    ((Metrics.snapshot (Fabric.metrics fabric)).Metrics.reused_objs > 0)
+
+let reuse_after_ring () =
+  let c0 = cell Value.Null in
+  c0.fields.(0) <- Value.Obj (cell (Value.Obj c0));
+  let list = cells 3 in
+  reuse_after ~step:(Plan.S_ref 0) ~first:(Value.Obj c0) ~second:list
+    (fun got ->
+      Alcotest.(check int) "3 distinct cells" 3 (distinct_cells got);
+      Alcotest.(check bool) "the list sent" true (Rmi_serial.Equality.equal list got))
+
+let reuse_after_shared_pair () =
+  let pair a b =
+    let p = Value.new_obj ~cls:2 ~nfields:2 in
+    p.fields.(0) <- a;
+    p.fields.(1) <- b;
+    Value.Obj p
+  in
+  let shared = Value.Obj (cell Value.Null) in
+  let second = pair (cells 1) (cells 2) in
+  reuse_after
+    ~step:(Plan.S_obj { cls = 2; fields = [| Plan.S_ref 0; Plan.S_ref 0 |] })
+    ~first:(pair shared shared) ~second
+    (fun got ->
+      (match got with
+      | Value.Obj p ->
+          Alcotest.(check (pair int int)) "two distinct chains" (1, 2)
+            (distinct_cells p.fields.(0), distinct_cells p.fields.(1));
+          Alcotest.(check bool) "no cell shared" true
+            (match (p.fields.(0), p.fields.(1)) with
+            | Value.Obj a, Value.Obj b -> a != b
+            | _ -> false)
+      | v -> Alcotest.failf "not a pair: %a" Value.pp v);
+      Alcotest.(check bool) "the pair sent" true
+        (Rmi_serial.Equality.equal second got))
+
 let trace_records_events () =
   let fabric = make_fabric () in
   export_all fabric;
@@ -513,6 +606,10 @@ let suite =
         Alcotest.test_case "ack when return ignored" `Quick
           ack_only_when_return_ignored;
         Alcotest.test_case "callee reuse cache" `Quick reuse_cache_on_callee;
+        Alcotest.test_case "reuse after a 2-cell ring: 3-cell list" `Quick
+          reuse_after_ring;
+        Alcotest.test_case "reuse after a shared Pair: two chains" `Quick
+          reuse_after_shared_pair;
       ] );
     ( "runtime.registry",
       [ Alcotest.test_case "round-robin placement" `Quick registry_round_robin ] );

@@ -1,5 +1,5 @@
 (* Serializer tests: dynamic and plan-driven roundtrips, cycle and
-   sharing preservation, reuse-candidate behaviour, the introspective
+   sharing preservation, reuse through a reuse arena, the introspective
    baseline, and random-graph properties. *)
 
 open Rmi_serial
@@ -21,15 +21,15 @@ let roundtrip_dyn ?(cycle = true) v =
   let wctx = Codec.make_wctx meta m ~cycle in
   Codec.write_dyn wctx w v;
   let rctx = Codec.make_rctx meta m ~cycle in
-  Codec.read_dyn rctx (Msgbuf.reader_of_writer w) ~cand:Value.Null
+  Codec.read_dyn rctx (Msgbuf.reader_of_writer w)
 
-let roundtrip_step ?(cycle = true) ?(cand = Value.Null) step v =
+let roundtrip_step ?(cycle = true) step v =
   let m = Metrics.create () in
   let w = Msgbuf.create_writer () in
   let wctx = Codec.make_wctx meta m ~cycle in
   Codec.write_step wctx w step v;
   let rctx = Codec.make_rctx meta m ~cycle in
-  Codec.read_step rctx (Msgbuf.reader_of_writer w) step ~cand
+  Codec.read_step rctx (Msgbuf.reader_of_writer w) step
 
 let check_equal what expected actual =
   match Equality.check ~expected ~actual with
@@ -150,11 +150,33 @@ let cycle_lookups_elided () =
     let w = Msgbuf.create_writer () in
     Codec.write_step (Codec.make_wctx meta m ~cycle) w step (Value.Rarr outer);
     let rctx = Codec.make_rctx meta m ~cycle in
-    ignore (Codec.read_step rctx (Msgbuf.reader_of_writer w) step ~cand:Value.Null);
+    ignore (Codec.read_step rctx (Msgbuf.reader_of_writer w) step);
     (Metrics.snapshot m).Metrics.cycle_lookups
   in
   Alcotest.(check int) "no lookups when elided" 0 (count false);
   Alcotest.(check bool) "lookups otherwise" true (count true > 0)
+
+(* The paper's reuse on a reuse arena: [prev] is decoded into the
+   arena, the arena is reset as the runtime does between calls, and [v]
+   is decoded into it.  Returns both decodes and the counters of the
+   second alone. *)
+let decode_after ?(cycle = true) ~write ~read ~prev v =
+  let arena = Arena.create_reuse () in
+  let decode m v =
+    let w = Msgbuf.create_writer () in
+    write (Codec.make_wctx meta (Metrics.create ()) ~cycle) w v;
+    read (Codec.make_rctx ~arena meta m ~cycle) (Msgbuf.reader_of_writer w)
+  in
+  let first = decode (Metrics.create ()) prev in
+  Arena.reset arena;
+  let m = Metrics.create () (* the second read counts alone *) in
+  let got = decode m v in
+  (first, got, Metrics.snapshot m)
+
+let decode_step_after ?cycle step =
+  decode_after ?cycle
+    ~write:(fun wctx w v -> Codec.write_step wctx w step v)
+    ~read:(fun rctx r -> Codec.read_step rctx r step)
 
 let reuse_hits_matching_shape () =
   let mk () =
@@ -165,36 +187,28 @@ let reuse_hits_matching_shape () =
     outer
   in
   let step = Plan.S_obj_array { elem = Plan.S_double_array } in
-  let m = Metrics.create () in
-  let w = Msgbuf.create_writer () in
-  Codec.write_step (Codec.make_wctx meta m ~cycle:false) w step (Value.Rarr (mk ()));
-  let cand = Value.Rarr (mk ()) in
-  let cand_id = match cand with Value.Rarr a -> a.rid | _ -> assert false in
-  let m = Metrics.create () (* the read side counts alone *) in
-  let rctx = Codec.make_rctx meta m ~cycle:false in
-  let got = Codec.read_step rctx (Msgbuf.reader_of_writer w) step ~cand in
-  (match got with
-  | Value.Rarr a -> Alcotest.(check int) "same array object" cand_id a.rid
-  | v -> Alcotest.failf "bad root %a" Value.pp v);
-  let s = Metrics.snapshot m in
+  let first, got, s =
+    decode_step_after ~cycle:false step ~prev:(Value.Rarr (mk ()))
+      (Value.Rarr (mk ()))
+  in
+  (match (first, got) with
+  | Value.Rarr a, Value.Rarr b ->
+      Alcotest.(check int) "same array object" a.rid b.rid
+  | _, v -> Alcotest.failf "bad root %a" Value.pp v);
   Alcotest.(check int) "4 reused (outer + 3 inner)" 4 s.Metrics.reused_objs;
   Alcotest.(check int) "no allocations" 0 s.Metrics.allocs
 
 let reuse_falls_back_on_mismatch () =
-  (* cached arrays of the wrong length must be reallocated (the paper:
+  (* pooled arrays of the wrong length must be reallocated (the paper:
      "If an array size is mismatched ... a new array is allocated") *)
-  let step = Plan.S_double_array in
-  let m = Metrics.create () in
-  let w = Msgbuf.create_writer () in
-  let incoming = Value.new_darr 8 in
-  Codec.write_step (Codec.make_wctx meta m ~cycle:false) w step (Value.Darr incoming);
-  let m = Metrics.create () (* the read side counts alone *) in
-  let rctx = Codec.make_rctx meta m ~cycle:false in
-  let cand = Value.Darr (Value.new_darr 4) in
-  (match Codec.read_step rctx (Msgbuf.reader_of_writer w) step ~cand with
+  let _, got, s =
+    decode_step_after ~cycle:false Plan.S_double_array
+      ~prev:(Value.Darr (Value.new_darr 4))
+      (Value.Darr (Value.new_darr 8))
+  in
+  (match got with
   | Value.Darr a -> Alcotest.(check int) "fresh length" 8 (Array.length a.d)
   | v -> Alcotest.failf "bad %a" Value.pp v);
-  let s = Metrics.snapshot m in
   Alcotest.(check int) "no reuse" 0 s.Metrics.reused_objs;
   Alcotest.(check int) "one allocation" 1 s.Metrics.allocs
 
@@ -208,15 +222,11 @@ let reuse_through_dyn_list () =
       Value.Obj c
     end
   in
-  let m = Metrics.create () in
-  let w = Msgbuf.create_writer () in
-  Codec.write_dyn (Codec.make_wctx meta m ~cycle:true) w (make_list 10);
-  let cand = make_list 10 in
-  let m = Metrics.create () (* the read side counts alone *) in
-  let rctx = Codec.make_rctx meta m ~cycle:true in
-  let got = Codec.read_dyn rctx (Msgbuf.reader_of_writer w) ~cand in
+  let _, got, s =
+    decode_after ~write:Codec.write_dyn ~read:Codec.read_dyn
+      ~prev:(make_list 10) (make_list 10)
+  in
   check_equal "list" (make_list 10) got;
-  let s = Metrics.snapshot m in
   Alcotest.(check int) "all 10 cells reused" 10 s.Metrics.reused_objs;
   Alcotest.(check int) "no allocs" 0 s.Metrics.allocs
 
@@ -291,7 +301,7 @@ let contexts_reusable_after_confusion () =
   Codec.reset_rctx rctx;
   let w = Msgbuf.create_writer () in
   Codec.write_dyn wctx w (Value.Obj pair);
-  let got = Codec.read_dyn rctx (Msgbuf.reader_of_writer w) ~cand:Value.Null in
+  let got = Codec.read_dyn rctx (Msgbuf.reader_of_writer w) in
   Alcotest.(check bool) "same contexts roundtrip the cycle" true
     (Equality.equal (Value.Obj pair) got)
 
@@ -406,11 +416,11 @@ let golden_cycle_bytes () =
       let stepped = encode (fun wctx w v -> Codec.write_step wctx w step v) in
       check_bytes "write_step" plan_hex stepped;
       check_shared "read_step"
-        (decode (fun rctx r -> Codec.read_step rctx r step ~cand:Value.Null) stepped);
+        (decode (fun rctx r -> Codec.read_step rctx r step) stepped);
       let dyn = encode Codec.write_dyn in
       check_bytes "write_dyn" dyn_hex dyn;
       check_shared "read_dyn"
-        (decode (fun rctx r -> Codec.read_dyn rctx r ~cand:Value.Null) dyn))
+        (decode Codec.read_dyn dyn))
     golden_graphs
 
 (* --- allocation pins: the codec's per-node cost in minor words --- *)
@@ -683,15 +693,15 @@ let prop_dyn_roundtrip_nocycle =
     ~count:300 arb_value
     (fun v -> Equality.equal v (roundtrip_dyn ~cycle:false v))
 
+(* the candidate is the previous call's graph, whose nodes the reuse
+   arena hands out again *)
 let prop_reuse_preserves_value =
   QCheck.Test.make ~name:"any candidate still deserializes correctly" ~count:300
     (QCheck.pair arb_value arb_value)
     (fun (v, cand) ->
-      let m = Metrics.create () in
-      let w = Msgbuf.create_writer () in
-      Codec.write_dyn (Codec.make_wctx meta m ~cycle:true) w v;
-      let rctx = Codec.make_rctx meta m ~cycle:true in
-      let got = Codec.read_dyn rctx (Msgbuf.reader_of_writer w) ~cand in
+      let _, got, _ =
+        decode_after ~write:Codec.write_dyn ~read:Codec.read_dyn ~prev:cand v
+      in
       Equality.equal v got)
 
 let suite =
