@@ -13,6 +13,11 @@ let max_bytes = 4096
 (* one (src, dest) link's buffered group, newest member first *)
 type link = { mutable msgs : bytes list; mutable bytes : int }
 
+(* one machine's split batches with members not yet released: the
+   frame in slot [i] owes [owed.(i)] more releases that stop here
+   before the last one goes down to [lower]; a slot owing 0 is free *)
+type owing = { mutable frames : bytes array; mutable owed : int array }
+
 module M = struct
   type t = {
     lower : Transport.t;
@@ -25,6 +30,7 @@ module M = struct
        one lock per machine, so receivers on different domains do not
        contend *)
     inbox : (bytes * int * int) Queue.t array;
+    owing : owing array;  (* per machine, under its [imutex] *)
     imutex : Mutex.t array;
   }
 
@@ -110,15 +116,69 @@ module M = struct
     Mutex.unlock t.imutex.(self);
     m
 
+  (* ---------------------------------------------------------------- *)
+  (* releases: [lower] handed up one frame per batch, the receiver     *)
+  (* releases once per member                                          *)
+  (* ---------------------------------------------------------------- *)
+
+  (* top-level loops, so a release builds no closure *)
+  let rec slot_of frames owed buf i =
+    if i = Array.length frames then -1
+    else if owed.(i) > 0 && frames.(i) == buf then i
+    else slot_of frames owed buf (i + 1)
+
+  let rec free_slot owed i =
+    if i = Array.length owed || owed.(i) = 0 then i else free_slot owed (i + 1)
+
+  (* [imutex] held: [k] more releases of [buf] stop here *)
+  let owe o buf k =
+    match slot_of o.frames o.owed buf 0 with
+    | -1 ->
+        let i = free_slot o.owed 0 in
+        if i = Array.length o.owed then begin
+          let n = max 4 (2 * i) in
+          let frames = Array.make n Bytes.empty and owed = Array.make n 0 in
+          Array.blit o.frames 0 frames 0 i;
+          Array.blit o.owed 0 owed 0 i;
+          o.frames <- frames;
+          o.owed <- owed
+        end;
+        o.frames.(i) <- buf;
+        o.owed.(i) <- k
+    | i -> o.owed.(i) <- o.owed.(i) + k
+
+  (* [imutex] held: whether a release of [buf] stops here *)
+  let swallow o buf =
+    match slot_of o.frames o.owed buf 0 with
+    | -1 -> false
+    | i ->
+        o.owed.(i) <- o.owed.(i) - 1;
+        if o.owed.(i) = 0 then o.frames.(i) <- Bytes.empty;
+        true
+
+  (* counts are per frame, so which member is released does not matter:
+     a split k-member batch passes its k-th release down *)
+  let release t ~self frame =
+    check t self;
+    Mutex.lock t.imutex.(self);
+    let swallowed = swallow t.owing.(self) frame in
+    Mutex.unlock t.imutex.(self);
+    if not swallowed then Transport.release t.lower ~self frame
+
   (* the batch frame [buf.(off..off+len)] arrived for [self]: its first
      member is returned and the rest queue in the inbox, all as slices
      of the frame.  A garbled batch is dropped whole, like any other
-     corrupt frame. *)
+     corrupt frame, and released to [lower]. *)
   let split t ~self buf off len =
     match Protocol.decode_batch_slice buf ~off ~len with
-    | None | Some [] -> None
+    | None | Some [] ->
+        Transport.release t.lower ~self buf;
+        None
     | Some (first :: rest) ->
         Mutex.lock t.imutex.(self);
+        (match rest with
+        | [] -> ()
+        | _ -> owe t.owing.(self) buf (List.length rest));
         List.iter (fun (o, l) -> Queue.push (buf, o, l) t.inbox.(self)) rest;
         Mutex.unlock t.imutex.(self);
         let o, l = first in
@@ -188,7 +248,7 @@ module M = struct
     | o -> o
 
   (* a machine just crashed: its unflushed groups and the members it
-     had not received yet die with it *)
+     had not received yet die with it, released as if received *)
   let wipe_machine t m =
     Mutex.lock t.lock;
     for dest = 0 to t.n - 1 do
@@ -196,8 +256,10 @@ module M = struct
     done;
     Mutex.unlock t.lock;
     Mutex.lock t.imutex.(m);
+    let dropped = List.of_seq (Queue.to_seq t.inbox.(m)) in
     Queue.clear t.inbox.(m);
-    Mutex.unlock t.imutex.(m)
+    Mutex.unlock t.imutex.(m);
+    List.iter (fun (buf, _, _) -> release t ~self:m buf) dropped
 
   (* peer health is [lower]'s: the layer keeps no view of its own *)
   let peer_health t ~self ~peer = Transport.peer_health t.lower ~self ~peer
@@ -216,6 +278,7 @@ let wrap lower =
         Array.init n (fun _ -> Array.init n (fun _ -> { msgs = []; bytes = 0 }));
       lock = Mutex.create ();
       inbox = Array.init n (fun _ -> Queue.create ());
+      owing = Array.init n (fun _ -> { frames = [||]; owed = [||] });
       imutex = Array.init n (fun _ -> Mutex.create ());
     }
   in

@@ -17,6 +17,16 @@
     frame.  Frames that are not batches pass through untouched.  A
     garbled batch is dropped whole.
 
+    Releases ({!Transport.S.release}): [lower] handed up one frame per
+    batch, and the receiver releases each member.  The layer keeps, per
+    machine, how many releases of each split batch still stop at it, so
+    a k-member batch passes one release down, its last.  Counts are
+    per frame, like [lower]'s, so which member is named does not
+    matter.  A garbled batch is released at once, and so are the
+    members a crash drops.  The table holds a batch until its members
+    are released: a receiver that never releases grows it by one entry
+    per split batch.
+
     Accounting: a flushed group counts {e one} [msgs_sent], the sum of
     its members' payload bytes and one [record_batch]; the cost model
     therefore charges one per-message latency per batch.  Batch framing

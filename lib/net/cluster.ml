@@ -172,6 +172,9 @@ let recv_blocking_slice t ~self =
   check t self;
   whole (Mailbox.recv_blocking t.boxes.(self))
 
+(* a mailbox frame is the receiver's own: nothing below reuses it *)
+let release _ ~self:_ _ = ()
+
 (* a top-level loop: [Array.exists] builds a closure per call, and an
    idle Reliable sweep asks this on every poll *)
 let rec any_pending boxes i =

@@ -361,9 +361,17 @@ module M = struct
     end
 
   (* a frame from the lower transport; one failing its checksum is
-     dropped here (the sender's timer recovers it) *)
+     dropped here (the sender's timer recovers it).  What is consumed
+     here goes back to [lower] at once; a payload handed up is a slice
+     of the same bytes, which the receiver's {!release} passes down. *)
   let admit t ~self (buf, off, len) =
-    Envelope.parse buf ~off ~len ~garbled:None filter t self
+    match Envelope.parse buf ~off ~len ~garbled:None filter t self with
+    | None ->
+        Transport.release t.lower ~self buf;
+        None
+    | m -> m
+
+  let release t ~self frame = Transport.release t.lower ~self frame
 
   (* the receive loops are top-level functions, not local closures, so
      an empty poll allocates nothing *)

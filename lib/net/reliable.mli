@@ -30,7 +30,11 @@
     connection lost.
 
     Framing is zero-copy: envelopes are built in pooled writers and
-    payloads handed up as slices of the received frame.
+    payloads handed up as slices of the received frame.  A frame the
+    adapter consumes itself (an ack, a heartbeat, a duplicate, a stale
+    or garbled frame) is {!Transport.S.release}d to [lower] at once; a
+    payload handed up is released by the receiver, and the adapter
+    passes that release down.
 
     Accounting: logical counters charge the payload once at the
     adapter, exactly as the raw transport does; envelope and control

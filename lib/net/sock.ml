@@ -4,10 +4,15 @@ module Metrics = Rmi_stats.Metrics
 (* frames larger than this are a protocol error, not a workload *)
 let max_frame = 64 * 1024 * 1024
 
-(* the unit of a conn's stream buffers: the read buffer grows by it, and
-   the send buffer never grows past it — so one flush is one write(2),
-   whose copy through the runtime's I/O buffer is capped at 64 KiB *)
+(* the unit of a conn's stream buffers: a read buffer holds at least
+   it, and the send buffer never grows past it — so one flush is one
+   write(2), whose copy through the runtime's I/O buffer is capped at
+   64 KiB *)
 let chunk = 65536
+
+(* read buffers per conn: the one being read into, and spares that
+   still hold frames handed up but not yet released *)
+let read_slots = 4
 
 let mesh_timeout = 30.0
 let connect_retry_every = 0.05
@@ -25,6 +30,12 @@ let backoff_base = 0.01
 let backoff_cap = 0.32
 
 module M = struct
+  (* one of a conn's read buffers.  [held] counts the frames handed up
+     as slices of [rb] whose release is outstanding; while it is
+     positive no byte before the parse position is written again.
+     [rb] is replaced only under the conn's [rblock]. *)
+  type rslot = { mutable rb : Bytes.t; held : int Atomic.t }
+
   type conn = {
     fd : Unix.file_descr;
     owner : int;  (* hosted endpoint this is a channel of *)
@@ -36,8 +47,14 @@ module M = struct
        reused by a fresh dial) under it *)
     rlock : Mutex.t;
     mutable alive : bool;
-    mutable rbuf : Bytes.t;  (* stream reassembly *)
+    (* stream reassembly, under [rlock]: frames handed up lie before
+       [rpos] in [rcur.rb], the bytes read but not yet parsed in
+       [rcur.rb.(rpos..rlen)] *)
+    rslots : rslot array;  (* [read_slots] of them, [rcur] among them *)
+    mutable rcur : rslot;
+    mutable rpos : int;
     mutable rlen : int;
+    rblock : Mutex.t;  (* slot replacement vs [release]'s lookup *)
     (* loopback: this conn's share of [t.inflight] — frames the far end
        wrote toward [owner] but that haven't been parsed out of this
        (receiving) record yet, reclaimed wholesale on [kill_conn] so a
@@ -316,6 +333,13 @@ module M = struct
      not sleep in [read] *)
   let new_conn ~fd ~owner ~peer =
     Unix.set_nonblock fd;
+    let rslots =
+      Array.init read_slots (fun i ->
+          {
+            rb = (if i = 0 then Bytes.create chunk else Bytes.empty);
+            held = Atomic.make 0;
+          })
+    in
     {
       fd;
       owner;
@@ -323,8 +347,11 @@ module M = struct
       wlock = Mutex.create ();
       rlock = Mutex.create ();
       alive = true;
-      rbuf = Bytes.create chunk;
+      rslots;
+      rcur = rslots.(0);
+      rpos = 0;
       rlen = 0;
+      rblock = Mutex.create ();
       cinflight = Atomic.make 0;
       wbuf = Bytes.empty;
       wlen = 0;
@@ -420,11 +447,11 @@ module M = struct
   (* delivery into an endpoint inbox                                   *)
   (* ---------------------------------------------------------------- *)
 
-  (* [frame] is a fresh whole-frame bytes: queue it *)
-  let deliver t ~dest frame =
+  (* queue the frame at [b.(off..off+len)] *)
+  let deliver t ~dest b off len =
     let ep = hosted t dest in
     Mutex.lock ep.ilock;
-    Queue.push (frame, 0, Bytes.length frame) ep.inbox;
+    Queue.push (b, off, len) ep.inbox;
     signal ep;
     Mutex.unlock ep.ilock
 
@@ -432,40 +459,88 @@ module M = struct
   (* reading a conn: the receiver's side of the stream                 *)
   (* ---------------------------------------------------------------- *)
 
+  (* hand up every whole frame in the unparsed bytes, in place: each is
+     a slice of the read buffer, counted in [held] before it is queued
+     so its release can never find the count short *)
   let parse_frames t c =
-    let pos = ref 0 in
+    let b = c.rcur.rb in
     let stop = ref false in
-    while (not !stop) && c.rlen - !pos >= 4 do
-      let len = get_len c.rbuf !pos in
+    while (not !stop) && c.rlen - c.rpos >= 4 do
+      let len = get_len b c.rpos in
       if len < 0 || len > max_frame then begin
         (* garbled stream: there is no resynchronizing a TCP framing
            error, kill the link *)
         mark_dead ~locked:true t c;
         stop := true
       end
-      else if c.rlen - !pos - 4 < len then stop := true
+      else if c.rlen - c.rpos - 4 < len then stop := true
       else begin
-        let frame = Bytes.sub c.rbuf (!pos + 4) len in
-        (* the one receive-side snapshot out of the stream buffer *)
-        charge t len;
-        deliver t ~dest:c.owner frame;
+        Atomic.incr c.rcur.held;
+        deliver t ~dest:c.owner b (c.rpos + 4) len;
         if t.loopback then take_back t c 1;
-        pos := !pos + 4 + len
+        c.rpos <- c.rpos + 4 + len
       end
-    done;
-    if !pos > 0 then begin
-      Bytes.blit c.rbuf !pos c.rbuf 0 (c.rlen - !pos);
-      c.rlen <- c.rlen - !pos
-    end
+    done
 
-  (* one non-blocking read and the frames it completes; [c.rlock] held *)
-  let read_conn t c =
-    if Bytes.length c.rbuf - c.rlen < chunk then begin
-      let grown = Bytes.create (max (2 * Bytes.length c.rbuf) (c.rlen + chunk)) in
-      Bytes.blit c.rbuf 0 grown 0 c.rlen;
-      c.rbuf <- grown
+  (* a spare slot for [need] bytes: one whose frames are all released
+     and that holds [need] bytes, else one released but too small, else
+     -1.  A top-level loop, so the search builds no closure. *)
+  let rec spare_slot c need i best =
+    if i = Array.length c.rslots then best
+    else
+      let s = c.rslots.(i) in
+      if s == c.rcur || Atomic.get s.held > 0 then
+        spare_slot c need (i + 1) best
+      else if Bytes.length s.rb >= need then i
+      else spare_slot c need (i + 1) (if best < 0 then i else best)
+
+  let rec index_of slots s i =
+    if slots.(i) == s then i else index_of slots s (i + 1)
+
+  (* [c.rcur] is full: the unparsed tail moves to a spare slot, which
+     becomes the one read into.  A released spare large enough is
+     reused as it is; a smaller one gets fresh bytes.  With every spare
+     still holding frames, the slot after [c.rcur] is given up, so they
+     go in turn: its frames stay intact with their holders, and their
+     releases, no longer finding it, are ignored.  The fresh buffer is
+     [chunk] bytes, or twice the tail of a frame that needs more, so a
+     receiver that never releases pays about one frame's bytes per
+     frame. *)
+  let relocate c =
+    let tail = c.rlen - c.rpos in
+    let need =
+      if tail < 4 then chunk
+      else max chunk (min (4 + get_len c.rcur.rb c.rpos) (2 * tail))
+    in
+    let i = spare_slot c need 0 (-1) in
+    let i =
+      if i >= 0 then i else (index_of c.rslots c.rcur 0 + 1) mod read_slots
+    in
+    let s = c.rslots.(i) in
+    if Bytes.length s.rb < need || Atomic.get s.held > 0 then begin
+      Mutex.lock c.rblock;
+      s.rb <- Bytes.create need;
+      Atomic.set s.held 0;
+      Mutex.unlock c.rblock
     end;
-    match Unix.read c.fd c.rbuf c.rlen (Bytes.length c.rbuf - c.rlen) with
+    Bytes.blit c.rcur.rb c.rpos s.rb 0 tail;
+    c.rcur <- s;
+    c.rpos <- 0;
+    c.rlen <- tail
+
+  (* one non-blocking read and the frames it completes; [c.rlock] held.
+     Once every frame handed up from the buffer is released, the tail
+     moves to its front; otherwise the read goes on into the free space
+     after it, and a full buffer relocates. *)
+  let read_conn t c =
+    if c.rpos > 0 && Atomic.get c.rcur.held = 0 then begin
+      Bytes.blit c.rcur.rb c.rpos c.rcur.rb 0 (c.rlen - c.rpos);
+      c.rlen <- c.rlen - c.rpos;
+      c.rpos <- 0
+    end;
+    if c.rlen = Bytes.length c.rcur.rb then relocate c;
+    let b = c.rcur.rb in
+    match Unix.read c.fd b c.rlen (Bytes.length b - c.rlen) with
     | 0 -> mark_dead ~locked:true t c
     | k ->
         c.rlen <- c.rlen + k;
@@ -510,6 +585,43 @@ module M = struct
       Atomic.set ep.row r;
       r
     end
+
+  (* ---------------------------------------------------------------- *)
+  (* releases: a frame handed up from a read buffer is done            *)
+  (* ---------------------------------------------------------------- *)
+
+  let rec slot_with slots frame i =
+    if i = Array.length slots then -1
+    else if slots.(i).rb == frame then i
+    else slot_with slots frame (i + 1)
+
+  (* whether [c] owns [frame]; if so, one slice of it is released.  A
+     slot's bytes only ever change to fresh ones, so a lookup that
+     misses without the lock would miss under it too. *)
+  let release_conn c frame =
+    slot_with c.rslots frame 0 >= 0
+    && begin
+         Mutex.lock c.rblock;
+         let i = slot_with c.rslots frame 0 in
+         let over = i >= 0 && Atomic.get c.rslots.(i).held <= 0 in
+         if i >= 0 && not over then Atomic.decr c.rslots.(i).held;
+         Mutex.unlock c.rblock;
+         if over then
+           invalid_arg "Sock.release: no slice of this buffer is outstanding";
+         i >= 0
+       end
+
+  let rec release_row row frame i =
+    if i < Array.length row then
+      match row.(i) with
+      | Some c when release_conn c frame -> ()
+      | _ -> release_row row frame (i + 1)
+
+  (* [frame] is looked up among [self]'s conns; a self-send's frame, or
+     the bytes of a conn since replaced, are no one's *)
+  let release t ~self frame =
+    check t self;
+    if Bytes.length frame > 0 then release_row t.conns.(self) frame 0
 
   (* the non-blocking drain: one zero-timeout poll over [self]'s conns
      (it neither blocks nor allocates when nothing is ready), then a
@@ -725,7 +837,7 @@ module M = struct
   let ship_frame t ~src ~dest frame =
     let len = Bytes.length frame in
     if len > max_frame then invalid_arg "Sock: frame exceeds the 64 MiB bound";
-    if src = dest then deliver t ~dest frame
+    if src = dest then deliver t ~dest frame 0 len
     else
       match conn_to t ~src ~dest with
       | None -> ()
@@ -753,8 +865,10 @@ module M = struct
         (match t.eps.(machine) with
         | Some ep ->
             Mutex.lock ep.ilock;
+            let dropped = List.of_seq (Queue.to_seq ep.inbox) in
             Queue.clear ep.inbox;
-            Mutex.unlock ep.ilock
+            Mutex.unlock ep.ilock;
+            List.iter (fun (b, _, _) -> release t ~self:machine b) dropped
         | None -> ());
         for other = 0 to t.n - 1 do
           if other <> machine then sever_pair t machine other

@@ -23,6 +23,24 @@
     the mesh (see {!max_loopback_machines}).  Batch frames are split by
     the {!Batching} layer above.
 
+    A frame is handed up in place, as a slice of the connection's read
+    buffer, and not charged to [bytes_copied].  Each read buffer counts
+    the slices it handed up whose {!Transport.S.release} is
+    outstanding, and no byte of such a slice is written while it is:
+    the partial frame after the parse position moves to the buffer's
+    front at the next read only once the count is 0; otherwise the read
+    goes on into the free space, and a full buffer moves only its
+    partial tail into a spare buffer whose slices are all released, or
+    into fresh bytes.  So a receiver that releases every slice reads
+    into the same storage and allocates nothing, and one that never
+    releases keeps its frames and pays about their bytes in fresh
+    buffers (never a buffer per read).  A connection keeps four read
+    buffers; when every spare still has slices out, one is given up in
+    turn for fresh bytes, and releases of its slices are ignored.
+    [release] finds the buffer among [self]'s connections by physical
+    equality, ignores bytes it does not own (a self-send's frame) and
+    raises [Invalid_argument] when a count would go below 0.
+
     {b Sending.}  Each connection has a 64 KiB send buffer (a
     "cork").  A frame for an endpoint hosted in this process is
     appended to it — length prefix and payload, one copy, charged to

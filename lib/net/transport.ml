@@ -60,6 +60,7 @@ module type S = sig
   val recv_deadline_slice :
     t -> self:int -> seconds:float -> (bytes * int * int) option
 
+  val release : t -> self:int -> bytes -> unit
   val idle : t -> self:int -> idle_outcome
   val pending_anywhere : t -> bool
   val peer_health : t -> self:int -> peer:int -> peer_health
@@ -138,6 +139,7 @@ let recv_blocking_slice (Packed ((module M), h, _)) ~self =
 let recv_deadline_slice (Packed ((module M), h, _)) ~self ~seconds =
   M.recv_deadline_slice h ~self ~seconds
 
+let release (Packed ((module M), h, _)) ~self frame = M.release h ~self frame
 let idle (Packed ((module M), h, _)) ~self = M.idle h ~self
 let pending_anywhere (Packed ((module M), h, _)) = M.pending_anywhere h
 

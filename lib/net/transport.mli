@@ -2,9 +2,10 @@
     interconnect, so the simulated fabric and a real socket fabric are
     interchangeable backends.
 
-    {!S} is the frame path — the send and slice-receive families, the
-    idle/retransmit clock and peer health — which every member of a
-    stack states, so the compiler makes each layer decide each of them.
+    {!S} is the frame path — the send and slice-receive families with
+    the receive's release, the idle/retransmit clock and peer health —
+    which every member of a stack states, so the compiler makes each
+    layer decide each of them.
     {!BACKEND} adds the control plane (size, metrics, pool, hosting,
     epochs, process events, faults, shutdown), which only {!Cluster}
     and {!Sock} implement; creation is backend-specific.  {!pack}
@@ -120,13 +121,27 @@ module type S = sig
   val flush : t -> src:int -> (int * int * int) list
 
   (** {2 Receive} — messages come back as [(frame, off, len)] slices
-      sharing the received frame bytes. *)
+      sharing the received frame bytes.  [frame] may be the backend's
+      own receive storage ({!Sock} hands up slices of a connection's
+      read buffer): the bytes stay intact until the receiver
+      {!release}s the slice, and a receiver that never releases keeps
+      them intact for as long as it holds them, at the cost of fresh
+      storage below. *)
 
   val try_recv_slice : t -> self:int -> (bytes * int * int) option
   val recv_blocking_slice : t -> self:int -> bytes * int * int
 
   val recv_deadline_slice :
     t -> self:int -> seconds:float -> (bytes * int * int) option
+
+  (** [release t ~self frame]: one slice a receive handed up to [self]
+      from [frame] is done with — no reader looks at its bytes again.
+      Releases count per [frame], so any slice of it may be named.  A
+      layer releases to the layer below the frames it consumes itself
+      and passes the others' releases down; bytes a layer does not own
+      are ignored.  {!Sock} raises [Invalid_argument] when a buffer's
+      count of outstanding slices would go below 0. *)
+  val release : t -> self:int -> bytes -> unit
 
   (** Fire the retransmit timers and failure-detector checks that are
       due, advancing an idle-count clock by one tick (a clock read from
@@ -232,6 +247,7 @@ val recv_blocking_slice : t -> self:int -> bytes * int * int
 val recv_deadline_slice :
   t -> self:int -> seconds:float -> (bytes * int * int) option
 
+val release : t -> self:int -> bytes -> unit
 val idle : t -> self:int -> idle_outcome
 val pending_anywhere : t -> bool
 val peer_health : t -> self:int -> peer:int -> peer_health

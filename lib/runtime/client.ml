@@ -43,8 +43,9 @@ and pending = {
   pc_node : t;
   pc_started : int;  (* Clock.now_us readings *)
   pc_deadline : int;
-  (* the encoded request, kept for RPC retries *)
-  mutable pc_request : bytes;
+  (* the request's pooled writer, kept for RPC retries until the call
+     settles; [no_request] for a call that never sent one *)
+  mutable pc_request : Msgbuf.writer;
   mutable pc_attempts : int;
   (* consecutive admission-control rejects, drives resend backoff *)
   mutable pc_rejects : int;
@@ -116,10 +117,18 @@ let breaker_success t dest =
 
 let is_pending p = match p.pc_state with Pending -> true | _ -> false
 
+(* the shared "none" of [pc_request]: never written, never released *)
+let no_request = Msgbuf.create_writer ~initial_capacity:0 ()
+
 let resolve_future t (p : pending) state =
   let nid = t.env.Site.nid in
   Itbl.remove t.outstanding p.pc_seq;
   p.pc_state <- state;
+  (* a settled call is never retried: its request goes back to the pool *)
+  if p.pc_request != no_request then begin
+    Site.release t.env p.pc_request;
+    p.pc_request <- no_request
+  end;
   (* any response — value or remote exception — proves the peer alive *)
   (match state with
   | Resolved _ | Failed (Site.Remote_exception _) | Failed (No_such_method _) ->
@@ -189,7 +198,7 @@ let handle_reply t kind ~seq ~plan_ver r =
         p.pc_rejects <- p.pc_rejects + 1;
         if not t.has_pump then
           Unix.sleepf (0.0002 *. float_of_int (1 lsl min (p.pc_rejects - 1) 6));
-        Site.send_msg t.env ~dest:p.pc_dest p.pc_request
+        Site.send_from_writer t.env ~dest:p.pc_dest p.pc_request
       end
   | p ->
       let state =
@@ -253,7 +262,7 @@ let transport_failed t (q : pending) detail =
            attempt = q.pc_attempts });
     (* same seq and epoch: the server's reply cache dedups it if the
        original was executed and only the reply was lost *)
-    Site.send_msg t.env ~dest:q.pc_dest q.pc_request
+    Site.send_from_writer t.env ~dest:q.pc_dest q.pc_request
   end
 
 (* every outstanding call [sel x] picks — those routed at a destination
@@ -478,7 +487,7 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
       pc_node = t;
       pc_started = started;
       pc_deadline = started + Clock.us_of_seconds budget;
-      pc_request = Bytes.empty;
+      pc_request = no_request;
       pc_attempts = 1;
       pc_rejects = 0;
       pc_state = Pending;
@@ -510,13 +519,12 @@ let call_async ?deadline t ~(dest : Remote_ref.t) ~meth ~callsite ~has_ret
     Metrics.add (metrics t) Remote_rpcs 1;
     let w = Site.marshal_args e s ~epoch ~seq:p.pc_seq ~obj ~meth args in
     p.pc_version <- Site.current s;
-    (* the one payload snapshot the zero-copy path makes: the stable
-       request bytes kept for RPC-level retries *)
-    p.pc_request <- Site.msg_of_writer e w;
+    (* the writer itself is the retry copy: it stays with the call
+       until [resolve_future] *)
+    p.pc_request <- w;
     Itbl.replace t.outstanding p.pc_seq p;
     Metrics.raise_max (metrics t) Outstanding_hwm (Itbl.length t.outstanding);
-    Site.send_snapshot e ~dest:machine p.pc_request w;
-    Site.release e w;
+    Site.send_from_writer e ~dest:machine w;
     p
   end
 

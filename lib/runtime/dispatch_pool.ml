@@ -77,11 +77,11 @@ let try_dequeue nq =
    it when it is a client request and the queue is full.  Only [nq]'s
    owner worker calls this, so the mailbox and [nq.probe] stay
    single-consumer.  A malformed header is queued like a reply, and
-   [Node] drops it when it is dispatched. *)
+   [Node] drops it when it is dispatched.  A queued frame is released
+   when it is served; one dropped here is released at once. *)
 let intake_one t nq =
-  match
-    Rmi_net.Transport.try_recv_slice t.net ~self:(Node.id nq.node)
-  with
+  let self = Node.id nq.node in
+  match Rmi_net.Transport.try_recv_slice t.net ~self with
   | None -> false
   | Some ((buf, off, len) as task) ->
       let r = nq.probe in
@@ -91,9 +91,12 @@ let intake_one t nq =
           if not (try_enqueue t nq task) then begin
             (* only a reject needs the whole header as a record *)
             Msgbuf.reset_slice r buf ~off ~len;
-            Node.send_reject nq.node (Protocol.read_header r)
+            Node.send_reject nq.node (Protocol.read_header r);
+            Rmi_net.Transport.release t.net ~self buf
           end
-      | Server.Control -> ()  (* a polling worker stops on its flag *)
+      | Server.Control ->
+          (* a polling worker stops on its flag *)
+          Rmi_net.Transport.release t.net ~self buf
       | Server.Other ->
           (* replies, acks and rejects bypass admission control:
              refusing them could wedge the protocol.  The queue is

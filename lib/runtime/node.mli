@@ -158,7 +158,8 @@ val serve_pending : t -> bool
 
 (** [serve_slice t (buf, off, len)] executes one received frame slice
     on this node — request, reply or reject — then ships any coalesced
-    replies.  A polling worker of the dispatch pool calls it
+    replies.  The slice is released to the transport once consumed.  A
+    polling worker of the dispatch pool calls it
     from its domain; callers must ensure at most one slice is in
     [serve_slice] per node at a time. *)
 val serve_slice : t -> bytes * int * int -> unit

@@ -233,15 +233,21 @@ let consume_reader t r =
 
 (* [msg] is a slice of the received frame — an envelope payload or
    batch sub-message is read where it landed, never copied out first;
-   readers over it come from the cluster pool *)
+   readers over it come from the cluster pool.  Nothing decoded from it
+   refers to its bytes, so the slice is released to the transport once
+   the message is consumed, however that ends. *)
 let consume t (buf, off, len) =
-  let pool = Transport.pool t.env.Site.net in
+  let net = t.env.Site.net in
+  let pool = Transport.pool net in
   let r = Msgbuf.Pool.acquire_reader pool buf ~off ~len in
   match consume_reader t r with
-  | () -> Msgbuf.Pool.release_reader pool r
+  | () ->
+      Msgbuf.Pool.release_reader pool r;
+      Transport.release net ~self:t.env.Site.nid buf
   | exception ex ->
       let bt = Printexc.get_raw_backtrace () in
       Msgbuf.Pool.release_reader pool r;
+      Transport.release net ~self:t.env.Site.nid buf;
       Printexc.raise_with_backtrace ex bt
 
 let rec drain_inbox t served =

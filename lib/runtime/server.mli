@@ -45,7 +45,8 @@ val admission : Msgbuf.reader -> admission
 
 (** [consume t (buf, off, len)] serves a request, or hands anything
     else to [on_reply]; a message whose header does not parse is
-    dropped. *)
+    dropped.  The slice is then released to the transport
+    ({!Rmi_net.Transport.release}), also when consuming it raised. *)
 val consume : t -> bytes * int * int -> unit
 
 (** Consume everything in the inbox; [served] or'ed with whether

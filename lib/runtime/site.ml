@@ -167,9 +167,10 @@ let send_from_writer e ~dest w =
   else Transport.send_writer e.net ~src:e.nid ~dest w ~payload_off:gap
 
 (* [send_from_writer] when the caller already materialized the message
-   as [snapshot] (the retry copy of a request, a reply-cache entry), so
-   paths that need bytes anyway never copy twice; under the raw
-   transport the one snapshot doubles as the wire frame *)
+   as [snapshot] (a reply-cache entry), so a path that needs the bytes
+   anyway never copies twice; under the raw transport the one snapshot
+   doubles as the wire frame.  A request needs no snapshot: its call
+   keeps the writer for its retries. *)
 let send_snapshot e ~dest snapshot w =
   if e.cfg.Config.batching then send_msg e ~dest snapshot
   else if not (Transport.is_reliable e.net) then

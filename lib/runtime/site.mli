@@ -77,7 +77,8 @@ val send_msg : env -> dest:int -> bytes -> unit
 val send_from_writer : env -> dest:int -> Msgbuf.writer -> unit
 
 (** [send_snapshot e ~dest snapshot w] sends the message in [w] that
-    the caller already copied out as [snapshot]. *)
+    the caller already copied out as [snapshot] (the server's reply
+    cache entry); a request is resent from its writer instead. *)
 val send_snapshot : env -> dest:int -> bytes -> Msgbuf.writer -> unit
 
 (** Ship whatever this machine's batch buffers hold. *)

@@ -4,6 +4,8 @@
 open Rmi_runtime
 module Value = Rmi_serial.Value
 module Metrics = Rmi_stats.Metrics
+module Msgbuf = Rmi_wire.Msgbuf
+module Protocol = Rmi_wire.Protocol
 
 let meta = Rmi_serial.Class_meta.make [ ("Box", [ ("v", Jir.Types.Tint) ]) ]
 
@@ -304,6 +306,209 @@ let failure_messages_single_spaced () =
         (contains msg "exhausted their retransmit budget");
       no_double_space "retransmit give-up" msg
 
+(* ------------------------------------------------------------------ *)
+(* request writers: every settle path gives the call's writer back     *)
+(* ------------------------------------------------------------------ *)
+
+(* A call keeps its pooled request writer for retries until it
+   settles.  Run a scenario twice on one pool: the second, identical
+   run finds every writer the first gave back, so it takes no pool
+   miss; a writer kept past its call's settlement would be missing and
+   taken fresh. *)
+let no_leaked_writers what metrics run =
+  let misses () = (Metrics.snapshot metrics).Metrics.pool_misses in
+  run ();
+  let m = misses () in
+  run ();
+  Alcotest.(check int) (what ^ ": pool misses of the second run") 0
+    (misses () - m)
+
+let to_machine m = Remote_ref.make ~machine:m ~obj:0
+
+let incr_handler args =
+  match args.(0) with
+  | Value.Obj o -> (
+      match o.Value.fields.(0) with
+      | Value.Int v -> Some (box (v + 1))
+      | _ -> failwith "bad box")
+  | _ -> failwith "bad arg"
+
+(* [n] machines over [net], each serving [m_incr]; machine 0 pumps the
+   others *)
+let nodes ?(config = Config.class_) net n =
+  let plans = Rmi_core.Plan_store.empty () in
+  let ns = Array.init n (fun id -> Node.create net ~id ~meta ~config ~plans) in
+  Array.iter
+    (fun nd -> Node.export nd ~obj:0 ~meth:m_incr ~has_ret:true incr_handler)
+    ns;
+  Array.iteri
+    (fun i nd ->
+      Node.set_pump nd (fun () ->
+          let served = ref false in
+          Array.iteri
+            (fun j other ->
+              if j <> i && Node.serve_pending other then served := true)
+            ns;
+          !served))
+    ns;
+  ns
+
+let expect_value what v = function
+  | Some r ->
+      Alcotest.(check bool) what true (Rmi_serial.Equality.equal r (box v))
+  | None -> Alcotest.fail (what ^ ": no value")
+
+(* no breaker opens, so a repeated scenario takes the same path *)
+let patient =
+  Config.with_failover
+    { Config.default_failover with Config.breaker_threshold = max_int / 2 }
+    Config.class_
+
+let sim_net ?(reliable = false) n =
+  let metrics = Metrics.create () in
+  let net = Rmi_net.Sim.create ~n metrics in
+  (metrics, if reliable then Rmi_net.Reliable.wrap net else net)
+
+let writers_replies () =
+  List.iter
+    (fun reliable ->
+      let metrics, net = sim_net ~reliable 2 in
+      let n = nodes net 2 in
+      no_leaked_writers
+        (if reliable then "reliable replies" else "raw replies")
+        metrics
+        (fun () ->
+          let fs =
+            List.init 3 (fun i ->
+                Node.call_async n.(0) ~dest:(to_machine 1) ~meth:m_incr
+                  ~callsite:1 ~has_ret:true [| box i |])
+          in
+          List.iteri
+            (fun i f -> expect_value "reply" (i + 1) (Node.Future.await f))
+            fs))
+    [ false; true ]
+
+(* machine 1 answers its first two requests of a run with [Reject] *)
+let writers_reject_resend () =
+  let metrics, net = sim_net 2 in
+  let n = nodes net 2 in
+  let rejects = ref 0 in
+  Node.set_pump n.(0) (fun () ->
+      match Rmi_net.Transport.try_recv_slice net ~self:1 with
+      | None -> false
+      | Some ((buf, off, len) as msg) ->
+          let hdr =
+            Protocol.read_header (Msgbuf.reader_of_bytes ~off ~len buf)
+          in
+          if hdr.Protocol.kind = Protocol.Request && !rejects < 2 then begin
+            incr rejects;
+            Node.send_reject n.(1) hdr;
+            Rmi_net.Transport.release net ~self:1 buf
+          end
+          else Node.serve_slice n.(1) msg;
+          true);
+  no_leaked_writers "reject resend" metrics (fun () ->
+      rejects := 0;
+      expect_value "served after two rejects" 2
+        (Node.call n.(0) ~dest:(to_machine 1) ~meth:m_incr ~callsite:1
+           ~has_ret:true [| box 1 |]);
+      Alcotest.(check int) "both rejects sent" 2 !rejects)
+
+(* every frame toward machine 1 is lost until the client's first RPC
+   retry: the transport gives up once, and the retry succeeds *)
+let writers_give_up_retry () =
+  let metrics, net = sim_net ~reliable:true 2 in
+  let n = nodes ~config:patient net 2 in
+  let retries () = (Metrics.snapshot metrics).Metrics.call_retries in
+  no_leaked_writers "give-up retry" metrics (fun () ->
+      let r0 = retries () in
+      Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->
+          if dest = 1 && retries () = r0 then [] else [ msg ]);
+      expect_value "served by the retry" 2
+        (Node.call n.(0) ~dest:(to_machine 1) ~meth:m_incr ~callsite:1
+           ~has_ret:true [| box 1 |]);
+      Rmi_net.Transport.clear_fault_hook net;
+      Alcotest.(check int) "one RPC retry" (r0 + 1) (retries ()))
+
+(* machine 1 is partitioned: the call's retries run out (Peer_down), or
+   it fails over to replica 2, or its deadline passes first *)
+let writers_partitioned () =
+  let partition net =
+    Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->
+        if dest = 1 then [] else [ msg ])
+  in
+  (let metrics, net = sim_net ~reliable:true 2 in
+   let n = nodes ~config:patient net 2 in
+   partition net;
+   no_leaked_writers "retries exhausted" metrics (fun () ->
+       match
+         Node.call n.(0) ~dest:(to_machine 1) ~meth:m_incr ~callsite:1
+           ~has_ret:true [| box 1 |]
+       with
+       | _ -> Alcotest.fail "expected Peer_down"
+       | exception Node.Peer_down _ -> ()));
+  (let metrics, net = sim_net ~reliable:true 3 in
+   let n = nodes ~config:patient net 3 in
+   Node.set_replica n.(0) ~primary:1 ~replica:2;
+   partition net;
+   no_leaked_writers "failover" metrics (fun () ->
+       let f0 = (Metrics.snapshot metrics).Metrics.failovers in
+       expect_value "served by the replica" 2
+         (Node.call n.(0) ~dest:(to_machine 1) ~meth:m_incr ~callsite:1
+            ~has_ret:true [| box 1 |]);
+       Alcotest.(check int) "one failover" (f0 + 1)
+         (Metrics.snapshot metrics).Metrics.failovers));
+  let metrics, net = sim_net ~reliable:true 2 in
+  let n = nodes net 2 in
+  partition net;
+  no_leaked_writers "deadline" metrics (fun () ->
+      match
+        Node.call ~deadline:0.0 n.(0) ~dest:(to_machine 1) ~meth:m_incr
+          ~callsite:1 ~has_ret:true [| box 1 |]
+      with
+      | _ -> Alcotest.fail "expected Rpc_timeout"
+      | exception Node.Rpc_timeout _ -> ())
+
+(* an open breaker fails a call before it has a writer; a quiescent raw
+   cluster fails every outstanding call at once *)
+let writers_fast_fail_and_deadlock () =
+  (let metrics, net = sim_net ~reliable:true 2 in
+   let n = nodes net 2 in
+   Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->
+       if dest = 1 then [] else [ msg ]);
+   (* three transport failures open machine 1's breaker *)
+   (try
+      ignore
+        (Node.call n.(0) ~dest:(to_machine 1) ~meth:m_incr ~callsite:1
+           ~has_ret:true [| box 1 |])
+    with Node.Peer_down _ -> ());
+   no_leaked_writers "breaker fast-fail" metrics (fun () ->
+       let ff = (Metrics.snapshot metrics).Metrics.breaker_fastfails in
+       (try
+          ignore
+            (Node.call n.(0) ~dest:(to_machine 1) ~meth:m_incr ~callsite:1
+               ~has_ret:true [| box 1 |]);
+          Alcotest.fail "expected a fast-fail"
+        with Node.Peer_down _ -> ());
+       Alcotest.(check int) "fast-failed" (ff + 1)
+         (Metrics.snapshot metrics).Metrics.breaker_fastfails));
+  let metrics, net = sim_net 2 in
+  let n = nodes net 2 in
+  Rmi_net.Transport.set_fault_hook net (fun ~src:_ ~dest msg ->
+      if dest = 1 then [] else [ msg ]);
+  no_leaked_writers "deadlock sweep" metrics (fun () ->
+      let fs =
+        List.init 3 (fun i ->
+            Node.call_async n.(0) ~dest:(to_machine 1) ~meth:m_incr
+              ~callsite:1 ~has_ret:true [| box i |])
+      in
+      List.iter
+        (fun f ->
+          match Node.Future.await f with
+          | _ -> Alcotest.fail "expected Deadlock"
+          | exception Node.Deadlock _ -> ())
+        fs)
+
 let suite =
   [
     ( "faults",
@@ -323,5 +528,15 @@ let suite =
         Alcotest.test_case "garbage header ignored" `Quick garbage_header_is_ignored;
         Alcotest.test_case "handler exceptions don't kill workers" `Quick
           handler_exception_does_not_kill_worker;
+        Alcotest.test_case "request writers: replies" `Quick writers_replies;
+        Alcotest.test_case "request writers: reject resend" `Quick
+          writers_reject_resend;
+        Alcotest.test_case "request writers: give-up retry" `Quick
+          writers_give_up_retry;
+        Alcotest.test_case
+          "request writers: retries exhausted, failover, deadline" `Quick
+          writers_partitioned;
+        Alcotest.test_case "request writers: breaker fast-fail, deadlock" `Quick
+          writers_fast_fail_and_deadlock;
       ] );
   ]

@@ -227,10 +227,10 @@ let wirecost_pin () =
     "seed 1234 reliable+faults rows"
     [
       "    {\"workload\": \"chain100\", \"variant\": \"reliable+faults\", \
-       \"copied\": 940.7, \"pool_hits\": 156, \"pool_misses\": 2, \
+       \"copied\": 493.7, \"pool_hits\": 155, \"pool_misses\": 3, \
        \"digest\": \"63b15324c00a4e302d3af82b2bed7081\"},";
       "    {\"workload\": \"matrix16x16\", \"variant\": \"reliable+faults\", \
-       \"copied\": 4246.4, \"pool_hits\": 156, \"pool_misses\": 2, \
+       \"copied\": 2152.4, \"pool_hits\": 155, \"pool_misses\": 3, \
        \"digest\": \"4c4b0a3ae25c41760f1924b9a2aacd3f\"}";
     ]
     lossy

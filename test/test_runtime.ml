@@ -586,6 +586,47 @@ let trivial_call_allocation_bounded () =
     (words_per_trivial_call ~config ~machine:1 ())
     adaptive_remote_bound
 
+(* a 2 KB call over Sock puts no frame on the major heap: the served
+   request and the reply are read in place and released, and the
+   request's retry copy is its pooled writer.  Copying either out took
+   ~260 major words a call; the 256-double argument decodes into the
+   minor heap. *)
+let sock_call_leaves_major_heap_alone () =
+  let metrics = Metrics.create () in
+  let fabric =
+    Fabric.create ~backend:Fabric.Sock ~n:2 ~meta ~config:Config.class_
+      ~plans:(no_plans ()) ~metrics ()
+  in
+  Fun.protect ~finally:(fun () -> Fabric.shutdown_net fabric) @@ fun () ->
+  export_all fabric;
+  let caller = Fabric.node fabric 0 in
+  let dest = Remote_ref.make ~machine:1 ~obj:0 in
+  let arg = Value.new_darr 256 in
+  Array.fill arg.Value.d 0 256 0.5;
+  let call () =
+    match
+      Node.call caller ~dest ~meth:m_sum ~callsite:300 ~has_ret:true
+        [| Value.Darr arg |]
+    with
+    | Some (Value.Double 128.0) -> ()
+    | _ -> Alcotest.fail "wrong sum"
+  in
+  for _ = 1 to 50 do
+    call ()
+  done;
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  let calls = 500 in
+  for _ = 1 to calls do
+    call ()
+  done;
+  let per_call =
+    ((Gc.quick_stat ()).Gc.major_words -. w0) /. float_of_int calls
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major words per call <= 20" per_call)
+    true (per_call <= 20.0)
+
 let suite =
   [
     ( "runtime.calls",
@@ -600,6 +641,8 @@ let suite =
         Alcotest.test_case "rpc counters" `Quick rpc_counters;
         Alcotest.test_case "trivial call allocation bounded" `Quick
           trivial_call_allocation_bounded;
+        Alcotest.test_case "sock call leaves the major heap alone" `Quick
+          sock_call_leaves_major_heap_alone;
       ] );
     ( "runtime.optimizations",
       [

@@ -305,6 +305,52 @@ module Conformance (B : BACKEND) = struct
     done;
     drain_empty net ~self:1
 
+  (* every slice a receive hands up is released once, a batch's members
+     one each.  After one release per slice the frame's count below is
+     back to 0: on a socket stack one release more raises, and the next
+     frame is read into the same storage.  The simulated stacks' frames
+     are the receiver's own, and releasing them does nothing. *)
+  let release_counts () =
+    with_backend (module B) 2 @@ fun net _ ->
+    let msgs = [ "rel-a"; "rel-bb"; "rel-ccc" ] in
+    if B.batched then begin
+      List.iter
+        (fun m ->
+          ignore
+            (Transport.send_buffered net ~src:0 ~dest:1 (Bytes.of_string m)
+              : (int * int * int) list))
+        msgs;
+      ignore (Transport.flush net ~src:0 : (int * int * int) list)
+    end
+    else
+      List.iter
+        (fun m -> Transport.send net ~src:0 ~dest:1 (Bytes.of_string m))
+        msgs;
+    let recv_slice expected =
+      match Transport.recv_deadline_slice net ~self:1 ~seconds:5.0 with
+      | Some s ->
+          Alcotest.(check string) "received" expected
+            (Bytes.to_string (Fixtures.message s));
+          s
+      | None -> Alcotest.fail "no message within the 5 s conformance deadline"
+    in
+    let bufs = List.map (fun m -> let b, _, _ = recv_slice m in b) msgs in
+    let socket = Option.is_some B.sock in
+    if socket && B.batched then
+      Alcotest.(check bool) "the members share one frame" true
+        (List.for_all (fun b -> b == List.hd bufs) bufs);
+    List.iter (fun b -> Transport.release net ~self:1 b) bufs;
+    let last = List.nth bufs 2 in
+    (match Transport.release net ~self:1 last with
+    | () -> if socket then Alcotest.fail "a release past the count was accepted"
+    | exception Invalid_argument _ ->
+        if not socket then Alcotest.fail "a simulated frame's release raised");
+    Transport.send net ~src:0 ~dest:1 (Bytes.of_string "again");
+    let b, _, _ = recv_slice "again" in
+    if socket then
+      Alcotest.(check bool) "read into the same storage" true (b == last);
+    Transport.release net ~self:1 b
+
   (* ---------------------------------------------------------------- *)
   (* the socket stacks: the receiving thread reads its own sockets     *)
   (* ---------------------------------------------------------------- *)
@@ -521,6 +567,7 @@ module Conformance (B : BACKEND) = struct
       @ [
           ("deadline recv", deadline_recv);
           ("deadline recv races arrival", deadline_recv_race);
+          ("release counts every slice", release_counts);
         ]
       @
       if Option.is_none B.sock then []
@@ -825,6 +872,154 @@ let two_senders_exactly_once =
       && Transport.recv_deadline_slice net ~self:2 ~seconds:0.02 = None)
 
 (* ------------------------------------------------------------------ *)
+(* the receive buffers: slices stay put until released                 *)
+(* ------------------------------------------------------------------ *)
+
+let request_len = 2060
+
+let numbered i =
+  Bytes.init request_len (fun j -> Char.chr (((i * 31) + j) land 0xff))
+
+let recv_within net ~self =
+  match Transport.recv_deadline_slice net ~self ~seconds:5.0 with
+  | Some s -> s
+  | None -> Alcotest.fail "no frame within 5 s"
+
+(* major-heap words from now on: a minor collection first, so live
+   young data of earlier tests is not promoted inside the span *)
+let major_words_from () =
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  fun () -> (Gc.quick_stat ()).Gc.major_words -. w0
+
+(* I1: the bytes of a frame handed up are not written again while its
+   release is outstanding.  Two rounds of more than three read buffers
+   of 2060-byte frames, sent in bursts so reads end mid-frame: in the
+   first no frame is released, in the second every frame but each
+   eighth is released as it arrives.  Every held frame is intact at
+   the end. *)
+let held_frames_stay_intact () =
+  with_sock_t ~n:2 @@ fun _ net ->
+  let per_round = (3 * 65536 / request_len) + 8 in
+  let held = ref [] in
+  let round ~keep first =
+    let i = ref first in
+    while !i < first + per_round do
+      let burst = min 5 (first + per_round - !i) in
+      for k = 0 to burst - 1 do
+        Transport.send net ~src:0 ~dest:1 (numbered (!i + k))
+      done;
+      for k = 0 to burst - 1 do
+        let ((buf, _, _) as s) = recv_within net ~self:1 in
+        if keep (!i + k) then held := (!i + k, s) :: !held
+        else begin
+          Alcotest.(check bool) "in order" true
+            (Bytes.equal (Fixtures.message s) (numbered (!i + k)));
+          Transport.release net ~self:1 buf
+        end
+      done;
+      i := !i + burst
+    done
+  in
+  round ~keep:(fun _ -> true) 0;
+  round ~keep:(fun i -> i mod 8 = 0) per_round;
+  List.iter
+    (fun (i, s) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "held frame %d intact" i)
+        true
+        (Bytes.equal (Fixtures.message s) (numbered i)))
+    !held
+
+(* I2: with every slice released, a conn reads into the same storage.
+   Over raw Sock, 1000 round trips of 2060-byte frames allocate at most
+   one major-heap word per frame; receiving by copying took ~260 per
+   frame.  Over the ARQ, whose acks share the replies' buffer, every
+   frame still lands in the one buffer (its sends snapshot each data
+   frame for retransmission, so its words are not bounded here). *)
+let released_frames_reuse_storage () =
+  List.iter
+    (fun (what, wrap, bounded) ->
+      let metrics = Metrics.create () in
+      with_net (wrap (Sock.create_loopback ~n:2 metrics)) metrics
+      @@ fun net _ ->
+      let req = numbered 1 and rep = numbered 2 in
+      let first = Array.make 2 Bytes.empty and moved = ref false in
+      let recv self =
+        let buf, _, _ = recv_within net ~self in
+        if first.(self) == Bytes.empty then first.(self) <- buf;
+        if buf != first.(self) then moved := true;
+        Transport.release net ~self buf
+      in
+      let round () =
+        Transport.send net ~src:0 ~dest:1 req;
+        recv 1;
+        Transport.send net ~src:1 ~dest:0 rep;
+        recv 0
+      in
+      for _ = 1 to 50 do
+        round ()
+      done;
+      let words = major_words_from () in
+      for _ = 1 to 1000 do
+        round ()
+      done;
+      let words = words () in
+      Alcotest.(check bool) (what ^ ": every frame in one buffer") false !moved;
+      if bounded then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.0f major words over 2000 frames" what words)
+          true (words <= 2000.0))
+    [
+      ("sock", Fun.id, true);
+      ("reliable/sock", (fun lower -> Reliable.wrap lower), false);
+    ]
+
+(* I3: a receiver that never releases keeps every frame, and pays
+   about one frame's bytes per frame in fresh read buffers (a 64 KiB
+   buffer per ~31 such frames: 259 words a frame, against the 260 a
+   copy took), never a buffer per read *)
+let unreleased_frames_cost_their_bytes () =
+  with_sock_t ~n:2 @@ fun _ net ->
+  let req = numbered 3 in
+  let exchange () =
+    Transport.send net ~src:0 ~dest:1 req;
+    ignore (recv_within net ~self:1 : bytes * int * int)
+  in
+  for _ = 1 to 64 do
+    exchange ()
+  done;
+  let frames = 3100 in
+  let words = major_words_from () in
+  for _ = 1 to frames do
+    exchange ()
+  done;
+  let per_frame = words () /. float_of_int frames in
+  let own = float_of_int (4 + request_len) /. 8.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f major words per frame, the frame is %.1f" per_frame
+       own)
+    true
+    (per_frame <= 1.05 *. own)
+
+(* a release beyond the slices handed up raises; bytes the backend did
+   not hand up from a conn (a self-send's frame, anything else) are
+   ignored *)
+let over_release_raises () =
+  with_sock_t ~n:2 @@ fun _ net ->
+  Transport.send net ~src:0 ~dest:1 (Bytes.of_string "once");
+  let buf, _, _ = recv_within net ~self:1 in
+  Transport.release net ~self:1 buf;
+  Alcotest.check_raises "over-release"
+    (Invalid_argument "Sock.release: no slice of this buffer is outstanding")
+    (fun () -> Transport.release net ~self:1 buf);
+  Transport.send net ~src:1 ~dest:1 (Bytes.of_string "self");
+  let own, _, _ = recv_within net ~self:1 in
+  Transport.release net ~self:1 own;
+  Transport.release net ~self:1 own;
+  Transport.release net ~self:0 (Bytes.create 16)
+
+(* ------------------------------------------------------------------ *)
 (* the envelope checksum                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1020,6 +1215,14 @@ let suite =
             `Quick corked_sends_allocate_nothing;
           Alcotest.test_case "sock: a killed conn's cork charges are reclaimed"
             `Quick killed_cork_charges_reclaimed;
+          Alcotest.test_case "sock: held frames stay intact" `Quick
+            held_frames_stay_intact;
+          Alcotest.test_case "sock: released frames reuse their storage" `Quick
+            released_frames_reuse_storage;
+          Alcotest.test_case "sock: unreleased frames cost their bytes" `Quick
+            unreleased_frames_cost_their_bytes;
+          Alcotest.test_case "sock: an over-release raises" `Quick
+            over_release_raises;
           QCheck_alcotest.to_alcotest two_senders_exactly_once;
           Alcotest.test_case "envelope checksum goldens" `Quick
             checksum_goldens;
