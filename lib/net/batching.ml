@@ -29,7 +29,7 @@ module M = struct
     (* members of an already-received batch, served ahead of [lower];
        one lock per machine, so receivers on different domains do not
        contend *)
-    inbox : (bytes * int * int) Queue.t array;
+    inbox : Slice_ring.t array;
     owing : owing array;  (* per machine, under its [imutex] *)
     imutex : Mutex.t array;
   }
@@ -110,11 +110,11 @@ module M = struct
   (* receive path: split batch frames                                  *)
   (* ---------------------------------------------------------------- *)
 
-  let pop_inbox t ~self =
+  let pop_inbox t ~self s =
     Mutex.lock t.imutex.(self);
-    let m = Queue.take_opt t.inbox.(self) in
+    let got = Slice_ring.pop_into t.inbox.(self) s in
     Mutex.unlock t.imutex.(self);
-    m
+    got
 
   (* ---------------------------------------------------------------- *)
   (* releases: [lower] handed up one frame per batch, the receiver     *)
@@ -165,68 +165,60 @@ module M = struct
     Mutex.unlock t.imutex.(self);
     if not swallowed then Transport.release t.lower ~self frame
 
-  (* the batch frame [buf.(off..off+len)] arrived for [self]: its first
-     member is returned and the rest queue in the inbox, all as slices
-     of the frame.  A garbled batch is dropped whole, like any other
-     corrupt frame, and released to [lower]. *)
-  let split t ~self buf off len =
-    match Protocol.decode_batch_slice buf ~off ~len with
+  (* the batch frame in [s] arrived for [self]: [s] is narrowed to its
+     first member and the rest queue in the inbox, all as slices of the
+     frame.  A garbled batch is dropped whole, like any other corrupt
+     frame, and released to [lower]. *)
+  let split t ~self (s : Transport.slice) =
+    let buf = s.buf in
+    match Protocol.decode_batch_slice buf ~off:s.off ~len:s.len with
     | None | Some [] ->
         Transport.release t.lower ~self buf;
-        None
-    | Some (first :: rest) ->
+        false
+    | Some ((o, l) :: rest) ->
         Mutex.lock t.imutex.(self);
         (match rest with
         | [] -> ()
         | _ -> owe t.owing.(self) buf (List.length rest));
-        List.iter (fun (o, l) -> Queue.push (buf, o, l) t.inbox.(self)) rest;
+        let q = t.inbox.(self) in
+        List.iter (fun (o, l) -> Slice_ring.push q buf o l) rest;
         Mutex.unlock t.imutex.(self);
-        let o, l = first in
-        Some (buf, o, l)
+        s.off <- o;
+        s.len <- l;
+        true
 
-  (* the receive loops are top-level functions, not local closures, and
-     a frame that is not a batch goes up as [lower]'s own [Some], so a
-     receive allocates nothing here *)
-  let rec drain t ~self =
-    match Transport.try_recv_slice t.lower ~self with
-    | Some (buf, off, len) when Protocol.is_batch_at buf ~off ~len -> (
-        match split t ~self buf off len with None -> drain t ~self | m -> m)
-    | m -> m
+  (* the frame [lower] put in [s] goes up: as it is, or its first
+     member when it is a batch; false when a garbled batch was dropped *)
+  let admit t ~self (s : Transport.slice) =
+    (not (Protocol.is_batch_at s.buf ~off:s.off ~len:s.len)) || split t ~self s
 
-  let try_recv_slice t ~self =
+  (* the receive loops are top-level functions, not local closures, so
+     a frame that is not a batch is received with no allocation here *)
+  let rec drain t ~self s =
+    Transport.try_recv_into t.lower ~self s
+    && (admit t ~self s || drain t ~self s)
+
+  let try_recv_into t ~self s =
     check t self;
-    match pop_inbox t ~self with Some _ as m -> m | None -> drain t ~self
+    pop_inbox t ~self s || drain t ~self s
 
   (* [lower] makes its own non-blocking pass first, so a zero or
      negative deadline still drains what is deliverable *)
-  let rec wait t ~self deadline =
-    match
-      Transport.recv_deadline_slice t.lower ~self
-        ~seconds:(Clock.remaining deadline)
-    with
-    | Some (buf, off, len) when Protocol.is_batch_at buf ~off ~len -> (
-        match split t ~self buf off len with
-        | None -> wait t ~self deadline
-        | m -> m)
-    | m -> m
+  let rec wait t ~self deadline s =
+    Transport.recv_deadline_into t.lower ~self
+      ~seconds:(Clock.remaining deadline) s
+    && (admit t ~self s || wait t ~self deadline s)
 
-  let recv_deadline_slice t ~self ~seconds =
+  let recv_deadline_into t ~self ~seconds s =
     check t self;
-    match pop_inbox t ~self with
-    | Some _ as m -> m
-    | None -> wait t ~self (Clock.deadline_after seconds)
+    pop_inbox t ~self s || wait t ~self (Clock.deadline_after seconds) s
 
-  let rec recv_blocking_slice t ~self =
+  let rec recv_blocking_into t ~self s =
     check t self;
-    match pop_inbox t ~self with
-    | Some m -> m
-    | None -> (
-        let ((buf, off, len) as m) = Transport.recv_blocking_slice t.lower ~self in
-        if not (Protocol.is_batch_at buf ~off ~len) then m
-        else
-          match split t ~self buf off len with
-          | Some m -> m
-          | None -> recv_blocking_slice t ~self)
+    if not (pop_inbox t ~self s) then begin
+      Transport.recv_blocking_into t.lower ~self s;
+      if not (admit t ~self s) then recv_blocking_into t ~self s
+    end
 
   let buffered_anywhere t =
     Mutex.lock t.lock;
@@ -235,7 +227,8 @@ module M = struct
     any
 
   let holds_anything t =
-    Array.exists (fun q -> not (Queue.is_empty q)) t.inbox || buffered_anywhere t
+    Array.exists (fun q -> not (Slice_ring.is_empty q)) t.inbox
+    || buffered_anywhere t
 
   let pending_anywhere t = Transport.pending_anywhere t.lower || holds_anything t
 
@@ -256,10 +249,9 @@ module M = struct
     done;
     Mutex.unlock t.lock;
     Mutex.lock t.imutex.(m);
-    let dropped = List.of_seq (Queue.to_seq t.inbox.(m)) in
-    Queue.clear t.inbox.(m);
+    let dropped = Slice_ring.take_all t.inbox.(m) in
     Mutex.unlock t.imutex.(m);
-    List.iter (fun (buf, _, _) -> release t ~self:m buf) dropped
+    List.iter (fun buf -> release t ~self:m buf) dropped
 
   (* peer health is [lower]'s: the layer keeps no view of its own *)
   let peer_health t ~self ~peer = Transport.peer_health t.lower ~self ~peer
@@ -277,7 +269,7 @@ let wrap lower =
       links =
         Array.init n (fun _ -> Array.init n (fun _ -> { msgs = []; bytes = 0 }));
       lock = Mutex.create ();
-      inbox = Array.init n (fun _ -> Queue.create ());
+      inbox = Array.init n (fun _ -> Slice_ring.create ());
       owing = Array.init n (fun _ -> { frames = [||]; owed = [||] });
       imutex = Array.init n (fun _ -> Mutex.create ());
     }

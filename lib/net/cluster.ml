@@ -153,24 +153,18 @@ end)
 (* receive path: whole frames, straight from the mailbox               *)
 (* ------------------------------------------------------------------ *)
 
-let whole raw = (raw, 0, Bytes.length raw)
-
-let try_recv_slice t ~self =
+let try_recv_into t ~self s =
   check t self;
-  match Mailbox.try_recv t.boxes.(self) with
-  | None -> None
-  | Some raw -> Some (whole raw)
+  Mailbox.try_recv t.boxes.(self) s
 
 (* one non-blocking pass first, so a poll that finds a frame does not
    set up the timed wait *)
-let recv_deadline_slice t ~self ~seconds =
-  match try_recv_slice t ~self with
-  | Some _ as m -> m
-  | None -> Option.map whole (Mailbox.recv_deadline t.boxes.(self) ~seconds)
+let recv_deadline_into t ~self ~seconds s =
+  try_recv_into t ~self s || Mailbox.recv_deadline t.boxes.(self) ~seconds s
 
-let recv_blocking_slice t ~self =
+let recv_blocking_into t ~self s =
   check t self;
-  whole (Mailbox.recv_blocking t.boxes.(self))
+  Mailbox.recv_blocking t.boxes.(self) s
 
 (* a mailbox frame is the receiver's own: nothing below reuses it *)
 let release _ ~self:_ _ = ()

@@ -1,5 +1,5 @@
 type t = {
-  q : bytes Queue.t;
+  q : Slice_ring.t;  (* whole frames, so a push adds no cell *)
   m : Mutex.t;
   c : Condition.t;
   (* the last timed wait ran out and nothing has been taken since: the
@@ -8,38 +8,37 @@ type t = {
 }
 
 let create () =
-  { q = Queue.create (); m = Mutex.create (); c = Condition.create ();
+  { q = Slice_ring.create (); m = Mutex.create (); c = Condition.create ();
     dry = false }
 
 let send t msg =
   Mutex.lock t.m;
-  Queue.push msg t.q;
+  Slice_ring.push t.q msg 0 (Bytes.length msg);
   Condition.signal t.c;
   Mutex.unlock t.m
 
-let try_recv t =
+let try_recv t s =
   Mutex.lock t.m;
-  let msg = Queue.take_opt t.q in
-  (match msg with Some _ -> t.dry <- false | None -> ());
+  let got = Slice_ring.pop_into t.q s in
+  if got then t.dry <- false;
   Mutex.unlock t.m;
-  msg
+  got
 
-let recv_blocking t =
+let recv_blocking t s =
   Mutex.lock t.m;
-  while Queue.is_empty t.q do
+  while Slice_ring.is_empty t.q do
     Condition.wait t.c t.m
   done;
-  let msg = Queue.pop t.q in
+  ignore (Slice_ring.pop_into t.q s : bool);
   t.dry <- false;
-  Mutex.unlock t.m;
-  msg
+  Mutex.unlock t.m
 
 (* how long a timed wait spins before its first sleep, unless the
    receiver is idle: after a message the next one often follows within
    microseconds, sooner than a sleep wakes up *)
 let spin_us = 50
 
-let recv_deadline t ~seconds =
+let recv_deadline t ~seconds s =
   (* OCaml's Condition has no timed wait: spin, then poll with short
      sleeps.  The reliable transport waits here in slices, both a
      blocked server's receive and a parallel client's await. *)
@@ -48,39 +47,38 @@ let recv_deadline t ~seconds =
     if t.dry then 0 else min deadline (Clock.now_us () + spin_us)
   in
   let rec wait () =
-    match try_recv t with
-    | Some msg -> Some msg
-    | None ->
-        let now = Clock.now_us () in
-        if now >= deadline then begin
-          t.dry <- true;
-          None
-        end
-        else if now < spin_until then begin
-          Domain.cpu_relax ();
-          wait ()
-        end
-        else begin
-          Thread.yield ();
-          Unix.sleepf 5e-5;
-          wait ()
-        end
+    try_recv t s
+    ||
+    let now = Clock.now_us () in
+    if now >= deadline then begin
+      t.dry <- true;
+      false
+    end
+    else if now < spin_until then begin
+      Domain.cpu_relax ();
+      wait ()
+    end
+    else begin
+      Thread.yield ();
+      Unix.sleepf 5e-5;
+      wait ()
+    end
   in
   wait ()
 
 let clear t =
   Mutex.lock t.m;
-  Queue.clear t.q;
+  ignore (Slice_ring.take_all t.q : bytes list);
   Mutex.unlock t.m
 
 let is_empty t =
   Mutex.lock t.m;
-  let e = Queue.is_empty t.q in
+  let e = Slice_ring.is_empty t.q in
   Mutex.unlock t.m;
   e
 
 let length t =
   Mutex.lock t.m;
-  let n = Queue.length t.q in
+  let n = Slice_ring.length t.q in
   Mutex.unlock t.m;
   n

@@ -63,9 +63,9 @@ type det_cell = {
 }
 
 (* a sent-but-unacknowledged data frame, waiting on its retransmit
-   timer *)
+   timer; records are recycled through their link's [spare] stack *)
 type pending = {
-  frame : bytes;
+  mutable frame : bytes;
   mutable attempts : int;
   mutable rto_now : int;
   mutable due : int;  (* clock reading at which the timer expires *)
@@ -80,10 +80,41 @@ type link_tx = {
   unacked : (int, pending) Hashtbl.t;
   mutable min_due : int;  (* <= every unacked frame's [due] *)
   mutable firsts : int;  (* unacked frames with [attempts = 1] *)
+  (* records no longer in [unacked], [spare.(0..nspare)], for the next
+     frames sent on the link *)
+  mutable spare : pending array;
+  mutable nspare : int;
 }
+
+(* [p] left [ltx]'s table: its record waits for the next frame, pinning
+   no bytes *)
+let recycle ltx p =
+  if ltx.nspare = Array.length ltx.spare then begin
+    let spare = Array.make (max 4 (2 * ltx.nspare)) p in
+    Array.blit ltx.spare 0 spare 0 ltx.nspare;
+    ltx.spare <- spare
+  end;
+  p.frame <- Bytes.empty;
+  ltx.spare.(ltx.nspare) <- p;
+  ltx.nspare <- ltx.nspare + 1
+
+(* a record for a frame sent at [due - rto]: a spare one when the link
+   has one *)
+let fresh_pending ltx frame ~rto ~due =
+  if ltx.nspare = 0 then { frame; attempts = 1; rto_now = rto; due }
+  else begin
+    ltx.nspare <- ltx.nspare - 1;
+    let p = ltx.spare.(ltx.nspare) in
+    p.frame <- frame;
+    p.attempts <- 1;
+    p.rto_now <- rto;
+    p.due <- due;
+    p
+  end
 
 (* a link with nothing unacked *)
 let clear_link ltx =
+  Hashtbl.iter (fun _ p -> recycle ltx p) ltx.unacked;
   Hashtbl.reset ltx.unacked;
   ltx.min_due <- max_int;
   ltx.firsts <- 0
@@ -92,6 +123,7 @@ let clear_link ltx =
 let drop_unacked ltx lseq p =
   Hashtbl.remove ltx.unacked lseq;
   if p.attempts = 1 then ltx.firsts <- ltx.firsts - 1;
+  recycle ltx p;
   if Hashtbl.length ltx.unacked = 0 then ltx.min_due <- max_int
 
 (* a link's duplicate memory: every lseq in [0, floor) was delivered,
@@ -146,7 +178,7 @@ module M = struct
     rx : Dedup.t array array;   (* rx.(self).(src) *)
     det : det_cell array array; (* det.(self).(peer) *)
     clock : (unit -> int) option;  (* [None]: the clock is [tick] *)
-    slice : float;  (* [recv_blocking_slice]'s wait between idles, s *)
+    slice : float;  (* [recv_blocking_into]'s wait between idles, s *)
     idle_slice : float;  (* the same while no link holds an unacked frame *)
     mutable tick : int;  (* idle calls so far *)
     (* one [idle] sweep's tallies, reset at its start; under [lock].
@@ -160,7 +192,12 @@ module M = struct
     lock : Mutex.t;
     mutable peer_hooks :
       (self:int -> peer:int -> Transport.peer_event -> unit) list;
+    (* [receivers.(self)] carries [self] into the envelope parse's
+       continuation, which takes two values besides the frame *)
+    mutable receivers : receiver array;
   }
+
+  and receiver = { rel : t; self : int }
 
   let is_reliable _ = true
   let charge t n = Metrics.add t.metrics Bytes_copied n
@@ -203,7 +240,7 @@ module M = struct
   let register_unacked t ~lseq ~ltx envelope =
     let due = now t + t.params.rto in
     Hashtbl.replace ltx.unacked lseq
-      { frame = envelope; attempts = 1; rto_now = t.params.rto; due };
+      (fresh_pending ltx envelope ~rto:t.params.rto ~due);
     ltx.firsts <- ltx.firsts + 1;
     if due < ltx.min_due then ltx.min_due <- due
 
@@ -307,8 +344,9 @@ module M = struct
     | Envelope.Hb -> false
 
   (* the envelope around payload [buf.(off..off+len)] arrived for
-     [self]: [Some message] to hand up, [None] when the frame was
-     consumed here (ack, heartbeat, duplicate or stale epoch).
+     [self]: true, with [s] narrowed to the payload, to hand it up;
+     false when the frame was consumed here (ack, heartbeat, duplicate
+     or stale epoch).
 
      A data frame is acked first, even a duplicate (the earlier ack may
      have been lost), unless its epoch is fenced off.  The ack leaves
@@ -329,7 +367,8 @@ module M = struct
      stale: the drop is what the fence does to it a moment later, the
      ack what it got a moment earlier, when it would also have been
      delivered.  No test drives either race. *)
-  let filter t self buf kind ~src ~epoch ~lseq ~off ~len =
+  let filter { rel = t; self } (s : Transport.slice) _buf kind ~src ~epoch
+      ~lseq ~off ~len =
     let d = t.det.(self).(src) in
     let data = kind = Envelope.Data in
     if data && epoch >= d.known_epoch then begin
@@ -347,9 +386,13 @@ module M = struct
     if recovered then fire_peer t ~self ~peer:src Transport.Peer_recovered;
     if stale then begin
       Metrics.add t.metrics Stale_drops 1;
-      None
+      false
     end
-    else if fresh then Some (buf, off, len)
+    else if fresh then begin
+      s.off <- off;
+      s.len <- len;
+      true
+    end
     else begin
       if data then Metrics.add t.metrics Dup_drops 1
       else if kind = Envelope.Hb && lseq = Envelope.hb_ping then begin
@@ -357,50 +400,45 @@ module M = struct
         Transport.send_raw t.lower ~src:self ~dest:src
           (control_frame t ~kind:Envelope.Hb ~src:self ~lseq:Envelope.hb_pong)
       end;
-      None
+      false
     end
 
-  (* a frame from the lower transport; one failing its checksum is
-     dropped here (the sender's timer recovers it).  What is consumed
-     here goes back to [lower] at once; a payload handed up is a slice
-     of the same bytes, which the receiver's {!release} passes down. *)
-  let admit t ~self (buf, off, len) =
-    match Envelope.parse buf ~off ~len ~garbled:None filter t self with
-    | None ->
-        Transport.release t.lower ~self buf;
-        None
-    | m -> m
+  (* the frame in [s], from the lower transport; one failing its
+     checksum is dropped here (the sender's timer recovers it).  What is
+     consumed here goes back to [lower] at once; a payload handed up
+     narrows [s] to a slice of the same bytes, which the receiver's
+     {!release} passes down. *)
+  let admit t ~self (s : Transport.slice) =
+    Envelope.parse s.buf ~off:s.off ~len:s.len ~garbled:false filter
+      t.receivers.(self) s
+    || begin
+         Transport.release t.lower ~self s.buf;
+         false
+       end
 
   let release t ~self frame = Transport.release t.lower ~self frame
 
   (* the receive loops are top-level functions, not local closures, so
      an empty poll allocates nothing *)
-  let rec drain t ~self =
-    match Transport.try_recv_slice t.lower ~self with
-    | None -> None
-    | Some slice -> (
-        match admit t ~self slice with None -> drain t ~self | m -> m)
+  let rec drain t ~self s =
+    Transport.try_recv_into t.lower ~self s
+    && (admit t ~self s || drain t ~self s)
 
-  let try_recv_slice t ~self =
+  let try_recv_into t ~self s =
     check t self;
-    drain t ~self
+    drain t ~self s
 
-  let rec wait t ~self deadline =
+  let rec wait t ~self deadline s =
     let remain = Clock.remaining deadline in
-    if remain <= 0.0 then None
-    else
-      match Transport.recv_deadline_slice t.lower ~self ~seconds:remain with
-      | None -> None
-      | Some slice -> (
-          match admit t ~self slice with None -> wait t ~self deadline | m -> m)
+    remain > 0.0
+    && Transport.recv_deadline_into t.lower ~self ~seconds:remain s
+    && (admit t ~self s || wait t ~self deadline s)
 
-  let recv_deadline_slice t ~self ~seconds =
+  let recv_deadline_into t ~self ~seconds s =
     check t self;
     (* one non-blocking pass first, so a zero or negative deadline
        still drains anything already deliverable *)
-    match try_recv_slice t ~self with
-    | Some _ as m -> m
-    | None -> wait t ~self (Clock.deadline_after seconds)
+    try_recv_into t ~self s || wait t ~self (Clock.deadline_after seconds) s
 
   (* the adapter queues nothing a receive could return: an unacked
      frame is either in [lower], which counts it, or lost, and then only
@@ -616,28 +654,26 @@ module M = struct
      it even though it is only receiving).  With nothing unacked on any
      link no retransmit timer can come due, and the longer idle slice
      spares an idle receiver most of its wake-ups. *)
-  let rec slices t ~self =
+  let rec slices t ~self s =
     let seconds =
       if unacked_anywhere t.tx 0 then t.slice else t.idle_slice
     in
-    match recv_deadline_slice t ~self ~seconds with
-    | Some payload -> payload
-    | None ->
-        ignore (idle t ~self : Transport.idle_outcome);
-        slices t ~self
+    if not (recv_deadline_into t ~self ~seconds s) then begin
+      ignore (idle t ~self : Transport.idle_outcome);
+      slices t ~self s
+    end
 
   (* on the monotonic clock a receive that finds nothing sweeps before
      its first slice, as a polling worker's idle round does: a frame
      lost just before is resent now, not a slice later.  The idle-count
      clock sweeps only after a slice, since its give-up budget counts
      the sweeps *)
-  let recv_blocking_slice t ~self =
-    match try_recv_slice t ~self with
-    | Some m -> m
-    | None ->
-        if Option.is_some t.clock then
-          ignore (idle t ~self : Transport.idle_outcome);
-        slices t ~self
+  let recv_blocking_into t ~self s =
+    if not (try_recv_into t ~self s) then begin
+      if Option.is_some t.clock then
+        ignore (idle t ~self : Transport.idle_outcome);
+      slices t ~self s
+    end
 
   (* ---------------------------------------------------------------- *)
   (* peer health: the detector's verdicts, never [lower]'s             *)
@@ -698,6 +734,8 @@ let wrap ?now ?params lower =
                   unacked = Hashtbl.create 8;
                   min_due = max_int;
                   firsts = 0;
+                  spare = [||];
+                  nspare = 0;
                 }));
       rx =
         Array.init n (fun _ ->
@@ -730,8 +768,10 @@ let wrap ?now ?params lower =
       sweep_events = [];
       lock = Mutex.create ();
       peer_hooks = [];
+      receivers = [||];
     }
   in
+  t.M.receivers <- Array.init n (fun self -> { M.rel = t; self });
   (* registered before any runtime hook, so a crashed machine's ARQ
      state is already wiped when node-level hooks drop their caches *)
   Transport.on_process_event lower (function

@@ -102,7 +102,7 @@ module M = struct
 
   type ep = {
     lfd : Unix.file_descr;
-    inbox : (bytes * int * int) Queue.t;
+    inbox : Slice_ring.t;  (* frames read from the conns, not yet taken *)
     ilock : Mutex.t;  (* inbox, wakers, [shut] *)
     (* receivers blocked in [poll]: a queued frame, a row change and
        shutdown write to each one's pipe *)
@@ -451,7 +451,7 @@ module M = struct
   let deliver t ~dest b off len =
     let ep = hosted t dest in
     Mutex.lock ep.ilock;
-    Queue.push (b, off, len) ep.inbox;
+    Slice_ring.push ep.inbox b off len;
     signal ep;
     Mutex.unlock ep.ilock
 
@@ -623,14 +623,18 @@ module M = struct
     check t self;
     if Bytes.length frame > 0 then release_row t.conns.(self) frame 0
 
+  let rec read_ready t r = function
+    | [] -> ()
+    | i :: rest ->
+        read_if_free t r.rconns.(i);
+        read_ready t r rest
+
   (* the non-blocking drain: one zero-timeout poll over [self]'s conns
      (it neither blocks nor allocates when nothing is ready), then a
      read of each ready conn nobody else is reading *)
   let drain t ep ~self =
     let r = current_row t ep ~self in
-    match Poll.readable r.fds ~timeout:0.0 with
-    | [] -> ()
-    | ready -> List.iter (fun i -> read_if_free t r.rconns.(i)) ready
+    read_ready t r (Poll.readable r.fds ~timeout:0.0)
 
   (* ---------------------------------------------------------------- *)
   (* send path                                                         *)
@@ -865,10 +869,9 @@ module M = struct
         (match t.eps.(machine) with
         | Some ep ->
             Mutex.lock ep.ilock;
-            let dropped = List.of_seq (Queue.to_seq ep.inbox) in
-            Queue.clear ep.inbox;
+            let dropped = Slice_ring.take_all ep.inbox in
             Mutex.unlock ep.ilock;
-            List.iter (fun (b, _, _) -> release t ~self:machine b) dropped
+            List.iter (fun b -> release t ~self:machine b) dropped
         | None -> ());
         for other = 0 to t.n - 1 do
           if other <> machine then sever_pair t machine other
@@ -970,22 +973,36 @@ module M = struct
   (* receive path: the receiving thread reads its own endpoint's conns *)
   (* ---------------------------------------------------------------- *)
 
-  let pop (ep : ep) =
+  let pop (ep : ep) s =
     Mutex.lock ep.ilock;
-    let m = if Queue.is_empty ep.inbox then None else Some (Queue.pop ep.inbox) in
+    let got = Slice_ring.pop_into ep.inbox s in
     Mutex.unlock ep.ilock;
-    m
+    got
 
   let shut_down () = failwith "Sock: transport shut down"
 
-  let try_recv_slice t ~self =
+  let try_recv_into t ~self s =
     let ep = hosted t self in
-    match pop ep with
-    | Some _ as m -> m
-    | None ->
-        flush_corked t;
-        drain t ep ~self;
-        pop ep
+    pop ep s
+    || begin
+         flush_corked t;
+         drain t ep ~self;
+         pop ep s
+       end
+
+  (* the conns a blocked receiver's poll found ready, index 0 being its
+     wake pipe *)
+  let rec read_woken t r = function
+    | [] -> ()
+    | i :: rest ->
+        if i > 0 then begin
+          (* poll said readable: wait out a concurrent reader, the fd is
+             non-blocking so the read cannot stall *)
+          let c = r.rconns.(i - 1) in
+          Mutex.lock c.rlock;
+          read_locked t c
+        end;
+        read_woken t r rest
 
   (* [ep.ilock] held: a pipe for a receiver about to block *)
   let enlist (ep : ep) =
@@ -1029,7 +1046,8 @@ module M = struct
   let await_ready t (ep : ep) ~self ~timeout =
     Mutex.lock ep.ilock;
     let w =
-      if Queue.is_empty ep.inbox && not ep.shut then Some (enlist ep) else None
+      if Slice_ring.is_empty ep.inbox && not ep.shut then Some (enlist ep)
+      else None
     in
     Mutex.unlock ep.ilock;
     match w with
@@ -1045,47 +1063,31 @@ module M = struct
         (* leave before reading: the frames read below need no pipe
            byte to wake this receiver *)
         discharge ep w;
-        List.iter
-          (fun i ->
-            if i > 0 then begin
-              (* poll said readable: wait out a concurrent reader, the
-                 fd is non-blocking so the read cannot stall *)
-              let c = r.rconns.(i - 1) in
-              Mutex.lock c.rlock;
-              read_locked t c
-            end)
-          ready
+        read_woken t r ready
 
-  let recv_blocking_slice t ~self =
-    let ep = hosted t self in
-    match try_recv_slice t ~self with
-    | Some m -> m
-    | None ->
-        let rec go () =
-          if t.closed then shut_down ();
-          await_ready t ep ~self ~timeout:(-1.0);
-          match pop ep with Some m -> m | None -> go ()
-        in
-        go ()
+  (* the waits are top-level loops, not local closures *)
+  let rec block t ep ~self s =
+    if t.closed then shut_down ();
+    await_ready t ep ~self ~timeout:(-1.0);
+    if not (pop ep s) then block t ep ~self s
 
-  let recv_deadline_slice t ~self ~seconds =
+  let recv_blocking_into t ~self s =
     let ep = hosted t self in
-    match try_recv_slice t ~self with
-    | Some _ as m -> m
-    | None ->
-        let deadline = Clock.deadline_after seconds in
-        let rec go () =
-          let remain = Clock.remaining deadline in
-          if remain <= 0.0 then None
-          else if t.closed then shut_down ()
-          else begin
-            await_ready t ep ~self ~timeout:remain;
-            (* bind every pop exactly once: a message dequeued here
-               must be returned, never compared away *)
-            match pop ep with Some _ as m -> m | None -> go ()
-          end
-        in
-        go ()
+    if not (try_recv_into t ~self s) then block t ep ~self s
+
+  let rec wait_until t ep ~self deadline s =
+    let remain = Clock.remaining deadline in
+    if remain <= 0.0 then false
+    else if t.closed then shut_down ()
+    else begin
+      await_ready t ep ~self ~timeout:remain;
+      pop ep s || wait_until t ep ~self deadline s
+    end
+
+  let recv_deadline_into t ~self ~seconds s =
+    let ep = hosted t self in
+    try_recv_into t ~self s
+    || wait_until t ep ~self (Clock.deadline_after seconds) s
 
   (* ---------------------------------------------------------------- *)
   (* the event loop: accept and read hellos; conns are the receivers'  *)
@@ -1195,7 +1197,7 @@ module M = struct
          (function
            | Some ep ->
                Mutex.lock ep.ilock;
-               let any = not (Queue.is_empty ep.inbox) in
+               let any = not (Slice_ring.is_empty ep.inbox) in
                Mutex.unlock ep.ilock;
                any
            | None -> false)
@@ -1291,6 +1293,19 @@ let link_generation (t : M.t) ~owner ~peer =
 
 let writes (t : M.t) = Atomic.get t.M.writes
 
+let held (t : M.t) =
+  Mutex.lock t.M.clock;
+  let conns = Array.map Array.copy t.M.conns in
+  Mutex.unlock t.M.clock;
+  Array.fold_left
+    (Array.fold_left (fun acc -> function
+       | Some c ->
+           Array.fold_left
+             (fun acc s -> acc + Atomic.get s.M.held)
+             acc c.M.rslots
+       | None -> acc))
+    0 conns
+
 let sever (t : M.t) ~a ~b =
   M.check t a;
   M.check t b;
@@ -1331,7 +1346,7 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
         Some
           {
             M.lfd;
-            inbox = Queue.create ();
+            inbox = Slice_ring.create ();
             ilock = Mutex.create ();
             waiting = [];
             spare = [];

@@ -7,13 +7,15 @@
 
     {b Receiving.}  The thread that waits for a frame reads its own
     endpoint's sockets, the way a GM caller polls for its reply: the
-    slice-receive family pops the endpoint's inbox and, when it is
-    empty, reads the endpoint's connections itself — reassembling the
-    length-prefixed byte stream and queueing every whole frame it
-    completes.  [try_recv_slice] makes one zero-timeout [poll] over a
+    receive family pops the endpoint's inbox (a ring of
+    [(buf, off, len)] slots, so queueing and taking a frame allocate
+    nothing) into the caller's slice and, when it is empty, reads the
+    endpoint's connections itself — reassembling the length-prefixed
+    byte stream and queueing every whole frame it completes.
+    [try_recv_into] makes one zero-timeout [poll] over a
     per-endpoint fd array, cached until a connection is registered or
     killed (an empty poll neither blocks nor allocates);
-    [recv_blocking_slice] and [recv_deadline_slice] block in one
+    [recv_blocking_into] and [recv_deadline_into] block in one
     [poll] over the connections plus a wake pipe of the receiver's own
     (pooled on the endpoint), which a frame queued by another thread, a
     self-send, a new or killed connection and [shutdown] write to.  Each
@@ -47,7 +49,7 @@
     [bytes_copied] — and nothing is written at send time.  The cork
     leaves in one [write] when
     - any thread is about to poll this transport's sockets: an empty
-      [try_recv_slice], a blocking receive after it enlists its wake
+      [try_recv_into], a blocking receive after it enlists its wake
       pipe, and {!Transport.S.idle} first write out every non-empty
       cork; or
     - the sender, after buffering, finds a receiver of the destination
@@ -167,6 +169,11 @@ val link_generation : t -> owner:int -> peer:int -> int
     transport's connections (each successful call; hellos are not
     counted) — how well the corks coalesce. *)
 val writes : t -> int
+
+(** Slices handed up from the live conns' read buffers whose release
+    is still outstanding: 0 once a receiver has released everything it
+    took (frames parsed into an inbox but not yet taken count too). *)
+val held : t -> int
 
 (** Kill the TCP connection between [a] and [b] mid-stream (both
     hosted conn records if loopback).  Reconnection then re-forms it —

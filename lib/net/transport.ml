@@ -24,6 +24,10 @@ let account_send metrics len =
   Rmi_stats.Metrics.add metrics Bytes_sent len;
   Rmi_stats.Metrics.add metrics Unbatched_msgs 1
 
+type slice = { mutable buf : bytes; mutable off : int; mutable len : int }
+
+let slice () = { buf = Bytes.empty; off = 0; len = 0 }
+
 module Unbuffered (B : sig
   type t
 
@@ -54,12 +58,9 @@ module type S = sig
 
   val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
   val flush : t -> src:int -> (int * int * int) list
-  val try_recv_slice : t -> self:int -> (bytes * int * int) option
-  val recv_blocking_slice : t -> self:int -> bytes * int * int
-
-  val recv_deadline_slice :
-    t -> self:int -> seconds:float -> (bytes * int * int) option
-
+  val try_recv_into : t -> self:int -> slice -> bool
+  val recv_blocking_into : t -> self:int -> slice -> unit
+  val recv_deadline_into : t -> self:int -> seconds:float -> slice -> bool
   val release : t -> self:int -> bytes -> unit
   val idle : t -> self:int -> idle_outcome
   val pending_anywhere : t -> bool
@@ -131,13 +132,28 @@ let send_buffered (Packed ((module M), h, _)) ~src ~dest msg =
   M.send_buffered h ~src ~dest msg
 
 let flush (Packed ((module M), h, _)) ~src = M.flush h ~src
-let try_recv_slice (Packed ((module M), h, _)) ~self = M.try_recv_slice h ~self
+let try_recv_into (Packed ((module M), h, _)) ~self s = M.try_recv_into h ~self s
 
-let recv_blocking_slice (Packed ((module M), h, _)) ~self =
-  M.recv_blocking_slice h ~self
+let recv_blocking_into (Packed ((module M), h, _)) ~self s =
+  M.recv_blocking_into h ~self s
 
-let recv_deadline_slice (Packed ((module M), h, _)) ~self ~seconds =
-  M.recv_deadline_slice h ~self ~seconds
+let recv_deadline_into (Packed ((module M), h, _)) ~self ~seconds s =
+  M.recv_deadline_into h ~self ~seconds s
+
+(* the tuple forms, each over a fresh slice *)
+let try_recv_slice net ~self =
+  let s = slice () in
+  if try_recv_into net ~self s then Some (s.buf, s.off, s.len) else None
+
+let recv_blocking_slice net ~self =
+  let s = slice () in
+  recv_blocking_into net ~self s;
+  (s.buf, s.off, s.len)
+
+let recv_deadline_slice net ~self ~seconds =
+  let s = slice () in
+  if recv_deadline_into net ~self ~seconds s then Some (s.buf, s.off, s.len)
+  else None
 
 let release (Packed ((module M), h, _)) ~self frame = M.release h ~self frame
 let idle (Packed ((module M), h, _)) ~self = M.idle h ~self

@@ -45,6 +45,21 @@ type process_event =
       durability : Fault_sim.durability;
     }
 
+(** A received message: [buf.(off..off+len)].  The record is the
+    caller's, allocated once and reused by each receive, which
+    overwrites all three fields; a caller that may receive again before
+    it is done with a message (a handler's nested call re-enters the
+    receive path on the same node) reads them into locals first.  [buf]
+    may be the backend's own receive storage ({!Sock} hands up slices
+    of a connection's read buffer): its bytes stay intact until the
+    receiver {!S.release}s [buf], and a receiver that never releases
+    keeps them intact for as long as it holds them, at the cost of
+    fresh storage below. *)
+type slice = { mutable buf : bytes; mutable off : int; mutable len : int }
+
+(** A fresh slice naming no bytes. *)
+val slice : unit -> slice
+
 (** Charge one logical message of [len] payload bytes sent outside a
     batch: [msgs_sent], [bytes_sent] and [unbatched]. *)
 val account_send : Rmi_stats.Metrics.t -> int -> unit
@@ -120,19 +135,17 @@ module type S = sig
   val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
   val flush : t -> src:int -> (int * int * int) list
 
-  (** {2 Receive} — messages come back as [(frame, off, len)] slices
-      sharing the received frame bytes.  [frame] may be the backend's
-      own receive storage ({!Sock} hands up slices of a connection's
-      read buffer): the bytes stay intact until the receiver
-      {!release}s the slice, and a receiver that never releases keeps
-      them intact for as long as it holds them, at the cost of fresh
-      storage below. *)
+  (** {2 Receive} — a message is written into a {!slice} the caller
+      owns and names the received frame's bytes; see {!slice} for who
+      owns what.  Each layer fills the slice or narrows it in place, so
+      a receive allocates nothing of its own.  [try_recv_into] does not
+      block; [recv_deadline_into] gives up after [seconds]; both return
+      whether [s] now holds a message; when not, its fields are
+      unspecified.  [recv_blocking_into] waits until one arrives. *)
 
-  val try_recv_slice : t -> self:int -> (bytes * int * int) option
-  val recv_blocking_slice : t -> self:int -> bytes * int * int
-
-  val recv_deadline_slice :
-    t -> self:int -> seconds:float -> (bytes * int * int) option
+  val try_recv_into : t -> self:int -> slice -> bool
+  val recv_blocking_into : t -> self:int -> slice -> unit
+  val recv_deadline_into : t -> self:int -> seconds:float -> slice -> bool
 
   (** [release t ~self frame]: one slice a receive handed up to [self]
       from [frame] is done with — no reader looks at its bytes again.
@@ -241,6 +254,15 @@ val send_raw_writer :
 
 val send_buffered : t -> src:int -> dest:int -> bytes -> (int * int * int) list
 val flush : t -> src:int -> (int * int * int) list
+val try_recv_into : t -> self:int -> slice -> bool
+val recv_blocking_into : t -> self:int -> slice -> unit
+val recv_deadline_into : t -> self:int -> seconds:float -> slice -> bool
+
+(** The receive family returning [(buf, off, len)] tuples, each over a
+    fresh {!slice}: for callers that receive rarely (tests, the
+    benchmark's transport ping-pong), at a few words per call.  No
+    layer implements them. *)
+
 val try_recv_slice : t -> self:int -> (bytes * int * int) option
 val recv_blocking_slice : t -> self:int -> bytes * int * int
 

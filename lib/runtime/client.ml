@@ -293,38 +293,39 @@ let rec expire t = function
    [dead_rounds] counts consecutive idle rounds in which nothing at all
    was in flight; it only matters without a pump, where other domains
    may simply be busy executing a handler.  The loop is top-level
-   recursion, so a wait allocates no closures. *)
+   recursion, so a wait allocates no closures, and it receives into the
+   server's slice, so a reply builds no tuple either. *)
 let rec await_loop t (p : pending) dead_rounds =
   let net = t.env.Site.net and self = t.env.Site.nid in
+  let rx = Server.rx t.srv in
   match p.pc_state with
   | Resolved v -> v
   | Failed e -> raise e
-  | Pending -> (
+  | Pending ->
       (* anything we coalesced — including p's own request — must be
          on the wire before we idle-wait for the answer *)
       Site.flush t.env;
-      match Transport.try_recv_slice net ~self with
-      | Some msg ->
-          Server.consume t.srv msg;
+      if Transport.try_recv_into net ~self rx then begin
+        Server.consume t.srv rx;
+        await_loop t p dead_rounds
+      end
+      else if t.has_pump then
+        if t.pump () || Transport.pending_anywhere net then
           await_loop t p dead_rounds
-      | None ->
-          if t.has_pump then
-            if t.pump () || Transport.pending_anywhere net then
-              await_loop t p dead_rounds
-            else drive_transport t p dead_rounds ~quiescent:true
-          else if Transport.is_reliable net then
-            (* parallel mode over the reliable transport: wait in short
-               slices so this machine keeps its retransmit timers
-               running *)
-            match Transport.recv_deadline_slice net ~self ~seconds:0.002 with
-            | Some msg ->
-                Server.consume t.srv msg;
-                await_loop t p dead_rounds
-            | None -> drive_transport t p dead_rounds ~quiescent:false
-          else begin
-            Server.consume t.srv (Transport.recv_blocking_slice net ~self);
-            await_loop t p dead_rounds
-          end)
+        else drive_transport t p dead_rounds ~quiescent:true
+      else if Transport.is_reliable net then
+        (* parallel mode over the reliable transport: wait in short
+           slices so this machine keeps its retransmit timers running *)
+        if Transport.recv_deadline_into net ~self ~seconds:0.002 rx then begin
+          Server.consume t.srv rx;
+          await_loop t p dead_rounds
+        end
+        else drive_transport t p dead_rounds ~quiescent:false
+      else begin
+        Transport.recv_blocking_into net ~self rx;
+        Server.consume t.srv rx;
+        await_loop t p dead_rounds
+      end
 
 and drive_transport t p dead_rounds ~quiescent =
   let nid = t.env.Site.nid in

@@ -25,17 +25,18 @@
 module Metrics = Rmi_stats.Metrics
 module Protocol = Rmi_wire.Protocol
 module Msgbuf = Rmi_wire.Msgbuf
-
-type task = bytes * int * int
+module Transport = Rmi_net.Transport
+module Slice_ring = Rmi_net.Slice_ring
 
 type node_q = {
   node : Node.t;
-  q : task Queue.t;
+  q : Slice_ring.t;  (* received frames awaiting execution *)
   q_mutex : Mutex.t;
-  mutable depth : int;  (* Queue.length, maintained under [q_mutex] *)
+  mutable depth : int;  (* the ring's length, maintained under [q_mutex] *)
   serve_mutex : Mutex.t;  (* one dispatch at a time per node *)
   probe : Msgbuf.reader;
       (* the owner worker's admission reader, re-aimed at each frame *)
+  intake : Transport.slice;  (* where the owner worker receives *)
 }
 
 type t = {
@@ -48,30 +49,29 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
-(* try to queue [task] for [nq]; [false] when the queue is full *)
-let try_enqueue t nq task =
+(* [q_mutex] held: queue the frame in [s] *)
+let push nq (s : Transport.slice) =
+  Slice_ring.push nq.q s.buf s.off s.len;
+  nq.depth <- nq.depth + 1
+
+(* try to queue the frame in [s] for [nq]; [false] when the queue is
+   full *)
+let try_enqueue t nq s =
   Mutex.lock nq.q_mutex;
   let ok = nq.depth < t.queue_depth in
-  if ok then begin
-    Queue.push task nq.q;
-    nq.depth <- nq.depth + 1
-  end;
+  if ok then push nq s;
   let depth = nq.depth in
   Mutex.unlock nq.q_mutex;
   if ok then Metrics.raise_max t.metrics Queue_depth_hwm depth;
   ok
 
-let try_dequeue nq =
+(* move [nq]'s oldest queued frame into [s] *)
+let try_dequeue nq s =
   Mutex.lock nq.q_mutex;
-  let task =
-    if nq.depth = 0 then None
-    else begin
-      nq.depth <- nq.depth - 1;
-      Some (Queue.pop nq.q)
-    end
-  in
+  let got = Slice_ring.pop_into nq.q s in
+  if got then nq.depth <- nq.depth - 1;
   Mutex.unlock nq.q_mutex;
-  task
+  got
 
 (* pull at most one message from [nq]'s mailbox: enqueue it, or reject
    it when it is a client request and the queue is full.  Only [nq]'s
@@ -81,69 +81,70 @@ let try_dequeue nq =
    when it is served; one dropped here is released at once. *)
 let intake_one t nq =
   let self = Node.id nq.node in
-  match Rmi_net.Transport.try_recv_slice t.net ~self with
-  | None -> false
-  | Some ((buf, off, len) as task) ->
-      let r = nq.probe in
-      Msgbuf.reset_slice r buf ~off ~len;
-      (match Server.admission r with
-      | Server.Client_request ->
-          if not (try_enqueue t nq task) then begin
-            (* only a reject needs the whole header as a record *)
-            Msgbuf.reset_slice r buf ~off ~len;
-            Node.send_reject nq.node (Protocol.read_header r);
-            Rmi_net.Transport.release t.net ~self buf
-          end
-      | Server.Control ->
-          (* a polling worker stops on its flag *)
-          Rmi_net.Transport.release t.net ~self buf
-      | Server.Other ->
-          (* replies, acks and rejects bypass admission control:
-             refusing them could wedge the protocol.  The queue is
-             unbounded for them, but their volume is bounded by the
-             node's own outstanding calls. *)
-          Mutex.lock nq.q_mutex;
-          Queue.push task nq.q;
-          nq.depth <- nq.depth + 1;
-          Mutex.unlock nq.q_mutex);
-      (* pin no frame between intakes *)
-      Msgbuf.reset_slice r Bytes.empty ~off:0 ~len:0;
-      true
+  let s = nq.intake in
+  Transport.try_recv_into t.net ~self s
+  && begin
+       let r = nq.probe in
+       Msgbuf.reset_slice r s.buf ~off:s.off ~len:s.len;
+       (match Server.admission r with
+       | Server.Client_request ->
+           if not (try_enqueue t nq s) then begin
+             (* only a reject needs the whole header as a record *)
+             Msgbuf.reset_slice r s.buf ~off:s.off ~len:s.len;
+             Node.send_reject nq.node (Protocol.read_header r);
+             Transport.release t.net ~self s.buf
+           end
+       | Server.Control ->
+           (* a polling worker stops on its flag *)
+           Transport.release t.net ~self s.buf
+       | Server.Other ->
+           (* replies, acks and rejects bypass admission control:
+              refusing them could wedge the protocol.  The queue is
+              unbounded for them, but their volume is bounded by the
+              node's own outstanding calls. *)
+           Mutex.lock nq.q_mutex;
+           push nq s;
+           Mutex.unlock nq.q_mutex);
+       (* pin no frame between intakes *)
+       Msgbuf.reset_slice r Bytes.empty ~off:0 ~len:0;
+       s.buf <- Bytes.empty;
+       true
+     end
 
-let execute nq task =
+(* the frame in [s], dequeued from [nq], runs on [nq]'s node *)
+let execute nq s =
   Mutex.lock nq.serve_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock nq.serve_mutex)
-    (fun () -> Node.serve_slice nq.node task)
+  match Node.serve_slice nq.node s with
+  | () -> Mutex.unlock nq.serve_mutex
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.unlock nq.serve_mutex;
+      Printexc.raise_with_backtrace e bt
 
-(* one task, own queues first, then steal *)
-let run_one t w =
-  let n = Array.length t.queues in
-  let rec own i =
-    if i >= n then false
-    else if i mod t.n_workers = w then
-      match try_dequeue t.queues.(i) with
-      | Some task ->
-          execute t.queues.(i) task;
-          true
-      | None -> own (i + 1)
-    else own (i + 1)
-  in
-  let rec steal i =
-    if i >= n then false
-    else if i mod t.n_workers <> w then
-      match try_dequeue t.queues.(i) with
-      | Some task ->
-          Metrics.add t.metrics Steals 1;
-          execute t.queues.(i) task;
-          true
-      | None -> steal (i + 1)
-    else steal (i + 1)
-  in
-  own 0 || steal 0
+(* one task into worker [w]'s slice [s], own queues first, then steal;
+   top-level loops, so a round builds no closure *)
+let rec own t w s i =
+  if i >= Array.length t.queues then false
+  else if i mod t.n_workers = w && try_dequeue t.queues.(i) s then begin
+    execute t.queues.(i) s;
+    true
+  end
+  else own t w s (i + 1)
+
+let rec steal t w s i =
+  if i >= Array.length t.queues then false
+  else if i mod t.n_workers <> w && try_dequeue t.queues.(i) s then begin
+    Metrics.add t.metrics Steals 1;
+    execute t.queues.(i) s;
+    true
+  end
+  else steal t w s (i + 1)
+
+let run_one t w s = own t w s 0 || steal t w s 0
 
 let poll t w =
   let n = Array.length t.queues in
+  let s = Transport.slice () in
   let idle_rounds = ref 0 and dispatches = ref 0 in
   let stop = ref false in
   while not !stop do
@@ -152,7 +153,7 @@ let poll t w =
       if i mod t.n_workers = w && intake_one t t.queues.(i) then
         progress := true
     done;
-    if run_one t w then begin
+    if run_one t w s then begin
       progress := true;
       incr dispatches
     end;
@@ -164,7 +165,7 @@ let poll t w =
       for i = 0 to n - 1 do
         if i mod t.n_workers = w then
           ignore
-            (Rmi_net.Transport.idle t.net ~self:(Node.id t.queues.(i).node))
+            (Transport.idle t.net ~self:(Node.id t.queues.(i).node))
       done;
       if Atomic.get t.stopping then stop := true
       else if !idle_rounds < 50 then Domain.cpu_relax ()
@@ -193,11 +194,12 @@ let create ~net ~nodes ~domains ~queue_depth () =
       (fun node ->
         {
           node;
-          q = Queue.create ();
+          q = Slice_ring.create ();
           q_mutex = Mutex.create ();
           depth = 0;
           serve_mutex = Mutex.create ();
           probe = Msgbuf.reader_of_bytes Bytes.empty;
+          intake = Transport.slice ();
         })
       nodes
   in
@@ -222,14 +224,10 @@ let stop t =
   (* anything still queued after the workers exited (a request that
      arrived between quiescence and the join) is served inline so no
      frame is silently dropped *)
+  let s = Transport.slice () in
   Array.iter
     (fun nq ->
-      let rec drain () =
-        match try_dequeue nq with
-        | Some task ->
-            Node.serve_slice nq.node task;
-            drain ()
-        | None -> ()
-      in
-      drain ())
+      while try_dequeue nq s do
+        Node.serve_slice nq.node s
+      done)
     t.queues

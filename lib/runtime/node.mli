@@ -156,13 +156,13 @@ val set_replica : t -> primary:int -> replica:int -> unit
 (** Serve every queued request; [true] if at least one was served. *)
 val serve_pending : t -> bool
 
-(** [serve_slice t (buf, off, len)] executes one received frame slice
-    on this node — request, reply or reject — then ships any coalesced
-    replies.  The slice is released to the transport once consumed.  A
-    polling worker of the dispatch pool calls it
-    from its domain; callers must ensure at most one slice is in
-    [serve_slice] per node at a time. *)
-val serve_slice : t -> bytes * int * int -> unit
+(** [serve_slice t s] executes the received frame slice in [s] on this
+    node — request, reply or reject — then ships any coalesced replies.
+    [s] is read before anything runs, and the slice is released to the
+    transport once consumed.  A polling worker of the dispatch pool
+    calls it from its domain, with a slice of its own; callers must
+    ensure at most one slice is in [serve_slice] per node at a time. *)
+val serve_slice : t -> Rmi_net.Transport.slice -> unit
 
 (** [send_reject t hdr] answers [hdr]'s sender with a [Reject] frame
     echoing the sequence number — the admission-control refusal the

@@ -23,8 +23,10 @@ type t = {
   (* reply cache, keyed (client, client-epoch, seq): a retried request
      is answered from here instead of re-executing the handler —
      exactly-once across crashes when the cache is durable *)
-  reply_cache : (int * int * int, bytes) Hashtbl.t;
-  reply_order : (int * int * int) Queue.t;  (* FIFO eviction order *)
+  reply_cache : Reply_cache.t;
+  (* where the node's receives land: the serve loop's, and a waiting
+     caller's ({!Client}), which a handler's nested call re-enters *)
+  rx : Transport.slice;
   mutable shutdown : bool;
   mutable on_reply :
     Protocol.kind -> seq:int -> plan_ver:int -> Msgbuf.reader -> unit;
@@ -35,13 +37,16 @@ let create env =
     env;
     handlers = Atomic.make (Itbl.create 1);
     handlers_mutex = Mutex.create ();
-    reply_cache = Hashtbl.create 64;
-    reply_order = Queue.create ();
+    reply_cache =
+      Reply_cache.create
+        ~cap:env.Site.cfg.Config.failover.Config.reply_cache_cap;
+    rx = Transport.slice ();
     shutdown = false;
     on_reply = (fun _ ~seq:_ ~plan_ver:_ _ -> ());
   }
 
 let env t = t.env
+let rx t = t.rx
 let on_reply t f = t.on_reply <- f
 
 let export t ~obj ~meth ~has_ret fn =
@@ -62,10 +67,7 @@ let find_handler t ~obj ~meth =
 
 (* the reply cache models stable storage: only amnesia loses it *)
 let crash t ~amnesia =
-  if amnesia then begin
-    Hashtbl.reset t.reply_cache;
-    Queue.clear t.reply_order
-  end
+  if amnesia then Reply_cache.clear t.reply_cache
 
 (* ------------------------------------------------------------------ *)
 (* control requests                                                    *)
@@ -98,20 +100,6 @@ let admission r =
 (* ------------------------------------------------------------------ *)
 (* serving                                                             *)
 (* ------------------------------------------------------------------ *)
-
-(* remember [reply] for this request so an RPC-level retry is answered
-   without re-executing the handler; bounded FIFO so paper-scale
-   benchmark runs cannot grow without limit *)
-let cache_reply t key reply =
-  let cap = t.env.Site.cfg.Config.failover.Config.reply_cache_cap in
-  if cap > 0 then begin
-    if not (Hashtbl.mem t.reply_cache key) then begin
-      Queue.push key t.reply_order;
-      if Queue.length t.reply_order > cap then
-        Hashtbl.remove t.reply_cache (Queue.pop t.reply_order)
-    end;
-    Hashtbl.replace t.reply_cache key reply
-  end
 
 (* an answer of [kind] to [hdr]'s request, written from its fields *)
 let write_answer w (hdr : Protocol.header) ~kind =
@@ -160,25 +148,23 @@ let serve_request t (hdr : Protocol.header) r =
   if hdr.seq = control_seq then t.shutdown <- true
   else begin
     (* the reply cache only matters where requests can be retried — the
-       reliable transport; the raw paper-table path skips it entirely *)
-    let cache_key =
-      if Transport.is_reliable e.Site.net then
-        Some (hdr.src, hdr.epoch, hdr.seq)
-      else None
-    in
-    let cached =
-      match cache_key with
-      | None -> None
-      | Some key -> Hashtbl.find_opt t.reply_cache key
-    in
-    match cached with
-    | Some reply ->
+       reliable transport; the raw paper-table path skips it entirely.
+       It is bounded FIFO, so paper-scale benchmark runs cannot grow it
+       without limit. *)
+    let cached = Transport.is_reliable e.Site.net in
+    match
+      if cached then
+        Reply_cache.find t.reply_cache ~src:hdr.src ~epoch:hdr.epoch
+          ~seq:hdr.seq
+      else -1
+    with
+    | entry when entry >= 0 ->
         (* an RPC-level retry of a request this node already executed
            (its reply was lost, or a failover raced a slow primary):
            replay the stored reply, exactly-once preserved *)
         Metrics.add (Site.metrics e) Reply_cache_hits 1;
-        Site.send_msg e ~dest:hdr.src reply
-    | None -> (
+        Site.send_msg e ~dest:hdr.src (Reply_cache.reply t.reply_cache entry)
+    | _ -> (
         match find_handler t ~obj:hdr.target_obj ~meth:hdr.method_id with
         | exception Not_found ->
             let w =
@@ -197,15 +183,16 @@ let serve_request t (hdr : Protocol.header) r =
                        meth = hdr.method_id; callsite = hdr.callsite })
             | None -> ());
             let reply = execute_request t hdr entry r in
-            (match cache_key with
-            | Some key ->
-                (* snapshotted and stored before the reply leaves:
-                   execution and cache entry are atomic with respect to
-                   a crash at frame granularity *)
-                let snapshot = Site.msg_of_writer e reply in
-                cache_reply t key snapshot;
-                Site.send_snapshot e ~dest:hdr.src snapshot reply
-            | None -> Site.send_from_writer e ~dest:hdr.src reply);
+            if cached then begin
+              (* snapshotted and stored before the reply leaves:
+                 execution and cache entry are atomic with respect to a
+                 crash at frame granularity *)
+              let snapshot = Site.msg_of_writer e reply in
+              Reply_cache.add t.reply_cache ~src:hdr.src ~epoch:hdr.epoch
+                ~seq:hdr.seq snapshot;
+              Site.send_snapshot e ~dest:hdr.src snapshot reply
+            end
+            else Site.send_from_writer e ~dest:hdr.src reply;
             Site.release e reply)
   end
 
@@ -231,12 +218,15 @@ let consume_reader t r =
           | exception Msgbuf.Underflow _ -> ()
           | plan_ver -> t.on_reply kind ~seq ~plan_ver r))
 
-(* [msg] is a slice of the received frame — an envelope payload or
+(* [s] names a slice of the received frame — an envelope payload or
    batch sub-message is read where it landed, never copied out first;
    readers over it come from the cluster pool.  Nothing decoded from it
    refers to its bytes, so the slice is released to the transport once
-   the message is consumed, however that ends. *)
-let consume t (buf, off, len) =
+   the message is consumed, however that ends.  [s] is read before
+   anything runs: it may be [t.rx], which a handler's nested call
+   overwrites with the frames it receives. *)
+let consume t (s : Transport.slice) =
+  let buf = s.buf and off = s.off and len = s.len in
   let net = t.env.Site.net in
   let pool = Transport.pool net in
   let r = Msgbuf.Pool.acquire_reader pool buf ~off ~len in
@@ -251,11 +241,11 @@ let consume t (buf, off, len) =
       Printexc.raise_with_backtrace ex bt
 
 let rec drain_inbox t served =
-  match Transport.try_recv_slice t.env.Site.net ~self:t.env.Site.nid with
-  | None -> served
-  | Some msg ->
-      consume t msg;
-      drain_inbox t true
+  if Transport.try_recv_into t.env.Site.net ~self:t.env.Site.nid t.rx then begin
+    consume t t.rx;
+    drain_inbox t true
+  end
+  else served
 
 let serve_pending t =
   let served = drain_inbox t false in
@@ -264,8 +254,8 @@ let serve_pending t =
   Site.flush t.env;
   served
 
-let serve_slice t msg =
-  consume t msg;
+let serve_slice t s =
+  consume t s;
   Site.flush t.env
 
 (* admission control refused [hdr]'s request: answer with a [Reject]
@@ -289,7 +279,8 @@ let serve_loop t =
   let dispatches = ref 0 in
   t.shutdown <- false;
   while not t.shutdown do
-    serve_slice t (Transport.recv_blocking_slice e.Site.net ~self:e.Site.nid);
+    Transport.recv_blocking_into e.Site.net ~self:e.Site.nid t.rx;
+    serve_slice t t.rx;
     if not t.shutdown then incr dispatches
   done;
   Metrics.add (Site.metrics e) Dispatches !dispatches

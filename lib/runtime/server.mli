@@ -14,6 +14,12 @@ type t
 val create : Site.env -> t
 val env : t -> Site.env
 
+(** The slice the node receives into — the serve loop, {!drain_inbox}
+    and a waiting caller's {!Client.await} alike — allocated once with
+    the server.  A handler's nested call overwrites it, so {!consume}
+    reads it before running anything. *)
+val rx : t -> Rmi_net.Transport.slice
+
 (** [on_reply t f] makes [f kind ~seq ~plan_ver r] the receiver of every
     reply, ack, exception reply and reject that reaches [t]'s node. *)
 val on_reply :
@@ -43,18 +49,19 @@ type admission = Client_request | Control | Other
 
 val admission : Msgbuf.reader -> admission
 
-(** [consume t (buf, off, len)] serves a request, or hands anything
-    else to [on_reply]; a message whose header does not parse is
-    dropped.  The slice is then released to the transport
-    ({!Rmi_net.Transport.release}), also when consuming it raised. *)
-val consume : t -> bytes * int * int -> unit
+(** [consume t s] serves the request in [s], or hands anything else to
+    [on_reply]; a message whose header does not parse is dropped.  [s]
+    is read into locals first, so it may be {!rx}, and the buffer read
+    is then released to the transport ({!Rmi_net.Transport.release}),
+    also when consuming it raised. *)
+val consume : t -> Rmi_net.Transport.slice -> unit
 
 (** Consume everything in the inbox; [served] or'ed with whether
     anything was. *)
 val drain_inbox : t -> bool -> bool
 
 val serve_pending : t -> bool
-val serve_slice : t -> bytes * int * int -> unit
+val serve_slice : t -> Rmi_net.Transport.slice -> unit
 val send_reject : t -> Protocol.header -> unit
 
 (** Block for a frame, execute it and flush, until the shutdown request

@@ -393,20 +393,22 @@ let writers_reject_resend () =
   let metrics, net = sim_net 2 in
   let n = nodes net 2 in
   let rejects = ref 0 in
+  let rx = Rmi_net.Transport.slice () in
   Node.set_pump n.(0) (fun () ->
-      match Rmi_net.Transport.try_recv_slice net ~self:1 with
-      | None -> false
-      | Some ((buf, off, len) as msg) ->
-          let hdr =
-            Protocol.read_header (Msgbuf.reader_of_bytes ~off ~len buf)
-          in
-          if hdr.Protocol.kind = Protocol.Request && !rejects < 2 then begin
-            incr rejects;
-            Node.send_reject n.(1) hdr;
-            Rmi_net.Transport.release net ~self:1 buf
-          end
-          else Node.serve_slice n.(1) msg;
-          true);
+      Rmi_net.Transport.try_recv_into net ~self:1 rx
+      && begin
+           let hdr =
+             Protocol.read_header
+               (Msgbuf.reader_of_bytes ~off:rx.off ~len:rx.len rx.buf)
+           in
+           if hdr.Protocol.kind = Protocol.Request && !rejects < 2 then begin
+             incr rejects;
+             Node.send_reject n.(1) hdr;
+             Rmi_net.Transport.release net ~self:1 rx.buf
+           end
+           else Node.serve_slice n.(1) rx;
+           true
+         end);
   no_leaked_writers "reject resend" metrics (fun () ->
       rejects := 0;
       expect_value "served after two rejects" 2

@@ -4,6 +4,16 @@
 open Rmi_net
 module Metrics = Rmi_stats.Metrics
 
+(* a mailbox take as a string, [None] when it found nothing *)
+let taken take =
+  let s = Transport.slice () in
+  if take s then Some (Bytes.sub_string s.buf s.off s.len) else None
+
+let take_blocking box =
+  let s = Transport.slice () in
+  Mailbox.recv_blocking box s;
+  s.buf
+
 let mailbox_fifo () =
   let box = Mailbox.create () in
   Alcotest.(check bool) "empty" true (Mailbox.is_empty box);
@@ -11,17 +21,17 @@ let mailbox_fifo () =
   Mailbox.send box (Bytes.of_string "b");
   Alcotest.(check int) "two queued" 2 (Mailbox.length box);
   Alcotest.(check (option string)) "a first" (Some "a")
-    (Option.map Bytes.to_string (Mailbox.try_recv box));
+    (taken (Mailbox.try_recv box));
   Alcotest.(check string) "b second (blocking)" "b"
-    (Bytes.to_string (Mailbox.recv_blocking box));
+    (Bytes.to_string (take_blocking box));
   Alcotest.(check (option string)) "drained" None
-    (Option.map Bytes.to_string (Mailbox.try_recv box))
+    (taken (Mailbox.try_recv box))
 
 let mailbox_cross_domain () =
   (* a receiver blocked in recv_blocking must wake when another domain
      sends *)
   let box = Mailbox.create () in
-  let receiver = Domain.spawn (fun () -> Bytes.to_string (Mailbox.recv_blocking box)) in
+  let receiver = Domain.spawn (fun () -> Bytes.to_string (take_blocking box)) in
   (* give the receiver a moment to block *)
   Unix.sleepf 0.01;
   Mailbox.send box (Bytes.of_string "wake up");
@@ -34,7 +44,7 @@ let mailbox_many_messages_cross_domain () =
     Domain.spawn (fun () ->
         let total = ref 0 in
         for _ = 1 to n do
-          total := !total + Bytes.length (Mailbox.recv_blocking box)
+          total := !total + Bytes.length (take_blocking box)
         done;
         !total)
   in
@@ -49,10 +59,10 @@ let mailbox_many_messages_cross_domain () =
 let mailbox_recv_deadline () =
   let box = Mailbox.create () in
   Alcotest.(check (option string)) "times out empty" None
-    (Option.map Bytes.to_string (Mailbox.recv_deadline box ~seconds:0.005));
+    (taken (Mailbox.recv_deadline box ~seconds:0.005));
   Mailbox.send box (Bytes.of_string "x");
   Alcotest.(check (option string)) "immediate when queued" (Some "x")
-    (Option.map Bytes.to_string (Mailbox.recv_deadline box ~seconds:0.005))
+    (taken (Mailbox.recv_deadline box ~seconds:0.005))
 
 let envelope_roundtrip () =
   let payload = Bytes.of_string "hello rmi" in
@@ -138,6 +148,17 @@ let fault_sim_digest_pinned () =
      0->1 release\n"
     (Fault_sim.digest sim)
 
+(* the cluster's receives into a fresh slice, as tuples *)
+let cluster_deadline c ~self ~seconds =
+  let s = Transport.slice () in
+  if Cluster.recv_deadline_into c ~self ~seconds s then
+    Some (s.buf, s.off, s.len)
+  else None
+
+let cluster_try c ~self =
+  let s = Transport.slice () in
+  if Cluster.try_recv_into c ~self s then Some (s.buf, s.off, s.len) else None
+
 let recv_deadline_edge_cases () =
   let m = Metrics.create () in
   let c = Cluster.create ~n:2 m in
@@ -145,19 +166,19 @@ let recv_deadline_edge_cases () =
      frame (poll semantics), and return None — not hang — when empty *)
   Cluster.send c ~src:0 ~dest:1 (Bytes.of_string "queued");
   Alcotest.(check (option string)) "zero deadline drains" (Some "queued")
-    (Option.map Fixtures.message (Cluster.recv_deadline_slice c ~self:1 ~seconds:0.0)
+    (Option.map Fixtures.message (cluster_deadline c ~self:1 ~seconds:0.0)
      |> Option.map Bytes.to_string);
   Alcotest.(check (option string)) "zero deadline empty" None
-    (Option.map Fixtures.message (Cluster.recv_deadline_slice c ~self:1 ~seconds:0.0)
+    (Option.map Fixtures.message (cluster_deadline c ~self:1 ~seconds:0.0)
      |> Option.map Bytes.to_string);
   Cluster.send c ~src:0 ~dest:1 (Bytes.of_string "again");
   Alcotest.(check (option string)) "negative deadline drains" (Some "again")
     (Option.map Fixtures.message
-       (Cluster.recv_deadline_slice c ~self:1 ~seconds:(-1.0))
+       (cluster_deadline c ~self:1 ~seconds:(-1.0))
      |> Option.map Bytes.to_string);
   Alcotest.(check (option string)) "negative deadline empty" None
     (Option.map Fixtures.message
-       (Cluster.recv_deadline_slice c ~self:1 ~seconds:(-1.0))
+       (cluster_deadline c ~self:1 ~seconds:(-1.0))
      |> Option.map Bytes.to_string)
 
 let recv_deadline_expires_while_frames_held () =
@@ -192,7 +213,7 @@ let recv_deadline_expires_while_frames_held () =
   let t0 = Unix.gettimeofday () in
   Alcotest.(check (option string)) "deadline expires, frame still held" None
     (Option.map Fixtures.message
-       (Cluster.recv_deadline_slice c ~self:1 ~seconds:0.02)
+       (cluster_deadline c ~self:1 ~seconds:0.02)
      |> Option.map Bytes.to_string);
   Alcotest.(check bool) "expired promptly" true
     (Unix.gettimeofday () -. t0 < 5.0);
@@ -203,7 +224,7 @@ let recv_deadline_expires_while_frames_held () =
   let seen = Hashtbl.create 4 in
   let flushes = ref 0 in
   while not (Hashtbl.mem seen "held" && Hashtbl.mem seen "release") do
-    (match Cluster.recv_deadline_slice c ~self:1 ~seconds:0.05 with
+    (match cluster_deadline c ~self:1 ~seconds:0.05 with
     | Some m -> Hashtbl.replace seen (Bytes.to_string (Fixtures.message m)) ()
     | None ->
         incr flushes;
@@ -226,9 +247,9 @@ let cluster_counts_traffic () =
   Alcotest.(check int) "bytes" 42 s.Metrics.bytes_sent;
   Alcotest.(check bool) "pending" true (Cluster.pending_anywhere c);
   Alcotest.(check bool) "machine 2 has one" true
-    (Cluster.try_recv_slice c ~self:2 <> None);
+    (cluster_try c ~self:2 <> None);
   Alcotest.(check bool) "machine 1 has none" true
-    (Cluster.try_recv_slice c ~self:1 = None)
+    (cluster_try c ~self:1 = None)
 
 let cluster_rejects_bad_ids () =
   let m = Metrics.create () in

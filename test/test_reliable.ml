@@ -357,18 +357,26 @@ let idle_allocates_nothing () =
 (* --- the receive path's allocation ---
 
    One round trip over a Sync Sim Reliable pair, each side sending from
-   a writer as the runtime does: a 120-byte request and a 9-byte reply,
-   each acked, so four frames cross.  The envelope parse, the filter
-   and the pooled ack allocate nothing of their own; what remains is
-   the send side (the frame snapshot, its retransmit record and
-   unacked-table entry, the ack's snapshot, the Sim mailbox) and each
-   data frame's [Some (frame, off, len)], once from Sim and once from
-   the adapter.  Measured at 102 words on OCaml 5.1.1 (110 while the
-   envelope's epoch was an optional argument: each of the four frames
-   boxed a 2-word [Some epoch]).  CI runs OCaml 5.2, where
-   the count has not been measured; the bound carries no headroom, so
-   a 5.2 run that reads more resets it as ROADMAP item 8 says. *)
-let round_trip_bound = 102
+   a writer as the runtime does and receiving into one slice: a
+   120-byte request and a 9-byte reply, each acked, so four frames
+   cross.  The mailbox ring, the envelope parse, the filter narrowing
+   the slice and the pooled ack allocate nothing of their own, and a
+   frame's retransmit record comes from its link's spares; what
+   remains is the send side.  Per step, on OCaml 5.1.1:
+   - 22: the request's frame snapshot (18) and its unacked-table
+     bucket (4);
+   - 3: machine 1 takes the request; the snapshot of its ack;
+   - 8: the reply's snapshot (4) and bucket (4);
+   - 3: machine 0 takes the ack, then the reply; the reply's ack;
+   - 0: machine 1 takes that ack.
+   36 in all.  It was 102 (30/20/16/28/8) while each frame crossed a
+   [Queue] cell, [take_opt]'s [Some] and Sim's [Some (frame, off, len)],
+   each data frame the adapter's [Some] too, and each frame sent a
+   fresh 5-word retransmit record; 110 while the envelope's epoch was
+   an optional argument.  CI runs OCaml 5.2, where the count has not
+   been measured; the bound carries no headroom, so a 5.2 run that
+   reads more resets it as ROADMAP item 8 says. *)
+let round_trip_bound = 36
 
 let round_trip_words () =
   let module Msgbuf = Rmi_wire.Msgbuf in
@@ -382,11 +390,8 @@ let round_trip_words () =
     ignore (Msgbuf.reserve w (Rmi_net.Envelope.gap + n) : int);
     Transport.send_writer net ~src ~dest w ~payload_off:Rmi_net.Envelope.gap
   in
-  let recv self =
-    match Transport.try_recv_slice net ~self with
-    | Some (_, _, len) -> len
-    | None -> -1
-  in
+  let s = Transport.slice () in
+  let recv self = if Transport.try_recv_into net ~self s then s.len else -1 in
   let round () =
     send ~src:0 ~dest:1 120;
     (* the request; its ack goes back to machine 0 *)

@@ -543,6 +543,53 @@ module Conformance (B : BACKEND) = struct
           (Bytes.equal (Fixtures.message m) big)
     | None -> Alcotest.fail "oversized frame never arrived"
 
+  (* once warm, taking an unbatched frame into a caller's slice costs
+     no word on any stack: a mailbox or inbox ring slot is read into
+     the record, and each layer narrows it in place.  The reliable
+     stacks send an ack for it, whose snapshot is the one allocation
+     left, and is counted here as the send it is.  A self-send puts the
+     frame straight in [self]'s inbox on every backend, so the receive
+     measured is the take, not the socket read that would queue it
+     (whose poll builds a list of the ready conns). *)
+  let receive_allocates_nothing () =
+    with_backend (module B) 2 @@ fun net _ ->
+    let s = Transport.slice () in
+    let frame = Bytes.of_string "no words" in
+    let ack_words =
+      if not (Transport.is_reliable net) then 0.0
+      else
+        float_of_int
+          (Obj.reachable_words
+             (Obj.repr
+                (Envelope.encode ~kind:Envelope.Ack ~src:1 ~epoch:0 ~lseq:0
+                   ~payload:Bytes.empty ())))
+    in
+    let take () =
+      if not (Transport.try_recv_into net ~self:1 s) then
+        Alcotest.fail "the self-sent frame is not there"
+    in
+    let round () =
+      Transport.send net ~src:1 ~dest:1 frame;
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      take ();
+      let w2 = Gc.minor_words () in
+      Alcotest.(check string) "taken" "no words"
+        (Bytes.sub_string s.buf s.off s.len);
+      Transport.release net ~self:1 s.buf;
+      (* the ack, consumed below the top *)
+      Alcotest.(check bool) "nothing else" false
+        (Transport.try_recv_into net ~self:1 s);
+      w2 -. w1 -. (w1 -. w0)
+    in
+    for _ = 1 to 20 do
+      ignore (round () : float)
+    done;
+    for _ = 1 to 50 do
+      Alcotest.(check (float 0.0)) "minor words of one receive" ack_words
+        (round ())
+    done
+
   let suite =
     List.map
       (fun (name, f) -> Alcotest.test_case (B.label ^ ": " ^ name) `Quick f)
@@ -568,6 +615,7 @@ module Conformance (B : BACKEND) = struct
           ("deadline recv", deadline_recv);
           ("deadline recv races arrival", deadline_recv_race);
           ("release counts every slice", release_counts);
+          ("a receive allocates nothing", receive_allocates_nothing);
         ]
       @
       if Option.is_none B.sock then []
@@ -671,15 +719,16 @@ let stream_equality =
 (* the non-blocking receive on an idle socket endpoint                 *)
 (* ------------------------------------------------------------------ *)
 
-(* an empty [try_recv_slice] is one zero-timeout poll over a cached fd
+(* an empty [try_recv_into] is one zero-timeout poll over a cached fd
    array: it allocates nothing, however often a polling caller spins *)
 let idle_poll_allocates_nothing () =
   let metrics = Metrics.create () in
   let net = Sock.pack (Sock.create_loopback_t ~n:2 metrics) in
   with_net net metrics @@ fun net _ ->
+  let s = Transport.slice () in
   let spin k =
     for _ = 1 to k do
-      ignore (Transport.try_recv_slice net ~self:1 : (bytes * int * int) option)
+      ignore (Transport.try_recv_into net ~self:1 s : bool)
     done
   in
   spin 10;
@@ -761,12 +810,13 @@ let corked_sends_allocate_nothing () =
   with_sock_t ~n:2 @@ fun _ net ->
   let frame = Bytes.make 48 'c' in
   let rounds = ref 0 in
+  let s = Transport.slice () in
   let round () =
     incr rounds;
     for _ = 1 to 4 do
       Transport.send net ~src:0 ~dest:1 frame
     done;
-    ignore (Transport.try_recv_slice net ~self:0 : (bytes * int * int) option)
+    ignore (Transport.try_recv_into net ~self:0 s : bool)
   in
   (* the first round allocates the cork itself *)
   round ();
