@@ -3,6 +3,7 @@ type t = {
   boxes : Mailbox.t array;
   metrics : Rmi_stats.Metrics.t;
   pool : Rmi_wire.Msgbuf.Pool.buffers;
+  frames : Frame_pool.t;
   mutable fault : (src:int -> dest:int -> bytes -> bytes list) option;
   mutable sim : Fault_sim.t option;
   mutable process_hooks : (Transport.process_event -> unit) list;
@@ -15,6 +16,7 @@ let create ~n metrics =
     boxes = Array.init n (fun _ -> Mailbox.create ());
     metrics;
     pool = Rmi_wire.Msgbuf.Pool.create ~metrics;
+    frames = Frame_pool.create ();
     fault = None;
     sim = None;
     process_hooks = [];
@@ -23,6 +25,7 @@ let create ~n metrics =
 let size t = t.n
 let metrics t = t.metrics
 let pool t = t.pool
+let frames t = t.frames
 
 (* every physical payload copy on the wire path is charged here — the
    quantity the wirecost experiment reports *)
@@ -73,9 +76,12 @@ let poll_crashes t =
               match tr with
               | Fault_sim.Crashed { machine; durability } ->
                   Rmi_stats.Metrics.add t.metrics Crashes 1;
-                  (* its mailbox dies with it; a layer stacked above
-                     wipes its own state from its process hook *)
-                  Mailbox.clear t.boxes.(machine);
+                  (* its mailbox dies with it, letting go of what it
+                     held; a layer stacked above wipes its own state
+                     from its process hook *)
+                  List.iter
+                    (Frame_pool.release t.frames)
+                    (Mailbox.clear t.boxes.(machine));
                   fire_process t (Transport.Proc_crashed { machine; durability })
               | Fault_sim.Restarted { machine; epoch; durability } ->
                   Rmi_stats.Metrics.add t.metrics Restarts 1;
@@ -83,23 +89,37 @@ let poll_crashes t =
                     (Transport.Proc_restarted { machine; epoch; durability }))
             transitions)
 
-let transmit t ~src ~dest frame =
+(* a mailbox holds each frame it queues until the receiver's release;
+   the hold comes first, so a receiver on another domain cannot release
+   it before it is counted *)
+let push t ~dest frame =
+  Frame_pool.hold t.frames frame;
+  Mailbox.send t.boxes.(dest) frame
+
+(* [~handed]: the sender hands its hold on a pooled [frame] to the
+   send, which passes it to the mailbox, or lets it go once the fault
+   stages have taken the holds they keep *)
+let transmit t ~src ~dest ~handed frame =
   match (t.fault, t.sim) with
   | None, None ->
       (* no hook and no simulator: straight to the mailbox, with no
          one-frame list to build *)
-      Mailbox.send t.boxes.(dest) frame
+      if handed then Mailbox.send t.boxes.(dest) frame else push t ~dest frame
   | fault, sim ->
       let frames =
         match fault with None -> [ frame ] | Some hook -> hook ~src ~dest frame
       in
-      let frames =
-        match sim with
-        | None -> frames
-        | Some sim ->
-            List.concat_map (fun f -> Fault_sim.on_send sim ~src ~dest f) frames
-      in
-      List.iter (Mailbox.send t.boxes.(dest)) frames;
+      (match sim with
+      | None -> List.iter (push t ~dest) frames
+      | Some sim ->
+          (* each frame the simulator lets through already carries the
+             hold it took for the mailbox *)
+          List.iter
+            (fun f ->
+              List.iter (Mailbox.send t.boxes.(dest))
+                (Fault_sim.on_send sim ~src ~dest f))
+            frames);
+      if handed then Frame_pool.release t.frames frame;
       (* a send may have pushed the frame clock over a scheduled crash *)
       poll_crashes t
 
@@ -107,30 +127,34 @@ let transmit t ~src ~dest frame =
    bypassing hook and simulator *)
 let inject_frame t ~dest frame =
   check t dest;
-  Mailbox.send t.boxes.(dest) frame
+  push t ~dest frame
 
 let send t ~src ~dest msg =
   check t src;
   check t dest;
   Transport.account_send t.metrics (Bytes.length msg);
-  transmit t ~src ~dest msg
+  transmit t ~src ~dest ~handed:false msg
 
 (* physical transmit: the frame rides through the fault hook and the
    simulator but is never charged to the logical counters — the hook a
    layer stacked above uses for its own frames (envelopes, acks,
-   retransmits, heartbeats, batch groups) *)
+   retransmits, heartbeats, batch groups), a pooled one with a hold *)
 let send_raw t ~src ~dest frame =
   check t src;
   check t dest;
-  transmit t ~src ~dest frame
+  transmit t ~src ~dest ~handed:true frame
 
-(* the message sitting in [w.(payload_off..)] is snapshotted once into
-   the immutable frame the mailbox holds *)
+(* the message sitting in [w.(payload_off..)] is copied once into a
+   pooled frame, whose one hold the send takes *)
 let ship_writer t ~src ~dest w ~payload_off =
   let payload_len = Rmi_wire.Msgbuf.length w - payload_off in
-  let frame = Rmi_wire.Msgbuf.sub w ~off:payload_off ~len:payload_len in
+  let frame =
+    Frame_pool.copy t.frames ~holders:1
+      (Rmi_wire.Msgbuf.unsafe_storage w)
+      ~off:payload_off ~len:payload_len
+  in
   charge t payload_len;
-  transmit t ~src ~dest frame
+  transmit t ~src ~dest ~handed:true frame
 
 let send_writer t ~src ~dest w ~payload_off =
   check t src;
@@ -166,8 +190,10 @@ let recv_blocking_into t ~self s =
   check t self;
   Mailbox.recv_blocking t.boxes.(self) s
 
-(* a mailbox frame is the receiver's own: nothing below reuses it *)
-let release _ ~self:_ _ = ()
+(* a mailbox's hold on a pooled frame ends; other bytes are ignored *)
+let release t ~self frame =
+  check t self;
+  Frame_pool.release t.frames frame
 
 (* a top-level loop: [Array.exists] builds a closure per call, and an
    idle Reliable sweep asks this on every poll *)
@@ -188,10 +214,13 @@ let idle t ~self =
 (* fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let set_faults t sim = t.sim <- Some sim
+let set_faults t sim =
+  Fault_sim.set_frame_pool sim t.frames;
+  t.sim <- Some sim
 let faults t = t.sim
 let set_fault_hook t hook = t.fault <- Some hook
 let clear_fault_hook t = t.fault <- None
 
 (* everything lives in this process; nothing to release *)
 let shutdown _ = ()
+let held t = Frame_pool.held t.frames

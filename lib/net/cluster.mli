@@ -37,10 +37,18 @@ type t
 (** [create ~n metrics]: [n] empty mailboxes.  The layers stacked
     above build frames {e around} payloads sitting in pooled writers
     ([send_writer]) and hand received payloads up as slices of the
-    frame, so a message body is snapshotted at most once per
-    direction; every physical payload copy is charged to the
-    [bytes_copied] metric, which the [wirecost] experiment reports.
-    The pool's acquisitions count [pool_hits]/[pool_misses]. *)
+    frame, so a message body is copied at most once per direction,
+    into a {!Frame_pool} frame; every physical payload copy is charged
+    to the [bytes_copied] metric, which the [wirecost] experiment
+    reports.  The writer pool's acquisitions count
+    [pool_hits]/[pool_misses]; the frame pool counts neither.
+
+    A mailbox holds each pooled frame it queues until the receiver's
+    [release], which may recycle it (so the receiver reads it no
+    more); a crash lets go of what the victim's mailbox held, and an
+    attached {!Fault_sim} holds what it holds back.  Frames the pool
+    does not know — a [send]'s own bytes, injected frames — are
+    queued as they are and never recycled. *)
 val create : n:int -> Rmi_stats.Metrics.t -> t
 
 include Transport.BACKEND with type t := t
@@ -49,3 +57,9 @@ include Transport.BACKEND with type t := t
     fault hook and the simulator.  A test/diagnostic backdoor (e.g.
     forging a stale-epoch envelope for the {!Reliable} layer above). *)
 val inject_frame : t -> dest:int -> bytes -> unit
+
+(** Holders of the cluster's pooled frames — an ARQ awaiting an ack, a
+    mailbox awaiting its receiver's release, a fault schedule holding a
+    frame back: 0 once every frame is acked and released (a test hook,
+    as {!Sock.held} is). *)
+val held : t -> int

@@ -59,6 +59,9 @@ type t = {
   mutable transitions : transition list; (* newest first; drained by Cluster *)
   log : Buffer.t;
   lock : Mutex.t;
+  (* the transport's frame pool, once attached: frames returned and
+     frames held back each hold one of its frames *)
+  mutable frames : Frame_pool.t option;
 }
 
 let mix_init seed idx =
@@ -85,9 +88,17 @@ let create ~seed ~n profile =
     transitions = [];
     log = Buffer.create 256;
     lock = Mutex.create ();
+    frames = None;
   }
 
 let seed t = t.seed
+let set_frame_pool t pool = t.frames <- Some pool
+
+let hold t frame =
+  match t.frames with None -> () | Some p -> Frame_pool.hold p frame
+
+let let_go t frame =
+  match t.frames with None -> () | Some p -> Frame_pool.release p frame
 
 let next_u64 link =
   link.state <- Int64.add link.state 0x9E3779B97F4A7C15L;
@@ -157,6 +168,7 @@ let purge_held_to t ~dest =
       if idx mod t.n = dest && link.held <> [] then begin
         logf t "%d->%d purge %d held\n" (idx / t.n) dest
           (List.length link.held);
+        List.iter (fun (_, f) -> let_go t f) link.held;
         link.held <- []
       end)
     t.links
@@ -252,18 +264,25 @@ let on_send t ~src ~dest frame =
         end
         else if u_hold < p.reorder then begin
           let k = 1 + (s_delay mod p.max_delay) in
+          hold t frame;
           link.held <- link.held @ [ (k, frame) ];
           logf t "%d->%d #%d hold %d\n" src dest frameno k;
           []
         end
         else if u_dup < p.duplicate then begin
           logf t "%d->%d #%d dup\n" src dest frameno;
+          hold t frame;
+          hold t frame;
           [ frame; frame ]
         end
-        else [ frame ]
+        else begin
+          hold t frame;
+          [ frame ]
+        end
       in
       (* age held frames; expired ones release after the current frame,
-         which is what actually reorders the link *)
+         which is what actually reorders the link.  Each keeps the hold
+         it took when held back, now the caller's. *)
       let released = ref [] in
       link.held <-
         List.filter_map

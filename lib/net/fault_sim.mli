@@ -66,6 +66,11 @@ val create : seed:int -> n:int -> profile -> t
 
 val seed : t -> int
 
+(** Keep the frames [on_send] returns and holds back as holders in
+    [pool] — the pool of the transport the simulator is installed on,
+    so a frame it holds back keeps its bytes until it is delivered. *)
+val set_frame_pool : t -> Frame_pool.t -> unit
+
 (** Install a crash/restart schedule.  Validates victims and times;
     entries fire when the global frame clock reaches [crash_at].  A
     spec whose victim is already down is consumed silently. *)
@@ -96,7 +101,15 @@ val frame_clock : t -> int
 (** [on_send t ~src ~dest frame] applies the link's next scheduled
     faults and returns the frames to deliver now, in order: the current
     frame's survivors followed by any previously held frames whose
-    delay just expired.  May return [[]] (dropped or held). *)
+    delay just expired.  May return [[]] (dropped or held).
+
+    With a frame pool attached ({!set_frame_pool}), each frame returned
+    carries one holder in it for the caller to hand on (a mailbox
+    push): a duplicated frame is returned twice, with two.  A frame
+    held back holds one while it waits, and one held back toward a
+    machine that crashes is let go when purged; a dropped frame gains
+    none.  A corrupted frame is a fresh copy, which the pool does not
+    know. *)
 val on_send : t -> src:int -> dest:int -> bytes -> bytes list
 
 (** Frames currently held for delayed delivery (diagnostics). *)

@@ -68,8 +68,9 @@ let recv_deadline t ~seconds s =
 
 let clear t =
   Mutex.lock t.m;
-  ignore (Slice_ring.take_all t.q : bytes list);
-  Mutex.unlock t.m
+  let dropped = Slice_ring.take_all t.q in
+  Mutex.unlock t.m;
+  dropped
 
 let is_empty t =
   Mutex.lock t.m;

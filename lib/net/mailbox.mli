@@ -30,8 +30,9 @@ val recv_blocking : t -> Transport.slice -> unit
 val recv_deadline : t -> seconds:float -> Transport.slice -> bool
 
 (** Discard everything queued — the crash simulator's view of losing a
-    machine's in-flight inbox. *)
-val clear : t -> unit
+    machine's in-flight inbox — and return it, oldest first, for the
+    holders the queue kept to be released. *)
+val clear : t -> bytes list
 
 val is_empty : t -> bool
 

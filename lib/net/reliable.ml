@@ -63,7 +63,9 @@ type det_cell = {
 }
 
 (* a sent-but-unacknowledged data frame, waiting on its retransmit
-   timer; records are recycled through their link's [spare] stack *)
+   timer; records are recycled through their link's [spare] stack.
+   [frame] is a {!Frame_pool} frame the record holds until the frame
+   leaves the table. *)
 type pending = {
   mutable frame : bytes;
   mutable attempts : int;
@@ -86,9 +88,10 @@ type link_tx = {
   mutable nspare : int;
 }
 
-(* [p] left [ltx]'s table: its record waits for the next frame, pinning
-   no bytes *)
-let recycle ltx p =
+(* [p] left [ltx]'s table: its frame's hold ends, and its record waits
+   for the next frame, pinning no bytes *)
+let recycle frames ltx p =
+  Frame_pool.release frames p.frame;
   if ltx.nspare = Array.length ltx.spare then begin
     let spare = Array.make (max 4 (2 * ltx.nspare)) p in
     Array.blit ltx.spare 0 spare 0 ltx.nspare;
@@ -113,17 +116,17 @@ let fresh_pending ltx frame ~rto ~due =
   end
 
 (* a link with nothing unacked *)
-let clear_link ltx =
-  Hashtbl.iter (fun _ p -> recycle ltx p) ltx.unacked;
+let clear_link frames ltx =
+  Hashtbl.iter (fun _ p -> recycle frames ltx p) ltx.unacked;
   Hashtbl.reset ltx.unacked;
   ltx.min_due <- max_int;
   ltx.firsts <- 0
 
 (* [p] leaves [ltx]'s unacked table *)
-let drop_unacked ltx lseq p =
+let drop_unacked frames ltx lseq p =
   Hashtbl.remove ltx.unacked lseq;
   if p.attempts = 1 then ltx.firsts <- ltx.firsts - 1;
-  recycle ltx p;
+  recycle frames ltx p;
   if Hashtbl.length ltx.unacked = 0 then ltx.min_due <- max_int
 
 (* a link's duplicate memory: every lseq in [0, floor) was delivered,
@@ -173,6 +176,7 @@ module M = struct
     n : int;
     metrics : Metrics.t;  (* the backend's *)
     pool : Msgbuf.Pool.buffers;  (* the backend's *)
+    frames : Frame_pool.t;  (* the backend's *)
     params : params;
     tx : link_tx array array;   (* tx.(src).(dest) *)
     rx : Dedup.t array array;   (* rx.(self).(src) *)
@@ -216,9 +220,16 @@ module M = struct
   (* send path: envelope, register for retransmission, ship raw        *)
   (* ---------------------------------------------------------------- *)
 
+  (* the envelope in [w.(start..)], copied into a pooled frame with
+     [holders] holders *)
+  let pooled_frame t w start ~holders =
+    Frame_pool.copy t.frames ~holders (Msgbuf.unsafe_storage w) ~off:start
+      ~len:(Msgbuf.length w - start)
+
   (* control frames (acks, heartbeats): empty payload, built in a
-     pooled writer instead of a throwaway one per frame *)
-  let control_frame t ~kind ~src ~lseq =
+     pooled writer instead of a throwaway one per frame, and held only
+     by their send *)
+  let send_control t ~kind ~src ~dest ~lseq =
     let epoch = Transport.self_epoch t.lower src in
     let p = t.pool in
     let w = Msgbuf.Pool.acquire_writer p in
@@ -226,11 +237,11 @@ module M = struct
       let start =
         Envelope.encode_into w ~kind ~src ~epoch ~lseq ~payload:Bytes.empty ()
       in
-      Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start)
+      pooled_frame t w start ~holders:1
     with
     | frame ->
         Msgbuf.Pool.release_writer p w;
-        frame
+        Transport.send_raw t.lower ~src ~dest frame
     | exception e ->
         Msgbuf.Pool.release_writer p w;
         raise e
@@ -244,11 +255,17 @@ module M = struct
     ltx.firsts <- ltx.firsts + 1;
     if due < ltx.min_due then ltx.min_due <- due
 
+  (* A data envelope is copied once, into a pooled frame that the lower
+     transport and the retransmit table share.  It has two holders: the
+     table, until the ack or the give-up, and the first send, which
+     hands its hold to [lower]'s [send_raw] — so a resend and its ack on
+     other domains cannot recycle the frame before [lower] is done with
+     it.  A control frame has only its send's hold. *)
+
   (* envelope a payload already materialized as bytes: one blit into a
-     pooled writer plus the single frame snapshot shared by the lower
-     transport and the retransmit buffer *)
-  let send_frame t ~src ~dest frame =
-    let envelope =
+     pooled writer plus the frame's copy *)
+  let send_frame t ~src ~dest payload =
+    let frame =
       Msgbuf.Pool.with_writer t.pool (fun w ->
           Mutex.lock t.lock;
           let ltx = t.tx.(src).(dest) in
@@ -256,22 +273,19 @@ module M = struct
           ltx.next_lseq <- lseq + 1;
           let start =
             Envelope.encode_into w ~kind:Data ~src
-              ~epoch:(Transport.self_epoch t.lower src) ~lseq ~payload:frame ()
+              ~epoch:(Transport.self_epoch t.lower src) ~lseq ~payload ()
           in
-          let envelope =
-            Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start)
-          in
-          charge t (Bytes.length frame + Bytes.length envelope);
-          register_unacked t ~lseq ~ltx envelope;
+          let frame = pooled_frame t w start ~holders:2 in
+          charge t (Bytes.length payload + Bytes.length frame);
+          register_unacked t ~lseq ~ltx frame;
           Mutex.unlock t.lock;
-          envelope)
+          frame)
     in
-    Transport.send_raw t.lower ~src ~dest envelope
+    Transport.send_raw t.lower ~src ~dest frame
 
   (* the fast path: the payload sits in [w] after a reserved
      {!Envelope.gap}; the envelope header is back-filled in place and
-     the frame snapshotted exactly once (the copy the lower transport
-     and the retransmit buffer share) *)
+     the frame copied out exactly once *)
   let send_frame_writer t ~src ~dest w ~payload_off =
     Mutex.lock t.lock;
     let ltx = t.tx.(src).(dest) in
@@ -281,11 +295,11 @@ module M = struct
       Envelope.frame_around w ~kind:Data ~src
         ~epoch:(Transport.self_epoch t.lower src) ~lseq ~payload_off
     in
-    let envelope = Msgbuf.sub w ~off:start ~len:(Msgbuf.length w - start) in
-    charge t (Bytes.length envelope);
-    register_unacked t ~lseq ~ltx envelope;
+    let frame = pooled_frame t w start ~holders:2 in
+    charge t (Bytes.length frame);
+    register_unacked t ~lseq ~ltx frame;
     Mutex.unlock t.lock;
-    Transport.send_raw t.lower ~src ~dest envelope
+    Transport.send_raw t.lower ~src ~dest frame
 
   let send t ~src ~dest msg =
     check t src;
@@ -298,7 +312,9 @@ module M = struct
   let send_raw t ~src ~dest frame =
     check t src;
     check t dest;
-    send_frame t ~src ~dest frame
+    send_frame t ~src ~dest frame;
+    (* the hold a pooled [frame] hands over ends with its copy *)
+    Frame_pool.release t.frames frame
 
   let send_writer t ~src ~dest w ~payload_off =
     check t src;
@@ -338,7 +354,7 @@ module M = struct
     | Envelope.Ack ->
         let ltx = t.tx.(self).(src) in
         (match Hashtbl.find ltx.unacked lseq with
-        | p -> drop_unacked ltx lseq p
+        | p -> drop_unacked t.frames ltx lseq p
         | exception Not_found -> ());
         false
     | Envelope.Hb -> false
@@ -373,8 +389,7 @@ module M = struct
     let data = kind = Envelope.Data in
     if data && epoch >= d.known_epoch then begin
       Metrics.add t.metrics Acks_sent 1;
-      Transport.send_raw t.lower ~src:self ~dest:src
-        (control_frame t ~kind:Envelope.Ack ~src:self ~lseq)
+      send_control t ~kind:Envelope.Ack ~src:self ~dest:src ~lseq
     end;
     Mutex.lock t.lock;
     (* fence: a frame from an incarnation older than the best one we
@@ -397,8 +412,8 @@ module M = struct
       if data then Metrics.add t.metrics Dup_drops 1
       else if kind = Envelope.Hb && lseq = Envelope.hb_ping then begin
         Metrics.add t.metrics Heartbeats_sent 1;
-        Transport.send_raw t.lower ~src:self ~dest:src
-          (control_frame t ~kind:Envelope.Hb ~src:self ~lseq:Envelope.hb_pong)
+        send_control t ~kind:Envelope.Hb ~src:self ~dest:src
+          ~lseq:Envelope.hb_pong
       end;
       false
     end
@@ -510,7 +525,9 @@ module M = struct
      schedule holds back is no reason to wait: only later sends on its
      link release it, this resend among them.  Later attempts keep the
      backoff schedule.  Without [t.lock]: [pending_anywhere] takes the
-     lower transport's locks. *)
+     lower transport's locks.  Each frame listed to resend takes a hold
+     for its send, as [sweep_link]'s do, so an ack racing the resend
+     cannot recycle it first. *)
   let resend_first_sends t now =
     if not (Transport.pending_anywhere t.lower) then begin
       Mutex.lock t.lock;
@@ -524,6 +541,7 @@ module M = struct
                   (fun _ p ->
                     if p.attempts = 1 && p.due > now then begin
                       rearm t ltx now p;
+                      Frame_pool.hold t.frames p.frame;
                       resend := (src, dest, p.frame) :: !resend
                     end)
                   ltx.unacked)
@@ -551,6 +569,7 @@ module M = struct
         else begin
           rearm t ltx now p;
           t.sweep_unacked <- t.sweep_unacked + 1;
+          Frame_pool.hold t.frames p.frame;
           t.sweep_resend <- (src, dest, p.frame) :: t.sweep_resend;
           if p.due < !min_due then min_due := p.due
         end)
@@ -558,7 +577,7 @@ module M = struct
     ltx.min_due <- !min_due;
     List.iter
       (fun (lseq, p) ->
-        drop_unacked ltx lseq p;
+        drop_unacked t.frames ltx lseq p;
         Metrics.add t.metrics Timeouts 1;
         t.sweep_gave_up <- dest :: t.sweep_gave_up)
       !expired
@@ -620,9 +639,8 @@ module M = struct
       List.iter
         (fun (observer, peer) ->
           Metrics.add t.metrics Heartbeats_sent 1;
-          Transport.send_raw t.lower ~src:observer ~dest:peer
-            (control_frame t ~kind:Envelope.Hb ~src:observer
-               ~lseq:Envelope.hb_ping))
+          send_control t ~kind:Envelope.Hb ~src:observer ~dest:peer
+            ~lseq:Envelope.hb_ping)
         pings;
     if events <> [] then
       List.iter
@@ -700,7 +718,7 @@ let wipe_machine (t : M.t) m =
   Array.iter
     (fun ltx ->
       ltx.next_lseq <- 0;
-      clear_link ltx)
+      clear_link t.M.frames ltx)
     t.M.tx.(m);
   Array.iter Dedup.reset t.M.rx.(m);
   Array.iter
@@ -725,6 +743,7 @@ let wrap ?now ?params lower =
       n;
       metrics = Transport.metrics lower;
       pool = Transport.pool lower;
+      frames = Transport.frames lower;
       params;
       tx =
         Array.init n (fun _ ->

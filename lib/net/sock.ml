@@ -121,6 +121,7 @@ module M = struct
     clock : Mutex.t;  (* conn table, pendings, closed flag *)
     metrics : Metrics.t;
     pool : Msgbuf.Pool.buffers;
+    frames : Frame_pool.t;
     (* loopback: physical frames written but not yet queued on the
        destination inbox, so [pending_anywhere] never reports quiet
        while a reply sits in a kernel socket buffer *)
@@ -166,6 +167,7 @@ module M = struct
   let size t = t.n
   let metrics t = t.metrics
   let pool t = t.pool
+  let frames t = t.frames
   let is_reliable _ = false
 
   let charge t n = Metrics.add t.metrics Bytes_copied n
@@ -612,16 +614,19 @@ module M = struct
        end
 
   let rec release_row row frame i =
-    if i < Array.length row then
-      match row.(i) with
-      | Some c when release_conn c frame -> ()
-      | _ -> release_row row frame (i + 1)
+    i < Array.length row
+    &&
+    match row.(i) with
+    | Some c when release_conn c frame -> true
+    | _ -> release_row row frame (i + 1)
 
-  (* [frame] is looked up among [self]'s conns; a self-send's frame, or
-     the bytes of a conn since replaced, are no one's *)
+  (* [frame] is looked up among [self]'s conns, then among the pooled
+     frames, whose self-sends the inbox holds; the bytes of a conn since
+     replaced, or a self-send of the caller's own bytes, are no one's *)
   let release t ~self frame =
     check t self;
-    if Bytes.length frame > 0 then release_row t.conns.(self) frame 0
+    if Bytes.length frame > 0 && not (release_row t.conns.(self) frame 0) then
+      Frame_pool.release t.frames frame
 
   let rec read_ready t r = function
     | [] -> ()
@@ -837,11 +842,17 @@ module M = struct
         Mutex.unlock c.wlock;
         raise e
 
-  (* one physical frame, already materialized *)
+  (* one physical frame, already materialized.  A self-send is queued
+     as it is, so the inbox holds a pooled frame until its release; a
+     frame for a conn is copied into the cork or written before this
+     returns. *)
   let ship_frame t ~src ~dest frame =
     let len = Bytes.length frame in
     if len > max_frame then invalid_arg "Sock: frame exceeds the 64 MiB bound";
-    if src = dest then deliver t ~dest frame 0 len
+    if src = dest then begin
+      Frame_pool.hold t.frames frame;
+      deliver t ~dest frame 0 len
+    end
     else
       match conn_to t ~src ~dest with
       | None -> ()
@@ -907,14 +918,28 @@ module M = struct
         | None -> List.iter (fun f -> ship_frame t ~src ~dest f) frames
         | Some c ->
             (* a frame the injector drops was never written: TCP cannot
-               resurrect it — recovery belongs to the Reliable layer above *)
+               resurrect it — recovery belongs to the Reliable layer
+               above.  The injector may hold a frame back or park it
+               past this send, so a pooled frame enters it as a copy. *)
             List.iter
               (fun f ->
+                let f =
+                  if Frame_pool.mem t.frames f then Bytes.copy f else f
+                in
                 List.iter
                   (fun f' -> ship_frame t ~src ~dest f')
                   (Chaos.on_send c ~src ~dest f))
               frames;
             chaos_drain t c)
+
+  (* a pooled [frame] whose hold the send has: the inbox and the hooks
+     take the holds they keep, and this one ends with the send *)
+  let ship_handed t ~src ~dest frame =
+    match ship_hooked t ~src ~dest frame with
+    | () -> Frame_pool.release t.frames frame
+    | exception e ->
+        Frame_pool.release t.frames frame;
+        raise e
 
   (* the no-materialization path: the payload sits in [w] at
      [payload_off] with >= 4 reserved bytes before it.  Buffered, it is
@@ -927,10 +952,13 @@ module M = struct
       invalid_arg "Sock: frame exceeds the 64 MiB bound";
     if src = dest || t.fault <> None || t.chaos <> None then begin
       (* local delivery, the fault hook and the chaos injector all
-         need a real frame *)
-      let frame = Msgbuf.sub w ~off:payload_off ~len:payload_len in
+         need a real frame: a pooled one, held for the send *)
+      let frame =
+        Frame_pool.copy t.frames ~holders:1 (Msgbuf.unsafe_storage w)
+          ~off:payload_off ~len:payload_len
+      in
       charge t payload_len;
-      ship_hooked t ~src ~dest frame
+      ship_handed t ~src ~dest frame
     end
     else
       match conn_to t ~src ~dest with
@@ -946,11 +974,12 @@ module M = struct
     ship_hooked t ~src ~dest msg
 
   (* physical transmit: rides the fault hook and the chaos injector
-     like a send, but charges nothing — a stacked layer's own frames *)
+     like a send, but charges nothing — a stacked layer's own frames,
+     a pooled one with a hold *)
   let send_raw t ~src ~dest frame =
     check t src;
     check t dest;
-    ship_hooked t ~src ~dest frame
+    ship_handed t ~src ~dest frame
 
   let send_writer t ~src ~dest w ~payload_off =
     check t src;
@@ -1364,6 +1393,7 @@ let make ~n ~loopback ~hosted_ids ~listeners ~peer_addr metrics =
     clock = Mutex.create ();
     metrics;
     pool = Msgbuf.Pool.create ~metrics;
+    frames = Frame_pool.create ();
     inflight = Atomic.make 0;
     dlock = Mutex.create ();
     corked = [||];

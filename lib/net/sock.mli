@@ -40,8 +40,10 @@
     buffers; when every spare still has slices out, one is given up in
     turn for fresh bytes, and releases of its slices are ignored.
     [release] finds the buffer among [self]'s connections by physical
-    equality, ignores bytes it does not own (a self-send's frame) and
-    raises [Invalid_argument] when a count would go below 0.
+    equality, then among the {!Frame_pool} frames, which a self-send
+    of one holds until its release; it ignores bytes it does not own
+    (a self-send of the caller's own bytes) and raises
+    [Invalid_argument] when a count would go below 0.
 
     {b Sending.}  Each connection has a 64 KiB send buffer (a
     "cork").  A frame for an endpoint hosted in this process is
@@ -101,7 +103,9 @@
     then passes through the injector — drops, duplicates, holds,
     corruption and kill/restart replay the Sim backend's seeded
     semantics over real sockets — and [self_epoch]/[faults] answer from
-    the embedded simulator.
+    the embedded simulator.  The injector may keep a frame past its
+    send (held back or parked by a stall), so a {!Frame_pool} frame
+    enters it as a copy.
 
     Two modes:
     - {e loopback}: all [n] endpoints hosted in this process over

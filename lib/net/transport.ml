@@ -74,6 +74,7 @@ module type BACKEND = sig
   val size : t -> int
   val metrics : t -> Rmi_stats.Metrics.t
   val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
+  val frames : t -> Frame_pool.t
   val is_hosted : t -> int -> bool
   val self_epoch : t -> int -> int
   val on_process_event : t -> (process_event -> unit) -> unit
@@ -166,6 +167,7 @@ let on_peer_event (Packed ((module M), h, _)) f = M.on_peer_event h f
 let size (Packed (_, _, Backend ((module B), b))) = B.size b
 let metrics (Packed (_, _, Backend ((module B), b))) = B.metrics b
 let pool (Packed (_, _, Backend ((module B), b))) = B.pool b
+let frames (Packed (_, _, Backend ((module B), b))) = B.frames b
 let is_hosted (Packed (_, _, Backend ((module B), b))) m = B.is_hosted b m
 let self_epoch (Packed (_, _, Backend ((module B), b))) m = B.self_epoch b m
 

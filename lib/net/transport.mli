@@ -51,10 +51,11 @@ type process_event =
     it is done with a message (a handler's nested call re-enters the
     receive path on the same node) reads them into locals first.  [buf]
     may be the backend's own receive storage ({!Sock} hands up slices
-    of a connection's read buffer): its bytes stay intact until the
-    receiver {!S.release}s [buf], and a receiver that never releases
-    keeps them intact for as long as it holds them, at the cost of
-    fresh storage below. *)
+    of a connection's read buffer, {!Cluster} frames of its
+    {!Frame_pool}): its bytes stay intact until the receiver
+    {!S.release}s [buf], and a receiver that never releases keeps them
+    intact for as long as it holds them, at the cost of fresh storage
+    below. *)
 type slice = { mutable buf : bytes; mutable off : int; mutable len : int }
 
 (** A fresh slice naming no bytes. *)
@@ -105,7 +106,11 @@ module type S = sig
       (fault hook, fault schedule) but is never charged to the logical
       counters — how a layer stacked {e above} ships frames it has
       already accounted for (the ARQ's acks, retransmissions and
-      heartbeats; a flushed batch group). *)
+      heartbeats; a flushed batch group).  A {!Frame_pool} frame of the
+      stack's pool comes with one of the caller's holds, which the send
+      takes over: a mailbox keeps it until the receiver's {!release},
+      and a send that keeps no reference lets it go before returning.
+      Other bytes are the caller's, as with [send]. *)
   val send_raw : t -> src:int -> dest:int -> bytes -> unit
 
   (** [send_writer t ~src ~dest w ~payload_off] ships the message
@@ -152,8 +157,13 @@ module type S = sig
       Releases count per [frame], so any slice of it may be named.  A
       layer releases to the layer below the frames it consumes itself
       and passes the others' releases down; bytes a layer does not own
-      are ignored.  {!Sock} raises [Invalid_argument] when a buffer's
-      count of outstanding slices would go below 0. *)
+      are ignored.  A release may recycle [frame] at once — {!Sock}
+      reads its next bytes into a connection buffer whose slices are
+      all released, and on [Sim] the frame goes back to the
+      {!Frame_pool} once its ARQ and its last receiver are done — so a
+      receiver must not read [frame] after releasing it.  Both raise
+      [Invalid_argument] when a frame's count of outstanding slices or
+      holders would go below 0. *)
   val release : t -> self:int -> bytes -> unit
 
   (** Fire the retransmit timers and failure-detector checks that are
@@ -183,6 +193,10 @@ module type BACKEND = sig
   (** The shared writer/reader free-list pool. *)
   val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
 
+  (** The recycled frame buffers every layer of the stack builds its
+      frames in (see {!Frame_pool}). *)
+  val frames : t -> Frame_pool.t
+
   (** Whether machine [m]'s endpoint lives in this process.  Loopback
       and simulated backends host every machine; a process-mode backend
       hosts only its own id.  Acting as a non-hosted machine — sending
@@ -210,7 +224,9 @@ module type BACKEND = sig
   (** The hook sees every physical frame about to leave and returns the
       frames to actually ship: pass through ([[frame]]), corrupt
       ([[other]]), drop ([[]]), duplicate ([[frame; frame]]) or release
-      previously retained frames.  Metrics still count the original
+      previously retained frames.  A frame may be {!Frame_pool} bytes,
+      recycled once its send returns, so a hook that retains a frame
+      past its call retains a copy.  Metrics still count the original
       send. *)
   val set_fault_hook :
     t -> (src:int -> dest:int -> bytes -> bytes list) -> unit
@@ -280,6 +296,7 @@ val on_peer_event : t -> (self:int -> peer:int -> peer_event -> unit) -> unit
 val size : t -> int
 val metrics : t -> Rmi_stats.Metrics.t
 val pool : t -> Rmi_wire.Msgbuf.Pool.buffers
+val frames : t -> Frame_pool.t
 val is_hosted : t -> int -> bool
 val self_epoch : t -> int -> int
 val on_process_event : t -> (process_event -> unit) -> unit
